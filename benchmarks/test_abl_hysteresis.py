@@ -17,7 +17,7 @@ import statistics
 import pytest
 from conftest import HORIZON, print_series
 
-from repro import BPSystem, UGPUSystem, build_mix
+from repro import BPPolicy, MultitaskSystem, UGPUPolicy, build_mix
 from repro.workloads import heterogeneous_pairs
 
 BARS = (0.0, 0.03, 0.10, 1.0)
@@ -29,18 +29,22 @@ def test_hysteresis_sweep(benchmark):
     def sweep():
         out = {}
         bp = [
-            BPSystem(build_mix(list(p)).applications).run(HORIZON)
+            MultitaskSystem(
+                build_mix(list(p)).applications, policy=BPPolicy()
+            ).run(HORIZON)
             for p in pairs
         ]
         for bar in BARS:
             gains, reparts, suppressed = [], 0, 0
             for pair, base in zip(pairs, bp):
-                system = UGPUSystem(build_mix(list(pair)).applications,
-                                    hysteresis=bar)
+                system = MultitaskSystem(
+                    build_mix(list(pair)).applications,
+                    policy=UGPUPolicy(hysteresis=bar),
+                )
                 result = system.run(HORIZON)
                 gains.append(result.stp / base.stp - 1)
                 reparts += result.repartitions
-                suppressed += system.suppressed_repartitions
+                suppressed += system.policy.suppressed_repartitions
             out[bar] = (statistics.fmean(gains), reparts, suppressed)
         return out
 

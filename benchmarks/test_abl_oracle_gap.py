@@ -10,7 +10,13 @@ import statistics
 import pytest
 from conftest import HORIZON, print_series
 
-from repro import GPUConfig, UGPUSystem, build_application, build_mix
+from repro import (
+    GPUConfig,
+    MultitaskSystem,
+    UGPUPolicy,
+    build_application,
+    build_mix,
+)
 from repro.core.oracle import OraclePartitioner
 from repro.workloads import heterogeneous_pairs
 
@@ -27,8 +33,9 @@ def test_oracle_gap(benchmark):
                 1: build_application(cb).kernels[0],
             }
             best = oracle.best_partition(kernels).stp
-            achieved = UGPUSystem(
-                build_mix([mb, cb]).applications, offline=True
+            achieved = MultitaskSystem(
+                build_mix([mb, cb]).applications,
+                policy=UGPUPolicy(offline=True),
             ).run(HORIZON).stp
             gaps.append((f"{mb}_{cb}", best, achieved, achieved / best))
         return gaps

@@ -8,16 +8,20 @@ cap); huge steps overshoot the balance point.
 import pytest
 from conftest import HORIZON, print_series
 
-from repro import BPSystem, UGPUSystem, build_mix
+from repro import BPPolicy, MultitaskSystem, UGPUPolicy, build_mix
 
 
 def test_sm_step_sweep(benchmark):
     def sweep():
-        bp = BPSystem(build_mix(["PVC", "DXTC"]).applications).run(HORIZON)
+        bp = MultitaskSystem(
+            build_mix(["PVC", "DXTC"]).applications, policy=BPPolicy()
+        ).run(HORIZON)
         out = {}
         for step in (2, 4, 8, 16):
             apps = build_mix(["PVC", "DXTC"]).applications
-            result = UGPUSystem(apps, sm_step=step).run(HORIZON)
+            result = MultitaskSystem(
+                apps, policy=UGPUPolicy(sm_step=step)
+            ).run(HORIZON)
             out[step] = (result.stp / bp.stp - 1, result.repartitions)
         return out
 

@@ -10,8 +10,9 @@ placement + balanced partitioning.
 import pytest
 from conftest import HORIZON, print_series
 
-from repro import BPSystem, UGPUSystem, build_application
+from repro import build_application
 from repro.cluster import ClusterScheduler, PlacementPolicy
+from repro.exec.registry import bp, ugpu
 
 
 def tenant_jobs():
@@ -38,16 +39,16 @@ def test_cluster_policy_matrix(benchmark):
     def sweep():
         return {
             ("first-fit", "BP"): run_configuration(
-                PlacementPolicy.FIRST_FIT, BPSystem
+                PlacementPolicy.FIRST_FIT, bp
             ).cluster_stp,
             ("first-fit", "UGPU"): run_configuration(
-                PlacementPolicy.FIRST_FIT, UGPUSystem
+                PlacementPolicy.FIRST_FIT, ugpu
             ).cluster_stp,
             ("demand-aware", "BP"): run_configuration(
-                PlacementPolicy.DEMAND_AWARE, BPSystem
+                PlacementPolicy.DEMAND_AWARE, bp
             ).cluster_stp,
             ("demand-aware", "UGPU"): run_configuration(
-                PlacementPolicy.DEMAND_AWARE, UGPUSystem
+                PlacementPolicy.DEMAND_AWARE, ugpu
             ).cluster_stp,
         }
 

@@ -10,7 +10,7 @@ improving performance."  This bench runs that scenario.
 import pytest
 from conftest import HORIZON, print_series
 
-from repro import BPSystem, UGPUSystem
+from repro import BPPolicy, MultitaskSystem, UGPUPolicy
 from repro.gpu import Application, Kernel
 from repro.units import GB
 
@@ -35,10 +35,16 @@ def test_oversubscription_scenario(benchmark):
     def sweep():
         out = {}
         for footprint in (6, 10, 12, 14):
-            bp = BPSystem([hog(footprint), tiny()],
-                          total_memory_bytes=TOTAL_MEMORY).run(HORIZON)
-            system = UGPUSystem([hog(footprint), tiny()],
-                                total_memory_bytes=TOTAL_MEMORY)
+            bp = MultitaskSystem(
+                [hog(footprint), tiny()],
+                total_memory_bytes=TOTAL_MEMORY,
+                policy=BPPolicy(),
+            ).run(HORIZON)
+            system = MultitaskSystem(
+                [hog(footprint), tiny()],
+                total_memory_bytes=TOTAL_MEMORY,
+                policy=UGPUPolicy(),
+            )
             ugpu = system.run(HORIZON)
             out[footprint] = (
                 bp.stp, ugpu.stp, system.apps[0].allocation.channels
@@ -77,8 +83,11 @@ def test_capacity_floor_respected(benchmark):
     working set needs."""
 
     def run():
-        system = UGPUSystem([hog(12), tiny()],
-                            total_memory_bytes=TOTAL_MEMORY)
+        system = MultitaskSystem(
+            [hog(12), tiny()],
+            total_memory_bytes=TOTAL_MEMORY,
+            policy=UGPUPolicy(),
+        )
         system.run(HORIZON)
         return system.apps[0].allocation
 

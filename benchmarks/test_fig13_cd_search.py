@@ -13,7 +13,7 @@ import statistics
 import pytest
 from conftest import mean_antt_gain, mean_gain, print_series, sweep_policy
 
-from repro import BPSystem, CDSearchSystem, UGPUSystem, build_mix
+from repro import CDSearchPolicy, MultitaskSystem, UGPUPolicy, build_mix
 from repro.workloads import four_program_mixes
 
 
@@ -52,8 +52,12 @@ def test_fig13_four_program_advantage(benchmark):
     def run_all():
         out = []
         for mix in mixes:
-            cd = CDSearchSystem(build_mix(mix.abbrs).applications).run()
-            ugpu = UGPUSystem(build_mix(mix.abbrs).applications).run()
+            cd = MultitaskSystem(
+                build_mix(mix.abbrs).applications, policy=CDSearchPolicy()
+            ).run()
+            ugpu = MultitaskSystem(
+                build_mix(mix.abbrs).applications, policy=UGPUPolicy()
+            ).run()
             out.append((cd, ugpu))
         return out
 

@@ -15,15 +15,19 @@ import statistics
 import pytest
 from conftest import HORIZON, print_series
 
-from repro import BPSystem, UGPUSystem, build_mix
+from repro import BPPolicy, MultitaskSystem, UGPUPolicy, build_mix
 from repro.workloads import eight_program_mixes, four_program_mixes, heterogeneous_pairs
 
 
 def run_mixes(mixes):
     results = []
     for mix in mixes:
-        bp = BPSystem(build_mix(mix.abbrs).applications).run(HORIZON)
-        ugpu = UGPUSystem(build_mix(mix.abbrs).applications).run(HORIZON)
+        bp = MultitaskSystem(
+            build_mix(mix.abbrs).applications, policy=BPPolicy()
+        ).run(HORIZON)
+        ugpu = MultitaskSystem(
+            build_mix(mix.abbrs).applications, policy=UGPUPolicy()
+        ).run(HORIZON)
         results.append((bp, ugpu))
     return results
 
@@ -32,8 +36,12 @@ def run_mixes(mixes):
 def two_program_gain():
     gains = []
     for pair in heterogeneous_pairs()[::5]:  # representative subsample
-        bp = BPSystem(build_mix(pair).applications).run(HORIZON)
-        ugpu = UGPUSystem(build_mix(pair).applications).run(HORIZON)
+        bp = MultitaskSystem(
+            build_mix(pair).applications, policy=BPPolicy()
+        ).run(HORIZON)
+        ugpu = MultitaskSystem(
+            build_mix(pair).applications, policy=UGPUPolicy()
+        ).run(HORIZON)
         gains.append(ugpu.stp / bp.stp - 1)
     return statistics.fmean(gains)
 

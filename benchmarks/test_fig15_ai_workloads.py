@@ -11,7 +11,13 @@ import statistics
 import pytest
 from conftest import HORIZON, print_series
 
-from repro import BPSystem, UGPUSystem, build_ai_application, build_application
+from repro import (
+    BPPolicy,
+    MultitaskSystem,
+    UGPUPolicy,
+    build_ai_application,
+    build_application,
+)
 from repro.workloads import AI_MODELS, COMPUTE_BOUND_ABBRS
 
 
@@ -31,8 +37,12 @@ def run_pair(model_name, cb):
             build_application(cb, app_id=1),
         ]
 
-    bp = BPSystem(apps()).run(HORIZON, mix_name=f"{model_name}_{cb}")
-    ugpu = UGPUSystem(apps()).run(HORIZON, mix_name=f"{model_name}_{cb}")
+    bp = MultitaskSystem(
+        apps(), policy=BPPolicy()
+    ).run(HORIZON, mix_name=f"{model_name}_{cb}")
+    ugpu = MultitaskSystem(
+        apps(), policy=UGPUPolicy()
+    ).run(HORIZON, mix_name=f"{model_name}_{cb}")
     return bp, ugpu
 
 

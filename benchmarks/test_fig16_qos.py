@@ -14,7 +14,14 @@ import statistics
 import pytest
 from conftest import HORIZON, print_series
 
-from repro import BPSystem, MPSSystem, QoSTarget, UGPUSystem, build_mix
+from repro import (
+    BPPolicy,
+    MPSPolicy,
+    MultitaskSystem,
+    QoSTarget,
+    UGPUPolicy,
+    build_mix,
+)
 from repro.workloads import heterogeneous_pairs
 
 QOS_NP = 0.75
@@ -33,15 +40,19 @@ def run_qos(policy, pair):
     apps = build_mix(list(pair)).applications
     if policy == "MPS":
         # Offline analysis gives the high-priority app 60 SMs (paper).
-        system = MPSSystem(apps, sm_assignment={1: 60, 0: 20})
+        system = MultitaskSystem(
+            apps, policy=MPSPolicy(sm_assignment={1: 60, 0: 20})
+        )
     elif policy == "BP":
         # QoS-aware BP: high-priority app gets the big partition.  Our
         # mixes put the high-priority (compute-bound) app second, so we
         # construct the partition with qos_big_first on the reordered mix.
         apps = build_mix([pair[1], pair[0]]).applications
-        system = BPSystem(apps, qos_big_first=True)
+        system = MultitaskSystem(apps, policy=BPPolicy(qos_big_first=True))
     else:
-        system = UGPUSystem(apps, qos=QoSTarget(app_id=1, target_np=QOS_NP))
+        system = MultitaskSystem(
+            apps, policy=UGPUPolicy(qos=QoSTarget(app_id=1, target_np=QOS_NP))
+        )
     return system.run(HORIZON, mix_name="_".join(pair))
 
 

@@ -9,7 +9,13 @@ longer epochs amortize overhead but adapt slower.
 import pytest
 from conftest import HORIZON, print_series
 
-from repro import AlgorithmCostModel, BPSystem, UGPUSystem, build_mix
+from repro import (
+    AlgorithmCostModel,
+    BPPolicy,
+    MultitaskSystem,
+    UGPUPolicy,
+    build_mix,
+)
 
 EPOCHS = (1_000_000, 2_500_000, 5_000_000, 12_500_000)
 
@@ -17,10 +23,14 @@ EPOCHS = (1_000_000, 2_500_000, 5_000_000, 12_500_000)
 def test_epoch_length_sweep(benchmark):
     def sweep():
         out = {}
-        bp = BPSystem(build_mix(["PVC", "DXTC"]).applications).run(HORIZON)
+        bp = MultitaskSystem(
+            build_mix(["PVC", "DXTC"]).applications, policy=BPPolicy()
+        ).run(HORIZON)
         for epoch in EPOCHS:
             apps = build_mix(["PVC", "DXTC"]).applications
-            result = UGPUSystem(apps, epoch_cycles=epoch).run(HORIZON)
+            result = MultitaskSystem(
+                apps, epoch_cycles=epoch, policy=UGPUPolicy()
+            ).run(HORIZON)
             out[epoch] = (result.stp / bp.stp - 1, result.repartitions)
         return out
 
@@ -59,7 +69,9 @@ def test_repartitioning_active_across_epoch_lengths(benchmark):
         out = {}
         for epoch in (1_000_000, 5_000_000, 12_500_000):
             apps = build_mix(["BH", "DXTC"]).applications  # multi-kernel app
-            out[epoch] = UGPUSystem(apps, epoch_cycles=epoch).run(HORIZON).repartitions
+            out[epoch] = MultitaskSystem(
+                apps, epoch_cycles=epoch, policy=UGPUPolicy()
+            ).run(HORIZON).repartitions
         return out
 
     reparts = benchmark.pedantic(count, rounds=1, iterations=1)

@@ -12,7 +12,7 @@ import statistics
 import pytest
 from conftest import HORIZON, print_series
 
-from repro import BPSystem, GPUConfig, UGPUSystem, build_mix
+from repro import BPPolicy, GPUConfig, MultitaskSystem, UGPUPolicy, build_mix
 from repro.hbm import HBMConfig
 from repro.workloads import heterogeneous_pairs
 
@@ -45,10 +45,16 @@ def test_geometry_sweep(benchmark):
         for stacks, config in GEOMETRIES.items():
             gains = []
             for pair in pairs:
-                bp = BPSystem(build_mix(list(pair)).applications,
-                              config=config).run(HORIZON)
-                ugpu = UGPUSystem(build_mix(list(pair)).applications,
-                                  config=config).run(HORIZON)
+                bp = MultitaskSystem(
+                    build_mix(list(pair)).applications,
+                    config=config,
+                    policy=BPPolicy(),
+                ).run(HORIZON)
+                ugpu = MultitaskSystem(
+                    build_mix(list(pair)).applications,
+                    config=config,
+                    policy=UGPUPolicy(),
+                ).run(HORIZON)
                 gains.append(ugpu.stp / bp.stp - 1)
             out[stacks] = statistics.fmean(gains)
         return out

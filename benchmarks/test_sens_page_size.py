@@ -72,14 +72,15 @@ def test_page_size_end_to_end_stability(benchmark):
     def run():
         out = {}
         for size in (4096, 16384):
-            from repro import UGPUSystem, build_mix
+            from repro import MultitaskSystem, UGPUPolicy, build_mix
             from repro.pagemove import MigrationCostModel, PageMoveAddressMapping
             apps = build_mix(["PVC", "DXTC"]).applications
-            system = UGPUSystem(apps)
-            system.migration_cost = MigrationCostModel(
+            policy = UGPUPolicy()
+            system = MultitaskSystem(apps, policy=policy)
+            policy.migration_cost = MigrationCostModel(
                 mapping=PageMoveAddressMapping(page_size=size)
             )
-            system.page_size = size
+            policy.page_size = size
             out[size] = system.run(25_000_000).stp
         return out
 

@@ -9,7 +9,13 @@ connected / recurrent phases and SMs to the convolution phases.
 Run:  python examples/ai_colocation.py
 """
 
-from repro import BPSystem, UGPUSystem, build_ai_application, build_application
+from repro import (
+    BPPolicy,
+    MultitaskSystem,
+    UGPUPolicy,
+    build_ai_application,
+    build_application,
+)
 
 HORIZON = 25_000_000
 
@@ -21,8 +27,8 @@ def run_pair(model_name: str, partner: str):
             build_application(partner, app_id=1),
         ]
 
-    bp = BPSystem(apps()).run(HORIZON)
-    system = UGPUSystem(apps())
+    bp = MultitaskSystem(apps(), policy=BPPolicy()).run(HORIZON)
+    system = MultitaskSystem(apps(), policy=UGPUPolicy())
     ugpu = system.run(HORIZON)
     return bp, ugpu, system
 

@@ -12,11 +12,12 @@ Run:  python examples/cloud_scheduler.py
 """
 
 from repro import (
-    BPSystem,
-    CDSearchSystem,
-    MPSSystem,
+    BPPolicy,
+    CDSearchPolicy,
+    MPSPolicy,
+    MultitaskSystem,
     QoSTarget,
-    UGPUSystem,
+    UGPUPolicy,
     build_mix,
 )
 
@@ -32,14 +33,15 @@ TENANT_MIXES = {
 
 def evaluate(mix_name, abbrs):
     policies = {
-        "BP": BPSystem(build_mix(abbrs).applications),
-        "MPS": MPSSystem(build_mix(abbrs).applications),
-        "CD-Search": CDSearchSystem(build_mix(abbrs).applications),
-        "UGPU": UGPUSystem(build_mix(abbrs).applications),
+        "BP": BPPolicy(),
+        "MPS": MPSPolicy(),
+        "CD-Search": CDSearchPolicy(),
+        "UGPU": UGPUPolicy(),
     }
     return {
-        name: system.run(HORIZON, mix_name=mix_name)
-        for name, system in policies.items()
+        name: MultitaskSystem(build_mix(abbrs).applications, policy=policy)
+        .run(HORIZON, mix_name=mix_name)
+        for name, policy in policies.items()
     }
 
 
@@ -59,9 +61,13 @@ def main() -> None:
     # cannot guarantee the floor; UGPU can.
     print("QoS-sensitive tenant (DXTC needs 0.75 normalized progress):")
     apps = build_mix(["PVC", "DXTC"]).applications
-    qos = UGPUSystem(apps, qos=QoSTarget(app_id=1, target_np=0.75)).run(HORIZON)
-    mps = MPSSystem(build_mix(["PVC", "DXTC"]).applications,
-                    sm_assignment={1: 60, 0: 20}).run(HORIZON)
+    qos = MultitaskSystem(
+        apps, policy=UGPUPolicy(qos=QoSTarget(app_id=1, target_np=0.75))
+    ).run(HORIZON)
+    mps = MultitaskSystem(
+        build_mix(["PVC", "DXTC"]).applications,
+        policy=MPSPolicy(sm_assignment={1: 60, 0: 20}),
+    ).run(HORIZON)
     for name, result in (("UGPU+QoS", qos), ("MPS", mps)):
         hp = next(r for r in result.runs if r.name == "DXTC")
         verdict = "meets" if hp.normalized_progress >= 0.73 else "VIOLATES"

@@ -11,7 +11,7 @@ set on a 16 GB GPU and shows the effect.
 Run:  python examples/oversubscribed_tenant.py
 """
 
-from repro import BPSystem, UGPUSystem
+from repro import BPPolicy, MultitaskSystem, UGPUPolicy
 from repro.gpu import Application, Kernel
 from repro.units import GB
 
@@ -39,10 +39,16 @@ def main() -> None:
     print(f"{'working set':>12} {'BP STP':>8} {'UGPU STP':>9} {'gain':>9}"
           f"   HOG slice")
     for footprint in (4, 8, 10, 12, 14):
-        bp = BPSystem([hog(footprint), tiny()],
-                      total_memory_bytes=TOTAL_MEMORY).run(HORIZON)
-        system = UGPUSystem([hog(footprint), tiny()],
-                            total_memory_bytes=TOTAL_MEMORY)
+        bp = MultitaskSystem(
+            [hog(footprint), tiny()],
+            total_memory_bytes=TOTAL_MEMORY,
+            policy=BPPolicy(),
+        ).run(HORIZON)
+        system = MultitaskSystem(
+            [hog(footprint), tiny()],
+            total_memory_bytes=TOTAL_MEMORY,
+            policy=UGPUPolicy(),
+        )
         ugpu = system.run(HORIZON)
         alloc = system.apps[0].allocation
         capacity_gb = 16 * alloc.channels / 32

@@ -8,17 +8,21 @@ against UGPU's dynamically constructed unbalanced slices.
 Run:  python examples/quickstart.py
 """
 
-from repro import BPSystem, UGPUSystem, build_mix
+from repro import BPPolicy, MultitaskSystem, UGPUPolicy, build_mix
 
 
 def main() -> None:
     horizon = 25_000_000  # the paper's 25M-cycle simulation window
 
     # Balanced partitioning (MIG-like): each app gets 40 SMs / 16 channels.
-    bp = BPSystem(build_mix(["PVC", "DXTC"]).applications).run(horizon)
+    bp = MultitaskSystem(
+        build_mix(["PVC", "DXTC"]).applications, policy=BPPolicy()
+    ).run(horizon)
 
     # UGPU: epoch profiling + demand-aware repartitioning + PageMove.
-    system = UGPUSystem(build_mix(["PVC", "DXTC"]).applications)
+    system = MultitaskSystem(
+        build_mix(["PVC", "DXTC"]).applications, policy=UGPUPolicy()
+    )
     ugpu = system.run(horizon)
 
     print("PVC (memory-bound) + DXTC (compute-bound), 25M cycles\n")

@@ -18,7 +18,7 @@ QoS enforcement intervened.  This walkthrough:
 Run:  python examples/trace_timeline.py
 """
 
-from repro import UGPUSystem, build_mix
+from repro import MultitaskSystem, UGPUPolicy, build_mix
 from repro.pagemove import InterleavedPageMapping, MigrationEngine, PageMoveAddressMapping
 from repro.trace import TraceRecorder, summarize, write_chrome_trace, write_jsonl
 from repro.vm import FaultKind, GPUDriver
@@ -41,7 +41,7 @@ def epoch_timeline(recorder: TraceRecorder) -> None:
 
 def system_level(recorder: TraceRecorder) -> None:
     apps = build_mix(["PVC", "DXTC"]).applications
-    system = UGPUSystem(apps, tracer=recorder)
+    system = MultitaskSystem(apps, tracer=recorder, policy=UGPUPolicy())
     result = system.run(25_000_000, mix_name="PVC_DXTC")
     print(f"UGPU on PVC_DXTC: STP {result.stp:.3f}, "
           f"{result.repartitions} repartition(s)\n")

@@ -22,21 +22,16 @@ Open-system runs add an arrival schedule::
     result = MultitaskSystem([], policy=UGPUPolicy(), arrivals=arrivals).run()
     print(f"interval STP={result.stp:.2f}  makespan={result.makespan}")
 
-The pre-1.1 subclass spellings (``UGPUSystem``, ``BPSystem``, ...) remain
-importable from here for one release; they are deprecated shims around
-``MultitaskSystem(apps, policy=...)``.
-
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-import warnings as _warnings
-
 # Defined before any submodule import: the exec job specs and the fleet
 # shard jobs fold the package version into their cache keys, so their
 # modules do ``from repro import __version__`` while this package is
-# still initializing.
-__version__ = "1.1.0"
+# still initializing.  ``pyproject.toml`` reads the distribution version
+# from here.
+__version__ = "2.0.0"
 
 from repro.cluster import (
     ClusterScheduler,
@@ -120,38 +115,6 @@ from repro.exec import (  # noqa: E402
     registered_policies,
 )
 
-#: Deprecated subclass spellings, resolved lazily (PEP 562) so importing
-#: ``repro`` stays warning-free; accessing one emits DeprecationWarning
-#: once, then the shim class (which warns again at construction) is
-#: cached in the module namespace.
-_DEPRECATED_SYSTEMS = {
-    "UGPUSystem": ("repro.core.ugpu", "UGPUPolicy"),
-    "BPSystem": ("repro.baselines.bp", "BPPolicy"),
-    "BPBigSmallSystem": ("repro.baselines.bp", "BPBigSmallPolicy"),
-    "BPSmallBigSystem": ("repro.baselines.bp", "BPSmallBigPolicy"),
-    "MPSSystem": ("repro.baselines.mps", "MPSPolicy"),
-    "CDSearchSystem": ("repro.baselines.cd_search", "CDSearchPolicy"),
-}
-
-
-def __getattr__(name):
-    try:
-        module_name, policy_name = _DEPRECATED_SYSTEMS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    _warnings.warn(
-        f"repro.{name} is deprecated; use "
-        f"MultitaskSystem(apps, policy={policy_name}(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
 __all__ = [
     "__version__",
     # GPU substrate
@@ -194,13 +157,6 @@ __all__ = [
     "ClusterScheduler",
     "PlacementPolicy",
     "FleetHealthMonitor",
-    # Deprecated subclass spellings (lazy shims)
-    "UGPUSystem",
-    "BPSystem",
-    "BPBigSmallSystem",
-    "BPSmallBigSystem",
-    "MPSSystem",
-    "CDSearchSystem",
     # Metrics
     "AppRun",
     "IntervalRun",

@@ -4,9 +4,9 @@ Sweeps execute through :mod:`repro.exec`: pass ``jobs=N`` to fan the
 (policy × mix) simulations out over a process pool and ``cache=`` a
 :class:`~repro.exec.cache.ResultCache` to memoize results across calls.
 Policies may be given as registry names (``"bp"``, ``"ugpu"``, ...), as
-the registered factories themselves (e.g. ``BPSystem``), or as arbitrary
-callables — the latter fall back to in-process serial execution since
-they cannot cross a process boundary or be fingerprinted.
+the registered factories themselves (e.g. :func:`repro.exec.registry.bp`),
+or as arbitrary callables — the latter fall back to in-process serial
+execution since they cannot cross a process boundary or be fingerprinted.
 """
 
 from __future__ import annotations

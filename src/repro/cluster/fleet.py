@@ -43,7 +43,12 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.health import FleetHealthMonitor, HealthReport
-from repro.cluster.placement import NodeView, PlacementPolicy, choose_node
+from repro.cluster.placement import (
+    NodeView,
+    PlacementPolicy,
+    choose_node,
+    is_memory_bound,
+)
 from repro.cluster.shard import (
     CHANNEL_FLOOR,
     SLICING_MODES,
@@ -318,10 +323,9 @@ class FleetSimulator:
         """Equation 1/2 classification at the even two-way split."""
         cached = self._class_memo.get(abbr)
         if cached is None:
-            kernel = _template(abbr, self.instructions_per_kernel).kernels[0]
-            cached = self._model.throughput(
-                kernel, self.config.num_sms // 2, self.config.num_channels // 2
-            ).demand_supply_ratio >= 1.0
+            cached = is_memory_bound(
+                self._model, _template(abbr, self.instructions_per_kernel)
+            )
             self._class_memo[abbr] = cached
         return cached
 

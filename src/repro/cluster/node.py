@@ -105,8 +105,8 @@ class GPUNode:
         """Run the placed tenants under ``policy`` (UGPU by default).
 
         ``policy`` is a factory ``policy(applications) -> system`` — a
-        :mod:`repro.exec.registry` factory, a deprecated system subclass,
-        or any compatible callable.
+        :mod:`repro.exec.registry` factory such as
+        :func:`~repro.exec.registry.bp`, or any compatible callable.
 
         A single-tenant node runs that tenant on the whole GPU (its NP is
         1.0 by construction); an idle node contributes nothing.

@@ -91,6 +91,17 @@ class NodeView:
         return any(c != job_is_memory_bound for c in self.tenant_classes)
 
 
+def is_memory_bound(perf, app) -> bool:
+    """Classify ``app`` from its first kernel at the even two-way split
+    of ``perf``'s GPU (a :class:`~repro.gpu.performance.PerformanceModel`):
+    the same Equation 1/2 demand/supply boundary UGPU's profiler uses."""
+    config = perf.config
+    throughput = perf.throughput(
+        app.kernels[0], config.num_sms // 2, config.num_channels // 2
+    )
+    return throughput.demand_supply_ratio >= 1.0
+
+
 def placement_key(policy: PlacementPolicy, view: NodeView,
                   job_is_memory_bound: bool) -> tuple:
     """The sort key (lower is better) ``policy`` assigns to ``view`` for

@@ -22,7 +22,12 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.node import GPUNode, NodeResult
-from repro.cluster.placement import NodeView, PlacementPolicy, choose_node
+from repro.cluster.placement import (
+    NodeView,
+    PlacementPolicy,
+    choose_node,
+    is_memory_bound,
+)
 from repro.core.system import MultitaskSystem
 from repro.errors import AllocationError
 from repro.gpu.config import GPUConfig
@@ -103,14 +108,6 @@ class ClusterScheduler:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def _is_memory_bound(self, app: Application) -> bool:
-        """Classify from the app's first kernel at the even two-way split
-        (the same Equation 1/2 boundary UGPU's profiler uses)."""
-        throughput = self.perf.throughput(
-            app.kernels[0], self.config.num_sms // 2, self.config.num_channels // 2
-        )
-        return throughput.demand_supply_ratio >= 1.0
-
     def place(self, jobs: Sequence[Application],
               policy: PlacementPolicy = PlacementPolicy.DEMAND_AWARE) -> None:
         """Assign all jobs to nodes; raises if the cluster is full (the
@@ -141,8 +138,8 @@ class ClusterScheduler:
         # Demand-aware: interleave the two classes and fill each node
         # completely before the next, so every node receives a
         # complementary memory-bound/compute-bound group.
-        memory = [j for j in jobs if self._is_memory_bound(j)]
-        compute = [j for j in jobs if not self._is_memory_bound(j)]
+        memory = [j for j in jobs if is_memory_bound(self.perf, j)]
+        compute = [j for j in jobs if not is_memory_bound(self.perf, j)]
         ordered = []
         while memory or compute:
             if memory:
@@ -181,7 +178,7 @@ class ClusterScheduler:
                 capacity=n.max_tenants,
                 free_slots=n.free_slots,
                 tenant_classes=tuple(
-                    self._is_memory_bound(t) for t in n.tenants
+                    is_memory_bound(self.perf, t) for t in n.tenants
                 ),
             )
             for n in self.nodes
@@ -196,7 +193,7 @@ class ClusterScheduler:
         :mod:`repro.cluster.placement` ends with the node id.
         """
         choice = choose_node(
-            policy, self.node_views(), self._is_memory_bound(job)
+            policy, self.node_views(), is_memory_bound(self.perf, job)
         )
         if choice is None:
             self._note_placement(outcome="rejected")

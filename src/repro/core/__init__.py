@@ -4,9 +4,9 @@ The paper's primary contribution (Sections 3-4 glue): epoch profiling
 (:mod:`repro.core.profiler`), the demand-aware resource partitioning
 algorithm (:mod:`repro.core.partitioner`), its hardware cost model
 (:mod:`repro.core.hardware_cost`), SM drain/switch reallocation
-(:mod:`repro.core.reallocation`), and the epoch-level system simulations
-(:mod:`repro.core.system`, :mod:`repro.core.ugpu`) that the evaluation
-benches run.
+(:mod:`repro.core.reallocation`), and the epoch-level runner
+(:mod:`repro.core.system`) that composes the :mod:`repro.policies`
+objects the evaluation benches run.
 """
 
 from repro.core.slices import GPUSlice, PartitionState, ResourceAllocation
@@ -21,7 +21,6 @@ from repro.core.system import (
     OpenSystemResult,
     SystemResult,
 )
-from repro.core.ugpu import UGPUSystem
 from repro.core.qos import QoSTarget
 
 __all__ = [
@@ -41,6 +40,5 @@ __all__ = [
     "MultitaskSystem",
     "SystemResult",
     "OpenSystemResult",
-    "UGPUSystem",
     "QoSTarget",
 ]

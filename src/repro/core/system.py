@@ -8,9 +8,9 @@ partition looks like is delegated to a composed
 :class:`~repro.policies.base.PartitionPolicy` (UGPU, BP variants, MPS,
 CD-Search) through five hooks: ``initial_partition``,
 ``throughput_for``, ``on_epoch_end``, ``on_app_arrival`` and
-``on_app_departure``.  The old inheritance spellings
-(``UGPUSystem(apps)`` etc.) survive as deprecated shims around
-``MultitaskSystem(apps, policy=...)``.
+``on_app_departure``.  Every run is spelled
+``MultitaskSystem(apps, policy=XPolicy(...))``; policy state (profiler,
+hysteresis, ...) is read from ``system.policy``.
 
 Reallocation penalties are expressed as (window_cycles, slowdown_factor)
 charges: during the window the application loses ``factor`` of its
@@ -21,11 +21,12 @@ Closed versus open system
 -------------------------
 Without an arrival schedule the runner reproduces the paper's closed
 evaluation: a fixed mix over the whole horizon, byte-for-byte identical
-to the pre-refactor subclasses.  With ``arrivals=ArrivalSchedule(...)``
-the runner becomes an open system: at each epoch boundary it retires
-jobs that consumed their instruction budget (``departure``), queues new
-jobs whose arrival cycle has passed (``arrival``), and grants slices to
-queued jobs while residency is below ``max_slots`` (``admission``) —
+to the golden fixtures under ``tests/golden``.  With
+``arrivals=ArrivalSchedule(...)`` the runner becomes an open system: at
+each epoch boundary it retires jobs that consumed their instruction
+budget (``departure``), queues new jobs whose arrival cycle has passed
+(``arrival``), and grants slices to queued jobs while residency is below
+``max_slots`` (``admission``) —
 departures run first so a same-boundary arrival can take the freed slot.
 Each membership change flows through the policy hooks, which reuse the
 :class:`PenaltyCharge` machinery so joins and leaves pay realistic
@@ -212,8 +213,6 @@ class MultitaskSystem:
     """The shared epoch-level runner; composes a
     :class:`~repro.policies.base.PartitionPolicy`."""
 
-    policy_name = "base"
-
     def __init__(
         self,
         applications: Sequence[Application],
@@ -256,10 +255,9 @@ class MultitaskSystem:
         host wall time per simulator phase: ``epoch`` with
         ``epoch.advance`` / ``epoch.policy`` / ``epoch.lifecycle``
         children, and ``run.solo_ipc`` for the Equation 3/4 denominator.
-        Stored as :attr:`phase_profiler` — the plain ``profiler``
-        attribute stays delegated to the composed policy's epoch-counter
-        :class:`~repro.core.profiler.EpochProfiler` for backward
-        compatibility.
+        Stored as :attr:`phase_profiler`, apart from the epoch-counter
+        :class:`~repro.core.profiler.EpochProfiler` that profiling
+        policies keep as ``system.policy.profiler``.
 
         ``kernel_backend`` selects the hot-loop implementation:
         ``"scalar"`` (the pure-python golden oracle) or ``"numpy"`` (the
@@ -271,11 +269,8 @@ class MultitaskSystem:
             from repro.policies.base import PartitionPolicy
 
             policy = PartitionPolicy()
-        else:
-            # An explicit policy names the run; legacy subclasses keep
-            # their class-level policy_name.
-            self.policy_name = policy.policy_name
         self.policy = policy
+        self.policy_name = policy.policy_name
         #: The batched epoch kernel (``None`` under the scalar backend).
         #: Must exist before any policy hook can touch the partition.
         self._fast = None
@@ -325,7 +320,7 @@ class MultitaskSystem:
         self._trace_now = 0
         self.repartitions = 0
         self.policy.bind(self)
-        self.partition = self.initial_partition(applications)
+        self.partition = self.policy.initial_partition(applications)
         self.apps: Dict[int, AppState] = {}
         for app in applications:
             self.apps[app.app_id] = AppState(
@@ -357,31 +352,9 @@ class MultitaskSystem:
 
             self._fast = FastEpochKernel(self)
 
-    def __getattr__(self, name: str):
-        # Compatibility: pre-refactor subclasses exposed policy state
-        # (profiler, hysteresis, suppressed_repartitions, mode, ...) as
-        # system attributes; delegate unknown public names to the policy.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        policy = self.__dict__.get("policy")
-        if policy is not None and hasattr(policy, name):
-            return getattr(policy, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
     # ------------------------------------------------------------------
-    # Hooks (delegated to the policy; legacy subclasses may override)
+    # Evaluation helpers for policies
     # ------------------------------------------------------------------
-    def initial_partition(self, applications: Sequence[Application]) -> PartitionState:
-        return self.policy.initial_partition(applications)
-
-    def throughput_for(self, state: AppState) -> SliceThroughput:
-        return self.policy.throughput_for(state)
-
-    def at_epoch_end(self, epoch_index: int, span: int) -> None:
-        self.policy.on_epoch_end(epoch_index, span)
-
     def slice_throughput(self, state: AppState) -> SliceThroughput:
         """Evaluate the app's current kernel on its isolated slice (the
         default policy behaviour; policies layer contention or profiling
@@ -420,8 +393,9 @@ class MultitaskSystem:
             prof.begin("epoch.advance")
         instructions: Dict[int, int] = {}
         migration_cycles = 0.0
+        throughput_for = self.policy.throughput_for
         for state in self.apps.values():
-            throughput = self.throughput_for(state)
+            throughput = throughput_for(state)
             lost = 0.0
             consumed: List[PenaltyCharge] = []
             for charge in state.penalties:
@@ -460,7 +434,7 @@ class MultitaskSystem:
             prof.end("epoch.advance")
             prof.begin("epoch.policy")
         if self.apps:
-            self.at_epoch_end(epoch_index, span)
+            self.policy.on_epoch_end(epoch_index, span)
         if prof is not None:
             prof.end("epoch.policy")
         if self._open:

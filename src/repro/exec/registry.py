@@ -12,9 +12,9 @@ Factories *compose*: each one builds a
 :mod:`repro.policies` policy object, splitting the keyword arguments
 between the two (runner keywords — ``config``, ``epoch_cycles``,
 ``arrivals``, ... — go to the runner; everything else to the policy).
-The deprecated subclass spellings (``UGPUSystem`` and friends) are still
-recognized by :func:`policy_name_of` so pre-refactor callers that pass
-the classes themselves keep sweeping through the executor.
+Callers that want a factory object rather than a name (``PolicySweep``,
+``GPUNode.run``) pass these module-level functions (:func:`bp`,
+:func:`ugpu`, ...), which :func:`policy_name_of` maps back to their names.
 
 Names are case-insensitive; the canonical spellings are the lowercase CLI
 names (``bp``, ``ugpu-offline``, ...) with the benchmark-suite spellings
@@ -115,37 +115,13 @@ def policy_name_of(factory: PolicyFactory) -> Optional[str]:
 
     Lets the sweep layer accept the registered callables themselves
     (``compare_policies({"BP": bp, ...})``) and still hand the work to
-    the process pool by name.  The deprecated subclass spellings map to
-    their composed replacements, so ``policy_name_of(BPSystem) == "bp"``
-    keeps holding while the shims exist.
+    the process pool by name.  Ad-hoc callables (lambdas, closures) map
+    to ``None`` and run in-process.
     """
     for key, registered in _REGISTRY.items():
         if registered is factory:
             return key
-    return _legacy_factories().get(factory)
-
-
-def _legacy_factories() -> Dict[PolicyFactory, str]:
-    # Imported lazily: the shim modules are on their way out and pulling
-    # them in at registry-import time would keep the deprecated classes
-    # resident even for callers that never touch them.
-    from repro.baselines import (
-        BPBigSmallSystem,
-        BPSmallBigSystem,
-        BPSystem,
-        CDSearchSystem,
-        MPSSystem,
-    )
-    from repro.core.ugpu import UGPUSystem
-
-    return {
-        BPSystem: "bp",
-        BPBigSmallSystem: "bp-bs",
-        BPSmallBigSystem: "bp-sb",
-        MPSSystem: "mps",
-        CDSearchSystem: "cd-search",
-        UGPUSystem: "ugpu",
-    }
+    return None
 
 
 def registered_policies() -> List[str]:

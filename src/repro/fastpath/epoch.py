@@ -87,40 +87,22 @@ class FastEpochKernel:
         #: kernel crossing, both of which we observe; between them the
         #: per-epoch validity scan is skipped outright.
         self._maybe_dirty = True
-        runner_cls = type(runner)
         policy = runner.policy
-        # A legacy system subclass that overrides the throughput hooks
-        # changes what "slice throughput" means; fall back to calling the
-        # runner's hook every epoch.
-        self._runner_default_hooks = (
-            runner_cls.throughput_for is MultitaskSystem.throughput_for
-            and runner_cls.slice_throughput is MultitaskSystem.slice_throughput
-        )
-        self._capacity_default = (
-            runner_cls.capacity_factor is MultitaskSystem.capacity_factor
-        )
+        policy_cls = type(policy)
         # fault_model and total_memory_bytes are fixed at construction.
-        self._fault_free = self._capacity_default and runner.fault_model is None
-        self.dependence = (
-            self._resolve_dependence(policy)
-            if self._runner_default_hooks else "stateful"
-        )
+        self._fault_free = runner.fault_model is None
+        self.dependence = self._resolve_dependence(policy)
         self._observe = (
             policy.observe_throughput
-            if type(policy).observe_throughput
+            if policy_cls.observe_throughput
             is not PartitionPolicy.observe_throughput
             else None
         )
-        # Resolve the boundary hook once: None when both the runner's and
-        # the policy's are the base no-ops (static policies), otherwise
-        # the bound method the scalar dispatch chain would reach.
-        if (runner_cls.at_epoch_end is MultitaskSystem.at_epoch_end
-                and type(policy).on_epoch_end is PartitionPolicy.on_epoch_end):
-            self._epoch_hook = None
-        elif runner_cls.at_epoch_end is MultitaskSystem.at_epoch_end:
-            self._epoch_hook = policy.on_epoch_end
-        else:
-            self._epoch_hook = runner.at_epoch_end
+        # None when the boundary hook is the base no-op (static policies).
+        self._epoch_hook = (
+            None if policy_cls.on_epoch_end is PartitionPolicy.on_epoch_end
+            else policy.on_epoch_end
+        )
 
     @staticmethod
     def _resolve_dependence(policy) -> str:
@@ -369,7 +351,6 @@ class FastEpochKernel:
             self._maybe_dirty = bumps > 0 or open_system
         else:
             policy_throughput = runner.policy.throughput_for
-            runner_throughput = runner.throughput_for
             resident_set = dependence == "resident-set"
             for slot in ordered:
                 state = slot.state
@@ -388,7 +369,7 @@ class FastEpochKernel:
                     else:
                         throughput = slot.throughput
                 else:
-                    throughput = runner_throughput(state)
+                    throughput = policy_throughput(state)
                     slot.throughput = throughput
                     slot.ipc = throughput.ipc
                     slot.dram = throughput.dram_bytes_per_cycle

@@ -9,8 +9,8 @@ one :class:`PartitionPolicy`::
     system = MultitaskSystem(mix.applications, policy=UGPUPolicy())
     result = system.run()
 
-The deprecated inheritance spellings (``UGPUSystem``, ``BPSystem``, ...)
-remain importable for one release and forward here.
+Policy state lives on the policy object: read it as
+``system.policy.profiler``, ``system.policy.hysteresis`` and so on.
 """
 
 from repro.policies.base import (

@@ -12,11 +12,12 @@ The package has three pieces:
 
 Quickstart::
 
-    from repro import UGPUSystem, build_mix
+    from repro import MultitaskSystem, UGPUPolicy, build_mix
     from repro.trace import TraceRecorder, summarize, write_chrome_trace
 
     tracer = TraceRecorder()
-    system = UGPUSystem(build_mix(["PVC", "DXTC"]).applications, tracer=tracer)
+    system = MultitaskSystem(build_mix(["PVC", "DXTC"]).applications,
+                             policy=UGPUPolicy(), tracer=tracer)
     system.run(25_000_000)
     print(summarize(tracer.events()).format())
     write_chrome_trace(tracer.events(), "ugpu.chrome.json")  # open in Perfetto

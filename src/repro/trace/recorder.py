@@ -8,8 +8,8 @@ substrate every silent layer reports into:
 
 * :class:`~repro.sim.engine.EventQueue` — event fire hooks (``event``);
 * :class:`~repro.core.system.MultitaskSystem` — epoch boundaries
-  (``epoch``) and, in :class:`~repro.core.ugpu.UGPUSystem`, partition
-  decisions (``realloc``), QoS interventions (``qos``) and migration
+  (``epoch``) and, under :class:`~repro.policies.ugpu.UGPUPolicy`,
+  partition decisions (``realloc``), QoS interventions (``qos``) and migration
   windows (``migration``);
 * :class:`~repro.pagemove.engine.MigrationEngine` — plan sizes and
   execution charges (``migration``);

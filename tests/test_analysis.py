@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import BPSystem, UGPUSystem
 from repro.analysis import (
     PolicySweep,
     Table,
@@ -11,6 +10,7 @@ from repro.analysis import (
     format_text,
 )
 from repro.errors import ConfigError
+from repro.exec.registry import bp, ugpu
 
 
 class TestTable:
@@ -45,7 +45,7 @@ class TestTable:
 
 class TestPolicySweep:
     def test_sweep_collects_results(self):
-        sweep = PolicySweep("BP", BPSystem, total_cycles=10_000_000)
+        sweep = PolicySweep("BP", bp, total_cycles=10_000_000)
         summary = sweep.run([("PVC", "DXTC"), ("LBM", "CP")])
         assert summary.policy == "BP"
         assert len(summary.stp_values) == 2
@@ -54,32 +54,32 @@ class TestPolicySweep:
 
     def test_summary_before_run_rejected(self):
         with pytest.raises(ConfigError):
-            PolicySweep("BP", BPSystem).summary()
+            PolicySweep("BP", bp).summary()
 
     def test_gain_computation(self):
         workloads = [("PVC", "DXTC")]
-        bp = PolicySweep("BP", BPSystem, 10_000_000).run(workloads)
-        ugpu = PolicySweep("UGPU", UGPUSystem, 10_000_000).run(workloads)
-        assert ugpu.stp_gain_over(bp) > 0
-        assert ugpu.antt_gain_over(bp) > 0
+        bp_sweep = PolicySweep("BP", bp, 10_000_000).run(workloads)
+        ugpu_sweep = PolicySweep("UGPU", ugpu, 10_000_000).run(workloads)
+        assert ugpu_sweep.stp_gain_over(bp_sweep) > 0
+        assert ugpu_sweep.antt_gain_over(bp_sweep) > 0
 
     def test_mismatched_sweeps_rejected(self):
-        bp = PolicySweep("BP", BPSystem, 10_000_000).run([("PVC", "DXTC")])
-        ugpu = PolicySweep("UGPU", UGPUSystem, 10_000_000).run(
+        bp_sweep = PolicySweep("BP", bp, 10_000_000).run([("PVC", "DXTC")])
+        ugpu_sweep = PolicySweep("UGPU", ugpu, 10_000_000).run(
             [("PVC", "DXTC"), ("LBM", "CP")]
         )
         with pytest.raises(ConfigError):
-            ugpu.stp_gain_over(bp)
+            ugpu_sweep.stp_gain_over(bp_sweep)
 
     def test_invalid_cycles(self):
         with pytest.raises(ConfigError):
-            PolicySweep("BP", BPSystem, total_cycles=0)
+            PolicySweep("BP", bp, total_cycles=0)
 
 
 class TestComparePolicies:
     def test_comparison_table(self):
         table, summaries = compare_policies(
-            {"BP": BPSystem, "UGPU": UGPUSystem},
+            {"BP": bp, "UGPU": ugpu},
             workloads=[("PVC", "DXTC"), ("LAVAMD", "CP")],
             total_cycles=10_000_000,
         )
@@ -92,7 +92,7 @@ class TestComparePolicies:
 
     def test_unknown_baseline_rejected(self):
         with pytest.raises(ConfigError):
-            compare_policies({"UGPU": UGPUSystem}, [("PVC", "DXTC")],
+            compare_policies({"UGPU": ugpu}, [("PVC", "DXTC")],
                              baseline="BP")
 
 

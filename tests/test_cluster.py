@@ -4,6 +4,7 @@ import pytest
 
 from repro import MultitaskSystem, build_application
 from repro.cluster import ClusterScheduler, GPUNode, PlacementPolicy
+from repro.cluster.placement import is_memory_bound
 from repro.errors import AllocationError
 from repro.policies import BPPolicy, UGPUPolicy
 from repro.telemetry import MetricsRegistry
@@ -146,7 +147,7 @@ class TestClusterScheduler:
         cluster.place(jobs("PVC", "LBM", "DXTC", "CP"),
                       policy=PlacementPolicy.DEMAND_AWARE)
         for node in cluster.nodes:
-            classes = {cluster._is_memory_bound(t) for t in node.tenants}
+            classes = {is_memory_bound(cluster.perf, t) for t in node.tenants}
             assert classes == {True, False}  # one of each
 
     def test_demand_aware_beats_class_blind_packing(self):

@@ -3,7 +3,13 @@ repartition-hysteresis option (Section 3.3's overhead discussion)."""
 
 import pytest
 
-from repro import BPSystem, UGPUSystem, build_application, build_mix
+from repro import (
+    BPPolicy,
+    MultitaskSystem,
+    UGPUPolicy,
+    build_application,
+    build_mix,
+)
 from repro.core.oracle import OraclePartitioner
 from repro.core.slices import ResourceAllocation
 from repro.errors import AllocationError
@@ -79,32 +85,44 @@ class TestOracleFourWay:
 
 class TestHysteresis:
     def test_default_reproduces_paper_behaviour(self):
-        system = UGPUSystem(build_mix(["PVC", "DXTC"]).applications)
-        assert system.hysteresis == 0.0
+        system = MultitaskSystem(
+            build_mix(["PVC", "DXTC"]).applications, policy=UGPUPolicy()
+        )
+        assert system.policy.hysteresis == 0.0
         system.run()
         assert system.repartitions >= 1
-        assert system.suppressed_repartitions == 0
+        assert system.policy.suppressed_repartitions == 0
 
     def test_large_hysteresis_suppresses_repartitioning(self):
         # A near-homogeneous pair: the algorithm finds tiny-gain moves
         # that a 50% hysteresis bar rejects.
-        base = UGPUSystem(build_mix(["BH", "DXTC"]).applications)
+        base = MultitaskSystem(
+            build_mix(["BH", "DXTC"]).applications, policy=UGPUPolicy()
+        )
         base.run()
-        damped = UGPUSystem(build_mix(["BH", "DXTC"]).applications,
-                            hysteresis=0.5)
+        damped = MultitaskSystem(
+            build_mix(["BH", "DXTC"]).applications,
+            policy=UGPUPolicy(hysteresis=0.5),
+        )
         damped.run()
         assert damped.repartitions < base.repartitions or (
-            damped.suppressed_repartitions > 0
+            damped.policy.suppressed_repartitions > 0
         )
 
     def test_small_hysteresis_keeps_big_wins(self):
-        bp = BPSystem(build_mix(["PVC", "DXTC"]).applications).run()
-        damped = UGPUSystem(build_mix(["PVC", "DXTC"]).applications,
-                            hysteresis=0.05)
+        bp = MultitaskSystem(
+            build_mix(["PVC", "DXTC"]).applications, policy=BPPolicy()
+        ).run()
+        damped = MultitaskSystem(
+            build_mix(["PVC", "DXTC"]).applications,
+            policy=UGPUPolicy(hysteresis=0.05),
+        )
         result = damped.run()
         assert result.stp > 1.1 * bp.stp  # the large gain still applies
 
     def test_negative_hysteresis_rejected(self):
         with pytest.raises(ValueError):
-            UGPUSystem(build_mix(["PVC", "DXTC"]).applications,
-                       hysteresis=-0.1)
+            MultitaskSystem(
+                build_mix(["PVC", "DXTC"]).applications,
+                policy=UGPUPolicy(hysteresis=-0.1),
+            )

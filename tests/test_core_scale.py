@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro import BPSystem, MigrationMode, UGPUSystem, build_mix
+from repro import (
+    BPPolicy,
+    MigrationMode,
+    MultitaskSystem,
+    UGPUPolicy,
+    build_mix,
+)
 from repro.workloads import eight_program_mixes, four_program_mixes
 
 
@@ -18,19 +24,25 @@ class TestBudgetConservation:
             assert state.allocation.channels % 4 == 0
 
     def test_two_program_partition_stays_valid(self):
-        system = UGPUSystem(build_mix(["PVC", "DXTC"]).applications)
+        system = MultitaskSystem(
+            build_mix(["PVC", "DXTC"]).applications, policy=UGPUPolicy()
+        )
         system.run(50_000_000)  # 10 epochs
         self.assert_partition_valid(system)
 
     def test_four_program_partition_stays_valid(self):
         mix = four_program_mixes(count=1)[0]
-        system = UGPUSystem(build_mix(mix.abbrs).applications)
+        system = MultitaskSystem(
+            build_mix(mix.abbrs).applications, policy=UGPUPolicy()
+        )
         system.run(50_000_000)
         self.assert_partition_valid(system)
 
     def test_eight_program_partition_stays_valid(self):
         mix = eight_program_mixes(count=1)[0]
-        system = UGPUSystem(build_mix(mix.abbrs).applications)
+        system = MultitaskSystem(
+            build_mix(mix.abbrs).applications, policy=UGPUPolicy()
+        )
         result = system.run(50_000_000)
         self.assert_partition_valid(system)
         assert len(result.runs) == 8
@@ -38,8 +50,10 @@ class TestBudgetConservation:
 
     def test_partition_valid_under_every_migration_mode(self):
         for mode in MigrationMode:
-            system = UGPUSystem(build_mix(["PVC", "DXTC"]).applications,
-                                mode=mode)
+            system = MultitaskSystem(
+                build_mix(["PVC", "DXTC"]).applications,
+                policy=UGPUPolicy(mode=mode),
+            )
             system.run(25_000_000)
             self.assert_partition_valid(system)
 
@@ -48,7 +62,9 @@ class TestLongHorizon:
     def test_long_run_is_stable(self):
         """A 40-epoch run neither drifts nor accumulates phantom
         penalties: late epochs retire at least as much as mid epochs."""
-        system = UGPUSystem(build_mix(["PVC", "DXTC"]).applications)
+        system = MultitaskSystem(
+            build_mix(["PVC", "DXTC"]).applications, policy=UGPUPolicy()
+        )
         result = system.run(200_000_000)
         mid = sum(sum(e.instructions.values()) for e in result.epochs[10:20])
         late = sum(sum(e.instructions.values()) for e in result.epochs[30:40])
@@ -56,20 +72,32 @@ class TestLongHorizon:
 
     def test_ipc_scale_invariance(self):
         """Doubling the horizon leaves steady-state IPC unchanged."""
-        short = UGPUSystem(build_mix(["PVC", "DXTC"]).applications).run(25_000_000)
-        long = UGPUSystem(build_mix(["PVC", "DXTC"]).applications).run(50_000_000)
+        short = MultitaskSystem(
+            build_mix(["PVC", "DXTC"]).applications, policy=UGPUPolicy()
+        ).run(25_000_000)
+        long = MultitaskSystem(
+            build_mix(["PVC", "DXTC"]).applications, policy=UGPUPolicy()
+        ).run(50_000_000)
         for s, l in zip(short.runs, long.runs):
             assert l.ipc == pytest.approx(s.ipc, rel=0.10)
 
     def test_deterministic_replay(self):
         """Two identical simulations produce identical results."""
-        a = UGPUSystem(build_mix(["BH", "CP"]).applications).run(25_000_000)
-        b = UGPUSystem(build_mix(["BH", "CP"]).applications).run(25_000_000)
+        a = MultitaskSystem(
+            build_mix(["BH", "CP"]).applications, policy=UGPUPolicy()
+        ).run(25_000_000)
+        b = MultitaskSystem(
+            build_mix(["BH", "CP"]).applications, policy=UGPUPolicy()
+        ).run(25_000_000)
         assert a.stp == b.stp
         assert a.antt == b.antt
         assert [r.ipc for r in a.runs] == [r.ipc for r in b.runs]
 
     def test_bp_reference_is_horizon_invariant(self):
-        a = BPSystem(build_mix(["PVC", "DXTC"]).applications).run(25_000_000)
-        b = BPSystem(build_mix(["PVC", "DXTC"]).applications).run(100_000_000)
+        a = MultitaskSystem(
+            build_mix(["PVC", "DXTC"]).applications, policy=BPPolicy()
+        ).run(25_000_000)
+        b = MultitaskSystem(
+            build_mix(["PVC", "DXTC"]).applications, policy=BPPolicy()
+        ).run(100_000_000)
         assert b.stp == pytest.approx(a.stp, rel=0.05)

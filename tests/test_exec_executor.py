@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro import BPSystem, UGPUSystem
+from repro import BPPolicy, MultitaskSystem
 from repro.analysis import PolicySweep, compare_policies
 from repro.errors import ConfigError
 from repro.exec import ResultCache, SweepExecutor, SweepJob
+from repro.exec.registry import bp, ugpu
 
 CYCLES = 2_000_000
 MIXES = [("PVC", "DXTC"), ("LBM", "CP"), ("PVC", "CP")]
@@ -81,12 +82,12 @@ class TestExecutorCache:
 class TestSweepLayer:
     def test_policy_sweep_accepts_registry_names(self):
         by_name = PolicySweep("BP", "bp", total_cycles=CYCLES).run(MIXES)
-        by_factory = PolicySweep("BP", BPSystem, total_cycles=CYCLES).run(MIXES)
+        by_factory = PolicySweep("BP", bp, total_cycles=CYCLES).run(MIXES)
         assert by_name.stp_values == by_factory.stp_values
 
     def test_policy_sweep_parallel_matches_serial(self):
-        serial = PolicySweep("UGPU", UGPUSystem, total_cycles=CYCLES).run(MIXES)
-        parallel = PolicySweep("UGPU", UGPUSystem, total_cycles=CYCLES,
+        serial = PolicySweep("UGPU", ugpu, total_cycles=CYCLES).run(MIXES)
+        parallel = PolicySweep("UGPU", ugpu, total_cycles=CYCLES,
                                jobs=2).run(MIXES)
         assert serial.stp_values == parallel.stp_values
         assert serial.antt_values == parallel.antt_values
@@ -94,12 +95,14 @@ class TestSweepLayer:
 
     def test_adhoc_callable_still_works(self):
         summary = PolicySweep(
-            "custom", lambda apps: BPSystem(apps), total_cycles=CYCLES
+            "custom",
+            lambda apps: MultitaskSystem(apps, policy=BPPolicy()),
+            total_cycles=CYCLES,
         ).run(MIXES)
         assert len(summary.stp_values) == len(MIXES)
 
     def test_compare_policies_parallel_identical_to_serial(self):
-        policies = {"BP": BPSystem, "UGPU": UGPUSystem}
+        policies = {"BP": bp, "UGPU": ugpu}
         table_s, serial = compare_policies(policies, MIXES, total_cycles=CYCLES)
         table_p, parallel = compare_policies(policies, MIXES,
                                              total_cycles=CYCLES, jobs=2)

@@ -10,8 +10,9 @@ the vector path (not a memo hit) is what's being checked.
 
 The rest covers the plumbing that keeps the two backends honest: backend
 resolution priority, whole-system scalar-vs-numpy agreement on an
-open-system run (the path the golden closed-system fixtures don't reach),
-the round-robin migration planner, the ExecStats backend field, and the
+open-system run (the path the golden closed-system fixtures don't reach)
+and under a custom stateful policy (the uncached fast-path branch no
+in-tree policy takes), the round-robin migration planner, the ExecStats backend field, and the
 bench/compare layers' refusal to gate timings across backends.
 """
 
@@ -186,6 +187,58 @@ class TestSystemBackendAgreement:
             assert (ea.index, ea.start_cycle, ea.end_cycle) == \
                    (eb.index, eb.start_cycle, eb.end_cycle)
             assert ea.instructions == eb.instructions
+        assert a.stp.hex() == b.stp.hex()
+
+    def test_undeclared_throughput_override_runs_stateful(self):
+        """A policy overriding ``throughput_for`` without declaring its
+        ``throughput_dependence`` gets the uncached ``"stateful"`` path,
+        which must still match the scalar oracle exactly."""
+        from repro.core.slices import ResourceAllocation
+        from repro.core.system import MultitaskSystem, clear_solo_ipc_cache
+        from repro.policies import PartitionPolicy
+        from repro.workloads import build_mix
+
+        class DecayingPolicy(PartitionPolicy):
+            policy_name = "decaying"
+
+            def __init__(self):
+                self.epochs_seen = 0
+                self.throughput_calls = 0
+
+            def throughput_for(self, state):
+                # Depends on policy state no cache token covers.
+                self.throughput_calls += 1
+                base = self.runner.slice_throughput(state)
+                return dataclasses.replace(
+                    base, ipc=base.ipc / (1 + self.epochs_seen))
+
+            def on_epoch_end(self, epoch_index, span):
+                self.epochs_seen += 1
+                if epoch_index == 1:
+                    runner = self.runner
+                    runner.apply_partition({
+                        0: ResourceAllocation(32, 16),
+                        1: ResourceAllocation(48, 16),
+                    })
+                    runner.repartitions += 1
+
+        def run(backend):
+            clear_solo_ipc_cache()
+            system = MultitaskSystem(
+                build_mix(["PVC", "DXTC"]).applications,
+                policy=DecayingPolicy(), epoch_cycles=1_000_000,
+                kernel_backend=backend,
+            )
+            return system, system.run(6_000_000)
+
+        (scalar, a), (fast, b) = run("scalar"), run("numpy")
+        assert fast._fast.dependence == "stateful"
+        assert fast.policy.throughput_calls == scalar.policy.throughput_calls
+        assert a.repartitions == b.repartitions == 1
+        assert [e.instructions for e in a.epochs] == \
+               [e.instructions for e in b.epochs]
+        assert [e.detail["allocations"] for e in a.epochs] == \
+               [e.detail["allocations"] for e in b.epochs]
         assert a.stp.hex() == b.stp.hex()
 
     def test_round_robin_planner_backends_agree(self):

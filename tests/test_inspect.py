@@ -273,7 +273,11 @@ class TestDiffer:
         shutil.copytree(bundle_pair[0], mutated)
         manifest_path = mutated / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["kernel_backend"] = "scalar"
+        # Flip to whichever backend the bundle was not recorded under, so
+        # the check holds when the suite itself runs on either backend.
+        manifest["kernel_backend"] = (
+            "numpy" if manifest["kernel_backend"] == "scalar" else "scalar"
+        )
         manifest_path.write_text(json.dumps(manifest))
         diff = diff_bundles(bundle_pair[0], mutated)
         assert any("kernel backends differ" in note for note in diff.notes)

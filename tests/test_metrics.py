@@ -134,8 +134,17 @@ class TestFairness:
     def test_ugpu_fairer_than_bp_bs(self):
         """UGPU's demand matching raises the fairness floor the big/small
         static splits destroy."""
-        from repro import BPBigSmallSystem, UGPUSystem, build_mix
+        from repro import (
+            BPBigSmallPolicy,
+            MultitaskSystem,
+            UGPUPolicy,
+            build_mix,
+        )
         from repro.metrics import fairness_index
-        bs = BPBigSmallSystem(build_mix(["PVC", "DXTC"]).applications).run()
-        ugpu = UGPUSystem(build_mix(["PVC", "DXTC"]).applications).run()
+        bs = MultitaskSystem(
+            build_mix(["PVC", "DXTC"]).applications, policy=BPBigSmallPolicy()
+        ).run()
+        ugpu = MultitaskSystem(
+            build_mix(["PVC", "DXTC"]).applications, policy=UGPUPolicy()
+        ).run()
         assert fairness_index(ugpu.runs) > fairness_index(bs.runs)

@@ -4,8 +4,8 @@ Covers the PR's acceptance criteria beyond the golden regression:
 closed-system equivalence with an empty arrival schedule, the
 arrival -> admission -> departure event ordering, seeded-Poisson
 determinism, interval STP/ANTT against hand-computed values, online
-cluster placement, the memoized solo-IPC cache, the ``min_np`` error
-contract, and the deprecation shims.
+cluster placement, the memoized solo-IPC cache and the ``min_np``
+error contract.
 """
 
 import math
@@ -353,47 +353,6 @@ class TestMinNpContract:
         # stp/antt keep their ConfigError contract from the metrics layer.
         with pytest.raises(ConfigError):
             result.stp
-
-
-class TestDeprecatedShims:
-    def test_shims_warn_and_still_run(self):
-        from repro.baselines import (
-            BPBigSmallSystem,
-            BPSmallBigSystem,
-            BPSystem,
-            CDSearchSystem,
-            MPSSystem,
-        )
-        from repro.core.ugpu import UGPUSystem
-
-        for cls in (BPSystem, BPBigSmallSystem, BPSmallBigSystem,
-                    MPSSystem, CDSearchSystem, UGPUSystem):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                system = cls(_apps(), epoch_cycles=EPOCH)
-            assert isinstance(system, MultitaskSystem)
-            result = system.run(2 * EPOCH)
-            assert result.policy == cls.policy_name
-            assert len(result.runs) == 2
-
-    def test_shims_map_to_registry_names(self):
-        from repro.baselines import BPSystem, MPSSystem
-        from repro.core.ugpu import UGPUSystem
-        from repro.exec import policy_name_of
-
-        assert policy_name_of(BPSystem) == "bp"
-        assert policy_name_of(MPSSystem) == "mps"
-        assert policy_name_of(UGPUSystem) == "ugpu"
-
-    def test_legacy_attribute_delegation(self):
-        from repro.core.ugpu import UGPUSystem
-
-        with pytest.warns(DeprecationWarning):
-            system = UGPUSystem(_apps(), epoch_cycles=EPOCH, hysteresis=0.25)
-        assert system.hysteresis == 0.25
-        assert system.suppressed_repartitions == 0
-        assert system.profiler is system.policy.profiler
-        with pytest.raises(AttributeError):
-            system.no_such_attribute
 
 
 class TestPolicyValidation:

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from repro import BPSystem, UGPUSystem, build_mix
+from repro import build_mix
 from repro.errors import ConfigError
 from repro.exec import ResultCache, SweepExecutor, SweepJob
+from repro.exec.registry import bp, ugpu
 from repro.pagemove import (
     InterleavedPageMapping,
     MigrationEngine,
@@ -188,7 +189,7 @@ class TestSummary:
 
 
 class TestSystemInstrumentation:
-    def _run(self, tracer=None, policy=UGPUSystem):
+    def _run(self, tracer=None, policy=ugpu):
         apps = build_mix(["PVC", "DXTC"]).applications
         return policy(apps, tracer=tracer).run(15_000_000, mix_name="PVC_DXTC")
 
@@ -230,7 +231,7 @@ class TestSystemInstrumentation:
 
     def test_bp_system_accepts_tracer(self):
         recorder = TraceRecorder()
-        self._run(tracer=recorder, policy=BPSystem)
+        self._run(tracer=recorder, policy=bp)
         assert len(recorder.events("epoch")) == 3
         assert recorder.events("realloc") == []  # static policy
 

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro import BPSystem, UGPUSystem
+from repro import BPPolicy, MultitaskSystem, UGPUPolicy
 from repro.errors import ConfigError
 from repro.gpu import Application, GPUConfig, Kernel
 from repro.units import GB
@@ -85,9 +85,11 @@ def small_compute_app(app_id=1):
 class TestSystemIntegration:
     def test_bp_pays_fault_overhead(self):
         apps = [oversubscribed_app(), small_compute_app()]
-        with_faults = BPSystem(apps, total_memory_bytes=TOTAL_MEMORY).run()
+        with_faults = MultitaskSystem(
+            apps, total_memory_bytes=TOTAL_MEMORY, policy=BPPolicy()
+        ).run()
         apps2 = [oversubscribed_app(), small_compute_app()]
-        without = BPSystem(apps2).run()
+        without = MultitaskSystem(apps2, policy=BPPolicy()).run()
         hog_with = next(r for r in with_faults.runs if r.name == "HOG")
         hog_without = next(r for r in without.runs if r.name == "HOG")
         assert hog_with.ipc < hog_without.ipc
@@ -97,12 +99,16 @@ class TestSystemIntegration:
         memory-bound and receives channels, which carry capacity and cut
         the fault overhead (the paper's stated behaviour)."""
         apps = [oversubscribed_app(), small_compute_app()]
-        system = UGPUSystem(apps, total_memory_bytes=TOTAL_MEMORY)
+        system = MultitaskSystem(
+            apps, total_memory_bytes=TOTAL_MEMORY, policy=UGPUPolicy()
+        )
         ugpu = system.run()
         assert system.apps[0].allocation.channels > 16
 
         apps2 = [oversubscribed_app(), small_compute_app()]
-        bp = BPSystem(apps2, total_memory_bytes=TOTAL_MEMORY).run()
+        bp = MultitaskSystem(
+            apps2, total_memory_bytes=TOTAL_MEMORY, policy=BPPolicy()
+        ).run()
         assert ugpu.stp > bp.stp
         hog_ugpu = next(r for r in ugpu.runs if r.name == "HOG")
         hog_bp = next(r for r in bp.runs if r.name == "HOG")
@@ -115,8 +121,10 @@ class TestSystemIntegration:
             name="chog", ipc_per_sm=64.0, apki_llc=1.2, llc_hit_rate=0.9997,
             footprint_bytes=12 * GB, instructions=6_000_000_000,
         )])
-        system = UGPUSystem(
-            [hog, small_compute_app()], total_memory_bytes=TOTAL_MEMORY
+        system = MultitaskSystem(
+            [hog, small_compute_app()],
+            total_memory_bytes=TOTAL_MEMORY,
+            policy=UGPUPolicy(),
         )
         system.run()
         # 12 GB needs 24 of 32 channels' worth of capacity.
@@ -124,7 +132,9 @@ class TestSystemIntegration:
 
     def test_solo_run_unaffected_when_fitting(self):
         apps = [oversubscribed_app(footprint_gb=4), small_compute_app()]
-        result = BPSystem(apps, total_memory_bytes=TOTAL_MEMORY).run()
+        result = MultitaskSystem(
+            apps, total_memory_bytes=TOTAL_MEMORY, policy=BPPolicy()
+        ).run()
         # 4 GB fits the 8 GB share: no overhead anywhere, NP ~0.5.
         hog = next(r for r in result.runs if r.name == "HOG")
         assert hog.normalized_progress > 0.4

@@ -13,7 +13,10 @@ al. — all competing over the *same* arrival stream.
 Time advances in fixed scheduling rounds.  Per round the coordinator:
 
 1. moves arrivals whose cycle has passed into a FIFO wait queue,
-2. admits waiting jobs while the placement policy finds a free slot,
+2. admits waiting jobs while the placement policy finds a free slot
+   (choosing over a :class:`~repro.cluster.placement.PlacementIndex`
+   kept current at every admission, departure and migration, so the
+   cost of an admission does not grow with the node count),
 3. executes every active node for the round — the physics lives in
    :mod:`repro.cluster.shard`, sharded across the
    :class:`~repro.exec.SweepExecutor`'s worker processes (node results
@@ -44,7 +47,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.health import FleetHealthMonitor, HealthReport
 from repro.cluster.placement import (
-    NodeView,
+    PlacementIndex,
     PlacementPolicy,
     choose_node,
     is_memory_bound,
@@ -291,6 +294,8 @@ class FleetSimulator:
             health.run_id = self.run_id
         self._model = _model_for(config)
         self._nodes = [_NodeState(i) for i in range(num_nodes)]
+        #: Placement candidates, kept current at every residency change.
+        self._index = PlacementIndex(tenants_per_node, range(num_nodes))
         self._catalog = {spec.abbr for spec in TABLE2}
         self._class_memo: Dict[str, bool] = {}
         self._solo_memo: Dict[str, float] = {}
@@ -375,18 +380,10 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     # Round phases
     # ------------------------------------------------------------------
-    def _views(self) -> List[NodeView]:
-        return [
-            NodeView(
-                node_id=n.node_id,
-                capacity=self.tenants_per_node,
-                free_slots=self.tenants_per_node - len(n.resident),
-                tenant_classes=tuple(
-                    self._memory_bound(r.abbr) for r in n.resident
-                ),
-            )
-            for n in self._nodes
-        ]
+    def _reindex(self, node: _NodeState) -> None:
+        self._index.update(node.node_id, tuple(
+            self._memory_bound(r.abbr) for r in node.resident
+        ))
 
     def _trace(self, name: str, now: int, **args) -> None:
         if self.tracer is not None:
@@ -398,13 +395,15 @@ class FleetSimulator:
         while wait:
             record = wait[0]
             choice = choose_node(
-                self.placement, self._views(), self._memory_bound(record.abbr)
+                self.placement, self._index.heads(),
+                self._memory_bound(record.abbr),
             )
             if choice is None:
                 break
             wait.popleft()
             node = self._nodes[choice.node_id]
             node.resident.append(record)
+            self._reindex(node)
             record.admit_cycle = now
             record.node_id = node.node_id
             admitted += 1
@@ -520,6 +519,7 @@ class FleetSimulator:
                     record.remaining = 0
                     record.depart_cycle = now + tenant_out.active_cycles
                     node.resident.remove(record)
+                    self._reindex(node)
                     departures += 1
                     self._trace("depart", record.depart_cycle,
                                 job=record.job_id, node=node.node_id)
@@ -550,10 +550,8 @@ class FleetSimulator:
         for source in sources:
             if not source.resident or source.node_id in received:
                 continue
-            free_elsewhere = sum(
-                self.tenants_per_node - len(n.resident)
-                for n in self._nodes
-                if n is not source and n.resident
+            free_elsewhere = self._index.active_free_slots - (
+                self.tenants_per_node - len(source.resident)
             )
             if free_elsewhere < len(source.resident):
                 continue
@@ -561,19 +559,19 @@ class FleetSimulator:
             if (self.placement is PlacementPolicy.CONSOLIDATE
                     and not self._worth_consolidating(tenants, now)):
                 continue
+            # The draining source is no target; it rejoins once drained.
+            self._index.discard(source.node_id)
             for record in tenants:
-                views = [
-                    v for v in self._views()
-                    if v.node_id != source.node_id and not v.is_empty
-                ]
                 choice = choose_node(
-                    self.placement, views, self._memory_bound(record.abbr)
+                    self.placement, self._index.heads(active_only=True),
+                    self._memory_bound(record.abbr),
                 )
                 if choice is None:   # pragma: no cover - precheck forbids
                     break
                 source.resident.remove(record)
                 target = self._nodes[choice.node_id]
                 target.resident.append(record)
+                self._reindex(target)
                 received.add(target.node_id)
                 record.node_id = target.node_id
                 record.penalty_factor = 1.0 - self.migration_penalty
@@ -590,6 +588,7 @@ class FleetSimulator:
                     )
                 if self.metrics is not None:
                     self._m_jobs.labels(event="migrated").inc()
+            self._reindex(source)
         return moves
 
     def _worth_consolidating(self, tenants: List[_JobRecord],

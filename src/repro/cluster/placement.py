@@ -32,13 +32,21 @@ simulator compares against (PAPERS.md):
 Every ordering ends with the node id, so placement is deterministic and
 independent of dict/iteration order — a requirement for the sharded
 fleet runs being byte-identical to serial ones.
+
+The contract every ordering keeps: a key is built from the node's free
+slots and the *set* of classes it holds (memory-bound, compute-bound,
+both or neither), then the node id — nothing else of the view.  Nodes
+alike in those two are therefore ranked by id alone, which is what
+:class:`PlacementIndex` relies on to offer ``choose_node`` one candidate
+per (free slots, class set) bucket instead of every node.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 
@@ -105,7 +113,12 @@ def is_memory_bound(perf, app) -> bool:
 def placement_key(policy: PlacementPolicy, view: NodeView,
                   job_is_memory_bound: bool) -> tuple:
     """The sort key (lower is better) ``policy`` assigns to ``view`` for
-    this arrival.  Only called for nodes with a free slot."""
+    this arrival.  Only called for nodes with a free slot.
+
+    Every key reads only ``view.free_slots`` and the set of classes in
+    ``view.tenant_classes``, and ends with ``view.node_id``; a new
+    ordering must keep that contract, or :class:`PlacementIndex` would
+    pick a different node than the full scan."""
     if policy is PlacementPolicy.FIRST_FIT:
         return (view.node_id,)
     if policy is PlacementPolicy.DEMAND_AWARE:
@@ -140,3 +153,65 @@ def choose_node(policy: PlacementPolicy, views: Sequence[NodeView],
         candidates,
         key=lambda v: placement_key(policy, v, job_is_memory_bound),
     )
+
+
+class PlacementIndex:
+    """Every node with a free slot, bucketed by what a placement key reads.
+
+    A bucket key is ``(free_slots, holds a memory-bound tenant, holds a
+    compute-bound tenant)`` and each bucket keeps its node ids sorted.
+    By the :func:`placement_key` contract the lowest id of a bucket beats
+    the rest of it under every policy, so ``choose_node(policy,
+    index.heads(), c)`` picks the node the scan over all views would, at
+    a cost of one view per bucket (at most ``3 * (capacity - 1) + 1``)
+    whatever the node count.  The owner calls :meth:`update` whenever a
+    node's residents change.
+    """
+
+    def __init__(self, capacity: int, node_ids: Sequence[int] = ()) -> None:
+        self.capacity = capacity
+        #: Free slots summed over the indexed nodes that hold a tenant.
+        self.active_free_slots = 0
+        self._buckets: Dict[Tuple[int, bool, bool], List[int]] = {}
+        self._classes: Dict[int, Tuple[bool, ...]] = {}
+        for node_id in node_ids:
+            self.update(node_id, ())
+
+    def _key(self, tenant_classes: Tuple[bool, ...]) -> Tuple[int, bool, bool]:
+        return (self.capacity - len(tenant_classes),
+                True in tenant_classes, False in tenant_classes)
+
+    def update(self, node_id: int, tenant_classes: Tuple[bool, ...]) -> None:
+        """(Re-)index ``node_id`` holding tenants of these classes; a
+        full node leaves the index until a slot frees up."""
+        self.discard(node_id)
+        if len(tenant_classes) >= self.capacity:
+            return
+        key = self._key(tenant_classes)
+        bisect.insort(self._buckets.setdefault(key, []), node_id)
+        self._classes[node_id] = tenant_classes
+        if tenant_classes:
+            self.active_free_slots += key[0]
+
+    def discard(self, node_id: int) -> None:
+        """Drop ``node_id`` from placement until the next :meth:`update`."""
+        tenant_classes = self._classes.pop(node_id, None)
+        if tenant_classes is None:
+            return
+        key = self._key(tenant_classes)
+        ids = self._buckets[key]
+        del ids[bisect.bisect_left(ids, node_id)]
+        if not ids:
+            del self._buckets[key]
+        if tenant_classes:
+            self.active_free_slots -= key[0]
+
+    def heads(self, active_only: bool = False) -> List[NodeView]:
+        """The lowest-id node of every bucket (``active_only``: of every
+        bucket whose nodes hold a tenant), as placement views."""
+        return [
+            NodeView(node_id=ids[0], capacity=self.capacity,
+                     free_slots=free, tenant_classes=self._classes[ids[0]])
+            for (free, memory, compute), ids in self._buckets.items()
+            if not active_only or memory or compute
+        ]

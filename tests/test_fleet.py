@@ -2,6 +2,9 @@
 its shard physics (repro.cluster.shard), the placement-policy zoo
 (repro.cluster.placement), and the arrivals empty-catalog regression."""
 
+import json
+import os
+
 import pytest
 
 from repro.cluster import (
@@ -10,6 +13,7 @@ from repro.cluster import (
     FleetSimulator,
     NodeShardState,
     NodeView,
+    PlacementIndex,
     PlacementPolicy,
     TenantState,
     choose_node,
@@ -26,6 +30,14 @@ from repro.workloads import build_application, poisson_arrivals
 IPK = 50_000_000
 HORIZON = 30_000_000
 ROUND = 2_500_000
+
+#: ``FleetResult.summary()`` of the fixture below under every placement
+#: and slicing (12 nodes), plus the saturated 2-node run, recorded with
+#: the full-scan placement that predates the placement index.
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                           "fleet_summaries.json")
+with open(GOLDEN_PATH) as _handle:
+    GOLDEN_SUMMARIES = json.load(_handle)
 
 
 def schedule(mean=150_000, horizon=HORIZON, seed=0, **kwargs):
@@ -293,6 +305,52 @@ class TestFleetSimulator:
             simulator(tenants_per_node=30)
         with pytest.raises(ConfigError, match="migration_penalty"):
             simulator(migration_penalty=1.5)
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_SUMMARIES))
+    def test_summary_matches_golden(self, key):
+        placement, slicing, nodes = key.split(":")
+        result = simulator(nodes=int(nodes), placement=placement,
+                           slicing=slicing).run()
+        assert result.summary() == GOLDEN_SUMMARIES[key]
+
+    def test_placement_sees_buckets_not_nodes(self, monkeypatch):
+        """Admission and the rebalance pass offer ``choose_node`` one view
+        per (free slots, class set) bucket, whatever the node count."""
+        sizes = []
+
+        def counting(policy, views, job_is_memory_bound):
+            sizes.append(len(views))
+            return choose_node(policy, views, job_is_memory_bound)
+
+        monkeypatch.setattr("repro.cluster.fleet.choose_node", counting)
+        sim = simulator(nodes=200, placement=PlacementPolicy.CONSOLIDATE)
+        result = sim.run()
+        assert result.migrations > 0    # the rebalance pass placed too
+        assert len(sizes) > result.admissions
+        assert max(sizes) <= 4 * sim.tenants_per_node
+
+    @pytest.mark.parametrize("placement", [PlacementPolicy.FRAG_AWARE,
+                                           PlacementPolicy.CONSOLIDATE])
+    def test_index_tracks_residents(self, placement, monkeypatch):
+        """Before every admission phase, the index kept up to date across
+        admissions, departures and drains equals one built from scratch
+        over the nodes' residents."""
+        admit = FleetSimulator._admit
+        phases = []
+
+        def checked(sim, wait, now):
+            fresh = PlacementIndex(sim.tenants_per_node)
+            for node in sim._nodes:
+                fresh.update(node.node_id, tuple(
+                    sim._memory_bound(r.abbr) for r in node.resident))
+            assert vars(sim._index) == vars(fresh), f"cycle {now}"
+            phases.append(now)
+            return admit(sim, wait, now)
+
+        monkeypatch.setattr(FleetSimulator, "_admit", checked)
+        result = simulator(placement=placement).run()
+        assert result.migrations > 0
+        assert len(phases) == result.rounds
 
     def test_drained_fleet_stops_early(self):
         """A sparse stream that drains before the horizon must not spin

@@ -34,12 +34,7 @@ from repro.cluster.placement import (
     placement_key,
 )
 from repro.cluster.scheduler import ClusterResult, ClusterScheduler
-from repro.cluster.shard import (
-    FleetShardJob,
-    FleetShardResult,
-    NodeShardState,
-    TenantState,
-)
+from repro.cluster.shard import FleetShardJob, FleetShardResult
 
 __all__ = [
     "GPUNode",
@@ -58,6 +53,4 @@ __all__ = [
     "HealthReport",
     "FleetShardJob",
     "FleetShardResult",
-    "NodeShardState",
-    "TenantState",
 ]

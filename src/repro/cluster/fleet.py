@@ -58,10 +58,9 @@ from repro.cluster.shard import (
     SM_FLOOR,
     FleetShardJob,
     FleetShardResult,
-    NodeShardState,
-    TenantState,
     _model_for,
     _template,
+    node_totals,
 )
 from repro.errors import ConfigError, SimulationError
 from repro.exec.executor import SweepExecutor
@@ -421,35 +420,26 @@ class FleetSimulator:
 
     def _execute(self, active: List[_NodeState], span: int,
                  round_index: int, now: int) -> List:
-        states = [
-            NodeShardState(
-                node_id=n.node_id,
-                tenants=tuple(
-                    TenantState(
-                        job_id=r.job_id,
-                        abbr=r.abbr,
-                        instructions_per_kernel=self.instructions_per_kernel,
-                        kernel_index=r.kernel_index,
-                        kernel_instructions_done=r.kernel_instructions_done,
-                        remaining_budget=r.remaining,
-                        penalty_factor=r.penalty_factor,
-                    )
-                    for r in n.resident
-                ),
-            )
+        node_rows = [
+            (n.node_id, tuple([
+                (r.job_id, r.abbr, r.kernel_index,
+                 r.kernel_instructions_done, r.remaining, r.penalty_factor)
+                for r in n.resident
+            ]))
             for n in active
         ]
-        shards = max(1, min(self.executor.jobs, len(states)))
-        chunk = math.ceil(len(states) / shards)
+        shards = max(1, min(self.executor.jobs, len(node_rows)))
+        chunk = math.ceil(len(node_rows) / shards)
         jobs = [
             FleetShardJob(
-                nodes=tuple(states[i:i + chunk]),
+                nodes=tuple(node_rows[i:i + chunk]),
                 round_cycles=span,
+                instructions_per_kernel=self.instructions_per_kernel,
                 slicing=self.slicing,
                 config=self.config,
                 label=f"round{round_index}",
             )
-            for i in range(0, len(states), chunk)
+            for i in range(0, len(node_rows), chunk)
         ]
         results: List[FleetShardResult] = self.executor.run(
             jobs, capture=self._capture
@@ -497,27 +487,24 @@ class FleetSimulator:
     def _merge(self, outcomes, records_by_id: Dict[int, _JobRecord],
                now: int, span: int) -> int:
         departures = 0
-        for node_out in outcomes:
-            node = self._nodes[node_out.node_id]
+        for node_id, rows in outcomes:
+            node = self._nodes[node_id]
             if self.energy_model is not None:
-                breakdown = self.energy_model.energy(
-                    span, node_out.instructions, node_out.dram_bytes
-                )
+                breakdown = self.energy_model.energy(span, *node_totals(rows))
                 self._e_core_static += breakdown.core_static
                 self._e_core_dynamic += breakdown.core_dynamic
                 self._e_mem_static += breakdown.mem_static
                 self._e_mem_dynamic += breakdown.mem_dynamic
-            for tenant_out in node_out.tenants:
-                record = records_by_id[tenant_out.job_id]
-                record.instructions += tenant_out.retired
-                record.kernel_index = tenant_out.kernel_index
-                record.kernel_instructions_done = (
-                    tenant_out.kernel_instructions_done
-                )
+            for (job_id, retired, _, kernel_index, done, remaining,
+                 departed, active_cycles) in rows:
+                record = records_by_id[job_id]
+                record.instructions += retired
+                record.kernel_index = kernel_index
+                record.kernel_instructions_done = done
                 record.penalty_factor = 1.0   # a migration costs one round
-                if tenant_out.departed:
+                if departed:
                     record.remaining = 0
-                    record.depart_cycle = now + tenant_out.active_cycles
+                    record.depart_cycle = now + active_cycles
                     node.resident.remove(record)
                     self._reindex(node)
                     departures += 1
@@ -533,7 +520,7 @@ class FleetSimulator:
                     if self.metrics is not None:
                         self._m_jobs.labels(event="departed").inc()
                 else:
-                    record.remaining = tenant_out.remaining_budget
+                    record.remaining = remaining
         return departures
 
     def _rebalance(self, now: int) -> int:

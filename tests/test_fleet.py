@@ -4,6 +4,8 @@ its shard physics (repro.cluster.shard), the placement-policy zoo
 
 import json
 import os
+import pickle
+import pickletools
 
 import pytest
 
@@ -11,11 +13,9 @@ from repro.cluster import (
     FleetShardJob,
     FleetShardResult,
     FleetSimulator,
-    NodeShardState,
     NodeView,
     PlacementIndex,
     PlacementPolicy,
-    TenantState,
     choose_node,
 )
 from repro.cluster.shard import apportion, slice_node
@@ -160,52 +160,114 @@ class TestSlicing:
 
 
 class TestShardJob:
-    def node_state(self, node_id=0, *abbrs, **kwargs):
-        tenants = tuple(
-            TenantState(job_id=100 + i, abbr=a, instructions_per_kernel=IPK,
-                        **kwargs)
-            for i, a in enumerate(abbrs)
-        )
-        return NodeShardState(node_id=node_id, tenants=tenants)
+    def node_row(self, node_id=0, *abbrs):
+        """Fresh resident tenants (cursor 0, no budget, no penalty)."""
+        return (node_id, tuple(
+            (100 + i, a, 0, 0, None, 1.0) for i, a in enumerate(abbrs)
+        ))
+
+    def shard(self, *nodes, **kwargs):
+        kwargs.setdefault("instructions_per_kernel", IPK)
+        return FleetShardJob(nodes=nodes, round_cycles=ROUND, **kwargs)
 
     def test_key_excludes_label(self):
-        state = self.node_state(0, "PVC", "DXTC")
-        a = FleetShardJob(nodes=(state,), round_cycles=ROUND, label="round3")
-        b = FleetShardJob(nodes=(state,), round_cycles=ROUND, label="round9")
+        row = self.node_row(0, "PVC", "DXTC")
+        a = self.shard(row, label="round3")
+        b = self.shard(row, label="round9")
         assert a.key() == b.key()
-        assert a.key() != FleetShardJob(
-            nodes=(state,), round_cycles=ROUND, slicing="mig").key()
+        assert a.key() != self.shard(row, slicing="mig").key()
+        assert a.key() != self.shard(
+            row, instructions_per_kernel=2 * IPK).key()
 
     def test_run_is_pure(self):
-        job = FleetShardJob(nodes=(self.node_state(0, "PVC", "DXTC"),),
-                            round_cycles=ROUND)
+        job = self.shard(self.node_row(0, "PVC", "DXTC"))
         assert job.run() == job.run()
 
     def test_outcome_independent_of_shard_grouping(self):
         """The byte-identity invariant: a node's physics cannot depend on
         which shard it landed in."""
-        a = self.node_state(0, "PVC", "DXTC")
-        b = self.node_state(1, "LBM", "CP", "MRI-Q")
-        together = FleetShardJob(nodes=(a, b), round_cycles=ROUND).run()
-        alone = [FleetShardJob(nodes=(n,), round_cycles=ROUND).run()
-                 for n in (a, b)]
+        a = self.node_row(0, "PVC", "DXTC")
+        b = self.node_row(1, "LBM", "CP", "MRI-Q")
+        together = self.shard(a, b).run()
+        alone = [self.shard(n).run() for n in (a, b)]
         assert together.nodes == (alone[0].nodes[0], alone[1].nodes[0])
 
     def test_budget_departure_mid_round(self):
-        state = NodeShardState(node_id=0, tenants=(
-            TenantState(job_id=7, abbr="PVC", instructions_per_kernel=IPK,
-                        remaining_budget=1000),
-        ))
-        outcome = FleetShardJob(
-            nodes=(state,), round_cycles=ROUND).run().nodes[0].tenants[0]
-        assert outcome.departed
-        assert outcome.retired == 1000
-        assert outcome.remaining_budget == 0
-        assert 0 < outcome.active_cycles < ROUND
+        result = self.shard((0, ((7, "PVC", 0, 0, 1000, 1.0),))).run()
+        assert result.nodes[0][0] == 0
+        (job_id, retired, _, _, _, remaining, departed,
+         active_cycles), = result.nodes[0][1]
+        assert job_id == 7
+        assert departed
+        assert retired == 1000
+        assert remaining == 0
+        assert 0 < active_cycles < ROUND
+
+    @pytest.mark.parametrize("row, ipk, problem", [
+        ((7, "PVC", 0, -1, None, 1.0), IPK,
+         "tenant progress cursors must be >= 0"),
+        ((7, "PVC", 1, 0, None, 1.0), IPK,
+         "kernel_index 1 out of range for PVC"),
+        # PVC at this IPK is one 50M-instruction kernel.
+        ((7, "PVC", 0, 10**12, None, 1.0), IPK,
+         "kernel_instructions_done 1000000000000 is past the end of "
+         "kernel 0"),
+        ((7, "PVC", 0, IPK, None, 1.0), IPK,
+         "kernel_instructions_done 50000000 is past the end of kernel 0"),
+        ((7, "PVC", 0, 0, 0, 1.0), IPK,
+         "remaining_budget must be positive or None"),
+        ((7, "PVC", 0, 0, None, 1.5), IPK,
+         r"penalty_factor must be in \[0, 1\]"),
+        ((7, "PVC", 0, 0, None, -0.25), IPK,
+         r"penalty_factor must be in \[0, 1\]"),
+        ((7, "PVC", 0, 0, None, 1.0), 0,
+         "instructions_per_kernel must be positive"),
+    ], ids=["negative-cursor", "kernel-index-out-of-range",
+            "cursor-past-kernel-end", "cursor-at-kernel-end",
+            "budget-not-positive", "penalty-above-one",
+            "penalty-below-zero", "ipk-not-positive"])
+    def test_bad_row_rejected(self, row, ipk, problem):
+        """Every row check names the job and the node, and fires before
+        the row's physics instead of returning a wrong outcome."""
+        node = (3, (row, (8, "DXTC", 0, 0, None, 1.0)))
+        job = self.shard(node, instructions_per_kernel=ipk)
+        with pytest.raises(ConfigError, match=f"job 7 on node 3: {problem}"):
+            job.run()
+        with pytest.raises(ConfigError, match=f"job 7 on node 3: {problem}"):
+            job.run_observed(metrics=MetricsRegistry())
+
+    def test_last_instruction_of_kernel_accepted(self):
+        """The cursor one short of the kernel end is valid, and the
+        round resumes from it (PVC relaunches its one kernel)."""
+        job = self.shard((0, ((7, "PVC", 0, IPK - 1, None, 1.0),)))
+        (_, retired, _, kernel_index, done, _, _, _), = job.run().nodes[0][1]
+        assert (kernel_index, done) == (0, (IPK - 1 + retired) % IPK)
+
+    @staticmethod
+    def object_opcodes(value) -> int:
+        """Object-building opcodes in ``value``'s pickle: one per object
+        that is not a builtin container or scalar."""
+        return sum(
+            1 for opcode, _, _ in pickletools.genops(pickle.dumps(value))
+            if opcode.name in ("NEWOBJ", "NEWOBJ_EX", "REDUCE", "BUILD")
+        )
+
+    def test_wire_stays_flat(self):
+        """Nodes and tenants ship as plain rows: pickling 64 nodes builds
+        exactly as many objects as pickling one."""
+        def job(nodes):
+            return self.shard(*(
+                self.node_row(i, "PVC", "DXTC", "LBM", "CP")
+                for i in range(nodes)
+            ))
+
+        one, many = job(1), job(64)
+        assert self.object_opcodes(one) == self.object_opcodes(many)
+        assert (self.object_opcodes(one.run())
+                == self.object_opcodes(many.run()))
 
     def test_cache_types_are_segregated(self, tmp_path):
-        job = FleetShardJob(nodes=(self.node_state(0, "PVC"),),
-                            round_cycles=ROUND)
+        job = self.shard(self.node_row(0, "PVC"))
         result = job.run()
         fleet_cache = ResultCache(tmp_path / "fleet",
                                   result_types=(FleetShardResult,))

@@ -18,8 +18,8 @@ from repro.exec.registry import bp, ugpu
 def tenant_jobs():
     """Eight tenants: four memory-bound, four compute-bound.
 
-    The arrival order is adversarial for class-blind breadth-first
-    placement (node i receives jobs i and i+4, pairing same-class
+    The arrival order is adversarial for class-blind first-fit
+    placement (node i receives jobs 2i and 2i+1, pairing same-class
     tenants), the situation a real scheduler faces when tenants arrive
     in bursts of similar jobs.
     """

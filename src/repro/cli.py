@@ -459,13 +459,9 @@ def _parser() -> argparse.ArgumentParser:
                        help="output path prefix (default: ./trace)")
     trace.add_argument("--format", choices=["jsonl", "chrome", "both"],
                        default="both", help="which export(s) to write")
-    trace.add_argument("--capacity", type=_positive_int, default=65_536,
-                       help="trace ring-buffer capacity in events")
     trace.add_argument("--categories", nargs="+", default=None,
                        metavar="CAT",
                        help="record only these categories (default: all)")
-    trace.add_argument("--clock-ghz", type=float, default=1.0,
-                       help="GPU clock for Chrome-trace timestamps")
 
     metrics = sub.add_parser(
         "metrics",
@@ -477,9 +473,6 @@ def _parser() -> argparse.ArgumentParser:
                               "(default: stdout)")
     metrics.add_argument("--json", default=None, metavar="FILE",
                          help="also write a JSON snapshot here")
-    metrics.add_argument("--dropped", type=int, default=0, metavar="N",
-                         help="ring-buffer drop count reported by the "
-                              "recording run (exported as a gauge)")
     metrics.add_argument("--validate", action="store_true",
                          help="re-parse the written exposition as a "
                               "format check")
@@ -522,11 +515,6 @@ def _parser() -> argparse.ArgumentParser:
                             "(default: .)")
     bench.add_argument("--compare", default=None, metavar="BASELINE.json",
                        help="gate this run against a baseline BENCH document")
-    bench.add_argument("--fail-threshold", type=float, default=0.15,
-                       help="min-time regression that fails the gate "
-                            "(default: 0.15)")
-    bench.add_argument("--warn-threshold", type=float, default=0.05,
-                       help="min-time regression that warns (default: 0.05)")
     bench.add_argument("--warn-only", action="store_true",
                        help="report regressions but exit 0 (for comparing "
                             "across machines)")
@@ -865,7 +853,7 @@ def cmd_trace(args) -> int:
     )
 
     abbrs = [a.strip() for a in args.mix.split(",") if a.strip()]
-    recorder = TraceRecorder(capacity=args.capacity, categories=args.categories)
+    recorder = TraceRecorder(capacity=65_536, categories=args.categories)
     factory = resolve_policy(args.policy)
     system = factory(build_mix(abbrs).applications, tracer=recorder)
     result = system.run(args.cycles, mix_name="_".join(abbrs))
@@ -878,12 +866,11 @@ def cmd_trace(args) -> int:
         print(f"wrote {write_jsonl(events, path)} events to {path}")
     if args.format in ("chrome", "both"):
         path = f"{args.output}.chrome.json"
-        count = write_chrome_trace(events, path, clock_ghz=args.clock_ghz)
+        count = write_chrome_trace(events, path, clock_ghz=1.0)
         print(f"wrote {count} trace records to {path} "
               "(open in chrome://tracing or https://ui.perfetto.dev)")
     if recorder.dropped:
-        print(f"note: ring buffer dropped {recorder.dropped} oldest events "
-              f"(--capacity {args.capacity})")
+        print(f"note: ring buffer dropped {recorder.dropped} oldest events")
     print(f"\n{summarize(events, dropped_events=recorder.dropped).format()}")
     return 0
 
@@ -901,7 +888,7 @@ def cmd_metrics(args) -> int:
     from repro.trace import read_jsonl
 
     events = read_jsonl(args.trace)
-    registry = registry_from_trace(events, dropped_events=args.dropped)
+    registry = registry_from_trace(events, dropped_events=0)
     stamp(registry, None, source=os.path.basename(args.trace))
     if args.out:
         count = write_prometheus(registry, args.out)
@@ -1021,9 +1008,7 @@ def cmd_bench(args) -> int:
         return 0
     baseline = read_bench(args.compare)
     comparison = compare_benchmarks(
-        baseline, doc,
-        fail_threshold=args.fail_threshold,
-        warn_threshold=args.warn_threshold,
+        baseline, doc, fail_threshold=0.15, warn_threshold=0.05,
     )
     print(f"\n{comparison.format()}")
     if comparison.failed and args.warn_only:

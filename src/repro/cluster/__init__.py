@@ -9,14 +9,20 @@ This subpackage builds that scenario at two scales:
 
 * a single rack: :class:`~repro.cluster.node.GPUNode` wraps one physical
   GPU running a slicing policy, and the
-  :class:`~repro.cluster.scheduler.ClusterScheduler` places tenant jobs
-  across nodes under a policy from the placement zoo
-  (:mod:`repro.cluster.placement`);
+  :class:`~repro.cluster.scheduler.ClusterScheduler` admits tenant jobs
+  across nodes one at a time (or as a batch of back-to-back arrivals)
+  and runs every node to a fixed horizon;
 * a fleet: :class:`~repro.cluster.fleet.FleetSimulator` drives hundreds
   of nodes and thousands of arriving/departing jobs through fixed
   scheduling rounds, sharding node execution across the
   :class:`~repro.exec.SweepExecutor`'s worker processes
   (:mod:`repro.cluster.shard`) with periodic cross-shard rebalancing.
+
+Both runners place through one path: a
+:class:`~repro.cluster.placement.PlacementIndex` of the nodes with a free
+slot, and :func:`~repro.cluster.placement.choose_node` ranking its bucket
+heads under a policy from the placement zoo
+(:mod:`repro.cluster.placement`).
 """
 
 from repro.cluster.fleet import FleetResult, FleetSimulator

@@ -74,10 +74,6 @@ class GPUNode:
     def free_slots(self) -> int:
         return self.max_tenants - len(self.tenants)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.tenants
-
     def place(self, app: Application) -> None:
         """Admit a tenant; raises when the node is full."""
         if self.free_slots <= 0:

@@ -1,29 +1,29 @@
 """Cluster-level tenant placement.
 
-The placement orderings themselves live in
-:mod:`repro.cluster.placement` (the policy zoo shared with the fleet
-simulator); this module owns the stateful side — a pool of
-:class:`~repro.cluster.node.GPUNode`, admit/depart bookkeeping with
-placement telemetry, and batch placement + execution for closed-system
-cluster runs.  Batch placement under an online policy degenerates to
-admitting jobs one at a time, which is exactly how an open system sees
-them.
+:class:`ClusterScheduler` owns a pool of
+:class:`~repro.cluster.node.GPUNode` and admits jobs through the same
+placement path as :class:`~repro.cluster.fleet.FleetSimulator`: a
+:class:`~repro.cluster.placement.PlacementIndex` kept current at every
+admit and depart, and :func:`~repro.cluster.placement.choose_node` over
+its bucket heads.  Each :class:`~repro.cluster.placement.PlacementPolicy`
+therefore means one ordering in both runners.
 
 :meth:`ClusterScheduler.admit` and :meth:`ClusterScheduler.depart`
-expose the machinery job-by-job for arrival/departure traces
-(:mod:`repro.workloads.arrivals`); the placements counter records one
-outcome per event — ``placed``, ``rejected`` or ``departed`` — so the
-counter always reconciles with the resident-tenant gauges.
+expose placement job by job for arrival/departure traces
+(:mod:`repro.workloads.arrivals`); :meth:`ClusterScheduler.place` admits
+a closed-system batch as back-to-back arrivals, and
+:meth:`ClusterScheduler.run` runs every node's tenants under a slicing
+policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.node import GPUNode, NodeResult
 from repro.cluster.placement import (
-    NodeView,
+    PlacementIndex,
     PlacementPolicy,
     choose_node,
     is_memory_bound,
@@ -40,7 +40,6 @@ class ClusterResult:
     """Aggregate outcome of a cluster run."""
 
     nodes: List[NodeResult]
-    placement: PlacementPolicy
 
     @property
     def cluster_stp(self) -> float:
@@ -60,16 +59,16 @@ class ClusterResult:
 
 
 class ClusterScheduler:
-    """Place tenant jobs on a pool of GPU nodes and run them."""
+    """Place tenant jobs on a pool of GPU nodes and run them.
+
+    Jobs enter through :meth:`admit` or :meth:`place` and leave through
+    :meth:`depart`, which keep the placement index and the app-id map
+    current; a tenant put on a node of :attr:`nodes` directly is only
+    run, never seen by placement.
+    """
 
     def __init__(self, num_nodes: int, config: Optional[GPUConfig] = None,
-                 tenants_per_node: int = 2, metrics=None, log=None) -> None:
-        """``metrics`` (a telemetry registry) counts placement outcomes
-        and gauges per-node fragmentation (free slots / capacity) and
-        resident tenants after every admit/depart.  ``log`` (an
-        :class:`~repro.obslog.ObsLogger` or a logger bound from one)
-        records each admit/reject/depart as a correlated JSONL event;
-        both default ``None`` for zero overhead."""
+                 tenants_per_node: int = 2) -> None:
         if num_nodes <= 0:
             raise AllocationError("need at least one node")
         config = config if config is not None else GPUConfig()
@@ -79,23 +78,10 @@ class ClusterScheduler:
             for i in range(num_nodes)
         ]
         self.perf = PerformanceModel(config)
-        self.metrics = metrics
-        self.log = log
-        if metrics is not None:
-            from repro.telemetry import names as _names
-
-            self._m_placements = _names.cluster_placements_total(metrics)
-            self._m_fragmentation = _names.cluster_node_fragmentation(metrics)
-            self._m_tenants = _names.cluster_node_tenants(metrics)
-            self._update_node_gauges()
-
-    def _update_node_gauges(self) -> None:
-        for node in self.nodes:
-            label = str(node.node_id)
-            self._m_fragmentation.labels(node=label).set(
-                node.free_slots / node.max_tenants
-            )
-            self._m_tenants.labels(node=label).set(len(node.tenants))
+        #: Placement candidates, kept current at every admit and depart.
+        self._index = PlacementIndex(tenants_per_node, range(num_nodes))
+        #: app id -> (node id, is memory-bound) of every admitted job.
+        self._residents: Dict[int, Tuple[int, bool]] = {}
 
     @property
     def capacity(self) -> int:
@@ -105,84 +91,38 @@ class ClusterScheduler:
     def resident_jobs(self) -> int:
         return sum(len(node.tenants) for node in self.nodes)
 
-    # ------------------------------------------------------------------
-    # Placement
-    # ------------------------------------------------------------------
+    def _reindex(self, node: GPUNode) -> None:
+        self._index.update(node.node_id, tuple(
+            self._residents[t.app_id][1] for t in node.tenants
+        ))
+
+    def _check_not_resident(self, app_id: int) -> None:
+        held = self._residents.get(app_id)
+        if held is not None:
+            raise AllocationError(
+                f"app {app_id} is already resident on node {held[0]}"
+            )
+
     def place(self, jobs: Sequence[Application],
               policy: PlacementPolicy = PlacementPolicy.DEMAND_AWARE) -> None:
-        """Assign all jobs to nodes; raises if the cluster is full (the
-        whole batch is rejected, and counted as such)."""
+        """Admit a batch as back-to-back arrivals under ``policy``.
+
+        Raises, placing none of the batch, when it exceeds the free
+        slots or an app id repeats within it or is already resident."""
         if len(jobs) > self.capacity - self.resident_jobs:
-            if self.metrics is not None:
-                self._m_placements.labels(outcome="rejected").inc(len(jobs))
-            if self.log is not None:
-                self.log.warning(
-                    "cluster.reject_batch", jobs=len(jobs),
-                    capacity=self.capacity,
-                )
             raise AllocationError(
                 f"{len(jobs)} jobs exceed cluster capacity {self.capacity}"
             )
-        if policy not in (PlacementPolicy.FIRST_FIT,
-                          PlacementPolicy.DEMAND_AWARE):
-            # The online policies see a batch as back-to-back arrivals.
-            for job in jobs:
-                self.admit(job, policy)
-            return
-        if policy is PlacementPolicy.FIRST_FIT:
-            # Class-blind: spread tenants breadth-first for load fairness.
-            for job in jobs:
-                self._emptiest_node().place(job)
-                self._note_placement()
-            return
-        # Demand-aware: interleave the two classes and fill each node
-        # completely before the next, so every node receives a
-        # complementary memory-bound/compute-bound group.
-        memory = [j for j in jobs if is_memory_bound(self.perf, j)]
-        compute = [j for j in jobs if not is_memory_bound(self.perf, j)]
-        ordered = []
-        while memory or compute:
-            if memory:
-                ordered.append(memory.pop(0))
-            if compute:
-                ordered.append(compute.pop(0))
-        for job in ordered:
-            self._first_open_node().place(job)
-            self._note_placement()
-
-    def _note_placement(self, outcome: str = "placed") -> None:
-        if self.metrics is not None:
-            self._m_placements.labels(outcome=outcome).inc()
-            self._update_node_gauges()
-
-    def _emptiest_node(self) -> GPUNode:
-        target = min(self.nodes, key=lambda n: (len(n.tenants), n.node_id))
-        if target.free_slots <= 0:
-            raise AllocationError("cluster is full")  # pragma: no cover
-        return target
-
-    def _first_open_node(self) -> GPUNode:
-        for node in self.nodes:
-            if node.free_slots > 0:
-                return node
-        raise AllocationError("cluster is full")  # pragma: no cover
-
-    # ------------------------------------------------------------------
-    # Online admission / departure
-    # ------------------------------------------------------------------
-    def node_views(self) -> List[NodeView]:
-        """The occupancy snapshot the placement zoo chooses over."""
-        return [
-            NodeView(
-                node_id=n.node_id,
-                capacity=n.max_tenants,
-                free_slots=n.free_slots,
-                tenant_classes=tuple(
-                    is_memory_bound(self.perf, t) for t in n.tenants
-                ),
-            )
-            for n in self.nodes
-        ]
+        batch = set()
+        for job in jobs:
+            if job.app_id in batch:
+                raise AllocationError(
+                    f"app {job.app_id} appears twice in the batch"
+                )
+            self._check_not_resident(job.app_id)
+            batch.add(job.app_id)
+        for job in jobs:
+            self.admit(job, policy)
 
     def admit(self, job: Application,
               policy: PlacementPolicy = PlacementPolicy.LEAST_FRAGMENTED,
@@ -192,54 +132,36 @@ class ClusterScheduler:
         future arrivals).  Deterministic: every ordering in
         :mod:`repro.cluster.placement` ends with the node id.
         """
-        choice = choose_node(
-            policy, self.node_views(), is_memory_bound(self.perf, job)
-        )
+        self._check_not_resident(job.app_id)
+        memory_bound = is_memory_bound(self.perf, job)
+        choice = choose_node(policy, self._index.heads(), memory_bound)
         if choice is None:
-            self._note_placement(outcome="rejected")
-            if self.log is not None:
-                self.log.warning(
-                    "cluster.reject", job_id=job.app_id,
-                    policy=PlacementPolicy.parse(policy).value,
-                )
             raise AllocationError("cluster is full: no free slot for arrival")
-        target = self.nodes[choice.node_id]
-        target.place(job)
-        self._note_placement()
-        if self.log is not None:
-            self.log.debug(
-                "cluster.admit", job_id=job.app_id,
-                node_id=target.node_id,
-                policy=PlacementPolicy.parse(policy).value,
-            )
-        return target
+        node = self.nodes[choice.node_id]
+        node.place(job)
+        self._residents[job.app_id] = (node.node_id, memory_bound)
+        self._reindex(node)
+        return node
 
     def depart(self, app_id: int) -> GPUNode:
         """Release a departing job's slot; returns the node it held."""
-        for node in self.nodes:
-            if any(t.app_id == app_id for t in node.tenants):
-                node.remove(app_id)
-                self._note_placement(outcome="departed")
-                if self.log is not None:
-                    self.log.debug(
-                        "cluster.depart", job_id=app_id,
-                        node_id=node.node_id,
-                    )
-                return node
-        raise AllocationError(f"app {app_id} is not resident in the cluster")
+        held = self._residents.pop(app_id, None)
+        if held is None:
+            raise AllocationError(
+                f"app {app_id} is not resident in the cluster"
+            )
+        node = self.nodes[held[0]]
+        node.remove(app_id)
+        self._reindex(node)
+        return node
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run(self,
             slicing_policy: Optional[Callable[..., MultitaskSystem]] = None,
             total_cycles: int = 25_000_000,
-            placement: PlacementPolicy = PlacementPolicy.DEMAND_AWARE,
             ) -> ClusterResult:
-        results = [
+        return ClusterResult(nodes=[
             node.run(slicing_policy, total_cycles) for node in self.nodes
-        ]
-        return ClusterResult(nodes=results, placement=placement)
+        ])
 
     def schedule_and_run(
         self,
@@ -250,4 +172,4 @@ class ClusterScheduler:
     ) -> ClusterResult:
         """Convenience: place, run, aggregate."""
         self.place(jobs, placement)
-        return self.run(slicing_policy, total_cycles, placement)
+        return self.run(slicing_policy, total_cycles)

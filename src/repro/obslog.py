@@ -22,7 +22,6 @@ crosses all three streams.
 Like the ``tracer=None`` / ``metrics=None`` hooks, every instrumented
 component (:class:`~repro.cluster.fleet.FleetSimulator`,
 :class:`~repro.exec.executor.SweepExecutor`,
-:class:`~repro.cluster.scheduler.ClusterScheduler`,
 :class:`~repro.pagemove.engine.MigrationEngine`) defaults ``log=None``
 and guards each emission with one ``is not None`` check, keeping the
 disabled path byte-identical and overhead-free.

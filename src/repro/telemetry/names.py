@@ -2,7 +2,7 @@
 
 Instrumentation lives in many modules (`core.system`, `policies.ugpu`,
 `sim.engine`, `vm.driver`, `pagemove.engine`, `hbm.controller`,
-`cluster.scheduler`, `exec.executor`) and the trace bridge
+`cluster.fleet`, `exec.executor`) and the trace bridge
 (:mod:`repro.telemetry.bridge`) must rebuild the *same* series from a
 recorded event stream.  Declaring each family through one factory here —
 name, help text, labels and buckets in a single place — is what makes
@@ -241,34 +241,6 @@ def hbm_bandwidth_utilization(reg: MetricsRegistry):
         HBM_BANDWIDTH_UTILIZATION,
         "Achieved / peak channel bandwidth after the last drain.",
         labels=("channel",),
-    )
-
-
-# -------------------------------------------------------------------- cluster
-CLUSTER_PLACEMENTS_TOTAL = "repro_cluster_placements_total"
-CLUSTER_NODE_FRAGMENTATION = "repro_cluster_node_fragmentation"
-CLUSTER_NODE_TENANTS = "repro_cluster_node_tenants"
-
-
-def cluster_placements_total(reg: MetricsRegistry):
-    return reg.counter(
-        CLUSTER_PLACEMENTS_TOTAL,
-        "Cluster placement events by outcome (placed / rejected / departed).",
-        labels=("outcome",),
-    )
-
-
-def cluster_node_fragmentation(reg: MetricsRegistry):
-    return reg.gauge(
-        CLUSTER_NODE_FRAGMENTATION,
-        "Per-node fragmentation score (free slots / capacity).",
-        labels=("node",),
-    )
-
-
-def cluster_node_tenants(reg: MetricsRegistry):
-    return reg.gauge(
-        CLUSTER_NODE_TENANTS, "Tenants resident per node.", labels=("node",),
     )
 
 

@@ -4,11 +4,9 @@ import pytest
 
 from repro import MultitaskSystem, build_application
 from repro.cluster import ClusterScheduler, GPUNode, PlacementPolicy
-from repro.cluster.placement import is_memory_bound
+from repro.cluster.placement import PlacementIndex, is_memory_bound
 from repro.errors import AllocationError
 from repro.policies import BPPolicy, UGPUPolicy
-from repro.telemetry import MetricsRegistry
-from repro.telemetry.names import CLUSTER_PLACEMENTS_TOTAL
 
 
 def ugpu_system(apps):
@@ -21,6 +19,15 @@ def bp_system(apps):
 
 def jobs(*abbrs):
     return [build_application(a, app_id=i) for i, a in enumerate(abbrs)]
+
+
+#: Extension E2's eight tenants (benchmarks/test_ext_cluster.py): classes
+#: come in same-class pairs, memory-bound first.
+E2_TENANTS = ("PVC", "LBM", "DXTC", "CP", "LAVAMD", "EULER3D", "MRI-Q", "PF")
+
+
+def layout(cluster):
+    return [[t.app_id for t in node.tenants] for node in cluster.nodes]
 
 
 class TestGPUNode:
@@ -96,32 +103,31 @@ class TestClusterScheduler:
             cluster.place(jobs("PVC", "DXTC", "CP"))
 
     def test_over_capacity_batch_counts_rejections(self):
-        """Regression: a rejected batch used to raise without recording
-        any ``rejected`` outcome, so the placements counter could not
-        reconcile with the admission log."""
-        registry = MetricsRegistry()
-        cluster = ClusterScheduler(num_nodes=1, tenants_per_node=2,
-                                   metrics=registry)
-        with pytest.raises(AllocationError):
+        """A batch larger than the free slots is rejected whole: the error
+        counts every job turned away, none of them takes a slot, and the
+        slots stay open for the next batch."""
+        cluster = ClusterScheduler(num_nodes=1, tenants_per_node=2)
+        with pytest.raises(AllocationError,
+                           match="3 jobs exceed cluster capacity 2"):
             cluster.place(jobs("PVC", "DXTC", "CP"))
-        assert registry.value(
-            CLUSTER_PLACEMENTS_TOTAL, outcome="rejected") == 3
-        assert registry.value(
-            CLUSTER_PLACEMENTS_TOTAL, outcome="placed") == 0
+        assert cluster.resident_jobs == 0
+        assert layout(cluster) == [[]]
+        cluster.place(jobs("PVC", "DXTC"))
+        assert cluster.resident_jobs == 2
 
     def test_depart_records_outcome(self):
-        """Regression: ``depart()`` used to update only the node gauges,
-        leaving the placements counter asymmetric (admissions counted,
-        departures invisible)."""
-        registry = MetricsRegistry()
-        cluster = ClusterScheduler(num_nodes=2, metrics=registry)
+        """``depart()`` records the departure everywhere admission reads
+        it: the node it returns lost the tenant, the id is no longer
+        resident, and the index offers the freed node again."""
+        cluster = ClusterScheduler(num_nodes=2)
         cluster.admit(build_application("PVC", app_id=9))
-        cluster.depart(9)
-        assert registry.value(
-            CLUSTER_PLACEMENTS_TOTAL, outcome="placed") == 1
-        assert registry.value(
-            CLUSTER_PLACEMENTS_TOTAL, outcome="departed") == 1
+        node = cluster.depart(9)
+        assert node is cluster.nodes[0]
+        assert node.free_slots == node.max_tenants
         assert cluster.resident_jobs == 0
+        assert vars(cluster._index) == vars(PlacementIndex(2, range(2)))
+        with pytest.raises(AllocationError, match="app 9 is not resident"):
+            cluster.depart(9)
 
     def test_depart_then_readmit_reuses_id(self):
         """An app id freed by departure must be admissible again — open
@@ -134,13 +140,50 @@ class TestClusterScheduler:
         with pytest.raises(AllocationError):
             cluster.depart(6)
 
-    def test_first_fit_fills_breadth_first(self):
+    def test_app_id_resident_on_one_node_only(self):
+        """Regression: admit() only caught a duplicate id within a node,
+        so one id could sit on two nodes and depart() freed only the
+        first."""
+        cluster = ClusterScheduler(num_nodes=2, tenants_per_node=1)
+        cluster.admit(build_application("PVC", app_id=0))
+        with pytest.raises(AllocationError,
+                           match="app 0 is already resident on node 0"):
+            cluster.admit(build_application("DXTC", app_id=0))
+        assert layout(cluster) == [[0], []]
+
+    def test_batch_with_duplicate_app_id_places_nothing(self):
+        cluster = ClusterScheduler(num_nodes=2, tenants_per_node=2)
+        twice = [build_application("PVC", app_id=0),
+                 build_application("DXTC", app_id=0)]
+        with pytest.raises(AllocationError, match="app 0 appears twice"):
+            cluster.place(twice, policy=PlacementPolicy.FIRST_FIT)
+        assert cluster.resident_jobs == 0
+
+        cluster.admit(build_application("CP", app_id=1))
+        with pytest.raises(AllocationError,
+                           match="app 1 is already resident on node 0"):
+            cluster.place(jobs("PVC", "LBM"))
+        assert layout(cluster) == [[1], []]
+
+    def test_first_fit_fills_lowest_id_first(self):
         cluster = ClusterScheduler(num_nodes=2, tenants_per_node=2)
         cluster.place(jobs("PVC", "LBM", "DXTC", "CP"),
                       policy=PlacementPolicy.FIRST_FIT)
-        # Breadth-first: first two jobs spread over both nodes.
-        assert [t.name for t in cluster.nodes[0].tenants] == ["PVC", "DXTC"]
-        assert [t.name for t in cluster.nodes[1].tenants] == ["LBM", "CP"]
+        # Class-blind: node 0 fills before node 1 opens.
+        assert [t.name for t in cluster.nodes[0].tenants] == ["PVC", "LBM"]
+        assert [t.name for t in cluster.nodes[1].tenants] == ["DXTC", "CP"]
+
+    @pytest.mark.parametrize("policy", list(PlacementPolicy),
+                             ids=lambda p: p.value)
+    def test_batch_place_is_admit_per_job(self, policy):
+        """Every policy means one ordering: a batch lands where the same
+        jobs admitted one at a time would."""
+        batch = ClusterScheduler(num_nodes=4, tenants_per_node=2)
+        batch.place(jobs(*E2_TENANTS), policy=policy)
+        online = ClusterScheduler(num_nodes=4, tenants_per_node=2)
+        for job in jobs(*E2_TENANTS):
+            online.admit(job, policy)
+        assert layout(batch) == layout(online)
 
     def test_demand_aware_pairs_classes(self):
         cluster = ClusterScheduler(num_nodes=2, tenants_per_node=2)

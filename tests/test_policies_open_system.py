@@ -13,6 +13,13 @@ import math
 import pytest
 
 from repro.cluster import ClusterScheduler, GPUNode
+from repro.cluster.placement import (
+    NodeView,
+    PlacementIndex,
+    PlacementPolicy,
+    choose_node,
+    is_memory_bound,
+)
 from repro.core.system import (
     MultitaskSystem,
     OpenSystemResult,
@@ -290,20 +297,48 @@ class TestOnlineCluster:
             cluster.admit(build_application("DXTC", app_id=1))
 
     def test_poisson_trace_placement_is_deterministic(self):
-        def placements():
+        """Admits and departs over a seeded trace repeat exactly, keep the
+        scheduler's placement index equal to one rebuilt from the nodes,
+        and land every job where a scan over all nodes would."""
+
+        def classes(cluster, node):
+            return tuple(is_memory_bound(cluster.perf, t) for t in node.tenants)
+
+        def check_index(cluster):
+            rebuilt = PlacementIndex(2)
+            for node in cluster.nodes:
+                rebuilt.update(node.node_id, classes(cluster, node))
+            assert vars(cluster._index) == vars(rebuilt)
+
+        def placements(policy):
             cluster = ClusterScheduler(num_nodes=4, tenants_per_node=2)
+            resident = []
             placed = []
-            for event in poisson_arrivals(2_000_000, HORIZON, seed=11):
-                if cluster.resident_jobs == cluster.capacity:
-                    break
-                placed.append(
-                    (event.app.name, cluster.admit(event.app).node_id)
+            events = poisson_arrivals(2_000_000, HORIZON, seed=11)
+            for i, event in enumerate(events):
+                if i % 3 == 2:
+                    cluster.depart(resident.pop(0))
+                    check_index(cluster)
+                views = [
+                    NodeView(node_id=n.node_id, capacity=n.max_tenants,
+                             free_slots=n.free_slots,
+                             tenant_classes=classes(cluster, n))
+                    for n in cluster.nodes
+                ]
+                expected = choose_node(
+                    policy, views, is_memory_bound(cluster.perf, event.app)
                 )
+                node = cluster.admit(event.app, policy)
+                assert node.node_id == expected.node_id
+                check_index(cluster)
+                resident.append(event.app.app_id)
+                placed.append((event.app.name, node.node_id))
             return placed
 
-        first, second = placements(), placements()
-        assert first == second
-        assert len(first) > 0
+        for policy in PlacementPolicy:
+            first, second = placements(policy), placements(policy)
+            assert first == second
+            assert len(first) > 0
 
     def test_node_remove_unknown_app_rejected(self):
         node = GPUNode(0, max_tenants=2)

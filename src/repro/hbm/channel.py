@@ -97,6 +97,10 @@ class Channel:
     # ------------------------------------------------------------------
     def earliest_issue(self, cmd: Command, now: int) -> int:
         """Earliest cycle >= ``now`` at which ``cmd`` could legally issue."""
+        if not 0 <= cmd.bank_group < len(self.groups):
+            raise ProtocolError(
+                f"bank group {cmd.bank_group} out of range [0, {len(self.groups)})"
+            )
         group = self.groups[cmd.bank_group]
         bank = group.bank(cmd.bank)
         t = self._timing

@@ -144,8 +144,22 @@ class MemoryController:
         """Add a request; the queue holds at most ``queue_entries``.
 
         With write buffering enabled, writes go to the write buffer
-        instead and a burst drain triggers at the high watermark.
+        instead and a burst drain triggers at the high watermark.  A
+        request addressing a bank group, bank or row outside the channel,
+        or a negative column, raises :class:`ProtocolError` before it is
+        queued.
         """
+        cfg = self.config
+        if not (0 <= request.bank_group < cfg.bank_groups_per_channel
+                and 0 <= request.bank < cfg.banks_per_group
+                and 0 <= request.row < cfg.rows_per_bank
+                and request.column >= 0):
+            raise ProtocolError(
+                f"{request} is outside the channel: bank_group in "
+                f"[0, {cfg.bank_groups_per_channel}), bank in "
+                f"[0, {cfg.banks_per_group}), row in [0, {cfg.rows_per_bank}) "
+                "and column >= 0"
+            )
         request.arrival = max(request.arrival, 0)
         if (self.write_buffer_entries > 0
                 and request.kind is RequestKind.WRITE):
@@ -194,15 +208,17 @@ class MemoryController:
         of the four priority classes — arrived row-hit, arrived, pending
         row-hit, pending — instead of materializing candidate lists and
         re-scanning the queue for positions, which made selection
-        quadratic in the queue depth.
+        quadratic in the queue depth.  Each bank's open row is read once
+        per pick (``enqueue`` has range-checked every coordinate).
         """
         now = self.now
-        groups = self.channel.groups
+        open_rows = [[bank.open_row for bank in group.banks]
+                     for group in self.channel.groups]
         arrived_hit = arrived_any = pending_hit = pending_any = -1
         arrived_hit_t = arrived_any_t = pending_hit_t = pending_any_t = 0
         for i, r in enumerate(self.queue):
             arrival = r.arrival
-            hit = groups[r.bank_group].bank(r.bank).is_row_open(r.row)
+            hit = open_rows[r.bank_group][r.bank] == r.row
             if arrival <= now:
                 if hit and (arrived_hit < 0 or arrival < arrived_hit_t):
                     arrived_hit, arrived_hit_t = i, arrival

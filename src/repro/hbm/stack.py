@@ -81,9 +81,11 @@ class HBMStack:
     def find_idle_tsv(self, now: int, exclude: Optional[List[int]] = None,
                       window: int = 100) -> Optional[int]:
         """Pick one idle TSV bundle, preferring the lowest index."""
-        excluded = set(exclude or [])
-        for bundle in self.idle_tsv_bundles(now, window):
-            if bundle not in excluded:
+        excluded = exclude or ()
+        for bundle in range(len(self.tsvs)):
+            if (bundle not in excluded
+                    and self.channels[bundle].is_idle_at(now, window)
+                    and self.decoder.is_free(bundle, now)):
                 return bundle
         return None
 
@@ -125,11 +127,12 @@ class HBMStack:
 
         src = self.channels[src_channel]
         dst = self.channels[cmd.dest_channel]
+        dst_cmd = self._dest_view(cmd)
 
         # Legal issue time across both channels.
         issue_at = max(
             src.earliest_issue(cmd, now),
-            dst.earliest_issue(self._dest_view(cmd), now),
+            dst.earliest_issue(dst_cmd, now),
         )
 
         done = issue_at + self.config.timing.tMIG
@@ -143,7 +146,6 @@ class HBMStack:
         self.decoder.grant(cmd.tsv_index, src_channel, issue_at, done)
 
         src.issue(cmd, issue_at)
-        dst_cmd = self._dest_view(cmd)
         dst_done = dst.issue(dst_cmd, issue_at)
         self.migrations_completed += 1
         return max(done, dst_done)

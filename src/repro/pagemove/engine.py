@@ -18,11 +18,10 @@ engine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import cycle, islice
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import MigrationError, ProtocolError
-from repro.fastpath import resolve_kernel_backend
 from repro.hbm.commands import activate, migration, precharge
 from repro.hbm.system import HBMSystem
 from repro.pagemove.address_mapping import PageMoveAddressMapping
@@ -35,30 +34,13 @@ from repro.vm.tlb import TLB
 #: crossbar route to free before the command-level replay gives up.
 CROSSBAR_RETRY_LIMIT = 256
 
-#: Page count above which the round-robin destination assignment is worth
-#: computing as one vectorized modular arange instead of a python loop.
-_VECTOR_THRESHOLD = 64
 
-
-def _round_robin_destinations(kept: Sequence[int], start: int, count: int) -> List[int]:
+def _round_robin_destinations(kept: List[int], start: int, count: int) -> List[int]:
     """Destination channels for ``count`` pages round-robined over
-    ``kept``, continuing from offset ``start``.
-
-    Under the numpy backend large batches collapse to a single modular
-    ``arange`` gather; the scalar walk ``kept[(start + i) % len(kept)]``
-    is the oracle.  Destinations are exact integers either way
-    (``.tolist()`` yields python ints), so the backends agree bit-for-bit.
-    """
-    n = len(kept)
-    if n == 1:
-        return [kept[0]] * count
-    if count >= _VECTOR_THRESHOLD and resolve_kernel_backend() == "numpy":
-        import numpy as np
-
-        return np.asarray(kept, dtype=np.int64)[
-            (start + np.arange(count, dtype=np.int64)) % n
-        ].tolist()
-    return [kept[(start + i) % n] for i in range(count)]
+    ``kept``, continuing from offset ``start``: page ``i`` goes to
+    ``kept[(start + i) % len(kept)]``."""
+    offset = start % len(kept)
+    return list(islice(cycle(kept[offset:] + kept[:offset]), count))
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,7 @@ def _scenario_ppmm_migration(profiler=None) -> Dict[str, Any]:
             ))
         served += len(controller.drain())
     return {
-        "faults": len(driver.faults),
+        "faults": driver.faults,
         "pages_moved": pages_moved,
         "hbm_served": served,
     }

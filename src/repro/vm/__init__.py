@@ -8,7 +8,14 @@ raised when a translation lands in a deallocated or not-yet-populated
 memory channel (Section 4.4).
 """
 
-from repro.vm.address import PAGE_SHIFT, PAGE_SIZE, VirtualAddress, page_number, page_offset
+from repro.vm.address import (
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    VirtualAddress,
+    page_number,
+    page_offset,
+    radix_indices,
+)
 from repro.vm.page_table import PageTable, PageTableEntry
 from repro.vm.tlb import TLB, TLBStats
 from repro.vm.ptw import PageTableWalker, WalkResult
@@ -23,6 +30,7 @@ __all__ = [
     "VirtualAddress",
     "page_number",
     "page_offset",
+    "radix_indices",
     "PageTable",
     "PageTableEntry",
     "TLB",

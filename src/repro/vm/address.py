@@ -18,6 +18,7 @@ PAGE_SIZE = 1 << PAGE_SHIFT      #: 4 KB baseline page size
 VA_BITS = 48
 LEVEL_BITS = 9                   #: radix of each page-table level
 LEVELS = 4
+VPN_BITS = LEVELS * LEVEL_BITS   #: 36: the page numbers the table covers
 
 
 def page_number(address: int, page_shift: int = PAGE_SHIFT) -> int:
@@ -31,6 +32,18 @@ def page_offset(address: int, page_shift: int = PAGE_SHIFT) -> int:
     if address < 0:
         raise AddressError(f"address must be non-negative, got {address}")
     return address & ((1 << page_shift) - 1)
+
+def radix_indices(vpn: int) -> Tuple[int, int, int, int]:
+    """The four radix indices of ``vpn`` for the 4-level page-table walk,
+    root level first.
+
+    The shifts are written out for ``LEVELS`` = 4 levels of
+    ``LEVEL_BITS`` = 9 bits; a VPN outside ``[0, 2**VPN_BITS)`` raises
+    :class:`AddressError`.
+    """
+    if not 0 <= vpn < 1 << VPN_BITS:
+        raise AddressError(f"vpn {vpn:#x} outside the {VPN_BITS}-bit page-number space")
+    return vpn >> 27, (vpn >> 18) & 511, (vpn >> 9) & 511, vpn & 511
 
 
 @dataclass(frozen=True)
@@ -59,11 +72,7 @@ class VirtualAddress:
     def table_indices(self) -> Tuple[int, ...]:
         """The four radix indices used by the 4-level page-table walk,
         ordered from the root level down."""
-        vpn = self.vpn
-        indices = []
-        for level in reversed(range(LEVELS)):
-            indices.append((vpn >> (level * LEVEL_BITS)) & ((1 << LEVEL_BITS) - 1))
-        return tuple(indices)
+        return radix_indices(self.vpn)
 
     @classmethod
     def from_vpn(cls, vpn: int, page_shift: int = PAGE_SHIFT) -> "VirtualAddress":

@@ -109,7 +109,8 @@ class GPUDriver:
         #: app_id -> {channel: resident page count}.
         self._resident: Dict[int, Dict[int, int]] = {}
         self.page_tables: Dict[int, PageTable] = {}
-        self.faults: List[PageFault] = []
+        #: Faults serviced so far.
+        self.faults = 0
         self.tracer = tracer
         self.metrics = metrics
         self.profiler = profiler
@@ -226,11 +227,15 @@ class GPUDriver:
     # ------------------------------------------------------------------
     def handle_fault(self, kind: FaultKind, app_id: int, vpn: int,
                      target_channel: Optional[int] = None) -> PageFault:
-        """Service a fault: allocate, update the page table, log the fault.
+        """Service a fault: allocate, update the page table, count the fault.
 
         For ``LOST_CHANNEL``/``REBALANCE`` the existing mapping is replaced
         and the old frame is released; ``source_channel`` records where the
-        data migrates from so the migration engine can cost the copy.
+        data migrates from so the migration engine can cost the copy.  A
+        ``DEMAND`` fault on an invalidated entry releases its frame the
+        same way; one on a valid mapping raises :class:`AllocationError`
+        before any state changes.  A fault whose new frame cannot be
+        allocated raises with the old frame still mapped and resident.
         """
         prof = self.profiler
         if prof is not None:
@@ -238,15 +243,31 @@ class GPUDriver:
         self._check_app(app_id)
         table = self.page_tables[app_id]
         source_channel = None
-        if kind in (FaultKind.LOST_CHANNEL, FaultKind.REBALANCE):
-            old = table.lookup(vpn)
-            if old is None:
+        old = table.lookup(vpn)
+        if kind is FaultKind.DEMAND:
+            if old is not None and old.valid:
                 raise AllocationError(
-                    f"{kind.value} fault for unmapped vpn {vpn:#x}"
+                    f"app {app_id}: demand fault for vpn {vpn:#x}, which is "
+                    "already mapped"
                 )
+        elif old is None:
+            raise AllocationError(
+                f"{kind.value} fault for unmapped vpn {vpn:#x}"
+            )
+        else:
             source_channel = old.channel
+        if old is not None:
             self.release_page(app_id, old.rpn)
-        rpn = self.allocate_page(app_id, target_channel)
+        try:
+            rpn = self.allocate_page(app_id, target_channel)
+        except AllocationError:
+            if old is not None:
+                # Take the released frame back: a refused fault changes
+                # nothing, and the table still maps vpn to that frame.
+                old_channel = self.channel_of_frame(old.rpn)
+                self._free[old_channel].pop()
+                self._resident[app_id][old_channel] += 1
+            raise
         channel = self.channel_of_frame(rpn)
         table.map(vpn, rpn, channel)
         fault = PageFault(
@@ -257,7 +278,7 @@ class GPUDriver:
             channel=channel,
             source_channel=source_channel,
         )
-        self.faults.append(fault)
+        self.faults += 1
         if self.tracer is not None:
             self.tracer.emit(
                 "fault", kind.value, app_id=app_id, vpn=vpn,

@@ -12,11 +12,11 @@ walk (one per level, minus MMU-cache hits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import TranslationError
-from repro.vm.address import LEVELS, VirtualAddress
+from repro.vm.address import LEVEL_BITS, LEVELS, radix_indices
 
 
 @dataclass
@@ -42,24 +42,26 @@ class PageTableEntry:
     referenced: bool = False
 
 
-class _Node:
-    """Interior radix node."""
-
-    __slots__ = ("children",)
-
-    def __init__(self) -> None:
-        self.children: Dict[int, object] = {}
-
-
 class PageTable:
-    """A 4-level page table for one application address space."""
+    """A 4-level page table for one application address space.
+
+    Interior radix nodes are plain dicts keyed by the 9-bit index of their
+    level; the level-4 dicts hold the :class:`PageTableEntry` leaves.
+    Beside the tree, the table keeps a per-channel index of its *valid*
+    entries (``channel -> {vpn: entry}``), so the planner's per-channel
+    queries cost the pages of that channel, not the whole tree.  The
+    index follows :meth:`map`, :meth:`unmap` and :meth:`invalidate`; an
+    entry's ``channel`` and ``valid`` fields must change only through
+    them.
+    """
 
     def __init__(self, app_id: int, cr3: Optional[int] = None) -> None:
         self.app_id = app_id
         #: Emulates the CR3 root-pointer register value for identification.
         self.cr3 = cr3 if cr3 is not None else (0x1000 + app_id)
-        self._root = _Node()
+        self._root: dict = {}
         self._count = 0
+        self._by_channel: Dict[int, Dict[int, PageTableEntry]] = {}
 
     def __len__(self) -> int:
         return self._count
@@ -69,29 +71,31 @@ class PageTable:
     # ------------------------------------------------------------------
     def map(self, vpn: int, rpn: int, channel: int) -> PageTableEntry:
         """Install (or replace) the translation for ``vpn``."""
+        i0, i1, i2, leaf_index = radix_indices(vpn)
         node = self._root
-        indices = VirtualAddress.from_vpn(vpn).table_indices()
-        for index in indices[:-1]:
-            child = node.children.get(index)
+        for index in (i0, i1, i2):
+            child = node.get(index)
             if child is None:
-                child = _Node()
-                node.children[index] = child
+                child = node[index] = {}
             node = child
-        leaf_index = indices[-1]
-        existed = leaf_index in node.children
-        entry = PageTableEntry(rpn=rpn, channel=channel)
-        node.children[leaf_index] = entry
-        if not existed:
+        old = node.get(leaf_index)
+        if old is None:
             self._count += 1
+        elif old.valid:
+            del self._by_channel[old.channel][vpn]
+        entry = node[leaf_index] = PageTableEntry(rpn=rpn, channel=channel)
+        self._by_channel.setdefault(channel, {})[vpn] = entry
         return entry
 
     def unmap(self, vpn: int) -> PageTableEntry:
         """Remove the translation for ``vpn``; return the removed entry."""
-        node, leaf_index = self._walk_to_leaf(vpn)
-        entry = node.children.pop(leaf_index, None)
+        leaf, leaf_index = self._walk_to_leaf(vpn)
+        entry = leaf.pop(leaf_index, None)
         if entry is None:
             raise TranslationError(f"vpn {vpn:#x} is not mapped (app {self.app_id})")
         self._count -= 1
+        if entry.valid:
+            del self._by_channel[entry.channel][vpn]
         return entry
 
     def invalidate(self, vpn: int) -> PageTableEntry:
@@ -99,7 +103,9 @@ class PageTable:
         entry = self.lookup(vpn)
         if entry is None:
             raise TranslationError(f"vpn {vpn:#x} is not mapped (app {self.app_id})")
-        entry.valid = False
+        if entry.valid:
+            entry.valid = False
+            del self._by_channel[entry.channel][vpn]
         return entry
 
     # ------------------------------------------------------------------
@@ -107,9 +113,8 @@ class PageTable:
     # ------------------------------------------------------------------
     def lookup(self, vpn: int) -> Optional[PageTableEntry]:
         """Return the entry for ``vpn`` or None; does not touch status bits."""
-        node, leaf_index = self._walk_to_leaf(vpn)
-        child = node.children.get(leaf_index)
-        return child if isinstance(child, PageTableEntry) else None
+        leaf, leaf_index = self._walk_to_leaf(vpn)
+        return leaf.get(leaf_index)
 
     def translate(self, vpn: int) -> Optional[PageTableEntry]:
         """Lookup that also sets the referenced bit on a valid hit."""
@@ -122,28 +127,28 @@ class PageTable:
     def levels_touched(self, vpn: int) -> int:
         """How many radix levels a walk for ``vpn`` traverses before
         either finding the leaf or hitting a hole (for PTW latency)."""
+        i0, i1, i2, _ = radix_indices(vpn)
         node = self._root
-        indices = VirtualAddress.from_vpn(vpn).table_indices()
         touched = 0
-        for index in indices[:-1]:
+        for index in (i0, i1, i2):
             touched += 1
-            child = node.children.get(index)
-            if not isinstance(child, _Node):
+            node = node.get(index)
+            if node is None:
                 return touched
-            node = child
         return LEVELS
 
     # ------------------------------------------------------------------
     # Iteration (used by the migration planner)
     # ------------------------------------------------------------------
     def entries(self) -> Iterator[Tuple[int, PageTableEntry]]:
-        """Yield (vpn, entry) pairs in ascending VPN order."""
+        """Yield every (vpn, entry) pair, valid or not, in ascending VPN
+        order.  Walks the whole tree; per-channel queries use the index."""
 
-        def recurse(node: _Node, prefix: int, depth: int):
-            for index in sorted(node.children):
-                child = node.children[index]
-                vpn_part = (prefix << 9) | index
-                if isinstance(child, PageTableEntry):
+        def recurse(node: dict, prefix: int, depth: int):
+            for index in sorted(node):
+                child = node[index]
+                vpn_part = (prefix << LEVEL_BITS) | index
+                if depth == LEVELS:
                     yield vpn_part, child
                 else:
                     yield from recurse(child, vpn_part, depth + 1)
@@ -151,28 +156,29 @@ class PageTable:
         yield from recurse(self._root, 0, 1)
 
     def pages_in_channel(self, channel: int) -> Iterator[Tuple[int, PageTableEntry]]:
-        """Yield the (vpn, entry) pairs whose physical page lives in
-        ``channel`` — the pages PageMove must migrate when that channel is
-        reallocated away."""
-        for vpn, entry in self.entries():
-            if entry.channel == channel and entry.valid:
-                yield vpn, entry
+        """Yield the valid (vpn, entry) pairs whose physical page lives in
+        ``channel``, in ascending VPN order — the pages PageMove must
+        migrate when that channel is reallocated away.  Costs a sort of
+        that channel's pages only."""
+        bucket = self._by_channel.get(channel, {})
+        return ((vpn, bucket[vpn]) for vpn in sorted(bucket))
 
     def channel_page_counts(self) -> Dict[int, int]:
-        """Count of valid resident pages per channel group (the driver's
-        balance bookkeeping from Section 4.4)."""
-        counts: Dict[int, int] = {}
-        for _, entry in self.entries():
-            if entry.valid:
-                counts[entry.channel] = counts.get(entry.channel, 0) + 1
-        return counts
+        """Count of valid resident pages per channel group, in ascending
+        channel order (the driver's balance bookkeeping from Section
+        4.4)."""
+        return {
+            channel: len(bucket)
+            for channel, bucket in sorted(self._by_channel.items()) if bucket
+        }
 
-    def _walk_to_leaf(self, vpn: int):
+    def _walk_to_leaf(self, vpn: int) -> Tuple[dict, int]:
+        """The level-4 node holding ``vpn``'s leaf and the leaf's index;
+        an empty dict when the walk hits a hole."""
+        i0, i1, i2, leaf_index = radix_indices(vpn)
         node = self._root
-        indices = VirtualAddress.from_vpn(vpn).table_indices()
-        for index in indices[:-1]:
-            child = node.children.get(index)
-            if not isinstance(child, _Node):
-                return _Node(), indices[-1]  # unmapped region
-            node = child
-        return node, indices[-1]
+        for index in (i0, i1, i2):
+            node = node.get(index)
+            if node is None:
+                return {}, leaf_index  # unmapped region
+        return node, leaf_index

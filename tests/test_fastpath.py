@@ -241,17 +241,6 @@ class TestSystemBackendAgreement:
                [e.detail["allocations"] for e in b.epochs]
         assert a.stp.hex() == b.stp.hex()
 
-    def test_round_robin_planner_backends_agree(self):
-        from repro.pagemove.engine import _round_robin_destinations
-
-        kept = [1, 4, 6]
-        set_default_kernel_backend("numpy")
-        vec = _round_robin_destinations(kept, 7, 500)
-        set_default_kernel_backend("scalar")
-        sca = _round_robin_destinations(kept, 7, 500)
-        assert vec == sca
-        assert all(type(d) is int for d in vec)
-
 
 class TestBackendSurfacing:
     def test_exec_stats_merge_marks_mixed(self):

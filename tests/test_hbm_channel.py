@@ -141,6 +141,18 @@ class TestCommandBus:
         assert channel.command_bus_busy_until == at + 1
 
 
+class TestCoordinateChecks:
+    @pytest.mark.parametrize("bank_group", [-1, 4])
+    def test_bank_group_out_of_range_rejected(self, channel, bank_group):
+        cmd = activate(bank_group, 0, 7)
+        with pytest.raises(ProtocolError, match="bank group"):
+            channel.earliest_issue(cmd, 0)
+        with pytest.raises(ProtocolError, match="bank group"):
+            channel.issue(cmd, 0)
+        assert all(bank.open_row is None
+                   for group in channel.groups for bank in group.banks)
+
+
 class TestIdleDetection:
     def test_untouched_channel_is_idle(self, channel):
         assert channel.is_idle_at(now=200, window=100)

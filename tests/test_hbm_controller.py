@@ -37,6 +37,44 @@ class TestQueueing:
             mc.service_one()
 
 
+class TestCoordinateValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("bg", -1), ("bg", 4), ("bank", -1), ("bank", 9),
+        ("row", -1), ("row", 16384), ("col", -1),
+    ])
+    def test_out_of_range_rejected_before_queueing(self, mc, field, value):
+        bad = req(**{field: value})
+        with pytest.raises(ProtocolError, match=r"MemoryRequest\("):
+            mc.enqueue(bad)
+        assert mc.queue == []
+
+    def test_rejected_request_does_not_block_the_queue(self, mc):
+        with pytest.raises(ProtocolError):
+            mc.enqueue(req(bank=9))
+        good = req(bank=1, row=3)
+        mc.enqueue(good)
+        assert mc.drain() == [good]
+        assert good.completed_at is not None
+
+    def test_negative_bank_group_not_served_on_last_group(self, mc):
+        with pytest.raises(ProtocolError):
+            mc.enqueue(req(bg=-1, row=7))
+        assert mc.drain() == []
+        assert all(bank.open_row is None
+                   for group in mc.channel.groups for bank in group.banks)
+
+    def test_write_buffer_rejects_before_buffering(self, config):
+        mc = MemoryController(config, write_buffer_entries=8)
+        with pytest.raises(ProtocolError):
+            mc.enqueue(req(kind=RequestKind.WRITE, bg=4))
+        assert mc.write_buffer == []
+
+    def test_column_has_no_upper_bound(self, mc, config):
+        # Columns past columns_per_row are accepted (and served).
+        mc.enqueue(req(col=config.columns_per_row + 15))
+        assert len(mc.drain()) == 1
+
+
 class TestFRFCFS:
     def test_row_hit_served_before_older_miss(self, mc):
         # First request opens row 5.

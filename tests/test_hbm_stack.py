@@ -64,6 +64,20 @@ class TestIdleTSVDetection:
     def test_find_idle_tsv_respects_exclusions(self, stack):
         assert stack.find_idle_tsv(now=1000, exclude=[0, 1]) == 2
 
+    def test_find_idle_tsv_skips_busy_and_granted_bundles(self, stack):
+        ch = stack.channel(0)
+        a = activate(0, 0, 1)
+        ready = ch.issue(a, ch.earliest_issue(a, 0))
+        r = read(0, 0, 0)
+        now = ch.issue(r, ch.earliest_issue(r, ready)) + 10
+        stack.decoder.grant(1, 4, now, now + 500)
+        # Channel 0's bus went quiet 10 cycles ago; bundle 1 is granted.
+        assert stack.find_idle_tsv(now, exclude=[2], window=20) == 3
+        assert stack.idle_tsv_bundles(now, window=20) == [2, 3, 4, 5, 6, 7]
+        assert stack.find_idle_tsv(now, exclude=list(range(2, 8)),
+                                   window=20) is None
+        assert stack.find_idle_tsv(now, window=10) == 0
+
 
 class TestMigrationRouting:
     def test_migration_completes_in_tmig(self, stack, config):

@@ -1,6 +1,11 @@
 """Unit tests for migration planning/execution (repro.pagemove.engine)
 and the cost model (repro.pagemove.cost)."""
 
+import os
+import runpy
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import ConfigError, MigrationError
@@ -12,6 +17,7 @@ from repro.pagemove import (
     MigrationMode,
     PageMoveAddressMapping,
 )
+from repro.pagemove.engine import _round_robin_destinations
 from repro.vm import FaultKind, GPUDriver, TLB
 
 
@@ -114,6 +120,34 @@ class TestPlanning:
         populate(driver, 0, [0], pages_per_channel=1)
         with pytest.raises(MigrationError):
             engine.plan_channel_reallocation(0, [])
+
+    def test_round_robin_order_pinned(self):
+        kept = [1, 4, 6]
+        dsts = _round_robin_destinations(kept, 7, 500)
+        assert dsts[:7] == [4, 6, 1, 4, 6, 1, 4]
+        assert dsts == [kept[(7 + i) % len(kept)] for i in range(500)]
+        assert all(type(d) is int for d in dsts)
+        assert _round_robin_destinations([5], 3, 4) == [5, 5, 5, 5]
+        assert _round_robin_destinations(kept, 2, 0) == []
+
+    def test_eager_plan_order_pinned(self, engine, driver):
+        """Lost channels in ascending order, each one's pages in
+        ascending VPN order, one round-robin over the kept channels."""
+        populate(driver, 0, [0, 1, 2, 3], pages_per_channel=3)
+        plan = engine.plan_channel_reallocation(0, new_channels=[0, 1])
+        assert [(m.vpn, m.src_channel, m.dst_channel) for m in plan.eager] == [
+            (6, 2, 0), (7, 2, 1), (8, 2, 0),
+            (9, 3, 1), (10, 3, 0), (11, 3, 1),
+        ]
+
+    def test_lazy_plan_takes_lowest_vpns(self, engine, driver):
+        populate(driver, 0, [0, 1], pages_per_channel=8)
+        plan = engine.plan_channel_reallocation(0, new_channels=[0, 1, 2])
+        # 16 pages over 3 channels: target 5, so channel 2 needs 5 pages,
+        # 3 from donor 0's lowest VPNs, then 2 from donor 1's.
+        assert [(m.vpn, m.src_channel, m.dst_channel) for m in plan.lazy] == [
+            (0, 0, 2), (1, 0, 2), (2, 0, 2), (8, 1, 2), (9, 1, 2),
+        ]
 
 
 class TestExecution:
@@ -265,3 +299,60 @@ class TestReallocationCoherence:
         assert engine.registry.needs_migration(0, 0)
         assert not engine.registry.needs_migration(0, 1)
         assert not engine.registry.needs_migration(0, 2)
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+MICROSCOPE_OUTPUT = """\
+physical page 12345 (Figure 8 mapping):
+  channel index 1 (same channel of every stack)
+  bank 3, row 48, columns 2..3
+  striped over stacks [0, 1, 2, 3] x bank groups [0, 1, 2, 3] = 16 slices of 256 B
+  => 32 MIGRATION commands per page, at most 2 serialized per bank group
+
+one-page migration latency on the command-level model:
+  PageMove (4x8 crossbar): 132 memory clocks (~106 GPU cycles)
+  stock 4x1 crossbar:      486 memory clocks (3.7x slower)
+
+per-page costs the epoch simulation charges:
+  ppmm              80 GPU cycles,  32 DRAM data commands
+  software         147 GPU cycles,  64 DRAM data commands
+  traditional      414 GPU cycles,  64 DRAM data commands
+
+channel reallocation walkthrough (8 pages, channel 3 -> {0,1}):
+  eager migrations: 8  (window 1640 GPU cycles)
+  resident pages per channel now: {0: 4, 1: 4}
+  channel 3 frames returned to the free list: True
+"""
+
+
+class TestEndToEnd:
+    def test_microscope_example_output_pinned(self, capsys):
+        runpy.run_path(
+            os.path.join(REPO_ROOT, "examples", "pagemove_microscope.py"),
+            run_name="__main__",
+        )
+        assert capsys.readouterr().out == MICROSCOPE_OUTPUT
+
+    def test_reallocation_does_not_import_numpy(self):
+        """The planner is pure python: a reallocation large enough to
+        have taken a vectorized path loads no numpy."""
+        code = (
+            "import sys\n"
+            "from repro.pagemove import MigrationEngine\n"
+            "from repro.vm import FaultKind, GPUDriver\n"
+            "driver = GPUDriver(pages_per_channel=512)\n"
+            "driver.register_app(0, [0, 1, 2])\n"
+            "for vpn in range(512):\n"
+            "    driver.handle_fault(FaultKind.DEMAND, 0, vpn)\n"
+            "engine = MigrationEngine(driver)\n"
+            "plan = engine.plan_channel_reallocation(0, [0, 1, 3])\n"
+            "assert len(plan.eager) > 100, len(plan.eager)\n"
+            "engine.execute(plan)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        env.pop("REPRO_KERNEL_BACKEND", None)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Stateful property-based testing of the GPU driver's frame accounting
-(hypothesis RuleBasedStateMachine)."""
+and the page table's per-channel index (hypothesis RuleBasedStateMachine)."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
@@ -20,8 +22,9 @@ CHANNELS = 8
 
 
 class DriverMachine(RuleBasedStateMachine):
-    """Random interleavings of register / fault / reassign / release must
-    never corrupt the driver's frame bookkeeping."""
+    """Random interleavings of register / fault / reassign / release /
+    invalidate must never corrupt the driver's frame bookkeeping or the
+    page table's per-channel index."""
 
     def __init__(self):
         super().__init__()
@@ -29,9 +32,28 @@ class DriverMachine(RuleBasedStateMachine):
             pages_per_channel=PAGES_PER_CHANNEL,
             mapping=InterleavedPageMapping(PageMoveAddressMapping()),
         )
-        self.mapped = {}          # app_id -> {vpn: rpn}
+        self.mapped = {}          # app_id -> {vpn: rpn}, valid or not
         self.apps = set()
         self.next_vpn = 0
+
+    def _state(self):
+        """Everything a refused fault must leave untouched."""
+        driver = self.driver
+        return (
+            [driver.free_pages(c) for c in range(CHANNELS)],
+            {a: [driver.resident_pages(a, c) for c in range(CHANNELS)]
+             for a in self.apps},
+            {a: [(vpn, e.rpn, e.channel, e.valid)
+                 for vpn, e in driver.page_tables[a].entries()]
+             for a in self.apps},
+            driver.faults,
+        )
+
+    def _draw_mapped(self, data):
+        candidates = [a for a in sorted(self.apps) if self.mapped[a]]
+        app_id = data.draw(st.sampled_from(candidates))
+        vpn = data.draw(st.sampled_from(sorted(self.mapped[app_id])))
+        return app_id, vpn
 
     # ------------------------------------------------------------------
     # Rules
@@ -66,10 +88,50 @@ class DriverMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: any(self.mapped.get(a) for a in self.apps))
     @rule(data=st.data())
+    def refault(self, data):
+        """DEMAND on a mapped VPN: refused with no change while the entry
+        is valid; an invalidated entry's frame is released and replaced."""
+        app_id, vpn = self._draw_mapped(data)
+        valid = self.driver.page_tables[app_id].lookup(vpn).valid
+        before = self._state()
+        try:
+            fault = self.driver.handle_fault(FaultKind.DEMAND, app_id, vpn)
+        except AllocationError:
+            assert self._state() == before
+            return
+        assert not valid, f"demand fault re-mapped valid vpn {vpn}"
+        self.mapped[app_id][vpn] = fault.rpn
+
+    @precondition(lambda self: any(self.mapped.get(a) for a in self.apps))
+    @rule(data=st.data(),
+          kind=st.sampled_from([FaultKind.LOST_CHANNEL, FaultKind.REBALANCE]),
+          channel=st.integers(min_value=0, max_value=CHANNELS - 1))
+    def migration_fault(self, data, kind, channel):
+        app_id, vpn = self._draw_mapped(data)
+        source = self.driver.page_tables[app_id].lookup(vpn).channel
+        before = self._state()
+        try:
+            fault = self.driver.handle_fault(kind, app_id, vpn,
+                                             target_channel=channel)
+        except AllocationError:
+            # Target not assigned to the app, or out of frames.
+            assert self._state() == before
+            return
+        assert fault.channel == channel
+        assert fault.source_channel == source
+        self.mapped[app_id][vpn] = fault.rpn
+
+    @precondition(lambda self: any(self.mapped.get(a) for a in self.apps))
+    @rule(data=st.data())
+    def invalidate(self, data):
+        app_id, vpn = self._draw_mapped(data)
+        entry = self.driver.page_tables[app_id].invalidate(vpn)
+        assert not entry.valid
+
+    @precondition(lambda self: any(self.mapped.get(a) for a in self.apps))
+    @rule(data=st.data())
     def release(self, data):
-        candidates = [a for a in sorted(self.apps) if self.mapped[a]]
-        app_id = data.draw(st.sampled_from(candidates))
-        vpn = data.draw(st.sampled_from(sorted(self.mapped[app_id])))
+        app_id, vpn = self._draw_mapped(data)
         rpn = self.mapped[app_id].pop(vpn)
         self.driver.release_page(app_id, rpn)
         self.driver.page_tables[app_id].unmap(vpn)
@@ -114,6 +176,34 @@ class DriverMachine(RuleBasedStateMachine):
             for vpn, rpn in self.mapped[app_id].items():
                 entry = table.lookup(vpn)
                 assert entry is not None and entry.rpn == rpn
+
+    @invariant()
+    def residency_matches_tables(self):
+        """Every resident frame is mapped by exactly one entry, valid or
+        not, in the channel its frame number belongs to."""
+        for app_id in self.apps:
+            homes = Counter()
+            for _, entry in self.driver.page_tables[app_id].entries():
+                assert self.driver.channel_of_frame(entry.rpn) == entry.channel
+                homes[entry.channel] += 1
+            for channel in range(CHANNELS):
+                assert self.driver.resident_pages(app_id, channel) == \
+                    homes[channel], f"app {app_id} channel {channel}"
+
+    @invariant()
+    def channel_index_matches_entries(self):
+        """The per-channel index is exactly a filter over entries()."""
+        for app_id in self.apps:
+            table = self.driver.page_tables[app_id]
+            valid = [(vpn, e) for vpn, e in table.entries() if e.valid]
+            for channel in range(CHANNELS):
+                indexed = [(vpn, id(e)) for vpn, e in table.pages_in_channel(channel)]
+                assert indexed == [
+                    (vpn, id(e)) for vpn, e in valid if e.channel == channel
+                ], f"app {app_id} channel {channel}"
+            counts = table.channel_page_counts()
+            assert counts == dict(Counter(e.channel for _, e in valid))
+            assert list(counts) == sorted(counts)
 
 
 DriverMachine.TestCase.settings = STATE_MACHINE_SETTINGS

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AddressError
-from repro.vm import PAGE_SIZE, VirtualAddress, page_number, page_offset
+from repro.vm import PAGE_SIZE, VirtualAddress, page_number, page_offset, radix_indices
 
 
 class TestPageHelpers:
@@ -57,3 +57,20 @@ class TestVirtualAddress:
         va = VirtualAddress((1 << 48) - 1)
         for index in va.table_indices():
             assert 0 <= index < 512
+
+
+class TestRadixIndices:
+    def test_splits_into_four_nine_bit_indices(self):
+        vpn = 0b101_000000001_000000010_000000011
+        assert radix_indices(vpn) == (0b101, 1, 2, 3)
+        assert radix_indices((1 << 36) - 1) == (511, 511, 511, 511)
+        assert radix_indices(0) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("vpn", [-1, 1 << 36])
+    def test_out_of_range_vpn_rejected(self, vpn):
+        with pytest.raises(AddressError):
+            radix_indices(vpn)
+
+    def test_virtual_address_uses_the_same_split(self):
+        for vpn in (0, 1, 12345, 0x123456789, (1 << 36) - 1):
+            assert VirtualAddress.from_vpn(vpn).table_indices() == radix_indices(vpn)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import TranslationError
-from repro.vm import PageTable
+from repro.errors import AddressError, TranslationError
+from repro.vm import PageTable, VirtualAddress
 
 
 @pytest.fixture
@@ -92,6 +92,88 @@ class TestIterationHelpers:
         for vpn in range(10):
             table.map(vpn, vpn, channel=vpn % 2)
         assert table.channel_page_counts() == {0: 5, 1: 5}
+
+
+class TestChannelIndex:
+    def test_pages_in_channel_ascending_across_levels(self, table):
+        vpns = [1 << 30, 7, 1 << 20, 512, 3, (1 << 36) - 1]
+        for vpn in vpns:
+            table.map(vpn, vpn & 0xFFFF, channel=2)
+        assert [vpn for vpn, _ in table.pages_in_channel(2)] == sorted(vpns)
+
+    def test_replace_moves_entry_between_channels(self, table):
+        table.map(5, 1, channel=0)
+        entry = table.map(5, 2, channel=3)
+        assert list(table.pages_in_channel(0)) == []
+        assert list(table.pages_in_channel(3)) == [(5, entry)]
+        assert table.channel_page_counts() == {3: 1}
+
+    def test_replacing_invalidated_entry_revalidates(self, table):
+        table.map(5, 1, channel=0)
+        table.invalidate(5)
+        assert table.channel_page_counts() == {}
+        entry = table.map(5, 2, channel=0)
+        assert list(table.pages_in_channel(0)) == [(5, entry)]
+        assert len(table) == 1
+
+    def test_unmap_and_invalidate_leave_the_index(self, table):
+        for vpn in range(4):
+            table.map(vpn, vpn, channel=1)
+        table.unmap(1)
+        table.invalidate(2)
+        table.invalidate(2)  # already invalid: no double removal
+        table.unmap(2)       # invalid entries unmap without touching it
+        assert [vpn for vpn, _ in table.pages_in_channel(1)] == [0, 3]
+        assert table.channel_page_counts() == {1: 2}
+
+    def test_counts_in_ascending_channel_order(self, table):
+        table.map(0, 0, channel=5)
+        table.map(1, 1, channel=2)
+        table.map(2, 2, channel=7)
+        assert list(table.channel_page_counts().items()) == [
+            (2, 1), (5, 1), (7, 1)
+        ]
+
+    def test_unknown_channel_is_empty(self, table):
+        assert list(table.pages_in_channel(4)) == []
+
+    def test_index_queries_skip_the_tree_walk(self, table, monkeypatch):
+        """Per-channel queries read the index, and map/lookup split the
+        VPN by shifts: neither walks entries() nor builds addresses."""
+        for vpn in range(8):
+            table.map(vpn, vpn, channel=vpn % 2)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("whole-table walk or VirtualAddress built")
+
+        monkeypatch.setattr(PageTable, "entries", forbidden)
+        monkeypatch.setattr(VirtualAddress, "__post_init__", forbidden)
+        table.map(9, 9, channel=1)
+        assert table.lookup(9).rpn == 9
+        table.unmap(9)
+        table.invalidate(0)
+        assert table.levels_touched(3) == 4
+        assert [vpn for vpn, _ in table.pages_in_channel(1)] == [1, 3, 5, 7]
+        assert table.channel_page_counts() == {0: 3, 1: 4}
+
+
+class TestAddressRange:
+    @pytest.mark.parametrize("vpn", [-1, 1 << 36, (1 << 36) + 5])
+    def test_out_of_range_vpn_rejected(self, table, vpn):
+        with pytest.raises(AddressError):
+            table.map(vpn, 1, channel=0)
+        with pytest.raises(AddressError):
+            table.lookup(vpn)
+        with pytest.raises(AddressError):
+            table.levels_touched(vpn)
+        assert len(table) == 0
+        assert table.channel_page_counts() == {}
+
+    def test_highest_vpn_accepted(self, table):
+        vpn = (1 << 36) - 1
+        table.map(vpn, 9, channel=0)
+        assert table.lookup(vpn).rpn == 9
+        assert table.levels_touched(vpn) == 4
 
 
 class TestWalkDepth:

@@ -200,6 +200,42 @@ class TestGPUDriver:
         assert fault.source_channel == 0
         assert fault.channel == 1
 
+    def test_demand_fault_on_mapped_vpn_rejected(self):
+        driver = GPUDriver(num_channel_groups=2, pages_per_channel=4)
+        driver.register_app(0, [0, 1])
+        first = driver.handle_fault(FaultKind.DEMAND, 0, vpn=5)
+        with pytest.raises(AllocationError, match=r"app 0: .*vpn 0x5"):
+            driver.handle_fault(FaultKind.DEMAND, 0, vpn=5)
+        # Nothing changed: one page resident, 7 of 8 frames free, the
+        # mapping still points at the first frame.
+        assert driver.resident_pages(0) == 1
+        assert driver.free_pages(0) + driver.free_pages(1) == 7
+        assert driver.page_tables[0].lookup(5).rpn == first.rpn
+        assert driver.faults == 1
+
+    def test_demand_fault_on_invalidated_vpn_releases_frame(self):
+        driver = GPUDriver(num_channel_groups=2, pages_per_channel=4)
+        driver.register_app(0, [0, 1])
+        driver.handle_fault(FaultKind.DEMAND, 0, vpn=5, target_channel=1)
+        driver.page_tables[0].invalidate(5)
+        fault = driver.handle_fault(FaultKind.DEMAND, 0, vpn=5)
+        assert driver.resident_pages(0) == 1
+        assert driver.free_pages(0) + driver.free_pages(1) == 7
+        entry = driver.page_tables[0].lookup(5)
+        assert entry.valid and entry.rpn == fault.rpn
+        assert fault.source_channel is None
+        assert list(driver.page_tables[0].pages_in_channel(fault.channel)) == [
+            (5, entry)
+        ]
+
+    def test_faults_counted(self):
+        driver = self.make_driver()
+        driver.register_app(0, [0, 1])
+        for vpn in range(3):
+            driver.handle_fault(FaultKind.DEMAND, 0, vpn)
+        driver.handle_fault(FaultKind.REBALANCE, 0, 0, target_channel=1)
+        assert driver.faults == 4
+
     def test_is_balanced(self):
         driver = self.make_driver()
         driver.register_app(0, [0, 1])

@@ -97,17 +97,17 @@ class Bank:
         self.open_row = None
         self._next_activate = max(self._next_activate, now + t.tRP)
 
-    def do_read(self, now: int, column: int) -> int:
+    def do_read(self, now: int, column: int, row: Optional[int] = None) -> int:
         """Issue a READ; returns the cycle the data burst completes."""
-        self._check_column(now, column, "READ")
+        self._check_column(now, row, column, "READ")
         t = self.timing
         self._next_precharge = max(self._next_precharge, now + t.tRTP)
         self.row_hits += 1
         return now + t.tCL + t.tBL
 
-    def do_write(self, now: int, column: int) -> int:
+    def do_write(self, now: int, column: int, row: Optional[int] = None) -> int:
         """Issue a WRITE; returns the cycle the data burst completes."""
-        self._check_column(now, column, "WRITE")
+        self._check_column(now, row, column, "WRITE")
         t = self.timing
         data_end = now + t.tWL + t.tBL
         # Write recovery folds into the precharge constraint.
@@ -115,25 +115,39 @@ class Bank:
         self.row_hits += 1
         return data_end
 
-    def do_migration_read(self, now: int, column: int) -> int:
+    def do_migration_read(self, now: int, column: int,
+                          row: Optional[int] = None) -> int:
         """Source-side half of a MIGRATION: stream one column to the TSVs.
 
         Returns the cycle the column transfer completes (tMIG covers the
         full copy including the destination write, Section 4.5).
         """
-        self._check_column(now, column, "MIGRATION(src)")
+        self._check_column(now, row, column, "MIGRATION(src)")
         return now + self.timing.tMIG
 
-    def do_migration_write(self, now: int, column: int) -> int:
+    def do_migration_write(self, now: int, column: int,
+                           row: Optional[int] = None) -> int:
         """Destination-side half of a MIGRATION: absorb one column."""
-        self._check_column(now, column, "MIGRATION(dst)")
+        self._check_column(now, row, column, "MIGRATION(dst)")
         return now + self.timing.tMIG
 
-    def _check_column(self, now: int, column: int, what: str) -> None:
+    def check_access(self, row: Optional[int], column: int, what: str) -> None:
+        """Raise :class:`ProtocolError` unless a column command named
+        ``what`` may address ``column`` of the open row: the bank has a
+        row open, it is ``row`` (when given), and ``column`` is
+        non-negative.  Timing is not checked here."""
         if self.state is not BankState.ACTIVE:
             raise ProtocolError(f"{what} to bank with no open row")
+        if row is not None and row != self.open_row:
+            raise ProtocolError(
+                f"{what} to row {row}, but the open row is {self.open_row}"
+            )
         if column < 0:
             raise ProtocolError(f"{what} column must be non-negative, got {column}")
+
+    def _check_column(self, now: int, row: Optional[int], column: int,
+                      what: str) -> None:
+        self.check_access(row, column, what)
         if now < self._next_column:
             raise ProtocolError(
                 f"{what} at {now} before earliest legal cycle {self._next_column}"

@@ -10,18 +10,30 @@ PageMove's key structural property is visible here: READ/WRITE bursts
 occupy the channel's external data bus, but MIGRATION transfers leave it
 free — they move data over the bank group's internal bus to an *idle* TSV
 bundle selected by the crossbar (Section 4.2), so normal traffic and
-migration traffic only contend inside a bank group.
+migration traffic only contend inside a bank group: a READ or WRITE burst
+may not start while a MIGRATION holds its bank group's internal bus, and a
+MIGRATION waits for the group's last burst to end.
+
+Every constraint has the form "issue no earlier than C", where C depends
+only on commands already applied, so :meth:`Channel.ready_cycle` computes
+C once per command and callers issue at ``max(now, C)``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.hbm.bank import Bank
-from repro.hbm.commands import Command, CommandKind
+from repro.hbm.commands import COMMAND_BUS_CYCLES, Command, CommandKind
 from repro.hbm.config import HBMConfig
+
+_ACTIVATE = CommandKind.ACTIVATE
+_PRECHARGE = CommandKind.PRECHARGE
+_READ = CommandKind.READ
+_WRITE = CommandKind.WRITE
+_MIGRATION = CommandKind.MIGRATION
 
 
 class BankGroup:
@@ -36,8 +48,6 @@ class BankGroup:
         ]
         #: Cycle until which the internal data bus is busy.
         self.bus_busy_until = 0
-        #: Last cycle a column command issued in this group (for tCCDl).
-        self.last_column_issue = -(10**9)
 
     def bank(self, index: int) -> Bank:
         if not 0 <= index < len(self.banks):
@@ -60,9 +70,11 @@ class Channel:
     """One HBM memory channel with full command-level timing.
 
     All times are memory-clock cycles.  The channel does not own a clock;
-    callers pass the current cycle and use :meth:`earliest_issue` to find
-    legal issue slots, which keeps the model usable both from the
-    discrete-event engine and from closed-form schedulers.
+    callers pass the current cycle.  :meth:`ready_cycle` gives the cycle
+    from which a command is legal, :meth:`issue_earliest` issues by
+    coordinates at the first legal cycle, and :meth:`apply` is the one
+    method that changes channel state.  :meth:`earliest_issue` and
+    :meth:`issue` offer the same on :class:`Command` objects.
     """
 
     def __init__(self, config: HBMConfig, index: int) -> None:
@@ -72,10 +84,10 @@ class Channel:
         self.groups: List[BankGroup] = [
             BankGroup(config, g) for g in range(config.bank_groups_per_channel)
         ]
-        t = config.timing
-        self._timing = t
+        self._timing = config.timing
         #: Recent ACTIVATE issue times for the tFAW window.
         self._recent_activates: Deque[int] = deque(maxlen=4)
+        self._last_activate_group = -1
         #: Cycle until which the external (TSV) data bus is busy.
         self.data_bus_busy_until = 0
         #: Cycle until which the command bus is busy (MIGRATION takes 2).
@@ -95,34 +107,45 @@ class Channel:
     # ------------------------------------------------------------------
     # Scheduling queries
     # ------------------------------------------------------------------
+    def ready_cycle(self, kind: CommandKind, bank_group: int, bank: int) -> int:
+        """The cycle C from which a ``kind`` command to (``bank_group``,
+        ``bank``) may legally issue; the earliest legal cycle at or after
+        ``now`` is ``max(now, C)``.
+
+        Raises :class:`ProtocolError` for coordinates outside the channel.
+        Protocol state (is the right row open?) is checked on issue.
+        """
+        groups = self.groups
+        if not 0 <= bank_group < len(groups):
+            raise ProtocolError(
+                f"bank group {bank_group} out of range [0, {len(groups)})"
+            )
+        group = groups[bank_group]
+        target = group.bank(bank)
+        ready = self.command_bus_busy_until
+        if kind is _ACTIVATE:
+            return max(ready, target.earliest_activate(),
+                       self._rrd_constraint(bank_group), self._faw_constraint())
+        if kind is _PRECHARGE:
+            return max(ready, target.earliest_precharge())
+        ready = max(ready, target.earliest_column(),
+                    self._ccd_constraint(bank_group))
+        if kind is _MIGRATION:
+            # Needs the bank group's internal bus, not the external one.
+            return max(ready, group.bus_busy_until)
+        t = self._timing
+        # The burst starts `lead` cycles after issue and needs both the
+        # external data bus and the bank group's internal bus.
+        lead = t.tCL if kind is _READ else t.tWL
+        ready = max(ready, self.data_bus_busy_until - lead,
+                    group.bus_busy_until - lead)
+        if kind is _READ:
+            ready = max(ready, self._wtr_constraint(bank_group))
+        return ready
+
     def earliest_issue(self, cmd: Command, now: int) -> int:
         """Earliest cycle >= ``now`` at which ``cmd`` could legally issue."""
-        if not 0 <= cmd.bank_group < len(self.groups):
-            raise ProtocolError(
-                f"bank group {cmd.bank_group} out of range [0, {len(self.groups)})"
-            )
-        group = self.groups[cmd.bank_group]
-        bank = group.bank(cmd.bank)
-        t = self._timing
-        earliest = max(now, self.command_bus_busy_until)
-
-        if cmd.kind is CommandKind.ACTIVATE:
-            earliest = max(earliest, bank.earliest_activate())
-            earliest = max(earliest, self._rrd_constraint(cmd.bank_group))
-            earliest = max(earliest, self._faw_constraint())
-        elif cmd.kind is CommandKind.PRECHARGE:
-            earliest = max(earliest, bank.earliest_precharge())
-        elif cmd.is_column_command:
-            earliest = max(earliest, bank.earliest_column())
-            earliest = max(earliest, self._ccd_constraint(cmd.bank_group))
-            if cmd.kind is CommandKind.READ:
-                earliest = max(earliest, self._wtr_constraint(cmd.bank_group))
-            if cmd.kind in (CommandKind.READ, CommandKind.WRITE):
-                # External data bus must be free for the burst.
-                earliest = max(earliest, self._data_bus_slot(earliest, cmd.kind))
-            else:  # MIGRATION: needs the bank group's internal bus only.
-                earliest = max(earliest, group.bus_free_at())
-        return earliest
+        return max(now, self.ready_cycle(cmd.kind, cmd.bank_group, cmd.bank))
 
     def _rrd_constraint(self, bank_group: int) -> int:
         # Per-bank ACT-to-ACT (tRC) is folded into bank.earliest_activate;
@@ -141,25 +164,13 @@ class Channel:
 
     def _ccd_constraint(self, bank_group: int) -> int:
         t = self._timing
-        if self._last_column_issue < 0:
-            return 0
         gap = t.tCCDl if bank_group == self._last_column_group else t.tCCDs
         return self._last_column_issue + gap
 
     def _wtr_constraint(self, bank_group: int) -> int:
         t = self._timing
-        if self._last_write_data_end < 0:
-            return 0
         gap = t.tWTRl if bank_group == self._last_write_group else t.tWTRs
         return self._last_write_data_end + gap
-
-    def _data_bus_slot(self, issue: int, kind: CommandKind) -> int:
-        t = self._timing
-        lead = t.tCL if kind is CommandKind.READ else t.tWL
-        # The burst begins `lead` cycles after issue; the bus must be free.
-        if issue + lead >= self.data_bus_busy_until:
-            return issue
-        return self.data_bus_busy_until - lead
 
     # ------------------------------------------------------------------
     # Command issue
@@ -172,54 +183,79 @@ class Channel:
         (ACTIVATE, at now+tRCD), bank precharged (PRECHARGE, at now+tRP),
         or data burst finished (column commands).
         """
-        legal = self.earliest_issue(cmd, now)
+        legal = self.ready_cycle(cmd.kind, cmd.bank_group, cmd.bank)
         if now < legal:
             raise ProtocolError(
                 f"{cmd} issued at {now}, earliest legal cycle is {legal}"
             )
-        group = self.groups[cmd.bank_group]
-        bank = group.bank(cmd.bank)
+        return self.apply(cmd.kind, cmd.bank_group, cmd.bank, cmd.row,
+                          cmd.column, now)
+
+    def issue_earliest(self, kind: CommandKind, bank_group: int, bank: int,
+                       row: Optional[int], column: Optional[int],
+                       not_before: int) -> Tuple[int, int]:
+        """Issue a command at the first legal cycle >= ``not_before``;
+        return ``(issue cycle, completion cycle)``.
+
+        ``row`` is the row to open (ACTIVATE) or the row a column command
+        expects open (None skips that check); ``column`` addresses READ,
+        WRITE and MIGRATION.
+        """
+        at = self.ready_cycle(kind, bank_group, bank)
+        if at < not_before:
+            at = not_before
+        return at, self.apply(kind, bank_group, bank, row, column, at)
+
+    def apply(self, kind: CommandKind, bank_group: int, bank: int,
+              row: Optional[int], column: Optional[int], at: int,
+              dest: bool = False) -> int:
+        """Apply a command issued at cycle ``at``; return its completion
+        cycle.  The one method that changes channel state.
+
+        The caller has checked ``at`` against :meth:`ready_cycle`; the
+        banks still check their own timing and protocol state.  ``dest``
+        marks the destination half of a MIGRATION, which writes the
+        copied column into the open row.
+        """
+        group = self.groups[bank_group]
+        target = group.banks[bank]
         t = self._timing
-        self.command_bus_busy_until = now + cmd.command_bus_cycles
-
-        if cmd.kind is CommandKind.ACTIVATE:
-            bank.do_activate(now, cmd.row)
-            self._recent_activates.append(now)
-            self._last_activate_group = cmd.bank_group
+        if kind is _ACTIVATE:
+            target.do_activate(at, row)
+            self._recent_activates.append(at)
+            self._last_activate_group = bank_group
             self.activates += 1
-            return now + t.tRCD
-
-        if cmd.kind is CommandKind.PRECHARGE:
-            bank.do_precharge(now)
+            done = at + t.tRCD
+        elif kind is _PRECHARGE:
+            target.do_precharge(at)
             self.precharges += 1
-            return now + t.tRP
-
-        if cmd.kind is CommandKind.READ:
-            done = bank.do_read(now, cmd.column)
-            self._note_column(cmd.bank_group, now)
+            done = at + t.tRP
+        elif kind is _READ:
+            done = target.do_read(at, column, row)
+            self._note_column(bank_group, at)
             self.data_bus_busy_until = done
-            group.occupy_bus(max(now + t.tCL, group.bus_free_at()), done)
+            group.occupy_bus(at + t.tCL, done)
             self.reads += 1
-            return done
-
-        if cmd.kind is CommandKind.WRITE:
-            done = bank.do_write(now, cmd.column)
-            self._note_column(cmd.bank_group, now)
+        elif kind is _WRITE:
+            done = target.do_write(at, column, row)
+            self._note_column(bank_group, at)
             self.data_bus_busy_until = done
-            group.occupy_bus(max(now + t.tWL, group.bus_free_at()), done)
+            group.occupy_bus(at + t.tWL, done)
             self._last_write_data_end = done
-            self._last_write_group = cmd.bank_group
+            self._last_write_group = bank_group
             self.writes += 1
-            return done
-
-        if cmd.kind is CommandKind.MIGRATION:
-            done = bank.do_migration_read(now, cmd.column)
-            self._note_column(cmd.bank_group, now)
-            group.occupy_bus(max(now, group.bus_free_at()), done)
+        elif kind is _MIGRATION:
+            if dest:
+                done = target.do_migration_write(at, column, row)
+            else:
+                done = target.do_migration_read(at, column, row)
+            self._note_column(bank_group, at)
+            group.occupy_bus(at, done)
             self.migrations += 1
-            return done
-
-        raise ProtocolError(f"unknown command kind {cmd.kind}")  # pragma: no cover
+        else:  # pragma: no cover
+            raise ProtocolError(f"unknown command kind {kind}")
+        self.command_bus_busy_until = at + COMMAND_BUS_CYCLES[kind]
+        return done
 
     def _note_column(self, bank_group: int, now: int) -> None:
         self._last_column_issue = now
@@ -230,8 +266,6 @@ class Channel:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    _last_activate_group: int = -1
-
     def open_row(self, bank_group: int, bank: int) -> Optional[int]:
         return self.groups[bank_group].bank(bank).open_row
 

@@ -30,8 +30,12 @@ class CommandKind(enum.Enum):
         return self.value
 
 
-#: Commands that occupy the command bus for two clocks instead of one.
-TWO_CYCLE_COMMANDS = frozenset({CommandKind.MIGRATION})
+#: Command-bus clocks each command occupies.  MIGRATION is the paper's
+#: two-cycle command (Section 4.3): cycle one carries the TSV and bank
+#: indices, cycle two the row and column indices.
+COMMAND_BUS_CYCLES = {
+    kind: 2 if kind is CommandKind.MIGRATION else 1 for kind in CommandKind
+}
 
 
 @dataclass(frozen=True)
@@ -69,13 +73,8 @@ class Command:
 
     @property
     def command_bus_cycles(self) -> int:
-        """Command-bus occupancy: MIGRATION is a two-cycle command."""
-        return 2 if self.kind in TWO_CYCLE_COMMANDS else 1
-
-    @property
-    def is_column_command(self) -> bool:
-        """True for commands that move data (READ/WRITE/MIGRATION)."""
-        return self.kind in (CommandKind.READ, CommandKind.WRITE, CommandKind.MIGRATION)
+        """Command-bus occupancy (see :data:`COMMAND_BUS_CYCLES`)."""
+        return COMMAND_BUS_CYCLES[self.kind]
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         base = f"{self.kind} bg{self.bank_group} b{self.bank}"

@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from repro.errors import ProtocolError
 from repro.hbm.channel import Channel
-from repro.hbm.commands import activate, precharge, read, write
+from repro.hbm.commands import CommandKind
 from repro.hbm.config import HBMConfig
 
 
@@ -242,38 +242,32 @@ class MemoryController:
         self.now = max(self.now, request.arrival)
         self._maybe_refresh()
 
-        bank = self.channel.groups[request.bank_group].bank(request.bank)
-        if bank.is_row_open(request.row):
+        channel = self.channel
+        group, bank, row = request.bank_group, request.bank, request.row
+        target = channel.groups[group].bank(bank)
+        if target.is_row_open(row):
             self.stats.row_hits += 1
             if self.metrics is not None:
                 self._m_hits.inc()
-        elif bank.open_row is None:
+        elif target.open_row is None:
             self.stats.row_misses += 1
             if self.metrics is not None:
                 self._m_misses.inc()
-            cmd = activate(request.bank_group, request.bank, request.row)
-            at = self.channel.earliest_issue(cmd, self.now)
-            self.channel.issue(cmd, at)
-            self.now = at
+            self.now, _ = channel.issue_earliest(
+                CommandKind.ACTIVATE, group, bank, row, None, self.now)
         else:
             self.stats.row_conflicts += 1
             if self.metrics is not None:
                 self._m_conflicts.inc()
-            pre = precharge(request.bank_group, request.bank)
-            at = self.channel.earliest_issue(pre, self.now)
-            self.channel.issue(pre, at)
-            act = activate(request.bank_group, request.bank, request.row)
-            at = self.channel.earliest_issue(act, at)
-            self.channel.issue(act, at)
-            self.now = at
+            at, _ = channel.issue_earliest(
+                CommandKind.PRECHARGE, group, bank, None, None, self.now)
+            self.now, _ = channel.issue_earliest(
+                CommandKind.ACTIVATE, group, bank, row, None, at)
 
-        if request.kind is RequestKind.READ:
-            cmd = read(request.bank_group, request.bank, request.column)
-        else:
-            cmd = write(request.bank_group, request.bank, request.column)
-        at = self.channel.earliest_issue(cmd, self.now)
-        done = self.channel.issue(cmd, at)
-        self.now = at
+        kind = (CommandKind.READ if request.kind is RequestKind.READ
+                else CommandKind.WRITE)
+        self.now, done = channel.issue_earliest(
+            kind, group, bank, row, request.column, self.now)
         request.completed_at = done
 
         self.stats.served += 1

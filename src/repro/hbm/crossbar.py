@@ -49,10 +49,16 @@ class TriStateDecoder:
     def grant(self, bundle: int, die: int, now: int, until: int) -> None:
         """Bind ``bundle`` to ``die`` for the interval [now, until).
 
-        Raises :class:`ProtocolError` if the decoder is not enhanced and
-        the requested die differs from the default, or if the bundle is
-        already granted for an overlapping interval.
+        Raises :class:`ProtocolError` (see :meth:`check_grant`) without
+        changing any binding when the grant is not possible.
         """
+        self.check_grant(bundle, die, now, until)
+        self._grants[bundle] = (die, until)
+
+    def check_grant(self, bundle: int, die: int, now: int, until: int) -> None:
+        """Raise :class:`ProtocolError` if :meth:`grant` would refuse:
+        the decoder is not enhanced and ``die`` is not the bundle's own,
+        the interval is empty, or the bundle is granted past ``now``."""
         self._check_bundle(bundle)
         if not self.enhanced and die != bundle:
             raise ProtocolError(
@@ -66,7 +72,6 @@ class TriStateDecoder:
             raise ProtocolError(
                 f"TSV bundle {bundle} busy until {current[1]}, requested at {now}"
             )
-        self._grants[bundle] = (die, until)
 
     def driver_of(self, bundle: int, now: int) -> int:
         """Which die drives ``bundle`` at cycle ``now``."""

@@ -99,7 +99,11 @@ class HBMStack:
         different channel of *this* stack, grants the idle TSV bundle to the
         source die, routes the source bank group through the 4x8 crossbar,
         and charges the column copy on both the source and destination
-        banks.
+        banks.  Both halves issue at the first cycle >= ``now`` legal on
+        both channels.
+
+        Everything is checked before anything changes, so a refused
+        MIGRATION leaves the stack as it was.
 
         Raises
         ------
@@ -107,7 +111,9 @@ class HBMStack:
             On a cross-stack destination, source==destination channel, or
             when the stack has no PageMove hardware.
         ProtocolError
-            On timing violations or busy TSVs (from the underlying models).
+            On coordinates outside the channels, a source or destination
+            bank without ``row``/``dest_row`` open, or a busy TSV bundle
+            or crossbar route.
         """
         if cmd.kind is not CommandKind.MIGRATION:
             raise MigrationError(f"issue_migration got {cmd.kind}")
@@ -125,48 +131,33 @@ class HBMStack:
         if cmd.tsv_index is None:
             raise MigrationError("MIGRATION requires an idle TSV index")
 
-        src = self.channels[src_channel]
+        src = self.channel(src_channel)
         dst = self.channels[cmd.dest_channel]
-        dst_cmd = self._dest_view(cmd)
-
-        # Legal issue time across both channels.
         issue_at = max(
-            src.earliest_issue(cmd, now),
-            dst.earliest_issue(dst_cmd, now),
+            now,
+            src.ready_cycle(cmd.kind, cmd.bank_group, cmd.bank),
+            dst.ready_cycle(cmd.kind, cmd.dest_bank_group, cmd.dest_bank),
         )
-
         done = issue_at + self.config.timing.tMIG
-        # Route the source bank group through the crossbar first (the
-        # stock 4x1 crossbar is the scarcer resource), then grant the TSV
-        # bundle to the source die for the copy duration.  Ordering keeps
-        # a failed route from leaking a dangling TSV grant.
+        src.groups[cmd.bank_group].banks[cmd.bank].check_access(
+            cmd.row, cmd.column, "MIGRATION(src)")
+        dst.groups[cmd.dest_bank_group].banks[cmd.dest_bank].check_access(
+            cmd.dest_row, cmd.dest_column, "MIGRATION(dst)")
+        self.decoder.check_grant(cmd.tsv_index, src_channel, issue_at, done)
+        # Route the source bank group through the crossbar (it changes
+        # nothing when it refuses), then grant the TSV bundle to the
+        # source die for the copy duration.
         self.crossbars[src_channel].connect(
             cmd.bank_group, cmd.tsv_index, issue_at, done
         )
         self.decoder.grant(cmd.tsv_index, src_channel, issue_at, done)
 
-        src.issue(cmd, issue_at)
-        dst_done = dst.issue(dst_cmd, issue_at)
+        src.apply(cmd.kind, cmd.bank_group, cmd.bank, cmd.row, cmd.column,
+                  issue_at)
+        dst_done = dst.apply(cmd.kind, cmd.dest_bank_group, cmd.dest_bank,
+                             cmd.dest_row, cmd.dest_column, issue_at, dest=True)
         self.migrations_completed += 1
         return max(done, dst_done)
-
-    @staticmethod
-    def _dest_view(cmd: Command) -> Command:
-        """The destination channel sees the MIGRATION as a column write to
-        its own (bank_group, bank, row, column) coordinates."""
-        return Command(
-            CommandKind.MIGRATION,
-            bank_group=cmd.dest_bank_group,
-            bank=cmd.dest_bank,
-            row=cmd.dest_row,
-            column=cmd.dest_column,
-            dest_channel=cmd.dest_channel,
-            dest_bank_group=cmd.dest_bank_group,
-            dest_bank=cmd.dest_bank,
-            dest_row=cmd.dest_row,
-            dest_column=cmd.dest_column,
-            tsv_index=cmd.tsv_index,
-        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -22,7 +22,7 @@ from itertools import cycle, islice
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import MigrationError, ProtocolError
-from repro.hbm.commands import activate, migration, precharge
+from repro.hbm.commands import CommandKind, migration
 from repro.hbm.system import HBMSystem
 from repro.pagemove.address_mapping import PageMoveAddressMapping
 from repro.pagemove.cost import MigrationCharge, MigrationCostModel, MigrationMode
@@ -420,14 +420,12 @@ class MigrationEngine:
                     if bank.is_row_open(coords.row):
                         continue
                     if bank.open_row is not None:
-                        pre = precharge(group, coords.bank)
-                        at = ch.earliest_issue(pre, ready)
-                        ch.issue(pre, at)
-                        ready = max(ready, at)
-                    cmd = activate(group, coords.bank, coords.row)
-                    at = ch.earliest_issue(cmd, ready)
-                    ch.issue(cmd, at)
-                    ready = max(ready, at)
+                        ready, _ = ch.issue_earliest(
+                            CommandKind.PRECHARGE, group, coords.bank,
+                            None, None, ready)
+                    ready, _ = ch.issue_earliest(
+                        CommandKind.ACTIVATE, group, coords.bank, coords.row,
+                        None, ready)
             ready += cfg.timing.tRCD
             # PPMM issues wave by wave: one MIGRATION per bank group
             # concurrently, then each group's next column — so only

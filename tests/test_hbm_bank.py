@@ -118,6 +118,26 @@ class TestMigrationColumnCopy:
         done = bank.do_migration_write(timing.tRCD, 2)
         assert done == timing.tRCD + timing.tMIG
 
+    def test_migration_halves_name_their_side(self, bank, timing):
+        with pytest.raises(ProtocolError, match=r"MIGRATION\(dst\) to bank "
+                                                "with no open row"):
+            bank.do_migration_write(50, 0)
+        bank.do_activate(0, 5)
+        with pytest.raises(ProtocolError, match=r"MIGRATION\(src\) to row 6, "
+                                                "but the open row is 5"):
+            bank.do_migration_read(timing.tRCD, 0, row=6)
+
+    def test_column_command_checks_the_named_row(self, bank, timing):
+        bank.do_activate(0, 3)
+        with pytest.raises(ProtocolError, match="READ to row 4, but the open "
+                                                "row is 3"):
+            bank.do_read(timing.tRCD, 0, row=4)
+        with pytest.raises(ProtocolError, match="WRITE to row 4"):
+            bank.do_write(timing.tRCD, 0, row=4)
+        assert bank.row_hits == 0
+        assert bank.do_read(timing.tRCD, 0, row=3) == \
+            timing.tRCD + timing.tCL + timing.tBL
+
 
 class TestTimingValidation:
     def test_default_timing_is_valid(self, timing):

@@ -1,9 +1,14 @@
 """Unit tests for HBM stack migration routing (repro.hbm.stack)."""
 
+from collections import deque
+
 import pytest
 
-from repro.errors import MigrationError
-from repro.hbm import HBMConfig, HBMStack, activate, migration, read
+from repro.errors import MigrationError, ProtocolError
+from repro.hbm import (
+    Bank, BankGroup, BankGroupCrossbar, Channel, HBMConfig, HBMStack,
+    TriStateDecoder, activate, migration, read,
+)
 
 
 @pytest.fixture
@@ -148,3 +153,98 @@ class TestMigrationRouting:
         assert stats["migrations_completed"] == 1
         assert stats["migrations"] == 2  # source + destination channel views
         assert stats["activates"] == 2
+
+
+MODEL_TYPES = (HBMStack, Channel, BankGroup, Bank, BankGroupCrossbar,
+               TriStateDecoder)
+
+
+def snapshot(value):
+    """The stack's whole mutable state (channels, banks, crossbars,
+    decoder, counters) as plain comparable data."""
+    if isinstance(value, MODEL_TYPES):
+        return {k: snapshot(v) for k, v in vars(value).items()}
+    if isinstance(value, (list, tuple, deque)):
+        return [snapshot(v) for v in value]
+    if isinstance(value, dict):
+        return {k: snapshot(v) for k, v in value.items()}
+    return value  # ints, None, enums and frozen dataclasses
+
+
+class TestRefusedMigration:
+    """A refused MIGRATION changes nothing, so a corrected retry works."""
+
+    def open_row_5(self, stack, dst_too=True):
+        for ch in (0, 1) if dst_too else (0,):
+            channel = stack.channel(ch)
+            channel.issue(activate(0, 0, 5), 0)
+        return 14
+
+    def refuse(self, stack, cmd, now, match):
+        before = snapshot(stack)
+        with pytest.raises(ProtocolError, match=match) as info:
+            stack.issue_migration(0, cmd, now)
+        assert "earliest legal cycle" not in str(info.value)
+        assert snapshot(stack) == before
+        assert stack.channels[0].migrations == 0
+        assert stack.migrations_completed == 0
+
+    def test_destination_without_open_row(self, stack):
+        ready = self.open_row_5(stack, dst_too=False)
+        self.refuse(stack, mig_cmd(row=5), ready,
+                    r"MIGRATION\(dst\) to bank with no open row")
+        stack.channel(1).issue(activate(0, 0, 5), ready)
+        assert stack.issue_migration(0, mig_cmd(row=5), ready) == \
+            ready + 14 + 50
+
+    def test_tsv_bundle_granted_to_another_die(self, stack):
+        ready = self.open_row_5(stack)
+        stack.decoder.grant(2, 4, 0, 70)
+        self.refuse(stack, mig_cmd(row=5, tsv=2), ready,
+                    "TSV bundle 2 busy until 70")
+        assert stack.crossbars[0].active_routes(ready) == {}
+        done = stack.issue_migration(0, mig_cmd(row=5, tsv=3), ready)
+        assert done == ready + 50
+        assert stack.decoder.driver_of(3, ready) == 0
+
+    def test_crossbar_route_busy(self, stack):
+        ready = self.open_row_5(stack)
+        stack.crossbars[0].connect(0, 6, 0, 70)
+        self.refuse(stack, mig_cmd(row=5, tsv=2), ready,
+                    "bank group 0 already routed until 70")
+        assert stack.decoder.is_free(2, ready)
+
+    @pytest.mark.parametrize("row, dest_row, side", [
+        (9, 5, "src"), (5, 11, "dst"), (9, 11, "src"),
+    ])
+    def test_rows_must_be_the_open_rows(self, stack, row, dest_row, side):
+        ready = self.open_row_5(stack)
+        cmd = migration(0, 0, row, 0, dest_channel=1, dest_bank_group=0,
+                        dest_bank=0, dest_row=dest_row, dest_column=0,
+                        tsv_index=2)
+        self.refuse(stack, cmd, ready,
+                    rf"MIGRATION\({side}\) to row \d+, but the open row is 5")
+        assert stack.issue_migration(0, mig_cmd(row=5), ready) == ready + 50
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("column", -1, r"MIGRATION\(src\) column must be non-negative"),
+        ("dest_column", -1, r"MIGRATION\(dst\) column must be non-negative"),
+        ("dest_bank_group", 4, "bank group 4 out of range"),
+        ("dest_bank", 4, "bank index 4 out of range"),
+        ("bank", -1, "bank index -1 out of range"),
+    ])
+    def test_coordinates_checked_on_both_halves(self, stack, field, value,
+                                                match):
+        ready = self.open_row_5(stack)
+        fields = dict(bank_group=0, bank=0, row=5, column=0, dest_channel=1,
+                      dest_bank_group=0, dest_bank=0, dest_row=5,
+                      dest_column=0, tsv_index=2)
+        fields[field] = value
+        self.refuse(stack, migration(**fields), ready, match)
+
+    def test_source_channel_out_of_range(self, stack):
+        self.open_row_5(stack)
+        before = snapshot(stack)
+        with pytest.raises(ProtocolError, match="channel -1 out of range"):
+            stack.issue_migration(-1, mig_cmd(row=5), 14)
+        assert snapshot(stack) == before

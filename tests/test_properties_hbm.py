@@ -109,3 +109,27 @@ def test_streaming_reads_complete_in_order_per_bank_group(accesses):
         completions.append(done)
         now = at
     assert completions == sorted(completions)
+
+
+@STANDARD_SETTINGS
+@given(COMMANDS, st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=400))
+def test_earliest_issue_is_max_of_now_and_a_fixed_cycle(ops, bg, bank, now):
+    """For every command kind, after any history, the earliest legal
+    cycle at or after ``now`` is ``max(now, C)`` for a C that does not
+    depend on ``now``: the channel may compute C once per command."""
+    channel = Channel(CONFIG, 0)
+    at = 0
+    for op in ops:
+        cmd = build(*op)
+        issue_at = channel.earliest_issue(cmd, at)
+        try:
+            channel.issue(cmd, issue_at)
+        except ProtocolError:
+            continue
+        at = issue_at
+    for kind in ("ACT", "PRE", "RD", "WR", "MIG"):
+        cmd = build(kind, bg, bank, 1, 0)
+        assert channel.earliest_issue(cmd, now) == max(
+            now, channel.earliest_issue(cmd, 0))

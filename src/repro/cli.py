@@ -12,8 +12,6 @@ Usage (after ``pip install -e .``)::
     python -m repro fleet --nodes 200 --jobs 8    # fleet placement shoot-out
     python -m repro trace --mix PVC,DXTC          # timeline -> JSONL + Perfetto
     python -m repro metrics trace.jsonl           # trace -> Prometheus metrics
-    python -m repro profile --scenario arrivals   # self-profile: hot phases
-    python -m repro bench --compare benchmarks/baseline.json  # perf gate
     python -m repro fleet --report-dir runs/a     # capture a run bundle
     python -m repro inspect runs/a                # post-hoc findings report
     python -m repro diff runs/a runs/b            # run-vs-run comparison
@@ -32,12 +30,11 @@ over the same fleet of nodes, with node execution sharded across the
 ``--jobs`` worker processes (results are byte-identical to a serial
 run — the ExecStats footer goes to stderr so stdout can be diffed).
 
-``run``, ``sweep``, ``arrivals`` and ``bench`` accept
+``run``, ``sweep``, ``arrivals`` and ``fleet`` accept
 ``--kernel-backend {scalar,numpy}``: the pure-python scalar oracle or
 the vectorized numpy fast path (the default when numpy is importable).
 Both produce byte-identical simulation results; only the wall-clock
-differs, which is why BENCH documents record the backend and the compare
-gate refuses to verdict across backends.
+differs.
 
 ``sweep`` and ``fleet`` additionally accept the cross-process
 observability flags: ``--trace-out PREFIX`` records a merged timeline —
@@ -61,7 +58,7 @@ Perfetto, then prints the derived summary metrics.
 ``/metrics`` scrape endpoint for the duration of the run).  ``metrics``
 derives the same registry offline from a recorded JSONL trace.
 
-``sweep``, ``fleet``, ``arrivals`` and ``profile`` accept
+``sweep``, ``fleet`` and ``arrivals`` accept
 ``--report-dir DIR``: every artifact of the run — trace JSONL, Chrome
 trace, metrics snapshot, obslog, profiler phases, ExecStats and the
 command's deterministic results — is captured into DIR as a *run
@@ -75,14 +72,6 @@ counts — required zero between identical-seed runs, whatever the
 kernel backend) from expected timing deltas and attributes wall-time
 change to specific span paths.  Both write self-contained single-file
 HTML reports via ``--html``.
-
-``profile`` and ``bench`` point the instruments at the simulator itself
-(:mod:`repro.profiling`): ``profile`` runs one pinned scenario under the
-:class:`~repro.profiling.PhaseProfiler` and prints the self/cumulative
-hot-phase table plus a Perfetto-loadable Chrome trace; ``bench`` runs
-the pinned suite k times per scenario, writes a schema-versioned
-``BENCH_<git-sha>.json`` artifact, and with ``--compare`` gates the run
-against a baseline document (exit 1 on a >15% min-time regression).
 """
 
 from __future__ import annotations
@@ -331,11 +320,10 @@ def _report_session(args, command: str, registry, recorder, obslog, **ids):
 
 
 def _finish_report(reporter, results=None, exec_stats=None,
-                   clock_ghz: float = 1.0, extra=None) -> None:
+                   extra=None) -> None:
     if reporter is None:
         return
-    path = reporter.finish(results=results, exec_stats=exec_stats,
-                           clock_ghz=clock_ghz, extra=extra)
+    path = reporter.finish(results=results, exec_stats=exec_stats, extra=extra)
     print(f"wrote run bundle manifest to {path}", file=sys.stderr)
 
 
@@ -483,46 +471,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="which paper figure's series to export")
     export.add_argument("--output", default="-",
                         help="output path (default: stdout)")
-
-    profile = sub.add_parser(
-        "profile",
-        help="self-profile one bench scenario: phase table + Chrome trace")
-    profile.add_argument("--scenario", default="arrivals",
-                         help="bench scenario to profile (default: arrivals; "
-                              "see `repro bench --list`)")
-    profile.add_argument("--output", default="profile", metavar="PREFIX",
-                         help="Chrome-trace path prefix (default: ./profile "
-                              "-> profile.chrome.json)")
-    profile.add_argument("--top", type=_positive_int, default=15,
-                         help="rows in the hot-phase table (default: 15)")
-    profile.add_argument("--sort", choices=["self", "cum"], default="self",
-                         help="order the table by self or cumulative time")
-    _add_report_flags(profile)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the pinned benchmark suite; write BENCH_<sha>.json and "
-             "optionally gate against a baseline")
-    bench.add_argument("--scenarios", nargs="+", default=None, metavar="NAME",
-                       help="subset of scenarios to run (default: all)")
-    bench.add_argument("--list", action="store_true",
-                       help="list scenario names and exit")
-    bench.add_argument("--repeat", type=_positive_int, default=3, metavar="K",
-                       help="repetitions per scenario; min/median are over "
-                            "these (default: 3)")
-    bench.add_argument("--out", default=".", metavar="DIR",
-                       help="directory for the BENCH_<sha>.json artifact "
-                            "(default: .)")
-    bench.add_argument("--compare", default=None, metavar="BASELINE.json",
-                       help="gate this run against a baseline BENCH document")
-    bench.add_argument("--warn-only", action="store_true",
-                       help="report regressions but exit 0 (for comparing "
-                            "across machines)")
-    bench.add_argument("--profile-phases", action="store_true",
-                       help="record each scenario's top self-time span "
-                            "paths (one extra profiled run) so --compare "
-                            "can attribute regressions to specific paths")
-    _add_backend_flag(bench)
 
     inspect_cmd = sub.add_parser(
         "inspect",
@@ -948,75 +896,6 @@ def cmd_export(args) -> int:
     return 0
 
 
-def cmd_profile(args) -> int:
-    """Self-profile one bench scenario with the phase profiler attached."""
-    from repro.profiling import PhaseProfiler, scenario_names, scenarios
-
-    suite = scenarios()
-    if args.scenario not in suite:
-        print(f"unknown scenario {args.scenario!r}; known: "
-              f"{', '.join(scenario_names())}", file=sys.stderr)
-        return 2
-    scenario = suite[args.scenario]
-    print(f"profiling scenario {scenario.name}: {scenario.description}\n")
-    profiler = PhaseProfiler()
-    meta = scenario.fn(profiler) or {}
-    print(profiler.format_table(top=args.top, sort=args.sort))
-    if meta:
-        print("\n" + "  ".join(f"{k}={v}" for k, v in meta.items()))
-    path = f"{args.output}.chrome.json"
-    count = profiler.write_chrome_trace(path)
-    print(f"\nwrote {count} phase spans to {path} "
-          "(open in chrome://tracing or https://ui.perfetto.dev)")
-    reporter, _registry, _recorder, _obslog = _report_session(
-        args, "profile", None, None, None, scenario=args.scenario)
-    if reporter is not None:
-        reporter.profiler.absorb(profiler.snapshot())
-        # Phase spans are µs-stamped; clock_ghz=0.001 renders them 1:1
-        # in the bundle's Chrome trace (same convention as
-        # PhaseProfiler.write_chrome_trace).
-        reporter.recorder.absorb(profiler.trace_events())
-        _finish_report(
-            reporter,
-            results={"scenario": scenario.name, "meta": meta},
-            clock_ghz=0.001,
-        )
-    return 0
-
-
-def cmd_bench(args) -> int:
-    """Run the pinned suite; write the artifact; optionally gate."""
-    from repro.profiling import (
-        bench_filename,
-        compare_benchmarks,
-        read_bench,
-        run_bench,
-        scenario_names,
-        write_bench,
-    )
-
-    if args.list:
-        for name in scenario_names():
-            print(name)
-        return 0
-    doc = run_bench(names=args.scenarios, repeats=args.repeat,
-                    progress=print, profile_phases=args.profile_phases)
-    path = write_bench(doc, args.out)
-    print(f"\nwrote {bench_filename(doc)} "
-          f"({len(doc['scenarios'])} scenarios, {args.repeat}x each)")
-    if args.compare is None:
-        return 0
-    baseline = read_bench(args.compare)
-    comparison = compare_benchmarks(
-        baseline, doc, fail_threshold=0.15, warn_threshold=0.05,
-    )
-    print(f"\n{comparison.format()}")
-    if comparison.failed and args.warn_only:
-        print("(--warn-only: exiting 0 despite the failure above)")
-        return 0
-    return 1 if comparison.failed else 0
-
-
 def cmd_inspect(args) -> int:
     """Post-hoc analysis of one --report-dir run bundle."""
     from repro.inspect import analyze, load_bundle, render_html, render_text
@@ -1066,8 +945,6 @@ def main(argv: Sequence[str] = None) -> int:
         "trace": cmd_trace,
         "metrics": cmd_metrics,
         "export": cmd_export,
-        "profile": cmd_profile,
-        "bench": cmd_bench,
         "inspect": cmd_inspect,
         "diff": cmd_diff,
     }

@@ -8,8 +8,7 @@ pieces:
   artifact of one run (trace JSONL, Chrome trace, metrics snapshot,
   obslog, profiler phases, ExecStats, deterministic results) into one
   directory behind a schema-versioned ``manifest.json`` (the
-  ``--report-dir`` flag on ``repro fleet``/``sweep``/``arrivals``/
-  ``profile``);
+  ``--report-dir`` flag on ``repro fleet``/``sweep``/``arrivals``);
 * :mod:`repro.inspect.model` — :func:`load_bundle` reconstructs the
   unified in-memory :class:`RunModel`, keyed by the correlation IDs
   (``run_id``/``shard_id``/``pid``/worker token) stamped at capture

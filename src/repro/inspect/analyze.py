@@ -114,7 +114,7 @@ def _analyze_critical_path(model: RunModel) -> List[Finding]:
             break
         path = max(children, key=lambda p: (tree[p].cum_seconds, p))
         chain.append(path)
-    total = sum(tree[p].cum_seconds for p in roots)
+    total = profiler.total_seconds()
     flat = profiler.flat()
     dominant = flat[0]
     chain_text = " -> ".join(
@@ -335,9 +335,7 @@ def _analyze_phase_rollup(model: RunModel) -> List[Finding]:
             ))
     flat = profiler.flat()
     if flat:
-        total = sum(
-            s.cum_seconds for p, s in tree.items() if p[:-1] not in tree
-        )
+        total = profiler.total_seconds()
         top = [
             {
                 "phase": s.name,

@@ -148,7 +148,7 @@ class RunReporter:
             handle.write("\n")
         self._artifacts[name] = filename
 
-    def _write_trace(self, clock_ghz: float) -> None:
+    def _write_trace(self) -> None:
         from repro.trace import write_chrome_trace, write_jsonl
 
         events = self.recorder.events()
@@ -159,9 +159,7 @@ class RunReporter:
             events, self.directory / filename
         )
         self._artifacts["trace"] = filename
-        write_chrome_trace(
-            events, self.directory / "trace.chrome.json", clock_ghz=clock_ghz
-        )
+        write_chrome_trace(events, self.directory / "trace.chrome.json")
         self._artifacts["chrome_trace"] = "trace.chrome.json"
 
     def _write_metrics(self) -> None:
@@ -217,7 +215,6 @@ class RunReporter:
         self,
         results: Optional[Dict[str, Any]] = None,
         exec_stats=None,
-        clock_ghz: float = 1.0,
         extra: Optional[Dict[str, Any]] = None,
     ) -> Path:
         """Write every artifact plus the manifest; returns the manifest
@@ -228,7 +225,7 @@ class RunReporter:
         if self._finished:
             raise ConfigError(f"{self.directory}: bundle already finalized")
         self._finished = True
-        self._write_trace(clock_ghz)
+        self._write_trace()
         self._write_metrics()
         self._write_obslog()
         self._write_profile()

@@ -1,49 +1,14 @@
-"""Self-profiling and continuous benchmarking of the simulator itself.
+"""Self-profiling of the simulator's own host time.
 
-Three layers, consumed by the ``repro profile`` and ``repro bench`` CLI
-subcommands and the CI ``bench`` job:
-
-* :mod:`~repro.profiling.profiler` — :class:`PhaseProfiler`, nestable
-  wall-clock spans with self/cumulative attribution, threaded through
-  the runner/engine/HBM/policy/pagemove/driver layers as zero-overhead
-  ``profiler=None`` hooks (the host-time sibling of ``tracer=`` /
-  ``metrics=``).
-* :mod:`~repro.profiling.bench` — the pinned scenario suite, k-repeat
-  min/median statistics, and the schema-versioned ``BENCH_<sha>.json``
-  artifact.
-* :mod:`~repro.profiling.compare` — noise-aware regression gating
-  between two BENCH documents.
+:class:`PhaseProfiler` (:mod:`~repro.profiling.profiler`) records
+nestable wall-clock spans with self/cumulative attribution, threaded
+through the runner/engine/HBM/policy/pagemove/driver layers as
+zero-overhead ``profiler=None`` hooks (the host-time sibling of
+``tracer=`` / ``metrics=``).  A ``--report-dir`` run bundle captures
+its aggregate, and ``repro inspect`` prints the hot-phase table; the
+end-to-end benchmark in ``bench/`` times whole workloads.
 """
 
-from repro.profiling.bench import (
-    BENCH_SCHEMA,
-    Scenario,
-    bench_filename,
-    read_bench,
-    run_bench,
-    scenario_names,
-    scenarios,
-    write_bench,
-)
-from repro.profiling.compare import (
-    BenchComparison,
-    ScenarioVerdict,
-    compare_benchmarks,
-)
 from repro.profiling.profiler import PhaseProfiler, PhaseStats
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "BenchComparison",
-    "PhaseProfiler",
-    "PhaseStats",
-    "Scenario",
-    "ScenarioVerdict",
-    "bench_filename",
-    "compare_benchmarks",
-    "read_bench",
-    "run_bench",
-    "scenario_names",
-    "scenarios",
-    "write_bench",
-]
+__all__ = ["PhaseProfiler", "PhaseStats"]

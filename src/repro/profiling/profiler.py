@@ -4,8 +4,9 @@ The repo observes the *simulated* GPU well (:mod:`repro.trace`,
 :mod:`repro.telemetry`); :class:`PhaseProfiler` observes the *simulator*:
 which phases of an epoch — throughput evaluation, the partitioning
 algorithm, migration costing, fault handling — actually burn host wall
-time.  It is the instrument the benchmark harness
-(:mod:`repro.profiling.bench`) and the ``repro profile`` CLI read.
+time.  ``--report-dir`` run bundles capture its aggregate for
+``repro inspect``, and the end-to-end benchmark's traced pass
+(``bench/tracing.py``) records through it.
 
 Design constraints mirror :class:`repro.trace.TraceRecorder`, in order:
 
@@ -247,14 +248,21 @@ class PhaseProfiler:
         )
 
     def total_seconds(self) -> float:
-        """Cumulative seconds of the root-level spans."""
+        """Cumulative seconds of the root spans.
+
+        A root is any path whose parent is not recorded: besides the
+        top-level spans, that covers snapshots :meth:`absorb` grafted
+        under a prefix no span of this profiler recorded (a sweep's
+        ``("worker",)``).
+        """
         return sum(
             node.cum_seconds
-            for path, node in self._nodes.items() if len(path) == 1
+            for path, node in self._nodes.items()
+            if path[:-1] not in self._nodes
         )
 
     def format_table(self, top: int = 15, sort: str = "self") -> str:
-        """The hot-phase table ``repro profile`` prints.
+        """The hot-phase table ``repro inspect`` prints.
 
         ``sort`` is ``"self"`` (default — where time is actually spent)
         or ``"cum"`` (inclusive, call-graph order).

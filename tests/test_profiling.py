@@ -145,6 +145,20 @@ class TestReports:
         lines = self._profiled().format_table(sort="cum").splitlines()
         assert lines[1].startswith("outer")
 
+    def test_absorbed_orphan_paths_count_toward_the_total(self):
+        # A sweep grafts worker phases under ("worker",), a prefix no
+        # span records: worker.job [0..3] around epoch [1..2].
+        worker = PhaseProfiler(clock=FakeClock([0.0, 1.0, 2.0, 3.0]))
+        with worker.span("worker.job"):
+            with worker.span("epoch"):
+                pass
+        prof = PhaseProfiler()
+        prof.absorb(worker.snapshot(), prefix=("worker",))
+        assert prof.total_seconds() == pytest.approx(3.0)
+        shares = {line.split()[0]: line.split()[4]
+                  for line in prof.format_table().splitlines()[1:]}
+        assert shares == {"worker.job": "66.7%", "epoch": "33.3%"}
+
 
 class TestChromeExport:
     def test_trace_events_are_microseconds_from_origin(self):

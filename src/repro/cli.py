@@ -31,10 +31,9 @@ over the same fleet of nodes, with node execution sharded across the
 run — the ExecStats footer goes to stderr so stdout can be diffed).
 
 ``run``, ``sweep``, ``arrivals`` and ``fleet`` accept
-``--kernel-backend {scalar,numpy}``: the pure-python scalar oracle or
-the vectorized numpy fast path (the default when numpy is importable).
-Both produce byte-identical simulation results; only the wall-clock
-differs.
+``--kernel-backend {scalar,numpy}``: the pure-python scalar oracle (the
+default) or the opt-in vectorized numpy fast path.  Both produce
+byte-identical simulation results; only the wall-clock differs.
 
 ``sweep`` and ``fleet`` additionally accept the cross-process
 observability flags: ``--trace-out PREFIX`` records a merged timeline —
@@ -116,9 +115,9 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel-backend", default=None,
                         choices=list(KERNEL_BACKENDS),
                         help="simulation hot-loop implementation: 'scalar' "
-                             "is the pure-python oracle, 'numpy' the "
-                             "vectorized fast path (default: numpy when "
-                             "importable; results are byte-identical)")
+                             "is the pure-python oracle (default), 'numpy' "
+                             "the opt-in vectorized fast path; results are "
+                             "byte-identical")
 
 
 def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
@@ -137,8 +136,8 @@ def _job_kwargs(args) -> Optional[dict]:
 
     An explicit ``--kernel-backend`` travels with each job so worker
     processes honor it and the result cache keys the two backends apart;
-    the default (auto-resolution) adds nothing, keeping pre-existing
-    cache entries valid.
+    the default (resolved in each process) adds nothing, keeping
+    pre-existing cache entries valid.
     """
     backend = getattr(args, "kernel_backend", None)
     return {"kernel_backend": backend} if backend else None

@@ -59,12 +59,12 @@ from repro.cluster.shard import (
     FleetShardJob,
     FleetShardResult,
     _model_for,
-    _template,
     node_totals,
 )
 from repro.errors import ConfigError, SimulationError
 from repro.exec.executor import SweepExecutor
 from repro.gpu.config import GPUConfig
+from repro.gpu.kernel import Application
 from repro.metrics.energy import EnergyBreakdown, EnergyModel
 from repro.metrics.multiprogram import (
     IntervalRun,
@@ -74,7 +74,7 @@ from repro.metrics.multiprogram import (
     mean_queueing_delay,
 )
 from repro.workloads.arrivals import ArrivalSchedule
-from repro.workloads.benchmarks import TABLE2
+from repro.workloads.benchmarks import TABLE2, build_application
 
 
 @dataclass
@@ -323,24 +323,28 @@ class FleetSimulator:
             )
         return app.name
 
+    def _template(self, abbr: str) -> Application:
+        """The catalog application at this simulator's kernel length."""
+        return build_application(
+            abbr, instructions_per_kernel=self.instructions_per_kernel
+        )
+
     def _memory_bound(self, abbr: str) -> bool:
         """Equation 1/2 classification at the even two-way split."""
         cached = self._class_memo.get(abbr)
         if cached is None:
-            cached = is_memory_bound(
-                self._model, _template(abbr, self.instructions_per_kernel)
-            )
+            cached = is_memory_bound(self._model, self._template(abbr))
             self._class_memo[abbr] = cached
         return cached
 
     def _footprint(self, abbr: str) -> int:
-        return _template(abbr, self.instructions_per_kernel).footprint_bytes
+        return self._template(abbr).footprint_bytes
 
     def _solo_ipc(self, abbr: str) -> float:
         """Steady whole-GPU rate over one full launch (IPC^alone)."""
         cached = self._solo_memo.get(abbr)
         if cached is None:
-            template = _template(abbr, self.instructions_per_kernel)
+            template = self._template(abbr)
             cycles = 0.0
             for kernel in template.kernels:
                 ipc = self._model.throughput(
@@ -365,7 +369,7 @@ class FleetSimulator:
             if abbr in seen:
                 continue
             seen.add(abbr)
-            template = _template(abbr, self.instructions_per_kernel)
+            template = self._template(abbr)
             if [k.instructions for k in template.kernels] != [
                 k.instructions for k in event.app.kernels
             ]:

@@ -108,19 +108,7 @@ def node_totals(rows: Sequence[OutcomeRow]) -> Tuple[int, float]:
 # ----------------------------------------------------------------------
 # Worker-side memos (pure caches keyed by content, safe per process)
 # ----------------------------------------------------------------------
-_APP_TEMPLATES: Dict[Tuple[str, int], Application] = {}
 _MODELS: Dict[str, PerformanceModel] = {}
-
-
-def _template(abbr: str, instructions_per_kernel: int) -> Application:
-    key = (abbr, instructions_per_kernel)
-    app = _APP_TEMPLATES.get(key)
-    if app is None:
-        app = build_application(
-            abbr, app_id=0, instructions_per_kernel=instructions_per_kernel
-        )
-        _APP_TEMPLATES[key] = app
-    return app
 
 
 def _model_for(config: GPUConfig) -> PerformanceModel:
@@ -151,8 +139,10 @@ def _restore(row: TenantRow, instructions_per_kernel: int,
                       "remaining_budget must be positive or None")
     if not 0.0 <= penalty <= 1.0:
         raise _reject(job_id, node_id, "penalty_factor must be in [0, 1]")
-    template = _template(abbr, instructions_per_kernel)
-    kernels = template.kernels
+    app = build_application(
+        abbr, app_id=job_id, instructions_per_kernel=instructions_per_kernel
+    )
+    kernels = app.kernels
     if kernel_index >= len(kernels):
         raise _reject(
             job_id, node_id,
@@ -166,7 +156,6 @@ def _restore(row: TenantRow, instructions_per_kernel: int,
             f"{kernel_index} ({kernels[kernel_index].instructions} "
             "instructions)",
         )
-    app = Application(job_id, template.name, kernels)
     app.progress.kernel_index = kernel_index
     app.progress.instructions_done = done
     return app

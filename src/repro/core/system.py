@@ -260,11 +260,11 @@ class MultitaskSystem:
         policies keep as ``system.policy.profiler``.
 
         ``kernel_backend`` selects the hot-loop implementation:
-        ``"scalar"`` (the pure-python golden oracle) or ``"numpy"`` (the
-        batched fast path in :mod:`repro.fastpath`, byte-identical to the
-        oracle).  ``None`` defers to :func:`resolve_kernel_backend`
-        (process override, then ``REPRO_KERNEL_BACKEND``, then
-        auto-detection)."""
+        ``"scalar"`` (the pure-python golden oracle, and the default) or
+        ``"numpy"`` (the opt-in batched fast path in
+        :mod:`repro.fastpath`, byte-identical to the oracle).  ``None``
+        defers to :func:`resolve_kernel_backend` (process override, then
+        ``REPRO_KERNEL_BACKEND``, then ``"scalar"``)."""
         if policy is None:
             from repro.policies.base import PartitionPolicy
 
@@ -699,7 +699,7 @@ class MultitaskSystem:
             for k in app.kernels
         )
         return (
-            app.name, kernels, repr(self.config), total_cycles,
+            app.name, kernels, self.config, total_cycles,
             self.epoch_cycles, self.total_memory_bytes,
         )
 

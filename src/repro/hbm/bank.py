@@ -120,16 +120,23 @@ class Bank:
         """Source-side half of a MIGRATION: stream one column to the TSVs.
 
         Returns the cycle the column transfer completes (tMIG covers the
-        full copy including the destination write, Section 4.5).
+        full copy including the destination write, Section 4.5).  The row
+        stays open until then: no PRECHARGE before the copy completes.
         """
         self._check_column(now, row, column, "MIGRATION(src)")
-        return now + self.timing.tMIG
+        return self._hold_row_for_migration(now)
 
     def do_migration_write(self, now: int, column: int,
                            row: Optional[int] = None) -> int:
-        """Destination-side half of a MIGRATION: absorb one column."""
+        """Destination-side half of a MIGRATION: absorb one column (the
+        row stays open until the copy completes, as on the source)."""
         self._check_column(now, row, column, "MIGRATION(dst)")
-        return now + self.timing.tMIG
+        return self._hold_row_for_migration(now)
+
+    def _hold_row_for_migration(self, now: int) -> int:
+        done = now + self.timing.tMIG
+        self._next_precharge = max(self._next_precharge, done)
+        return done
 
     def check_access(self, row: Optional[int], column: int, what: str) -> None:
         """Raise :class:`ProtocolError` unless a column command named

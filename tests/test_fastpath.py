@@ -16,6 +16,9 @@ in-tree policy takes), and the backend the executor and ExecStats record.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -33,6 +36,8 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import Kernel
 from repro.gpu.llc import HitRateCurve
 from repro.gpu.performance import PerformanceModel
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(autouse=True)
@@ -141,13 +146,33 @@ class TestBackendResolution:
         assert resolve_kernel_backend() == "scalar"
 
     def test_environment_beats_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "scalar")
-        assert resolve_kernel_backend() == "scalar"
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        assert resolve_kernel_backend() == "numpy"
 
-    def test_auto_detects_numpy(self, monkeypatch):
+    def test_default_is_scalar_even_with_numpy(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         assert numpy_available()
-        assert resolve_kernel_backend() == "numpy"
+        assert resolve_kernel_backend() == "scalar"
+        assert resolve_kernel_backend("numpy") == "numpy"
+
+    def test_default_run_never_imports_numpy(self):
+        """A default closed run stays on the scalar step, so neither the
+        package nor the run loads numpy."""
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "from repro import MultitaskSystem, UGPUPolicy, build_mix\n"
+            "apps = build_mix(['PVC', 'DXTC']).applications\n"
+            "system = MultitaskSystem(apps, policy=UGPUPolicy())\n"
+            "result = system.run(25_000_000)\n"
+            "assert result.stp > 0 and system.kernel_backend == 'scalar'\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        env.pop("REPRO_KERNEL_BACKEND", None)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):

@@ -57,14 +57,16 @@ class _BankState:
         self.precharge = None
         self.read = None
         self.write_end = None
+        self.migration_end = None
 
 
 class Table1Checker:
     """Replays a command log against Table 1, independently of the model.
 
     Per bank: tRC, tRCD, tRAS, tRP, tRTP; write recovery as the model
-    defines it (``tRP // 2`` after a write burst ends); ACTIVATE only to a
-    precharged bank; column commands only to the open row.
+    defines it (``tRP // 2`` after a write burst ends); no PRECHARGE
+    before the bank's last MIGRATION copy completes (tMIG); ACTIVATE only
+    to a precharged bank; column commands only to the open row.
     Per channel: tRRDl/tRRDs, at most four ACTIVATEs in any tFAW window,
     tCCDl/tCCDs, tWTRl/tWTRs, non-overlapping READ/WRITE bursts on the data
     bus, one command per command-bus cycle with MIGRATION taking two
@@ -141,6 +143,7 @@ class Table1Checker:
                 self._at_least(e, plus(bank.read, t.tRTP), "tRTP")
                 self._at_least(e, plus(bank.write_end, t.tRP // 2),
                                "write recovery")
+                self._at_least(e, bank.migration_end, "MIGRATION copy")
                 bank.open_row, bank.precharge = None, e.at
                 expected_done = e.at + t.tRP
 
@@ -175,6 +178,8 @@ class Table1Checker:
                 elif e.kind is WR:
                     last_write = (busy[1], e.bank_group)
                     bank.write_end = busy[1]
+                else:
+                    bank.migration_end = busy[1]
                 expected_done = busy[1]
 
             if e.done != expected_done:
@@ -325,6 +330,8 @@ def drive(channel, ops):
 @given(OPS, st.sampled_from([TABLE1, STRETCHED]))
 # A READ while a MIGRATION holds the bank group's bus.
 @example([("MIG", 0, 0, 5, 0, 0), ("RD", 0, 1, 7, 0, 0)], TABLE1)
+# A PRECHARGE of the bank a MIGRATION still copies from.
+@example([("MIG", 0, 0, 5, 0, 0), ("PRE", 0, 0, 0, 0, 0)], TABLE1)
 # Five back-to-back ACTIVATEs: the fifth waits for tFAW.
 @example([("ACT", g, b, 1, 0, 0) for b in range(3) for g in (0, 1)][:5],
          TABLE1)
@@ -388,6 +395,7 @@ class TestCheckerCatches:
         ([(0, RD)], "no open row"),
         ([(0, ACT), (14, RD, 0, 0, 2)], "row 2 while row 1 is open"),
         ([(0, ACT), (14, ACT)], "open row"),
+        ([(0, ACT), (14, MIG), (40, PRE)], "MIGRATION copy"),
     ])
     def test_violation_detected(self, entries, match):
         log = [self.entry(*e) for e in entries]

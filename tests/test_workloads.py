@@ -95,6 +95,39 @@ class TestBuildApplication:
         assert app.kernels[0].hit_curve is not None
         assert build_application("PVC", with_hit_curve=False).kernels[0].hit_curve is None
 
+    def test_builds_share_kernels_but_not_state(self):
+        """Kernels are built once per process; each call still returns
+        its own Application, progress cursor and kernel list."""
+        a = build_application("LBM", app_id=1)
+        b = build_application("LBM", app_id=2)
+        assert a is not b and a.progress is not b.progress
+        assert a.kernels is not b.kernels
+        assert all(x is y for x, y in zip(a.kernels, b.kernels))
+        assert (a.app_id, b.app_id) == (1, 2)
+        a.advance(a.kernels[0].instructions + 5)
+        a.kernels.append(a.kernels[0])
+        c = build_application("LBM")
+        for fresh in (b, c):
+            assert len(fresh.kernels) == 3
+            assert (fresh.progress.kernel_index,
+                    fresh.progress.instructions_done,
+                    fresh.progress.total_instructions) == (0, 0, 0)
+        assert (a.progress.kernel_index, a.progress.instructions_done) == (1, 5)
+
+    def test_kernel_length_follows_instructions_per_kernel(self):
+        short = build_application("PVC", instructions_per_kernel=1000)
+        long = build_application("PVC", instructions_per_kernel=2000)
+        assert [k.instructions for k in short.kernels] == [1000]
+        assert [k.instructions for k in long.kernels] == [2000]
+
+    @pytest.mark.parametrize("abbr, ipk", [("PVC", 0), ("LBM", -5)])
+    def test_non_positive_instructions_per_kernel_rejected(self, abbr, ipk):
+        with pytest.raises(ConfigError, match=f"{abbr}: instructions_per_kernel "
+                                              f"must be positive, got {ipk}"):
+            build_application(abbr, instructions_per_kernel=ipk)
+        with pytest.raises(ConfigError, match="instructions_per_kernel"):
+            build_mix([abbr], instructions_per_kernel=ipk)
+
 
 class TestMixes:
     def test_pair_counts_match_paper(self):

@@ -1,0 +1,239 @@
+"""Golden observability exports: what the CLI's sinks write, pinned.
+
+Two instrumented CLI runs go through ``repro.cli.main`` in a temporary
+directory, with every observability flag they take: a small ``fleet``
+(trace, obslog, Prometheus, JSON, run bundle) and an ``arrivals`` run
+(trace, Prometheus, JSON, CSV series, run bundle).  Each artifact is
+normalized, then stored in ``tests/golden/obs_exports.json`` as a
+SHA-256 plus a record count.
+
+Normalization drops only run provenance and values that are wall time
+or process identity:
+
+* provenance: the ``repro_build_info`` sample, the JSON ``provenance``
+  field, the CSV ``#`` header lines, and the manifest's ``provenance``
+  and ``kernel_backend``;
+* obslog fields ``ts``, ``pid``, ``seconds``, ``worker_pid`` and
+  ``wall_seconds``, plus ``backend`` (the kernel backend, which is
+  provenance: the exports are otherwise the same under both backends);
+* trace args ``pid`` and ``worker`` (and the OS pid in a Chrome
+  ``process_name`` label);
+* the ``repro_exec_wall_seconds_total`` and ``repro_exec_job_seconds``
+  samples;
+* profile times (phase paths and call counts stay);
+* ``exec_stats.json``, except its job and cache counts.
+
+``--health`` is left out: its straggler detector reads wall times.
+``examples/trace_timeline.py`` runs too, and its printed summary is
+pinned line by line.
+
+Re-record (only when an export is meant to change)::
+
+    PYTHONPATH=src python tests/test_obs_exports.py --record
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+from repro.core.system import clear_solo_ipc_cache
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN_PATH = REPO / "tests" / "golden" / "obs_exports.json"
+EXAMPLE = REPO / "examples" / "trace_timeline.py"
+
+RUNS = {
+    "fleet": [
+        "fleet", "--nodes", "4", "--cycles", "10000000",
+        "--instructions-per-kernel", "50000000", "--no-cache", "--jobs", "1",
+        "--trace-out", "P", "--log-jsonl", "L", "--metrics-out", "M",
+        "--metrics-json", "J", "--report-dir", "B",
+    ],
+    "arrivals": [
+        "arrivals", "--seed", "0", "--cycles", "10000000",
+        "--trace-out", "P", "--metrics-out", "M", "--metrics-json", "J",
+        "--metrics-csv", "C", "--report-dir", "B",
+    ],
+}
+
+_OBSLOG_DROP = ("ts", "pid", "seconds", "worker_pid", "wall_seconds",
+                "backend")
+_TRACE_ARG_DROP = ("pid", "worker")
+_WALL_FAMILIES = ("repro_exec_wall_seconds_total", "repro_exec_job_seconds")
+_EXEC_COUNTS = ("jobs_total", "jobs_run", "cache_hits", "cache_evictions",
+                "cache_schema_evictions")
+
+
+def _dump(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _without(mapping, keys):
+    return {k: v for k, v in mapping.items() if k not in keys}
+
+
+def _trace_jsonl(text):
+    records = []
+    for line in text.splitlines():
+        record = json.loads(line)
+        if "args" in record:
+            record["args"] = _without(record["args"], _TRACE_ARG_DROP)
+        records.append(_dump(record))
+    return records
+
+
+def _chrome(text):
+    records = []
+    for event in json.loads(text)["traceEvents"]:
+        args = _without(event.get("args", {}), _TRACE_ARG_DROP)
+        if event.get("name") == "process_name":
+            args["name"] = re.sub(r"\(pid \d+\)", "(pid)", args["name"])
+        event["args"] = args
+        records.append(_dump(event))
+    return records
+
+
+def _obslog(text):
+    return [_dump(_without(json.loads(line), _OBSLOG_DROP))
+            for line in text.splitlines()]
+
+
+def _prometheus(text):
+    drop = ("repro_build_info",) + _WALL_FAMILIES
+
+    def family(sample):
+        name = re.split(r"[{ ]", sample, maxsplit=1)[0]
+        return re.sub(r"_(bucket|sum|count)$", "", name)
+
+    return [line for line in text.splitlines()
+            if line.startswith("#") or family(line) not in drop]
+
+
+def _metrics_json(text):
+    records = []
+    for family in json.loads(text)["metrics"]:
+        if family["name"] in _WALL_FAMILIES:
+            family["samples"] = []
+        records.append(_dump(family))
+    return records
+
+
+def _csv(text):
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+def _manifest(text):
+    return [_dump(_without(json.loads(text), ("provenance", "kernel_backend")))]
+
+
+def _profile(text):
+    phases = json.loads(text)["phases"]
+    return [f"{path} {calls}" for path, (calls, _) in sorted(phases.items())]
+
+
+def _exec_stats(text):
+    stats = json.loads(text)
+    return [_dump({k: stats[k] for k in _EXEC_COUNTS})]
+
+
+def _whole_json(text):
+    return [_dump(json.loads(text))]
+
+
+def _normalizer(name):
+    base = name.rsplit("/", 1)[-1]
+    if base in ("P.jsonl", "trace.jsonl"):
+        return _trace_jsonl
+    if base.endswith("chrome.json"):
+        return _chrome
+    if base in ("L", "obslog.jsonl"):
+        return _obslog
+    if base == "M":
+        return _prometheus
+    if base in ("J", "metrics.json"):
+        return _metrics_json
+    if base == "C":
+        return _csv
+    return {
+        "manifest.json": _manifest,
+        "profile.json": _profile,
+        "exec_stats.json": _exec_stats,
+        "results.json": _whole_json,
+    }[base]
+
+
+def _fingerprint(directory: Path):
+    out = {}
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        name = path.relative_to(directory).as_posix()
+        records = _normalizer(name)(path.read_text())
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        out[name] = {"sha256": digest, "records": len(records)}
+    return out
+
+
+def compute_exports(workdir: Path):
+    """Run both CLI commands and the example under ``workdir``."""
+    exports = {}
+    cwd = os.getcwd()
+    try:
+        for name, argv in RUNS.items():
+            directory = workdir / name
+            directory.mkdir()
+            os.chdir(directory)
+            # The solo-IPC memo is process-wide; a warm entry would skip
+            # the profiled ``run.solo_ipc`` phase.
+            clear_solo_ipc_cache()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == 0
+            exports[name] = _fingerprint(directory)
+        directory = workdir / "example"
+        directory.mkdir()
+        os.chdir(directory)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            runpy.run_path(str(EXAMPLE), run_name="__main__")
+        exports["examples/trace_timeline.py"] = stdout.getvalue().splitlines()
+    finally:
+        os.chdir(cwd)
+    return exports
+
+
+@pytest.fixture(scope="module")
+def exports(tmp_path_factory):
+    return compute_exports(tmp_path_factory.mktemp("obs_exports"))
+
+
+with open(GOLDEN_PATH) as _handle:
+    GOLDEN = json.load(_handle)
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_cli_exports_match_golden(exports, run):
+    assert exports[run] == GOLDEN[run]
+
+
+def test_trace_timeline_example_summary(exports):
+    name = "examples/trace_timeline.py"
+    assert exports[name] == GOLDEN[name]
+
+
+if __name__ == "__main__" and "--record" in sys.argv:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded = compute_exports(Path(tmp))
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(recorded, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"recorded {GOLDEN_PATH}")

@@ -19,7 +19,7 @@ from typing import List, Sequence
 import pytest
 
 from repro.core.system import SystemResult
-from repro.exec import SweepExecutor, SweepJob, execute_job
+from repro.exec import SweepExecutor, SweepJob
 from repro.workloads import heterogeneous_pairs
 
 #: The paper's simulation horizon (Section 5).
@@ -36,7 +36,7 @@ def run_policy(policy: str, abbrs: Sequence[str], **kwargs) -> SystemResult:
     ``policy`` is any name the :mod:`repro.exec` registry knows
     ("BP", "CD", "UGPU-offline", ...).
     """
-    return execute_job(SweepJob.build(policy, abbrs, HORIZON, kwargs))
+    return SweepJob.build(policy, abbrs, HORIZON, kwargs).run()
 
 
 def sweep_policy(policy: str, pairs=None, jobs: int = None,

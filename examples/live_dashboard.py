@@ -96,8 +96,6 @@ def render(path) -> bool:
 
     rates = {
         "faults/epoch": _deltas(_sum_over_labels(rows, "repro_vm_faults_total")),
-        "events/epoch": _deltas(
-            series_values(rows, "repro_sim_events_fired_total")),
         "pages/epoch": _deltas(
             _sum_over_labels(rows, "repro_migration_pages_total")),
     }

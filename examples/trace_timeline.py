@@ -6,11 +6,11 @@ trace layer says *when* and *why*: which epoch repartitioned, what each
 migration window cost, how the driver's fault mix breaks down, and where
 QoS enforcement intervened.  This walkthrough:
 
-1. runs a UGPU mix with a :class:`repro.trace.TraceRecorder` attached
-   and prints an ASCII epoch timeline from the ``epoch``/``realloc``
-   events;
+1. runs a UGPU mix observed by an :class:`repro.obs.Obs` handle that
+   holds a :class:`repro.trace.TraceRecorder`, and prints an ASCII epoch
+   timeline from the ``epoch``/``realloc`` events;
 2. drives the page-level :class:`~repro.pagemove.MigrationEngine` with
-   the same recorder to capture ``migration`` plans and ``fault``
+   the same handle to capture ``migration`` plans and ``fault``
    records;
 3. exports everything as JSONL plus a Chrome-trace file that loads in
    chrome://tracing or https://ui.perfetto.dev.
@@ -19,6 +19,7 @@ Run:  python examples/trace_timeline.py
 """
 
 from repro import MultitaskSystem, UGPUPolicy, build_mix
+from repro.obs import Obs
 from repro.pagemove import InterleavedPageMapping, MigrationEngine, PageMoveAddressMapping
 from repro.trace import TraceRecorder, summarize, write_chrome_trace, write_jsonl
 from repro.vm import FaultKind, GPUDriver
@@ -41,7 +42,7 @@ def epoch_timeline(recorder: TraceRecorder) -> None:
 
 def system_level(recorder: TraceRecorder) -> None:
     apps = build_mix(["PVC", "DXTC"]).applications
-    system = MultitaskSystem(apps, tracer=recorder, policy=UGPUPolicy())
+    system = MultitaskSystem(apps, obs=Obs(recorder), policy=UGPUPolicy())
     result = system.run(25_000_000, mix_name="PVC_DXTC")
     print(f"UGPU on PVC_DXTC: STP {result.stp:.3f}, "
           f"{result.repartitions} repartition(s)\n")
@@ -50,11 +51,11 @@ def system_level(recorder: TraceRecorder) -> None:
 
 def page_level(recorder: TraceRecorder) -> None:
     """The same recorder captures driver faults and migration plans."""
+    obs = Obs(recorder)
     mapping = PageMoveAddressMapping()
     driver = GPUDriver(pages_per_channel=32,
-                       mapping=InterleavedPageMapping(mapping),
-                       tracer=recorder)
-    engine = MigrationEngine(driver, mapping=mapping, tracer=recorder)
+                       mapping=InterleavedPageMapping(mapping), obs=obs)
+    engine = MigrationEngine(driver, mapping=mapping, obs=obs)
     driver.register_app(0, channels=[0, 1, 3])
     for vpn in range(8):
         driver.handle_fault(FaultKind.DEMAND, 0, vpn, target_channel=3)

@@ -71,12 +71,12 @@ from repro.policies import (
     PartitionPolicy,
     UGPUPolicy,
 )
+from repro.obs import Obs
 from repro.obslog import ObsLogger, read_obslog, validate_obslog_file
 from repro.telemetry import (
     CsvSampler,
     MetricsRegistry,
     MetricsServer,
-    NullRegistry,
     collect_provenance,
     registry_from_trace,
     to_json,
@@ -165,7 +165,6 @@ __all__ = [
     "EnergyModel",
     # Telemetry
     "MetricsRegistry",
-    "NullRegistry",
     "CsvSampler",
     "MetricsServer",
     "collect_provenance",
@@ -173,6 +172,8 @@ __all__ = [
     "to_prometheus",
     "to_json",
     "write_prometheus",
+    # Observability handle
+    "Obs",
     # Structured logging
     "ObsLogger",
     "read_obslog",

@@ -35,13 +35,16 @@ run — the ExecStats footer goes to stderr so stdout can be diffed).
 default) or the opt-in vectorized numpy fast path.  Both produce
 byte-identical simulation results; only the wall-clock differs.
 
-``sweep`` and ``fleet`` additionally accept the cross-process
-observability flags: ``--trace-out PREFIX`` records a merged timeline —
-orchestrator events plus worker-side captures from every pool process,
-correlated by ``run_id``/``shard_id``/``pid`` — and writes
-``PREFIX.jsonl`` + ``PREFIX.chrome.json``; ``--log-jsonl FILE`` streams
-structured log records (:mod:`repro.obslog`) carrying the same
-correlation IDs.  ``fleet --health`` attaches the
+``sweep``, ``fleet`` and ``arrivals`` additionally accept
+``--trace-out PREFIX``, which records a merged timeline — orchestrator
+events plus worker-side captures from every pool process, correlated by
+``run_id``/``shard_id``/``pid`` — and writes ``PREFIX.jsonl`` +
+``PREFIX.chrome.json``; ``sweep`` and ``fleet`` also accept
+``--log-jsonl FILE``, which streams structured log records
+(:mod:`repro.obslog`) carrying the same correlation IDs.  The flags
+build one :class:`~repro.obs.Obs` handle, and any observability flag
+but ``--log-jsonl`` turns on worker-side capture.  ``fleet --health``
+attaches the
 :class:`~repro.cluster.health.FleetHealthMonitor` and prints its
 per-placement verdict (stragglers, wait-queue stalls, cache collapse).
 
@@ -50,7 +53,8 @@ writes the timeline as JSONL (``<prefix>.jsonl``) and/or a Chrome-trace
 file (``<prefix>.chrome.json``) that loads in ``chrome://tracing`` and
 Perfetto, then prints the derived summary metrics.
 
-``run``, ``sweep`` and ``arrivals`` accept :mod:`repro.telemetry` flags:
+``run``, ``sweep``, ``arrivals`` and ``fleet`` accept
+:mod:`repro.telemetry` flags:
 ``--metrics-out`` (Prometheus text exposition), ``--metrics-json``
 (snapshot), ``--metrics-csv`` (per-epoch long-format series — the input
 ``examples/live_dashboard.py`` tails) and ``--metrics-port`` (a live
@@ -94,6 +98,7 @@ from repro.fastpath import (
     resolve_kernel_backend,
     set_default_kernel_backend,
 )
+from repro.obs import OFF, Obs
 from repro.policies import BPPolicy, MPSPolicy, UGPUPolicy
 from repro.workloads import heterogeneous_pairs, poisson_arrivals
 
@@ -143,13 +148,6 @@ def _job_kwargs(args) -> Optional[dict]:
     return {"kernel_backend": backend} if backend else None
 
 
-def _executor_from(args, metrics=None) -> SweepExecutor:
-    cache: Optional[ResultCache] = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    return SweepExecutor(jobs=args.jobs, cache=cache, metrics=metrics)
-
-
 def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics-out", default=None, metavar="FILE",
                         help="write the Prometheus text exposition here "
@@ -165,95 +163,97 @@ def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
                              "duration of the run (0 picks a free port)")
 
 
-def _metrics_session(args, **extra):
-    """Registry plus teardown callable from the ``--metrics-*`` flags.
-
-    Returns ``(None, no-op)`` when no flag is set, so instrumented code
-    paths stay on their ``metrics=None`` fast path.  ``extra`` becomes
-    provenance labels on every export (command, policy, seed, ...).
-    """
-    if not any((args.metrics_out, args.metrics_json, args.metrics_csv,
-                args.metrics_port is not None)):
-        return None, lambda: None
-    from repro.telemetry import (
-        CsvSampler,
-        MetricsRegistry,
-        MetricsServer,
-        stamp,
-        write_json,
-        write_prometheus,
-    )
-
-    registry = MetricsRegistry()
-    stamp(registry, None, kernel_backend=resolve_kernel_backend(), **extra)
-    sampler = None
-    if args.metrics_csv:
-        sampler = CsvSampler(args.metrics_csv)
-        sampler.attach(registry)
-    server = None
-    if args.metrics_port is not None:
-        server = MetricsServer(registry, port=args.metrics_port)
-        server.start()
-        print(f"live metrics at {server.url}")
-
-    def finish() -> None:
-        if server is not None:
-            server.close()
-        if sampler is not None:
-            sampler.close()
-            print(f"wrote {sampler.rows_written} epoch samples to "
-                  f"{args.metrics_csv}")
-        if args.metrics_out:
-            count = write_prometheus(registry, args.metrics_out)
-            print(f"wrote {count} metric samples to {args.metrics_out}")
-        if args.metrics_json:
-            families = write_json(registry, args.metrics_json)
-            print(f"wrote {families} metric families to {args.metrics_json}")
-
-    return registry, finish
-
-
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
+def _add_obs_flags(parser: argparse.ArgumentParser,
+                   log_jsonl: bool = True) -> None:
     parser.add_argument("--trace-out", default=None, metavar="PREFIX",
                         help="record a merged cross-process timeline and "
-                             "write PREFIX.jsonl + PREFIX.chrome.json "
-                             "(enables worker-side capture)")
-    parser.add_argument("--log-jsonl", default=None, metavar="FILE",
-                        help="write correlated structured log records "
-                             "(one JSON object per line) here")
+                             "write PREFIX.jsonl + PREFIX.chrome.json")
+    if log_jsonl:
+        parser.add_argument("--log-jsonl", default=None, metavar="FILE",
+                            help="write correlated structured log records "
+                                 "(one JSON object per line) here")
 
 
-def _obs_session(args, command: str, **ids):
-    """Recorder + obslog implied by ``--trace-out`` / ``--log-jsonl``.
+def _add_report_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--report-dir", default=None, metavar="DIR",
+                        help="capture every artifact of this run (trace, "
+                             "metrics, obslog, profiler phases, results) "
+                             "into DIR as a run bundle for `repro inspect` "
+                             "and `repro diff`")
+    parser.add_argument("--report-gzip", action="store_true",
+                        help="gzip the bundle's line-oriented artifacts "
+                             "(readers decompress transparently)")
 
-    Returns ``(recorder, obslog, run_id, finish)`` — ``(None, None,
-    "", no-op)`` when neither flag is set, so instrumented paths stay
-    on their ``tracer=None`` / ``log=None`` fast path.  ``finish``
-    writes the trace exports and closes the log; all announcements go
-    to stderr so stdout stays byte-diffable between serial and sharded
-    runs.  The session ``run_id`` hashes the command's shape (``ids``),
-    so two invocations of the same configuration correlate.
+
+def _observe(args, command: str, labels: dict, **ids):
+    """The :class:`~repro.obs.Obs` handle the observability flags ask for.
+
+    Returns ``(obs, run_id, finish)``.  ``obs`` is :data:`~repro.obs.OFF`
+    when no flag is set, so instrumented paths stay free; any flag turns
+    it on, and any flag but ``--log-jsonl`` also turns on worker-side
+    capture (:attr:`~repro.obs.Obs.captures`).  ``--metrics-*`` add a
+    registry whose provenance carries ``command`` and ``labels``;
+    ``--trace-out`` a recorder; ``--log-jsonl`` a logger; ``--report-dir``
+    a :class:`~repro.inspect.RunReporter`, which shares those sinks and
+    creates the missing ones.  The ``run_id`` hashes the command's shape
+    (``ids``), so two invocations of the same configuration correlate.
+
+    ``finish(results=None, exec_stats=None)`` writes every export: the
+    trace and log (announced on stderr, so stdout stays byte-diffable
+    between serial and sharded runs), then the bundle with the
+    command's deterministic ``results``, then the metrics.
     """
+    metrics_flags = (args.metrics_out, args.metrics_json, args.metrics_csv,
+                     args.metrics_port is not None)
     trace_out = getattr(args, "trace_out", None)
     log_jsonl = getattr(args, "log_jsonl", None)
-    if not trace_out and not log_jsonl:
-        return None, None, "", lambda: None
+    report_dir = getattr(args, "report_dir", None)
+    if not any(metrics_flags + (trace_out, log_jsonl, report_dir)):
+        return OFF, "", lambda results=None, exec_stats=None: None
     from repro.telemetry.provenance import config_hash
 
     run_id = config_hash(None, command=command, **ids)
-    recorder = None
+    registry = sampler = server = None
+    if any(metrics_flags):
+        from repro.telemetry import (
+            CsvSampler,
+            MetricsRegistry,
+            MetricsServer,
+            stamp,
+        )
+
+        registry = MetricsRegistry()
+        stamp(registry, None, kernel_backend=resolve_kernel_backend(),
+              command=command, **labels)
+        if args.metrics_csv:
+            sampler = CsvSampler(args.metrics_csv)
+            sampler.attach(registry)
+        if args.metrics_port is not None:
+            server = MetricsServer(registry, port=args.metrics_port)
+            server.start()
+            print(f"live metrics at {server.url}")
+    recorder = logger = reporter = None
     if trace_out:
         from repro.trace import TraceRecorder
 
         recorder = TraceRecorder(capacity=262_144)
-    obslog = None
     if log_jsonl:
         from repro.obslog import ObsLogger
 
-        obslog = ObsLogger(log_jsonl, run_id=run_id)
+        logger = ObsLogger(log_jsonl, run_id=run_id)
+    obs = Obs(recorder, registry, None, logger)
+    if report_dir:
+        from repro.inspect import RunReporter
 
-    def finish() -> None:
-        if recorder is not None:
+        reporter = RunReporter(
+            report_dir, command=command, run_id=run_id, obs=obs,
+            obslog_source=log_jsonl,
+            compress=bool(getattr(args, "report_gzip", False)),
+        )
+        obs = reporter.obs
+
+    def finish(results=None, exec_stats=None) -> None:
+        if trace_out:
             from repro.trace import write_chrome_trace, write_jsonl
 
             events = recorder.events()
@@ -268,62 +268,32 @@ def _obs_session(args, command: str, **ids):
             if recorder.dropped:
                 print(f"note: trace ring dropped {recorder.dropped} oldest "
                       "events", file=sys.stderr)
-        if obslog is not None:
-            count = obslog.records_written
-            obslog.close()
+        if log_jsonl:
+            count = logger.records_written
+            logger.close()
             print(f"wrote {count} log records to {log_jsonl}",
                   file=sys.stderr)
+        if reporter is not None:
+            path = reporter.finish(results=results, exec_stats=exec_stats)
+            print(f"wrote run bundle manifest to {path}", file=sys.stderr)
+        if server is not None:
+            server.close()
+        if sampler is not None:
+            sampler.close()
+            print(f"wrote {sampler.rows_written} epoch samples to "
+                  f"{args.metrics_csv}")
+        if args.metrics_out:
+            from repro.telemetry import write_prometheus
 
-    return recorder, obslog, run_id, finish
+            count = write_prometheus(registry, args.metrics_out)
+            print(f"wrote {count} metric samples to {args.metrics_out}")
+        if args.metrics_json:
+            from repro.telemetry import write_json
 
+            families = write_json(registry, args.metrics_json)
+            print(f"wrote {families} metric families to {args.metrics_json}")
 
-def _add_report_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--report-dir", default=None, metavar="DIR",
-                        help="capture every artifact of this run (trace, "
-                             "metrics, obslog, profiler phases, results) "
-                             "into DIR as a run bundle for `repro inspect` "
-                             "and `repro diff`")
-    parser.add_argument("--report-gzip", action="store_true",
-                        help="gzip the bundle's line-oriented artifacts "
-                             "(readers decompress transparently)")
-
-
-def _report_session(args, command: str, registry, recorder, obslog, **ids):
-    """A :class:`~repro.inspect.RunReporter` from ``--report-dir``.
-
-    Returns ``(reporter, registry, recorder, obslog)``.  Without the
-    flag the sinks pass through unchanged (``reporter`` is ``None``).
-    With it, the reporter *shares* whatever sinks the other
-    observability flags already built and creates the missing ones, so
-    the returned sinks must replace the caller's — one run, one set of
-    evidence.  ``ids`` must match what :func:`_obs_session` hashed so
-    the bundle's ``run_id`` equals the one stamped on trace/log records.
-    """
-    report_dir = getattr(args, "report_dir", None)
-    if not report_dir:
-        return None, registry, recorder, obslog
-    from repro.inspect import RunReporter
-    from repro.telemetry.provenance import config_hash
-
-    reporter = RunReporter(
-        report_dir,
-        command=command,
-        run_id=config_hash(None, command=command, **ids),
-        registry=registry,
-        recorder=recorder,
-        obslog=obslog,
-        obslog_source=getattr(args, "log_jsonl", None),
-        compress=bool(getattr(args, "report_gzip", False)),
-    )
-    return reporter, reporter.registry, reporter.recorder, reporter.obslog
-
-
-def _finish_report(reporter, results=None, exec_stats=None,
-                   extra=None) -> None:
-    if reporter is None:
-        return
-    path = reporter.finish(results=results, exec_stats=exec_stats, extra=extra)
-    print(f"wrote run bundle manifest to {path}", file=sys.stderr)
+    return obs, run_id, finish
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -385,7 +355,7 @@ def _parser() -> argparse.ArgumentParser:
                           help="comma-separated benchmarks resident at cycle "
                                "0 (default: start empty)")
     _add_metrics_flags(arrivals)
-    _add_obs_flags(arrivals)
+    _add_obs_flags(arrivals, log_jsonl=False)
     _add_report_flags(arrivals)
     _add_backend_flag(arrivals)
 
@@ -513,12 +483,15 @@ def cmd_catalog(_args) -> int:
 def cmd_run(args) -> int:
     abbrs = [a.strip() for a in args.mix.split(",") if a.strip()]
     print(f"mix: {'_'.join(abbrs)}  horizon: {args.cycles:,} cycles\n")
-    registry, finish_metrics = _metrics_session(
-        args, command="run", mix="_".join(abbrs))
-    executor = _executor_from(args, metrics=registry)
+    obs, run_id, finish = _observe(args, "run", {"mix": "_".join(abbrs)})
+    cache = None if args.no_cache else ResultCache(
+        args.cache_dir or default_cache_dir())
+    executor = SweepExecutor(jobs=args.jobs, cache=cache, obs=obs)
     jobs = [SweepJob.build(name, abbrs, args.cycles, kwargs=_job_kwargs(args))
             for name in args.policy]
     results = executor.run(jobs)
+    obs.absorb(executor.last_envelopes, prefix=("worker",),
+               shard_prefix="job", run_id=run_id)
     print(f"{'policy':<14} {'STP':>7} {'ANTT':>7} {'min NP':>7}  per-app NP")
     for name, result in zip(args.policy, results):
         nps = ", ".join(f"{r.name}={r.normalized_progress:.2f}"
@@ -526,7 +499,7 @@ def cmd_run(args) -> int:
         print(f"{name:<14} {result.stp:>7.3f} {result.antt:>7.2f} "
               f"{result.min_np:>7.2f}  {nps}")
     print(f"\n{executor.stats.format()}")
-    finish_metrics()
+    finish()
     return 0
 
 
@@ -534,29 +507,17 @@ def cmd_sweep(args) -> int:
     pairs = heterogeneous_pairs()
     print(f"sweeping {len(pairs)} heterogeneous mixes, "
           f"{args.cycles:,} cycles each\n")
-    registry, finish_metrics = _metrics_session(args, command="sweep")
-    recorder, obslog, run_id, finish_obs = _obs_session(
-        args, "sweep", policies="_".join(args.policies), cycles=args.cycles)
-    reporter, registry, recorder, obslog = _report_session(
-        args, "sweep", registry, recorder, obslog,
-        policies="_".join(args.policies), cycles=args.cycles)
-    if reporter is not None:
-        run_id = reporter.run_id
-    capture = recorder is not None
-    cache: Optional[ResultCache] = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    executor = SweepExecutor(jobs=args.jobs, cache=cache, metrics=registry,
-                             tracer=recorder, log=obslog, capture=capture)
+    obs, run_id, finish = _observe(
+        args, "sweep", {}, policies="_".join(args.policies),
+        cycles=args.cycles)
+    cache = None if args.no_cache else ResultCache(
+        args.cache_dir or default_cache_dir())
+    executor = SweepExecutor(jobs=args.jobs, cache=cache, obs=obs)
     jobs = [SweepJob.build(name, pair, args.cycles, kwargs=_job_kwargs(args))
             for name in args.policies for pair in pairs]
     results = executor.run(jobs)
-    if capture:
-        from repro.exec import merge_envelopes
-
-        merge_envelopes(executor.last_envelopes, tracer=recorder,
-                        metrics=registry, run_id=run_id,
-                        profiler=reporter.profiler if reporter else None)
+    obs.absorb(executor.last_envelopes, prefix=("worker",),
+               shard_prefix="job", run_id=run_id)
     stats = {}
     for offset, name in enumerate(args.policies):
         chunk = results[offset * len(pairs):(offset + 1) * len(pairs)]
@@ -573,9 +534,7 @@ def cmd_sweep(args) -> int:
                 gain = statistics.fmean(stps) / base - 1
                 print(f"\n{name} vs bp: {gain:+.1%}")
     print(f"\n{executor.stats.format()}")
-    finish_obs()
-    _finish_report(
-        reporter,
+    finish(
         results={
             "policies": {
                 name: {
@@ -590,7 +549,6 @@ def cmd_sweep(args) -> int:
         },
         exec_stats=executor.stats,
     )
-    finish_metrics()
     return 0
 
 
@@ -641,18 +599,12 @@ def cmd_arrivals(args) -> int:
     print(f"{len(schedule)} arrivals scheduled "
           f"(mean inter-arrival {args.mean_interarrival:,} cycles), "
           f"{len(initial)} jobs resident at cycle 0\n")
-    registry, finish_metrics = _metrics_session(
-        args, command="arrivals", policy=args.policy, seed=str(args.seed))
-    recorder, obslog, _run_id, finish_obs = _obs_session(
-        args, "arrivals", policy=args.policy, seed=str(args.seed),
-        cycles=args.cycles)
-    reporter, registry, recorder, obslog = _report_session(
-        args, "arrivals", registry, recorder, obslog,
+    obs, _run_id, finish = _observe(
+        args, "arrivals", {"policy": args.policy, "seed": str(args.seed)},
         policy=args.policy, seed=str(args.seed), cycles=args.cycles)
     factory = resolve_policy(args.policy)
     system = factory(initial, arrivals=schedule, max_slots=args.max_slots,
-                     metrics=registry, tracer=recorder,
-                     profiler=reporter.profiler if reporter else None)
+                     obs=obs)
     result = system.run(args.cycles, mix_name=label)
     print(f"{'job':<8} {'arrive':>12} {'admit':>12} {'depart':>12} "
           f"{'wait':>10} {'NP':>6}")
@@ -670,7 +622,6 @@ def cmd_arrivals(args) -> int:
               f"makespan {result.makespan:,} cycles")
     else:
         print("no job was admitted before the horizon")
-    finish_obs()
     results_payload = {
         "policy": args.policy,
         "seed": args.seed,
@@ -686,8 +637,7 @@ def cmd_arrivals(args) -> int:
             mean_queueing_delay=round(result.mean_queueing_delay, 3),
             makespan=result.makespan,
         )
-    _finish_report(reporter, results=results_payload)
-    finish_metrics()
+    finish(results=results_payload)
     return 0
 
 
@@ -712,15 +662,10 @@ def cmd_fleet(args) -> int:
     print(f"{len(schedule)} arrivals over {args.cycles:,} cycles "
           f"(mean inter-arrival {args.mean_interarrival:,}, "
           f"round {args.round_cycles:,})\n")
-    registry, finish_metrics = _metrics_session(
-        args, command="fleet", slicing=args.slicing, seed=str(args.seed))
-    recorder, obslog, _run_id, finish_obs = _obs_session(
-        args, "fleet", seed=str(args.seed), nodes=args.nodes,
-        slicing=args.slicing, cycles=args.cycles)
-    reporter, registry, recorder, obslog = _report_session(
-        args, "fleet", registry, recorder, obslog,
-        seed=str(args.seed), nodes=args.nodes,
-        slicing=args.slicing, cycles=args.cycles)
+    obs, _run_id, finish = _observe(
+        args, "fleet", {"slicing": args.slicing, "seed": str(args.seed)},
+        seed=str(args.seed), nodes=args.nodes, slicing=args.slicing,
+        cycles=args.cycles)
     cache = None
     if not args.no_cache:
         # Fleet shards live in their own typed cache directory so the two
@@ -733,15 +678,19 @@ def cmd_fleet(args) -> int:
           f"{'wait':>5}  energy(J)")
     health_reports = []
     placement_summaries = {}
+    # The trace stays cycle-domain: the simulator (and its absorbed worker
+    # node-physics spans) emits cycles, while the executor's own job spans
+    # are wall seconds — mixing the two on one timeline would be
+    # meaningless, so the executor's handle has no recorder.
+    exec_obs = Obs(registry=obs.registry, logger=obs.logger)
     with SweepExecutor(jobs=args.jobs, cache=cache,
-                       metrics=registry, log=obslog) as executor:
+                       obs=exec_obs) as executor:
         for name in args.placement:
             monitor = None
             if args.health:
                 from repro.cluster import FleetHealthMonitor
 
-                monitor = FleetHealthMonitor(
-                    metrics=registry, log=obslog, tracer=recorder)
+                monitor = FleetHealthMonitor(obs=obs)
             simulator = FleetSimulator(
                 args.nodes,
                 schedule,
@@ -753,15 +702,8 @@ def cmd_fleet(args) -> int:
                 rebalance_every=args.rebalance_every,
                 instructions_per_kernel=args.instructions_per_kernel,
                 executor=executor,
-                metrics=registry,
-                # The recorder stays cycle-domain: the simulator (and its
-                # absorbed worker node-physics spans) emits cycles, while
-                # the executor's own job spans are wall seconds — mixing
-                # the two on one timeline would be meaningless.
-                tracer=recorder,
-                log=obslog,
+                obs=obs,
                 health=monitor,
-                profiler=reporter.profiler if reporter else None,
             )
             result = simulator.run()
             placement_summaries[name] = result.summary()
@@ -779,13 +721,8 @@ def cmd_fleet(args) -> int:
     for name, report in health_reports:
         print(f"\n[{name}] {report.format()}")
     print(f"\n{executor.stats.format()}", file=sys.stderr)
-    finish_obs()
-    _finish_report(
-        reporter,
-        results={"placements": placement_summaries},
-        exec_stats=executor.stats,
-    )
-    finish_metrics()
+    finish(results={"placements": placement_summaries},
+           exec_stats=executor.stats)
     return 0
 
 
@@ -802,7 +739,7 @@ def cmd_trace(args) -> int:
     abbrs = [a.strip() for a in args.mix.split(",") if a.strip()]
     recorder = TraceRecorder(capacity=65_536, categories=args.categories)
     factory = resolve_policy(args.policy)
-    system = factory(build_mix(abbrs).applications, tracer=recorder)
+    system = factory(build_mix(abbrs).applications, obs=Obs(recorder))
     result = system.run(args.cycles, mix_name="_".join(abbrs))
     print(f"{result.policy} on {result.mix_name}: STP {result.stp:.3f}  "
           f"ANTT {result.antt:.2f}  repartitions {result.repartitions}\n")

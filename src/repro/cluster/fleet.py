@@ -73,6 +73,7 @@ from repro.metrics.multiprogram import (
     makespan,
     mean_queueing_delay,
 )
+from repro.obs import OFF, Obs
 from repro.workloads.arrivals import ArrivalSchedule
 from repro.workloads.benchmarks import TABLE2, build_application
 
@@ -197,6 +198,10 @@ class FleetSimulator:
     execution.  ``energy_model`` enables joule accounting (idle nodes
     are powered down); ``CONSOLIDATE`` placement attaches a default
     model automatically since its rebalancing pass scores against it.
+    ``obs`` (a :class:`~repro.obs.Obs` handle) gets the fleet's trace,
+    metrics, phases and log records; when it captures
+    (:attr:`~repro.obs.Obs.captures`), every round's shard jobs are
+    captured in their workers and absorbed back into it.
     """
 
     def __init__(
@@ -215,12 +220,8 @@ class FleetSimulator:
         instructions_per_kernel: int = 2_000_000_000,
         executor: Optional[SweepExecutor] = None,
         energy_model: Optional[EnergyModel] = None,
-        metrics=None,
-        tracer=None,
-        profiler=None,
-        log=None,
+        obs: Obs = OFF,
         health: Optional[FleetHealthMonitor] = None,
-        capture: Optional[bool] = None,
     ) -> None:
         if num_nodes <= 0:
             raise ConfigError("num_nodes must be positive")
@@ -260,17 +261,7 @@ class FleetSimulator:
         if energy_model is None and self.placement is PlacementPolicy.CONSOLIDATE:
             energy_model = EnergyModel(config)
         self.energy_model = energy_model
-        self.tracer = tracer
-        self.profiler = profiler
         self.health = health
-        #: Worker-side capture: explicit flag, else inferred — any
-        #: orchestrator sink present means the caller wants the worker
-        #: half of the merged streams too.
-        self._capture = (
-            capture if capture is not None
-            else (tracer is not None or metrics is not None
-                  or profiler is not None)
-        )
         from repro.telemetry.provenance import config_hash
 
         #: Deterministic run correlation ID: a hash of the run's shape,
@@ -285,10 +276,7 @@ class FleetSimulator:
             horizon=horizon_cycles,
             arrivals=len(arrivals),
         )
-        self.log = (
-            log.bind(run_id=self.run_id, placement=self.placement.value)
-            if log is not None else None
-        )
+        self.obs = obs.bind(run_id=self.run_id, placement=self.placement.value)
         if health is not None and not getattr(health, "run_id", ""):
             health.run_id = self.run_id
         self._model = _model_for(config)
@@ -299,18 +287,18 @@ class FleetSimulator:
         self._class_memo: Dict[str, bool] = {}
         self._solo_memo: Dict[str, float] = {}
         self._ran = False
-        self.metrics = metrics
-        if metrics is not None:
+        if obs.on:
             from repro.telemetry import names as _names
 
-            self._m_rounds = _names.fleet_rounds_total(metrics)
-            self._m_jobs = _names.fleet_jobs_total(metrics)
-            self._m_wait = _names.fleet_wait_queue_depth(metrics)
-            self._m_resident = _names.fleet_resident_jobs(metrics)
-            self._m_active = _names.fleet_active_nodes(metrics)
-            self._m_frag = _names.fleet_fragmentation(metrics)
-            self._m_delay = _names.fleet_queueing_delay_cycles(metrics)
-            self._m_energy = _names.fleet_energy_joules_total(metrics)
+            metric = obs.metric
+            self._m_rounds = metric(_names.fleet_rounds_total)
+            self._m_jobs = metric(_names.fleet_jobs_total)
+            self._m_wait = metric(_names.fleet_wait_queue_depth)
+            self._m_resident = metric(_names.fleet_resident_jobs)
+            self._m_active = metric(_names.fleet_active_nodes)
+            self._m_frag = metric(_names.fleet_fragmentation)
+            self._m_delay = metric(_names.fleet_queueing_delay_cycles)
+            self._m_energy = metric(_names.fleet_energy_joules_total)
 
     # ------------------------------------------------------------------
     # Per-benchmark memos (coordinator side)
@@ -389,11 +377,11 @@ class FleetSimulator:
         ))
 
     def _trace(self, name: str, now: int, **args) -> None:
-        if self.tracer is not None:
-            args.setdefault("run_id", self.run_id)
-            self.tracer.emit("fleet", name, time=float(now), **args)
+        args.setdefault("run_id", self.run_id)
+        self.obs.emit("fleet", name, time=float(now), **args)
 
     def _admit(self, wait: Deque[_JobRecord], now: int) -> int:
+        obs = self.obs
         admitted = 0
         while wait:
             record = wait[0]
@@ -410,14 +398,14 @@ class FleetSimulator:
             record.admit_cycle = now
             record.node_id = node.node_id
             admitted += 1
-            self._trace("admit", now, job=record.job_id, node=node.node_id)
-            if self.log is not None:
-                self.log.debug(
+            if obs.on:
+                self._trace("admit", now, job=record.job_id,
+                            node=node.node_id)
+                obs.debug(
                     "fleet.admit", job_id=record.job_id,
                     node_id=node.node_id, now=now,
                     delay=now - record.arrival_cycle,
                 )
-            if self.metrics is not None:
                 self._m_jobs.labels(event="admitted").inc()
                 self._m_delay.observe(now - record.arrival_cycle)
         return admitted
@@ -446,50 +434,24 @@ class FleetSimulator:
             for i in range(0, len(node_rows), chunk)
         ]
         results: List[FleetShardResult] = self.executor.run(
-            jobs, capture=self._capture
+            jobs, obs=self.obs
         )
         self._shard_runs += len(jobs)
-        if self._capture:
-            self._absorb_envelopes(
-                self.executor.last_envelopes, round_index, now
-            )
+        # Worker trace timestamps are round-relative cycles; re-anchoring
+        # at the round's start cycle puts node-physics spans on the same
+        # timeline as the orchestrator's ``fleet`` events.  The shift
+        # never enters the shard cache key (like ``label``), so cached
+        # envelopes replay correctly at whatever round they hit.
+        self.obs.absorb(
+            self.executor.last_envelopes, prefix=("fleet.execute",),
+            shard_prefix=f"r{round_index}.s", time_shift=float(now),
+            run_id=self.run_id,
+        )
         return [node_out for result in results for node_out in result.nodes]
-
-    def _absorb_envelopes(self, envelopes, round_index: int,
-                          round_start: int) -> None:
-        """Fold worker captures into the orchestrator sinks, shard order.
-
-        Worker trace timestamps are round-relative cycles; re-anchoring
-        at the round's start cycle puts node-physics spans on the same
-        timeline as the orchestrator's ``fleet`` events.  The shift never
-        enters the shard cache key (like ``label``), so cached envelopes
-        replay correctly at whatever round they hit.
-        """
-        for shard_index, envelope in enumerate(envelopes):
-            if envelope is None or envelope.obs is None:
-                continue
-            obs = envelope.obs
-            shard_id = f"r{round_index}.s{shard_index}"
-            if self.tracer is not None and obs.events:
-                self.tracer.absorb(
-                    obs.events,
-                    time_shift=float(round_start),
-                    run_id=self.run_id,
-                    shard_id=shard_id,
-                    pid=envelope.pid,
-                    worker=envelope.worker,
-                )
-            if self.metrics is not None and obs.metrics:
-                from repro.telemetry.merge import merge_registry
-
-                merge_registry(self.metrics, obs.metrics)
-            if self.profiler is not None and obs.profile:
-                self.profiler.absorb(
-                    obs.profile, prefix=("fleet.execute",)
-                )
 
     def _merge(self, outcomes, records_by_id: Dict[int, _JobRecord],
                now: int, span: int) -> int:
+        obs = self.obs
         departures = 0
         for node_id, rows in outcomes:
             node = self._nodes[node_id]
@@ -512,16 +474,15 @@ class FleetSimulator:
                     node.resident.remove(record)
                     self._reindex(node)
                     departures += 1
-                    self._trace("depart", record.depart_cycle,
-                                job=record.job_id, node=node.node_id)
-                    if self.log is not None:
-                        self.log.debug(
+                    if obs.on:
+                        self._trace("depart", record.depart_cycle,
+                                    job=record.job_id, node=node.node_id)
+                        obs.debug(
                             "fleet.depart", job_id=record.job_id,
                             node_id=node.node_id,
                             now=record.depart_cycle,
                             instructions=record.instructions,
                         )
-                    if self.metrics is not None:
                         self._m_jobs.labels(event="departed").inc()
                 else:
                     record.remaining = remaining
@@ -532,6 +493,7 @@ class FleetSimulator:
         active nodes (``FRAG_AWARE`` always; ``CONSOLIDATE`` only when
         static-power savings beat the migration energy).  Moved tenants
         pay ``migration_penalty`` on next round's IPC."""
+        obs = self.obs
         moves = 0
         received = set()
         sources = sorted(
@@ -569,15 +531,14 @@ class FleetSimulator:
                 record.migrations += 1
                 self._migrated_bytes += self._footprint(record.abbr)
                 moves += 1
-                self._trace("migrate", now, job=record.job_id,
-                            source=source.node_id, target=target.node_id)
-                if self.log is not None:
-                    self.log.debug(
+                if obs.on:
+                    self._trace("migrate", now, job=record.job_id,
+                                source=source.node_id, target=target.node_id)
+                    obs.debug(
                         "fleet.migrate", job_id=record.job_id,
                         node_id=target.node_id,
                         source=source.node_id, now=now,
                     )
-                if self.metrics is not None:
                     self._m_jobs.labels(event="migrated").inc()
             self._reindex(source)
         return moves
@@ -614,16 +575,16 @@ class FleetSimulator:
         self._ran = True
         events = list(self.arrivals)
         self._validate_schedule(events)
-        if self.log is not None:
-            self.log.info(
-                "fleet.run", nodes=self.num_nodes,
-                tenants_per_node=self.tenants_per_node,
-                slicing=self.slicing,
-                horizon=self.horizon_cycles,
-                round_cycles=self.round_cycles,
-                arrivals=len(events),
-                workers=self.executor.jobs,
-            )
+        obs = self.obs
+        obs.info(
+            "fleet.run", nodes=self.num_nodes,
+            tenants_per_node=self.tenants_per_node,
+            slicing=self.slicing,
+            horizon=self.horizon_cycles,
+            round_cycles=self.round_cycles,
+            arrivals=len(events),
+            workers=self.executor.jobs,
+        )
         self._shard_runs = 0
         self._migrated_bytes = 0.0
         self._e_core_static = self._e_core_dynamic = 0.0
@@ -632,7 +593,6 @@ class FleetSimulator:
         wait: Deque[_JobRecord] = deque()
         records: List[_JobRecord] = []
         records_by_id: Dict[int, _JobRecord] = {}
-        prof = self.profiler
         index = 0
         now = 0
         rounds = 0
@@ -656,20 +616,16 @@ class FleetSimulator:
                 records.append(record)
                 records_by_id[record.job_id] = record
                 wait.append(record)
-                self._trace("arrive", event.cycle, job=record.job_id,
-                            benchmark=record.abbr)
-                if self.log is not None:
-                    self.log.debug(
+                if obs.on:
+                    self._trace("arrive", event.cycle, job=record.job_id,
+                                benchmark=record.abbr)
+                    obs.debug(
                         "fleet.arrive", job_id=record.job_id,
                         benchmark=record.abbr, now=event.cycle,
                     )
-                if self.metrics is not None:
                     self._m_jobs.labels(event="arrived").inc()
 
-            if prof is not None:
-                with prof.span("fleet.place"):
-                    admissions += self._admit(wait, now)
-            else:
+            with obs.span("fleet.place"):
                 admissions += self._admit(wait, now)
 
             active = [n for n in self._nodes if n.resident]
@@ -679,10 +635,7 @@ class FleetSimulator:
             span = min(self.round_cycles, self.horizon_cycles - now)
             executed = bool(active)
             if active:
-                if prof is not None:
-                    with prof.span("fleet.execute"):
-                        outcomes = self._execute(active, span, rounds, now)
-                else:
+                with obs.span("fleet.execute"):
                     outcomes = self._execute(active, span, rounds, now)
                 departures += self._merge(outcomes, records_by_id, now, span)
                 stranded = sum(
@@ -697,13 +650,10 @@ class FleetSimulator:
                     and now < self.horizon_cycles
                     and self.placement in (PlacementPolicy.FRAG_AWARE,
                                            PlacementPolicy.CONSOLIDATE)):
-                if prof is not None:
-                    with prof.span("fleet.rebalance"):
-                        migrations += self._rebalance(now)
-                else:
+                with obs.span("fleet.rebalance"):
                     migrations += self._rebalance(now)
 
-            if self.metrics is not None:
+            if obs.on:
                 self._m_rounds.inc()
                 self._m_wait.set(len(wait))
                 self._m_resident.set(
@@ -717,7 +667,7 @@ class FleetSimulator:
                     for n in self._nodes if n.resident
                 ) / self.capacity
                 self._m_frag.set(frag_now)
-                self.metrics.epoch_boundary(rounds - 1, now)
+                obs.epoch_boundary(rounds - 1, now)
 
             if self.health is not None and executed:
                 stats = self.executor.last_stats
@@ -733,15 +683,13 @@ class FleetSimulator:
             # One instant per round with the queue/residency state, so
             # post-hoc analysis (repro.inspect) can rebuild the wait-depth
             # timeline from the trace stream alone.
-            self._trace(
-                "round", now, round=rounds - 1, wait=len(wait),
-                resident=sum(len(n.resident) for n in self._nodes),
-            )
-            if self.log is not None:
-                self.log.info(
+            if obs.on:
+                resident = sum(len(n.resident) for n in self._nodes)
+                self._trace("round", now, round=rounds - 1, wait=len(wait),
+                            resident=resident)
+                obs.info(
                     "fleet.round", round=rounds - 1, now=now,
-                    wait=len(wait),
-                    resident=sum(len(n.resident) for n in self._nodes),
+                    wait=len(wait), resident=resident,
                     departures=departures,
                 )
 
@@ -757,7 +705,7 @@ class FleetSimulator:
                 mem_dynamic=self._e_mem_dynamic,
                 migration=migration_joules,
             )
-            if self.metrics is not None:
+            if obs.on:
                 for component, joules in (
                     ("core_static", energy.core_static),
                     ("core_dynamic", energy.core_dynamic),
@@ -786,17 +734,16 @@ class FleetSimulator:
         health_report = (
             self.health.report() if self.health is not None else None
         )
-        if self.log is not None:
-            self.log.info(
-                "fleet.result", rounds=rounds,
-                arrivals=len(records), admissions=admissions,
-                departures=departures, migrations=migrations,
-                waiting_at_horizon=len(wait),
-                incidents=(
-                    len(health_report.incidents)
-                    if health_report is not None else None
-                ),
-            )
+        obs.info(
+            "fleet.result", rounds=rounds,
+            arrivals=len(records), admissions=admissions,
+            departures=departures, migrations=migrations,
+            waiting_at_horizon=len(wait),
+            incidents=(
+                len(health_report.incidents)
+                if health_report is not None else None
+            ),
+        )
         return FleetResult(
             placement=self.placement,
             slicing=self.slicing,

@@ -28,12 +28,12 @@ Detectors
     baseline rate of at least ``cache_baseline`` — memoization stopped
     working mid-run.
 
-Each incident is surfaced three ways, matching the issue contract: a
-warning-level obslog record, a ``health``-category trace event, and the
-``repro_health_*`` telemetry families.  All sinks default to ``None``
-(zero-overhead hooks); the monitor itself is pure bookkeeping — no
-clocks, no I/O — so detection is deterministic and unit-testable with
-synthetic round feeds.
+Each incident is surfaced three ways through the monitor's
+:class:`~repro.obs.Obs` handle: a warning-level obslog record, a
+``health``-category trace event, and the ``repro_health_*`` telemetry
+families.  The handle defaults to :data:`~repro.obs.OFF`; the monitor
+itself is pure bookkeeping — no clocks, no I/O — so detection is
+deterministic and unit-testable with synthetic round feeds.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigError
+from repro.obs import OFF, Obs
 
 #: Incident kinds, in detector order.
 KIND_STRAGGLER = "straggler"
@@ -111,9 +112,7 @@ class FleetHealthMonitor:
         cache_window: int = 8,
         cache_floor: float = 0.05,
         cache_baseline: float = 0.5,
-        metrics=None,
-        log=None,
-        tracer=None,
+        obs: Obs = OFF,
     ) -> None:
         if straggler_factor <= 1.0:
             raise ConfigError(
@@ -136,16 +135,13 @@ class FleetHealthMonitor:
         self.cache_window = cache_window
         self.cache_floor = cache_floor
         self.cache_baseline = cache_baseline
-        self.log = log
-        self.tracer = tracer
-        self.metrics = metrics
-        if metrics is not None:
-            from repro.telemetry import names as _names
+        self.obs = obs
+        from repro.telemetry import names as _names
 
-            self._m_incidents = _names.health_incidents_total(metrics)
-            self._m_straggler = _names.health_straggler_ratio(metrics)
-            self._m_stall = _names.health_wait_stall_rounds(metrics)
-            self._m_cache = _names.health_cache_hit_rate(metrics)
+        self._m_incidents = obs.metric(_names.health_incidents_total)
+        self._m_straggler = obs.metric(_names.health_straggler_ratio)
+        self._m_stall = obs.metric(_names.health_wait_stall_rounds)
+        self._m_cache = obs.metric(_names.health_cache_hit_rate)
         #: Correlation ID stamped onto trace/log emissions; the fleet
         #: simulator fills it in when the monitor is attached to a run.
         self.run_id: str = ""
@@ -166,19 +162,17 @@ class FleetHealthMonitor:
             kind=kind, round_index=round_index, detail=detail, value=value
         )
         self.incidents.append(incident)
-        if self.log is not None:
-            self.log.warning(
-                f"health.{kind}", round=round_index,
-                detail=detail, value=round(value, 6),
-                run_id=self.run_id or None,
-            )
-        if self.tracer is not None:
-            extra = {"round": round_index, "detail": detail, "value": value}
-            if self.run_id:
-                extra["run_id"] = self.run_id
-            self.tracer.emit("health", kind, time=float(now), **extra)
-        if self.metrics is not None:
-            self._m_incidents.labels(kind=kind).inc()
+        obs = self.obs
+        obs.warning(
+            f"health.{kind}", round=round_index,
+            detail=detail, value=round(value, 6),
+            run_id=self.run_id or None,
+        )
+        extra = {"round": round_index, "detail": detail, "value": value}
+        if self.run_id:
+            extra["run_id"] = self.run_id
+        obs.emit("health", kind, time=float(now), **extra)
+        self._m_incidents.labels(kind=kind).inc()
 
     # ------------------------------------------------------------------
     def observe_round(
@@ -206,8 +200,7 @@ class FleetHealthMonitor:
             median = samples[len(samples) // 2]
             worst = samples[-1]
             ratio = worst / median if median > 0 else 0.0
-            if self.metrics is not None:
-                self._m_straggler.set(ratio)
+            self._m_straggler.set(ratio)
             if (
                 median > 0
                 and worst >= self.straggler_min_seconds
@@ -226,8 +219,7 @@ class FleetHealthMonitor:
             depths = list(self._depths)
             rising = all(b >= a for a, b in zip(depths, depths[1:]))
             if rising and depths[-1] > depths[0] and depths[-1] > 0:
-                if self.metrics is not None:
-                    self._m_stall.set(self.stall_rounds)
+                self._m_stall.set(self.stall_rounds)
                 self._fire(
                     KIND_WAIT_STALL, round_index, now,
                     f"wait-queue depth rose {depths[0]} -> {depths[-1]} "
@@ -237,7 +229,7 @@ class FleetHealthMonitor:
                 # Re-arm: a persistent stall alarms once per window, not
                 # once per round.
                 self._depths.clear()
-        if self.metrics is not None and len(self._depths) >= 2:
+        if self.obs.on and len(self._depths) >= 2:
             depths = list(self._depths)
             streak = 0
             for a, b in zip(depths, depths[1:]):
@@ -253,7 +245,7 @@ class FleetHealthMonitor:
         window_rate = (
             window_hits / window_lookups if window_lookups else 0.0
         )
-        if self.metrics is not None and window_lookups:
+        if window_lookups:
             self._m_cache.set(window_rate)
         baseline_rate = (
             self._cache_hits_total / self._cache_lookups_total

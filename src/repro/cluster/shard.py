@@ -69,6 +69,7 @@ from repro.exec.jobs import fingerprint
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import Application, Kernel
 from repro.gpu.performance import PerformanceModel
+from repro.obs import OFF, Obs
 from repro.workloads.benchmarks import build_application
 
 #: Valid ``slicing`` modes (see module docstring).
@@ -284,78 +285,70 @@ class FleetShardJob:
     def key(self) -> str:
         return hashlib.sha256(self.spec().encode("utf-8")).hexdigest()
 
-    def run(self) -> FleetShardResult:
-        """Execute every node in the shard (worker-side entry point)."""
-        model = _model_for(self.config)
-        return FleetShardResult(nodes=tuple(
-            _run_node(self, model, node) for node in self.nodes
-        ))
-
-    def run_observed(self, tracer=None, metrics=None,
-                     profiler=None) -> FleetShardResult:
-        """:meth:`run` with worker-side observability around each node.
+    def run(self, obs: Obs = OFF) -> FleetShardResult:
+        """Execute every node in the shard (worker-side entry point).
 
         The physics path is untouched — :func:`_run_node` stays pure;
-        instrumentation wraps it.  Trace timestamps are *round-relative*
-        cycles (node spans start at 0); the orchestrator re-anchors them
-        at the round's start cycle when it absorbs the envelope.  Event
-        and metric content depends only on the node/tenant structure,
-        never on worker identity or wall time, so serial and sharded
-        runs produce identical merged aggregates.
+        ``obs`` (a worker's capture handle) observes around each node.
+        Trace timestamps are *round-relative* cycles (node spans start at
+        0); the orchestrator re-anchors them at the round's start cycle
+        when it absorbs the envelope.  Event and metric content depends
+        only on the node/tenant structure, never on worker identity or
+        wall time, so serial and sharded runs produce identical merged
+        aggregates.
         """
         model = _model_for(self.config)
-        if metrics is not None:
-            from repro.telemetry import names as _names
+        if not obs.on:
+            return FleetShardResult(nodes=tuple(
+                _run_node(self, model, node) for node in self.nodes
+            ))
+        from repro.telemetry import names as _names
 
-            m_node_rounds = _names.worker_node_rounds_total(metrics)
-            m_tenant_rounds = _names.worker_tenant_rounds_total(metrics)
-            m_instructions = _names.worker_instructions_total(metrics)
-            m_dram = _names.worker_dram_bytes_total(metrics)
-            m_departures = _names.worker_departures_total(metrics)
-            m_active = _names.worker_active_cycles_total(metrics)
+        m_node_rounds = obs.metric(_names.worker_node_rounds_total)
+        m_tenant_rounds = obs.metric(_names.worker_tenant_rounds_total)
+        m_instructions = obs.metric(_names.worker_instructions_total)
+        m_dram = obs.metric(_names.worker_dram_bytes_total)
+        m_departures = obs.metric(_names.worker_departures_total)
+        m_active = obs.metric(_names.worker_active_cycles_total)
         outcomes = []
         span = float(self.round_cycles)
         for node in self.nodes:
-            if profiler is not None:
-                profiler.begin("worker.node")
+            obs.begin("worker.node")
             outcome = _run_node(self, model, node)
-            if profiler is not None:
-                profiler.end("worker.node")
+            obs.end("worker.node")
             outcomes.append(outcome)
             node_id, tenants = node
             rows = outcome[1]
             instructions, dram_bytes = node_totals(rows)
-            if tracer is not None:
-                tracer.emit(
-                    "node", f"node{node_id}",
-                    time=0.0, duration=span,
+            obs.emit(
+                "node", f"node{node_id}",
+                time=0.0, duration=span,
+                node=node_id,
+                tenants=len(rows),
+                instructions=instructions,
+                dram_bytes=dram_bytes,
+            )
+            for tenant, row in zip(tenants, rows):
+                abbr = tenant[1]
+                job_id, retired, _, _, _, _, departed, active = row
+                obs.emit(
+                    "node", abbr,
+                    time=0.0, duration=float(active),
                     node=node_id,
-                    tenants=len(rows),
-                    instructions=instructions,
-                    dram_bytes=dram_bytes,
+                    job_id=job_id,
+                    benchmark=abbr,
+                    retired=retired,
+                    departed=departed,
                 )
-                for tenant, row in zip(tenants, rows):
-                    abbr = tenant[1]
-                    job_id, retired, _, _, _, _, departed, active = row
-                    tracer.emit(
-                        "node", abbr,
-                        time=0.0, duration=float(active),
-                        node=node_id,
-                        job_id=job_id,
-                        benchmark=abbr,
-                        retired=retired,
-                        departed=departed,
-                    )
-            if metrics is not None:
-                m_node_rounds.inc()
-                m_instructions.inc(float(instructions))
-                m_dram.inc(float(dram_bytes))
-                for tenant, row in zip(tenants, rows):
-                    *_, departed, active = row
-                    m_tenant_rounds.labels(benchmark=tenant[1]).inc()
-                    m_active.inc(float(active))
-                    if departed:
-                        m_departures.inc()
+            m_node_rounds.inc()
+            m_instructions.inc(float(instructions))
+            m_dram.inc(float(dram_bytes))
+            for tenant, row in zip(tenants, rows):
+                *_, departed, active = row
+                m_tenant_rounds.labels(benchmark=tenant[1]).inc()
+                m_active.inc(float(active))
+                if departed:
+                    m_departures.inc()
         return FleetShardResult(nodes=tuple(outcomes))
 
 

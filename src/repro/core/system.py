@@ -56,6 +56,7 @@ from repro.metrics.multiprogram import (
     mean_queueing_delay,
     stp,
 )
+from repro.obs import OFF, Obs
 from repro.sim.epoch import EpochResult, EpochRunner
 from repro.vm.oversubscription import FaultOverheadModel
 from repro.workloads.arrivals import ArrivalEvent, ArrivalSchedule
@@ -220,12 +221,10 @@ class MultitaskSystem:
         epoch_cycles: int = 5_000_000,
         energy_model: Optional[EnergyModel] = None,
         total_memory_bytes: Optional[int] = None,
-        tracer=None,
+        obs: Obs = OFF,
         policy=None,
         arrivals: Optional[ArrivalSchedule] = None,
         max_slots: Optional[int] = None,
-        metrics=None,
-        profiler=None,
         kernel_backend: Optional[str] = None,
     ) -> None:
         """``total_memory_bytes`` enables memory-oversubscription modelling
@@ -234,30 +233,25 @@ class MultitaskSystem:
         pay far-fault overhead via
         :class:`repro.vm.oversubscription.FaultOverheadModel`.
 
-        ``tracer`` (a :class:`repro.trace.TraceRecorder`) receives one
-        ``epoch`` span per simulated epoch; policies add
+        ``obs`` (a :class:`repro.obs.Obs` handle) observes the run.  Its
+        trace gets one ``epoch`` span per simulated epoch; policies add
         ``realloc``/``qos``/``migration`` records, and the open-system
         lifecycle ``arrival``/``admission``/``departure`` records, on top.
+        Its metrics get the aggregate counterpart: epoch counters and
+        duration histogram, migration-stall cycles, and — in open runs —
+        arrival/admission/departure counters, the queueing-delay
+        histogram and queue-depth gauges.  Its profiler times host phases:
+        ``epoch`` with ``epoch.advance`` / ``epoch.policy`` /
+        ``epoch.lifecycle`` children, and ``run.solo_ipc`` for the
+        Equation 3/4 denominator (apart from the epoch-counter
+        :class:`~repro.core.profiler.EpochProfiler` that profiling
+        policies keep as ``system.policy.profiler``).  The default,
+        :data:`repro.obs.OFF`, costs nothing.
 
         ``policy`` is the composed :class:`PartitionPolicy` (default: the
         even static baseline).  ``arrivals`` switches the runner into
         open-system mode; ``max_slots`` caps concurrent residency
         (default: how many minimum slices the GPU can host).
-
-        ``metrics`` (a :class:`repro.telemetry.MetricsRegistry`) receives
-        the aggregate counterpart of the trace stream: epoch counters and
-        duration histogram, migration-stall cycles, and — in open runs —
-        arrival/admission/departure counters, the queueing-delay
-        histogram and queue-depth gauges.  Like ``tracer``, it defaults
-        to ``None`` and costs nothing when absent.
-
-        ``profiler`` (a :class:`repro.profiling.PhaseProfiler`) measures
-        host wall time per simulator phase: ``epoch`` with
-        ``epoch.advance`` / ``epoch.policy`` / ``epoch.lifecycle``
-        children, and ``run.solo_ipc`` for the Equation 3/4 denominator.
-        Stored as :attr:`phase_profiler`, apart from the epoch-counter
-        :class:`~repro.core.profiler.EpochProfiler` that profiling
-        policies keep as ``system.policy.profiler``.
 
         ``kernel_backend`` selects the hot-loop implementation:
         ``"scalar"`` (the pure-python golden oracle, and the default) or
@@ -288,31 +282,30 @@ class MultitaskSystem:
         self.fault_model = (
             FaultOverheadModel(config) if total_memory_bytes is not None else None
         )
-        self.tracer = tracer
-        self.metrics = metrics
-        self.phase_profiler = profiler
-        if metrics is not None:
+        self.obs = obs
+        if obs.on:
             # Resolve children once; the per-epoch hot path then touches
-            # plain objects (or no-ops, under a NullRegistry).
+            # plain objects (or the shared no-op metric).
             from repro.telemetry import names as _names
 
-            self._m_epochs = _names.epochs_total(metrics)
-            self._m_epoch_cycles = _names.epoch_cycles_total(metrics)
-            self._m_epoch_hist = _names.epoch_duration_cycles(metrics)
-            self._m_instructions = _names.instructions_total(metrics)
-            self._m_stall = _names.migration_stall_cycles_total(metrics)
-            self._m_arrivals = _names.open_arrivals_total(metrics)
-            self._m_admissions = _names.open_admissions_total(metrics)
-            self._m_departures = _names.open_departures_total(metrics)
-            self._m_queue_delay = _names.open_queueing_delay_cycles(metrics)
-            self._m_wait_depth = _names.open_wait_queue_depth(metrics)
-            self._m_resident = _names.open_resident_jobs(metrics)
-            self._m_stp = _names.policy_stp(metrics)
-            self._m_antt = _names.policy_antt(metrics)
-            _memo_lookups = _names.perf_memo_lookups_total(metrics)
+            metric = obs.metric
+            self._m_epochs = metric(_names.epochs_total)
+            self._m_epoch_cycles = metric(_names.epoch_cycles_total)
+            self._m_epoch_hist = metric(_names.epoch_duration_cycles)
+            self._m_instructions = metric(_names.instructions_total)
+            self._m_stall = metric(_names.migration_stall_cycles_total)
+            self._m_arrivals = metric(_names.open_arrivals_total)
+            self._m_admissions = metric(_names.open_admissions_total)
+            self._m_departures = metric(_names.open_departures_total)
+            self._m_queue_delay = metric(_names.open_queueing_delay_cycles)
+            self._m_wait_depth = metric(_names.open_wait_queue_depth)
+            self._m_resident = metric(_names.open_resident_jobs)
+            self._m_stp = metric(_names.policy_stp)
+            self._m_antt = metric(_names.policy_antt)
+            _memo_lookups = metric(_names.perf_memo_lookups_total)
             self._m_memo_hit = _memo_lookups.labels(outcome="hit")
             self._m_memo_miss = _memo_lookups.labels(outcome="miss")
-            self._m_memo_entries = _names.perf_memo_entries(metrics)
+            self._m_memo_entries = metric(_names.perf_memo_entries)
         self._memo_hits_seen = 0
         self._memo_misses_seen = 0
         #: Cycle stamp for trace records emitted outside :meth:`_step`
@@ -387,10 +380,11 @@ class MultitaskSystem:
 
     def _step_scalar(self, epoch_index: int, span: int) -> EpochResult:
         """The golden-oracle epoch step (``kernel_backend="scalar"``)."""
-        prof = self.phase_profiler
-        if prof is not None:
-            prof.begin("epoch")
-            prof.begin("epoch.advance")
+        obs = self.obs
+        on = obs.on
+        if on:
+            obs.begin("epoch")
+            obs.begin("epoch.advance")
         instructions: Dict[int, int] = {}
         migration_cycles = 0.0
         throughput_for = self.policy.throughput_for
@@ -430,18 +424,15 @@ class MultitaskSystem:
         )
         before = self.repartitions
         self._trace_now = result.end_cycle
-        if prof is not None:
-            prof.end("epoch.advance")
-            prof.begin("epoch.policy")
+        if on:
+            obs.end("epoch.advance")
+            obs.begin("epoch.policy")
         if self.apps:
             self.policy.on_epoch_end(epoch_index, span)
-        if prof is not None:
-            prof.end("epoch.policy")
+        if on:
+            obs.end("epoch.policy")
         if self._open:
-            if prof is not None:
-                with prof.span("epoch.lifecycle"):
-                    self._process_boundary(result.end_cycle)
-            else:
+            with obs.span("epoch.lifecycle"):
                 self._process_boundary(result.end_cycle)
         result.repartitioned = self.repartitions > before
         # Snapshot the (possibly just-updated) partition for dynamics
@@ -450,23 +441,22 @@ class MultitaskSystem:
             app_id: (state.allocation.sms, state.allocation.channels)
             for app_id, state in self.apps.items()
         }
-        if self.tracer is not None:
-            self.tracer.emit(
+        if on:
+            obs.emit(
                 "epoch", f"epoch[{epoch_index}]",
                 time=result.start_cycle, duration=span,
                 instructions=sum(instructions.values()),
                 migration_cycles=result.migration_cycles,
                 repartitioned=result.repartitioned,
             )
-        if self.metrics is not None:
             self._epoch_metrics(result, span, instructions)
-        if prof is not None:
-            prof.end("epoch")
+            obs.end("epoch")
         return result
 
     def _epoch_metrics(self, result: EpochResult, span: int,
                        instructions: Dict[int, int]) -> None:
-        """Per-epoch metrics updates (shared by both kernel backends)."""
+        """Per-epoch metrics updates (shared by both kernel backends;
+        called only when the handle is on)."""
         self._m_epochs.inc()
         self._m_epoch_cycles.inc(span)
         self._m_epoch_hist.observe(span)
@@ -480,7 +470,7 @@ class MultitaskSystem:
             self._m_memo_miss.inc(perf.memo_misses - self._memo_misses_seen)
             self._memo_misses_seen = perf.memo_misses
         self._m_memo_entries.set(perf.memo_size)
-        self.metrics.epoch_boundary(result.index, result.end_cycle)
+        self.obs.epoch_boundary(result.index, result.end_cycle)
 
     # ------------------------------------------------------------------
     # Open-system lifecycle
@@ -488,31 +478,30 @@ class MultitaskSystem:
     def _process_boundary(self, now: int) -> None:
         """Departures, then arrivals, then admissions — in that order, so
         a slot freed this boundary serves a job queued this boundary."""
+        obs = self.obs
         for app_id in [a for a, s in self.apps.items() if s.retired_budget]:
             state = self.apps.pop(app_id)
             state.depart_cycle = now
             state.penalties = []
             self.departed[app_id] = state
             self.departures += 1
-            if self.tracer is not None:
-                self.tracer.emit(
+            if obs.on:
+                obs.emit(
                     "departure", state.app.name, time=now,
                     app_id=app_id, instructions=state.instructions,
                     resident_cycles=now - state.admit_cycle,
                 )
-            if self.metrics is not None:
                 self._m_departures.inc()
             self.policy.on_app_departure(state)
         while self._pending and self._pending[0].cycle <= now:
             event = self._pending.pop(0)
             self._wait_queue.append(event)
             self.arrivals_seen += 1
-            if self.tracer is not None:
-                self.tracer.emit(
+            if obs.on:
+                obs.emit(
                     "arrival", event.app.name, time=event.cycle,
                     app_id=event.app.app_id,
                 )
-            if self.metrics is not None:
                 self._m_arrivals.inc()
         while self._wait_queue and len(self.apps) < self.max_slots:
             event = self._wait_queue.pop(0)
@@ -526,17 +515,16 @@ class MultitaskSystem:
             self.apps[event.app.app_id] = state
             self._admitted_order.append(state)
             self.admissions += 1
-            if self.tracer is not None:
-                self.tracer.emit(
+            if obs.on:
+                obs.emit(
                     "admission", event.app.name, time=now,
                     app_id=event.app.app_id,
                     queueing_delay=now - event.cycle,
                 )
-            if self.metrics is not None:
                 self._m_admissions.inc()
                 self._m_queue_delay.observe(now - event.cycle)
             self.policy.on_app_arrival(state)
-        if self.metrics is not None:
+        if obs.on:
             self._m_wait_depth.set(len(self._wait_queue))
             self._m_resident.set(len(self.apps))
 
@@ -633,13 +621,9 @@ class MultitaskSystem:
 
     def _finish_metrics(self, result) -> None:
         """End-of-run summary gauges (per-policy STP/ANTT, trace drops)."""
-        if self.metrics is None:
+        if not self.obs.on:
             return
-        dropped = getattr(self.tracer, "dropped", None)
-        if dropped is not None:
-            from repro.telemetry import names as _names
-
-            _names.trace_dropped_events(self.metrics).set(dropped)
+        self.obs.gauge_trace_drops()
         # Flush memo-lookup deltas accrued outside the epoch loop (the
         # solo-IPC denominators run after the last epoch).
         perf = self.perf
@@ -708,9 +692,7 @@ class MultitaskSystem:
         cached = _SOLO_IPC_CACHE.get(key)
         if cached is not None:
             return cached
-        prof = self.phase_profiler
-        if prof is not None:
-            prof.begin("run.solo_ipc")
+        self.obs.begin("run.solo_ipc")
         if self._fast is not None:
             instructions = self._fast.solo_instructions(app, total_cycles)
         else:
@@ -741,8 +723,7 @@ class MultitaskSystem:
             )
         ipc = instructions / total_cycles
         _SOLO_IPC_CACHE[key] = ipc
-        if prof is not None:
-            prof.end("run.solo_ipc")
+        self.obs.end("run.solo_ipc")
         return ipc
 
     # ------------------------------------------------------------------

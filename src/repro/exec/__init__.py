@@ -5,7 +5,7 @@ The paper's evaluation is an embarrassingly parallel set of independent
 machinery every sweep entry point (``repro.analysis.sweep``, the CLI,
 the benchmark harness, the examples) now shares:
 
-* :class:`SweepJob` / :func:`execute_job` — picklable job specs with
+* :class:`SweepJob` — picklable job specs with
   content-addressed keys, resolved through a policy :mod:`registry
   <repro.exec.registry>`;
 * :class:`ResultCache` — on-disk memoization of finished results;
@@ -15,15 +15,9 @@ the benchmark harness, the examples) now shares:
 """
 
 from repro.exec.cache import CACHE_SCHEMA, ResultCache
-from repro.exec.envelope import (
-    JobEnvelope,
-    ObsSnapshot,
-    execute_job_enveloped,
-    merge_envelopes,
-    worker_token,
-)
+from repro.exec.envelope import JobEnvelope, ObsSnapshot, worker_token
 from repro.exec.executor import SweepExecutor
-from repro.exec.jobs import SweepJob, execute_job, fingerprint
+from repro.exec.jobs import SweepJob, fingerprint
 from repro.exec.registry import (
     canonical_policy_name,
     policy_name_of,
@@ -42,10 +36,7 @@ __all__ = [
     "SweepExecutor",
     "SweepJob",
     "canonical_policy_name",
-    "execute_job",
-    "execute_job_enveloped",
     "fingerprint",
-    "merge_envelopes",
     "worker_token",
     "policy_name_of",
     "register_policy",

@@ -1,26 +1,16 @@
-"""Worker-side observability capture and the picklable job envelope.
+"""The picklable job envelope: a job's result plus its worker capture.
 
 Since the sweep executor went multi-process, everything that actually
 runs — node physics, kernel advancement, cache behaviour — happens in
-pool workers where the orchestrator's tracer/metrics/profiler are
-``None``.  This module closes that gap without sharing any live object
-across the process boundary:
-
-* :func:`execute_job_enveloped` runs one job inside the worker with a
-  *fresh, bounded* :class:`~repro.trace.TraceRecorder`,
-  :class:`~repro.telemetry.MetricsRegistry` and
-  :class:`~repro.profiling.PhaseProfiler`, then snapshots all three
-  into an :class:`ObsSnapshot` — plain tuples, dicts and dataclasses,
-  picklable and cache-compatible;
-* the :class:`JobEnvelope` wraps the job result, its wall seconds, the
-  worker's OS pid and a stable per-process :func:`worker_token`;
-* :func:`merge_envelopes` folds a list of envelopes back into
-  orchestrator-side sinks, in job order, so merged aggregates are
-  deterministic (serial and ``--jobs N`` runs agree byte-for-byte).
-
-Jobs opt into capture by providing ``run_observed(tracer=, metrics=,
-profiler=)``; jobs without it run uninstrumented and return an empty
-snapshot.
+pool workers that cannot share the orchestrator's sinks.  Every job
+therefore comes back from :func:`repro.obs.run_job` as a
+:class:`JobEnvelope`: the result, its wall seconds, the worker's OS pid,
+a stable per-process :func:`worker_token`, and an :class:`ObsSnapshot`
+of what the job observed — plain tuples, dicts and dataclasses,
+picklable and cache-compatible.  The snapshot is empty unless the
+run's :class:`~repro.obs.Obs` handle captures
+(:attr:`~repro.obs.Obs.captures`); :meth:`repro.obs.Obs.absorb` folds
+a run's envelopes back into the orchestrator's sinks.
 
 The worker token exists because the OS recycles pids: two different
 worker processes across rounds may share a pid, and keying trace tracks
@@ -32,21 +22,11 @@ its own identity.
 from __future__ import annotations
 
 import os
-import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.profiling.profiler import PhaseProfiler
-from repro.telemetry.merge import merge_registry, snapshot_registry
-from repro.telemetry.metrics import MetricsRegistry
-from repro.trace.recorder import TraceEvent, TraceRecorder
-
-#: Ring-buffer bound for the per-job worker recorder.  A fleet shard
-#: emits one span per node plus one per tenant; 16Ki leaves headroom
-#: for two orders of magnitude more without letting a runaway job OOM
-#: the pool.
-WORKER_TRACE_CAPACITY = 16_384
+from repro.trace.recorder import TraceEvent
 
 _TOKEN: Optional[Tuple[int, str]] = None
 
@@ -90,80 +70,3 @@ class JobEnvelope:
     worker: str
     obs: ObsSnapshot = field(default_factory=ObsSnapshot)
     cached: bool = False
-
-
-def execute_job_enveloped(job, capture: bool = False) -> JobEnvelope:
-    """Run ``job`` in this process, optionally capturing observability.
-
-    Without ``capture`` this is :func:`~repro.exec.jobs.execute_job_timed`
-    in an envelope — the job runs the exact instructions it always ran.
-    With ``capture``, a fresh bounded recorder/registry/profiler observe
-    the run (via the job's ``run_observed`` hook when it has one) and
-    are snapshotted into the envelope.
-    """
-    if not capture:
-        start = time.perf_counter()
-        result = job.run()
-        seconds = time.perf_counter() - start
-        return JobEnvelope(
-            result=result, seconds=seconds,
-            pid=os.getpid(), worker=worker_token(),
-        )
-    tracer = TraceRecorder(capacity=WORKER_TRACE_CAPACITY)
-    metrics = MetricsRegistry()
-    profiler = PhaseProfiler()
-    run_observed = getattr(job, "run_observed", None)
-    start = time.perf_counter()
-    with profiler.span("worker.job"):
-        if run_observed is not None:
-            result = run_observed(
-                tracer=tracer, metrics=metrics, profiler=profiler
-            )
-        else:
-            result = job.run()
-    seconds = time.perf_counter() - start
-    obs = ObsSnapshot(
-        events=tuple(tracer.events()),
-        dropped=tracer.dropped,
-        metrics=tuple(snapshot_registry(metrics)),
-        profile=profiler.snapshot(),
-    )
-    return JobEnvelope(
-        result=result, seconds=seconds,
-        pid=os.getpid(), worker=worker_token(), obs=obs,
-    )
-
-
-def merge_envelopes(
-    envelopes: Sequence[Optional[JobEnvelope]],
-    tracer=None,
-    metrics=None,
-    profiler=None,
-    run_id: Optional[str] = None,
-    time_shift: float = 0.0,
-) -> int:
-    """Fold worker captures into orchestrator-side sinks, in job order.
-
-    Used by call sites whose jobs all share one time origin (the sweep
-    CLI); the fleet merges per round itself because each round has its
-    own time shift.  Returns the number of trace events absorbed.
-    """
-    absorbed = 0
-    for index, envelope in enumerate(envelopes):
-        if envelope is None or envelope.obs is None:
-            continue
-        obs = envelope.obs
-        if tracer is not None and obs.events:
-            absorbed += tracer.absorb(
-                obs.events,
-                time_shift=time_shift,
-                run_id=run_id,
-                shard_id=f"job{index}",
-                pid=envelope.pid,
-                worker=envelope.worker,
-            )
-        if metrics is not None and obs.metrics:
-            merge_registry(metrics, obs.metrics)
-        if profiler is not None and obs.profile:
-            profiler.absorb(obs.profile, prefix=("worker",))
-    return absorbed

@@ -18,7 +18,7 @@ The executor keeps two stat records: ``last_stats`` for the most recent
 multi-policy comparison issues several runs).
 
 The executor is generic over job types: anything picklable with
-``run()``, ``key()``, and the display attributes ``policy`` /
+``run(obs=...)``, ``key()``, and the display attributes ``policy`` /
 ``mix_name`` / ``total_cycles`` / ``kwargs`` flows through — a
 :class:`~repro.exec.jobs.SweepJob` or a fleet
 :class:`~repro.cluster.shard.FleetShardJob`.
@@ -34,13 +34,16 @@ per scheduling round) should use the executor as a context manager::
 which keeps a single pool alive until exit — identical results, without
 re-spawning worker processes every round.
 
-With ``capture=True`` each executed job also instantiates a bounded
-recorder/registry/profiler *inside the worker* (see
-:mod:`repro.exec.envelope`) and the executor keeps the returned
-:class:`~repro.exec.envelope.JobEnvelope` list — job-ordered, cache
-hits included — in :attr:`last_envelopes` for the caller to merge into
-its own observability sinks.  Captures ride along in the result cache,
-so a cache hit replays the original worker's events.
+Every executed job comes back as a
+:class:`~repro.exec.envelope.JobEnvelope` (see :func:`repro.obs.run_job`).
+When the run's :class:`~repro.obs.Obs` handle captures
+(:attr:`~repro.obs.Obs.captures`), each job also runs under a fresh
+bounded capture handle *inside the worker*, and its envelope carries
+the snapshot.  The executor keeps the envelopes —
+job-ordered, cache hits included — in :attr:`last_envelopes` for the
+handle's owner to fold back with :meth:`~repro.obs.Obs.absorb`.
+Captures ride along in the result cache, so a cache hit replays the
+original worker's events.
 """
 
 from __future__ import annotations
@@ -52,48 +55,37 @@ from typing import List, Optional, Sequence
 from repro.core.system import SystemResult
 from repro.errors import ConfigError
 from repro.exec.cache import ResultCache
-from repro.exec.envelope import JobEnvelope, execute_job_enveloped
-from repro.exec.jobs import SweepJob, execute_job_timed
+from repro.exec.envelope import JobEnvelope, ObsSnapshot
+from repro.exec.jobs import SweepJob
 from repro.exec.stats import ExecStats
 from repro.fastpath import resolve_kernel_backend
+from repro.obs import OFF, Obs, run_job
 
 
 class SweepExecutor:
     """Run sweep jobs over ``jobs`` worker processes with memoization."""
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
-                 tracer=None, metrics=None, log=None,
-                 capture: bool = False) -> None:
-        """``tracer`` (a :class:`repro.trace.TraceRecorder`) receives one
+                 obs: Obs = OFF) -> None:
+        """``obs`` receives the executor's own observations: one
         ``cache`` hit/miss record per job plus one ``job`` span per
-        executed job.  Exec-layer timestamps/durations are wall-clock
-        seconds relative to :meth:`run` entry, not GPU cycles.
-
-        ``metrics`` (a telemetry registry) receives each run's
-        :class:`ExecStats` — job/cache counters plus the per-job seconds
-        histogram — via :func:`repro.telemetry.fold_exec_stats`.  Metrics
-        stay executor-level: registries never enter job kwargs, which
-        must remain picklable and fingerprint-stable.
-
-        ``log`` (a :class:`repro.obslog.ObsLogger`) receives one info
-        summary per :meth:`run` and one debug record per executed job.
-
-        ``capture`` turns on worker-side observability (see the module
-        docstring); :meth:`run` can override it per call."""
+        executed job (wall-clock seconds relative to :meth:`run` entry,
+        not GPU cycles); each run's :class:`ExecStats` — job/cache
+        counters plus the per-job seconds histogram — via
+        :func:`repro.telemetry.fold_exec_stats` (registries never enter
+        job kwargs, which must remain picklable and fingerprint-stable);
+        and one info log summary per :meth:`run` plus one debug record
+        per executed job."""
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.tracer = tracer
-        self.metrics = metrics
-        self.log = log
-        self.capture = capture
+        self.obs = obs
         self.stats = ExecStats(workers=jobs)
         self.last_stats = ExecStats(workers=jobs)
-        #: Per-job envelopes from the most recent capturing run (empty
-        #: after a non-capturing run).  Job-ordered; cache hits carry
-        #: their memoized capture with ``cached=True``.
-        self.last_envelopes: List[Optional[JobEnvelope]] = []
+        #: Per-job envelopes from the most recent run, job-ordered; cache
+        #: hits carry their memoized capture with ``cached=True``.
+        self.last_envelopes: List[JobEnvelope] = []
         self._pool: Optional[ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------
@@ -114,10 +106,15 @@ class SweepExecutor:
             self._pool = None
 
     def run(self, sweep_jobs: Sequence[SweepJob],
-            capture: Optional[bool] = None) -> List[SystemResult]:
-        """Execute every job; results are returned in job order."""
-        if capture is None:
-            capture = self.capture
+            obs: Optional[Obs] = None) -> List[SystemResult]:
+        """Execute every job; results are returned in job order.
+
+        ``obs`` is the handle of the run these jobs serve (default: the
+        executor's own).  The jobs' observations are captured exactly
+        when it captures (:attr:`~repro.obs.Obs.captures`); the
+        executor's own records still go to :attr:`obs`.
+        """
+        run_obs = obs if obs is not None else self.obs
         start = time.perf_counter()
         stats = ExecStats(jobs_total=len(sweep_jobs), workers=self.jobs)
         # Record the backend the jobs resolve to, so timing footers flag
@@ -132,7 +129,6 @@ class SweepExecutor:
             backends.pop() if len(backends) == 1 else
             "mixed" if backends else default_backend
         )
-        results: List[Optional[SystemResult]] = [None] * len(sweep_jobs)
         envelopes: List[Optional[JobEnvelope]] = [None] * len(sweep_jobs)
 
         pending: List[int] = []
@@ -141,65 +137,54 @@ class SweepExecutor:
             self.cache.schema_evictions if self.cache is not None else 0
         )
         for index, job in enumerate(sweep_jobs):
-            cached = None
+            entry = None
             if self.cache is not None:
-                if capture:
-                    entry = self.cache.get_envelope(job.key(), require_obs=True)
-                    if entry is not None:
-                        cached = entry["result"]
-                        origin = entry.get("origin") or (0, "")
-                        envelopes[index] = JobEnvelope(
-                            result=cached, seconds=0.0,
-                            pid=origin[0], worker=origin[1],
-                            obs=entry["obs"], cached=True,
-                        )
-                else:
-                    cached = self.cache.get(job.key())
-            if cached is not None:
-                results[index] = cached
+                entry = self.cache.get_envelope(job.key(),
+                                                require_obs=run_obs.captures)
+            if entry is not None:
+                origin = entry.get("origin") or (0, "")
+                envelopes[index] = JobEnvelope(
+                    result=entry["result"], seconds=0.0,
+                    pid=origin[0], worker=origin[1],
+                    obs=entry.get("obs") or ObsSnapshot(), cached=True,
+                )
                 stats.cache_hits += 1
             else:
                 pending.append(index)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "cache", "hit" if cached is not None else "miss",
+            if self.obs.on:
+                self.obs.emit(
+                    "cache", "hit" if entry is not None else "miss",
                     time=time.perf_counter() - start,
                     policy=job.policy, mix=job.mix_name,
                 )
 
         if pending and self.jobs == 1:
             for index in pending:
-                if capture:
-                    envelope = execute_job_enveloped(sweep_jobs[index], True)
-                    result, seconds = envelope.result, envelope.seconds
-                    envelopes[index] = envelope
-                else:
-                    result, seconds = execute_job_timed(sweep_jobs[index])
-                results[index] = result
-                stats.job_seconds.append(seconds)
-                self._trace_job(sweep_jobs[index], seconds, start,
-                                envelopes[index])
+                envelopes[index] = run_job(sweep_jobs[index],
+                                           run_obs.captures)
+                self._finished(sweep_jobs[index], envelopes[index], stats,
+                               start)
         elif pending:
             if self._pool is not None:
-                self._run_pool(self._pool, sweep_jobs, pending, results,
-                               envelopes, stats, start, capture)
+                self._run_pool(self._pool, sweep_jobs, pending, envelopes,
+                               stats, start, run_obs)
             else:
                 workers = min(self.jobs, len(pending))
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    self._run_pool(pool, sweep_jobs, pending, results,
-                                   envelopes, stats, start, capture)
+                    self._run_pool(pool, sweep_jobs, pending, envelopes,
+                                   stats, start, run_obs)
 
         if self.cache is not None:
             for index in pending:
                 envelope = envelopes[index]
-                if capture and envelope is not None:
+                if run_obs.captures:
                     self.cache.put(
-                        sweep_jobs[index].key(), results[index],
+                        sweep_jobs[index].key(), envelope.result,
                         obs=envelope.obs,
                         origin=(envelope.pid, envelope.worker),
                     )
                 else:
-                    self.cache.put(sweep_jobs[index].key(), results[index])
+                    self.cache.put(sweep_jobs[index].key(), envelope.result)
             stats.cache_evictions = self.cache.evictions - evictions_before
             stats.cache_schema_evictions = (
                 self.cache.schema_evictions - schema_before
@@ -208,76 +193,57 @@ class SweepExecutor:
         stats.jobs_run = len(pending)
         stats.wall_seconds = time.perf_counter() - start
         self.last_stats = stats
-        self.last_envelopes = envelopes if capture else []
+        self.last_envelopes = envelopes
         self.stats.merge(stats)
-        if self.metrics is not None:
-            from repro.telemetry.bridge import fold_exec_stats
-
-            fold_exec_stats(self.metrics, stats)
-        if self.log is not None:
+        if self.obs.on:
+            self.obs.fold_exec_stats(stats)
             for index in pending:
                 envelope = envelopes[index]
-                self.log.debug(
+                self.obs.debug(
                     "exec.job", job_id=index,
                     policy=sweep_jobs[index].policy,
                     mix=sweep_jobs[index].mix_name,
-                    seconds=envelope.seconds if envelope is not None else None,
-                    worker_pid=envelope.pid if envelope is not None else None,
+                    seconds=envelope.seconds,
+                    worker_pid=envelope.pid,
                 )
-            self.log.info(
+            self.obs.info(
                 "exec.run", jobs=stats.jobs_total, run=stats.jobs_run,
                 cache_hits=stats.cache_hits, workers=stats.workers,
                 wall_seconds=round(stats.wall_seconds, 6),
                 backend=stats.kernel_backend or None,
             )
-        return results  # type: ignore[return-value]
+        return [envelope.result for envelope in envelopes]
 
     def _run_pool(self, pool: ProcessPoolExecutor, sweep_jobs, pending,
-                  results, envelopes, stats: ExecStats, start: float,
-                  capture: bool) -> None:
-        """Fan ``pending`` out over ``pool``; fill ``results`` in place."""
-        if capture:
-            futures = {
-                pool.submit(execute_job_enveloped, sweep_jobs[index], True):
-                    index
-                for index in pending
-            }
-        else:
-            futures = {
-                pool.submit(execute_job_timed, sweep_jobs[index]): index
-                for index in pending
-            }
+                  envelopes, stats: ExecStats, start: float,
+                  run_obs: Obs) -> None:
+        """Fan ``pending`` out over ``pool``; fill ``envelopes`` in place."""
+        futures = {
+            pool.submit(run_job, sweep_jobs[index], run_obs.captures): index
+            for index in pending
+        }
         done, _ = wait(futures, return_when=FIRST_EXCEPTION)
         for future in done:
             future.result()  # re-raise worker failures eagerly
         for future, index in futures.items():
-            if capture:
-                envelope = future.result()
-                result, seconds = envelope.result, envelope.seconds
-                envelopes[index] = envelope
-            else:
-                result, seconds = future.result()
-            results[index] = result
-            stats.job_seconds.append(seconds)
-            self._trace_job(sweep_jobs[index], seconds, start,
-                            envelopes[index])
+            envelopes[index] = future.result()
+            self._finished(sweep_jobs[index], envelopes[index], stats, start)
 
-    def _trace_job(self, job: SweepJob, seconds: float, start: float,
-                   envelope: Optional[JobEnvelope] = None) -> None:
-        """Emit one ``job`` span (end-anchored: completion time is known,
-        in-worker start is not) for an executed job.  A captured job's
-        envelope stamps the worker identity (``pid`` + ``worker`` token)
-        onto the span, so post-hoc straggler attribution can group job
-        spans by the process that ran them."""
-        if self.tracer is None:
+    def _finished(self, job: SweepJob, envelope: JobEnvelope,
+                  stats: ExecStats, start: float) -> None:
+        """Count one executed job and emit its ``job`` span.
+
+        The span is end-anchored (completion time is known, in-worker
+        start is not) and stamped with the worker identity (``pid`` +
+        ``worker`` token), so post-hoc straggler attribution can group
+        job spans by the process that ran them."""
+        stats.job_seconds.append(envelope.seconds)
+        if not self.obs.on:
             return
         end = time.perf_counter() - start
-        extra = {}
-        if envelope is not None:
-            extra = {"pid": envelope.pid, "worker": envelope.worker}
-        self.tracer.emit(
+        self.obs.emit(
             "job", f"{job.policy}:{job.mix_name}",
-            time=max(0.0, end - seconds), duration=seconds,
+            time=max(0.0, end - envelope.seconds), duration=envelope.seconds,
             policy=job.policy, mix=job.mix_name, cycles=job.total_cycles,
-            **extra,
+            pid=envelope.pid, worker=envelope.worker,
         )

@@ -27,6 +27,7 @@ from repro import __version__
 from repro.core.system import SystemResult
 from repro.errors import ConfigError
 from repro.exec.registry import canonical_policy_name, resolve_policy
+from repro.obs import OFF, Obs
 from repro.workloads.mixes import build_mix
 
 
@@ -136,51 +137,14 @@ class SweepJob:
         """Content address: stable SHA-256 hex digest of :meth:`spec`."""
         return hashlib.sha256(self.spec().encode("utf-8")).hexdigest()
 
-    def run(self) -> SystemResult:
-        """Simulate this job to completion (in the calling process)."""
-        factory = resolve_policy(self.policy)
-        apps = build_mix(list(self.mix)).applications
-        system = factory(apps, **self.kwargs_dict())
-        return system.run(self.total_cycles, mix_name=self.mix_name)
+    def run(self, obs: Obs = OFF) -> SystemResult:
+        """Simulate this job to completion (in the calling process).
 
-    def run_observed(self, tracer=None, metrics=None,
-                     profiler=None) -> SystemResult:
-        """:meth:`run` with observability sinks threaded into the runner.
-
-        The worker-capture hook: :func:`~repro.exec.envelope.
-        execute_job_enveloped` calls this with the worker's private
-        recorder/registry/profiler so the system's own instrumentation
-        lands in the envelope.  Explicit ``tracer``/``metrics``/
-        ``profiler`` kwargs on the job itself win — capture never
-        overrides a spec.
+        ``obs`` observes the run (a worker's capture handle, see
+        :func:`repro.obs.run_job`); an ``obs`` kwarg on the job itself
+        wins — capture never overrides a spec.
         """
-        kwargs = self.kwargs_dict()
-        if tracer is not None:
-            kwargs.setdefault("tracer", tracer)
-        if metrics is not None:
-            kwargs.setdefault("metrics", metrics)
-        if profiler is not None:
-            kwargs.setdefault("profiler", profiler)
         factory = resolve_policy(self.policy)
         apps = build_mix(list(self.mix)).applications
-        system = factory(apps, **kwargs)
+        system = factory(apps, **{"obs": obs, **self.kwargs_dict()})
         return system.run(self.total_cycles, mix_name=self.mix_name)
-
-
-def execute_job(job) -> Any:
-    """Run one job to completion (the worker-side entry point).
-
-    Generic over job types: anything with ``run()`` — a :class:`SweepJob`
-    or a :class:`~repro.cluster.shard.FleetShardJob` — executes through
-    the same executor machinery.
-    """
-    return job.run()
-
-
-def execute_job_timed(job) -> Tuple[Any, float]:
-    """Run one job and measure its in-worker wall-clock seconds."""
-    import time
-
-    start = time.perf_counter()
-    result = execute_job(job)
-    return result, time.perf_counter() - start

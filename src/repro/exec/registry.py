@@ -50,11 +50,9 @@ RUNNER_KWARGS = frozenset(
         "epoch_cycles",
         "energy_model",
         "total_memory_bytes",
-        "tracer",
+        "obs",
         "arrivals",
         "max_slots",
-        "metrics",
-        "profiler",
         "kernel_backend",
     }
 )

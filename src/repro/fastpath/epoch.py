@@ -162,8 +162,8 @@ class FastEpochKernel:
 
         Equivalent to ``epoch_runner.run(self.step, total_cycles)``, with
         one extra trick available when every per-epoch hook is absent
-        (slice dependence, no observe/boundary hooks, no tracer, metrics
-        or phase profiler, no fault model): between kernel crossings each
+        (slice dependence, no observe/boundary hooks, the observability
+        handle off, no fault model): between kernel crossings each
         epoch retires exactly the same instruction counts, so the span
         until the next crossing is emitted in a tight loop — per-epoch
         results stay identical, per-app state is advanced in bulk (the
@@ -185,9 +185,7 @@ class FastEpochKernel:
             and self._epoch_hook is None
             and self._fault_free
             and not runner._open
-            and runner.tracer is None
-            and runner.metrics is None
-            and runner.phase_profiler is None
+            and not runner.obs.on
         )
         span_f = float(epoch_cycles)
         while elapsed < total_cycles:
@@ -260,10 +258,11 @@ class FastEpochKernel:
     # ------------------------------------------------------------------
     def step(self, epoch_index: int, span: int) -> EpochResult:
         runner = self.runner
-        prof = runner.phase_profiler
-        if prof is not None:
-            prof.begin("epoch")
-            prof.begin("epoch.advance")
+        obs = runner.obs
+        on = obs.on
+        if on:
+            obs.begin("epoch")
+            obs.begin("epoch.advance")
         apps = runner.apps
         open_system = runner._open
         if open_system:
@@ -428,19 +427,16 @@ class FastEpochKernel:
         )
         before = runner.repartitions
         runner._trace_now = result.end_cycle
-        if prof is not None:
-            prof.end("epoch.advance")
-            prof.begin("epoch.policy")
+        if on:
+            obs.end("epoch.advance")
+            obs.begin("epoch.policy")
         epoch_hook = self._epoch_hook
         if epoch_hook is not None and apps:
             epoch_hook(epoch_index, span)
-        if prof is not None:
-            prof.end("epoch.policy")
+        if on:
+            obs.end("epoch.policy")
         if open_system:
-            if prof is not None:
-                with prof.span("epoch.lifecycle"):
-                    runner._process_boundary(result.end_cycle)
-            else:
+            with obs.span("epoch.lifecycle"):
                 runner._process_boundary(result.end_cycle)
             # Membership may just have changed: snapshot directly.
             result.detail["allocations"] = {
@@ -460,18 +456,16 @@ class FastEpochKernel:
                 self._alloc_version = self._partition_version
             result.detail["allocations"] = snapshot
         result.repartitioned = runner.repartitions > before
-        if runner.tracer is not None:
-            runner.tracer.emit(
+        if on:
+            obs.emit(
                 "epoch", f"epoch[{epoch_index}]",
                 time=result.start_cycle, duration=span,
                 instructions=sum(instructions.values()),
                 migration_cycles=result.migration_cycles,
                 repartitioned=result.repartitioned,
             )
-        if runner.metrics is not None:
             runner._epoch_metrics(result, span, instructions)
-        if prof is not None:
-            prof.end("epoch")
+            obs.end("epoch")
         return result
 
     def _refresh_slice_slots(self, dirty: List[_Slot]) -> None:

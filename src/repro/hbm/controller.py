@@ -21,6 +21,7 @@ from repro.errors import ProtocolError
 from repro.hbm.channel import Channel
 from repro.hbm.commands import CommandKind
 from repro.hbm.config import HBMConfig
+from repro.obs import OFF, Obs
 
 
 class RequestKind(enum.Enum):
@@ -89,18 +90,16 @@ class MemoryController:
                  write_buffer_entries: int = 0,
                  write_high_watermark: float = 0.75,
                  write_low_watermark: float = 0.25,
-                 metrics=None, profiler=None) -> None:
+                 obs: Obs = OFF) -> None:
         """``refresh_enabled`` turns on all-bank refresh: every tREFI the
         controller closes all rows and blocks the channel for tRFC (off by
         default — the short command-level experiments rarely span a
         refresh interval, but long replays can enable it).
         ``write_buffer_entries`` > 0 enables write buffering.
-        ``metrics`` (a telemetry registry) counts per-channel serviced
-        commands and row-buffer outcomes, and gauges achieved/peak
-        bandwidth utilization after each :meth:`drain`.
-        ``profiler`` (a :class:`~repro.profiling.profiler.PhaseProfiler`)
-        attributes host wall time per :meth:`drain` to an
-        ``hbm.service_requests`` phase."""
+        ``obs`` (a :class:`repro.obs.Obs` handle) gets metrics counting
+        per-channel serviced commands and row-buffer outcomes, a gauge of
+        achieved/peak bandwidth utilization after each :meth:`drain`, and
+        an ``hbm.service_requests`` host phase per :meth:`drain`."""
         config.validate()
         if write_buffer_entries < 0:
             raise ProtocolError("write_buffer_entries must be non-negative")
@@ -119,20 +118,19 @@ class MemoryController:
         self.write_low_watermark = write_low_watermark
         self.write_buffer: List[MemoryRequest] = []
         self.write_bursts = 0
-        self.metrics = metrics
-        self.profiler = profiler
-        if metrics is not None:
+        self.obs = obs
+        if obs.on:
             from repro.telemetry import names as _names
 
             chan = str(self.channel.index)
-            requests = _names.hbm_requests_total(metrics)
-            outcomes = _names.hbm_row_outcomes_total(metrics)
+            requests = obs.metric(_names.hbm_requests_total)
+            outcomes = obs.metric(_names.hbm_row_outcomes_total)
             self._m_reads = requests.labels(channel=chan, kind="read")
             self._m_writes = requests.labels(channel=chan, kind="write")
             self._m_hits = outcomes.labels(channel=chan, outcome="hit")
             self._m_misses = outcomes.labels(channel=chan, outcome="miss")
             self._m_conflicts = outcomes.labels(channel=chan, outcome="conflict")
-            self._m_bw = _names.hbm_bandwidth_utilization(metrics).labels(
+            self._m_bw = obs.metric(_names.hbm_bandwidth_utilization).labels(
                 channel=chan
             )
 
@@ -247,17 +245,17 @@ class MemoryController:
         target = channel.groups[group].bank(bank)
         if target.is_row_open(row):
             self.stats.row_hits += 1
-            if self.metrics is not None:
+            if self.obs.on:
                 self._m_hits.inc()
         elif target.open_row is None:
             self.stats.row_misses += 1
-            if self.metrics is not None:
+            if self.obs.on:
                 self._m_misses.inc()
             self.now, _ = channel.issue_earliest(
                 CommandKind.ACTIVATE, group, bank, row, None, self.now)
         else:
             self.stats.row_conflicts += 1
-            if self.metrics is not None:
+            if self.obs.on:
                 self._m_conflicts.inc()
             at, _ = channel.issue_earliest(
                 CommandKind.PRECHARGE, group, bank, None, None, self.now)
@@ -273,7 +271,7 @@ class MemoryController:
         self.stats.served += 1
         self.stats.total_latency += done - request.arrival
         self.stats.bytes_moved += self.config.column_bytes
-        if self.metrics is not None:
+        if self.obs.on:
             if request.kind is RequestKind.READ:
                 self._m_reads.inc()
             else:
@@ -303,26 +301,21 @@ class MemoryController:
     def drain(self) -> List[MemoryRequest]:
         """Serve every queued request (and flush the write buffer);
         returns the served requests in completion order."""
-        if self.profiler is not None:
-            with self.profiler.span("hbm.service_requests"):
-                return self._drain()
-        return self._drain()
-
-    def _drain(self) -> List[MemoryRequest]:
-        completed: List[MemoryRequest] = []
-        while self.queue:
-            completed.append(self.service_one())
-        if self.write_buffer:
-            writes = list(self.write_buffer)
-            self._drain_writes(down_to=0)
-            completed.extend(writes)
-        completed.sort(key=lambda r: r.completed_at)
-        if self.metrics is not None:
-            peak = self.config.channel_bandwidth_gbps
-            self._m_bw.set(
-                self.achieved_bandwidth_gbps() / peak if peak > 0 else 0.0
-            )
-        return completed
+        with self.obs.span("hbm.service_requests"):
+            completed: List[MemoryRequest] = []
+            while self.queue:
+                completed.append(self.service_one())
+            if self.write_buffer:
+                writes = list(self.write_buffer)
+                self._drain_writes(down_to=0)
+                completed.extend(writes)
+            completed.sort(key=lambda r: r.completed_at)
+            if self.obs.on:
+                peak = self.config.channel_bandwidth_gbps
+                self._m_bw.set(
+                    self.achieved_bandwidth_gbps() / peak if peak > 0 else 0.0
+                )
+            return completed
 
     def achieved_bandwidth_gbps(self) -> float:
         """Data bandwidth achieved so far, in decimal GB/s."""

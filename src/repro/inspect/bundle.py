@@ -8,10 +8,11 @@ so loaders (:mod:`repro.inspect.model`) never guess at file names or
 formats.
 
 :class:`RunReporter` is the capture side, wired behind ``--report-dir``:
-it *shares* whatever sinks the command already constructed from its
-other observability flags (``--metrics-out`` registry, ``--trace-out``
-recorder, ``--log-jsonl`` obslog) and creates any that are missing, so
-one run never splits its evidence across two registries.  With
+it *shares* whatever sinks the command's :class:`~repro.obs.Obs` handle
+already holds from its other observability flags (``--metrics-out``
+registry, ``--trace-out`` recorder, ``--log-jsonl`` obslog) and creates
+any that are missing, so one run never splits its evidence across two
+registries.  With
 ``compress=True`` the line-oriented artifacts are written ``.gz``
 (transparent on read — see :mod:`repro.ioutil`).
 
@@ -30,6 +31,7 @@ from typing import Any, Dict, Optional, Union
 
 from repro.errors import ConfigError
 from repro.ioutil import open_text
+from repro.obs import OFF, Obs
 
 PathLike = Union[str, Path]
 
@@ -76,10 +78,11 @@ class RunReporter:
         The CLI command name stamped into the manifest (``fleet``...).
     run_id:
         Correlation ID for the run (``config_hash`` of the run shape).
-    registry / recorder / obslog:
-        Already-constructed sinks to share; any left ``None`` is created
-        here.  A shared ``obslog`` writes wherever its owner pointed it —
-        pass ``obslog_source`` so :meth:`finish` can copy the closed file
+    obs:
+        The command's handle; its sinks are shared and any it lacks are
+        created here, so :attr:`obs` holds all four.  A shared obslog
+        logger writes wherever its owner pointed it — pass
+        ``obslog_source`` so :meth:`finish` can copy the closed file
         into the bundle.
     compress:
         Write the line-oriented artifacts gzip-compressed (``.gz``).
@@ -91,9 +94,7 @@ class RunReporter:
         *,
         command: str,
         run_id: str,
-        registry=None,
-        recorder=None,
-        obslog=None,
+        obs: Obs = OFF,
         obslog_source: Optional[PathLike] = None,
         compress: bool = False,
         overwrite: bool = True,
@@ -107,33 +108,37 @@ class RunReporter:
         self.run_id = str(run_id)
         self.compress = bool(compress)
         self._suffix = ".gz" if compress else ""
-        self._owns_obslog = obslog is None and obslog_source is None
+        self._owns_obslog = obs.logger is None and obslog_source is None
         self._obslog_source = (
             Path(obslog_source) if obslog_source is not None else None
         )
 
+        registry = obs.registry
         if registry is None:
             from repro.telemetry import MetricsRegistry, stamp
 
             registry = MetricsRegistry()
             stamp(registry, None, command=self.command, run_id=self.run_id)
-        self.registry = registry
+        recorder = obs.recorder
         if recorder is None:
             from repro.trace import TraceRecorder
 
             recorder = TraceRecorder(capacity=262_144)
-        self.recorder = recorder
+        logger = obs.logger
         if self._owns_obslog:
             from repro.obslog import ObsLogger
 
-            obslog = ObsLogger(
+            logger = ObsLogger(
                 self.directory / f"obslog.jsonl{self._suffix}",
                 run_id=self.run_id,
             )
-        self.obslog = obslog
-        from repro.profiling import PhaseProfiler
+        profiler = obs.profiler
+        if profiler is None:
+            from repro.profiling import PhaseProfiler
 
-        self.profiler = PhaseProfiler()
+            profiler = PhaseProfiler()
+        #: The run's handle: the command's sinks plus the ones created here.
+        self.obs = Obs(recorder, registry, profiler, logger)
         self._artifacts: Dict[str, str] = {}
         self._counts: Dict[str, int] = {}
         self._finished = False
@@ -151,7 +156,7 @@ class RunReporter:
     def _write_trace(self) -> None:
         from repro.trace import write_chrome_trace, write_jsonl
 
-        events = self.recorder.events()
+        events = self.obs.recorder.events()
         if not events:
             return
         filename = f"trace.jsonl{self._suffix}"
@@ -165,17 +170,18 @@ class RunReporter:
     def _write_metrics(self) -> None:
         from repro.telemetry import write_json
 
-        if not self.registry.families() and not self.registry.provenance:
+        registry = self.obs.registry
+        if not registry.families() and not registry.provenance:
             return
         filename = f"metrics.json{self._suffix}"
-        families = write_json(self.registry, self.directory / filename)
+        families = write_json(registry, self.directory / filename)
         self._artifacts["metrics"] = filename
         self._counts["metric_families"] = families
 
     def _write_obslog(self) -> None:
-        if self.obslog is not None and self._owns_obslog:
-            self._counts["obslog_records"] = self.obslog.records_written
-            self.obslog.close()
+        if self._owns_obslog:
+            self._counts["obslog_records"] = self.obs.logger.records_written
+            self.obs.logger.close()
             self._artifacts["obslog"] = f"obslog.jsonl{self._suffix}"
         elif self._obslog_source is not None and self._obslog_source.is_file():
             # The command's own --log-jsonl owns the stream; copy the
@@ -194,7 +200,7 @@ class RunReporter:
             self._artifacts["obslog"] = filename
 
     def _write_profile(self) -> None:
-        snapshot = self.profiler.snapshot()
+        snapshot = self.obs.profiler.snapshot()
         if not snapshot:
             return
         self._write_json(
@@ -244,7 +250,7 @@ class RunReporter:
             "run_id": self.run_id,
             "kernel_backend": resolve_kernel_backend(),
             "provenance": collect_provenance(command=self.command),
-            "dropped_events": int(self.recorder.dropped),
+            "dropped_events": int(self.obs.recorder.dropped),
             "artifacts": dict(sorted(self._artifacts.items())),
             "counts": dict(sorted(self._counts.items())),
         }

@@ -19,12 +19,13 @@ process).  Records scoped to a shard, node or job additionally carry
 merged trace events and worker metric snapshots, so one ``grep job_id``
 crosses all three streams.
 
-Like the ``tracer=None`` / ``metrics=None`` hooks, every instrumented
-component (:class:`~repro.cluster.fleet.FleetSimulator`,
+Like the trace recorder and the metrics registry, the logger reaches
+every instrumented component (:class:`~repro.cluster.fleet.FleetSimulator`,
 :class:`~repro.exec.executor.SweepExecutor`,
-:class:`~repro.pagemove.engine.MigrationEngine`) defaults ``log=None``
-and guards each emission with one ``is not None`` check, keeping the
-disabled path byte-identical and overhead-free.
+:class:`~repro.pagemove.engine.MigrationEngine`) through its
+:class:`~repro.obs.Obs` handle (``obs.info`` / ``obs.debug`` /
+``obs.warning``), which is off by default, keeping the unobserved path
+byte-identical and overhead-free.
 
 Usage::
 

@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.errors import MigrationError, ProtocolError
 from repro.hbm.commands import CommandKind, migration
 from repro.hbm.system import HBMSystem
+from repro.obs import OFF, Obs
 from repro.pagemove.address_mapping import PageMoveAddressMapping
 from repro.pagemove.cost import MigrationCharge, MigrationCostModel, MigrationMode
 from repro.vm.channel_registry import ChannelStatusRegister
@@ -114,22 +115,16 @@ class MigrationEngine:
         l1_tlbs: Optional[Sequence[TLB]] = None,
         registry: Optional[ChannelStatusRegister] = None,
         mode: MigrationMode = MigrationMode.PPMM,
-        tracer=None,
-        metrics=None,
-        profiler=None,
-        log=None,
+        obs: Obs = OFF,
     ) -> None:
         self.driver = driver
-        self.tracer = tracer
-        self.metrics = metrics
-        self.profiler = profiler
-        self.log = log
-        if metrics is not None:
+        self.obs = obs
+        if obs.on:
             from repro.telemetry import names as _names
 
-            self._m_pages = _names.pagemove_pages_total(metrics)
-            self._m_commands = _names.pagemove_commands_total(metrics)
-            self._m_window = _names.pagemove_window_cycles_total(metrics)
+            self._m_pages = obs.metric(_names.pagemove_pages_total)
+            self._m_commands = obs.metric(_names.pagemove_commands_total)
+            self._m_window = obs.metric(_names.pagemove_window_cycles_total)
         self.mapping = mapping if mapping is not None else PageMoveAddressMapping()
         self.cost_model = (
             cost_model if cost_model is not None else MigrationCostModel(mapping=self.mapping)
@@ -154,12 +149,10 @@ class MigrationEngine:
 
         ``rebalance_cap`` bounds the lazy batch (None = rebalance fully).
         """
-        if self.profiler is not None:
-            with self.profiler.span("pagemove.plan"):
-                return self._plan_channel_reallocation(
-                    app_id, new_channels, rebalance_cap
-                )
-        return self._plan_channel_reallocation(app_id, new_channels, rebalance_cap)
+        with self.obs.span("pagemove.plan"):
+            return self._plan_channel_reallocation(
+                app_id, new_channels, rebalance_cap
+            )
 
     def _plan_channel_reallocation(
         self, app_id: int, new_channels: Iterable[int],
@@ -247,15 +240,15 @@ class MigrationEngine:
                     surplus -= 1
                     if budget is not None:
                         budget -= 1
-        if self.tracer is not None:
-            self.tracer.emit(
+        obs = self.obs
+        if obs.on:
+            obs.emit(
                 "migration", "plan", app_id=app_id,
                 eager=len(plan.eager), lazy=len(plan.lazy),
                 lost_channels=sorted(plan.lost_channels),
                 gained_channels=sorted(plan.gained_channels),
             )
-        if self.log is not None:
-            self.log.debug(
+            obs.debug(
                 "pagemove.plan", job_id=app_id,
                 eager=len(plan.eager), lazy=len(plan.lazy),
                 lost=len(plan.lost_channels),
@@ -273,10 +266,8 @@ class MigrationEngine:
         any page moves, so a plan that cannot complete is rejected whole
         rather than leaving the address space half-migrated.
         """
-        if self.profiler is not None:
-            with self.profiler.span("pagemove.execute"):
-                return self._execute(plan, include_lazy)
-        return self._execute(plan, include_lazy)
+        with self.obs.span("pagemove.execute"):
+            return self._execute(plan, include_lazy)
 
     def _execute(self, plan: MigrationPlan, include_lazy: bool = True) -> MigrationReport:
         app_id = plan.app_id
@@ -323,9 +314,10 @@ class MigrationEngine:
             l2_entries_invalidated=l2_invalidated,
         )
         self.reports.append(report)
-        if self.tracer is not None:
+        obs = self.obs
+        if obs.on:
             direction = self.registry.direction(app_id)
-            self.tracer.emit(
+            obs.emit(
                 "migration", "execute",
                 duration=report.window_cycles, app_id=app_id,
                 eager=len(plan.eager), lazy=len(lazy_moves),
@@ -335,12 +327,10 @@ class MigrationEngine:
                 eager_cycles=report.eager_charge.window_cycles,
                 lazy_cycles=report.lazy_charge.window_cycles,
             )
-        if self.metrics is not None:
             self._m_pages.labels(kind="eager").inc(len(plan.eager))
             self._m_pages.labels(kind="lazy").inc(len(lazy_moves))
             self._m_window.inc(report.window_cycles)
-        if self.log is not None:
-            self.log.info(
+            obs.info(
                 "pagemove.execute", job_id=app_id,
                 eager=len(plan.eager), lazy=len(lazy_moves),
                 window_cycles=round(report.window_cycles, 3),
@@ -475,6 +465,6 @@ class MigrationEngine:
                             "migration replay is not converging"
                         )
             done = max(done, max(group_time.values()))
-        if self.metrics is not None:
+        if self.obs.on:
             self._m_commands.inc(commands_issued)
         return done

@@ -211,9 +211,10 @@ class UGPUPolicy(PartitionPolicy):
 
     def on_epoch_end(self, epoch_index: int, span: int) -> None:
         runner = self.runner
-        prof = runner.phase_profiler
-        if prof is not None:
-            prof.begin("ugpu.profile")
+        obs = runner.obs
+        on = obs.on
+        if on:
+            obs.begin("ugpu.profile")
         profiler = self.profiler
         pending = self._pending_throughput
         epoch_cycles = runner.epoch_cycles
@@ -227,8 +228,8 @@ class UGPUPolicy(PartitionPolicy):
             else:
                 profiles[app_id] = profiler.profile(app_id)
         self._last_profiles = profiles
-        if prof is not None:
-            prof.end("ugpu.profile")
+        if on:
+            obs.end("ugpu.profile")
         if self.offline:
             return  # partition fixed before execution
         signature = None
@@ -247,12 +248,12 @@ class UGPUPolicy(PartitionPolicy):
             if signature in self._steady_signatures:
                 return
         previous = {a: s.allocation for a, s in runner.apps.items()}
-        if prof is not None:
-            prof.begin("ugpu.partition")
+        if on:
+            obs.begin("ugpu.partition")
         decision = self.partitioner.compute(profiles)
         decision = self._enforce_qos(decision, profiles)
-        if prof is not None:
-            prof.end("ugpu.partition")
+        if on:
+            obs.end("ugpu.partition")
         decision.latency_cycles = self.algorithm_cost.total_cycles(
             decision.iterations, num_apps=len(runner.apps)
         )
@@ -266,20 +267,19 @@ class UGPUPolicy(PartitionPolicy):
             previous, decision.allocations, profiles
         ):
             self.suppressed_repartitions += 1
-            if runner.tracer is not None:
-                runner.tracer.emit(
+            if on:
+                obs.emit(
                     "realloc", "suppress", time=runner._trace_now,
                     epoch=epoch_index, hysteresis=self.hysteresis,
                 )
-            if runner.metrics is not None:
-                metric_names.reallocations_total(runner.metrics).labels(
+                obs.metric(metric_names.reallocations_total).labels(
                     outcome="suppress"
                 ).inc()
             return
         runner.apply_partition(decision.allocations)
         runner.repartitions += 1
-        if runner.tracer is not None:
-            runner.tracer.emit(
+        if on:
+            obs.emit(
                 "realloc", "apply", time=runner._trace_now,
                 epoch=epoch_index,
                 iterations=decision.iterations,
@@ -289,14 +289,10 @@ class UGPUPolicy(PartitionPolicy):
                     for app_id, alloc in decision.allocations.items()
                 },
             )
-        if runner.metrics is not None:
-            metric_names.reallocations_total(runner.metrics).labels(
+            obs.metric(metric_names.reallocations_total).labels(
                 outcome="apply"
             ).inc()
-        if prof is not None:
-            with prof.span("ugpu.charge"):
-                self._charge_reallocation(previous, decision, profiles)
-        else:
+        with obs.span("ugpu.charge"):
             self._charge_reallocation(previous, decision, profiles)
 
     def _worth_applying(self, previous, proposed, profiles) -> bool:
@@ -358,8 +354,9 @@ class UGPUPolicy(PartitionPolicy):
         )
         runner.apply_partition(decision.allocations)
         runner.repartitions += 1
-        if runner.tracer is not None:
-            runner.tracer.emit(
+        obs = runner.obs
+        if obs.on:
+            obs.emit(
                 "realloc", "membership", time=runner._trace_now,
                 iterations=decision.iterations,
                 latency_cycles=decision.latency_cycles,
@@ -368,8 +365,7 @@ class UGPUPolicy(PartitionPolicy):
                     for app_id, alloc in decision.allocations.items()
                 },
             )
-        if runner.metrics is not None:
-            metric_names.reallocations_total(runner.metrics).labels(
+            obs.metric(metric_names.reallocations_total).labels(
                 outcome="membership"
             ).inc()
         if self.offline:
@@ -456,18 +452,17 @@ class UGPUPolicy(PartitionPolicy):
                 break
         before_alloc = decision.allocations[target.app_id]
         after_alloc = allocations[target.app_id]
-        if after_alloc != before_alloc:
-            if runner.tracer is not None:
-                runner.tracer.emit(
-                    "qos", "enforce", time=runner._trace_now,
-                    app_id=target.app_id,
-                    target_np=self.qos.target_np,
-                    estimated_np=np_now(),
-                    granted_sms=after_alloc.sms - before_alloc.sms,
-                    granted_channels=after_alloc.channels - before_alloc.channels,
-                )
-            if runner.metrics is not None:
-                metric_names.qos_interventions_total(runner.metrics).inc()
+        obs = runner.obs
+        if after_alloc != before_alloc and obs.on:
+            obs.emit(
+                "qos", "enforce", time=runner._trace_now,
+                app_id=target.app_id,
+                target_np=self.qos.target_np,
+                estimated_np=np_now(),
+                granted_sms=after_alloc.sms - before_alloc.sms,
+                granted_channels=after_alloc.channels - before_alloc.channels,
+            )
+            obs.metric(metric_names.qos_interventions_total).inc()
         decision.allocations = allocations
         return decision
 
@@ -493,6 +488,7 @@ class UGPUPolicy(PartitionPolicy):
         profiles: Dict[int, AppProfile],
     ) -> None:
         runner = self.runner
+        obs = runner.obs
         algorithm_window = float(decision.latency_cycles)
         for app_id, state in runner.apps.items():
             old = previous[app_id]
@@ -521,8 +517,8 @@ class UGPUPolicy(PartitionPolicy):
                     app_id, charge.cycles, min(1.0, moved_sms / new.sms)
                 )
                 state.migrated_bytes += charge.dram_bytes
-                if runner.tracer is not None:
-                    runner.tracer.emit(
+                if obs.on:
+                    obs.emit(
                         "realloc", "sm-handover", time=runner._trace_now,
                         duration=charge.cycles, app_id=app_id,
                         policy=charge.policy.value, sms=moved_sms,
@@ -547,20 +543,18 @@ class UGPUPolicy(PartitionPolicy):
                 )
                 state.migrated_bytes += charge.bytes_moved
                 self._charge_global(charge)
-                if runner.tracer is not None:
-                    runner.tracer.emit(
+                if obs.on:
+                    obs.emit(
                         "migration", "eager", time=runner._trace_now,
                         duration=charge.window_cycles, app_id=app_id,
                         pages=eager_pages, mode=self.mode.value,
                         lost_channels=lost, bytes_moved=charge.bytes_moved,
                     )
-                if runner.metrics is not None:
-                    metric_names.migration_pages_total(runner.metrics).labels(
+                    obs.metric(metric_names.migration_pages_total).labels(
                         phase="eager"
                     ).inc(eager_pages)
-                    metric_names.migration_window_cycles_total(
-                        runner.metrics
-                    ).labels(phase="eager").inc(charge.window_cycles)
+                    obs.metric(metric_names.migration_window_cycles_total
+                               ).labels(phase="eager").inc(charge.window_cycles)
 
             if gained and new.channels > 0:
                 rebalance_pages = min(
@@ -595,21 +589,20 @@ class UGPUPolicy(PartitionPolicy):
                     )
                 state.migrated_bytes += charge.bytes_moved
                 self._charge_global(charge)
-                if runner.tracer is not None:
-                    runner.tracer.emit(
+                if obs.on:
+                    obs.emit(
                         "migration", "rebalance", time=runner._trace_now,
                         duration=charge.window_cycles, app_id=app_id,
                         pages=rebalance_pages, mode=self.mode.value,
                         gained_channels=gained,
                         bytes_moved=charge.bytes_moved,
                     )
-                if runner.metrics is not None:
-                    metric_names.migration_pages_total(runner.metrics).labels(
+                    obs.metric(metric_names.migration_pages_total).labels(
                         phase="rebalance"
                     ).inc(rebalance_pages)
-                    metric_names.migration_window_cycles_total(
-                        runner.metrics
-                    ).labels(phase="rebalance").inc(charge.window_cycles)
+                    obs.metric(metric_names.migration_window_cycles_total
+                               ).labels(phase="rebalance").inc(
+                                   charge.window_cycles)
 
     def _charge_global(self, charge) -> None:
         """TRADITIONAL migrations pollute the NoC/LLC for everyone."""

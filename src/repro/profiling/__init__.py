@@ -1,10 +1,11 @@
 """Self-profiling of the simulator's own host time.
 
 :class:`PhaseProfiler` (:mod:`~repro.profiling.profiler`) records
-nestable wall-clock spans with self/cumulative attribution, threaded
-through the runner/engine/HBM/policy/pagemove/driver layers as
-zero-overhead ``profiler=None`` hooks (the host-time sibling of
-``tracer=`` / ``metrics=``).  A ``--report-dir`` run bundle captures
+nestable wall-clock spans with self/cumulative attribution; the
+runner/HBM/policy/pagemove/driver layers reach it through their
+:class:`~repro.obs.Obs` handle, which costs nothing when it holds no
+profiler (the host-time sibling of the trace recorder and the metrics
+registry).  A ``--report-dir`` run bundle captures
 its aggregate, and ``repro inspect`` prints the hot-phase table; the
 end-to-end benchmark in ``bench/`` times whole workloads.
 """

@@ -10,10 +10,11 @@ time.  ``--report-dir`` run bundles capture its aggregate for
 
 Design constraints mirror :class:`repro.trace.TraceRecorder`, in order:
 
-1. **Zero overhead when absent.**  Every instrumented component defaults
-   ``profiler=None`` and guards each span with one ``is not None``
-   check, so unprofiled simulations run the same instructions they ran
-   before instrumentation.
+1. **Zero overhead when absent.**  Every instrumented component reaches
+   the profiler through its :class:`~repro.obs.Obs` handle, off by
+   default, and hot paths guard each span with one ``obs.on`` test, so
+   unprofiled simulations run the same instructions they ran before
+   instrumentation.
 2. **Deterministic attribution.**  Phases are identified by the *stack
    of names* active when they ran (``("epoch", "epoch.policy")``), so
    the aggregation tree is identical across runs; only the measured
@@ -25,8 +26,8 @@ Design constraints mirror :class:`repro.trace.TraceRecorder`, in order:
    optimization actually lands.
 
 Span recording is begin/end based rather than context-manager-only: the
-hot loops guard ``profiler.begin(...)``/``profiler.end(...)`` behind an
-``is not None`` branch with no generator or ``with``-frame overhead.
+hot loops guard ``obs.begin(...)``/``obs.end(...)`` behind one
+``obs.on`` branch with no generator or ``with``-frame overhead.
 :meth:`PhaseProfiler.span` wraps the same pair for ergonomic call sites::
 
     with profiler.span("hbm.service_requests"):

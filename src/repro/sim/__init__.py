@@ -1,18 +1,12 @@
-"""Discrete-event simulation engine.
+"""Epoch-level simulation driver.
 
-A deliberately small engine: a priority-queue of timestamped events
-(:class:`~repro.sim.engine.EventQueue`), a shared clock, and an epoch runner
-that advances co-executing applications in fixed-length profiling epochs the
-way UGPU's hardware does (Section 3.3 of the paper).
+An epoch runner that advances co-executing applications in fixed-length
+profiling epochs the way UGPU's hardware does (Section 3.3 of the paper).
 """
 
-from repro.sim.engine import Event, EventQueue, SimClock
 from repro.sim.epoch import EpochResult, EpochRunner
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "SimClock",
     "EpochResult",
     "EpochRunner",
 ]

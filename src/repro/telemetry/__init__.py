@@ -2,11 +2,12 @@
 
 The aggregate counterpart of :mod:`repro.trace`.  Quickstart::
 
-    from repro import MetricsRegistry, MultitaskSystem, UGPUPolicy
+    from repro import MetricsRegistry, MultitaskSystem, Obs, UGPUPolicy
     from repro.telemetry import to_prometheus
 
     registry = MetricsRegistry()
-    MultitaskSystem(apps, policy=UGPUPolicy(), metrics=registry).run()
+    MultitaskSystem(apps, policy=UGPUPolicy(),
+                    obs=Obs(registry=registry)).run()
     print(to_prometheus(registry))
 
 See ``docs/tutorial.md`` ("Watching a run: the telemetry layer") for the
@@ -31,7 +32,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
 )
 from repro.telemetry.provenance import collect_provenance, config_hash, stamp
 from repro.telemetry.series import (
@@ -52,7 +52,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsServer",
-    "NullRegistry",
     "collect_provenance",
     "config_hash",
     "fold_exec_stats",

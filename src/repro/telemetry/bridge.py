@@ -55,7 +55,6 @@ def registry_from_trace(
     queue_delay = names.open_queueing_delay_cycles(reg)
     faults = names.vm_faults_total(reg)
     fault_cycles = names.vm_fault_software_cycles_total(reg)
-    sim_events = names.sim_events_fired_total(reg)
     cache_hits = names.exec_cache_hits_total(reg)
     cache_misses = names.exec_cache_misses_total(reg)
     jobs_run = names.exec_jobs_run_total(reg)
@@ -93,8 +92,6 @@ def registry_from_trace(
                 queue_delay.observe(float(delay))
         elif category == "departure":
             departures.inc()
-        elif category == "event":
-            sim_events.inc()
         elif category == "cache":
             if event.name == "hit":
                 cache_hits.inc()
@@ -117,8 +114,6 @@ def registry_from_trace(
 
 def fold_exec_stats(registry: MetricsRegistry, stats) -> MetricsRegistry:
     """Fold one :class:`~repro.exec.stats.ExecStats` into ``registry``."""
-    if registry is None or not getattr(registry, "enabled", False):
-        return registry
     names.exec_jobs_total(registry).inc(stats.jobs_total)
     names.exec_jobs_run_total(registry).inc(stats.jobs_run)
     names.exec_cache_hits_total(registry).inc(stats.cache_hits)

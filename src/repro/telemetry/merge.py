@@ -28,7 +28,7 @@ processes disagree about what a family *is*, which is a bug, not data.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.errors import ConfigError, TelemetryError
 from repro.telemetry.metrics import MetricsRegistry
@@ -116,16 +116,10 @@ def _check_compatible(family, entry: Dict[str, Any]) -> None:
 
 
 def merge_registry(
-    registry: Optional[MetricsRegistry],
+    registry: MetricsRegistry,
     snapshot: Sequence[Dict[str, Any]],
 ) -> int:
-    """Fold a worker snapshot into ``registry``; returns samples merged.
-
-    A ``None`` or disabled registry (the :data:`NullRegistry` stand-in)
-    is a no-op — the zero-overhead contract of every other hook.
-    """
-    if registry is None or not getattr(registry, "enabled", False):
-        return 0
+    """Fold a worker snapshot into ``registry``; returns samples merged."""
     merged = 0
     for entry in snapshot:
         family = registry.get(entry["name"])

@@ -17,12 +17,12 @@ the stdlib only:
   boundaries (Prometheus semantics: ``le`` is an inclusive upper bound,
   with an implicit ``+Inf`` bucket);
 * a per-family cardinality guard (:attr:`MetricsRegistry.max_label_sets`)
-  refuses runaway label explosions instead of silently eating memory;
-* :class:`NullRegistry` is a no-op drop-in so instrumentation can be
-  left in place unconditionally — mirroring the ``tracer=None`` pattern,
-  every instrumented component also defaults ``metrics=None`` and guards
-  each update with one ``is not None`` check, keeping the disabled path
-  byte-identical and overhead-free.
+  refuses runaway label explosions instead of silently eating memory.
+
+Instrumented components never hold a registry directly: they declare
+families through their :class:`~repro.obs.Obs` handle, which hands back
+a shared no-op metric when it has no registry, keeping the unobserved
+path byte-identical and overhead-free.
 """
 
 from __future__ import annotations
@@ -304,8 +304,6 @@ class MetricsRegistry:
     dashboard) snapshot whatever series they follow.
     """
 
-    enabled = True
-
     def __init__(self, max_label_sets: int = 1024) -> None:
         if max_label_sets < 1:
             raise ConfigError("max_label_sets must be >= 1")
@@ -396,66 +394,3 @@ class MetricsRegistry:
     def epoch_boundary(self, epoch_index: int, cycle: float) -> None:
         for observer in self._observers:
             observer(self, epoch_index, cycle)
-
-
-class _NullMetric:
-    """Accepts every metric operation and does nothing."""
-
-    __slots__ = ()
-    value = 0.0
-    sum = 0.0
-    count = 0
-
-    def labels(self, *values, **kwargs) -> "_NullMetric":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def samples(self) -> List:
-        return []
-
-
-NULL_METRIC = _NullMetric()
-
-
-class NullRegistry(MetricsRegistry):
-    """A registry that records nothing.
-
-    Instrumented components treat it exactly like a real registry — the
-    same attribute loads and calls — but every family is the shared
-    no-op metric, so enabling the plumbing without an actual consumer is
-    free.  (Components also accept ``metrics=None`` and skip the calls
-    entirely; this class exists for call sites that want to avoid the
-    ``None`` branch.)
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def counter(self, name: str, help: str = "",
-                labels: Sequence[str] = ()):
-        return NULL_METRIC
-
-    def gauge(self, name: str, help: str = "",
-              labels: Sequence[str] = ()):
-        return NULL_METRIC
-
-    def histogram(self, name: str, help: str = "",
-                  labels: Sequence[str] = (),
-                  buckets: Sequence[float] = CYCLE_BUCKETS):
-        return NULL_METRIC
-
-    def epoch_boundary(self, epoch_index: int, cycle: float) -> None:
-        pass

@@ -1,8 +1,8 @@
 """The canonical metric families every instrumented layer declares.
 
 Instrumentation lives in many modules (`core.system`, `policies.ugpu`,
-`sim.engine`, `vm.driver`, `pagemove.engine`, `hbm.controller`,
-`cluster.fleet`, `exec.executor`) and the trace bridge
+`vm.driver`, `pagemove.engine`, `hbm.controller`, `cluster.fleet`,
+`exec.executor`) and the trace bridge
 (:mod:`repro.telemetry.bridge`) must rebuild the *same* series from a
 recorded event stream.  Declaring each family through one factory here —
 name, help text, labels and buckets in a single place — is what makes
@@ -148,21 +148,6 @@ def open_wait_queue_depth(reg: MetricsRegistry):
 def open_resident_jobs(reg: MetricsRegistry):
     return reg.gauge(
         OPEN_RESIDENT_JOBS, "Jobs resident on the GPU (sampled at boundaries)."
-    )
-
-
-# ----------------------------------------------------------------- sim engine
-SIM_EVENTS_FIRED_TOTAL = "repro_sim_events_fired_total"
-SIM_EVENT_QUEUE_DEPTH = "repro_sim_event_queue_depth"
-
-
-def sim_events_fired_total(reg: MetricsRegistry):
-    return reg.counter(SIM_EVENTS_FIRED_TOTAL, "Discrete events fired.")
-
-
-def sim_event_queue_depth(reg: MetricsRegistry):
-    return reg.gauge(
-        SIM_EVENT_QUEUE_DEPTH, "Live events pending in the queue."
     )
 
 
@@ -365,8 +350,8 @@ def exec_wall_seconds_total(reg: MetricsRegistry):
 
 
 # --------------------------------------------------------------------- worker
-# Families captured *inside* pool workers by FleetShardJob.run_observed and
-# merged orchestrator-side (exact counter sums, deterministic in job order).
+# Families captured *inside* pool workers by FleetShardJob.run and merged
+# orchestrator-side (exact counter sums, deterministic in job order).
 WORKER_NODE_ROUNDS_TOTAL = "repro_worker_node_rounds_total"
 WORKER_TENANT_ROUNDS_TOTAL = "repro_worker_tenant_rounds_total"
 WORKER_INSTRUCTIONS_TOTAL = "repro_worker_instructions_total"

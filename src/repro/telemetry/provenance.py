@@ -100,7 +100,5 @@ def collect_provenance(config: Any = None,
 
 
 def stamp(registry, config: Any = None, **extra: Any) -> None:
-    """Attach provenance to ``registry`` (no-op for a null registry)."""
-    if registry is None or not getattr(registry, "enabled", False):
-        return
+    """Attach provenance to ``registry``."""
     registry.provenance.update(collect_provenance(config, **extra))

@@ -3,7 +3,7 @@
 The package has three pieces:
 
 * :mod:`repro.trace.recorder` — :class:`TraceRecorder` (ring-buffered,
-  zero overhead when disabled) and the typed :class:`TraceEvent` /
+  zero overhead when absent) and the typed :class:`TraceEvent` /
   :class:`TraceCategory` records;
 * :mod:`repro.trace.export` — JSONL round-trip plus a
   ``chrome://tracing`` / Perfetto exporter;
@@ -12,12 +12,12 @@ The package has three pieces:
 
 Quickstart::
 
-    from repro import MultitaskSystem, UGPUPolicy, build_mix
+    from repro import MultitaskSystem, Obs, UGPUPolicy, build_mix
     from repro.trace import TraceRecorder, summarize, write_chrome_trace
 
     tracer = TraceRecorder()
     system = MultitaskSystem(build_mix(["PVC", "DXTC"]).applications,
-                             policy=UGPUPolicy(), tracer=tracer)
+                             policy=UGPUPolicy(), obs=Obs(tracer))
     system.run(25_000_000)
     print(summarize(tracer.events()).format())
     write_chrome_trace(tracer.events(), "ugpu.chrome.json")  # open in Perfetto

@@ -1,12 +1,12 @@
-"""Typed, ring-buffered trace recording (zero overhead when disabled).
+"""Typed, ring-buffered trace recording (zero overhead when absent).
 
 The reproduction's headline claims are *time-resolved*: Figure 11's
 PageMove breakdown, Figure 12a's per-epoch reallocation occupancy and
 Figure 16's QoS interventions are all stories about *when* something
 happened, not just how much of it.  :class:`TraceRecorder` is the shared
-substrate every silent layer reports into:
+substrate every silent layer reports into, through its
+:class:`~repro.obs.Obs` handle:
 
-* :class:`~repro.sim.engine.EventQueue` — event fire hooks (``event``);
 * :class:`~repro.core.system.MultitaskSystem` — epoch boundaries
   (``epoch``) and, under :class:`~repro.policies.ugpu.UGPUPolicy`,
   partition decisions (``realloc``), QoS interventions (``qos``) and migration
@@ -19,9 +19,10 @@ substrate every silent layer reports into:
 
 Design constraints, in order:
 
-1. **Zero overhead when absent.**  Every instrumented component defaults
-   ``tracer=None`` and guards each emission with a single ``is not
-   None`` check, so untraced simulations produce byte-identical results.
+1. **Zero overhead when absent.**  Every instrumented component takes
+   one ``obs`` handle that defaults to :data:`repro.obs.OFF` and guards
+   each emission with a single ``obs.on`` test, so untraced simulations
+   produce byte-identical results.
 2. **Bounded memory.**  The buffer is a ring (``collections.deque`` with
    ``maxlen``): a 25M-cycle sweep cannot OOM the recorder; ``dropped``
    counts evictions so truncation is never silent.
@@ -54,7 +55,6 @@ class TraceCategory(str, enum.Enum):
     FAULT = "fault"          #: driver faults by kind (demand/lost/rebalance)
     QOS = "qos"              #: QoS enforcement interventions (Figure 16)
     CACHE = "cache"          #: result-cache hits and misses
-    EVENT = "event"          #: raw discrete-event fires (EventQueue)
     JOB = "job"              #: sweep-executor job start/end
     ARRIVAL = "arrival"      #: open-system job arrival (enters the queue)
     ADMISSION = "admission"  #: open-system job admitted to a slice
@@ -148,17 +148,12 @@ class TraceRecorder:
     categories:
         Optional allow-list; events in other categories are counted in
         :attr:`filtered` and discarded at the emission site.
-    enabled:
-        Master switch.  A disabled recorder's :meth:`emit` returns
-        immediately, so instrumentation left in place costs one
-        attribute load and a branch.
     """
 
     def __init__(
         self,
         capacity: int = 65_536,
         categories: Optional[Iterable[Union[str, TraceCategory]]] = None,
-        enabled: bool = True,
     ) -> None:
         if capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
@@ -169,7 +164,6 @@ class TraceRecorder:
             if categories is not None
             else None
         )
-        self.enabled = enabled
         self._seq = 0
         self.emitted = 0    #: events accepted into the ring
         self.dropped = 0    #: events evicted by ring wraparound
@@ -177,23 +171,6 @@ class TraceRecorder:
 
     def __len__(self) -> int:
         return len(self._buffer)
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def wants(self, category: Union[str, TraceCategory]) -> bool:
-        """Would an event in ``category`` currently be recorded?
-
-        Instrumentation whose *argument construction* is expensive can
-        guard on this to skip the work entirely.
-        """
-        if not self.enabled:
-            return False
-        value = category.value if isinstance(category, TraceCategory) else category
-        return self.categories is None or value in self.categories
 
     def emit(
         self,
@@ -204,13 +181,11 @@ class TraceRecorder:
         kind: Optional[str] = None,
         **args: Any,
     ) -> Optional[TraceEvent]:
-        """Record one event; returns it, or None if disabled/filtered.
+        """Record one event; returns it, or None if filtered.
 
         ``kind`` defaults to ``span`` when a duration is given and
         ``instant`` otherwise.
         """
-        if not self.enabled:
-            return None
         value = _category_value(category)
         if self.categories is not None and value not in self.categories:
             self.filtered += 1
@@ -248,8 +223,6 @@ class TraceRecorder:
         counters apply exactly as for :meth:`emit`.  Returns the number
         of events accepted.
         """
-        if not self.enabled:
-            return 0
         absorbed = 0
         for event in events:
             value = _category_value(event.category)

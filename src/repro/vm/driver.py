@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.errors import AllocationError
+from repro.obs import OFF, Obs
 from repro.vm.page_table import PageTable
 
 #: Software fault-processing delay in GPU cycles (paper Section 4.5).
@@ -64,19 +65,18 @@ class GPUDriver:
 
     def __init__(self, num_channel_groups: int = 8,
                  pages_per_channel: int = 262_144, mapping=None,
-                 tracer=None, metrics=None, profiler=None) -> None:
+                 obs: Obs = OFF) -> None:
         """``mapping``, when given, must provide ``channel_of_frame(rpn)``
         and ``frames_of_channel(channel)`` (e.g.
         :class:`repro.pagemove.address_mapping.InterleavedPageMapping`);
         it overrides the default contiguous frame layout with the paper's
         Figure 8 interleave.
 
-        ``tracer`` (a :class:`repro.trace.TraceRecorder`) receives one
-        ``fault``-category record per serviced fault, named by kind;
-        ``metrics`` (a telemetry registry) counts faults by kind and
-        accumulates software fault-handling cycles; ``profiler`` (a
-        :class:`~repro.profiling.profiler.PhaseProfiler`) attributes host
-        wall time per serviced fault to a ``vm.handle_fault`` phase."""
+        ``obs`` (a :class:`repro.obs.Obs` handle) gets one
+        ``fault``-category trace record per serviced fault, named by
+        kind; metrics counting faults by kind and accumulating software
+        fault-handling cycles; and a ``vm.handle_fault`` host phase per
+        serviced fault."""
         if mapping is not None:
             num_channel_groups = mapping.num_channel_groups
             pages_per_channel = min(pages_per_channel, mapping.pages_per_channel)
@@ -111,14 +111,13 @@ class GPUDriver:
         self.page_tables: Dict[int, PageTable] = {}
         #: Faults serviced so far.
         self.faults = 0
-        self.tracer = tracer
-        self.metrics = metrics
-        self.profiler = profiler
-        if metrics is not None:
+        self.obs = obs
+        if obs.on:
             from repro.telemetry import names as _names
 
-            self._m_faults = _names.vm_faults_total(metrics)
-            self._m_fault_cycles = _names.vm_fault_software_cycles_total(metrics)
+            self._m_faults = obs.metric(_names.vm_faults_total)
+            self._m_fault_cycles = obs.metric(
+                _names.vm_fault_software_cycles_total)
 
     # ------------------------------------------------------------------
     # Application lifecycle
@@ -237,9 +236,9 @@ class GPUDriver:
         before any state changes.  A fault whose new frame cannot be
         allocated raises with the old frame still mapped and resident.
         """
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("vm.handle_fault")
+        obs = self.obs
+        if obs.on:
+            obs.begin("vm.handle_fault")
         self._check_app(app_id)
         table = self.page_tables[app_id]
         source_channel = None
@@ -279,17 +278,15 @@ class GPUDriver:
             source_channel=source_channel,
         )
         self.faults += 1
-        if self.tracer is not None:
-            self.tracer.emit(
+        if obs.on:
+            obs.emit(
                 "fault", kind.value, app_id=app_id, vpn=vpn,
                 channel=channel, source_channel=source_channel,
                 software_cycles=fault.software_cycles,
             )
-        if self.metrics is not None:
             self._m_faults.labels(kind=kind.value).inc()
             self._m_fault_cycles.inc(fault.software_cycles)
-        if prof is not None:
-            prof.end("vm.handle_fault")
+            obs.end("vm.handle_fault")
         return fault
 
     def is_balanced(self, app_id: int, tolerance: int = 1) -> bool:

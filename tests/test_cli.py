@@ -8,6 +8,7 @@ import pytest
 
 import repro.cli
 from repro.cli import main
+from repro.obs import Obs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -125,7 +126,7 @@ class TestMetricsFlags:
         registry = MetricsRegistry()
         sampler = CsvSampler(tmp_path / "series.csv").attach(registry)
         system = resolve_policy("ugpu")([], arrivals=schedule,
-                                        metrics=registry)
+                                        obs=Obs(registry=registry))
         result = system.run(25_000_000)
         sampler.close()
 
@@ -139,6 +140,33 @@ class TestMetricsFlags:
         assert delay_count[-1][1] == result.admissions
         expected = result.mean_queueing_delay * result.admissions
         assert delay_sum[-1][1] == pytest.approx(expected)
+
+    def _sweep_epochs(self, tmp_path, *extra):
+        prom = tmp_path / "sweep.prom"
+        assert main(["sweep", "--policies", "bp", "--cycles", "2000000",
+                     "--no-cache", "--metrics-out", str(prom), *extra]) == 0
+        from repro.telemetry import parse_prometheus
+
+        samples = parse_prometheus(prom.read_text())["samples"]
+        return [value for (name, _), value in samples.items()
+                if name == "repro_epochs_total"]
+
+    def test_sweep_metrics_alone_capture_worker_families(self, tmp_path,
+                                                         capsys):
+        """Any observability flag turns worker capture on: metrics alone
+        export the simulator families, the same as with a trace."""
+        alone = self._sweep_epochs(tmp_path)
+        traced = self._sweep_epochs(
+            tmp_path, "--trace-out", str(tmp_path / "t"))
+        assert alone == traced == [50.0]
+
+    def test_arrivals_rejects_log_jsonl(self, tmp_path, capsys):
+        """The open-system runner writes no log records, so ``arrivals``
+        takes no ``--log-jsonl``."""
+        with pytest.raises(SystemExit):
+            main(["arrivals", "--cycles", "1000000",
+                  "--log-jsonl", str(tmp_path / "a.log.jsonl")])
+        assert "unrecognized arguments: --log-jsonl" in capsys.readouterr().err
 
     def test_metrics_subcommand_bridges_a_trace(self, tmp_path, capsys):
         prefix = tmp_path / "tl"

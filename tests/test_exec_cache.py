@@ -5,14 +5,14 @@ import pickle
 import pytest
 
 from repro.errors import ConfigError
-from repro.exec import ResultCache, SweepJob, execute_job
+from repro.exec import ResultCache, SweepJob
 
 JOB = SweepJob.build("bp", ("PVC", "DXTC"), 2_000_000)
 
 
 @pytest.fixture
 def result():
-    return execute_job(JOB)
+    return JOB.run()
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ from repro.errors import ConfigError
 from repro.exec import (
     SweepJob,
     canonical_policy_name,
-    execute_job,
     fingerprint,
     policy_name_of,
     register_policy,
@@ -151,7 +150,7 @@ class TestJobValidation:
             SweepJob.build("bp", ("PVC",), 0)
 
     def test_execute_job_runs_the_policy(self):
-        result = execute_job(SweepJob.build("bp", ("PVC", "DXTC"), 2_000_000))
+        result = SweepJob.build("bp", ("PVC", "DXTC"), 2_000_000).run()
         assert result.policy == "BP"
         assert result.mix_name == "PVC_DXTC"
         assert result.stp > 0

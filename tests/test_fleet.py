@@ -22,6 +22,7 @@ from repro.cluster.shard import apportion, slice_node
 from repro.errors import ConfigError, SimulationError
 from repro.exec import ResultCache, SweepExecutor
 from repro.gpu import GPUConfig, PerformanceModel
+from repro.obs import Obs
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.names import FLEET_JOBS_TOTAL, FLEET_ROUNDS_TOTAL
 from repro.workloads import build_application, poisson_arrivals
@@ -234,7 +235,7 @@ class TestShardJob:
         with pytest.raises(ConfigError, match=f"job 7 on node 3: {problem}"):
             job.run()
         with pytest.raises(ConfigError, match=f"job 7 on node 3: {problem}"):
-            job.run_observed(metrics=MetricsRegistry())
+            job.run(obs=Obs(registry=MetricsRegistry()))
 
     def test_last_instruction_of_kernel_accepted(self):
         """The cursor one short of the kernel end is valid, and the
@@ -343,7 +344,7 @@ class TestFleetSimulator:
 
     def test_metrics_reconcile_with_result(self):
         registry = MetricsRegistry()
-        result = simulator(metrics=registry).run()
+        result = simulator(obs=Obs(registry=registry)).run()
         assert registry.value(
             FLEET_JOBS_TOTAL, event="arrived") == result.arrivals
         assert registry.value(

@@ -1,0 +1,90 @@
+"""The observability handle (repro.obs): one ``obs`` argument that owns
+the trace recorder, metrics registry, phase profiler and obslog logger."""
+
+from repro.exec import ObsSnapshot, SweepJob
+from repro.obs import NULL_METRIC, OFF, Obs, run_job
+from repro.obslog import ObsLogger, read_obslog
+from repro.profiling import PhaseProfiler
+from repro.telemetry import MetricsRegistry, names
+from repro.trace import TraceRecorder
+
+JOB = SweepJob.build("bp", ("PVC", "DXTC"), 2_000_000)
+
+
+class TestHandle:
+    def test_off_handle_has_no_sinks_and_ignores_every_call(self):
+        assert not OFF.on
+        assert Obs().on is False
+        OFF.emit("epoch", "e", time=1.0, duration=2.0)
+        OFF.begin("epoch")
+        OFF.end("epoch")
+        OFF.info("x", job_id=1)
+        OFF.epoch_boundary(0, 0.0)
+        with OFF.span("phase"):
+            pass
+        metric = OFF.metric(names.epochs_total)
+        assert metric is NULL_METRIC
+        metric.labels(kind="x").inc()
+        metric.set(3.0)
+        metric.observe(1.0)
+        assert metric.value == 0.0
+
+    def test_any_sink_turns_the_handle_on(self, tmp_path):
+        for handle in (Obs(TraceRecorder()), Obs(registry=MetricsRegistry()),
+                       Obs(profiler=PhaseProfiler())):
+            assert handle.on and handle.captures
+        # A logger writes only in the orchestrator: nothing to capture.
+        logger = ObsLogger(tmp_path / "l.jsonl", run_id="r" * 16)
+        handle = Obs(logger=logger)
+        logger.close()
+        assert handle.on and not handle.captures
+        assert not OFF.captures
+
+    def test_calls_reach_their_sinks(self):
+        recorder, registry, profiler = (
+            TraceRecorder(), MetricsRegistry(), PhaseProfiler())
+        obs = Obs(recorder, registry, profiler)
+        obs.emit("epoch", "epoch[0]", time=0.0, duration=5.0)
+        with obs.span("epoch"):
+            obs.metric(names.epochs_total).inc()
+        assert [e.name for e in recorder.events()] == ["epoch[0]"]
+        assert registry.value(names.EPOCHS_TOTAL) == 1.0
+        assert profiler.tree()[("epoch",)].calls == 1
+
+    def test_metric_without_registry_is_the_null_metric(self):
+        assert Obs(TraceRecorder()).metric(names.epochs_total) is NULL_METRIC
+
+    def test_bind_shares_sinks_and_binds_the_logger(self, tmp_path):
+        recorder = TraceRecorder()
+        assert Obs(recorder).bind(run_id="x").recorder is recorder
+        logger = ObsLogger(tmp_path / "l.jsonl", run_id="r" * 16)
+        bound = Obs(recorder, logger=logger).bind(placement="first_fit")
+        assert bound.recorder is recorder
+        bound.info("fleet.run")
+        logger.close()
+        assert read_obslog(tmp_path / "l.jsonl")[0]["placement"] == "first_fit"
+
+
+class TestWorkerCapture:
+    def test_uncaptured_job_has_an_empty_envelope(self):
+        envelope = run_job(JOB)
+        assert envelope.obs == ObsSnapshot()
+        assert envelope.result.stp > 0 and envelope.seconds > 0
+
+    def test_captured_job_carries_every_stream(self):
+        envelope = run_job(JOB, capture=True)
+        assert envelope.obs.events
+        assert "worker.job" in envelope.obs.profile
+        assert any(f["name"] == names.EPOCHS_TOTAL
+                   for f in envelope.obs.metrics)
+
+    def test_absorb_fills_only_the_sinks_the_handle_has(self):
+        envelope = run_job(JOB, capture=True)
+        recorder = TraceRecorder()
+        obs = Obs(recorder)
+        absorbed = obs.absorb([envelope], prefix=("worker",),
+                              shard_prefix="job", run_id="r" * 16)
+        assert absorbed == len(envelope.obs.events) == len(recorder)
+        assert {e.args["shard_id"] for e in recorder.events()} == {"job0"}
+        assert OFF.absorb([envelope], prefix=("worker",),
+                          shard_prefix="job") == 0

@@ -24,12 +24,12 @@ from repro.cluster.health import (
 from repro.errors import ConfigError, TelemetryError
 from repro.exec import (
     CACHE_SCHEMA,
+    ObsSnapshot,
     ResultCache,
     SweepExecutor,
     SweepJob,
-    execute_job_enveloped,
-    merge_envelopes,
 )
+from repro.obs import Obs, run_job
 from repro.obslog import (
     REQUIRED_FIELDS,
     ObsLogger,
@@ -39,7 +39,6 @@ from repro.obslog import (
 from repro.profiling import PhaseProfiler
 from repro.telemetry import (
     MetricsRegistry,
-    NullRegistry,
     merge_registry,
     snapshot_registry,
     to_prometheus,
@@ -51,10 +50,13 @@ CYCLES = 10_000_000
 SMALL_JOB = SweepJob.build("bp", ("PVC", "DXTC"), 2_000_000)
 
 
-def run_fleet(jobs: int, *, capture=None, health=None, log=None):
-    """One tiny fleet run; returns (result, registry, recorder)."""
-    registry = MetricsRegistry()
-    recorder = TraceRecorder()
+def captured(job):
+    """``job`` run under a worker capture handle, as the executor does."""
+    return run_job(job, capture=True)
+
+
+def fleet(jobs: int, obs: Obs, health=None):
+    """One tiny fleet run; returns (result, the executor's envelopes)."""
     schedule = poisson_arrivals(
         mean_interarrival_cycles=500_000,
         horizon_cycles=CYCLES,
@@ -69,13 +71,17 @@ def run_fleet(jobs: int, *, capture=None, health=None, log=None):
             horizon_cycles=CYCLES,
             instructions_per_kernel=50_000_000,
             executor=executor,
-            metrics=registry,
-            tracer=recorder,
-            capture=capture,
+            obs=obs,
             health=health,
-            log=log,
         )
-        result = simulator.run()
+        return simulator.run(), executor.last_envelopes
+
+
+def run_fleet(jobs: int, *, health=None, log=None):
+    """One tiny observed fleet run; returns (result, registry, recorder)."""
+    registry = MetricsRegistry()
+    recorder = TraceRecorder()
+    result, _ = fleet(jobs, Obs(recorder, registry, logger=log), health)
     return result, registry, recorder
 
 
@@ -137,9 +143,10 @@ class TestWorkerCaptureRoundTrip:
         assert starts[-1] > starts[0] >= 0.0
 
     def test_capture_off_means_no_worker_events(self):
-        _, registry, recorder = run_fleet(1, capture=False)
-        assert recorder.events("node") == []
-        assert "repro_worker" not in to_prometheus(registry)
+        # An off handle captures nothing: every shard envelope is empty.
+        _, envelopes = fleet(1, Obs())
+        assert envelopes
+        assert all(e.obs == ObsSnapshot() for e in envelopes)
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +154,7 @@ class TestWorkerCaptureRoundTrip:
 # ----------------------------------------------------------------------
 class TestEnvelopeAndCache:
     def test_envelope_pickle_round_trip(self):
-        envelope = execute_job_enveloped(SMALL_JOB, capture=True)
+        envelope = captured(SMALL_JOB)
         clone = pickle.loads(pickle.dumps(envelope))
         assert clone.result == envelope.result
         assert clone.pid == envelope.pid
@@ -159,7 +166,7 @@ class TestEnvelopeAndCache:
 
     def test_cache_envelope_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        envelope = execute_job_enveloped(SMALL_JOB, capture=True)
+        envelope = captured(SMALL_JOB)
         cache.put(SMALL_JOB.key(), envelope.result, obs=envelope.obs,
                   origin=(envelope.pid, envelope.worker))
         payload = cache.get_envelope(SMALL_JOB.key(), require_obs=True)
@@ -197,13 +204,13 @@ class TestEnvelopeAndCache:
 
     def test_executor_replays_capture_from_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        first = SweepExecutor(cache=cache, capture=True)
+        first = SweepExecutor(cache=cache, obs=Obs(TraceRecorder()))
         first.run([SMALL_JOB])
         assert first.last_stats.jobs_run == 1
         fresh = first.last_envelopes[0]
         assert fresh is not None and not fresh.cached
 
-        second = SweepExecutor(cache=cache, capture=True)
+        second = SweepExecutor(cache=cache, obs=Obs(TraceRecorder()))
         second.run([SMALL_JOB])
         assert second.last_stats.cache_hits == 1
         replayed = second.last_envelopes[0]
@@ -211,17 +218,29 @@ class TestEnvelopeAndCache:
         assert replayed.obs.events == fresh.obs.events
         assert (replayed.pid, replayed.worker) == (fresh.pid, fresh.worker)
 
+    def test_logger_only_run_hits_an_uncaptured_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        SweepExecutor(cache=cache).run([SMALL_JOB])
+        log = ObsLogger(tmp_path / "exec.log.jsonl", run_id="r" * 16)
+        executor = SweepExecutor(cache=cache, obs=Obs(logger=log))
+        executor.run([SMALL_JOB])
+        log.close()
+        assert executor.last_stats.cache_hits == 1
+        assert executor.last_envelopes[0].obs == ObsSnapshot()
+        (record,) = read_obslog(tmp_path / "exec.log.jsonl")
+        assert record["event"] == "exec.run" and record["cache_hits"] == 1
+
     def test_merged_trace_count_equals_sum_of_parts(self):
-        executor = SweepExecutor(capture=True)
+        executor = SweepExecutor()
         jobs = [SMALL_JOB, SweepJob.build("ugpu", ("PVC", "DXTC"), 2_000_000)]
-        executor.run(jobs)
         recorder = TraceRecorder()
-        absorbed = merge_envelopes(
-            executor.last_envelopes, tracer=recorder, run_id="r" * 16
+        obs = Obs(recorder)
+        executor.run(jobs, obs=obs)
+        absorbed = obs.absorb(
+            executor.last_envelopes, prefix=("worker",), shard_prefix="job",
+            run_id="r" * 16,
         )
-        expected = sum(
-            len(e.obs.events) for e in executor.last_envelopes if e is not None
-        )
+        expected = sum(len(e.obs.events) for e in executor.last_envelopes)
         assert absorbed == expected == len(recorder.events())
         shard_ids = {e.args["shard_id"] for e in recorder.events()}
         assert shard_ids == {"job0", "job1"}
@@ -299,12 +318,6 @@ class TestRegistryMerge:
         worker.gauge("repro_g", "g").set(9.0)
         merge_registry(parent, snapshot_registry(worker))
         assert parent.get("repro_g").value == 9.0
-
-    def test_null_registry_merge_is_a_noop(self):
-        worker = MetricsRegistry()
-        worker.counter("repro_t_total", "t").inc()
-        assert merge_registry(NullRegistry(), snapshot_registry(worker)) == 0
-        assert merge_registry(None, snapshot_registry(worker)) == 0
 
 
 # ----------------------------------------------------------------------
@@ -591,9 +604,7 @@ class TestHealthMonitor:
         registry = MetricsRegistry()
         recorder = TraceRecorder()
         log = ObsLogger(tmp_path / "h.jsonl", run_id="h" * 16)
-        monitor = FleetHealthMonitor(
-            metrics=registry, tracer=recorder, log=log
-        )
+        monitor = FleetHealthMonitor(obs=Obs(recorder, registry, logger=log))
         monitor.run_id = "h" * 16
         monitor.observe_round(3, now=7.0, job_seconds=(0.1, 0.1, 0.1, 1.0))
         log.close()

@@ -37,6 +37,7 @@ from repro.metrics.multiprogram import (
     mean_queueing_delay,
     stp,
 )
+from repro.obs import Obs
 from repro.policies import (
     BPBigSmallPolicy,
     BPPolicy,
@@ -107,7 +108,7 @@ class TestLifecycleOrdering:
             [ArrivalEvent(1_500_000, arrival, budget_instructions=1)]
         )
         system = MultitaskSystem(
-            _apps(), epoch_cycles=EPOCH, tracer=tracer,
+            _apps(), epoch_cycles=EPOCH, obs=Obs(tracer),
             policy=policy or PartitionPolicy(), arrivals=schedule,
         )
         result = system.run(HORIZON)
@@ -151,7 +152,7 @@ class TestLifecycleOrdering:
             ArrivalEvent(1_500_000, second, budget_instructions=1),
         ])
         system = MultitaskSystem(
-            _apps(), epoch_cycles=EPOCH, tracer=tracer,
+            _apps(), epoch_cycles=EPOCH, obs=Obs(tracer),
             policy=PartitionPolicy(), arrivals=schedule, max_slots=3,
         )
         system.run(HORIZON)

@@ -1,13 +1,14 @@
 """Tests for the phase profiler (repro.profiling.profiler): span
 nesting, self/cumulative attribution, the flat table, Chrome-trace
-export, and the zero-overhead ``profiler=None`` contract of every
-instrumented layer."""
+export, and the zero-overhead contract of every instrumented layer
+under the default off handle (``obs=OFF``)."""
 
 import json
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import OFF, Obs
 from repro.profiling import PhaseProfiler
 
 
@@ -191,7 +192,7 @@ class TestChromeExport:
 
 
 class TestZeroOverheadContract:
-    """profiler=None must leave results and hot paths untouched."""
+    """Profiling must leave results and hot paths untouched."""
 
     def _run(self, profiler):
         from repro.core.system import MultitaskSystem, clear_solo_ipc_cache
@@ -203,7 +204,7 @@ class TestZeroOverheadContract:
             build_mix(["PVC", "DXTC"]).applications,
             policy=UGPUPolicy(),
             epoch_cycles=100_000,
-            profiler=profiler,
+            obs=Obs(profiler=profiler) if profiler is not None else OFF,
         )
         return system.run(3_000_000)
 
@@ -226,18 +227,17 @@ class TestZeroOverheadContract:
         from repro.hbm.controller import MemoryController
         from repro.pagemove.engine import MigrationEngine
         from repro.policies import BPPolicy
-        from repro.sim.engine import EventQueue
         from repro.vm.driver import GPUDriver
         from repro.workloads.mixes import build_mix
 
         system = MultitaskSystem(build_mix(["PVC", "DXTC"]).applications,
                                  policy=BPPolicy())
-        assert system.phase_profiler is None
-        assert EventQueue().profiler is None
-        assert MemoryController(HBMConfig()).profiler is None
+        assert system.obs is OFF
+        assert MemoryController(HBMConfig()).obs is OFF
         driver = GPUDriver()
-        assert driver.profiler is None
-        assert MigrationEngine(driver).profiler is None
+        assert driver.obs is OFF
+        assert MigrationEngine(driver).obs is OFF
+        assert OFF.profiler is None
 
     def test_phase_profiler_does_not_shadow_policy_profiler(self):
         """The runner's phase profiler and the policy's epoch-counter
@@ -249,30 +249,21 @@ class TestZeroOverheadContract:
 
         prof = PhaseProfiler()
         system = MultitaskSystem(build_mix(["PVC", "DXTC"]).applications,
-                                 policy=UGPUPolicy(), profiler=prof)
-        assert system.phase_profiler is prof
+                                 policy=UGPUPolicy(), obs=Obs(profiler=prof))
+        assert system.obs.profiler is prof
         assert isinstance(system.policy.profiler, EpochProfiler)
         assert not isinstance(system.policy.profiler, PhaseProfiler)
-
-    def test_event_queue_attributes_span_per_fired_event(self):
-        from repro.sim.engine import EventQueue
-
-        prof = PhaseProfiler()
-        queue = EventQueue(profiler=prof)
-        queue.schedule(5, lambda: None, tag="tick")
-        queue.schedule(7, lambda: None, tag="tock")
-        queue.run_until(10)
-        assert prof.tree()[("sim.event",)].calls == 2
 
     def test_driver_and_engine_spans_nest(self):
         from repro.pagemove.engine import MigrationEngine
         from repro.vm.driver import FaultKind, GPUDriver
 
         prof = PhaseProfiler()
+        obs = Obs(profiler=prof)
         driver = GPUDriver(num_channel_groups=4, pages_per_channel=64,
-                           profiler=prof)
+                           obs=obs)
         driver.register_app(0, channels=range(0, 2))
-        engine = MigrationEngine(driver, profiler=prof)
+        engine = MigrationEngine(driver, obs=obs)
         for vpn in range(8):
             driver.handle_fault(FaultKind.DEMAND, 0, vpn)
         plan = engine.plan_channel_reallocation(0, [1, 2])
@@ -296,7 +287,7 @@ class TestZeroOverheadContract:
         )
 
         prof = PhaseProfiler()
-        controller = MemoryController(HBMConfig(), profiler=prof)
+        controller = MemoryController(HBMConfig(), obs=Obs(profiler=prof))
         for i in range(4):
             controller.enqueue(MemoryRequest(
                 kind=RequestKind.READ, bank_group=0, bank=0,

@@ -11,39 +11,12 @@ from repro.gpu import GPUConfig, HitRateCurve, Kernel, PerformanceModel
 from repro.gpu.llc import SetAssociativeCache
 from repro.metrics import AppRun, antt, stp
 from repro.pagemove import MigrationCostModel, MigrationMode, PageMoveAddressMapping
-from repro.sim import EventQueue
 from tests.strategies import SLOW_SETTINGS
 from repro.vm import TLB, PageTable
 
 CONFIG = GPUConfig()
 MAPPING = PageMoveAddressMapping()
 PROFILER = EpochProfiler(CONFIG)
-
-
-# ---------------------------------------------------------------------------
-# Simulation engine
-# ---------------------------------------------------------------------------
-@given(st.lists(st.integers(min_value=0, max_value=10_000), max_size=60))
-def test_events_always_fire_in_nondecreasing_time(times):
-    queue = EventQueue()
-    fired = []
-    for t in times:
-        queue.schedule(t, lambda t=t: fired.append(t))
-    queue.run_all()
-    assert fired == sorted(fired)
-    assert len(fired) == len(times)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=40),
-       st.integers(min_value=0, max_value=100))
-def test_run_until_partitions_events_exactly(times, cut):
-    queue = EventQueue()
-    fired = []
-    for t in times:
-        queue.schedule(t, lambda t=t: fired.append(t))
-    queue.run_until(cut)
-    assert fired == sorted(t for t in times if t <= cut)
-    assert queue.clock.now == max([cut] + fired)
 
 
 # ---------------------------------------------------------------------------

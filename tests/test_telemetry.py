@@ -10,13 +10,12 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.exec import resolve_policy
+from repro.obs import Obs
 from repro.telemetry import (
     CYCLE_BUCKETS,
     MetricsRegistry,
     MetricsServer,
-    NullRegistry,
     collect_provenance,
-    fold_exec_stats,
     parse_prometheus,
     read_provenance,
     read_series,
@@ -124,29 +123,6 @@ class TestHistogram:
             reg.histogram("h2", buckets=(2.0, 1.0))
         with pytest.raises(ConfigError):
             reg.histogram("h3", buckets=(math.inf,))
-
-
-class TestNullRegistry:
-    def test_all_operations_are_noops(self):
-        reg = NullRegistry()
-        assert reg.enabled is False
-        reg.counter("c", labels=("k",)).labels(k="v").inc()
-        reg.gauge("g").set(5)
-        reg.histogram("h").observe(1.0)
-        reg.epoch_boundary(0, 0.0)
-        assert reg.families() == []
-        stamp(reg, None, policy="x")
-        assert reg.provenance == {}
-
-    def test_fold_exec_stats_tolerates_disabled_registries(self):
-        from repro.exec.stats import ExecStats
-
-        stats = ExecStats(jobs_total=3)
-        fold_exec_stats(None, stats)
-        fold_exec_stats(NullRegistry(), stats)
-        live = MetricsRegistry()
-        fold_exec_stats(live, stats)
-        assert live.value("repro_exec_jobs_total") == 3.0
 
 
 class TestPrometheusRoundTrip:
@@ -354,7 +330,7 @@ class TestBridgeEquivalence:
         recorder = TraceRecorder()
         live = MetricsRegistry()
         system = resolve_policy("ugpu")(
-            [], arrivals=schedule, tracer=recorder, metrics=live)
+            [], arrivals=schedule, obs=Obs(recorder, live))
         system.run(10_000_000)
         bridged = registry_from_trace(recorder.events(),
                                       dropped_events=recorder.dropped)

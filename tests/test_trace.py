@@ -1,5 +1,5 @@
 """Tests for the tracing layer (repro.trace) and its instrumentation
-hooks across sim, core, pagemove, vm and exec."""
+hooks across core, pagemove, vm and exec."""
 
 import json
 
@@ -14,7 +14,7 @@ from repro.pagemove import (
     MigrationEngine,
     PageMoveAddressMapping,
 )
-from repro.sim.engine import EventQueue
+from repro.obs import Obs
 from repro.trace import (
     TraceCategory,
     TraceEvent,
@@ -45,24 +45,12 @@ class TestRecorder:
         recorder = TraceRecorder()
         assert recorder.emit("fault", "demand").kind == "instant"
 
-    def test_disabled_recorder_records_nothing(self):
-        recorder = TraceRecorder(enabled=False)
-        assert recorder.emit("epoch", "e") is None
-        assert len(recorder) == 0 and recorder.emitted == 0
-        recorder.enable()
-        assert recorder.emit("epoch", "e") is not None
-        recorder.disable()
-        assert recorder.emit("epoch", "e") is None
-        assert len(recorder) == 1
-
     def test_category_filter(self):
         recorder = TraceRecorder(categories=["epoch", TraceCategory.REALLOC])
         assert recorder.emit("epoch", "e") is not None
         assert recorder.emit("realloc", "apply") is not None
         assert recorder.emit("fault", "demand") is None
         assert recorder.filtered == 1
-        assert recorder.wants("epoch")
-        assert not recorder.wants("fault")
 
     def test_unknown_category_rejected(self):
         recorder = TraceRecorder()
@@ -74,7 +62,7 @@ class TestRecorder:
     def test_ring_buffer_wraparound(self):
         recorder = TraceRecorder(capacity=4)
         for index in range(10):
-            recorder.emit("event", f"e{index}", time=index)
+            recorder.emit("epoch", f"e{index}", time=index)
         assert len(recorder) == 4
         assert recorder.emitted == 10
         assert recorder.dropped == 6
@@ -189,14 +177,15 @@ class TestSummary:
 
 
 class TestSystemInstrumentation:
-    def _run(self, tracer=None, policy=ugpu):
+    def _run(self, recorder=None, policy=ugpu):
         apps = build_mix(["PVC", "DXTC"]).applications
-        return policy(apps, tracer=tracer).run(15_000_000, mix_name="PVC_DXTC")
+        obs = Obs(recorder) if recorder is not None else Obs()
+        return policy(apps, obs=obs).run(15_000_000, mix_name="PVC_DXTC")
 
     def test_traced_run_matches_untraced_run(self):
         recorder = TraceRecorder()
         untraced = self._run()
-        traced = self._run(tracer=recorder)
+        traced = self._run(recorder)
         assert traced.stp == untraced.stp
         assert traced.antt == untraced.antt
         assert traced.total_cycles == untraced.total_cycles
@@ -206,16 +195,9 @@ class TestSystemInstrumentation:
         ]
         assert recorder.emitted > 0
 
-    def test_disabled_recorder_run_matches_untraced(self):
-        recorder = TraceRecorder(enabled=False)
-        untraced = self._run()
-        traced = self._run(tracer=recorder)
-        assert traced.stp == untraced.stp
-        assert len(recorder) == 0
-
     def test_epoch_events_cover_the_horizon(self):
         recorder = TraceRecorder()
-        result = self._run(tracer=recorder)
+        result = self._run(recorder)
         epochs = recorder.events("epoch")
         assert len(epochs) == len(result.epochs)
         assert sum(e.duration for e in epochs) == result.total_cycles
@@ -223,7 +205,7 @@ class TestSystemInstrumentation:
 
     def test_realloc_events_match_repartition_count(self):
         recorder = TraceRecorder()
-        result = self._run(tracer=recorder)
+        result = self._run(recorder)
         applies = [e for e in recorder.events("realloc") if e.name == "apply"]
         assert len(applies) == result.repartitions
         for event in applies:
@@ -231,33 +213,23 @@ class TestSystemInstrumentation:
 
     def test_bp_system_accepts_tracer(self):
         recorder = TraceRecorder()
-        self._run(tracer=recorder, policy=bp)
+        self._run(recorder, policy=bp)
         assert len(recorder.events("epoch")) == 3
         assert recorder.events("realloc") == []  # static policy
 
     def test_migration_windows_traced(self):
         recorder = TraceRecorder()
-        self._run(tracer=recorder)
+        self._run(recorder)
         migrations = recorder.events("migration")
         assert migrations, "a repartition must charge migration windows"
         assert all(e.args["mode"] == "ppmm" for e in migrations)
 
 
 class TestComponentInstrumentation:
-    def test_event_queue_fire_hook(self):
-        recorder = TraceRecorder()
-        queue = EventQueue(tracer=recorder)
-        queue.schedule(5, lambda: None, tag="tick")
-        queue.schedule(9, lambda: None)
-        queue.run_all()
-        events = recorder.events("event")
-        assert [e.name for e in events] == ["tick", "event"]
-        assert [e.time for e in events] == [5, 9]
-
     def test_driver_fault_events(self):
         recorder = TraceRecorder()
         driver = GPUDriver(num_channel_groups=2, pages_per_channel=8,
-                           tracer=recorder)
+                           obs=Obs(recorder))
         driver.register_app(0, [0, 1])
         driver.handle_fault(FaultKind.DEMAND, 0, vpn=1)
         driver.handle_fault(FaultKind.REBALANCE, 0, vpn=1, target_channel=1)
@@ -271,7 +243,7 @@ class TestComponentInstrumentation:
         mapping = PageMoveAddressMapping()
         driver = GPUDriver(pages_per_channel=64,
                            mapping=InterleavedPageMapping(mapping))
-        engine = MigrationEngine(driver, mapping=mapping, tracer=recorder)
+        engine = MigrationEngine(driver, mapping=mapping, obs=Obs(recorder))
         driver.register_app(0, [0, 1])
         for vpn in range(8):
             driver.handle_fault(FaultKind.DEMAND, 0, vpn,
@@ -289,7 +261,7 @@ class TestComponentInstrumentation:
     def test_executor_cache_and_job_events(self, tmp_path):
         recorder = TraceRecorder()
         cache = ResultCache(tmp_path / "sweeps")
-        executor = SweepExecutor(jobs=1, cache=cache, tracer=recorder)
+        executor = SweepExecutor(jobs=1, cache=cache, obs=Obs(recorder))
         job = SweepJob.build("bp", ("PVC", "DXTC"), 2_000_000)
         executor.run([job])
         executor.run([job])

@@ -59,7 +59,9 @@ Perfetto, then prints the derived summary metrics.
 (snapshot), ``--metrics-csv`` (per-epoch long-format series — the input
 ``examples/live_dashboard.py`` tails) and ``--metrics-port`` (a live
 ``/metrics`` scrape endpoint for the duration of the run).  ``metrics``
-derives the same registry offline from a recorded JSONL trace.
+folds a recorded JSONL trace into a registry offline, with the same
+function a live run folds its events through, so it reproduces every
+sample the trace's events carry.
 
 ``sweep``, ``fleet`` and ``arrivals`` accept
 ``--report-dir DIR``: every artifact of the run — trace JSONL, Chrome
@@ -198,7 +200,8 @@ def _observe(args, command: str, labels: dict, **ids):
     creates the missing ones.  The ``run_id`` hashes the command's shape
     (``ids``), so two invocations of the same configuration correlate.
 
-    ``finish(results=None, exec_stats=None)`` writes every export: the
+    ``finish(results=None, exec_stats=None)`` writes every export: it
+    sets the trace-drop gauge (workers' drops included), writes the
     trace and log (announced on stderr, so stdout stays byte-diffable
     between serial and sharded runs), then the bundle with the
     command's deterministic ``results``, then the metrics.
@@ -253,6 +256,7 @@ def _observe(args, command: str, labels: dict, **ids):
         obs = reporter.obs
 
     def finish(results=None, exec_stats=None) -> None:
+        obs.gauge_trace_drops()
         if trace_out:
             from repro.trace import write_chrome_trace, write_jsonl
 
@@ -681,7 +685,8 @@ def cmd_fleet(args) -> int:
     # The trace stays cycle-domain: the simulator (and its absorbed worker
     # node-physics spans) emits cycles, while the executor's own job spans
     # are wall seconds — mixing the two on one timeline would be
-    # meaningless, so the executor's handle has no recorder.
+    # meaningless, so the executor's handle has no recorder.  Its
+    # ``cache`` and ``job`` events still reach the registry and the log.
     exec_obs = Obs(registry=obs.registry, logger=obs.logger)
     with SweepExecutor(jobs=args.jobs, cache=cache,
                        obs=exec_obs) as executor:

@@ -290,15 +290,8 @@ class FleetSimulator:
         if obs.on:
             from repro.telemetry import names as _names
 
-            metric = obs.metric
-            self._m_rounds = metric(_names.fleet_rounds_total)
-            self._m_jobs = metric(_names.fleet_jobs_total)
-            self._m_wait = metric(_names.fleet_wait_queue_depth)
-            self._m_resident = metric(_names.fleet_resident_jobs)
-            self._m_active = metric(_names.fleet_active_nodes)
-            self._m_frag = metric(_names.fleet_fragmentation)
-            self._m_delay = metric(_names.fleet_queueing_delay_cycles)
-            self._m_energy = metric(_names.fleet_energy_joules_total)
+            obs.declare("fleet")
+            self._m_energy = obs.metric(_names.fleet_energy_joules_total)
 
     # ------------------------------------------------------------------
     # Per-benchmark memos (coordinator side)
@@ -376,7 +369,7 @@ class FleetSimulator:
             self._memory_bound(r.abbr) for r in node.resident
         ))
 
-    def _trace(self, name: str, now: int, **args) -> None:
+    def _emit(self, name: str, now: int, **args) -> None:
         args.setdefault("run_id", self.run_id)
         self.obs.emit("fleet", name, time=float(now), **args)
 
@@ -399,15 +392,9 @@ class FleetSimulator:
             record.node_id = node.node_id
             admitted += 1
             if obs.on:
-                self._trace("admit", now, job=record.job_id,
-                            node=node.node_id)
-                obs.debug(
-                    "fleet.admit", job_id=record.job_id,
-                    node_id=node.node_id, now=now,
-                    delay=now - record.arrival_cycle,
-                )
-                self._m_jobs.labels(event="admitted").inc()
-                self._m_delay.observe(now - record.arrival_cycle)
+                self._emit("admit", now, job_id=record.job_id,
+                           node_id=node.node_id,
+                           delay=now - record.arrival_cycle)
         return admitted
 
     def _execute(self, active: List[_NodeState], span: int,
@@ -475,15 +462,9 @@ class FleetSimulator:
                     self._reindex(node)
                     departures += 1
                     if obs.on:
-                        self._trace("depart", record.depart_cycle,
-                                    job=record.job_id, node=node.node_id)
-                        obs.debug(
-                            "fleet.depart", job_id=record.job_id,
-                            node_id=node.node_id,
-                            now=record.depart_cycle,
-                            instructions=record.instructions,
-                        )
-                        self._m_jobs.labels(event="departed").inc()
+                        self._emit("depart", record.depart_cycle,
+                                   job_id=record.job_id, node_id=node.node_id,
+                                   instructions=record.instructions)
                 else:
                     record.remaining = remaining
         return departures
@@ -532,14 +513,8 @@ class FleetSimulator:
                 self._migrated_bytes += self._footprint(record.abbr)
                 moves += 1
                 if obs.on:
-                    self._trace("migrate", now, job=record.job_id,
-                                source=source.node_id, target=target.node_id)
-                    obs.debug(
-                        "fleet.migrate", job_id=record.job_id,
-                        node_id=target.node_id,
-                        source=source.node_id, now=now,
-                    )
-                    self._m_jobs.labels(event="migrated").inc()
+                    self._emit("migrate", now, job_id=record.job_id,
+                               node_id=target.node_id, source=source.node_id)
             self._reindex(source)
         return moves
 
@@ -617,13 +592,8 @@ class FleetSimulator:
                 records_by_id[record.job_id] = record
                 wait.append(record)
                 if obs.on:
-                    self._trace("arrive", event.cycle, job=record.job_id,
-                                benchmark=record.abbr)
-                    obs.debug(
-                        "fleet.arrive", job_id=record.job_id,
-                        benchmark=record.abbr, now=event.cycle,
-                    )
-                    self._m_jobs.labels(event="arrived").inc()
+                    self._emit("arrive", event.cycle, job_id=record.job_id,
+                               benchmark=record.abbr)
 
             with obs.span("fleet.place"):
                 admissions += self._admit(wait, now)
@@ -653,20 +623,21 @@ class FleetSimulator:
                 with obs.span("fleet.rebalance"):
                     migrations += self._rebalance(now)
 
+            # One event per round with the queue/residency state, so
+            # post-hoc analysis (repro.inspect) can rebuild the wait-depth
+            # timeline from the trace stream alone; the round's metrics
+            # fold from it before the epoch observers sample them.
             if obs.on:
-                self._m_rounds.inc()
-                self._m_wait.set(len(wait))
-                self._m_resident.set(
-                    sum(len(n.resident) for n in self._nodes)
+                occupied = [n for n in self._nodes if n.resident]
+                self._emit(
+                    "round", now, round=rounds - 1, wait=len(wait),
+                    resident=sum(len(n.resident) for n in occupied),
+                    departures=departures, active=len(occupied),
+                    fragmentation=sum(
+                        self.tenants_per_node - len(n.resident)
+                        for n in occupied
+                    ) / self.capacity,
                 )
-                self._m_active.set(
-                    sum(1 for n in self._nodes if n.resident)
-                )
-                frag_now = sum(
-                    self.tenants_per_node - len(n.resident)
-                    for n in self._nodes if n.resident
-                ) / self.capacity
-                self._m_frag.set(frag_now)
                 obs.epoch_boundary(rounds - 1, now)
 
             if self.health is not None and executed:
@@ -678,19 +649,6 @@ class FleetSimulator:
                     wait_depth=len(wait),
                     cache_hits=stats.cache_hits,
                     cache_lookups=stats.jobs_total,
-                )
-
-            # One instant per round with the queue/residency state, so
-            # post-hoc analysis (repro.inspect) can rebuild the wait-depth
-            # timeline from the trace stream alone.
-            if obs.on:
-                resident = sum(len(n.resident) for n in self._nodes)
-                self._trace("round", now, round=rounds - 1, wait=len(wait),
-                            resident=resident)
-                obs.info(
-                    "fleet.round", round=rounds - 1, now=now,
-                    wait=len(wait), resident=resident,
-                    departures=departures,
                 )
 
         energy = None

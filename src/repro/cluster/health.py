@@ -28,10 +28,11 @@ Detectors
     baseline rate of at least ``cache_baseline`` — memoization stopped
     working mid-run.
 
-Each incident is surfaced three ways through the monitor's
-:class:`~repro.obs.Obs` handle: a warning-level obslog record, a
-``health``-category trace event, and the ``repro_health_*`` telemetry
-families.  The handle defaults to :data:`~repro.obs.OFF`; the monitor
+Each incident is one ``health`` event (named by kind) on the monitor's
+:class:`~repro.obs.Obs` handle: the trace keeps it, the registry counts
+it in ``repro_health_incidents_total`` and the obslog writes it as a
+warning record ``health.<kind>``; the detectors' gauges are set
+directly.  The handle defaults to :data:`~repro.obs.OFF`; the monitor
 itself is pure bookkeeping — no clocks, no I/O — so detection is
 deterministic and unit-testable with synthetic round feeds.
 """
@@ -138,7 +139,7 @@ class FleetHealthMonitor:
         self.obs = obs
         from repro.telemetry import names as _names
 
-        self._m_incidents = obs.metric(_names.health_incidents_total)
+        obs.declare("health")
         self._m_straggler = obs.metric(_names.health_straggler_ratio)
         self._m_stall = obs.metric(_names.health_wait_stall_rounds)
         self._m_cache = obs.metric(_names.health_cache_hit_rate)
@@ -162,17 +163,10 @@ class FleetHealthMonitor:
             kind=kind, round_index=round_index, detail=detail, value=value
         )
         self.incidents.append(incident)
-        obs = self.obs
-        obs.warning(
-            f"health.{kind}", round=round_index,
-            detail=detail, value=round(value, 6),
-            run_id=self.run_id or None,
-        )
         extra = {"round": round_index, "detail": detail, "value": value}
         if self.run_id:
             extra["run_id"] = self.run_id
-        obs.emit("health", kind, time=float(now), **extra)
-        self._m_incidents.labels(kind=kind).inc()
+        self.obs.emit("health", kind, time=float(now), **extra)
 
     # ------------------------------------------------------------------
     def observe_round(

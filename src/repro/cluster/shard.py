@@ -302,14 +302,7 @@ class FleetShardJob:
             return FleetShardResult(nodes=tuple(
                 _run_node(self, model, node) for node in self.nodes
             ))
-        from repro.telemetry import names as _names
-
-        m_node_rounds = obs.metric(_names.worker_node_rounds_total)
-        m_tenant_rounds = obs.metric(_names.worker_tenant_rounds_total)
-        m_instructions = obs.metric(_names.worker_instructions_total)
-        m_dram = obs.metric(_names.worker_dram_bytes_total)
-        m_departures = obs.metric(_names.worker_departures_total)
-        m_active = obs.metric(_names.worker_active_cycles_total)
+        obs.declare("node")
         outcomes = []
         span = float(self.round_cycles)
         for node in self.nodes:
@@ -323,7 +316,7 @@ class FleetShardJob:
             obs.emit(
                 "node", f"node{node_id}",
                 time=0.0, duration=span,
-                node=node_id,
+                node_id=node_id,
                 tenants=len(rows),
                 instructions=instructions,
                 dram_bytes=dram_bytes,
@@ -334,21 +327,12 @@ class FleetShardJob:
                 obs.emit(
                     "node", abbr,
                     time=0.0, duration=float(active),
-                    node=node_id,
+                    node_id=node_id,
                     job_id=job_id,
                     benchmark=abbr,
                     retired=retired,
                     departed=departed,
                 )
-            m_node_rounds.inc()
-            m_instructions.inc(float(instructions))
-            m_dram.inc(float(dram_bytes))
-            for tenant, row in zip(tenants, rows):
-                *_, departed, active = row
-                m_tenant_rounds.labels(benchmark=tenant[1]).inc()
-                m_active.inc(float(active))
-                if departed:
-                    m_departures.inc()
         return FleetShardResult(nodes=tuple(outcomes))
 
 

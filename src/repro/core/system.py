@@ -237,10 +237,12 @@ class MultitaskSystem:
         trace gets one ``epoch`` span per simulated epoch; policies add
         ``realloc``/``qos``/``migration`` records, and the open-system
         lifecycle ``arrival``/``admission``/``departure`` records, on top.
-        Its metrics get the aggregate counterpart: epoch counters and
+        Its metrics are folded from those events: epoch counters and
         duration histogram, migration-stall cycles, and — in open runs —
         arrival/admission/departure counters, the queueing-delay
-        histogram and queue-depth gauges.  Its profiler times host phases:
+        histogram and the queue-depth gauges an open run's ``epoch``
+        event carries; the run adds the STP/ANTT and throughput-memo
+        gauges no event carries.  Its profiler times host phases:
         ``epoch`` with ``epoch.advance`` / ``epoch.policy`` /
         ``epoch.lifecycle`` children, and ``run.solo_ipc`` for the
         Equation 3/4 denominator (apart from the epoch-counter
@@ -288,18 +290,8 @@ class MultitaskSystem:
             # plain objects (or the shared no-op metric).
             from repro.telemetry import names as _names
 
+            obs.declare("epoch", "arrival", "admission", "departure")
             metric = obs.metric
-            self._m_epochs = metric(_names.epochs_total)
-            self._m_epoch_cycles = metric(_names.epoch_cycles_total)
-            self._m_epoch_hist = metric(_names.epoch_duration_cycles)
-            self._m_instructions = metric(_names.instructions_total)
-            self._m_stall = metric(_names.migration_stall_cycles_total)
-            self._m_arrivals = metric(_names.open_arrivals_total)
-            self._m_admissions = metric(_names.open_admissions_total)
-            self._m_departures = metric(_names.open_departures_total)
-            self._m_queue_delay = metric(_names.open_queueing_delay_cycles)
-            self._m_wait_depth = metric(_names.open_wait_queue_depth)
-            self._m_resident = metric(_names.open_resident_jobs)
             self._m_stp = metric(_names.policy_stp)
             self._m_antt = metric(_names.policy_antt)
             _memo_lookups = metric(_names.perf_memo_lookups_total)
@@ -442,26 +434,31 @@ class MultitaskSystem:
             for app_id, state in self.apps.items()
         }
         if on:
-            obs.emit(
-                "epoch", f"epoch[{epoch_index}]",
-                time=result.start_cycle, duration=span,
-                instructions=sum(instructions.values()),
-                migration_cycles=result.migration_cycles,
-                repartitioned=result.repartitioned,
-            )
-            self._epoch_metrics(result, span, instructions)
+            self._epoch_event(result, span, instructions)
             obs.end("epoch")
         return result
 
-    def _epoch_metrics(self, result: EpochResult, span: int,
-                       instructions: Dict[int, int]) -> None:
-        """Per-epoch metrics updates (shared by both kernel backends;
-        called only when the handle is on)."""
-        self._m_epochs.inc()
-        self._m_epoch_cycles.inc(span)
-        self._m_epoch_hist.observe(span)
-        self._m_instructions.inc(sum(instructions.values()))
-        self._m_stall.inc(result.migration_cycles)
+    def _epoch_event(self, result: EpochResult, span: int,
+                     instructions: Dict[int, int]) -> None:
+        """The ``epoch`` event, then the memo gauges and the epoch
+        observers (shared by both kernel backends; called only when the
+        handle is on).  An open run's event carries the queue state the
+        boundary's lifecycle left."""
+        queue = ({"wait": len(self._wait_queue), "resident": len(self.apps)}
+                 if self._open else {})
+        self.obs.emit(
+            "epoch", f"epoch[{result.index}]",
+            time=result.start_cycle, duration=span,
+            instructions=sum(instructions.values()),
+            migration_cycles=result.migration_cycles,
+            repartitioned=result.repartitioned,
+            **queue,
+        )
+        self._flush_memo()
+        self.obs.epoch_boundary(result.index, result.end_cycle)
+
+    def _flush_memo(self) -> None:
+        """Count the throughput-memo lookups since the last flush."""
         perf = self.perf
         if perf.memo_hits != self._memo_hits_seen:
             self._m_memo_hit.inc(perf.memo_hits - self._memo_hits_seen)
@@ -470,7 +467,6 @@ class MultitaskSystem:
             self._m_memo_miss.inc(perf.memo_misses - self._memo_misses_seen)
             self._memo_misses_seen = perf.memo_misses
         self._m_memo_entries.set(perf.memo_size)
-        self.obs.epoch_boundary(result.index, result.end_cycle)
 
     # ------------------------------------------------------------------
     # Open-system lifecycle
@@ -491,7 +487,6 @@ class MultitaskSystem:
                     app_id=app_id, instructions=state.instructions,
                     resident_cycles=now - state.admit_cycle,
                 )
-                self._m_departures.inc()
             self.policy.on_app_departure(state)
         while self._pending and self._pending[0].cycle <= now:
             event = self._pending.pop(0)
@@ -502,7 +497,6 @@ class MultitaskSystem:
                     "arrival", event.app.name, time=event.cycle,
                     app_id=event.app.app_id,
                 )
-                self._m_arrivals.inc()
         while self._wait_queue and len(self.apps) < self.max_slots:
             event = self._wait_queue.pop(0)
             state = AppState(
@@ -521,12 +515,7 @@ class MultitaskSystem:
                     app_id=event.app.app_id,
                     queueing_delay=now - event.cycle,
                 )
-                self._m_admissions.inc()
-                self._m_queue_delay.observe(now - event.cycle)
             self.policy.on_app_arrival(state)
-        if obs.on:
-            self._m_wait_depth.set(len(self._wait_queue))
-            self._m_resident.set(len(self.apps))
 
     def _drained(self, _result: EpochResult) -> bool:
         """Early exit for open runs: nothing resident, queued or pending."""
@@ -620,20 +609,12 @@ class MultitaskSystem:
         return result
 
     def _finish_metrics(self, result) -> None:
-        """End-of-run summary gauges (per-policy STP/ANTT, trace drops)."""
+        """End-of-run summary gauges (per-policy STP/ANTT)."""
         if not self.obs.on:
             return
-        self.obs.gauge_trace_drops()
         # Flush memo-lookup deltas accrued outside the epoch loop (the
         # solo-IPC denominators run after the last epoch).
-        perf = self.perf
-        if perf.memo_hits != self._memo_hits_seen:
-            self._m_memo_hit.inc(perf.memo_hits - self._memo_hits_seen)
-            self._memo_hits_seen = perf.memo_hits
-        if perf.memo_misses != self._memo_misses_seen:
-            self._m_memo_miss.inc(perf.memo_misses - self._memo_misses_seen)
-            self._memo_misses_seen = perf.memo_misses
-        self._m_memo_entries.set(perf.memo_size)
+        self._flush_memo()
         if not result.runs:
             return
         self._m_stp.labels(policy=self.policy_name).set(result.stp)

@@ -68,14 +68,12 @@ class SweepExecutor:
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
                  obs: Obs = OFF) -> None:
         """``obs`` receives the executor's own observations: one
-        ``cache`` hit/miss record per job plus one ``job`` span per
+        ``cache`` hit/miss event per job and one ``job`` span per
         executed job (wall-clock seconds relative to :meth:`run` entry,
-        not GPU cycles); each run's :class:`ExecStats` — job/cache
-        counters plus the per-job seconds histogram — via
+        not GPU cycles); the rest of each run's :class:`ExecStats` via
         :func:`repro.telemetry.fold_exec_stats` (registries never enter
         job kwargs, which must remain picklable and fingerprint-stable);
-        and one info log summary per :meth:`run` plus one debug record
-        per executed job."""
+        and one info log summary per :meth:`run`."""
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
@@ -130,6 +128,8 @@ class SweepExecutor:
             "mixed" if backends else default_backend
         )
         envelopes: List[Optional[JobEnvelope]] = [None] * len(sweep_jobs)
+        if self.obs.on:
+            self.obs.declare("cache", "job")
 
         pending: List[int] = []
         evictions_before = self.cache.evictions if self.cache is not None else 0
@@ -162,8 +162,8 @@ class SweepExecutor:
             for index in pending:
                 envelopes[index] = run_job(sweep_jobs[index],
                                            run_obs.captures)
-                self._finished(sweep_jobs[index], envelopes[index], stats,
-                               start)
+                self._finished(index, sweep_jobs[index], envelopes[index],
+                               stats, start)
         elif pending:
             if self._pool is not None:
                 self._run_pool(self._pool, sweep_jobs, pending, envelopes,
@@ -197,15 +197,6 @@ class SweepExecutor:
         self.stats.merge(stats)
         if self.obs.on:
             self.obs.fold_exec_stats(stats)
-            for index in pending:
-                envelope = envelopes[index]
-                self.obs.debug(
-                    "exec.job", job_id=index,
-                    policy=sweep_jobs[index].policy,
-                    mix=sweep_jobs[index].mix_name,
-                    seconds=envelope.seconds,
-                    worker_pid=envelope.pid,
-                )
             self.obs.info(
                 "exec.run", jobs=stats.jobs_total, run=stats.jobs_run,
                 cache_hits=stats.cache_hits, workers=stats.workers,
@@ -227,16 +218,18 @@ class SweepExecutor:
             future.result()  # re-raise worker failures eagerly
         for future, index in futures.items():
             envelopes[index] = future.result()
-            self._finished(sweep_jobs[index], envelopes[index], stats, start)
+            self._finished(index, sweep_jobs[index], envelopes[index], stats,
+                           start)
 
-    def _finished(self, job: SweepJob, envelope: JobEnvelope,
+    def _finished(self, index: int, job: SweepJob, envelope: JobEnvelope,
                   stats: ExecStats, start: float) -> None:
         """Count one executed job and emit its ``job`` span.
 
         The span is end-anchored (completion time is known, in-worker
-        start is not) and stamped with the worker identity (``pid`` +
-        ``worker`` token), so post-hoc straggler attribution can group
-        job spans by the process that ran them."""
+        start is not) and stamped with the job's index in the run
+        (``job_id``) and the worker identity (``worker_pid`` + ``worker``
+        token), so post-hoc straggler attribution can group job spans by
+        the process that ran them."""
         stats.job_seconds.append(envelope.seconds)
         if not self.obs.on:
             return
@@ -244,6 +237,7 @@ class SweepExecutor:
         self.obs.emit(
             "job", f"{job.policy}:{job.mix_name}",
             time=max(0.0, end - envelope.seconds), duration=envelope.seconds,
-            policy=job.policy, mix=job.mix_name, cycles=job.total_cycles,
-            pid=envelope.pid, worker=envelope.worker,
+            job_id=index, policy=job.policy, mix=job.mix_name,
+            cycles=job.total_cycles, worker_pid=envelope.pid,
+            worker=envelope.worker,
         )

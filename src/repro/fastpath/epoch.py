@@ -457,14 +457,7 @@ class FastEpochKernel:
             result.detail["allocations"] = snapshot
         result.repartitioned = runner.repartitions > before
         if on:
-            obs.emit(
-                "epoch", f"epoch[{epoch_index}]",
-                time=result.start_cycle, duration=span,
-                instructions=sum(instructions.values()),
-                migration_cycles=result.migration_cycles,
-                repartitioned=result.repartitioned,
-            )
-            runner._epoch_metrics(result, span, instructions)
+            runner._epoch_event(result, span, instructions)
             obs.end("epoch")
         return result
 

@@ -143,32 +143,26 @@ def _analyze_critical_path(model: RunModel) -> List[Finding]:
 
 
 def _worker_job_seconds(model: RunModel) -> Dict[str, float]:
-    """Total executed-job seconds per worker identity.
-
-    Prefers obslog ``exec.job`` debug records (every executed job, keyed
-    by ``worker_pid``); falls back to trace ``job`` spans carrying the
-    envelope-stamped ``worker``/``pid`` args.
-    """
+    """Total executed-job seconds per worker (its ``worker`` token, else
+    ``pid=<worker_pid>``), from the ``job`` events: the trace's spans
+    or, when the trace holds none (a fleet keeps its executor's
+    wall-clock spans off the cycle timeline), their obslog records
+    ``job.<policy>:<mix>``, whose fields are the span's args plus its
+    ``duration``."""
+    jobs = [(e.args, e.duration) for e in model.events
+            if e.category == "job"]
+    if not jobs:
+        jobs = [(r, float(r.get("duration", 0.0))) for r in model.obslog
+                if str(r.get("event", "")).startswith("job.")]
     totals: Dict[str, float] = {}
-    for record in model.obslog:
-        if record.get("event") != "exec.job":
+    for fields, seconds in jobs:
+        if fields.get("worker") is not None:
+            key = str(fields["worker"])
+        elif fields.get("worker_pid") is not None:
+            key = f"pid={fields['worker_pid']}"
+        else:
             continue
-        pid = record.get("worker_pid")
-        seconds = record.get("seconds")
-        if pid is None or seconds is None:
-            continue
-        key = f"pid={pid}"
-        totals[key] = totals.get(key, 0.0) + float(seconds)
-    if totals:
-        return totals
-    for event in model.events:
-        if event.name != "job" or event.duration is None:
-            continue
-        worker = event.args.get("worker") or event.args.get("pid")
-        if worker is None:
-            continue
-        key = str(worker)
-        totals[key] = totals.get(key, 0.0) + float(event.duration)
+        totals[key] = totals.get(key, 0.0) + seconds
     return totals
 
 
@@ -224,17 +218,9 @@ def _analyze_wait_queue(model: RunModel) -> List[Finding]:
             int(r.get("wait", 0)) for r in model.obslog
             if r.get("event") == "fleet.round"
         ]
-    # Admission latency: arrive -> admit per job id, in cycles.
-    arrivals: Dict[Any, float] = {}
-    latencies: List[float] = []
-    for event in model.fleet_events():
-        job = event.args.get("job")
-        if job is None:
-            continue
-        if event.name == "arrive":
-            arrivals.setdefault(job, event.time)
-        elif event.name == "admit" and job in arrivals:
-            latencies.append(event.time - arrivals.pop(job))
+    # Admission latency: each admit event's arrive -> admit cycles.
+    latencies = [float(e.args["delay"]) for e in model.fleet_events("admit")
+                 if "delay" in e.args]
     if not depths and not latencies:
         return []
     data: Dict[str, Any] = {}

@@ -86,12 +86,15 @@ class RunModel:
         return list(seen)
 
     def workers(self) -> Dict[str, Optional[int]]:
-        """``worker token -> OS pid`` for every capturing process seen."""
+        """``worker token -> OS pid`` for every capturing process seen
+        (absorbed events carry it as ``pid``, job spans as
+        ``worker_pid``)."""
         out: Dict[str, Optional[int]] = {}
         for event in self.events:
             token = event.args.get("worker")
             if token is not None and token not in out:
-                out[token] = event.args.get("pid")
+                out[token] = event.args.get("pid",
+                                            event.args.get("worker_pid"))
         return out
 
     def fleet_events(self, name: Optional[str] = None) -> List:

@@ -8,19 +8,26 @@ The simulator reports into four sinks: the trace recorder
 owns all four, and every instrumented component takes it as one ``obs``
 argument:
 
-* ``obs.emit(category, name, time=..., duration=..., **args)`` records a
-  trace event;
-* ``obs.metric(names.epochs_total)`` declares a metric family and returns
-  it (the shared no-op metric when the handle has no registry);
+* ``obs.emit(category, name, time=..., duration=..., **args)`` reports
+  one fact, once: the recorder keeps the event, the registry folds it
+  (:func:`repro.telemetry.bridge.fold_event`, the fold ``repro
+  metrics`` runs over a trace) and, when :data:`LOGGED` names it, the
+  logger writes it as the record ``<category>.<name>`` with the event
+  time as ``now`` and its args as fields;
+* ``obs.declare(*categories)`` creates the metric families an
+  emitter's categories fold into, so they export at zero from the start;
+* ``obs.metric(names.policy_stp)`` declares a family for a fact no event
+  carries and returns it (the shared no-op metric without a registry);
 * ``obs.begin(name)`` / ``obs.end(name)`` / ``with obs.span(name)``
   time a host phase;
-* ``obs.debug`` / ``obs.info`` / ``obs.warning`` write log records.
+* ``obs.info`` / ``obs.debug`` / ``obs.warning`` log a fact no event
+  carries (a run's start and summary).
 
 Each call goes to its sink, or to a no-op when the handle lacks that
 sink, so instrumented code never tests a sink itself.  :data:`OFF`, the
-default everywhere, has no sinks at all.  Off stays free: on a hot path
-(per epoch, fault, request or node) the caller makes one ``if obs.on:``
-test before it builds any event arguments.
+default everywhere, has no sinks; its ``emit`` is the shared no-op.
+Off stays free: on a hot path (per epoch, fault, request or node) the
+caller makes one ``if obs.on:`` test before it builds event arguments.
 
 Worker capture follows one rule, :attr:`Obs.captures`: a run captures
 its jobs' observations exactly when its handle has a sink a capture can
@@ -29,7 +36,8 @@ orchestrator).  :func:`run_job` is the executor's one worker entry
 point.  It runs a job under a fresh capture handle (or :data:`OFF`) and
 returns a :class:`~repro.exec.envelope.JobEnvelope` whose snapshot is
 empty when capture is off; :meth:`Obs.absorb` folds a run's envelopes
-back into the orchestrator's sinks in job order.
+back into the orchestrator's sinks in job order; absorbed events are
+not folded again, as the worker's registry snapshot holds their metrics.
 """
 
 from __future__ import annotations
@@ -45,9 +53,43 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 #: the pool.
 WORKER_TRACE_CAPACITY = 16_384
 
+#: The events the log receives, and at which level: by category, or by
+#: ``(category, name)`` where one name is logged apart from its category.
+LOGGED = {
+    "fleet": "debug",
+    ("fleet", "round"): "info",
+    ("migration", "plan"): "debug",
+    ("migration", "execute"): "info",
+    "job": "debug",
+    "health": "warning",
+}
+
 
 def _noop(*_args, **_kwargs) -> None:
     return None
+
+
+def _emitter(recorder, registry, logger):
+    """The handle's ``emit``: the recorder's own method when it is the
+    only sink, else one function that hands each event to every sink."""
+    record = recorder.emit if recorder is not None else None
+    if registry is None and logger is None:
+        return record or _noop
+    if registry is not None:
+        from repro.telemetry.bridge import fold_event
+
+    def emit(category, name, time=0.0, duration=0.0, **args):
+        if record is not None:
+            record(category, name, time, duration, **args)
+        if registry is not None:
+            fold_event(registry, category, name, duration, args)
+        if logger is not None:
+            level = LOGGED.get((category, name)) or LOGGED.get(category)
+            if level is not None:
+                getattr(logger, level)(f"{category}.{name}", now=time,
+                                       duration=duration or None, **args)
+
+    return emit
 
 
 class _NullMetric:
@@ -105,7 +147,7 @@ class Obs:
             sink is not None for sink in (recorder, registry, profiler)
         )
         self.on = self.captures or logger is not None
-        self.emit = recorder.emit if recorder is not None else _noop
+        self.emit = _emitter(recorder, registry, logger)
         self.begin = profiler.begin if profiler is not None else _noop
         self.end = profiler.end if profiler is not None else _noop
         self.debug = logger.debug if logger is not None else _noop
@@ -133,20 +175,33 @@ class Obs:
             return NULL_METRIC
         return family(self.registry)
 
+    def declare(self, *categories: str) -> None:
+        """Create the metric families ``categories``' events fold into,
+        at zero (:func:`repro.telemetry.bridge.declare`).  An emitter
+        declares its categories when it is built, so its families export
+        before its first event."""
+        if self.registry is not None:
+            from repro.telemetry.bridge import declare
+
+            declare(self.registry, *categories)
+
     def epoch_boundary(self, epoch_index: int, cycle: float) -> None:
         """Fire the registry's epoch observers (the CSV sampler)."""
         if self.registry is not None:
             self.registry.epoch_boundary(epoch_index, cycle)
 
     def fold_exec_stats(self, stats) -> None:
-        """Count one executor run (:func:`repro.telemetry.fold_exec_stats`)."""
+        """Count what one executor run's stats hold beyond its events
+        (:func:`repro.telemetry.fold_exec_stats`)."""
         if self.registry is not None:
             from repro.telemetry.bridge import fold_exec_stats
 
             fold_exec_stats(self.registry, stats)
 
     def gauge_trace_drops(self) -> None:
-        """Export the recorder's ring-buffer drops as a gauge."""
+        """Export the recorder's ring-buffer drops, absorbed worker drops
+        included, as a gauge; called once, where the exports are
+        written."""
         if self.registry is not None and self.recorder is not None:
             from repro.telemetry import names
 
@@ -170,8 +225,10 @@ class Obs:
 
         Job ``i``'s trace events are shifted by ``time_shift`` and
         stamped with ``run_id``, ``shard_id=f"{shard_prefix}{i}"`` and
-        the worker's ``pid`` and token; its metrics merge into the
-        registry; its phases graft under ``prefix``.  A sweep uses
+        the worker's ``pid`` and token, and the events its worker ring
+        dropped add to the recorder's ``dropped``; its metrics merge
+        into the registry (the absorbed events are not folded again);
+        its phases graft under ``prefix``.  A sweep uses
         ``("worker",)`` and ``"job"``; a fleet round
         ``("fleet.execute",)`` and ``f"r{round}.s"`` with the round's
         start cycle as the shift.  Merging in job order keeps serial and
@@ -184,6 +241,8 @@ class Obs:
         absorbed = 0
         for index, envelope in enumerate(envelopes):
             snapshot = envelope.obs
+            if self.recorder is not None:
+                self.recorder.dropped += snapshot.dropped
             if self.recorder is not None and snapshot.events:
                 absorbed += self.recorder.absorb(
                     snapshot.events,

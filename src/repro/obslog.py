@@ -20,12 +20,15 @@ merged trace events and worker metric snapshots, so one ``grep job_id``
 crosses all three streams.
 
 Like the trace recorder and the metrics registry, the logger reaches
-every instrumented component (:class:`~repro.cluster.fleet.FleetSimulator`,
-:class:`~repro.exec.executor.SweepExecutor`,
-:class:`~repro.pagemove.engine.MigrationEngine`) through its
-:class:`~repro.obs.Obs` handle (``obs.info`` / ``obs.debug`` /
-``obs.warning``), which is off by default, keeping the unobserved path
-byte-identical and overhead-free.
+every instrumented component through its :class:`~repro.obs.Obs`
+handle, which is off by default, keeping the unobserved path
+byte-identical and overhead-free.  Most records are events: the handle
+writes each event :data:`repro.obs.LOGGED` names as the record
+``<category>.<name>`` (``fleet.admit``, ``fleet.round``,
+``migration.execute``, ``job.<policy>:<mix>``, ``health.<kind>``...),
+with the event time as ``now``, a span's ``duration`` and the event's
+args as fields.  ``obs.info`` writes the few facts no event carries
+(``exec.run``, ``fleet.run``, ``fleet.result``).
 
 Usage::
 

@@ -122,9 +122,8 @@ class MigrationEngine:
         if obs.on:
             from repro.telemetry import names as _names
 
-            self._m_pages = obs.metric(_names.pagemove_pages_total)
+            obs.declare("migration")
             self._m_commands = obs.metric(_names.pagemove_commands_total)
-            self._m_window = obs.metric(_names.pagemove_window_cycles_total)
         self.mapping = mapping if mapping is not None else PageMoveAddressMapping()
         self.cost_model = (
             cost_model if cost_model is not None else MigrationCostModel(mapping=self.mapping)
@@ -248,12 +247,6 @@ class MigrationEngine:
                 lost_channels=sorted(plan.lost_channels),
                 gained_channels=sorted(plan.gained_channels),
             )
-            obs.debug(
-                "pagemove.plan", job_id=app_id,
-                eager=len(plan.eager), lazy=len(plan.lazy),
-                lost=len(plan.lost_channels),
-                gained=len(plan.gained_channels),
-            )
         return plan
 
     # ------------------------------------------------------------------
@@ -326,15 +319,6 @@ class MigrationEngine:
                 register=direction.name.lower() if direction else "cleared",
                 eager_cycles=report.eager_charge.window_cycles,
                 lazy_cycles=report.lazy_charge.window_cycles,
-            )
-            self._m_pages.labels(kind="eager").inc(len(plan.eager))
-            self._m_pages.labels(kind="lazy").inc(len(lazy_moves))
-            self._m_window.inc(report.window_cycles)
-            obs.info(
-                "pagemove.execute", job_id=app_id,
-                eager=len(plan.eager), lazy=len(lazy_moves),
-                window_cycles=round(report.window_cycles, 3),
-                l1_flushed=l1_flushed, l2_invalidated=l2_invalidated,
             )
         return report
 

@@ -50,7 +50,6 @@ from repro.core.reallocation import SMReallocator
 from repro.core.slices import ResourceAllocation
 from repro.pagemove.cost import MigrationCostModel, MigrationMode
 from repro.policies.base import PartitionPolicy, even_allocations
-from repro.telemetry import names as metric_names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import AppState
@@ -272,9 +271,6 @@ class UGPUPolicy(PartitionPolicy):
                     "realloc", "suppress", time=runner._trace_now,
                     epoch=epoch_index, hysteresis=self.hysteresis,
                 )
-                obs.metric(metric_names.reallocations_total).labels(
-                    outcome="suppress"
-                ).inc()
             return
         runner.apply_partition(decision.allocations)
         runner.repartitions += 1
@@ -289,9 +285,6 @@ class UGPUPolicy(PartitionPolicy):
                     for app_id, alloc in decision.allocations.items()
                 },
             )
-            obs.metric(metric_names.reallocations_total).labels(
-                outcome="apply"
-            ).inc()
         with obs.span("ugpu.charge"):
             self._charge_reallocation(previous, decision, profiles)
 
@@ -365,9 +358,6 @@ class UGPUPolicy(PartitionPolicy):
                     for app_id, alloc in decision.allocations.items()
                 },
             )
-            obs.metric(metric_names.reallocations_total).labels(
-                outcome="membership"
-            ).inc()
         if self.offline:
             # Offline mode pre-places pages for the partition it knows;
             # a membership change still costs the algorithm latency but
@@ -462,7 +452,6 @@ class UGPUPolicy(PartitionPolicy):
                 granted_sms=after_alloc.sms - before_alloc.sms,
                 granted_channels=after_alloc.channels - before_alloc.channels,
             )
-            obs.metric(metric_names.qos_interventions_total).inc()
         decision.allocations = allocations
         return decision
 
@@ -550,11 +539,6 @@ class UGPUPolicy(PartitionPolicy):
                         pages=eager_pages, mode=self.mode.value,
                         lost_channels=lost, bytes_moved=charge.bytes_moved,
                     )
-                    obs.metric(metric_names.migration_pages_total).labels(
-                        phase="eager"
-                    ).inc(eager_pages)
-                    obs.metric(metric_names.migration_window_cycles_total
-                               ).labels(phase="eager").inc(charge.window_cycles)
 
             if gained and new.channels > 0:
                 rebalance_pages = min(
@@ -597,12 +581,6 @@ class UGPUPolicy(PartitionPolicy):
                         gained_channels=gained,
                         bytes_moved=charge.bytes_moved,
                     )
-                    obs.metric(metric_names.migration_pages_total).labels(
-                        phase="rebalance"
-                    ).inc(rebalance_pages)
-                    obs.metric(metric_names.migration_window_cycles_total
-                               ).labels(phase="rebalance").inc(
-                                   charge.window_cycles)
 
     def _charge_global(self, charge) -> None:
         """TRADITIONAL migrations pollute the NoC/LLC for everyone."""

@@ -1,131 +1,207 @@
-"""Derive the canonical metrics from a recorded trace.
+"""Derive metrics from events: one fold for live runs and recorded traces.
 
-:func:`registry_from_trace` is the offline twin of live instrumentation:
-given the event stream a :class:`~repro.trace.recorder.TraceRecorder`
-captured (or a re-read JSONL file), it rebuilds the same metric families
-the instrumented components would have populated in a live run — same
-names, same labels, same buckets, because both sides declare through
-:mod:`repro.telemetry.names`.  That makes old traces scrapeable
-after the fact (``repro metrics --from-trace run.jsonl``) and gives the
-test suite an equivalence oracle: live registry == bridged registry on
-the same run, modulo live-only point samples (queue depths sampled
-mid-run) and ring-buffer drops.
+Every instrumented fact is one event (``obs.emit``).  When the
+:class:`~repro.obs.Obs` handle holds a metrics registry, each event it
+emits goes through :func:`fold_event`, which updates the families the
+event carries; :func:`registry_from_trace` loops the same function over
+a recorded trace (``repro metrics run.jsonl``).  A live registry and
+one derived from the run's trace therefore agree on every sample an
+event carries, by construction.  Worker events reach the orchestrator's
+trace through :meth:`~repro.obs.Obs.absorb` without being folded again:
+their metrics arrive with the worker's registry snapshot.
 
-:func:`fold_exec_stats` is the small sibling for the sweep executor,
-folding an :class:`~repro.exec.stats.ExecStats` into the registry.
+:data:`DERIVED` maps each event category to the families its events
+fold into.  :func:`declare` creates a category's families at zero; each
+emitter declares its categories when it is built
+(:meth:`~repro.obs.Obs.declare`), so a family exports from the first
+sample on, before its first event.  A family that no event touched
+exports from a live run only.
+
+:func:`fold_exec_stats` counts the sweep executor facts no event
+carries: jobs requested, cache evictions and wall seconds.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Mapping, Sequence
 
+from repro.errors import ConfigError
 from repro.telemetry import names
+from repro.telemetry.merge import merge_registry, snapshot_registry
 from repro.telemetry.metrics import MetricsRegistry
-from repro.trace.recorder import KIND_SPAN, TraceEvent
+from repro.trace.recorder import TraceEvent
+
+#: The metric families each event category folds into.
+DERIVED = {
+    "epoch": (names.epochs_total, names.epoch_cycles_total,
+              names.epoch_duration_cycles, names.instructions_total,
+              names.migration_stall_cycles_total,
+              names.open_wait_queue_depth, names.open_resident_jobs),
+    "arrival": (names.open_arrivals_total,),
+    "admission": (names.open_admissions_total,
+                  names.open_queueing_delay_cycles),
+    "departure": (names.open_departures_total,),
+    "realloc": (names.reallocations_total,),
+    "qos": (names.qos_interventions_total,),
+    "migration": (names.migration_pages_total,
+                  names.migration_window_cycles_total,
+                  names.pagemove_pages_total,
+                  names.pagemove_window_cycles_total),
+    "fault": (names.vm_faults_total, names.vm_fault_software_cycles_total),
+    "cache": (names.exec_cache_hits_total, names.exec_cache_misses_total),
+    "job": (names.exec_jobs_run_total, names.exec_job_seconds),
+    "fleet": (names.fleet_rounds_total, names.fleet_jobs_total,
+              names.fleet_wait_queue_depth, names.fleet_resident_jobs,
+              names.fleet_active_nodes, names.fleet_fragmentation,
+              names.fleet_queueing_delay_cycles),
+    "node": (names.worker_node_rounds_total,
+             names.worker_tenant_rounds_total,
+             names.worker_instructions_total, names.worker_dram_bytes_total,
+             names.worker_departures_total,
+             names.worker_active_cycles_total),
+    "health": (names.health_incidents_total,),
+}
+
+#: Fleet lifecycle event name -> ``repro_fleet_jobs_total`` label.
+_FLEET_JOB_LABELS = {
+    "arrive": "arrived",
+    "admit": "admitted",
+    "depart": "departed",
+    "migrate": "migrated",
+}
 
 
-def registry_from_trace(
-    events: Sequence[TraceEvent],
-    dropped_events: int = 0,
-    registry: Optional[MetricsRegistry] = None,
-) -> MetricsRegistry:
-    """Fold ``events`` into a (new or provided) metrics registry.
+def declare(registry: MetricsRegistry, *categories: str) -> None:
+    """Create the families ``categories``' events fold into, at zero."""
+    for category in categories:
+        for family in DERIVED[category]:
+            family(registry)
 
-    Derivable families are exact reconstructions of what live
-    instrumentation counts; queue-depth gauges are reconstructed from
-    conservation (waiting = arrivals - admissions, resident =
-    admissions - departures), which matches the live end-of-run sample.
-    ``dropped_events`` (from ``TraceRecorder.dropped``) is exported so a
-    bridged registry never hides that its input was truncated.
+
+def fold_event(registry: MetricsRegistry, category: str, name: str,
+               duration: float, args: Mapping[str, Any]) -> None:
+    """Update the metric families one event carries."""
+    if category == "epoch":
+        names.epochs_total(registry).inc()
+        names.epoch_cycles_total(registry).inc(duration)
+        names.epoch_duration_cycles(registry).observe(duration)
+        names.instructions_total(registry).inc(args.get("instructions", 0))
+        names.migration_stall_cycles_total(registry).inc(
+            args.get("migration_cycles", 0))
+        # Open runs stamp the queue state after the boundary's lifecycle.
+        if "wait" in args:
+            names.open_wait_queue_depth(registry).set(args["wait"])
+            names.open_resident_jobs(registry).set(args["resident"])
+    elif category == "arrival":
+        names.open_arrivals_total(registry).inc()
+    elif category == "admission":
+        names.open_admissions_total(registry).inc()
+        names.open_queueing_delay_cycles(registry).observe(
+            args["queueing_delay"])
+    elif category == "departure":
+        names.open_departures_total(registry).inc()
+    elif category == "realloc":
+        if name in ("apply", "suppress", "membership"):
+            names.reallocations_total(registry).labels(outcome=name).inc()
+    elif category == "qos":
+        names.qos_interventions_total(registry).inc()
+    elif category == "migration":
+        if name in ("eager", "rebalance"):
+            names.migration_pages_total(registry).labels(phase=name).inc(
+                args.get("pages", 0))
+            names.migration_window_cycles_total(registry).labels(
+                phase=name).inc(duration)
+        elif name == "execute":
+            pages = names.pagemove_pages_total(registry)
+            pages.labels(kind="eager").inc(args.get("eager", 0))
+            pages.labels(kind="lazy").inc(args.get("lazy", 0))
+            names.pagemove_window_cycles_total(registry).inc(duration)
+    elif category == "fault":
+        names.vm_faults_total(registry).labels(kind=name).inc()
+        names.vm_fault_software_cycles_total(registry).inc(
+            args.get("software_cycles", 0))
+    elif category == "cache":
+        if name == "hit":
+            names.exec_cache_hits_total(registry).inc()
+        elif name == "miss":
+            names.exec_cache_misses_total(registry).inc()
+    elif category == "job":
+        names.exec_jobs_run_total(registry).inc()
+        names.exec_job_seconds(registry).observe(duration)
+    elif category == "fleet":
+        if name == "round":
+            names.fleet_rounds_total(registry).inc()
+            names.fleet_wait_queue_depth(registry).set(args["wait"])
+            names.fleet_resident_jobs(registry).set(args["resident"])
+            names.fleet_active_nodes(registry).set(args["active"])
+            names.fleet_fragmentation(registry).set(args["fragmentation"])
+        elif name in _FLEET_JOB_LABELS:
+            names.fleet_jobs_total(registry).labels(
+                event=_FLEET_JOB_LABELS[name]).inc()
+            if name == "admit":
+                names.fleet_queueing_delay_cycles(registry).observe(
+                    args["delay"])
+    elif category == "node":
+        if "benchmark" in args:   # a tenant's span inside its node's
+            names.worker_tenant_rounds_total(registry).labels(
+                benchmark=args["benchmark"]).inc()
+            names.worker_active_cycles_total(registry).inc(duration)
+            names.worker_departures_total(registry).inc(
+                1 if args.get("departed") else 0)
+        else:
+            names.worker_node_rounds_total(registry).inc()
+            names.worker_instructions_total(registry).inc(
+                args.get("instructions", 0))
+            names.worker_dram_bytes_total(registry).inc(
+                args.get("dram_bytes", 0))
+    elif category == "health":
+        names.health_incidents_total(registry).labels(kind=name).inc()
+
+
+def registry_from_trace(events: Sequence[TraceEvent],
+                        dropped_events: int = 0) -> MetricsRegistry:
+    """Fold ``events`` into a new metrics registry.
+
+    Every sample an event carries comes out as the live run exported
+    it.  Events absorbed from one worker job (a run of events stamped
+    with one ``shard_id``) fold into a registry of their own, which then
+    merges in, as the live orchestrator merges that worker's snapshot:
+    float sums group the same way and agree to the last bit.
+    ``dropped_events`` (the recorder's ``dropped``) is exported as
+    ``repro_trace_dropped_events``, so a registry derived from a
+    truncated ring says so.
     """
-    reg = registry if registry is not None else MetricsRegistry()
-
-    epochs = names.epochs_total(reg)
-    epoch_cycles = names.epoch_cycles_total(reg)
-    epoch_hist = names.epoch_duration_cycles(reg)
-    instructions = names.instructions_total(reg)
-    stall = names.migration_stall_cycles_total(reg)
-    reallocs = names.reallocations_total(reg)
-    qos = names.qos_interventions_total(reg)
-    policy_pages = names.migration_pages_total(reg)
-    policy_windows = names.migration_window_cycles_total(reg)
-    arrivals = names.open_arrivals_total(reg)
-    admissions = names.open_admissions_total(reg)
-    departures = names.open_departures_total(reg)
-    queue_delay = names.open_queueing_delay_cycles(reg)
-    faults = names.vm_faults_total(reg)
-    fault_cycles = names.vm_fault_software_cycles_total(reg)
-    cache_hits = names.exec_cache_hits_total(reg)
-    cache_misses = names.exec_cache_misses_total(reg)
-    jobs_run = names.exec_jobs_run_total(reg)
-    job_seconds = names.exec_job_seconds(reg)
-
+    reg = MetricsRegistry()
+    shard = worker = None
     for event in events:
-        category = event.category
-        if category == "epoch":
-            epochs.inc()
-            span = event.duration if event.kind == KIND_SPAN else 0.0
-            epoch_cycles.inc(span)
-            epoch_hist.observe(span)
-            instructions.inc(float(event.args.get("instructions", 0.0)))
-            stall.inc(float(event.args.get("migration_cycles", 0.0)))
-        elif category == "realloc":
-            if event.name in ("apply", "suppress", "membership"):
-                reallocs.labels(outcome=event.name).inc()
-        elif category == "qos":
-            qos.inc()
-        elif category == "migration":
-            if event.name in ("eager", "rebalance"):
-                policy_pages.labels(phase=event.name).inc(
-                    float(event.args.get("pages", 0.0))
-                )
-                policy_windows.labels(phase=event.name).inc(event.duration)
-        elif category == "fault":
-            faults.labels(kind=event.name).inc()
-            fault_cycles.inc(float(event.args.get("software_cycles", 0.0)))
-        elif category == "arrival":
-            arrivals.inc()
-        elif category == "admission":
-            admissions.inc()
-            delay = event.args.get("queueing_delay")
-            if delay is not None:
-                queue_delay.observe(float(delay))
-        elif category == "departure":
-            departures.inc()
-        elif category == "cache":
-            if event.name == "hit":
-                cache_hits.inc()
-            elif event.name == "miss":
-                cache_misses.inc()
-        elif category == "job":
-            jobs_run.inc()
-            job_seconds.observe(event.duration)
-
-    # Depth gauges by conservation: equal to the live end-of-run sample.
-    names.open_wait_queue_depth(reg).set(
-        max(0.0, arrivals.value - admissions.value)
-    )
-    names.open_resident_jobs(reg).set(
-        max(0.0, admissions.value - departures.value)
-    )
+        shard_id = event.args.get("shard_id")
+        if shard_id != shard:
+            if worker is not None:
+                merge_registry(reg, snapshot_registry(worker))
+            shard = shard_id
+            worker = None if shard_id is None else MetricsRegistry()
+        try:
+            fold_event(reg if worker is None else worker, event.category,
+                       event.name, event.duration, event.args)
+        except KeyError as exc:
+            raise ConfigError(
+                f"trace event {event.seq} ({event.category} {event.name!r}) "
+                f"lacks {exc.args[0]!r}, which its metrics derive from; "
+                "was the trace recorded by an older version?"
+            ) from None
+    if worker is not None:
+        merge_registry(reg, snapshot_registry(worker))
     names.trace_dropped_events(reg).set(dropped_events)
     return reg
 
 
 def fold_exec_stats(registry: MetricsRegistry, stats) -> MetricsRegistry:
-    """Fold one :class:`~repro.exec.stats.ExecStats` into ``registry``."""
+    """Count what one :class:`~repro.exec.stats.ExecStats` holds beyond
+    the executor's ``cache`` and ``job`` events."""
     names.exec_jobs_total(registry).inc(stats.jobs_total)
-    names.exec_jobs_run_total(registry).inc(stats.jobs_run)
-    names.exec_cache_hits_total(registry).inc(stats.cache_hits)
-    names.exec_cache_misses_total(registry).inc(
-        max(0, stats.jobs_total - stats.cache_hits)
-    )
     names.exec_cache_evictions_total(registry).inc(stats.cache_evictions)
     names.exec_cache_schema_evictions_total(registry).inc(
         getattr(stats, "cache_schema_evictions", 0)
     )
     names.exec_wall_seconds_total(registry).inc(stats.wall_seconds)
-    job_hist = names.exec_job_seconds(registry)
-    for seconds in stats.job_seconds:
-        job_hist.observe(seconds)
     return registry

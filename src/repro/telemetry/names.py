@@ -1,13 +1,12 @@
-"""The canonical metric families every instrumented layer declares.
+"""The canonical metric families: name, help text, labels and buckets.
 
-Instrumentation lives in many modules (`core.system`, `policies.ugpu`,
-`vm.driver`, `pagemove.engine`, `hbm.controller`, `cluster.fleet`,
-`exec.executor`) and the trace bridge
-(:mod:`repro.telemetry.bridge`) must rebuild the *same* series from a
-recorded event stream.  Declaring each family through one factory here —
-name, help text, labels and buckets in a single place — is what makes
-``registry_from_trace()`` equivalence checkable: both sides literally
-call the same constructor.
+Most families are derived from events: :mod:`repro.telemetry.bridge`
+folds each event into them, for a live run and for a recorded trace
+alike, and is the only module that names them.  The rest count facts no
+event carries, and their component declares them through its handle
+(``obs.metric(names.policy_stp)``): STP/ANTT, the throughput memo, the
+HBM controller, MIGRATION commands, fleet energy, the health gauges,
+the executor's requested jobs, evictions and wall time, and trace drops.
 
 Registry construction is idempotent, so any number of components may
 call the same factory; mismatched redeclarations raise ``ConfigError``.

@@ -88,7 +88,7 @@ def _row_key(event: TraceEvent, pids: Dict[str, int]) -> tuple:
     """(chrome_pid, category, sub-row) — the track an event renders on."""
     pid = pids.get(event.args.get("worker"), 0)
     if event.category == "node":
-        sub = event.args.get("node")
+        sub = event.args.get("node_id")
     else:
         sub = event.args.get("app_id")
     return (pid, event.category, sub)
@@ -133,7 +133,8 @@ def chrome_trace(
         for event in events:
             token = event.args.get("worker")
             if token is not None and token not in os_pids:
-                os_pids[token] = event.args.get("pid")
+                os_pids[token] = event.args.get(
+                    "pid", event.args.get("worker_pid"))
         for token, chrome_pid in sorted(pids.items(), key=lambda kv: kv[1]):
             trace_events.append({
                 "ph": "M", "pid": chrome_pid, "tid": 0,

@@ -72,11 +72,10 @@ class GPUDriver:
         it overrides the default contiguous frame layout with the paper's
         Figure 8 interleave.
 
-        ``obs`` (a :class:`repro.obs.Obs` handle) gets one
-        ``fault``-category trace record per serviced fault, named by
-        kind; metrics counting faults by kind and accumulating software
-        fault-handling cycles; and a ``vm.handle_fault`` host phase per
-        serviced fault."""
+        ``obs`` (a :class:`repro.obs.Obs` handle) gets one ``fault``
+        event per serviced fault, named by kind (its metrics count
+        faults by kind and accumulate software fault-handling cycles),
+        and a ``vm.handle_fault`` host phase per serviced fault."""
         if mapping is not None:
             num_channel_groups = mapping.num_channel_groups
             pages_per_channel = min(pages_per_channel, mapping.pages_per_channel)
@@ -112,12 +111,7 @@ class GPUDriver:
         #: Faults serviced so far.
         self.faults = 0
         self.obs = obs
-        if obs.on:
-            from repro.telemetry import names as _names
-
-            self._m_faults = obs.metric(_names.vm_faults_total)
-            self._m_fault_cycles = obs.metric(
-                _names.vm_fault_software_cycles_total)
+        obs.declare("fault")
 
     # ------------------------------------------------------------------
     # Application lifecycle
@@ -284,8 +278,6 @@ class GPUDriver:
                 channel=channel, source_channel=source_channel,
                 software_cycles=fault.software_cycles,
             )
-            self._m_faults.labels(kind=kind.value).inc()
-            self._m_fault_cycles.inc(fault.software_cycles)
             obs.end("vm.handle_fault")
         return fault
 

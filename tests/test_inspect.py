@@ -33,6 +33,7 @@ from repro.inspect import (
 )
 from repro.inspect.model import RunModel
 from repro.profiling import PhaseProfiler
+from repro.trace import KIND_SPAN, TraceEvent
 
 FLEET_ARGS = [
     "fleet", "--nodes", "4", "--cycles", "10000000",
@@ -185,16 +186,35 @@ class TestAnalyzers:
 
     def test_straggler_detection_from_obslog(self):
         model = RunModel(path="synthetic", manifest=_minimal_manifest())
+        # The obslog record of a ``job`` event: the span's args plus
+        # its ``duration``.
         for _ in range(8):
             model.obslog.append(
-                {"event": "exec.job", "worker_pid": 1, "seconds": 10.0})
+                {"event": "job.bp:PVC_DXTC", "worker_pid": 1,
+                 "duration": 10.0})
         for pid in (2, 3, 4):
             model.obslog.append(
-                {"event": "exec.job", "worker_pid": pid, "seconds": 1.0})
+                {"event": "job.bp:PVC_DXTC", "worker_pid": pid,
+                 "duration": 1.0})
         finding = next(f for f in analyze(model)
                        if f.category == "stragglers")
         assert finding.severity == "warning"
         assert finding.data["worst_worker"] == "pid=1"
+
+    def test_straggler_detection_from_trace_job_spans(self):
+        # A job span has category ``job`` and is named ``policy:mix``.
+        model = RunModel(path="synthetic", manifest=_minimal_manifest())
+        for seq, (token, seconds) in enumerate(
+                [("tok-a", 10.0)] * 8 + [("tok-b", 1.0), ("tok-c", 1.0)]):
+            model.events.append(TraceEvent(
+                seq=seq, time=0.0, category="job", name="bp:PVC_DXTC",
+                kind=KIND_SPAN, duration=seconds,
+                args={"worker": token, "worker_pid": seq}))
+        finding = next(f for f in analyze(model)
+                       if f.category == "stragglers")
+        assert finding.data["workers"] == 3
+        assert finding.data["worst_worker"] == "tok-a"
+        assert finding.data["worst_seconds"] == 80.0
 
     def test_profile_bundle_agrees_with_repro_profile(
             self, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """The observability handle (repro.obs): one ``obs`` argument that owns
 the trace recorder, metrics registry, phase profiler and obslog logger."""
 
-from repro.exec import ObsSnapshot, SweepJob
+import repro.obs
+from repro.exec import ObsSnapshot, SweepExecutor, SweepJob
 from repro.obs import NULL_METRIC, OFF, Obs, run_job
 from repro.obslog import ObsLogger, read_obslog
 from repro.profiling import PhaseProfiler
@@ -46,9 +47,13 @@ class TestHandle:
         obs = Obs(recorder, registry, profiler)
         obs.emit("epoch", "epoch[0]", time=0.0, duration=5.0)
         with obs.span("epoch"):
-            obs.metric(names.epochs_total).inc()
+            obs.metric(names.perf_memo_entries).set(3.0)
         assert [e.name for e in recorder.events()] == ["epoch[0]"]
+        # The registry folds the event; a direct metric call adds a fact
+        # no event carries.
         assert registry.value(names.EPOCHS_TOTAL) == 1.0
+        assert registry.value(names.EPOCH_CYCLES_TOTAL) == 5.0
+        assert registry.value(names.PERF_MEMO_ENTRIES) == 3.0
         assert profiler.tree()[("epoch",)].calls == 1
 
     def test_metric_without_registry_is_the_null_metric(self):
@@ -88,3 +93,18 @@ class TestWorkerCapture:
         assert {e.args["shard_id"] for e in recorder.events()} == {"job0"}
         assert OFF.absorb([envelope], prefix=("worker",),
                           shard_prefix="job") == 0
+
+    def test_worker_ring_drops_reach_the_orchestrator(self, monkeypatch):
+        monkeypatch.setattr(repro.obs, "WORKER_TRACE_CAPACITY", 3)
+        recorder, registry = TraceRecorder(), MetricsRegistry()
+        obs = Obs(recorder, registry)
+        executor = SweepExecutor(obs=obs)
+        executor.run([SweepJob.build("ugpu", ("PVC", "DXTC"), 25_000_000),
+                      SweepJob.build("bp", ("PVC", "LBM"), 25_000_000)])
+        envelopes = executor.last_envelopes
+        obs.absorb(envelopes, prefix=("worker",), shard_prefix="job")
+        drops = sum(envelope.obs.dropped for envelope in envelopes)
+        assert envelopes[0].obs.dropped > 0
+        assert recorder.dropped == drops
+        obs.gauge_trace_drops()
+        assert registry.value(names.TRACE_DROPPED_EVENTS) == drops

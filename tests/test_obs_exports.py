@@ -13,9 +13,10 @@ or process identity:
 * provenance: the ``repro_build_info`` sample, the JSON ``provenance``
   field, the CSV ``#`` header lines, and the manifest's ``provenance``
   and ``kernel_backend``;
-* obslog fields ``ts``, ``pid``, ``seconds``, ``worker_pid`` and
+* obslog fields ``ts``, ``pid``, ``worker_pid``, ``worker`` and
   ``wall_seconds``, plus ``backend`` (the kernel backend, which is
-  provenance: the exports are otherwise the same under both backends);
+  provenance: the exports are otherwise the same under both backends),
+  and a ``job.*`` record's ``now`` and ``duration`` (wall seconds);
 * trace args ``pid`` and ``worker`` (and the OS pid in a Chrome
   ``process_name`` label);
 * the ``repro_exec_wall_seconds_total`` and ``repro_exec_job_seconds``
@@ -25,7 +26,8 @@ or process identity:
 
 ``--health`` is left out: its straggler detector reads wall times.
 ``examples/trace_timeline.py`` runs too, and its printed summary is
-pinned line by line.
+pinned line by line.  ``repro metrics`` over each run's trace must
+reproduce every sample of the live ``M`` that the trace's events carry.
 
 Re-record (only when an export is meant to change)::
 
@@ -46,6 +48,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.system import clear_solo_ipc_cache
+from repro.telemetry import MetricsRegistry, parse_prometheus
+from repro.telemetry.bridge import DERIVED
+from repro.trace import read_jsonl
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = REPO / "tests" / "golden" / "obs_exports.json"
@@ -65,8 +70,10 @@ RUNS = {
     ],
 }
 
-_OBSLOG_DROP = ("ts", "pid", "seconds", "worker_pid", "wall_seconds",
+_OBSLOG_DROP = ("ts", "pid", "worker_pid", "worker", "wall_seconds",
                 "backend")
+#: An executed job's record is timed in wall seconds.
+_JOB_WALL = ("now", "duration")
 _TRACE_ARG_DROP = ("pid", "worker")
 _WALL_FAMILIES = ("repro_exec_wall_seconds_total", "repro_exec_job_seconds")
 _EXEC_COUNTS = ("jobs_total", "jobs_run", "cache_hits", "cache_evictions",
@@ -103,19 +110,24 @@ def _chrome(text):
 
 
 def _obslog(text):
-    return [_dump(_without(json.loads(line), _OBSLOG_DROP))
-            for line in text.splitlines()]
+    records = []
+    for line in text.splitlines():
+        record = _without(json.loads(line), _OBSLOG_DROP)
+        if record["event"].startswith("job."):
+            record = _without(record, _JOB_WALL)
+        records.append(_dump(record))
+    return records
+
+
+def _family(sample_name):
+    return re.sub(r"_(bucket|sum|count)$", "", sample_name)
 
 
 def _prometheus(text):
     drop = ("repro_build_info",) + _WALL_FAMILIES
-
-    def family(sample):
-        name = re.split(r"[{ ]", sample, maxsplit=1)[0]
-        return re.sub(r"_(bucket|sum|count)$", "", name)
-
     return [line for line in text.splitlines()
-            if line.startswith("#") or family(line) not in drop]
+            if line.startswith("#")
+            or _family(re.split(r"[{ ]", line, maxsplit=1)[0]) not in drop]
 
 
 def _metrics_json(text):
@@ -210,8 +222,13 @@ def compute_exports(workdir: Path):
 
 
 @pytest.fixture(scope="module")
-def exports(tmp_path_factory):
-    return compute_exports(tmp_path_factory.mktemp("obs_exports"))
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("obs_exports")
+
+
+@pytest.fixture(scope="module")
+def exports(workdir):
+    return compute_exports(workdir)
 
 
 with open(GOLDEN_PATH) as _handle:
@@ -221,6 +238,26 @@ with open(GOLDEN_PATH) as _handle:
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_cli_exports_match_golden(exports, run):
     assert exports[run] == GOLDEN[run]
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_trace_reproduces_live_metrics(exports, workdir, run):
+    directory = workdir / run
+    out = directory / "bridged.prom"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["metrics", str(directory / "P.jsonl"),
+                     "--out", str(out)]) == 0
+    bridged = parse_prometheus(out.read_text())["samples"]
+    live = parse_prometheus((directory / "M").read_text())["samples"]
+    traced = {e.category for e in read_jsonl(directory / "P.jsonl")}
+    derived = {family(MetricsRegistry()).name
+               for category in traced for family in DERIVED.get(category, ())}
+    checked = [key for key in live if _family(key[0]) in derived]
+    assert len(checked) > 20
+    for key in checked:
+        # A live sample the trace lacks is a family declared at zero.
+        assert bridged.get(key, 0.0) == live[key], key
+    assert {key for key in bridged if _family(key[0]) in derived} <= set(live)
 
 
 def test_trace_timeline_example_summary(exports):

@@ -114,7 +114,7 @@ class TestWorkerCaptureRoundTrip:
     ):
         def physics(recorder):
             return [
-                (e.time, e.name, e.duration, e.args.get("node"),
+                (e.time, e.name, e.duration, e.args["node_id"],
                  e.args.get("job_id"))
                 for e in recorder.events()
                 if e.category == "node"
@@ -368,7 +368,7 @@ class TestChromeTracks:
         return TraceEvent(
             seq=seq, time=float(seq), category="node", name=f"node{node}",
             kind=KIND_SPAN, duration=1.0,
-            args={"worker": token, "pid": os_pid, "node": node},
+            args={"worker": token, "pid": os_pid, "node_id": node},
         )
 
     def test_pid_reuse_does_not_interleave_tracks(self):

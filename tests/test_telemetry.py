@@ -27,8 +27,9 @@ from repro.telemetry import (
     validate_prometheus_file,
     write_prometheus,
 )
+from repro.telemetry.bridge import DERIVED
 from repro.telemetry.exposition import BUILD_INFO_METRIC
-from repro.trace import TraceRecorder, summarize
+from repro.trace import TraceEvent, TraceRecorder, summarize
 from repro.trace.summary import TraceSummary
 from repro.workloads import poisson_arrivals
 
@@ -303,57 +304,65 @@ class TestSummarySatellites:
         assert "RAW" not in summary.format()
 
 
-#: Families whose live and bridged values must agree exactly on a run
-#: that records both a trace and a registry.
-_EQUIVALENT_FAMILIES = (
-    "repro_epochs_total",
-    "repro_epoch_cycles_total",
-    "repro_instructions_total",
-    "repro_migration_stall_cycles_total",
-    "repro_reallocations_total",
-    "repro_qos_interventions_total",
-    "repro_migration_pages_total",
-    "repro_migration_window_cycles_total",
-    "repro_open_arrivals_total",
-    "repro_open_admissions_total",
-    "repro_open_departures_total",
-    "repro_open_wait_queue_depth",
-    "repro_open_resident_jobs",
-    "repro_trace_dropped_events",
-)
+#: Every family the event fold derives.
+_DERIVED = {family(MetricsRegistry()).name
+            for families in DERIVED.values() for family in families}
+
+
+def _derived_samples(registry):
+    """``{(family, label values): value}`` for every event-derived
+    sample; a histogram's value is its bucket counts, sum and count."""
+    out = {}
+    for family in registry.families():
+        if family.name not in _DERIVED:
+            continue
+        for labels, child in family.samples():
+            if family.kind == "histogram":
+                out[family.name, labels] = (
+                    tuple(child.counts), child.sum, child.count)
+            else:
+                out[family.name, labels] = child.value
+    return out
+
+
+def _assert_trace_reproduces(live, events):
+    """The registry folded from ``events`` holds every event-derived
+    sample of ``live``, value for value.  A live sample it lacks must
+    be zero: a family its emitter declared that no event touched."""
+    live_samples = _derived_samples(live)
+    bridged = _derived_samples(registry_from_trace(events))
+    assert bridged
+    for key, value in bridged.items():
+        assert live_samples.get(key) == value, key
+    for key, value in live_samples.items():
+        if key not in bridged:
+            empty = value == 0.0 or (
+                isinstance(value, tuple) and value[2] == 0)
+            assert empty, key
+
+
+def _open_run(obs):
+    schedule = poisson_arrivals(mean_interarrival_cycles=1_500_000,
+                                horizon_cycles=10_000_000, seed=0)
+    resolve_policy("ugpu")([], arrivals=schedule, obs=obs).run(10_000_000)
 
 
 class TestBridgeEquivalence:
     def _golden_run(self):
-        schedule = poisson_arrivals(mean_interarrival_cycles=1_500_000,
-                                    horizon_cycles=10_000_000, seed=0)
         recorder = TraceRecorder()
         live = MetricsRegistry()
-        system = resolve_policy("ugpu")(
-            [], arrivals=schedule, obs=Obs(recorder, live))
-        system.run(10_000_000)
+        _open_run(Obs(recorder, live))
         bridged = registry_from_trace(recorder.events(),
                                       dropped_events=recorder.dropped)
-        return live, bridged
+        return live, bridged, recorder
 
     def test_counters_and_gauges_match(self):
-        live, bridged = self._golden_run()
+        live, _, recorder = self._golden_run()
         assert live.value("repro_open_arrivals_total") > 0  # non-trivial run
-        for name in _EQUIVALENT_FAMILIES:
-            # The bridge declares every canonical family; a live run only
-            # registers the ones its events touched (no QoS target -> no
-            # interventions family).  Enumerate from whichever side has
-            # it; value() defaults the other side to 0.0.
-            family = live.get(name) or bridged.get(name)
-            assert family is not None, name
-            for label_values, _child in family.samples():
-                labels = dict(zip(family.label_names, label_values))
-                assert bridged.value(name, **labels) == pytest.approx(
-                    live.value(name, **labels)
-                ), (name, labels)
+        _assert_trace_reproduces(live, recorder.events())
 
     def test_queueing_delay_histogram_matches(self):
-        live, bridged = self._golden_run()
+        live, bridged, _ = self._golden_run()
         name = "repro_open_queueing_delay_cycles"
         live_hist, bridged_hist = live.get(name), bridged.get(name)
         assert live_hist.count == bridged_hist.count > 0
@@ -362,10 +371,73 @@ class TestBridgeEquivalence:
                 == bridged_hist._default_child().cumulative())
 
     def test_epoch_duration_histogram_matches(self):
-        live, bridged = self._golden_run()
+        live, bridged, _ = self._golden_run()
         name = "repro_epoch_duration_cycles"
         assert live.get(name).count == bridged.get(name).count > 0
         assert live.get(name).sum == pytest.approx(bridged.get(name).sum)
+
+    def test_sharded_fleet_with_worker_capture(self):
+        from repro.cluster import FleetSimulator, PlacementPolicy
+        from repro.exec import SweepExecutor
+
+        recorder, live = TraceRecorder(), MetricsRegistry()
+        obs = Obs(recorder, live)
+        schedule = poisson_arrivals(
+            mean_interarrival_cycles=500_000, horizon_cycles=10_000_000,
+            seed=0, instructions_per_kernel=50_000_000)
+        with SweepExecutor(jobs=2, obs=obs) as executor:
+            FleetSimulator(
+                4, schedule, PlacementPolicy.FRAG_AWARE,
+                horizon_cycles=10_000_000, rebalance_every=2,
+                instructions_per_kernel=50_000_000, executor=executor,
+                obs=obs,
+            ).run()
+        for family in ("repro_fleet_rounds_total",
+                       "repro_worker_node_rounds_total",
+                       "repro_exec_jobs_run_total"):
+            assert live.value(family) > 0, family
+        _assert_trace_reproduces(live, recorder.events())
+
+    def test_driver_and_migration_engine(self):
+        from repro.pagemove import (
+            InterleavedPageMapping,
+            MigrationEngine,
+            PageMoveAddressMapping,
+        )
+        from repro.vm import FaultKind, GPUDriver
+
+        recorder, live = TraceRecorder(), MetricsRegistry()
+        obs = Obs(recorder, live)
+        mapping = PageMoveAddressMapping()
+        driver = GPUDriver(pages_per_channel=64,
+                           mapping=InterleavedPageMapping(mapping), obs=obs)
+        engine = MigrationEngine(driver, mapping=mapping, obs=obs)
+        driver.register_app(0, [0, 1])
+        for vpn in range(8):
+            driver.handle_fault(FaultKind.DEMAND, 0, vpn,
+                                target_channel=vpn % 2)
+        engine.execute(engine.plan_channel_reallocation(0, [0]))
+        assert live.value("repro_vm_faults_total", kind="demand") == 8
+        assert live.value("repro_pagemove_pages_total", kind="eager") == 4
+        _assert_trace_reproduces(live, recorder.events())
+
+    def test_event_missing_a_derived_field_is_named(self):
+        event = TraceEvent(seq=3, time=0.0, category="fleet", name="admit",
+                           args={"job_id": 1, "node_id": 0})
+        with pytest.raises(ConfigError, match="event 3 .* lacks 'delay'"):
+            registry_from_trace([event])
+
+    def test_wrapping_ring_keeps_live_metrics_exact(self):
+        small, live = TraceRecorder(capacity=8), MetricsRegistry()
+        _open_run(Obs(small, live))
+        assert small.dropped > 0
+        # The same run traced in full: the live registry behind the
+        # 8-event ring still counted every event.
+        full = TraceRecorder()
+        _open_run(Obs(full))
+        _assert_trace_reproduces(live, full.events())
+        truncated = registry_from_trace(small.events(), small.dropped)
+        assert truncated.value("repro_trace_dropped_events") == small.dropped
 
 
 class TestDefaultBuckets:

@@ -10,8 +10,8 @@ Usage (after ``pip install -e .``)::
     python -m repro qos --target 0.75             # Figure 16 scenario
     python -m repro arrivals --seed 0             # open-system Poisson run
     python -m repro fleet --nodes 200 --jobs 8    # fleet placement shoot-out
-    python -m repro trace --mix PVC,DXTC          # timeline -> JSONL + Perfetto
-    python -m repro metrics trace.jsonl           # trace -> Prometheus metrics
+    python -m repro run --mix PVC,DXTC --policy ugpu --report-dir runs/t
+    python -m repro metrics runs/t/trace.jsonl    # trace -> Prometheus metrics
     python -m repro fleet --report-dir runs/a     # capture a run bundle
     python -m repro inspect runs/a                # post-hoc findings report
     python -m repro diff runs/a runs/b            # run-vs-run comparison
@@ -29,54 +29,43 @@ Poisson stream of jobs plays against every requested placement policy
 over the same fleet of nodes, with node execution sharded across the
 ``--jobs`` worker processes (results are byte-identical to a serial
 run — the ExecStats footer goes to stderr so stdout can be diffed).
+``fleet --health`` attaches the
+:class:`~repro.cluster.health.FleetHealthMonitor` and prints its
+per-placement verdict (stragglers, wait-queue stalls, cache collapse).
 
 ``run``, ``sweep``, ``arrivals`` and ``fleet`` accept
 ``--kernel-backend {scalar,numpy}``: the pure-python scalar oracle (the
 default) or the opt-in vectorized numpy fast path.  Both produce
 byte-identical simulation results; only the wall-clock differs.
 
-``sweep``, ``fleet`` and ``arrivals`` additionally accept
-``--trace-out PREFIX``, which records a merged timeline — orchestrator
-events plus worker-side captures from every pool process, correlated by
-``run_id``/``shard_id``/``pid`` — and writes ``PREFIX.jsonl`` +
-``PREFIX.chrome.json``; ``sweep`` and ``fleet`` also accept
-``--log-jsonl FILE``, which streams structured log records
-(:mod:`repro.obslog`) carrying the same correlation IDs.  The flags
-build one :class:`~repro.obs.Obs` handle, and any observability flag
-but ``--log-jsonl`` turns on worker-side capture.  ``fleet --health``
-attaches the
-:class:`~repro.cluster.health.FleetHealthMonitor` and prints its
-per-placement verdict (stragglers, wait-queue stalls, cache collapse).
+The same four commands accept ``--report-dir DIR``, the one place a
+run's evidence lands: the merged trace (orchestrator events plus
+worker-side captures from every pool process, correlated by
+``run_id``/``shard_id``/``pid``) as ``trace.jsonl`` and a Chrome-trace
+file that loads in ``chrome://tracing`` and Perfetto, the metrics
+snapshot, the structured log (:mod:`repro.obslog`), profiler phases,
+ExecStats and the command's deterministic results, captured into DIR as
+a *run bundle* behind a schema-versioned ``manifest.json``
+(``--report-gzip`` compresses the line-oriented artifacts).  ``repro
+inspect BUNDLE`` loads a bundle (:mod:`repro.inspect`) and prints the
+trace summary (epochs, migration stall, faults, reallocations, QoS
+interventions), typed findings — critical path, stragglers, wait-queue
+dynamics, phase rollups, cache effectiveness — and the hot-phase table;
+``repro diff A B`` separates determinism drift (results, deterministic
+counters, artifact meta counts — required zero between identical-seed
+runs, whatever the kernel backend) from expected timing deltas and
+attributes wall-time change to specific span paths.  Both write
+self-contained single-file HTML reports via ``--html``.
 
-``trace`` runs one mix with a :mod:`repro.trace` recorder attached and
-writes the timeline as JSONL (``<prefix>.jsonl``) and/or a Chrome-trace
-file (``<prefix>.chrome.json``) that loads in ``chrome://tracing`` and
-Perfetto, then prints the derived summary metrics.
-
-``run``, ``sweep``, ``arrivals`` and ``fleet`` accept
-:mod:`repro.telemetry` flags:
-``--metrics-out`` (Prometheus text exposition), ``--metrics-json``
-(snapshot), ``--metrics-csv`` (per-epoch long-format series — the input
+They also accept :mod:`repro.telemetry` flags, in formats other tools
+read: ``--metrics-out`` (Prometheus text exposition), ``--metrics-csv``
+(per-epoch long-format series — the input
 ``examples/live_dashboard.py`` tails) and ``--metrics-port`` (a live
-``/metrics`` scrape endpoint for the duration of the run).  ``metrics``
-folds a recorded JSONL trace into a registry offline, with the same
-function a live run folds its events through, so it reproduces every
-sample the trace's events carry.
-
-``sweep``, ``fleet`` and ``arrivals`` accept
-``--report-dir DIR``: every artifact of the run — trace JSONL, Chrome
-trace, metrics snapshot, obslog, profiler phases, ExecStats and the
-command's deterministic results — is captured into DIR as a *run
-bundle* behind a schema-versioned ``manifest.json`` (``--report-gzip``
-compresses the line-oriented artifacts).  ``repro inspect BUNDLE``
-loads a bundle (:mod:`repro.inspect`) and prints typed findings —
-critical path, stragglers, wait-queue dynamics, phase rollups, cache
-effectiveness — plus the hot-phase table; ``repro diff A B`` separates
-determinism drift (results, deterministic counters, artifact meta
-counts — required zero between identical-seed runs, whatever the
-kernel backend) from expected timing deltas and attributes wall-time
-change to specific span paths.  Both write self-contained single-file
-HTML reports via ``--html``.
+``/metrics`` scrape endpoint for the duration of the run).  Every
+observability flag builds one :class:`~repro.obs.Obs` handle and turns
+on worker-side capture.  ``metrics`` folds a recorded JSONL trace into
+a registry offline, with the same function a live run folds its events
+through, so it reproduces every sample the trace's events carry.
 """
 
 from __future__ import annotations
@@ -154,8 +143,6 @@ def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics-out", default=None, metavar="FILE",
                         help="write the Prometheus text exposition here "
                              "when the command finishes")
-    parser.add_argument("--metrics-json", default=None, metavar="FILE",
-                        help="write a JSON metrics snapshot here")
     parser.add_argument("--metrics-csv", default=None, metavar="FILE",
                         help="sample every metric at each epoch boundary "
                              "into a long-format CSV")
@@ -163,17 +150,6 @@ def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="PORT",
                         help="serve live /metrics on this port for the "
                              "duration of the run (0 picks a free port)")
-
-
-def _add_obs_flags(parser: argparse.ArgumentParser,
-                   log_jsonl: bool = True) -> None:
-    parser.add_argument("--trace-out", default=None, metavar="PREFIX",
-                        help="record a merged cross-process timeline and "
-                             "write PREFIX.jsonl + PREFIX.chrome.json")
-    if log_jsonl:
-        parser.add_argument("--log-jsonl", default=None, metavar="FILE",
-                            help="write correlated structured log records "
-                                 "(one JSON object per line) here")
 
 
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
@@ -192,91 +168,54 @@ def _observe(args, command: str, labels: dict, **ids):
 
     Returns ``(obs, run_id, finish)``.  ``obs`` is :data:`~repro.obs.OFF`
     when no flag is set, so instrumented paths stay free; any flag turns
-    it on, and any flag but ``--log-jsonl`` also turns on worker-side
-    capture (:attr:`~repro.obs.Obs.captures`).  ``--metrics-*`` add a
-    registry whose provenance carries ``command`` and ``labels``;
-    ``--trace-out`` a recorder; ``--log-jsonl`` a logger; ``--report-dir``
-    a :class:`~repro.inspect.RunReporter`, which shares those sinks and
-    creates the missing ones.  The ``run_id`` hashes the command's shape
-    (``ids``), so two invocations of the same configuration correlate.
+    it on, with worker-side capture (:attr:`~repro.obs.Obs.captures`).
+    The handle holds one registry, whose provenance carries ``command``
+    and ``labels``, serving every ``--metrics-*`` export and the bundle;
+    ``--report-dir`` adds the recorder, logger and profiler of a
+    :class:`~repro.inspect.RunReporter`.  The ``run_id`` hashes the
+    command's shape (``ids``), so two invocations of the same
+    configuration correlate.
 
     ``finish(results=None, exec_stats=None)`` writes every export: it
     sets the trace-drop gauge (workers' drops included), writes the
-    trace and log (announced on stderr, so stdout stays byte-diffable
-    between serial and sharded runs), then the bundle with the
-    command's deterministic ``results``, then the metrics.
+    bundle with the command's deterministic ``results`` (announced on
+    stderr, so stdout stays byte-diffable between serial and sharded
+    runs), then the metrics.
     """
-    metrics_flags = (args.metrics_out, args.metrics_json, args.metrics_csv,
+    metrics_flags = (args.metrics_out, args.metrics_csv,
                      args.metrics_port is not None)
-    trace_out = getattr(args, "trace_out", None)
-    log_jsonl = getattr(args, "log_jsonl", None)
-    report_dir = getattr(args, "report_dir", None)
-    if not any(metrics_flags + (trace_out, log_jsonl, report_dir)):
+    if not (any(metrics_flags) or args.report_dir):
         return OFF, "", lambda results=None, exec_stats=None: None
+    from repro.telemetry import (
+        CsvSampler,
+        MetricsRegistry,
+        MetricsServer,
+        stamp,
+    )
     from repro.telemetry.provenance import config_hash
 
     run_id = config_hash(None, command=command, **ids)
-    registry = sampler = server = None
-    if any(metrics_flags):
-        from repro.telemetry import (
-            CsvSampler,
-            MetricsRegistry,
-            MetricsServer,
-            stamp,
-        )
-
-        registry = MetricsRegistry()
-        stamp(registry, None, kernel_backend=resolve_kernel_backend(),
-              command=command, **labels)
-        if args.metrics_csv:
-            sampler = CsvSampler(args.metrics_csv)
-            sampler.attach(registry)
-        if args.metrics_port is not None:
-            server = MetricsServer(registry, port=args.metrics_port)
-            server.start()
-            print(f"live metrics at {server.url}")
-    recorder = logger = reporter = None
-    if trace_out:
-        from repro.trace import TraceRecorder
-
-        recorder = TraceRecorder(capacity=262_144)
-    if log_jsonl:
-        from repro.obslog import ObsLogger
-
-        logger = ObsLogger(log_jsonl, run_id=run_id)
-    obs = Obs(recorder, registry, None, logger)
-    if report_dir:
+    reporter = sampler = server = None
+    if args.report_dir:
         from repro.inspect import RunReporter
 
-        reporter = RunReporter(
-            report_dir, command=command, run_id=run_id, obs=obs,
-            obslog_source=log_jsonl,
-            compress=bool(getattr(args, "report_gzip", False)),
-        )
+        reporter = RunReporter(args.report_dir, command=command,
+                               run_id=run_id, compress=args.report_gzip)
         obs = reporter.obs
+    else:
+        obs = Obs(registry=MetricsRegistry())
+    stamp(obs.registry, None, kernel_backend=resolve_kernel_backend(),
+          command=command, **labels)
+    if args.metrics_csv:
+        sampler = CsvSampler(args.metrics_csv)
+        sampler.attach(obs.registry)
+    if args.metrics_port is not None:
+        server = MetricsServer(obs.registry, port=args.metrics_port)
+        server.start()
+        print(f"live metrics at {server.url}")
 
     def finish(results=None, exec_stats=None) -> None:
         obs.gauge_trace_drops()
-        if trace_out:
-            from repro.trace import write_chrome_trace, write_jsonl
-
-            events = recorder.events()
-            path = f"{trace_out}.jsonl"
-            count = write_jsonl(events, path)
-            print(f"wrote {count} trace events to {path}", file=sys.stderr)
-            path = f"{trace_out}.chrome.json"
-            count = write_chrome_trace(events, path)
-            print(f"wrote {count} trace records to {path} "
-                  "(open in chrome://tracing or https://ui.perfetto.dev)",
-                  file=sys.stderr)
-            if recorder.dropped:
-                print(f"note: trace ring dropped {recorder.dropped} oldest "
-                      "events", file=sys.stderr)
-        if log_jsonl:
-            count = logger.records_written
-            logger.close()
-            print(f"wrote {count} log records to {log_jsonl}",
-                  file=sys.stderr)
         if reporter is not None:
             path = reporter.finish(results=results, exec_stats=exec_stats)
             print(f"wrote run bundle manifest to {path}", file=sys.stderr)
@@ -289,13 +228,8 @@ def _observe(args, command: str, labels: dict, **ids):
         if args.metrics_out:
             from repro.telemetry import write_prometheus
 
-            count = write_prometheus(registry, args.metrics_out)
+            count = write_prometheus(obs.registry, args.metrics_out)
             print(f"wrote {count} metric samples to {args.metrics_out}")
-        if args.metrics_json:
-            from repro.telemetry import write_json
-
-            families = write_json(registry, args.metrics_json)
-            print(f"wrote {families} metric families to {args.metrics_json}")
 
     return obs, run_id, finish
 
@@ -320,6 +254,7 @@ def _parser() -> argparse.ArgumentParser:
                      help="simulation horizon in GPU cycles")
     _add_exec_flags(run)
     _add_metrics_flags(run)
+    _add_report_flags(run)
     _add_backend_flag(run)
 
     sweep = sub.add_parser("sweep", help="run the 50 heterogeneous mixes")
@@ -328,7 +263,6 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cycles", type=int, default=25_000_000)
     _add_exec_flags(sweep)
     _add_metrics_flags(sweep)
-    _add_obs_flags(sweep)
     _add_report_flags(sweep)
     _add_backend_flag(sweep)
 
@@ -359,7 +293,6 @@ def _parser() -> argparse.ArgumentParser:
                           help="comma-separated benchmarks resident at cycle "
                                "0 (default: start empty)")
     _add_metrics_flags(arrivals)
-    _add_obs_flags(arrivals, log_jsonl=False)
     _add_report_flags(arrivals)
     _add_backend_flag(arrivals)
 
@@ -403,32 +336,14 @@ def _parser() -> argparse.ArgumentParser:
                             "stalls, cache collapse)")
     _add_exec_flags(fleet)
     _add_metrics_flags(fleet)
-    _add_obs_flags(fleet)
     _add_report_flags(fleet)
     _add_backend_flag(fleet)
-
-    trace = sub.add_parser("trace", help="run one mix with tracing enabled "
-                                         "and export the timeline")
-    trace.add_argument("--mix", default="PVC,DXTC",
-                       help="comma-separated benchmark abbreviations")
-    trace.add_argument("--policy", default="ugpu",
-                       choices=registered_policies(),
-                       help="policy to trace (default: ugpu)")
-    trace.add_argument("--cycles", type=int, default=25_000_000,
-                       help="simulation horizon in GPU cycles")
-    trace.add_argument("--output", default="trace", metavar="PREFIX",
-                       help="output path prefix (default: ./trace)")
-    trace.add_argument("--format", choices=["jsonl", "chrome", "both"],
-                       default="both", help="which export(s) to write")
-    trace.add_argument("--categories", nargs="+", default=None,
-                       metavar="CAT",
-                       help="record only these categories (default: all)")
 
     metrics = sub.add_parser(
         "metrics",
         help="derive Prometheus/JSON metrics from a recorded JSONL trace")
     metrics.add_argument("trace", metavar="TRACE.jsonl",
-                         help="trace file from `repro trace --format jsonl`")
+                         help="trace.jsonl of a --report-dir run bundle")
     metrics.add_argument("--out", default=None, metavar="FILE",
                          help="write the Prometheus exposition here "
                               "(default: stdout)")
@@ -487,7 +402,9 @@ def cmd_catalog(_args) -> int:
 def cmd_run(args) -> int:
     abbrs = [a.strip() for a in args.mix.split(",") if a.strip()]
     print(f"mix: {'_'.join(abbrs)}  horizon: {args.cycles:,} cycles\n")
-    obs, run_id, finish = _observe(args, "run", {"mix": "_".join(abbrs)})
+    obs, run_id, finish = _observe(
+        args, "run", {"mix": "_".join(abbrs)}, mix="_".join(abbrs),
+        policies="_".join(args.policy), cycles=args.cycles)
     cache = None if args.no_cache else ResultCache(
         args.cache_dir or default_cache_dir())
     executor = SweepExecutor(jobs=args.jobs, cache=cache, obs=obs)
@@ -503,7 +420,20 @@ def cmd_run(args) -> int:
         print(f"{name:<14} {result.stp:>7.3f} {result.antt:>7.2f} "
               f"{result.min_np:>7.2f}  {nps}")
     print(f"\n{executor.stats.format()}")
-    finish()
+    finish(
+        results={
+            "mix": "_".join(abbrs),
+            "policies": {
+                name: {
+                    "stp": round(result.stp, 6),
+                    "antt": round(result.antt, 6),
+                    "min_np": round(result.min_np, 6),
+                }
+                for name, result in zip(args.policy, results)
+            },
+        },
+        exec_stats=executor.stats,
+    )
     return 0
 
 
@@ -682,14 +612,7 @@ def cmd_fleet(args) -> int:
           f"{'wait':>5}  energy(J)")
     health_reports = []
     placement_summaries = {}
-    # The trace stays cycle-domain: the simulator (and its absorbed worker
-    # node-physics spans) emits cycles, while the executor's own job spans
-    # are wall seconds — mixing the two on one timeline would be
-    # meaningless, so the executor's handle has no recorder.  Its
-    # ``cache`` and ``job`` events still reach the registry and the log.
-    exec_obs = Obs(registry=obs.registry, logger=obs.logger)
-    with SweepExecutor(jobs=args.jobs, cache=cache,
-                       obs=exec_obs) as executor:
+    with SweepExecutor(jobs=args.jobs, cache=cache, obs=obs) as executor:
         for name in args.placement:
             monitor = None
             if args.health:
@@ -728,39 +651,6 @@ def cmd_fleet(args) -> int:
     print(f"\n{executor.stats.format()}", file=sys.stderr)
     finish(results={"placements": placement_summaries},
            exec_stats=executor.stats)
-    return 0
-
-
-def cmd_trace(args) -> int:
-    """Run one traced simulation and export/summarize the timeline."""
-    from repro.exec import resolve_policy
-    from repro.trace import (
-        TraceRecorder,
-        summarize,
-        write_chrome_trace,
-        write_jsonl,
-    )
-
-    abbrs = [a.strip() for a in args.mix.split(",") if a.strip()]
-    recorder = TraceRecorder(capacity=65_536, categories=args.categories)
-    factory = resolve_policy(args.policy)
-    system = factory(build_mix(abbrs).applications, obs=Obs(recorder))
-    result = system.run(args.cycles, mix_name="_".join(abbrs))
-    print(f"{result.policy} on {result.mix_name}: STP {result.stp:.3f}  "
-          f"ANTT {result.antt:.2f}  repartitions {result.repartitions}\n")
-
-    events = recorder.events()
-    if args.format in ("jsonl", "both"):
-        path = f"{args.output}.jsonl"
-        print(f"wrote {write_jsonl(events, path)} events to {path}")
-    if args.format in ("chrome", "both"):
-        path = f"{args.output}.chrome.json"
-        count = write_chrome_trace(events, path, clock_ghz=1.0)
-        print(f"wrote {count} trace records to {path} "
-              "(open in chrome://tracing or https://ui.perfetto.dev)")
-    if recorder.dropped:
-        print(f"note: ring buffer dropped {recorder.dropped} oldest events")
-    print(f"\n{summarize(events, dropped_events=recorder.dropped).format()}")
     return 0
 
 
@@ -883,7 +773,6 @@ def main(argv: Sequence[str] = None) -> int:
         "qos": cmd_qos,
         "arrivals": cmd_arrivals,
         "fleet": cmd_fleet,
-        "trace": cmd_trace,
         "metrics": cmd_metrics,
         "export": cmd_export,
         "inspect": cmd_inspect,

@@ -23,6 +23,11 @@ from typing import Optional
 from repro.errors import ConfigError
 from repro.gpu.config import GPUConfig
 
+#: Thread-block duration the UGPU and CD-Search policies cost SM
+#: handovers with (:meth:`SMReallocator.cost` drains when it fits in an
+#: epoch).
+TB_DURATION_CYCLES = 200_000.0
+
 
 class SMPolicy(enum.Enum):
     """How an SM changes hands."""

@@ -69,16 +69,19 @@ class SweepExecutor:
                  obs: Obs = OFF) -> None:
         """``obs`` receives the executor's own observations: one
         ``cache`` hit/miss event per job and one ``job`` span per
-        executed job (wall-clock seconds relative to :meth:`run` entry,
-        not GPU cycles); the rest of each run's :class:`ExecStats` via
+        executed job; the rest of each run's :class:`ExecStats` via
         :func:`repro.telemetry.fold_exec_stats` (registries never enter
         job kwargs, which must remain picklable and fingerprint-stable);
-        and one info log summary per :meth:`run`."""
+        and one info log summary per :meth:`run`.  The events are timed
+        in wall seconds since :meth:`run` began, so they reach the
+        handle's registry and logger but never its recorder: a trace
+        keeps one clock, GPU cycles."""
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
         self.obs = obs
+        self._own = Obs(registry=obs.registry, logger=obs.logger)
         self.stats = ExecStats(workers=jobs)
         self.last_stats = ExecStats(workers=jobs)
         #: Per-job envelopes from the most recent run, job-ordered; cache
@@ -128,8 +131,9 @@ class SweepExecutor:
             "mixed" if backends else default_backend
         )
         envelopes: List[Optional[JobEnvelope]] = [None] * len(sweep_jobs)
-        if self.obs.on:
-            self.obs.declare("cache", "job")
+        own = self._own
+        if own.on:
+            own.declare("cache", "job")
 
         pending: List[int] = []
         evictions_before = self.cache.evictions if self.cache is not None else 0
@@ -151,8 +155,8 @@ class SweepExecutor:
                 stats.cache_hits += 1
             else:
                 pending.append(index)
-            if self.obs.on:
-                self.obs.emit(
+            if own.on:
+                own.emit(
                     "cache", "hit" if entry is not None else "miss",
                     time=time.perf_counter() - start,
                     policy=job.policy, mix=job.mix_name,
@@ -195,9 +199,9 @@ class SweepExecutor:
         self.last_stats = stats
         self.last_envelopes = envelopes
         self.stats.merge(stats)
-        if self.obs.on:
-            self.obs.fold_exec_stats(stats)
-            self.obs.info(
+        if own.on:
+            own.fold_exec_stats(stats)
+            own.info(
                 "exec.run", jobs=stats.jobs_total, run=stats.jobs_run,
                 cache_hits=stats.cache_hits, workers=stats.workers,
                 wall_seconds=round(stats.wall_seconds, 6),
@@ -226,18 +230,18 @@ class SweepExecutor:
         """Count one executed job and emit its ``job`` span.
 
         The span is end-anchored (completion time is known, in-worker
-        start is not) and stamped with the job's index in the run
-        (``job_id``) and the worker identity (``worker_pid`` + ``worker``
+        start is not) and stamped with the job's position in the run
+        (``index``) and the worker identity (``worker_pid`` + ``worker``
         token), so post-hoc straggler attribution can group job spans by
         the process that ran them."""
         stats.job_seconds.append(envelope.seconds)
-        if not self.obs.on:
+        if not self._own.on:
             return
         end = time.perf_counter() - start
-        self.obs.emit(
+        self._own.emit(
             "job", f"{job.policy}:{job.mix_name}",
             time=max(0.0, end - envelope.seconds), duration=envelope.seconds,
-            job_id=index, policy=job.policy, mix=job.mix_name,
+            index=index, policy=job.policy, mix=job.mix_name,
             cycles=job.total_cycles, worker_pid=envelope.pid,
             worker=envelope.worker,
         )

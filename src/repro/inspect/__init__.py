@@ -8,7 +8,8 @@ pieces:
   artifact of one run (trace JSONL, Chrome trace, metrics snapshot,
   obslog, profiler phases, ExecStats, deterministic results) into one
   directory behind a schema-versioned ``manifest.json`` (the
-  ``--report-dir`` flag on ``repro fleet``/``sweep``/``arrivals``);
+  ``--report-dir`` flag on ``repro run``/``sweep``/``arrivals``/
+  ``fleet``, the one place a CLI run writes its evidence);
 * :mod:`repro.inspect.model` — :func:`load_bundle` reconstructs the
   unified in-memory :class:`RunModel`, keyed by the correlation IDs
   (``run_id``/``shard_id``/``pid``/worker token) stamped at capture
@@ -23,8 +24,9 @@ pieces:
   ``repro diff`` on the CLI.
 
 :mod:`repro.inspect.render` turns models/diffs into the deterministic
-text report (``repro inspect``) and a self-contained single-file HTML
-report.
+text report (``repro inspect``, which also prints the trace's
+:func:`~repro.trace.summarize` block) and a self-contained single-file
+HTML report.
 """
 
 from repro.inspect.analyze import Finding, analyze

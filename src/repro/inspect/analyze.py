@@ -14,16 +14,16 @@ Each analyzer answers one recurring post-mortem question:
   the executor's job-seconds reconcile, or is attribution broken?
 * *cache effectiveness* — hit rate, evictions, schema invalidations.
 
-Every analyzer is defensive about missing artifacts: a bundle captured
-without ``--trace-out``-grade detail still yields the findings its
-evidence supports, and nothing more.  Output order and content are
-deterministic for a given bundle.
+Every analyzer is defensive about missing artifacts: a bundle missing
+an artifact (a run that traced nothing writes no trace) still yields
+the findings its evidence supports, and nothing more.  Output order and
+content are deterministic for a given bundle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.inspect.model import RunModel
 
@@ -144,25 +144,20 @@ def _analyze_critical_path(model: RunModel) -> List[Finding]:
 
 def _worker_job_seconds(model: RunModel) -> Dict[str, float]:
     """Total executed-job seconds per worker (its ``worker`` token, else
-    ``pid=<worker_pid>``), from the ``job`` events: the trace's spans
-    or, when the trace holds none (a fleet keeps its executor's
-    wall-clock spans off the cycle timeline), their obslog records
-    ``job.<policy>:<mix>``, whose fields are the span's args plus its
-    ``duration``."""
-    jobs = [(e.args, e.duration) for e in model.events
-            if e.category == "job"]
-    if not jobs:
-        jobs = [(r, float(r.get("duration", 0.0))) for r in model.obslog
-                if str(r.get("event", "")).startswith("job.")]
+    ``pid=<worker_pid>``), from the obslog records of the executor's
+    ``job`` events, ``job.<policy>:<mix>``, whose fields are the event's
+    args plus its ``duration``."""
     totals: Dict[str, float] = {}
-    for fields, seconds in jobs:
-        if fields.get("worker") is not None:
-            key = str(fields["worker"])
-        elif fields.get("worker_pid") is not None:
-            key = f"pid={fields['worker_pid']}"
+    for record in model.obslog:
+        if not str(record.get("event", "")).startswith("job."):
+            continue
+        if record.get("worker") is not None:
+            key = str(record["worker"])
+        elif record.get("worker_pid") is not None:
+            key = f"pid={record['worker_pid']}"
         else:
             continue
-        totals[key] = totals.get(key, 0.0) + seconds
+        totals[key] = totals.get(key, 0.0) + float(record.get("duration", 0.0))
     return totals
 
 

@@ -7,12 +7,11 @@ deterministic results — indexed by a schema-versioned ``manifest.json``
 so loaders (:mod:`repro.inspect.model`) never guess at file names or
 formats.
 
-:class:`RunReporter` is the capture side, wired behind ``--report-dir``:
-it *shares* whatever sinks the command's :class:`~repro.obs.Obs` handle
-already holds from its other observability flags (``--metrics-out``
-registry, ``--trace-out`` recorder, ``--log-jsonl`` obslog) and creates
-any that are missing, so one run never splits its evidence across two
-registries.  With
+:class:`RunReporter` is the capture side, wired behind ``--report-dir``,
+the one place a CLI run writes its trace, obslog and metrics snapshot:
+it creates every sink it writes — recorder, registry, profiler and
+obslog logger — and :attr:`RunReporter.obs` is the run's handle, whose
+registry also serves the command's ``--metrics-*`` exports.  With
 ``compress=True`` the line-oriented artifacts are written ``.gz``
 (transparent on read — see :mod:`repro.ioutil`).
 
@@ -25,13 +24,12 @@ a truncated ring must say so), and per-artifact entry counts.
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.errors import ConfigError
 from repro.ioutil import open_text
-from repro.obs import OFF, Obs
+from repro.obs import Obs
 
 PathLike = Union[str, Path]
 
@@ -72,18 +70,12 @@ class RunReporter:
     Parameters
     ----------
     directory:
-        Bundle output directory (created, must be empty of a previous
-        manifest or ``overwrite`` must hold).
+        Bundle output directory (created if missing; the files of a
+        previous bundle there are overwritten).
     command:
         The CLI command name stamped into the manifest (``fleet``...).
     run_id:
         Correlation ID for the run (``config_hash`` of the run shape).
-    obs:
-        The command's handle; its sinks are shared and any it lacks are
-        created here, so :attr:`obs` holds all four.  A shared obslog
-        logger writes wherever its owner pointed it — pass
-        ``obslog_source`` so :meth:`finish` can copy the closed file
-        into the bundle.
     compress:
         Write the line-oriented artifacts gzip-compressed (``.gz``).
     """
@@ -94,51 +86,26 @@ class RunReporter:
         *,
         command: str,
         run_id: str,
-        obs: Obs = OFF,
-        obslog_source: Optional[PathLike] = None,
         compress: bool = False,
-        overwrite: bool = True,
     ) -> None:
+        from repro.obslog import ObsLogger
+        from repro.profiling import PhaseProfiler
+        from repro.telemetry import MetricsRegistry
+        from repro.trace import TraceRecorder
+
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        manifest = self.directory / MANIFEST_NAME
-        if manifest.exists() and not overwrite:
-            raise ConfigError(f"{self.directory}: bundle already exists")
         self.command = str(command)
         self.run_id = str(run_id)
-        self.compress = bool(compress)
         self._suffix = ".gz" if compress else ""
-        self._owns_obslog = obs.logger is None and obslog_source is None
-        self._obslog_source = (
-            Path(obslog_source) if obslog_source is not None else None
+        #: The run's handle: every sink the bundle writes.
+        self.obs = Obs(
+            TraceRecorder(capacity=262_144),
+            MetricsRegistry(),
+            PhaseProfiler(),
+            ObsLogger(self.directory / f"obslog.jsonl{self._suffix}",
+                      run_id=self.run_id),
         )
-
-        registry = obs.registry
-        if registry is None:
-            from repro.telemetry import MetricsRegistry, stamp
-
-            registry = MetricsRegistry()
-            stamp(registry, None, command=self.command, run_id=self.run_id)
-        recorder = obs.recorder
-        if recorder is None:
-            from repro.trace import TraceRecorder
-
-            recorder = TraceRecorder(capacity=262_144)
-        logger = obs.logger
-        if self._owns_obslog:
-            from repro.obslog import ObsLogger
-
-            logger = ObsLogger(
-                self.directory / f"obslog.jsonl{self._suffix}",
-                run_id=self.run_id,
-            )
-        profiler = obs.profiler
-        if profiler is None:
-            from repro.profiling import PhaseProfiler
-
-            profiler = PhaseProfiler()
-        #: The run's handle: the command's sinks plus the ones created here.
-        self.obs = Obs(recorder, registry, profiler, logger)
         self._artifacts: Dict[str, str] = {}
         self._counts: Dict[str, int] = {}
         self._finished = False
@@ -179,25 +146,10 @@ class RunReporter:
         self._counts["metric_families"] = families
 
     def _write_obslog(self) -> None:
-        if self._owns_obslog:
-            self._counts["obslog_records"] = self.obs.logger.records_written
-            self.obs.logger.close()
-            self._artifacts["obslog"] = f"obslog.jsonl{self._suffix}"
-        elif self._obslog_source is not None and self._obslog_source.is_file():
-            # The command's own --log-jsonl owns the stream; copy the
-            # closed file in so the bundle stays self-contained.
-            filename = "obslog.jsonl" + (
-                ".gz" if self._obslog_source.suffix == ".gz" else self._suffix
-            )
-            if self._obslog_source.suffix == ".gz" or not self.compress:
-                shutil.copyfile(
-                    self._obslog_source, self.directory / filename
-                )
-            else:
-                with open(self._obslog_source, "r", encoding="utf-8") as src:
-                    with open_text(self.directory / filename, "w") as dst:
-                        shutil.copyfileobj(src, dst)
-            self._artifacts["obslog"] = filename
+        logger = self.obs.logger
+        self._counts["obslog_records"] = logger.records_written
+        logger.close()
+        self._artifacts["obslog"] = f"obslog.jsonl{self._suffix}"
 
     def _write_profile(self) -> None:
         snapshot = self.obs.profiler.snapshot()
@@ -221,13 +173,11 @@ class RunReporter:
         self,
         results: Optional[Dict[str, Any]] = None,
         exec_stats=None,
-        extra: Optional[Dict[str, Any]] = None,
     ) -> Path:
         """Write every artifact plus the manifest; returns the manifest
         path.  ``results`` is the command's deterministic outcome (the
         differ's meta-count divergence works off it); ``exec_stats`` an
-        :class:`~repro.exec.stats.ExecStats`; ``extra`` merges into the
-        manifest top level (command flags worth recording)."""
+        :class:`~repro.exec.stats.ExecStats`."""
         if self._finished:
             raise ConfigError(f"{self.directory}: bundle already finalized")
         self._finished = True
@@ -254,8 +204,6 @@ class RunReporter:
             "artifacts": dict(sorted(self._artifacts.items())),
             "counts": dict(sorted(self._counts.items())),
         }
-        if extra:
-            manifest.update(extra)
         path = self.directory / MANIFEST_NAME
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)

@@ -87,14 +87,12 @@ class RunModel:
 
     def workers(self) -> Dict[str, Optional[int]]:
         """``worker token -> OS pid`` for every capturing process seen
-        (absorbed events carry it as ``pid``, job spans as
-        ``worker_pid``)."""
+        (absorbed events carry both as ``worker`` and ``pid``)."""
         out: Dict[str, Optional[int]] = {}
         for event in self.events:
             token = event.args.get("worker")
             if token is not None and token not in out:
-                out[token] = event.args.get("pid",
-                                            event.args.get("worker_pid"))
+                out[token] = event.args.get("pid")
         return out
 
     def fleet_events(self, name: Optional[str] = None) -> List:

@@ -21,6 +21,7 @@ from typing import List, Optional
 from repro.inspect.analyze import Finding
 from repro.inspect.diff import BundleDiff
 from repro.inspect.model import RunModel
+from repro.trace.summary import summarize
 
 _SEVERITY_MARK = {"warning": "!", "info": "-"}
 
@@ -30,7 +31,9 @@ _SEVERITY_MARK = {"warning": "!", "info": "-"}
 # ----------------------------------------------------------------------
 def render_text(model: RunModel, findings: List[Finding],
                 top: int = 10) -> str:
-    """The ``repro inspect`` report."""
+    """The ``repro inspect`` report: the bundle's identity, the
+    :func:`~repro.trace.summarize` block of its trace, the findings
+    and the hot phases."""
     lines = [
         f"run bundle: {model.path}",
         f"  command:        {model.command}",
@@ -50,6 +53,10 @@ def render_text(model: RunModel, findings: List[Finding],
         lines.append(f"  shards ({len(shards)}): {shown}")
     if workers:
         lines.append(f"  workers: {len(workers)}")
+    if model.events:
+        lines.append("")
+        lines.append(summarize(model.events,
+                               dropped_events=model.dropped_events).format())
     lines.append("")
     lines.append(f"findings ({len(findings)}):")
     if not findings:

@@ -7,8 +7,9 @@ uncompressed.  Every writer and reader in :mod:`repro.trace`,
 :mod:`repro.obslog` and :mod:`repro.telemetry` funnels through
 :func:`open_text`, which switches to :mod:`gzip` whenever the path ends
 in ``.gz`` — so compression is purely a naming decision at the call
-site (``--trace-out run.jsonl.gz``) and round-trips are transparent:
-``read_jsonl("trace.jsonl.gz")`` just works.
+site (``--report-gzip`` names a bundle's ``trace.jsonl.gz``) and
+round-trips are transparent: ``read_jsonl("trace.jsonl.gz")`` just
+works.
 
 Gzip streams are opened in text mode (``"rt"``/``"wt"``) with UTF-8, so
 callers see the exact same file-object contract either way.

@@ -3,9 +3,7 @@
 The trace layer answers *when*, the metrics layer answers *how much*;
 this module answers *what happened, to which job, on which node, in
 which process* — the greppable narrative stream a production fleet
-operator tails.  It is built on the stdlib :mod:`logging` machinery (a
-private :class:`logging.Logger` feeding a :class:`JsonlHandler`), but
-every record is a flat JSON object rather than formatted text, so the
+operator tails.  Every record is one flat JSON object per line, so the
 stream is machine-parseable and the CI smoke test can validate it
 against the correlation-ID schema.
 
@@ -17,7 +15,9 @@ runs of the same configuration correlate) and ``pid`` (the emitting OS
 process).  Records scoped to a shard, node or job additionally carry
 ``shard_id`` / ``node_id`` / ``job_id`` — the same IDs stamped onto
 merged trace events and worker metric snapshots, so one ``grep job_id``
-crosses all three streams.
+crosses all three streams.  ``job_id`` always names an arriving job; an
+executor ``job.*`` record carries its job's position in the run as
+``index``.
 
 Like the trace recorder and the metrics registry, the logger reaches
 every instrumented component through its :class:`~repro.obs.Obs`
@@ -40,8 +40,8 @@ Usage::
 
 from __future__ import annotations
 
+import copy
 import json
-import logging
 import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Union
@@ -67,59 +67,17 @@ _FIELD_TYPES = {
 }
 
 
-class JsonlHandler(logging.Handler):
-    """A :mod:`logging` handler that writes one JSON object per record.
-
-    The :class:`ObsLogger` attaches the pre-built mapping as
-    ``record.obs_record``; a record arriving without one (foreign
-    emitters sharing the handler) falls back to a minimal envelope so
-    the stream never mixes JSON with plain text.
-    """
-
-    def __init__(self, path) -> None:
-        super().__init__()
-        # .gz paths stream through gzip transparently (repro.ioutil).
-        self._stream = open_text(path, "w")
-        self.records_written = 0
-
-    def emit(self, record: logging.LogRecord) -> None:
-        payload = getattr(record, "obs_record", None)
-        if payload is None:
-            payload = {
-                "ts": round(record.created, 6),
-                "level": record.levelname.lower(),
-                "event": record.getMessage(),
-                "pid": os.getpid(),
-            }
-        try:
-            line = json.dumps(payload, sort_keys=True, default=str)
-            self._stream.write(line + "\n")
-            self._stream.flush()
-            self.records_written += 1
-        except Exception:  # pragma: no cover - logging must never raise
-            self.handleError(record)
-
-    def close(self) -> None:
-        try:
-            if not self._stream.closed:
-                self._stream.close()
-        finally:
-            super().close()
-
-
 class ObsLogger:
     """Structured logger carrying a bound correlation context.
 
     Parameters
     ----------
     path:
-        JSONL output file (opened for writing; the owner's
+        JSONL output file (opened for writing; ``.gz`` paths stream
+        through gzip, see :mod:`repro.ioutil`; the owner's
         :meth:`close` closes it).
     run_id:
         The run-level correlation ID stamped on every record.
-    level:
-        Minimum :mod:`logging` level (default ``DEBUG``: the file is
-        opt-in via ``--log-jsonl``, so it captures everything).
     clock:
         Injectable wall-clock (tests pass a fake for exact timestamps).
     """
@@ -129,24 +87,20 @@ class ObsLogger:
         path,
         *,
         run_id: str,
-        level: int = logging.DEBUG,
         clock: Callable[[], float] = time.time,
     ) -> None:
         if not run_id:
             raise TelemetryError("obslog needs a non-empty run_id")
-        self._clock = clock
-        logger = logging.Logger(f"repro.obslog.{run_id}", level)
-        logger.propagate = False
         try:
-            handler = JsonlHandler(path)
+            self._stream = open_text(path, "w")
         except OSError as exc:
             raise TelemetryError(
                 f"cannot open obslog file {path!r}: {exc}"
             ) from exc
-        logger.addHandler(handler)
-        self._logger = logger
-        self._handler = handler
-        self._owner = True
+        self._clock = clock
+        #: The logger that owns the stream and counts its records.
+        self._owner = self
+        self._written = 0
         self.context: Dict[str, Any] = {"run_id": str(run_id)}
 
     @property
@@ -155,36 +109,28 @@ class ObsLogger:
 
     @property
     def records_written(self) -> int:
-        return self._handler.records_written
+        return self._owner._written
 
     def bind(self, **fields: Any) -> "ObsLogger":
         """A child view sharing the stream, with ``fields`` merged into
-        the correlation context (``None`` values are skipped).  Children
-        do not own the handler; only the constructing logger's
-        :meth:`close` closes the file."""
-        child = object.__new__(ObsLogger)
-        child._clock = self._clock
-        child._logger = self._logger
-        child._handler = self._handler
-        child._owner = False
+        the correlation context (``None`` values are skipped).  Only the
+        constructing logger's :meth:`close` closes the file."""
+        child = copy.copy(self)
         child.context = dict(self.context)
         for key, value in fields.items():
             if value is not None:
                 child.context[key] = value
         return child
 
-    def log(self, level: int, event: str, **fields: Any) -> None:
-        """Emit one record: schema envelope + context + ``fields``.
+    def _write(self, level: str, event: str, fields: Dict[str, Any]) -> None:
+        """Write one record: schema envelope + context + ``fields``.
 
         ``None``-valued fields are dropped so call sites can pass
         optional IDs unconditionally.
         """
-        logger = self._logger
-        if not logger.isEnabledFor(level):
-            return
         payload: Dict[str, Any] = {
             "ts": round(float(self._clock()), 6),
-            "level": logging.getLevelName(level).lower(),
+            "level": level,
             "event": str(event),
             "pid": os.getpid(),
         }
@@ -192,26 +138,24 @@ class ObsLogger:
         for key, value in fields.items():
             if value is not None:
                 payload[key] = value
-        record = logger.makeRecord(
-            logger.name, level, __name__, 0, event, (), None,
-            extra={"obs_record": payload},
-        )
-        logger.handle(record)
+        self._stream.write(
+            json.dumps(payload, sort_keys=True, default=str) + "\n")
+        self._stream.flush()
+        self._owner._written += 1
 
     def debug(self, event: str, **fields: Any) -> None:
-        self.log(logging.DEBUG, event, **fields)
+        self._write("debug", event, fields)
 
     def info(self, event: str, **fields: Any) -> None:
-        self.log(logging.INFO, event, **fields)
+        self._write("info", event, fields)
 
     def warning(self, event: str, **fields: Any) -> None:
-        self.log(logging.WARNING, event, **fields)
+        self._write("warning", event, fields)
 
     def close(self) -> None:
         """Flush and close the stream (no-op on a :meth:`bind` child)."""
-        if self._owner:
-            self._logger.removeHandler(self._handler)
-            self._handler.close()
+        if self._owner is self and not self._stream.closed:
+            self._stream.close()
 
 
 def read_obslog(path, strict: bool = True,

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from repro.core.hardware_cost import AlgorithmCostModel
 from repro.core.partitioner import DemandAwarePartitioner
 from repro.core.profiler import EpochProfiler
-from repro.core.reallocation import SMReallocator
+from repro.core.reallocation import TB_DURATION_CYCLES, SMReallocator
 from repro.policies.base import PartitionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -31,10 +31,8 @@ class CDSearchPolicy(PartitionPolicy):
 
     policy_name = "BP(CD-Search)"
 
-    def __init__(self, sm_step: int = 4,
-                 tb_duration_cycles: float = 200_000.0) -> None:
+    def __init__(self, sm_step: int = 4) -> None:
         self._sm_step = sm_step
-        self.tb_duration_cycles = tb_duration_cycles
         #: Throughputs recorded by :meth:`observe_throughput` during the
         #: epoch, consumed (per app) at the next boundary.
         self._pending_throughput: dict = {}
@@ -95,7 +93,7 @@ class CDSearchPolicy(PartitionPolicy):
             moved = abs(constrained[app_id].sms - previous[app_id].sms)
             if moved and constrained[app_id].sms > 0:
                 charge = self.sm_reallocator.cost(
-                    moved, self.tb_duration_cycles, runner.epoch_cycles,
+                    moved, TB_DURATION_CYCLES, runner.epoch_cycles,
                     channels_available=max(1, constrained[app_id].channels),
                 )
                 runner.add_penalty(

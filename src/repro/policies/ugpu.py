@@ -46,13 +46,19 @@ from repro.core.hardware_cost import AlgorithmCostModel
 from repro.core.partitioner import DemandAwarePartitioner, PartitionDecision
 from repro.core.profiler import AppProfile, EpochProfiler
 from repro.core.qos import QoSTarget, estimated_np, meets_target
-from repro.core.reallocation import SMReallocator
+from repro.core.reallocation import TB_DURATION_CYCLES, SMReallocator
 from repro.core.slices import ResourceAllocation
 from repro.pagemove.cost import MigrationCostModel, MigrationMode
 from repro.policies.base import PartitionPolicy, even_allocations
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import AppState
+
+#: Share of a PageMove rebalance deferred to demand faults.
+LAZY_FRACTION = 0.5
+#: Share of the deferred copies' bandwidth penalty that execution still
+#: feels: the rest overlaps over idle TSVs.
+LAZY_OVERLAP = 0.5
 
 
 class UGPUPolicy(PartitionPolicy):
@@ -66,12 +72,6 @@ class UGPUPolicy(PartitionPolicy):
         offline: bool = False,
         qos: Optional[QoSTarget] = None,
         sm_step: int = 4,
-        lazy_overlap: float = 0.5,
-        lazy_fraction: float = 0.5,
-        tb_duration_cycles: float = 200_000.0,
-        migration_budget_cycles: Optional[float] = None,
-        flush_window_cycles: float = 800_000.0,
-        flush_factor: float = 0.35,
         hysteresis: float = 0.0,
     ) -> None:
         """``hysteresis``: minimum estimated relative STP gain required to
@@ -84,12 +84,6 @@ class UGPUPolicy(PartitionPolicy):
         self.offline = offline
         self.qos = qos
         self._sm_step = sm_step
-        self.lazy_overlap = lazy_overlap
-        self.lazy_fraction = lazy_fraction
-        self.tb_duration_cycles = tb_duration_cycles
-        self._migration_budget_cycles = migration_budget_cycles
-        self.flush_window_cycles = flush_window_cycles
-        self.flush_factor = flush_factor
         if hysteresis < 0:
             raise ValueError("hysteresis must be non-negative")
         self.hysteresis = hysteresis
@@ -136,9 +130,7 @@ class UGPUPolicy(PartitionPolicy):
         #: cycles.  PageMove drains its (cheap) migrations within an epoch;
         #: the software paths string their copies out over several epochs,
         #: which is exactly why UGPU-Ori loses to BP (Section 6.2).
-        if self._migration_budget_cycles is not None:
-            self.migration_budget_cycles = self._migration_budget_cycles
-        elif self.mode is MigrationMode.PPMM:
+        if self.mode is MigrationMode.PPMM:
             # PageMove's migration queue drains ~12.5K pages (50 MB) per
             # reallocation event; anything beyond trickles in on later
             # demand faults.
@@ -491,7 +483,8 @@ class UGPUPolicy(PartitionPolicy):
 
             # Cache/TLB flush and refill (Section 4.4's coherence step).
             runner.add_penalty(
-                app_id, self.flush_window_cycles, self.flush_factor
+                app_id, self.membership_flush_window_cycles,
+                self.membership_flush_factor,
             )
 
             # SM handover: the moved SMs are unavailable for the drain or
@@ -499,7 +492,7 @@ class UGPUPolicy(PartitionPolicy):
             moved_sms = abs(new.sms - old.sms)
             if moved_sms and new.sms > 0:
                 charge = self.sm_reallocator.cost(
-                    moved_sms, self.tb_duration_cycles, runner.epoch_cycles,
+                    moved_sms, TB_DURATION_CYCLES, runner.epoch_cycles,
                     channels_available=max(1, new.channels),
                 )
                 runner.add_penalty(
@@ -554,14 +547,14 @@ class UGPUPolicy(PartitionPolicy):
                     )
                 else:
                     # PageMove defers part of the rebalance to demand
-                    # faults (lazy_fraction) and overlaps the copies with
-                    # execution over idle TSVs (lazy_overlap).  The
+                    # faults (LAZY_FRACTION) and overlaps the copies with
+                    # execution over idle TSVs (LAZY_OVERLAP).  The
                     # software path can do neither: its copies go through
                     # the channel data buses and must complete before the
                     # new channels carry balanced traffic.
                     if self.mode is MigrationMode.PPMM:
-                        lazy_pages = int(rebalance_pages * self.lazy_fraction)
-                        overlap = self.lazy_overlap
+                        lazy_pages = int(rebalance_pages * LAZY_FRACTION)
+                        overlap = LAZY_OVERLAP
                     else:
                         lazy_pages = rebalance_pages
                         overlap = 1.0

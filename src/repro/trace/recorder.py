@@ -14,8 +14,12 @@ substrate every silent layer reports into, through its
 * :class:`~repro.pagemove.engine.MigrationEngine` — plan sizes and
   execution charges (``migration``);
 * :class:`~repro.vm.driver.GPUDriver` — faults by kind (``fault``);
-* :class:`~repro.exec.executor.SweepExecutor` — job start/end (``job``)
-  and cache hits/misses (``cache``).
+* the fleet simulator and its workers — lifecycle (``fleet``),
+  node physics (``node``) and health incidents (``health``).
+
+A run's trace keeps one clock, GPU cycles: the sweep executor's
+``cache`` and ``job`` events are timed in wall seconds, so they go to
+the registry and the log, never to a recorder.
 
 Design constraints, in order:
 
@@ -37,7 +41,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.errors import ConfigError
 
@@ -45,8 +49,8 @@ from repro.errors import ConfigError
 class TraceCategory(str, enum.Enum):
     """The event categories the instrumented layers emit.
 
-    Members are ``str`` subclasses so category filters and exported
-    records can use the plain lowercase names interchangeably.
+    Members are ``str`` subclasses so lookups and exported records can
+    use the plain lowercase names interchangeably.
     """
 
     EPOCH = "epoch"          #: epoch boundaries (Figure 12a's x-axis)
@@ -54,8 +58,8 @@ class TraceCategory(str, enum.Enum):
     MIGRATION = "migration"  #: migration plans, windows and charges
     FAULT = "fault"          #: driver faults by kind (demand/lost/rebalance)
     QOS = "qos"              #: QoS enforcement interventions (Figure 16)
-    CACHE = "cache"          #: result-cache hits and misses
-    JOB = "job"              #: sweep-executor job start/end
+    CACHE = "cache"          #: result-cache hits and misses (metrics, log)
+    JOB = "job"              #: sweep-executor job spans (metrics, log)
     ARRIVAL = "arrival"      #: open-system job arrival (enters the queue)
     ADMISSION = "admission"  #: open-system job admitted to a slice
     DEPARTURE = "departure"  #: open-system job retired its budget
@@ -90,10 +94,10 @@ def _category_value(category: Union[str, TraceCategory]) -> str:
 class TraceEvent:
     """One typed trace record.
 
-    ``time`` and ``duration`` are in the emitting component's native
-    clock domain — GPU cycles for the simulation layers, seconds for the
-    sweep executor.  ``seq`` is a recorder-global monotonic counter that
-    preserves emission order across same-timestamp events.
+    ``time`` and ``duration`` are in GPU cycles (a
+    :class:`~repro.profiling.PhaseProfiler` builds its own ``phase``
+    timeline in microseconds).  ``seq`` is a recorder-global monotonic
+    counter that preserves emission order across same-timestamp events.
     """
 
     seq: int
@@ -145,29 +149,16 @@ class TraceRecorder:
     capacity:
         Ring-buffer size; the oldest events are dropped (and counted in
         :attr:`dropped`) once full.
-    categories:
-        Optional allow-list; events in other categories are counted in
-        :attr:`filtered` and discarded at the emission site.
     """
 
-    def __init__(
-        self,
-        capacity: int = 65_536,
-        categories: Optional[Iterable[Union[str, TraceCategory]]] = None,
-    ) -> None:
+    def __init__(self, capacity: int = 65_536) -> None:
         if capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._buffer: deque = deque(maxlen=capacity)
-        self.categories: Optional[FrozenSet[str]] = (
-            frozenset(_category_value(c) for c in categories)
-            if categories is not None
-            else None
-        )
         self._seq = 0
         self.emitted = 0    #: events accepted into the ring
         self.dropped = 0    #: events evicted by ring wraparound
-        self.filtered = 0   #: events rejected by the category filter
 
     def __len__(self) -> int:
         return len(self._buffer)
@@ -180,20 +171,16 @@ class TraceRecorder:
         duration: float = 0.0,
         kind: Optional[str] = None,
         **args: Any,
-    ) -> Optional[TraceEvent]:
-        """Record one event; returns it, or None if filtered.
+    ) -> TraceEvent:
+        """Record one event and return it.
 
         ``kind`` defaults to ``span`` when a duration is given and
         ``instant`` otherwise.
         """
-        value = _category_value(category)
-        if self.categories is not None and value not in self.categories:
-            self.filtered += 1
-            return None
         event = TraceEvent(
             seq=self._seq,
             time=float(time),
-            category=value,
+            category=_category_value(category),
             name=name,
             kind=kind if kind is not None else (KIND_SPAN if duration else KIND_INSTANT),
             duration=float(duration),
@@ -219,16 +206,11 @@ class TraceRecorder:
         times re-anchored at the orchestrator's round start), and
         stamped with the ``extra`` correlation args (``run_id`` /
         ``shard_id`` / ``pid`` / ...) — without overriding args the
-        worker already set.  The category filter, ring bound and
-        counters apply exactly as for :meth:`emit`.  Returns the number
-        of events accepted.
+        worker already set.  The ring bound and counters apply exactly as
+        for :meth:`emit`.  Returns the number of events absorbed.
         """
         absorbed = 0
         for event in events:
-            value = _category_value(event.category)
-            if self.categories is not None and value not in self.categories:
-                self.filtered += 1
-                continue
             args = dict(event.args)
             for key, val in extra.items():
                 if val is not None:
@@ -236,7 +218,7 @@ class TraceRecorder:
             merged = TraceEvent(
                 seq=self._seq,
                 time=event.time + float(time_shift),
-                category=value,
+                category=_category_value(event.category),
                 name=event.name,
                 kind=event.kind,
                 duration=event.duration,

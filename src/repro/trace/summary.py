@@ -44,8 +44,6 @@ class TraceSummary:
     reallocations_suppressed: int = 0
     realloc_epochs: List[int] = field(default_factory=list)
     qos_interventions: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def fault_rate_per_epoch(self) -> float:
@@ -120,10 +118,6 @@ class TraceSummary:
             )
         if self.qos_interventions:
             lines.append(f"qos interventions: {self.qos_interventions}")
-        if self.cache_hits or self.cache_misses:
-            lines.append(
-                f"cache: {self.cache_hits} hits, {self.cache_misses} misses"
-            )
         return "\n".join(lines)
 
 
@@ -164,10 +158,5 @@ def summarize(events: Sequence[TraceEvent],
                 summary.reallocations_suppressed += 1
         elif event.category == TraceCategory.QOS.value:
             summary.qos_interventions += 1
-        elif event.category == TraceCategory.CACHE.value:
-            if event.name == "hit":
-                summary.cache_hits += 1
-            elif event.name == "miss":
-                summary.cache_misses += 1
     summary.realloc_epochs.sort()
     return summary

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import argparse
+import json
 import re
 import shlex
 from pathlib import Path
@@ -88,11 +90,11 @@ class TestMetricsFlags:
     def test_arrivals_with_metrics_exports(self, tmp_path, capsys):
         prom = tmp_path / "out.prom"
         series = tmp_path / "series.csv"
-        snapshot = tmp_path / "out.json"
+        bundle = tmp_path / "bundle"
         assert main(["arrivals", "--seed", "0", "--cycles", "8000000",
                      "--metrics-out", str(prom),
                      "--metrics-csv", str(series),
-                     "--metrics-json", str(snapshot)]) == 0
+                     "--report-dir", str(bundle)]) == 0
         out = capsys.readouterr().out
         assert "metric samples" in out
 
@@ -104,7 +106,9 @@ class TestMetricsFlags:
         assert validate_prometheus_file(prom) > 0
         rows = read_series(series)
         assert series_values(rows, "repro_epochs_total")
-        assert snapshot.exists()
+        # One registry serves the live exports and the bundle snapshot.
+        snapshot = json.loads((bundle / "metrics.json").read_text())
+        assert snapshot["provenance"]["command"] == "arrivals"
 
     def test_csv_series_matches_open_system_result(self, tmp_path, capsys):
         """Acceptance check: the sampled CSV's final queueing-delay and
@@ -154,27 +158,32 @@ class TestMetricsFlags:
     def test_sweep_metrics_alone_capture_worker_families(self, tmp_path,
                                                          capsys):
         """Any observability flag turns worker capture on: metrics alone
-        export the simulator families, the same as with a trace."""
+        export the simulator families, the same as with a bundle."""
         alone = self._sweep_epochs(tmp_path)
-        traced = self._sweep_epochs(
-            tmp_path, "--trace-out", str(tmp_path / "t"))
-        assert alone == traced == [50.0]
+        bundled = self._sweep_epochs(
+            tmp_path, "--report-dir", str(tmp_path / "b"))
+        assert alone == bundled == [50.0]
 
     def test_arrivals_rejects_log_jsonl(self, tmp_path, capsys):
-        """The open-system runner writes no log records, so ``arrivals``
-        takes no ``--log-jsonl``."""
+        """A run's log lands in its ``--report-dir`` bundle, so no
+        command takes ``--log-jsonl``."""
         with pytest.raises(SystemExit):
             main(["arrivals", "--cycles", "1000000",
                   "--log-jsonl", str(tmp_path / "a.log.jsonl")])
         assert "unrecognized arguments: --log-jsonl" in capsys.readouterr().err
 
-    def test_metrics_subcommand_bridges_a_trace(self, tmp_path, capsys):
-        prefix = tmp_path / "tl"
-        assert main(["trace", "--mix", "PVC,DXTC", "--cycles", "6000000",
-                     "--output", str(prefix), "--format", "jsonl"]) == 0
+    def _bundle_trace(self, tmp_path, capsys):
+        bundle = tmp_path / "D"
+        assert main(["run", "--mix", "PVC,DXTC", "--policy", "ugpu",
+                     "--cycles", "6000000", "--no-cache",
+                     "--report-dir", str(bundle)]) == 0
         capsys.readouterr()
+        return str(bundle / "trace.jsonl")
+
+    def test_metrics_subcommand_bridges_a_trace(self, tmp_path, capsys):
+        trace = self._bundle_trace(tmp_path, capsys)
         prom = tmp_path / "bridge.prom"
-        assert main(["metrics", str(prefix) + ".jsonl",
+        assert main(["metrics", trace,
                      "--out", str(prom), "--validate"]) == 0
         out = capsys.readouterr().out
         assert "exposition format OK" in out
@@ -184,13 +193,44 @@ class TestMetricsFlags:
         assert samples[("repro_epochs_total", ())] > 0
 
     def test_metrics_subcommand_to_stdout(self, tmp_path, capsys):
-        prefix = tmp_path / "tl"
-        assert main(["trace", "--mix", "PVC,DXTC", "--cycles", "6000000",
-                     "--output", str(prefix), "--format", "jsonl"]) == 0
-        capsys.readouterr()
-        assert main(["metrics", str(prefix) + ".jsonl"]) == 0
+        trace = self._bundle_trace(tmp_path, capsys)
+        assert main(["metrics", trace]) == 0
         out = capsys.readouterr().out
         assert "# TYPE repro_epochs_total counter" in out
+
+
+class TestEvidenceFlags:
+    """``--report-dir`` is the one place a run writes its trace, log
+    and metrics snapshot."""
+
+    RETIRED = ("--trace-out", "--log-jsonl", "--metrics-json")
+
+    @staticmethod
+    def _subparsers():
+        parser = repro.cli._parser()
+        (action,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_trace_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["trace", "--mix", "PVC,DXTC"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
+
+    def test_observed_commands_take_the_bundle_flags_only(self):
+        for name, sub in self._subparsers().items():
+            flags = {f for a in sub._actions for f in a.option_strings}
+            assert not flags & set(self.RETIRED), name
+            if name in ("run", "sweep", "arrivals", "fleet"):
+                assert {"--report-dir", "--report-gzip"} <= flags, name
+
+    def test_flag_and_subcommand_counts(self):
+        subparsers = self._subparsers()
+        flags = sum(1 for sub in subparsers.values()
+                    for a in sub._actions
+                    if a.option_strings and "-h" not in a.option_strings)
+        assert (len(subparsers), flags) == (10, 67)
 
 
 class TestDocumentedCommands:

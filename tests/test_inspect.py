@@ -102,6 +102,20 @@ class TestRunBundleCapture:
                    if "run_id" in e.args}
         assert len(run_ids) == 1
 
+    def test_obslog_job_id_names_an_arrival(self, tmp_path):
+        """``job_id`` names an arriving job in every record: an executor
+        job record carries its position in the run as ``index``."""
+        bundle = tmp_path / "sharded"
+        assert main(FLEET_ARGS + ["--jobs", "2",
+                                  "--report-dir", str(bundle)]) == 0
+        records = load_bundle(bundle).obslog
+        arrivals = {r["job_id"] for r in records
+                    if r["event"] == "fleet.arrive"}
+        shard_jobs = [r for r in records if r["event"].startswith("job.")]
+        assert arrivals and shard_jobs
+        assert {r["job_id"] for r in records if "job_id" in r} <= arrivals
+        assert all("index" in r for r in shard_jobs)
+
     def test_gzip_bundle_loads_transparently(self, tmp_path):
         bundle = tmp_path / "gz"
         assert main(FLEET_ARGS + ["--report-dir", str(bundle),
@@ -201,15 +215,19 @@ class TestAnalyzers:
         assert finding.severity == "warning"
         assert finding.data["worst_worker"] == "pid=1"
 
-    def test_straggler_detection_from_trace_job_spans(self):
-        # A job span has category ``job`` and is named ``policy:mix``.
+    def test_straggler_detection_groups_by_worker_token(self):
+        # The token outlives pid reuse, so it keys a worker before the
+        # pid does; job spans in a trace are not evidence (a trace keeps
+        # the cycle clock, and job spans are wall seconds).
         model = RunModel(path="synthetic", manifest=_minimal_manifest())
-        for seq, (token, seconds) in enumerate(
+        for index, (token, seconds) in enumerate(
                 [("tok-a", 10.0)] * 8 + [("tok-b", 1.0), ("tok-c", 1.0)]):
-            model.events.append(TraceEvent(
-                seq=seq, time=0.0, category="job", name="bp:PVC_DXTC",
-                kind=KIND_SPAN, duration=seconds,
-                args={"worker": token, "worker_pid": seq}))
+            model.obslog.append(
+                {"event": "job.bp:PVC_DXTC", "worker": token,
+                 "worker_pid": index, "duration": seconds})
+        model.events.append(TraceEvent(
+            seq=0, time=0.0, category="job", name="bp:PVC_DXTC",
+            kind=KIND_SPAN, duration=1e6, args={"worker": "tok-trace"}))
         finding = next(f for f in analyze(model)
                        if f.category == "stragglers")
         assert finding.data["workers"] == 3

@@ -2,10 +2,10 @@
 
 Two instrumented CLI runs go through ``repro.cli.main`` in a temporary
 directory, with every observability flag they take: a small ``fleet``
-(trace, obslog, Prometheus, JSON, run bundle) and an ``arrivals`` run
-(trace, Prometheus, JSON, CSV series, run bundle).  Each artifact is
-normalized, then stored in ``tests/golden/obs_exports.json`` as a
-SHA-256 plus a record count.
+(Prometheus, run bundle) and an ``arrivals`` run (Prometheus, CSV
+series, run bundle).  The bundle holds the trace, obslog and metrics
+snapshot.  Each artifact is normalized, then stored in
+``tests/golden/obs_exports.json`` as a SHA-256 plus a record count.
 
 Normalization drops only run provenance and values that are wall time
 or process identity:
@@ -26,7 +26,7 @@ or process identity:
 
 ``--health`` is left out: its straggler detector reads wall times.
 ``examples/trace_timeline.py`` runs too, and its printed summary is
-pinned line by line.  ``repro metrics`` over each run's trace must
+pinned line by line.  ``repro metrics`` over each bundle's trace must
 reproduce every sample of the live ``M`` that the trace's events carry.
 
 Re-record (only when an export is meant to change)::
@@ -60,13 +60,11 @@ RUNS = {
     "fleet": [
         "fleet", "--nodes", "4", "--cycles", "10000000",
         "--instructions-per-kernel", "50000000", "--no-cache", "--jobs", "1",
-        "--trace-out", "P", "--log-jsonl", "L", "--metrics-out", "M",
-        "--metrics-json", "J", "--report-dir", "B",
+        "--metrics-out", "M", "--report-dir", "B",
     ],
     "arrivals": [
         "arrivals", "--seed", "0", "--cycles", "10000000",
-        "--trace-out", "P", "--metrics-out", "M", "--metrics-json", "J",
-        "--metrics-csv", "C", "--report-dir", "B",
+        "--metrics-out", "M", "--metrics-csv", "C", "--report-dir", "B",
     ],
 }
 
@@ -162,25 +160,18 @@ def _whole_json(text):
 
 
 def _normalizer(name):
-    base = name.rsplit("/", 1)[-1]
-    if base in ("P.jsonl", "trace.jsonl"):
-        return _trace_jsonl
-    if base.endswith("chrome.json"):
-        return _chrome
-    if base in ("L", "obslog.jsonl"):
-        return _obslog
-    if base == "M":
-        return _prometheus
-    if base in ("J", "metrics.json"):
-        return _metrics_json
-    if base == "C":
-        return _csv
     return {
+        "trace.jsonl": _trace_jsonl,
+        "trace.chrome.json": _chrome,
+        "obslog.jsonl": _obslog,
+        "M": _prometheus,
+        "metrics.json": _metrics_json,
+        "C": _csv,
         "manifest.json": _manifest,
         "profile.json": _profile,
         "exec_stats.json": _exec_stats,
         "results.json": _whole_json,
-    }[base]
+    }[name.rsplit("/", 1)[-1]]
 
 
 def _fingerprint(directory: Path):
@@ -243,13 +234,13 @@ def test_cli_exports_match_golden(exports, run):
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_trace_reproduces_live_metrics(exports, workdir, run):
     directory = workdir / run
+    trace = directory / "B" / "trace.jsonl"
     out = directory / "bridged.prom"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["metrics", str(directory / "P.jsonl"),
-                     "--out", str(out)]) == 0
+        assert main(["metrics", str(trace), "--out", str(out)]) == 0
     bridged = parse_prometheus(out.read_text())["samples"]
     live = parse_prometheus((directory / "M").read_text())["samples"]
-    traced = {e.category for e in read_jsonl(directory / "P.jsonl")}
+    traced = {e.category for e in read_jsonl(trace)}
     derived = {family(MetricsRegistry()).name
                for category in traced for family in DERIVED.get(category, ())}
     checked = [key for key in live if _family(key[0]) in derived]

@@ -348,11 +348,6 @@ class TestRecorderAbsorb:
         # Worker-set args are preserved, not overridden.
         assert absorbed.args["node"] == 0
 
-    def test_absorb_respects_category_filter(self):
-        recorder = TraceRecorder(categories=["fleet"])
-        assert recorder.absorb(self._worker_events()) == 0
-        assert recorder.filtered == 2
-
     def test_absorb_skips_none_correlation_values(self):
         recorder = TraceRecorder()
         recorder.absorb(self._worker_events(), run_id=None, pid=9)

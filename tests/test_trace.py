@@ -15,9 +15,10 @@ from repro.pagemove import (
     PageMoveAddressMapping,
 )
 from repro.obs import Obs
+from repro.obslog import ObsLogger, read_obslog
+from repro.telemetry import MetricsRegistry
 from repro.trace import (
     TraceCategory,
-    TraceEvent,
     TraceRecorder,
     chrome_trace,
     read_jsonl,
@@ -45,19 +46,12 @@ class TestRecorder:
         recorder = TraceRecorder()
         assert recorder.emit("fault", "demand").kind == "instant"
 
-    def test_category_filter(self):
-        recorder = TraceRecorder(categories=["epoch", TraceCategory.REALLOC])
-        assert recorder.emit("epoch", "e") is not None
-        assert recorder.emit("realloc", "apply") is not None
-        assert recorder.emit("fault", "demand") is None
-        assert recorder.filtered == 1
-
     def test_unknown_category_rejected(self):
         recorder = TraceRecorder()
         with pytest.raises(ConfigError):
             recorder.emit("nonsense", "x")
-        with pytest.raises(ConfigError):
-            TraceRecorder(categories=["nonsense"])
+        assert recorder.emit(TraceCategory.REALLOC, "apply").category == \
+            "realloc"
 
     def test_ring_buffer_wraparound(self):
         recorder = TraceRecorder(capacity=4)
@@ -259,41 +253,91 @@ class TestComponentInstrumentation:
         assert execute_event.duration > 0
 
     def test_executor_cache_and_job_events(self, tmp_path):
-        recorder = TraceRecorder()
+        """The executor's events are timed in wall seconds: they reach
+        the registry and the log, never the cycle-domain trace."""
+        recorder, registry = TraceRecorder(), MetricsRegistry()
+        log = ObsLogger(tmp_path / "exec.jsonl", run_id="r" * 16)
         cache = ResultCache(tmp_path / "sweeps")
-        executor = SweepExecutor(jobs=1, cache=cache, obs=Obs(recorder))
+        executor = SweepExecutor(jobs=1, cache=cache,
+                                 obs=Obs(recorder, registry, logger=log))
         job = SweepJob.build("bp", ("PVC", "DXTC"), 2_000_000)
         executor.run([job])
         executor.run([job])
-        cache_names = [e.name for e in recorder.events("cache")]
-        assert cache_names == ["miss", "hit"]
-        jobs = recorder.events("job")
-        assert len(jobs) == 1
-        assert jobs[0].duration > 0
-        assert jobs[0].args["policy"] == "bp"
+        log.close()
+        assert registry.value("repro_exec_cache_misses_total") == 1
+        assert registry.value("repro_exec_cache_hits_total") == 1
+        assert registry.value("repro_exec_jobs_run_total") == 1
+        (span,) = [r for r in read_obslog(tmp_path / "exec.jsonl")
+                   if r["event"] == "job.bp:PVC_DXTC"]
+        assert span["duration"] > 0
+        assert span["policy"] == "bp" and span["index"] == 0
+        assert "job_id" not in span
+        assert recorder.events("cache") == recorder.events("job") == []
 
 
-class TestTraceCLI:
-    def test_trace_command_writes_both_formats(self, tmp_path, capsys):
+_ABSORB_STAMPS = ("run_id", "shard_id", "pid", "worker")
+
+
+def _fields(event):
+    """An event without ``seq`` and the stamps absorbing it added, its
+    args as JSONL stores them."""
+    args = {k: v for k, v in event.args.items() if k not in _ABSORB_STAMPS}
+    return (event.time, event.category, event.name, event.kind,
+            event.duration, json.loads(json.dumps(args)))
+
+
+class TestReportDirTrace:
+    """One mix is traced with ``repro run --report-dir``."""
+
+    RUN = ["run", "--mix", "PVC,DXTC", "--policy", "ugpu",
+           "--cycles", "5000000", "--no-cache"]
+
+    @pytest.fixture(scope="class")
+    def bundle(self, tmp_path_factory):
         from repro.cli import main
 
-        prefix = str(tmp_path / "out")
-        assert main(["trace", "--mix", "PVC,DXTC", "--cycles", "5000000",
-                     "--output", prefix]) == 0
-        out = capsys.readouterr().out
-        assert "trace:" in out
-        events = read_jsonl(prefix + ".jsonl")
+        bundle = tmp_path_factory.mktemp("run") / "D"
+        assert main(self.RUN + ["--report-dir", str(bundle)]) == 0
+        return bundle
+
+    def test_bundle_trace_equals_the_in_process_trace(self, bundle):
+        recorder = TraceRecorder()
+        system = ugpu(build_mix(["PVC", "DXTC"]).applications,
+                      obs=Obs(recorder))
+        system.run(5_000_000, mix_name="PVC_DXTC")
+        bundled = read_jsonl(bundle / "trace.jsonl")
+        assert [_fields(e) for e in bundled] == [
+            _fields(e) for e in recorder.events()]
+        assert summarize(bundled).by_category == {
+            "epoch": 1, "migration": 2, "realloc": 3}
+
+    def test_bundle_writes_both_trace_formats(self, bundle):
+        events = read_jsonl(bundle / "trace.jsonl")
         assert events and any(e.category == "epoch" for e in events)
-        with open(prefix + ".chrome.json") as handle:
+        with open(bundle / "trace.chrome.json") as handle:
             assert json.load(handle)["traceEvents"]
 
-    def test_trace_command_category_filter(self, tmp_path, capsys):
+    def test_inspect_prints_the_trace_summary(self, bundle, capsys):
         from repro.cli import main
 
-        prefix = str(tmp_path / "filtered")
-        assert main(["trace", "--mix", "PVC,DXTC", "--cycles", "5000000",
-                     "--output", prefix, "--format", "jsonl",
-                     "--categories", "epoch"]) == 0
-        events = read_jsonl(prefix + ".jsonl")
-        assert events
-        assert {e.category for e in events} == {"epoch"}
+        capsys.readouterr()
+        assert main(["inspect", str(bundle)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "trace: 6 events epoch=1 migration=2 realloc=3\n"
+            "epochs: 1 covering 5,000,000 cycles; migration stall 0.0%\n"
+            "reallocations: 1 applied, 0 suppressed\n"
+        ) in out
+
+    def test_sweep_trace_keeps_one_clock(self, tmp_path, capsys):
+        """The executor's wall-second ``job`` and ``cache`` events stay
+        off a sweep's trace, whose epochs are in cycles."""
+        from repro.cli import main
+
+        bundle = tmp_path / "sweep"
+        assert main(["sweep", "--policies", "bp", "--cycles", "2000000",
+                     "--no-cache", "--report-dir", str(bundle)]) == 0
+        events = read_jsonl(bundle / "trace.jsonl")
+        categories = {e.category for e in events}
+        assert "epoch" in categories
+        assert not categories & {"job", "cache"}

@@ -65,7 +65,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.exec.executor import SweepExecutor
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import Application
-from repro.metrics.energy import EnergyBreakdown, EnergyModel
+from repro.metrics.energy import EnergyBreakdown, EnergyLedger, EnergyModel
 from repro.metrics.multiprogram import (
     IntervalRun,
     interval_antt,
@@ -78,15 +78,17 @@ from repro.workloads.arrivals import ArrivalSchedule
 from repro.workloads.benchmarks import TABLE2, build_application
 
 
-@dataclass
+@dataclass(eq=False)
 class _JobRecord:
-    """Coordinator-side lifecycle state of one job."""
+    """Coordinator-side lifecycle state of one job (one object per job,
+    so equality is identity: residency lists remove by it)."""
 
     job_id: int
     abbr: str
     name: str
     arrival_cycle: int
     remaining: Optional[int]        #: instructions to retirement; None = resident
+    memory_bound: bool              #: placement class (Equation 1/2)
     admit_cycle: Optional[int] = None
     depart_cycle: Optional[int] = None
     node_id: Optional[int] = None
@@ -365,9 +367,9 @@ class FleetSimulator:
     # Round phases
     # ------------------------------------------------------------------
     def _reindex(self, node: _NodeState) -> None:
-        self._index.update(node.node_id, tuple(
-            self._memory_bound(r.abbr) for r in node.resident
-        ))
+        self._index.update(node.node_id, tuple([
+            r.memory_bound for r in node.resident
+        ]))
 
     def _emit(self, name: str, now: int, **args) -> None:
         args.setdefault("run_id", self.run_id)
@@ -379,8 +381,7 @@ class FleetSimulator:
         while wait:
             record = wait[0]
             choice = choose_node(
-                self.placement, self._index.heads(),
-                self._memory_bound(record.abbr),
+                self.placement, self._index.heads(), record.memory_bound,
             )
             if choice is None:
                 break
@@ -440,14 +441,10 @@ class FleetSimulator:
                now: int, span: int) -> int:
         obs = self.obs
         departures = 0
+        if self._energy is not None:
+            self._energy.add(span, [node_totals(rows) for _, rows in outcomes])
         for node_id, rows in outcomes:
             node = self._nodes[node_id]
-            if self.energy_model is not None:
-                breakdown = self.energy_model.energy(span, *node_totals(rows))
-                self._e_core_static += breakdown.core_static
-                self._e_core_dynamic += breakdown.core_dynamic
-                self._e_mem_static += breakdown.mem_static
-                self._e_mem_dynamic += breakdown.mem_dynamic
             for (job_id, retired, _, kernel_index, done, remaining,
                  departed, active_cycles) in rows:
                 record = records_by_id[job_id]
@@ -498,7 +495,7 @@ class FleetSimulator:
             for record in tenants:
                 choice = choose_node(
                     self.placement, self._index.heads(active_only=True),
-                    self._memory_bound(record.abbr),
+                    record.memory_bound,
                 )
                 if choice is None:   # pragma: no cover - precheck forbids
                     break
@@ -562,8 +559,10 @@ class FleetSimulator:
         )
         self._shard_runs = 0
         self._migrated_bytes = 0.0
-        self._e_core_static = self._e_core_dynamic = 0.0
-        self._e_mem_static = self._e_mem_dynamic = 0.0
+        self._energy = (
+            EnergyLedger(self.energy_model)
+            if self.energy_model is not None else None
+        )
 
         wait: Deque[_JobRecord] = deque()
         records: List[_JobRecord] = []
@@ -581,12 +580,14 @@ class FleetSimulator:
             while index < len(events) and events[index].cycle <= now:
                 event = events[index]
                 index += 1
+                abbr = self._abbr_of(event.app)
                 record = _JobRecord(
                     job_id=event.app.app_id,
-                    abbr=self._abbr_of(event.app),
+                    abbr=abbr,
                     name=event.app.name,
                     arrival_cycle=event.cycle,
                     remaining=event.budget_instructions,
+                    memory_bound=self._memory_bound(abbr),
                 )
                 records.append(record)
                 records_by_id[record.job_id] = record
@@ -652,17 +653,11 @@ class FleetSimulator:
                 )
 
         energy = None
-        if self.energy_model is not None:
+        if self._energy is not None:
             migration_joules = self.energy_model.energy(
                 0, 0, 0, self._migrated_bytes
             ).migration
-            energy = EnergyBreakdown(
-                core_static=self._e_core_static,
-                core_dynamic=self._e_core_dynamic,
-                mem_static=self._e_mem_static,
-                mem_dynamic=self._e_mem_dynamic,
-                migration=migration_joules,
-            )
+            energy = self._energy.breakdown(migration_joules)
             if obs.on:
                 for component, joules in (
                     ("core_static", energy.core_static),

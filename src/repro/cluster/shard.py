@@ -32,13 +32,16 @@ object: for one 175-node round (700 tenants) on a 2-vCPU VM, frozen
 dataclasses per tenant and per node took 1.65 ms to pickle and 1.41 ms
 to unpickle, ``typing.NamedTuple`` rows 1.87 ms and 0.77 ms, and plain
 tuples 0.21 ms and 0.16 ms.  The worker checks each tenant row before
-that row's physics (:func:`_restore`); a bad row raises
+that row's physics (:func:`_check_row`); a bad row raises
 :class:`~repro.errors.ConfigError` naming the job and the node.
 
-Worker-side state is rebuilt, never shipped: applications come from the
-Table 2 catalog via a per-process memo keyed by
-``(abbr, instructions_per_kernel)`` and the execution cursor is restored
-from the tenant row.
+A round runs on the rows themselves; nothing per tenant is rebuilt.
+Each row is checked against its benchmark's Table 2 kernel tuple
+(:func:`~repro.workloads.benchmarks.catalog_kernels`, built once per
+process), and the round's retired instructions move the row's
+``(kernel_index, kernel_instructions_done)`` cursor by arithmetic on
+those kernels' lengths (:func:`advance_cursor`, the cursor
+:meth:`~repro.gpu.kernel.Application.advance` leaves).
 
 Per round each tenant runs on a slice of its node:
 
@@ -61,16 +64,17 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.errors import ConfigError
 from repro.exec.jobs import fingerprint
 from repro.gpu.config import GPUConfig
-from repro.gpu.kernel import Application, Kernel
+from repro.gpu.kernel import Kernel
 from repro.gpu.performance import PerformanceModel
 from repro.obs import OFF, Obs
-from repro.workloads.benchmarks import build_application
+from repro.workloads.benchmarks import catalog_kernels
 
 #: Valid ``slicing`` modes (see module docstring).
 SLICING_MODES = ("ugpu", "mig")
@@ -103,21 +107,19 @@ class FleetShardResult:
 def node_totals(rows: Sequence[OutcomeRow]) -> Tuple[int, float]:
     """A node's retired instructions and DRAM bytes, summed in tenant
     order (the order the energy ledger adds them in)."""
-    return sum(row[1] for row in rows), sum(row[2] for row in rows)
+    return sum(map(itemgetter(1), rows)), sum(map(itemgetter(2), rows))
 
 
 # ----------------------------------------------------------------------
 # Worker-side memos (pure caches keyed by content, safe per process)
 # ----------------------------------------------------------------------
-_MODELS: Dict[str, PerformanceModel] = {}
+_MODELS: Dict[GPUConfig, PerformanceModel] = {}
 
 
 def _model_for(config: GPUConfig) -> PerformanceModel:
-    key = fingerprint(config)
-    model = _MODELS.get(key)
+    model = _MODELS.get(config)
     if model is None:
-        model = PerformanceModel(config)
-        _MODELS[key] = model
+        model = _MODELS[config] = PerformanceModel(config)
     return model
 
 
@@ -125,10 +127,10 @@ def _reject(job_id: int, node_id: int, problem: str) -> ConfigError:
     return ConfigError(f"job {job_id} on node {node_id}: {problem}")
 
 
-def _restore(row: TenantRow, instructions_per_kernel: int,
-             node_id: int) -> Application:
-    """Check one tenant row and rebuild its Application at the row's
-    cursor; a bad row raises :class:`ConfigError` naming job and node."""
+def _check_row(row: TenantRow, instructions_per_kernel: int,
+               node_id: int) -> Tuple[Kernel, ...]:
+    """Check one tenant row and return its benchmark's catalog kernels;
+    a bad row raises :class:`ConfigError` naming job and node."""
     job_id, abbr, kernel_index, done, remaining, penalty = row
     if instructions_per_kernel <= 0:
         raise _reject(job_id, node_id,
@@ -140,10 +142,9 @@ def _restore(row: TenantRow, instructions_per_kernel: int,
                       "remaining_budget must be positive or None")
     if not 0.0 <= penalty <= 1.0:
         raise _reject(job_id, node_id, "penalty_factor must be in [0, 1]")
-    app = build_application(
-        abbr, app_id=job_id, instructions_per_kernel=instructions_per_kernel
-    )
-    kernels = app.kernels
+    # The kernels build_application gives the coordinator (hit curves
+    # on), from the same cache entry.
+    kernels = catalog_kernels(abbr, instructions_per_kernel, True)
     if kernel_index >= len(kernels):
         raise _reject(
             job_id, node_id,
@@ -157,9 +158,29 @@ def _restore(row: TenantRow, instructions_per_kernel: int,
             f"{kernel_index} ({kernels[kernel_index].instructions} "
             "instructions)",
         )
-    app.progress.kernel_index = kernel_index
-    app.progress.instructions_done = done
-    return app
+    return kernels
+
+
+def advance_cursor(kernels: Sequence[Kernel], kernel_index: int, done: int,
+                   instructions: int) -> Tuple[int, int]:
+    """The cursor ``(kernel_index, instructions_done)`` after retiring
+    ``instructions`` (>= 0) from a valid cursor over ``kernels``.
+
+    Same walk as :meth:`~repro.gpu.kernel.Application.advance`: a kernel
+    retired exactly to its end moves the cursor to the next kernel's
+    start, and the last kernel wraps to kernel 0.  Whole launches are
+    skipped by arithmetic, so the cost does not grow with their number.
+    """
+    left = kernels[kernel_index].instructions - done
+    if instructions < left:
+        return kernel_index, done + instructions
+    instructions -= left
+    kernel_index = (kernel_index + 1) % len(kernels)
+    instructions %= sum(k.instructions for k in kernels)
+    while instructions >= kernels[kernel_index].instructions:
+        instructions -= kernels[kernel_index].instructions
+        kernel_index = (kernel_index + 1) % len(kernels)
+    return kernel_index, instructions
 
 
 # ----------------------------------------------------------------------
@@ -338,20 +359,26 @@ class FleetShardJob:
 
 def _run_node(job: FleetShardJob, model: PerformanceModel,
               node: NodeRow) -> NodeOutcomeRow:
+    """One node's round, computed on its tenant rows."""
     node_id, tenants = node
     if not tenants:
         return node_id, ()
-    apps = [
-        _restore(row, job.instructions_per_kernel, node_id) for row in tenants
+    # Every row is checked before any row's physics; a row's kernels are
+    # its benchmark's shared catalog tuple.
+    programs = [
+        _check_row(row, job.instructions_per_kernel, node_id)
+        for row in tenants
     ]
-    slices = slice_node(
-        model, job.config, [a.current_kernel for a in apps], job.slicing
-    )
+    current = [kernels[row[2]] for row, kernels in zip(tenants, programs)]
+    slices = slice_node(model, job.config, current, job.slicing)
     span = job.round_cycles
     outcomes = []
-    for (job_id, _, _, _, remaining, penalty), app, (sms, channels) in zip(
-            tenants, apps, slices):
-        throughput = model.throughput(app.current_kernel, sms, channels)
+    for row, kernels, kernel, (sms, channels) in zip(
+            tenants, programs, current, slices):
+        job_id, _, kernel_index, done, remaining, penalty = row
+        # The model's memo keys on the kernel object, whose hash is
+        # cached, so a repeated slice is one dict hit.
+        throughput = model.throughput(kernel, sms, channels)
         ipc = throughput.ipc * penalty
         retired = int(ipc * span)
         active = span
@@ -365,11 +392,11 @@ def _run_node(job: FleetShardJob, model: PerformanceModel,
             remaining = 0
         elif remaining is not None:
             remaining -= retired
-        app.advance(retired)
+        kernel_index, done = advance_cursor(kernels, kernel_index, done,
+                                            retired)
         outcomes.append((
             job_id, retired,
             throughput.dram_bytes_per_cycle * penalty * active,
-            app.progress.kernel_index, app.progress.instructions_done,
-            remaining, departed, active,
+            kernel_index, done, remaining, departed, active,
         ))
     return node_id, tuple(outcomes)

@@ -18,7 +18,7 @@ lands on the paper's 88.3/11.6 split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.gpu.config import GPUConfig
@@ -51,6 +51,11 @@ class EnergyBreakdown:
         if self.total == 0:
             return 0.0
         return self.memory / self.total
+
+
+def _require_non_negative(*inputs: float) -> None:
+    if min(inputs) < 0:
+        raise ConfigError("energy inputs must be non-negative")
 
 
 class EnergyModel:
@@ -102,8 +107,7 @@ class EnergyModel:
         it is charged at the (cheaper) in-stack transfer energy plus the
         standard DRAM access energy on both the read and write side.
         """
-        if min(cycles, instructions, dram_bytes, migrated_bytes) < 0:
-            raise ConfigError("energy inputs must be non-negative")
+        _require_non_negative(cycles, instructions, dram_bytes, migrated_bytes)
         seconds = cycles / self.config.sm_freq_hz
         pj = 1e-12
         migration = migrated_bytes * (
@@ -114,5 +118,48 @@ class EnergyModel:
             core_dynamic=instructions * self.core_pj_per_instruction * pj,
             mem_static=self.mem_static_watts * seconds,
             mem_dynamic=dram_bytes * self.mem_pj_per_byte * pj,
+            migration=migration,
+        )
+
+
+class EnergyLedger:
+    """Core and memory energy summed over many runs of one model.
+
+    :meth:`add` folds each run into four running sums with the float
+    operations of :meth:`EnergyModel.energy`, in the same order, so the
+    sums equal adding each run's :class:`EnergyBreakdown` to the bit; it
+    builds no breakdown per run (the fleet folds one run per node per
+    round).
+    """
+
+    def __init__(self, model: EnergyModel) -> None:
+        self.model = model
+        self.core_static = self.core_dynamic = 0.0
+        self.mem_static = self.mem_dynamic = 0.0
+
+    def add(self, cycles: float,
+            runs: Iterable[Tuple[float, float]]) -> None:
+        """Fold runs of ``cycles`` GPU cycles each, given as
+        ``(instructions, dram_bytes)`` pairs, in order."""
+        model = self.model
+        pj = 1e-12
+        seconds = cycles / model.config.sm_freq_hz
+        core_static = model.core_static_watts * seconds
+        mem_static = model.mem_static_watts * seconds
+        for instructions, dram_bytes in runs:
+            _require_non_negative(cycles, instructions, dram_bytes)
+            self.core_static += core_static
+            self.core_dynamic += (
+                instructions * model.core_pj_per_instruction * pj)
+            self.mem_static += mem_static
+            self.mem_dynamic += dram_bytes * model.mem_pj_per_byte * pj
+
+    def breakdown(self, migration: float) -> EnergyBreakdown:
+        """The sums so far, with ``migration`` joules on top."""
+        return EnergyBreakdown(
+            core_static=self.core_static,
+            core_dynamic=self.core_dynamic,
+            mem_static=self.mem_static,
+            mem_dynamic=self.mem_dynamic,
             migration=migration,
         )

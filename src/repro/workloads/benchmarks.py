@@ -149,16 +149,19 @@ def build_application(
             f"{abbr}: instructions_per_kernel must be positive, got "
             f"{instructions_per_kernel}"
         )
-    kernels = _catalog_kernels(abbr, instructions_per_kernel, with_hit_curve)
+    kernels = catalog_kernels(abbr, instructions_per_kernel, with_hit_curve)
     return Application(app_id=app_id, name=abbr, kernels=kernels)
 
 
 # Bounded so a process that sweeps many kernel lengths stays at fixed
 # memory; the paper's runs use a handful of keys.
 @lru_cache(maxsize=256)
-def _catalog_kernels(
+def catalog_kernels(
     abbr: str, instructions_per_kernel: int, with_hit_curve: bool
 ) -> Tuple[Kernel, ...]:
+    """The benchmark's kernel tuple, built once per process and key (pass
+    all three arguments positionally, as :func:`build_application` does,
+    to share its entries).  Does not check ``instructions_per_kernel``."""
     spec = spec_for(abbr)
     kernels = []
     for index in range(spec.num_kernels):

@@ -6,8 +6,11 @@ import json
 import os
 import pickle
 import pickletools
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster import (
     FleetShardJob,
@@ -18,14 +21,16 @@ from repro.cluster import (
     PlacementPolicy,
     choose_node,
 )
-from repro.cluster.shard import apportion, slice_node
+from repro.cluster.shard import advance_cursor, apportion, slice_node
 from repro.errors import ConfigError, SimulationError
 from repro.exec import ResultCache, SweepExecutor
 from repro.gpu import GPUConfig, PerformanceModel
 from repro.obs import Obs
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.names import FLEET_JOBS_TOTAL, FLEET_ROUNDS_TOTAL
-from repro.workloads import build_application, poisson_arrivals
+from repro.workloads import TABLE2, build_application, poisson_arrivals
+from repro.workloads.benchmarks import catalog_kernels
+from tests.strategies import STANDARD_SETTINGS
 
 #: Small kernels so arriving jobs genuinely depart within test horizons.
 IPK = 50_000_000
@@ -39,6 +44,22 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "fleet_summaries.json")
 with open(GOLDEN_PATH) as _handle:
     GOLDEN_SUMMARIES = json.load(_handle)
+
+#: ``repr`` of every ``FleetResult.energy`` component of the fixture's
+#: 12-node ``CONSOLIDATE`` runs: ``summary()`` rounds ``energy_joules``
+#: to 3 decimals, so a reordered float sum would still match the
+#: summaries.  ``sum()`` of floats is compensated from Python 3.12 on,
+#: which moves the last digit of one per-node DRAM byte total.
+ENERGY_FIELDS = ("core_static", "core_dynamic", "mem_static", "mem_dynamic",
+                 "migration")
+ENERGY_REPRS = {
+    "ugpu": ("8.991071428571423", "0.276916441122", "1.703571428571426",
+             "0.22864261736540129" if sys.version_info >= (3, 12)
+             else "0.2286426173654013",
+             "0.0037245419519999997"),
+    "mig": ("8.991071428571423", "0.276916441122", "1.703571428571426",
+            "0.23712266529196868", "0.0037245419519999997"),
+}
 
 
 def schedule(mean=150_000, horizon=HORIZON, seed=0, **kwargs):
@@ -244,6 +265,33 @@ class TestShardJob:
         (_, retired, _, kernel_index, done, _, _, _), = job.run().nodes[0][1]
         assert (kernel_index, done) == (0, (IPK - 1 + retired) % IPK)
 
+    @STANDARD_SETTINGS
+    @given(data=st.data(),
+           abbr=st.sampled_from([spec.abbr for spec in TABLE2]),
+           ipk=st.one_of(st.integers(1, 64), st.integers(1, 10**10)))
+    def test_cursor_advance_matches_application(self, data, abbr, ipk):
+        """The shard's row cursor moves exactly as ``Application.advance``
+        moves the same cursor, for any retire count up to four launches
+        and on either side of every kernel boundary it can reach."""
+        kernels = catalog_kernels(abbr, ipk, True)
+        index = data.draw(st.integers(0, len(kernels) - 1))
+        done = data.draw(st.integers(0, kernels[index].instructions - 1))
+        launch = sum(k.instructions for k in kernels)
+        boundary = kernels[index].instructions - done + sum(
+            kernels[(index + 1 + i) % len(kernels)].instructions
+            for i in range(data.draw(st.integers(0, 3 * len(kernels))))
+        )
+        retire = data.draw(st.one_of(
+            st.integers(0, 4 * launch),
+            st.sampled_from([boundary - 1, boundary, boundary + 1]),
+        ))
+        app = build_application(abbr, instructions_per_kernel=ipk)
+        app.progress.kernel_index = index
+        app.progress.instructions_done = done
+        app.advance(retire)
+        assert advance_cursor(kernels, index, done, retire) == (
+            app.progress.kernel_index, app.progress.instructions_done)
+
     @staticmethod
     def object_opcodes(value) -> int:
         """Object-building opcodes in ``value``'s pickle: one per object
@@ -306,6 +354,13 @@ class TestFleetSimulator:
             assert result.energy == serial.energy
             assert result.migrated_bytes == serial.migrated_bytes
         assert cache.hits > 0  # second run replayed from the cache
+
+    @pytest.mark.parametrize("slicing", sorted(ENERGY_REPRS))
+    def test_energy_matches_to_the_bit(self, slicing):
+        energy = simulator(placement=PlacementPolicy.CONSOLIDATE,
+                           slicing=slicing).run().energy
+        assert tuple(repr(getattr(energy, name))
+                     for name in ENERGY_FIELDS) == ENERGY_REPRS[slicing]
 
     def test_single_use(self):
         sim = simulator(nodes=2)

@@ -5,6 +5,9 @@ The scaling-shape tests here are the unit-level counterparts of the
 Figure 2/3 reproduction benches.
 """
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ConfigError
@@ -59,6 +62,18 @@ class TestKernel:
             Kernel("k", ipc_per_sm=1, apki_llc=-1, llc_hit_rate=0.5, footprint_bytes=0)
         with pytest.raises(ConfigError):
             Kernel("k", ipc_per_sm=1, apki_llc=1, llc_hit_rate=1.5, footprint_bytes=0)
+
+    def test_hash_is_the_field_hash_and_stays_out_of_pickles(self):
+        """The cached hash equals the generated dataclass hash, and a
+        pickle carries no hash into a process whose string hashes are
+        salted differently."""
+        k = memory_kernel()
+        fields = tuple(getattr(k, f.name) for f in dataclasses.fields(k))
+        assert hash(k) == hash(fields)
+        copy = pickle.loads(pickle.dumps(k))
+        assert vars(copy) == {f.name: getattr(k, f.name)
+                              for f in dataclasses.fields(k)}
+        assert copy == k and hash(copy) == hash(k)
 
 
 class TestApplication:

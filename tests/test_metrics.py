@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.gpu import GPUConfig
 from repro.metrics import AppRun, EnergyModel, antt, normalized_progress, stp, summarize
+from repro.metrics.energy import EnergyLedger
 
 
 def run(ipc, alone, name="a", app_id=0):
@@ -99,6 +100,28 @@ class TestEnergyModel:
             EnergyModel(core_static_watts=-1)
         with pytest.raises(ConfigError):
             EnergyModel().energy(-1, 0, 0)
+
+    def test_ledger_equals_summed_breakdowns_to_the_bit(self):
+        model = EnergyModel()
+        runs = [(1_234_567, 3.1e8), (0, 0.0), (987_654_321, 1.7e9 / 3)]
+        ledger = EnergyLedger(model)
+        ledger.add(2_500_000, runs)
+        ledger.add(1_000_001, runs[::-1])
+        sums = [0.0] * 4
+        for cycles, batch in ((2_500_000, runs), (1_000_001, runs[::-1])):
+            for instructions, dram_bytes in batch:
+                e = model.energy(cycles, instructions, dram_bytes)
+                for i, part in enumerate((e.core_static, e.core_dynamic,
+                                          e.mem_static, e.mem_dynamic)):
+                    sums[i] += part
+        total = ledger.breakdown(0.5)
+        assert [total.core_static, total.core_dynamic, total.mem_static,
+                total.mem_dynamic] == sums
+        assert total.migration == 0.5
+
+    def test_ledger_rejects_negative_inputs(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            EnergyLedger(EnergyModel()).add(2_500_000, [(10, -1.0)])
 
 
 class TestFairness:

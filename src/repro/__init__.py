@@ -26,183 +26,122 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-# Defined before any submodule import: the exec job specs and the fleet
-# shard jobs fold the package version into their cache keys, so their
-# modules do ``from repro import __version__`` while this package is
-# still initializing.  ``pyproject.toml`` reads the distribution version
+from importlib import import_module
+
+# ``__version__`` is the one eager attribute: the exec job specs and the
+# fleet shard jobs fold it into their cache keys (``from repro import
+# __version__``), and ``pyproject.toml`` reads the distribution version
 # from here.
 __version__ = "2.0.0"
 
-from repro.cluster import (
-    ClusterScheduler,
-    FleetHealthMonitor,
-    GPUNode,
-    PlacementPolicy,
-)
-from repro.core import (
-    AlgorithmCostModel,
-    AppProfile,
-    DemandAwarePartitioner,
-    EpochProfiler,
-    GPUSlice,
-    MultitaskSystem,
-    OpenSystemResult,
-    PartitionState,
-    QoSTarget,
-    ResourceAllocation,
-    SystemResult,
-)
-from repro.gpu import Application, GPUConfig, Kernel, PerformanceModel
-from repro.hbm import HBMConfig, HBMSystem, HBMTiming
-from repro.metrics import AppRun, EnergyModel, IntervalRun, antt, stp
-from repro.pagemove import (
-    MigrationCostModel,
-    MigrationEngine,
-    MigrationMode,
-    PageMoveAddressMapping,
-)
-from repro.policies import (
-    BPBigSmallPolicy,
-    BPPolicy,
-    BPSmallBigPolicy,
-    CDSearchPolicy,
-    EvenPartitionPolicy,
-    MPSPolicy,
-    PartitionPolicy,
-    UGPUPolicy,
-)
-from repro.obs import Obs
-from repro.obslog import ObsLogger, read_obslog, validate_obslog_file
-from repro.telemetry import (
-    CsvSampler,
-    MetricsRegistry,
-    MetricsServer,
-    collect_provenance,
-    registry_from_trace,
-    to_json,
-    to_prometheus,
-    write_prometheus,
-)
-from repro.trace import (
-    TraceCategory,
-    TraceEvent,
-    TraceRecorder,
-    TraceSummary,
-    read_jsonl,
-    summarize,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.workloads import (
-    TABLE2,
-    ArrivalEvent,
-    ArrivalSchedule,
-    build_ai_application,
-    build_application,
-    build_mix,
-    catalog,
-    heterogeneous_pairs,
-    homogeneous_pairs,
-    poisson_arrivals,
-)
 
-from repro.exec import (  # noqa: E402
-    ExecStats,
-    ResultCache,
-    SweepExecutor,
-    SweepJob,
-    register_policy,
-    registered_policies,
-)
+def _lazy_exports(namespace: dict, table: dict) -> tuple:
+    """``(__all__, __getattr__, __dir__)`` for lazy package exports.
 
-__all__ = [
-    "__version__",
+    A package ``__init__`` (PEP 562) lists its public names in one
+    table, each under the module that defines it::
+
+        _EXPORTS = {
+            "repro.cluster.node": ("GPUNode", "NodeResult"),
+            ...
+        }
+
+        __all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+
+    ``import repro.cluster`` then loads no submodule.  The first access
+    of ``repro.cluster.GPUNode`` (``from repro.cluster import GPUNode``
+    included) imports :mod:`repro.cluster.node` and caches the class in
+    the package namespace, so later accesses are plain attribute reads.
+
+    A package must not export a name that is also one of its
+    submodules: importing the submodule binds that name on the package
+    first, and the table entry would never be consulted.
+    """
+    package = namespace["__name__"]
+    where = {name: module for module, names in table.items()
+             for name in names}
+
+    def __getattr__(name: str):
+        module = where.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list:
+        return sorted(set(namespace) | set(where))
+
+    return list(where), __getattr__, __dir__
+
+
+_EXPORTS = {
     # GPU substrate
-    "GPUConfig",
-    "Kernel",
-    "Application",
-    "PerformanceModel",
+    "repro.gpu.config": ("GPUConfig",),
+    "repro.gpu.kernel": ("Kernel", "Application"),
+    "repro.gpu.performance": ("PerformanceModel",),
     # HBM substrate
-    "HBMConfig",
-    "HBMTiming",
-    "HBMSystem",
+    "repro.hbm.config": ("HBMConfig", "HBMTiming"),
+    "repro.hbm.system": ("HBMSystem",),
     # PageMove
-    "PageMoveAddressMapping",
-    "MigrationMode",
-    "MigrationCostModel",
-    "MigrationEngine",
+    "repro.pagemove.address_mapping": ("PageMoveAddressMapping",),
+    "repro.pagemove.cost": ("MigrationMode", "MigrationCostModel"),
+    "repro.pagemove.engine": ("MigrationEngine",),
     # Core
-    "ResourceAllocation",
-    "GPUSlice",
-    "PartitionState",
-    "AppProfile",
-    "EpochProfiler",
-    "DemandAwarePartitioner",
-    "AlgorithmCostModel",
-    "QoSTarget",
-    "MultitaskSystem",
-    "SystemResult",
-    "OpenSystemResult",
+    "repro.core.slices": ("ResourceAllocation", "GPUSlice", "PartitionState"),
+    "repro.core.profiler": ("AppProfile", "EpochProfiler"),
+    "repro.core.partitioner": ("DemandAwarePartitioner",),
+    "repro.core.hardware_cost": ("AlgorithmCostModel",),
+    "repro.core.qos": ("QoSTarget",),
+    "repro.core.system": (
+        "MultitaskSystem", "SystemResult", "OpenSystemResult",
+    ),
     # Partition policies
-    "PartitionPolicy",
-    "EvenPartitionPolicy",
-    "BPPolicy",
-    "BPBigSmallPolicy",
-    "BPSmallBigPolicy",
-    "MPSPolicy",
-    "CDSearchPolicy",
-    "UGPUPolicy",
+    "repro.policies.base": ("PartitionPolicy", "EvenPartitionPolicy"),
+    "repro.policies.bp": ("BPPolicy", "BPBigSmallPolicy", "BPSmallBigPolicy"),
+    "repro.policies.mps": ("MPSPolicy",),
+    "repro.policies.cd_search": ("CDSearchPolicy",),
+    "repro.policies.ugpu": ("UGPUPolicy",),
     # Cluster extension
-    "GPUNode",
-    "ClusterScheduler",
-    "PlacementPolicy",
-    "FleetHealthMonitor",
+    "repro.cluster.node": ("GPUNode",),
+    "repro.cluster.scheduler": ("ClusterScheduler",),
+    "repro.cluster.placement": ("PlacementPolicy",),
+    "repro.cluster.health": ("FleetHealthMonitor",),
     # Metrics
-    "AppRun",
-    "IntervalRun",
-    "stp",
-    "antt",
-    "EnergyModel",
+    "repro.metrics.multiprogram": ("AppRun", "IntervalRun", "stp", "antt"),
+    "repro.metrics.energy": ("EnergyModel",),
     # Telemetry
-    "MetricsRegistry",
-    "CsvSampler",
-    "MetricsServer",
-    "collect_provenance",
-    "registry_from_trace",
-    "to_prometheus",
-    "to_json",
-    "write_prometheus",
-    # Observability handle
-    "Obs",
-    # Structured logging
-    "ObsLogger",
-    "read_obslog",
-    "validate_obslog_file",
+    "repro.telemetry.metrics": ("MetricsRegistry",),
+    "repro.telemetry.series": ("CsvSampler",),
+    "repro.telemetry.provenance": ("collect_provenance",),
+    "repro.telemetry.bridge": ("registry_from_trace",),
+    "repro.telemetry.exposition": (
+        "to_prometheus", "to_json", "write_prometheus",
+    ),
+    # Observability handle and structured logging
+    "repro.obs": ("Obs",),
+    "repro.obslog": ("ObsLogger", "read_obslog", "validate_obslog_file"),
     # Tracing
-    "TraceCategory",
-    "TraceEvent",
-    "TraceRecorder",
-    "TraceSummary",
-    "read_jsonl",
-    "summarize",
-    "write_chrome_trace",
-    "write_jsonl",
+    "repro.trace.recorder": ("TraceCategory", "TraceEvent", "TraceRecorder"),
+    "repro.trace.summary": ("TraceSummary", "summarize"),
+    "repro.trace.export": ("read_jsonl", "write_chrome_trace", "write_jsonl"),
     # Sweep execution engine
-    "ExecStats",
-    "ResultCache",
-    "SweepExecutor",
-    "SweepJob",
-    "register_policy",
-    "registered_policies",
+    "repro.exec.stats": ("ExecStats",),
+    "repro.exec.cache": ("ResultCache",),
+    "repro.exec.executor": ("SweepExecutor",),
+    "repro.exec.jobs": ("SweepJob",),
+    "repro.exec.registry": ("register_policy", "registered_policies"),
     # Workloads
-    "TABLE2",
-    "catalog",
-    "build_application",
-    "build_ai_application",
-    "build_mix",
-    "heterogeneous_pairs",
-    "homogeneous_pairs",
-    "ArrivalEvent",
-    "ArrivalSchedule",
-    "poisson_arrivals",
-]
+    "repro.workloads.benchmarks": ("TABLE2", "catalog", "build_application"),
+    "repro.workloads.ai_models": ("build_ai_application",),
+    "repro.workloads.mixes": (
+        "build_mix", "heterogeneous_pairs", "homogeneous_pairs",
+    ),
+    "repro.workloads.arrivals": (
+        "ArrivalEvent", "ArrivalSchedule", "poisson_arrivals",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__.insert(0, "__version__")

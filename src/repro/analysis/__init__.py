@@ -6,18 +6,16 @@ the paper's terms (mean/max STP gain, ANTT improvement, QoS floors), and
 plain-text / Markdown table rendering for reports like EXPERIMENTS.md.
 """
 
-from repro.analysis.ascii_plot import bar_chart, compare_sparklines, sparkline
-from repro.analysis.report import Table, format_markdown, format_text
-from repro.analysis.sweep import PolicySweep, SweepSummary, compare_policies
+from repro import _lazy_exports
 
-__all__ = [
-    "PolicySweep",
-    "SweepSummary",
-    "compare_policies",
-    "Table",
-    "format_text",
-    "format_markdown",
-    "sparkline",
-    "bar_chart",
-    "compare_sparklines",
-]
+_EXPORTS = {
+    "repro.analysis.sweep": (
+        "PolicySweep", "SweepSummary", "compare_policies",
+    ),
+    "repro.analysis.report": ("Table", "format_text", "format_markdown"),
+    "repro.analysis.ascii_plot": (
+        "sparkline", "bar_chart", "compare_sparklines",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

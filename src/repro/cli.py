@@ -58,12 +58,11 @@ attributes wall-time change to specific span paths.  Both write
 self-contained single-file HTML reports via ``--html``.
 
 They also accept :mod:`repro.telemetry` flags, in formats other tools
-read: ``--metrics-out`` (Prometheus text exposition), ``--metrics-csv``
-(per-epoch long-format series — the input
-``examples/live_dashboard.py`` tails) and ``--metrics-port`` (a live
-``/metrics`` scrape endpoint for the duration of the run).  Every
-observability flag builds one :class:`~repro.obs.Obs` handle and turns
-on worker-side capture.  ``metrics`` folds a recorded JSONL trace into
+read: ``--metrics-out`` (Prometheus text exposition) and
+``--metrics-csv`` (per-epoch long-format series — the input
+``examples/live_dashboard.py`` tails).  Every observability flag
+builds one :class:`~repro.obs.Obs` handle and turns on worker-side
+capture.  ``metrics`` folds a recorded JSONL trace into
 a registry offline, with the same function a live run folds its events
 through, so it reproduces every sample the trace's events carry.
 """
@@ -146,10 +145,6 @@ def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics-csv", default=None, metavar="FILE",
                         help="sample every metric at each epoch boundary "
                              "into a long-format CSV")
-    parser.add_argument("--metrics-port", type=int, default=None,
-                        metavar="PORT",
-                        help="serve live /metrics on this port for the "
-                             "duration of the run (0 picks a free port)")
 
 
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
@@ -182,20 +177,13 @@ def _observe(args, command: str, labels: dict, **ids):
     stderr, so stdout stays byte-diffable between serial and sharded
     runs), then the metrics.
     """
-    metrics_flags = (args.metrics_out, args.metrics_csv,
-                     args.metrics_port is not None)
-    if not (any(metrics_flags) or args.report_dir):
+    if not (args.metrics_out or args.metrics_csv or args.report_dir):
         return OFF, "", lambda results=None, exec_stats=None: None
-    from repro.telemetry import (
-        CsvSampler,
-        MetricsRegistry,
-        MetricsServer,
-        stamp,
-    )
+    from repro.telemetry import CsvSampler, MetricsRegistry, stamp
     from repro.telemetry.provenance import config_hash
 
     run_id = config_hash(None, command=command, **ids)
-    reporter = sampler = server = None
+    reporter = sampler = None
     if args.report_dir:
         from repro.inspect import RunReporter
 
@@ -209,18 +197,12 @@ def _observe(args, command: str, labels: dict, **ids):
     if args.metrics_csv:
         sampler = CsvSampler(args.metrics_csv)
         sampler.attach(obs.registry)
-    if args.metrics_port is not None:
-        server = MetricsServer(obs.registry, port=args.metrics_port)
-        server.start()
-        print(f"live metrics at {server.url}")
 
     def finish(results=None, exec_stats=None) -> None:
         obs.gauge_trace_drops()
         if reporter is not None:
             path = reporter.finish(results=results, exec_stats=exec_stats)
             print(f"wrote run bundle manifest to {path}", file=sys.stderr)
-        if server is not None:
-            server.close()
         if sampler is not None:
             sampler.close()
             print(f"wrote {sampler.rows_written} epoch samples to "

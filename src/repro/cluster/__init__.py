@@ -25,38 +25,20 @@ heads under a policy from the placement zoo
 (:mod:`repro.cluster.placement`).
 """
 
-from repro.cluster.fleet import FleetResult, FleetSimulator
-from repro.cluster.health import (
-    FleetHealthMonitor,
-    HealthIncident,
-    HealthReport,
-)
-from repro.cluster.node import GPUNode, NodeResult
-from repro.cluster.placement import (
-    NodeView,
-    PlacementIndex,
-    PlacementPolicy,
-    choose_node,
-    placement_key,
-)
-from repro.cluster.scheduler import ClusterResult, ClusterScheduler
-from repro.cluster.shard import FleetShardJob, FleetShardResult
+from repro import _lazy_exports
 
-__all__ = [
-    "GPUNode",
-    "NodeResult",
-    "ClusterScheduler",
-    "ClusterResult",
-    "PlacementPolicy",
-    "NodeView",
-    "PlacementIndex",
-    "placement_key",
-    "choose_node",
-    "FleetSimulator",
-    "FleetResult",
-    "FleetHealthMonitor",
-    "HealthIncident",
-    "HealthReport",
-    "FleetShardJob",
-    "FleetShardResult",
-]
+_EXPORTS = {
+    "repro.cluster.node": ("GPUNode", "NodeResult"),
+    "repro.cluster.scheduler": ("ClusterScheduler", "ClusterResult"),
+    "repro.cluster.placement": (
+        "PlacementPolicy", "NodeView", "PlacementIndex", "placement_key",
+        "choose_node",
+    ),
+    "repro.cluster.fleet": ("FleetSimulator", "FleetResult"),
+    "repro.cluster.health": (
+        "FleetHealthMonitor", "HealthIncident", "HealthReport",
+    ),
+    "repro.cluster.shard": ("FleetShardJob", "FleetShardResult"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

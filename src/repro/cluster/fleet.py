@@ -74,6 +74,7 @@ from repro.metrics.multiprogram import (
     mean_queueing_delay,
 )
 from repro.obs import OFF, Obs
+from repro.telemetry.provenance import config_hash
 from repro.workloads.arrivals import ArrivalSchedule
 from repro.workloads.benchmarks import TABLE2, build_application
 
@@ -128,7 +129,6 @@ class FleetResult:
     mean_active_nodes: float
     shard_runs: int
     energy: Optional[EnergyBreakdown] = None
-    provenance: Dict[str, str] = field(default_factory=dict)
     #: Health-monitor verdict, when one was attached.  Wall-clock shaped
     #: (stragglers are host-time outliers), so it is deliberately
     #: excluded from :meth:`summary` — summaries stay deterministic.
@@ -264,8 +264,6 @@ class FleetSimulator:
             energy_model = EnergyModel(config)
         self.energy_model = energy_model
         self.health = health
-        from repro.telemetry.provenance import config_hash
-
         #: Deterministic run correlation ID: a hash of the run's shape,
         #: so serial and sharded runs of one configuration correlate.
         self.run_id = config_hash(
@@ -682,8 +680,6 @@ class FleetSimulator:
             if r.admit_cycle is not None
         ]
         elapsed = max(1, now)
-        from repro.telemetry.provenance import collect_provenance
-
         health_report = (
             self.health.report() if self.health is not None else None
         )
@@ -717,11 +713,6 @@ class FleetSimulator:
             mean_active_nodes=active_weighted / elapsed,
             shard_runs=self._shard_runs,
             energy=energy,
-            provenance=collect_provenance(
-                self.config,
-                placement=self.placement.value,
-                slicing=self.slicing,
-            ),
             health=health_report,
         )
 

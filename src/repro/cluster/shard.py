@@ -69,7 +69,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.errors import ConfigError
-from repro.exec.jobs import fingerprint
+from repro.exec.keys import fingerprint
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import Kernel
 from repro.gpu.performance import PerformanceModel

@@ -9,36 +9,19 @@ algorithm (:mod:`repro.core.partitioner`), its hardware cost model
 objects the evaluation benches run.
 """
 
-from repro.core.slices import GPUSlice, PartitionState, ResourceAllocation
-from repro.core.profiler import AppProfile, EpochProfiler
-from repro.core.partitioner import DemandAwarePartitioner, PartitionDecision
-from repro.core.hardware_cost import AlgorithmCostModel
-from repro.core.oracle import OraclePartitioner, OracleResult
-from repro.core.reallocation import SMPolicy, SMReallocator
-from repro.core.system import (
-    AppState,
-    MultitaskSystem,
-    OpenSystemResult,
-    SystemResult,
-)
-from repro.core.qos import QoSTarget
+from repro import _lazy_exports
 
-__all__ = [
-    "ResourceAllocation",
-    "GPUSlice",
-    "PartitionState",
-    "AppProfile",
-    "EpochProfiler",
-    "DemandAwarePartitioner",
-    "PartitionDecision",
-    "AlgorithmCostModel",
-    "OraclePartitioner",
-    "OracleResult",
-    "SMPolicy",
-    "SMReallocator",
-    "AppState",
-    "MultitaskSystem",
-    "SystemResult",
-    "OpenSystemResult",
-    "QoSTarget",
-]
+_EXPORTS = {
+    "repro.core.slices": ("ResourceAllocation", "GPUSlice", "PartitionState"),
+    "repro.core.profiler": ("AppProfile", "EpochProfiler"),
+    "repro.core.partitioner": ("DemandAwarePartitioner", "PartitionDecision"),
+    "repro.core.hardware_cost": ("AlgorithmCostModel",),
+    "repro.core.oracle": ("OraclePartitioner", "OracleResult"),
+    "repro.core.reallocation": ("SMPolicy", "SMReallocator"),
+    "repro.core.system": (
+        "AppState", "MultitaskSystem", "SystemResult", "OpenSystemResult",
+    ),
+    "repro.core.qos": ("QoSTarget",),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -173,9 +173,6 @@ class OpenSystemResult:
     arrivals: int = 0
     admissions: int = 0
     departures: int = 0
-    #: Attribution snapshot (git SHA, versions, config hash) — see
-    #: :mod:`repro.telemetry.provenance`.
-    provenance: Dict[str, str] = field(default_factory=dict)
 
     @property
     def stp(self) -> float:
@@ -587,8 +584,6 @@ class MultitaskSystem:
                 )
             )
         all_states = list(self._admitted_order)
-        from repro.telemetry.provenance import collect_provenance
-
         result = OpenSystemResult(
             policy=self.policy_name,
             mix_name=mix_name or "open",
@@ -600,10 +595,6 @@ class MultitaskSystem:
             arrivals=self.arrivals_seen,
             admissions=self.admissions,
             departures=self.departures,
-            provenance=collect_provenance(
-                self.config, policy=self.policy_name,
-                kernel_backend=self.kernel_backend,
-            ),
         )
         self._finish_metrics(result)
         return result

@@ -14,32 +14,19 @@ the benchmark harness, the examples) now shares:
 * :class:`ExecStats` — observable jobs/hits/wall-clock/percentiles.
 """
 
-from repro.exec.cache import CACHE_SCHEMA, ResultCache
-from repro.exec.envelope import JobEnvelope, ObsSnapshot, worker_token
-from repro.exec.executor import SweepExecutor
-from repro.exec.jobs import SweepJob, fingerprint
-from repro.exec.registry import (
-    canonical_policy_name,
-    policy_name_of,
-    register_policy,
-    registered_policies,
-    resolve_policy,
-)
-from repro.exec.stats import ExecStats
+from repro import _lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA",
-    "ExecStats",
-    "JobEnvelope",
-    "ObsSnapshot",
-    "ResultCache",
-    "SweepExecutor",
-    "SweepJob",
-    "canonical_policy_name",
-    "fingerprint",
-    "worker_token",
-    "policy_name_of",
-    "register_policy",
-    "registered_policies",
-    "resolve_policy",
-]
+_EXPORTS = {
+    "repro.exec.cache": ("CACHE_SCHEMA", "ResultCache"),
+    "repro.exec.stats": ("ExecStats",),
+    "repro.exec.envelope": ("JobEnvelope", "ObsSnapshot", "worker_token"),
+    "repro.exec.executor": ("SweepExecutor",),
+    "repro.exec.jobs": ("SweepJob",),
+    "repro.exec.registry": (
+        "canonical_policy_name", "policy_name_of", "register_policy",
+        "registered_policies", "resolve_policy",
+    ),
+    "repro.exec.keys": ("fingerprint",),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

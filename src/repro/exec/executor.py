@@ -50,16 +50,18 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.core.system import SystemResult
 from repro.errors import ConfigError
-from repro.exec.cache import ResultCache
 from repro.exec.envelope import JobEnvelope, ObsSnapshot
-from repro.exec.jobs import SweepJob
 from repro.exec.stats import ExecStats
 from repro.fastpath import resolve_kernel_backend
 from repro.obs import OFF, Obs, run_job
+
+if TYPE_CHECKING:
+    from repro.core.system import SystemResult
+    from repro.exec.cache import ResultCache
+    from repro.exec.jobs import SweepJob
 
 
 class SweepExecutor:

@@ -10,74 +10,27 @@ crosses process boundaries freely; the policy factory is resolved from
 the package version — the content address under which
 :class:`~repro.exec.cache.ResultCache` memoizes the simulation's
 :class:`~repro.core.system.SystemResult`.  Fingerprints must not depend on
-object identity or dict ordering, so :func:`fingerprint` canonicalizes
-dataclasses, enums, mappings and plain objects recursively and refuses
-reprs that embed memory addresses.
+object identity or dict ordering, so
+:func:`~repro.exec.keys.fingerprint` canonicalizes dataclasses, enums,
+mappings and plain objects recursively and refuses reprs that embed
+memory addresses.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 from repro import __version__
-from repro.core.system import SystemResult
 from repro.errors import ConfigError
+from repro.exec.keys import fingerprint
 from repro.exec.registry import canonical_policy_name, resolve_policy
 from repro.obs import OFF, Obs
 from repro.workloads.mixes import build_mix
 
-
-def fingerprint(value: Any) -> str:
-    """A deterministic, process-independent token for ``value``.
-
-    Handles the argument shapes sweeps actually pass (primitives,
-    sequences, mappings, enums, dataclasses such as ``QoSTarget`` /
-    ``GPUConfig``, and plain config objects such as ``EnergyModel`` whose
-    ``__dict__`` holds the knobs).  Raises :class:`ConfigError` for values
-    whose only description would embed a memory address, since those would
-    silently break cache reuse across runs.
-    """
-    if value is None or isinstance(value, (bool, int, str, bytes)):
-        return repr(value)
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, enum.Enum):
-        return f"{type(value).__qualname__}.{value.name}"
-    if isinstance(value, (list, tuple)):
-        inner = ",".join(fingerprint(v) for v in value)
-        return f"[{inner}]"
-    if isinstance(value, (set, frozenset)):
-        inner = ",".join(sorted(fingerprint(v) for v in value))
-        return f"{{{inner}}}"
-    if isinstance(value, Mapping):
-        inner = ",".join(
-            f"{fingerprint(k)}:{fingerprint(v)}"
-            for k, v in sorted(value.items(), key=lambda kv: repr(kv[0]))
-        )
-        return f"{{{inner}}}"
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = ",".join(
-            f"{f.name}={fingerprint(getattr(value, f.name))}"
-            for f in dataclasses.fields(value)
-        )
-        return f"{type(value).__qualname__}({fields})"
-    state = getattr(value, "__dict__", None)
-    if state is not None:
-        fields = ",".join(
-            f"{name}={fingerprint(val)}" for name, val in sorted(state.items())
-        )
-        return f"{type(value).__qualname__}({fields})"
-    text = repr(value)
-    if " at 0x" in text:
-        raise ConfigError(
-            f"cannot fingerprint {type(value).__qualname__}: repr embeds a "
-            "memory address; give it a stable __dict__ or make it a dataclass"
-        )
-    return f"{type(value).__qualname__}:{text}"
+if TYPE_CHECKING:
+    from repro.core.system import SystemResult
 
 
 @dataclass(frozen=True)

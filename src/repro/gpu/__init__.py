@@ -8,32 +8,21 @@ the analytic two-roofline performance model
 evaluates applications with.
 """
 
-from repro.gpu.config import GPUConfig
-from repro.gpu.counters import CounterBank, HardwareCounter
-from repro.gpu.kernel import Application, Kernel, KernelProgress
-from repro.gpu.llc import CacheStats, HitRateCurve, SetAssociativeCache, SlicedLLC
-from repro.gpu.noc import CrossbarNoC
-from repro.gpu.performance import PerformanceModel, SliceThroughput
-from repro.gpu.sm import OccupancyLimits, StreamingMultiprocessor, occupancy
-from repro.gpu.warp import WarpTiming, WarpTimingModel
+from repro import _lazy_exports
 
-__all__ = [
-    "GPUConfig",
-    "HardwareCounter",
-    "CounterBank",
-    "Kernel",
-    "KernelProgress",
-    "Application",
-    "SetAssociativeCache",
-    "CacheStats",
-    "HitRateCurve",
-    "SlicedLLC",
-    "CrossbarNoC",
-    "PerformanceModel",
-    "SliceThroughput",
-    "StreamingMultiprocessor",
-    "OccupancyLimits",
-    "occupancy",
-    "WarpTiming",
-    "WarpTimingModel",
-]
+_EXPORTS = {
+    "repro.gpu.config": ("GPUConfig",),
+    "repro.gpu.counters": ("HardwareCounter", "CounterBank"),
+    "repro.gpu.kernel": ("Kernel", "KernelProgress", "Application"),
+    "repro.gpu.llc": (
+        "SetAssociativeCache", "CacheStats", "HitRateCurve", "SlicedLLC",
+    ),
+    "repro.gpu.noc": ("CrossbarNoC",),
+    "repro.gpu.performance": ("PerformanceModel", "SliceThroughput"),
+    "repro.gpu.sm": (
+        "StreamingMultiprocessor", "OccupancyLimits", "occupancy",
+    ),
+    "repro.gpu.warp": ("WarpTiming", "WarpTimingModel"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -130,6 +130,20 @@ class HitRateCurve:
             raise ConfigError("peak_hit_rate must be >= reference and <= 1")
         self.alpha = alpha
 
+    def _fields(self) -> tuple:
+        return (self.reference_capacity, self.reference_hit_rate,
+                self.working_set, self.peak_hit_rate, self.alpha)
+
+    # Value equality, so a kernel equals (and hashes as) its pickled copy
+    # from another process and kernel-keyed memos still hit for it.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HitRateCurve):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
     def hit_rate(self, capacity: float) -> float:
         """Hit rate with ``capacity`` bytes of LLC."""
         if capacity <= 0:

@@ -12,43 +12,22 @@ migration cost calibration; the epoch-level system simulation uses the
 analytic :class:`~repro.pagemove.cost.MigrationCostModel` derived from it.
 """
 
-from repro.hbm.config import HBMConfig, HBMTiming
-from repro.hbm.commands import (
-    Command,
-    CommandKind,
-    activate,
-    migration,
-    precharge,
-    read,
-    write,
-)
-from repro.hbm.bank import Bank, BankState
-from repro.hbm.channel import BankGroup, Channel
-from repro.hbm.crossbar import BankGroupCrossbar, TriStateDecoder
-from repro.hbm.stack import HBMStack, TSVBundle
-from repro.hbm.controller import MemoryController, MemoryRequest, RequestKind
-from repro.hbm.system import HBMSystem
+from repro import _lazy_exports
 
-__all__ = [
-    "HBMConfig",
-    "HBMTiming",
-    "Command",
-    "CommandKind",
-    "activate",
-    "precharge",
-    "read",
-    "write",
-    "migration",
-    "Bank",
-    "BankState",
-    "BankGroup",
-    "Channel",
-    "BankGroupCrossbar",
-    "TriStateDecoder",
-    "HBMStack",
-    "TSVBundle",
-    "MemoryController",
-    "MemoryRequest",
-    "RequestKind",
-    "HBMSystem",
-]
+_EXPORTS = {
+    "repro.hbm.config": ("HBMConfig", "HBMTiming"),
+    "repro.hbm.commands": (
+        "Command", "CommandKind", "activate", "precharge", "read", "write",
+        "migration",
+    ),
+    "repro.hbm.bank": ("Bank", "BankState"),
+    "repro.hbm.channel": ("BankGroup", "Channel"),
+    "repro.hbm.crossbar": ("BankGroupCrossbar", "TriStateDecoder"),
+    "repro.hbm.stack": ("HBMStack", "TSVBundle"),
+    "repro.hbm.controller": (
+        "MemoryController", "MemoryRequest", "RequestKind",
+    ),
+    "repro.hbm.system": ("HBMSystem",),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -14,7 +14,7 @@ pieces:
   unified in-memory :class:`RunModel`, keyed by the correlation IDs
   (``run_id``/``shard_id``/``pid``/worker token) stamped at capture
   time;
-* :mod:`repro.inspect.analyze` — :func:`analyze` runs the analyzer
+* :mod:`repro.inspect.analyzers` — :func:`analyze` runs the analyzer
   suite (critical path, stragglers, wait-queue dynamics, phase rollup,
   cache effectiveness, evidence completeness) and emits typed
   :class:`Finding` records with severity;
@@ -29,37 +29,20 @@ text report (``repro inspect``, which also prints the trace's
 HTML report.
 """
 
-from repro.inspect.analyze import Finding, analyze
-from repro.inspect.bundle import (
-    BUNDLE_SCHEMA,
-    MANIFEST_NAME,
-    RunReporter,
-    read_manifest,
-)
-from repro.inspect.diff import BundleDiff, MetricDelta, SpanDelta, diff_bundles
-from repro.inspect.model import RunModel, load_bundle
-from repro.inspect.render import (
-    render_diff_html,
-    render_diff_text,
-    render_html,
-    render_text,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BUNDLE_SCHEMA",
-    "BundleDiff",
-    "Finding",
-    "MANIFEST_NAME",
-    "MetricDelta",
-    "RunModel",
-    "RunReporter",
-    "SpanDelta",
-    "analyze",
-    "diff_bundles",
-    "load_bundle",
-    "read_manifest",
-    "render_diff_html",
-    "render_diff_text",
-    "render_html",
-    "render_text",
-]
+_EXPORTS = {
+    "repro.inspect.bundle": (
+        "BUNDLE_SCHEMA", "MANIFEST_NAME", "RunReporter", "read_manifest",
+    ),
+    "repro.inspect.diff": (
+        "BundleDiff", "MetricDelta", "SpanDelta", "diff_bundles",
+    ),
+    "repro.inspect.analyzers": ("Finding", "analyze"),
+    "repro.inspect.model": ("RunModel", "load_bundle"),
+    "repro.inspect.render": (
+        "render_diff_html", "render_diff_text", "render_html", "render_text",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

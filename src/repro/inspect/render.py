@@ -18,7 +18,7 @@ from __future__ import annotations
 import html
 from typing import List, Optional
 
-from repro.inspect.analyze import Finding
+from repro.inspect.analyzers import Finding
 from repro.inspect.diff import BundleDiff
 from repro.inspect.model import RunModel
 from repro.trace.summary import summarize

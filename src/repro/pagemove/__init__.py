@@ -14,29 +14,17 @@ Three cooperating pieces:
   point (PPMM / software-only / traditional).
 """
 
-from repro.pagemove.address_mapping import (
-    ColumnLocation,
-    InterleavedPageMapping,
-    PageCoordinates,
-    PageMoveAddressMapping,
-)
-from repro.pagemove.cost import MigrationCostModel, MigrationMode
-from repro.pagemove.engine import (
-    MigrationEngine,
-    MigrationPlan,
-    MigrationReport,
-    PageMigration,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ColumnLocation",
-    "PageCoordinates",
-    "PageMoveAddressMapping",
-    "InterleavedPageMapping",
-    "MigrationMode",
-    "MigrationCostModel",
-    "MigrationEngine",
-    "MigrationPlan",
-    "MigrationReport",
-    "PageMigration",
-]
+_EXPORTS = {
+    "repro.pagemove.address_mapping": (
+        "ColumnLocation", "PageCoordinates", "PageMoveAddressMapping",
+        "InterleavedPageMapping",
+    ),
+    "repro.pagemove.cost": ("MigrationMode", "MigrationCostModel"),
+    "repro.pagemove.engine": (
+        "MigrationEngine", "MigrationPlan", "MigrationReport", "PageMigration",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

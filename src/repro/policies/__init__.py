@@ -13,30 +13,18 @@ Policy state lives on the policy object: read it as
 ``system.policy.profiler``, ``system.policy.hysteresis`` and so on.
 """
 
-from repro.policies.base import (
-    EvenPartitionPolicy,
-    PartitionPolicy,
-    even_allocations,
-)
-from repro.policies.bp import (
-    BPBigSmallPolicy,
-    BPPolicy,
-    BPSmallBigPolicy,
-    fixed_two_way,
-)
-from repro.policies.cd_search import CDSearchPolicy
-from repro.policies.mps import MPSPolicy
-from repro.policies.ugpu import UGPUPolicy
+from repro import _lazy_exports
 
-__all__ = [
-    "PartitionPolicy",
-    "EvenPartitionPolicy",
-    "even_allocations",
-    "BPPolicy",
-    "BPBigSmallPolicy",
-    "BPSmallBigPolicy",
-    "fixed_two_way",
-    "MPSPolicy",
-    "CDSearchPolicy",
-    "UGPUPolicy",
-]
+_EXPORTS = {
+    "repro.policies.base": (
+        "PartitionPolicy", "EvenPartitionPolicy", "even_allocations",
+    ),
+    "repro.policies.bp": (
+        "BPPolicy", "BPBigSmallPolicy", "BPSmallBigPolicy", "fixed_two_way",
+    ),
+    "repro.policies.mps": ("MPSPolicy",),
+    "repro.policies.cd_search": ("CDSearchPolicy",),
+    "repro.policies.ugpu": ("UGPUPolicy",),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -10,6 +10,10 @@ its aggregate, and ``repro inspect`` prints the hot-phase table; the
 end-to-end benchmark in ``bench/`` times whole workloads.
 """
 
-from repro.profiling.profiler import PhaseProfiler, PhaseStats
+from repro import _lazy_exports
 
-__all__ = ["PhaseProfiler", "PhaseStats"]
+_EXPORTS = {
+    "repro.profiling.profiler": ("PhaseProfiler", "PhaseStats"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -1,4 +1,4 @@
-"""Telemetry: labeled metrics, exposition formats, and live monitoring.
+"""Telemetry: labeled metrics, exposition formats and CSV series.
 
 The aggregate counterpart of :mod:`repro.trace`.  Quickstart::
 
@@ -11,61 +11,28 @@ The aggregate counterpart of :mod:`repro.trace`.  Quickstart::
     print(to_prometheus(registry))
 
 See ``docs/tutorial.md`` ("Watching a run: the telemetry layer") for the
-scrape-endpoint and CSV-series workflows.
+exposition-file and CSV-series workflows.
 """
 
-from repro.telemetry.bridge import fold_exec_stats, registry_from_trace
-from repro.telemetry.merge import merge_registry, snapshot_registry
-from repro.telemetry.exposition import (
-    BUILD_INFO_METRIC,
-    parse_prometheus,
-    to_json,
-    to_prometheus,
-    validate_prometheus_file,
-    write_json,
-    write_prometheus,
-)
-from repro.telemetry.metrics import (
-    CYCLE_BUCKETS,
-    SECONDS_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.provenance import collect_provenance, config_hash, stamp
-from repro.telemetry.series import (
-    CsvSampler,
-    read_provenance,
-    read_series,
-    series_values,
-)
-from repro.telemetry.server import MetricsServer
+from repro import _lazy_exports
 
-__all__ = [
-    "BUILD_INFO_METRIC",
-    "CYCLE_BUCKETS",
-    "SECONDS_BUCKETS",
-    "Counter",
-    "CsvSampler",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsServer",
-    "collect_provenance",
-    "config_hash",
-    "fold_exec_stats",
-    "merge_registry",
-    "parse_prometheus",
-    "read_provenance",
-    "read_series",
-    "registry_from_trace",
-    "series_values",
-    "snapshot_registry",
-    "stamp",
-    "to_json",
-    "to_prometheus",
-    "validate_prometheus_file",
-    "write_json",
-    "write_prometheus",
-]
+_EXPORTS = {
+    "repro.telemetry.exposition": (
+        "BUILD_INFO_METRIC", "parse_prometheus", "to_json", "to_prometheus",
+        "validate_prometheus_file", "write_json", "write_prometheus",
+    ),
+    "repro.telemetry.metrics": (
+        "CYCLE_BUCKETS", "SECONDS_BUCKETS", "Counter", "Gauge", "Histogram",
+        "MetricsRegistry",
+    ),
+    "repro.telemetry.series": (
+        "CsvSampler", "read_provenance", "read_series", "series_values",
+    ),
+    "repro.telemetry.provenance": (
+        "collect_provenance", "config_hash", "stamp",
+    ),
+    "repro.telemetry.bridge": ("fold_exec_stats", "registry_from_trace"),
+    "repro.telemetry.merge": ("merge_registry", "snapshot_registry"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -6,7 +6,7 @@ months later nobody remembers which commit a ``series.csv`` came from.
 process — git SHA (plus a ``-dirty`` suffix when the tree has local
 edits), package version, Python version, platform — and
 :func:`config_hash` folds an arbitrary run configuration into a stable
-SHA-256 via the same canonical :func:`~repro.exec.jobs.fingerprint` the
+SHA-256 via the same canonical :func:`~repro.exec.keys.fingerprint` the
 result cache keys on.  Everything is failure-tolerant: outside a git
 checkout the SHA is simply ``"unknown"``.
 """
@@ -20,17 +20,10 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
+from repro import __version__
+from repro.exec.keys import fingerprint
+
 _GIT_CACHE: Dict[str, str] = {}
-
-
-def _package_version() -> str:
-    # Imported lazily: this module is reachable from repro/__init__ via
-    # the instrumented layers, so a top-level import would be circular.
-    try:
-        from repro import __version__
-        return __version__
-    except ImportError:  # pragma: no cover - partial-init fallback
-        return "unknown"
 
 
 def _git_describe() -> str:
@@ -62,13 +55,11 @@ def _git_describe() -> str:
 def config_hash(config: Any = None, **extra: Any) -> str:
     """A 16-hex-digit digest of a run configuration.
 
-    Built on :func:`repro.exec.jobs.fingerprint`, so two processes that
+    Built on :func:`repro.exec.keys.fingerprint`, so two processes that
     would hit the same sweep-cache entry also report the same hash.
     Unfingerprintable values degrade to ``repr`` rather than failing a
     run over its own attribution.
     """
-    from repro.exec.jobs import fingerprint
-
     parts = []
     for label, value in (("config", config), *sorted(extra.items())):
         try:
@@ -89,7 +80,7 @@ def collect_provenance(config: Any = None,
     """
     info = {
         "git_sha": _git_describe(),
-        "repro_version": _package_version(),
+        "repro_version": __version__,
         "python_version": platform.python_version(),
         "platform": sys.platform,
         "config_hash": config_hash(config),

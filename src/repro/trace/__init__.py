@@ -23,31 +23,17 @@ Quickstart::
     write_chrome_trace(tracer.events(), "ugpu.chrome.json")  # open in Perfetto
 """
 
-from repro.trace.export import (
-    chrome_trace,
-    read_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.trace.recorder import (
-    KIND_INSTANT,
-    KIND_SPAN,
-    TraceCategory,
-    TraceEvent,
-    TraceRecorder,
-)
-from repro.trace.summary import TraceSummary, summarize
+from repro import _lazy_exports
 
-__all__ = [
-    "KIND_INSTANT",
-    "KIND_SPAN",
-    "TraceCategory",
-    "TraceEvent",
-    "TraceRecorder",
-    "TraceSummary",
-    "chrome_trace",
-    "read_jsonl",
-    "summarize",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+_EXPORTS = {
+    "repro.trace.recorder": (
+        "KIND_INSTANT", "KIND_SPAN", "TraceCategory", "TraceEvent",
+        "TraceRecorder",
+    ),
+    "repro.trace.summary": ("TraceSummary", "summarize"),
+    "repro.trace.export": (
+        "chrome_trace", "read_jsonl", "write_chrome_trace", "write_jsonl",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

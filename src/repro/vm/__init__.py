@@ -8,43 +8,24 @@ raised when a translation lands in a deallocated or not-yet-populated
 memory channel (Section 4.4).
 """
 
-from repro.vm.address import (
-    PAGE_SHIFT,
-    PAGE_SIZE,
-    VirtualAddress,
-    page_number,
-    page_offset,
-    radix_indices,
-)
-from repro.vm.page_table import PageTable, PageTableEntry
-from repro.vm.tlb import TLB, TLBStats
-from repro.vm.ptw import PageTableWalker, WalkResult
-from repro.vm.channel_registry import ChannelStatusRegister, ReallocationDirection
-from repro.vm.driver import FaultKind, GPUDriver, PageFault
-from repro.vm.mmu import MMU, MMUStats, Translation
-from repro.vm.oversubscription import FaultOverheadModel, OversubscriptionCharge
+from repro import _lazy_exports
 
-__all__ = [
-    "PAGE_SHIFT",
-    "PAGE_SIZE",
-    "VirtualAddress",
-    "page_number",
-    "page_offset",
-    "radix_indices",
-    "PageTable",
-    "PageTableEntry",
-    "TLB",
-    "TLBStats",
-    "PageTableWalker",
-    "WalkResult",
-    "ChannelStatusRegister",
-    "ReallocationDirection",
-    "FaultKind",
-    "GPUDriver",
-    "PageFault",
-    "FaultOverheadModel",
-    "OversubscriptionCharge",
-    "MMU",
-    "MMUStats",
-    "Translation",
-]
+_EXPORTS = {
+    "repro.vm.address": (
+        "PAGE_SHIFT", "PAGE_SIZE", "VirtualAddress", "page_number",
+        "page_offset", "radix_indices",
+    ),
+    "repro.vm.page_table": ("PageTable", "PageTableEntry"),
+    "repro.vm.tlb": ("TLB", "TLBStats"),
+    "repro.vm.ptw": ("PageTableWalker", "WalkResult"),
+    "repro.vm.channel_registry": (
+        "ChannelStatusRegister", "ReallocationDirection",
+    ),
+    "repro.vm.driver": ("FaultKind", "GPUDriver", "PageFault"),
+    "repro.vm.oversubscription": (
+        "FaultOverheadModel", "OversubscriptionCharge",
+    ),
+    "repro.vm.mmu": ("MMU", "MMUStats", "Translation"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -8,62 +8,25 @@ and footprint, pinned to the published Table 2 MPKI / kernel-count /
 footprint columns (see DESIGN.md's substitution table).
 """
 
-from repro.workloads.benchmarks import (
-    COMPUTE_BOUND_ABBRS,
-    MEMORY_BOUND_ABBRS,
-    TABLE2,
-    BenchmarkSpec,
-    build_application,
-    catalog,
-    spec_for,
-)
-from repro.workloads.ai_models import AI_MODELS, build_ai_application
-from repro.workloads.mixes import (
-    MultiProgramMix,
-    all_pairs,
-    build_mix,
-    eight_program_mixes,
-    four_program_mixes,
-    heterogeneous_pairs,
-    homogeneous_pairs,
-)
-from repro.workloads.arrivals import (
-    ArrivalEvent,
-    ArrivalSchedule,
-    poisson_arrivals,
-)
-from repro.workloads.characterize import TraceCharacterizer, TraceProfile
-from repro.workloads.synthetic import (
-    hotset_trace,
-    strided_trace,
-    streaming_trace,
-    synthetic_kernel,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BenchmarkSpec",
-    "TABLE2",
-    "MEMORY_BOUND_ABBRS",
-    "COMPUTE_BOUND_ABBRS",
-    "catalog",
-    "spec_for",
-    "build_application",
-    "AI_MODELS",
-    "build_ai_application",
-    "MultiProgramMix",
-    "heterogeneous_pairs",
-    "homogeneous_pairs",
-    "all_pairs",
-    "build_mix",
-    "four_program_mixes",
-    "eight_program_mixes",
-    "ArrivalEvent",
-    "ArrivalSchedule",
-    "poisson_arrivals",
-    "streaming_trace",
-    "strided_trace",
-    "hotset_trace",
-    "synthetic_kernel",
-    "TraceCharacterizer",
-    "TraceProfile",
-]
+_EXPORTS = {
+    "repro.workloads.benchmarks": (
+        "BenchmarkSpec", "TABLE2", "MEMORY_BOUND_ABBRS", "COMPUTE_BOUND_ABBRS",
+        "catalog", "spec_for", "build_application",
+    ),
+    "repro.workloads.ai_models": ("AI_MODELS", "build_ai_application"),
+    "repro.workloads.mixes": (
+        "MultiProgramMix", "heterogeneous_pairs", "homogeneous_pairs",
+        "all_pairs", "build_mix", "four_program_mixes", "eight_program_mixes",
+    ),
+    "repro.workloads.arrivals": (
+        "ArrivalEvent", "ArrivalSchedule", "poisson_arrivals",
+    ),
+    "repro.workloads.synthetic": (
+        "streaming_trace", "strided_trace", "hotset_trace", "synthetic_kernel",
+    ),
+    "repro.workloads.characterize": ("TraceCharacterizer", "TraceProfile"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

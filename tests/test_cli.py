@@ -203,7 +203,8 @@ class TestEvidenceFlags:
     """``--report-dir`` is the one place a run writes its trace, log
     and metrics snapshot."""
 
-    RETIRED = ("--trace-out", "--log-jsonl", "--metrics-json")
+    RETIRED = ("--trace-out", "--log-jsonl", "--metrics-json",
+               "--metrics-port")
 
     @staticmethod
     def _subparsers():
@@ -230,7 +231,7 @@ class TestEvidenceFlags:
         flags = sum(1 for sub in subparsers.values()
                     for a in sub._actions
                     if a.option_strings and "-h" not in a.option_strings)
-        assert (len(subparsers), flags) == (10, 67)
+        assert (len(subparsers), flags) == (10, 63)
 
 
 class TestDocumentedCommands:

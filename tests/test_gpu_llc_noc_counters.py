@@ -1,10 +1,13 @@
 """Unit tests for LLC, NoC and counters (repro.gpu.llc/noc/counters)."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.gpu import CrossbarNoC, GPUConfig, HitRateCurve, SetAssociativeCache
 from repro.gpu.counters import CounterBank, HardwareCounter
+from repro.workloads import TABLE2, build_application
 
 
 class TestSetAssociativeCache:
@@ -79,6 +82,24 @@ class TestHitRateCurve:
             HitRateCurve(1e6, 1.4, 1e6)
         with pytest.raises(ConfigError):
             HitRateCurve(1e6, 0.6, 1e6, peak_hit_rate=0.5)
+
+    def test_equality_is_by_value(self):
+        curve = HitRateCurve(3e6, 0.4, working_set=50e6, alpha=0.15)
+        same = HitRateCurve(3e6, 0.4, working_set=50e6, alpha=0.15)
+        assert curve == same and hash(curve) == hash(same)
+        assert curve != HitRateCurve(3e6, 0.4, working_set=50e6, alpha=0.2)
+        assert curve != HitRateCurve(3e6, 0.4, working_set=40e6, alpha=0.15)
+
+    def test_catalog_kernels_survive_pickling(self):
+        """Every kernel a Table 2 benchmark builds equals, and hashes as,
+        its pickled copy (the copy a pool worker sees)."""
+        kernels = [kernel for spec in TABLE2
+                   for kernel in build_application(spec.abbr).kernels]
+        assert kernels and all(k.hit_curve is not None for k in kernels)
+        for kernel in kernels:
+            copy = pickle.loads(pickle.dumps(kernel))
+            assert copy == kernel, kernel.name
+            assert hash(copy) == hash(kernel), kernel.name
 
 
 class TestCrossbarNoC:

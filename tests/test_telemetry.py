@@ -1,10 +1,9 @@
 """Tests for the telemetry layer (repro.telemetry): registry semantics,
-exposition round-trips, CSV series, the scrape server, provenance, and
-the trace->metrics bridge against live instrumentation."""
+exposition round-trips, CSV series, provenance, and the trace->metrics
+bridge against live instrumentation."""
 
 import json
 import math
-import urllib.request
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.obs import Obs
 from repro.telemetry import (
     CYCLE_BUCKETS,
     MetricsRegistry,
-    MetricsServer,
     collect_provenance,
     parse_prometheus,
     read_provenance,
@@ -248,19 +246,6 @@ class TestCsvSeries:
         assert read_provenance(path)["policy"] == "test"
 
 
-class TestMetricsServer:
-    def test_scrape_endpoint_serves_exposition(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_hits_total").inc(3)
-        with MetricsServer(reg, port=0) as server:
-            with urllib.request.urlopen(server.url, timeout=5) as response:
-                assert response.status == 200
-                assert "0.0.4" in response.headers["Content-Type"]
-                body = response.read().decode("utf-8")
-        parsed = parse_prometheus(body)
-        assert parsed["samples"][("repro_hits_total", ())] == 3.0
-
-
 class TestProvenance:
     def test_collect_has_required_keys(self):
         info = collect_provenance(None, policy="ugpu")
@@ -274,14 +259,6 @@ class TestProvenance:
 
         assert config_hash({"a": 1}) == config_hash({"a": 1})
         assert config_hash({"a": 1}) != config_hash({"a": 2})
-
-    def test_open_system_result_carries_provenance(self):
-        schedule = poisson_arrivals(mean_interarrival_cycles=2_000_000,
-                                    horizon_cycles=6_000_000, seed=1)
-        system = resolve_policy("ugpu")([], arrivals=schedule)
-        result = system.run(6_000_000)
-        assert result.provenance["policy"].lower() == "ugpu"
-        assert "git_sha" in result.provenance
 
 
 class TestSummarySatellites:
@@ -455,18 +432,6 @@ class TestDefaultBuckets:
 
 
 class TestObservabilitySatellites:
-    def test_server_port_in_use_raises_actionable_error(self):
-        from repro.errors import TelemetryError
-
-        reg = MetricsRegistry()
-        with MetricsServer(reg, port=0) as server:
-            with pytest.raises(TelemetryError) as excinfo:
-                MetricsServer(reg, port=server.port)
-            message = str(excinfo.value)
-            assert str(server.port) in message
-            assert "already in use" in message
-            assert "--metrics-port" in message
-
     def test_read_series_tolerates_torn_rows(self, tmp_path):
         path = tmp_path / "torn.csv"
         path.write_text(

@@ -4,8 +4,7 @@
 Sweeps five slicing policies over a workload sample and renders the
 comparison as both a terminal table and a Markdown file — the same
 machinery EXPERIMENTS.md-style reports are built from.  The sweep fans
-out over every CPU core and memoizes results in a local cache directory,
-so a re-run reproduces the table from cache without re-simulating.
+out over every CPU core.
 
 Run:  python examples/full_report.py [output.md]
 """
@@ -14,7 +13,7 @@ import os
 import sys
 
 from repro.analysis import compare_policies, format_markdown, format_text
-from repro.exec import ResultCache, SweepExecutor
+from repro.exec import SweepExecutor
 from repro.workloads import heterogeneous_pairs
 
 
@@ -23,8 +22,7 @@ def main() -> None:
     # for the full Figure 10 sweep.
     workloads = heterogeneous_pairs()[::5]
 
-    # Registry names let the executor ship jobs to worker processes and
-    # memoize each result under a content-addressed key.
+    # Registry names let the executor ship jobs to worker processes.
     policies = {
         "BP": "bp",
         "MPS": "mps",
@@ -32,10 +30,7 @@ def main() -> None:
         "UGPU-Ori": "ugpu-ori",
         "UGPU": "ugpu",
     }
-    executor = SweepExecutor(
-        jobs=os.cpu_count() or 1,
-        cache=ResultCache(os.path.join(os.path.dirname(__file__), ".sweep_cache")),
-    )
+    executor = SweepExecutor(jobs=os.cpu_count() or 1)
     table, summaries = compare_policies(
         policies, workloads, baseline="BP", total_cycles=25_000_000,
         executor=executor,

@@ -28,10 +28,9 @@ paper-versus-measured record of every table and figure.
 
 from importlib import import_module
 
-# ``__version__`` is the one eager attribute: the exec job specs and the
-# fleet shard jobs fold it into their cache keys (``from repro import
-# __version__``), and ``pyproject.toml`` reads the distribution version
-# from here.
+# ``__version__`` is the one eager attribute: run provenance stamps it
+# (``from repro import __version__``), and ``pyproject.toml`` reads the
+# distribution version from here.
 __version__ = "2.0.0"
 
 
@@ -128,7 +127,6 @@ _EXPORTS = {
     "repro.trace.export": ("read_jsonl", "write_chrome_trace", "write_jsonl"),
     # Sweep execution engine
     "repro.exec.stats": ("ExecStats",),
-    "repro.exec.cache": ("ResultCache",),
     "repro.exec.executor": ("SweepExecutor",),
     "repro.exec.jobs": ("SweepJob",),
     "repro.exec.registry": ("register_policy", "registered_policies"),

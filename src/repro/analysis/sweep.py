@@ -1,12 +1,11 @@
 """Policy sweeps over workload lists, with paper-style summaries.
 
 Sweeps execute through :mod:`repro.exec`: pass ``jobs=N`` to fan the
-(policy × mix) simulations out over a process pool and ``cache=`` a
-:class:`~repro.exec.cache.ResultCache` to memoize results across calls.
-Policies may be given as registry names (``"bp"``, ``"ugpu"``, ...), as
-the registered factories themselves (e.g. :func:`repro.exec.registry.bp`),
-or as arbitrary callables — the latter fall back to in-process serial
-execution since they cannot cross a process boundary or be fingerprinted.
+(policy × mix) simulations out over a process pool.  Policies may be
+given as registry names (``"bp"``, ``"ugpu"``, ...), as the registered
+factories themselves (e.g. :func:`repro.exec.registry.bp`), or as
+arbitrary callables — the latter fall back to in-process serial
+execution since they cannot cross a process boundary.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.core.system import SystemResult
 from repro.errors import ConfigError
 from repro.exec import (
     ExecStats,
-    ResultCache,
     SweepExecutor,
     SweepJob,
     policy_name_of,
@@ -91,7 +89,7 @@ class PolicySweep:
     receiving a fresh application list per mix and returning a system
     with a ``run(total_cycles, mix_name=...)`` method.  Registry-known
     policies execute through :class:`~repro.exec.executor.SweepExecutor`
-    (honouring ``jobs``/``cache``); ad-hoc callables run serially
+    (honouring ``jobs``); ad-hoc callables run serially
     in-process.
     """
 
@@ -102,7 +100,6 @@ class PolicySweep:
         total_cycles: int = 25_000_000,
         factory_kwargs: Optional[Mapping[str, Any]] = None,
         jobs: int = 1,
-        cache: Optional[ResultCache] = None,
     ):
         if total_cycles <= 0:
             raise ConfigError("total_cycles must be positive")
@@ -110,7 +107,7 @@ class PolicySweep:
         self.factory = factory
         self.total_cycles = total_cycles
         self.factory_kwargs = dict(factory_kwargs or {})
-        self.executor = SweepExecutor(jobs=jobs, cache=cache)
+        self.executor = SweepExecutor(jobs=jobs)
         self.results: List[SystemResult] = []
 
     @property
@@ -155,7 +152,6 @@ def compare_policies(
     baseline: str = "BP",
     total_cycles: int = 25_000_000,
     jobs: int = 1,
-    cache: Optional[ResultCache] = None,
     executor: Optional[SweepExecutor] = None,
 ) -> Tuple[Table, Dict[str, SweepSummary]]:
     """Sweep several policies and build the comparison table.
@@ -164,13 +160,13 @@ def compare_policies(
     multi-policy comparison saturates the pool; ad-hoc callables run
     serially.  Pass an ``executor`` to observe :class:`ExecStats`
     afterwards (``executor.stats``); otherwise one is built from
-    ``jobs``/``cache``.  Returns the rendered-ready :class:`Table` plus
+    ``jobs``.  Returns the rendered-ready :class:`Table` plus
     the raw summaries.
     """
     if baseline not in policies:
         raise ConfigError(f"baseline {baseline!r} not among the policies")
     if executor is None:
-        executor = SweepExecutor(jobs=jobs, cache=cache)
+        executor = SweepExecutor(jobs=jobs)
 
     names = {display: _registry_name(spec) for display, spec in policies.items()}
     batched = [display for display, name in names.items() if name is not None]

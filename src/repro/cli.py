@@ -17,12 +17,10 @@ Usage (after ``pip install -e .``)::
     python -m repro diff runs/a runs/b            # run-vs-run comparison
 
 ``run`` and ``sweep`` execute through :mod:`repro.exec`: ``--jobs N``
-fans the independent simulations out over N worker processes, and
-results are memoized under ``--cache-dir`` (default
-``~/.cache/repro/sweeps`` or ``$REPRO_CACHE_DIR``) so repeated
-invocations cost near-zero; ``--no-cache`` forces fresh simulation.
-An ``ExecStats`` footer reports jobs run, cache hits, wall-clock and the
-kernel backend the jobs ran under.
+fans the independent simulations out over N worker processes.  Every
+invocation simulates every job, so a printed result always comes from
+the code that prints it.  An ``ExecStats`` footer reports jobs run,
+wall-clock and the kernel backend the jobs ran under.
 
 ``fleet`` scales the cluster extension to datacenter size: one seeded
 Poisson stream of jobs plays against every requested placement policy
@@ -31,7 +29,7 @@ over the same fleet of nodes, with node execution sharded across the
 run — the ExecStats footer goes to stderr so stdout can be diffed).
 ``fleet --health`` attaches the
 :class:`~repro.cluster.health.FleetHealthMonitor` and prints its
-per-placement verdict (stragglers, wait-queue stalls, cache collapse).
+per-placement verdict (stragglers, wait-queue stalls).
 
 ``run``, ``sweep``, ``arrivals`` and ``fleet`` accept
 ``--kernel-backend {scalar,numpy}``: the pure-python scalar oracle (the
@@ -50,7 +48,7 @@ a *run bundle* behind a schema-versioned ``manifest.json``
 inspect BUNDLE`` loads a bundle (:mod:`repro.inspect`) and prints the
 trace summary (epochs, migration stall, faults, reallocations, QoS
 interventions), typed findings — critical path, stragglers, wait-queue
-dynamics, phase rollups, cache effectiveness — and the hot-phase table;
+dynamics, phase rollups — and the hot-phase table;
 ``repro diff A B`` separates determinism drift (results, deterministic
 counters, artifact meta counts — required zero between identical-seed
 runs, whatever the kernel backend) from expected timing deltas and
@@ -77,12 +75,7 @@ from typing import List, Optional, Sequence
 
 from repro import MultitaskSystem, QoSTarget, TABLE2, build_mix
 from repro.cluster import PlacementPolicy
-from repro.exec import (
-    ResultCache,
-    SweepExecutor,
-    SweepJob,
-    registered_policies,
-)
+from repro.exec import SweepExecutor, SweepJob, registered_policies
 from repro.fastpath import (
     KERNEL_BACKENDS,
     resolve_kernel_backend,
@@ -91,12 +84,6 @@ from repro.fastpath import (
 from repro.obs import OFF, Obs
 from repro.policies import BPPolicy, MPSPolicy, UGPUPolicy
 from repro.workloads import heterogeneous_pairs, poisson_arrivals
-
-
-def default_cache_dir() -> str:
-    return os.environ.get("REPRO_CACHE_DIR") or os.path.join(
-        os.path.expanduser("~"), ".cache", "repro", "sweeps"
-    )
 
 
 def _positive_int(text: str) -> int:
@@ -119,20 +106,14 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="worker processes for the sweep executor "
                              "(default: 1, in-process)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="result-cache directory (default: "
-                             "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache and re-simulate")
 
 
 def _job_kwargs(args) -> Optional[dict]:
     """Sweep-job kwargs implied by global flags.
 
     An explicit ``--kernel-backend`` travels with each job so worker
-    processes honor it and the result cache keys the two backends apart;
-    the default (resolved in each process) adds nothing, keeping
-    pre-existing cache entries valid.
+    processes honor it; the default (resolved in each process) adds
+    nothing.
     """
     backend = getattr(args, "kernel_backend", None)
     return {"kernel_backend": backend} if backend else None
@@ -232,7 +213,7 @@ def _parser() -> argparse.ArgumentParser:
                      help="comma-separated benchmark abbreviations, e.g. PVC,DXTC")
     run.add_argument("--policy", nargs="+", default=registered_policies(),
                      choices=registered_policies(), help="policies to compare")
-    run.add_argument("--cycles", type=int, default=25_000_000,
+    run.add_argument("--cycles", type=_positive_int, default=25_000_000,
                      help="simulation horizon in GPU cycles")
     _add_exec_flags(run)
     _add_metrics_flags(run)
@@ -242,7 +223,7 @@ def _parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run the 50 heterogeneous mixes")
     sweep.add_argument("--policies", nargs="+", default=["bp", "ugpu"],
                        choices=registered_policies())
-    sweep.add_argument("--cycles", type=int, default=25_000_000)
+    sweep.add_argument("--cycles", type=_positive_int, default=25_000_000)
     _add_exec_flags(sweep)
     _add_metrics_flags(sweep)
     _add_report_flags(sweep)
@@ -253,7 +234,7 @@ def _parser() -> argparse.ArgumentParser:
     qos.add_argument("--mix", default="PVC,DXTC")
     qos.add_argument("--target", type=float, default=0.75,
                      help="normalized-progress floor for the second app")
-    qos.add_argument("--cycles", type=int, default=25_000_000)
+    qos.add_argument("--cycles", type=_positive_int, default=25_000_000)
 
     arrivals = sub.add_parser(
         "arrivals",
@@ -266,7 +247,7 @@ def _parser() -> argparse.ArgumentParser:
     arrivals.add_argument("--mean-interarrival", type=_positive_int,
                           default=2_000_000, metavar="CYCLES",
                           help="mean inter-arrival time (default: 2M cycles)")
-    arrivals.add_argument("--cycles", type=int, default=25_000_000,
+    arrivals.add_argument("--cycles", type=_positive_int, default=25_000_000,
                           help="simulation horizon in GPU cycles")
     arrivals.add_argument("--max-slots", type=_positive_int, default=None,
                           help="concurrent-residency cap (default: what the "
@@ -299,7 +280,7 @@ def _parser() -> argparse.ArgumentParser:
                        default=150_000, metavar="CYCLES",
                        help="mean job inter-arrival time (default: 150k "
                             "cycles — a busy fleet)")
-    fleet.add_argument("--cycles", type=int, default=150_000_000,
+    fleet.add_argument("--cycles", type=_positive_int, default=150_000_000,
                        help="simulation horizon in GPU cycles")
     fleet.add_argument("--round-cycles", type=_positive_int,
                        default=2_500_000, metavar="CYCLES",
@@ -315,7 +296,7 @@ def _parser() -> argparse.ArgumentParser:
     fleet.add_argument("--health", action="store_true",
                        help="attach the fleet health monitor and print its "
                             "per-placement verdict (stragglers, wait-queue "
-                            "stalls, cache collapse)")
+                            "stalls)")
     _add_exec_flags(fleet)
     _add_metrics_flags(fleet)
     _add_report_flags(fleet)
@@ -345,7 +326,7 @@ def _parser() -> argparse.ArgumentParser:
     inspect_cmd = sub.add_parser(
         "inspect",
         help="analyze a --report-dir run bundle: typed findings (critical "
-             "path, stragglers, wait queue, cache) + hot phases")
+             "path, stragglers, wait queue) + hot phases")
     inspect_cmd.add_argument("bundle", metavar="DIR",
                              help="bundle directory written by --report-dir")
     inspect_cmd.add_argument("--html", default=None, metavar="FILE",
@@ -387,9 +368,7 @@ def cmd_run(args) -> int:
     obs, run_id, finish = _observe(
         args, "run", {"mix": "_".join(abbrs)}, mix="_".join(abbrs),
         policies="_".join(args.policy), cycles=args.cycles)
-    cache = None if args.no_cache else ResultCache(
-        args.cache_dir or default_cache_dir())
-    executor = SweepExecutor(jobs=args.jobs, cache=cache, obs=obs)
+    executor = SweepExecutor(jobs=args.jobs, obs=obs)
     jobs = [SweepJob.build(name, abbrs, args.cycles, kwargs=_job_kwargs(args))
             for name in args.policy]
     results = executor.run(jobs)
@@ -426,9 +405,7 @@ def cmd_sweep(args) -> int:
     obs, run_id, finish = _observe(
         args, "sweep", {}, policies="_".join(args.policies),
         cycles=args.cycles)
-    cache = None if args.no_cache else ResultCache(
-        args.cache_dir or default_cache_dir())
-    executor = SweepExecutor(jobs=args.jobs, cache=cache, obs=obs)
+    executor = SweepExecutor(jobs=args.jobs, obs=obs)
     jobs = [SweepJob.build(name, pair, args.cycles, kwargs=_job_kwargs(args))
             for name in args.policies for pair in pairs]
     results = executor.run(jobs)
@@ -564,7 +541,7 @@ def cmd_fleet(args) -> int:
     ``diff`` a serial run against a sharded one; the ExecStats footer
     goes to stderr.
     """
-    from repro.cluster import FleetShardResult, FleetSimulator
+    from repro.cluster import FleetSimulator
 
     schedule = poisson_arrivals(
         mean_interarrival_cycles=args.mean_interarrival,
@@ -582,19 +559,12 @@ def cmd_fleet(args) -> int:
         args, "fleet", {"slicing": args.slicing, "seed": str(args.seed)},
         seed=str(args.seed), nodes=args.nodes, slicing=args.slicing,
         cycles=args.cycles)
-    cache = None
-    if not args.no_cache:
-        # Fleet shards live in their own typed cache directory so the two
-        # payload kinds (SystemResult vs FleetShardResult) never collide.
-        base = args.cache_dir or default_cache_dir()
-        cache = ResultCache(os.path.join(base, "fleet"),
-                            result_types=(FleetShardResult,))
     print(f"{'policy':<18} {'STP':>8} {'ANTT':>8} {'q-delay':>12} "
           f"{'frag':>7} {'active':>7} {'adm':>6} {'dep':>6} {'mig':>5} "
           f"{'wait':>5}  energy(J)")
     health_reports = []
     placement_summaries = {}
-    with SweepExecutor(jobs=args.jobs, cache=cache, obs=obs) as executor:
+    with SweepExecutor(jobs=args.jobs, obs=obs) as executor:
         for name in args.placement:
             monitor = None
             if args.health:

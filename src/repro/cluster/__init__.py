@@ -38,7 +38,7 @@ _EXPORTS = {
     "repro.cluster.health": (
         "FleetHealthMonitor", "HealthIncident", "HealthReport",
     ),
-    "repro.cluster.shard": ("FleetShardJob", "FleetShardResult"),
+    "repro.cluster.shard": ("FleetShardJob",),
 }
 
 __all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

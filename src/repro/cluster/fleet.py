@@ -57,7 +57,6 @@ from repro.cluster.shard import (
     SLICING_MODES,
     SM_FLOOR,
     FleetShardJob,
-    FleetShardResult,
     _model_for,
     node_totals,
 )
@@ -192,7 +191,7 @@ class FleetSimulator:
     fresh simulator per run.  Everything is deterministic — placement
     orderings end in node ids, queues are FIFO, and node execution is a
     pure function of tenant state — so two runs of the same configuration
-    (serial, sharded, or cached) produce identical results.
+    (serial or sharded) produce identical results.
 
     ``executor`` runs the per-round shard jobs; pass one entered as a
     context manager (``with SweepExecutor(jobs=8) as ex:``) to reuse one
@@ -419,21 +418,17 @@ class FleetSimulator:
             )
             for i in range(0, len(node_rows), chunk)
         ]
-        results: List[FleetShardResult] = self.executor.run(
-            jobs, obs=self.obs
-        )
+        shard_outcomes = self.executor.run(jobs, obs=self.obs)
         self._shard_runs += len(jobs)
         # Worker trace timestamps are round-relative cycles; re-anchoring
         # at the round's start cycle puts node-physics spans on the same
-        # timeline as the orchestrator's ``fleet`` events.  The shift
-        # never enters the shard cache key (like ``label``), so cached
-        # envelopes replay correctly at whatever round they hit.
+        # timeline as the orchestrator's ``fleet`` events.
         self.obs.absorb(
             self.executor.last_envelopes, prefix=("fleet.execute",),
             shard_prefix=f"r{round_index}.s", time_shift=float(now),
             run_id=self.run_id,
         )
-        return [node_out for result in results for node_out in result.nodes]
+        return [node_out for rows in shard_outcomes for node_out in rows]
 
     def _merge(self, outcomes, records_by_id: Dict[int, _JobRecord],
                now: int, span: int) -> int:
@@ -640,14 +635,11 @@ class FleetSimulator:
                 obs.epoch_boundary(rounds - 1, now)
 
             if self.health is not None and executed:
-                stats = self.executor.last_stats
                 self.health.observe_round(
                     rounds - 1,
                     now=now,
-                    job_seconds=tuple(stats.job_seconds),
+                    job_seconds=tuple(self.executor.last_stats.job_seconds),
                     wait_depth=len(wait),
-                    cache_hits=stats.cache_hits,
-                    cache_lookups=stats.jobs_total,
                 )
 
         energy = None

@@ -6,10 +6,9 @@ own tenants — so the coordinator partitions the active nodes into
 *shards* and runs them through the :class:`~repro.exec.SweepExecutor`
 exactly like sweep jobs.  Because the physics of one node never depends
 on which shard it landed in, a sharded round is byte-identical to the
-serial one; because a :class:`FleetShardJob` is a pure function of its
-spec (plain integers and strings, no live objects), it is content-
-addressable and the executor's :class:`~repro.exec.cache.ResultCache`
-can memoize whole shards across rounds and runs.
+serial one.  A :class:`FleetShardJob` is a pure function of its fields
+(plain integers and strings, no live objects), and a shard returns a
+tuple of node outcome rows in shard order.
 
 Shards ship plain rows.  Everything per node and per tenant crosses the
 process boundary as a tuple of ints, floats, strings, bools and None:
@@ -61,15 +60,12 @@ results are identical under both kernel backends by construction.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import __version__
 from repro.errors import ConfigError
-from repro.exec.keys import fingerprint
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import Kernel
 from repro.gpu.performance import PerformanceModel
@@ -90,18 +86,6 @@ TenantRow = Tuple[int, str, int, int, Optional[int], float]
 NodeRow = Tuple[int, Tuple[TenantRow, ...]]
 OutcomeRow = Tuple[int, int, float, int, int, Optional[int], bool, int]
 NodeOutcomeRow = Tuple[int, Tuple[OutcomeRow, ...]]
-
-
-@dataclass(frozen=True)
-class FleetShardResult:
-    """Outcome of one shard: node outcome rows in shard order.
-
-    A class rather than a row because a typed
-    :class:`~repro.exec.cache.ResultCache` tells fleet entries from
-    sweep entries by it.
-    """
-
-    nodes: Tuple[NodeOutcomeRow, ...]
 
 
 def node_totals(rows: Sequence[OutcomeRow]) -> Tuple[int, float]:
@@ -256,11 +240,8 @@ class FleetShardJob:
     """One round of execution for a shard of nodes, ready to ship.
 
     ``nodes`` holds one node row per node (layouts in the module
-    docstring).  The cache key covers only what determines the physics
-    — slicing mode, round span, kernel size, GPU config and the node
-    rows — so identical node states hit the cache across rounds and
-    runs.  ``label`` is a display string for trace/stats output and is
-    excluded from the key.
+    docstring).  ``label`` is a display string for trace/stats output;
+    the physics never reads it.
     """
 
     nodes: Tuple[NodeRow, ...]
@@ -294,19 +275,7 @@ class FleetShardJob:
     def total_cycles(self) -> int:
         return self.round_cycles
 
-    def spec(self) -> str:
-        """Canonical text the cache key hashes (version-qualified)."""
-        return (
-            f"repro=={__version__};fleet-shard;slicing={self.slicing};"
-            f"cycles={self.round_cycles};ipk={self.instructions_per_kernel};"
-            f"config={fingerprint(self.config)};"
-            f"nodes={fingerprint(self.nodes)}"
-        )
-
-    def key(self) -> str:
-        return hashlib.sha256(self.spec().encode("utf-8")).hexdigest()
-
-    def run(self, obs: Obs = OFF) -> FleetShardResult:
+    def run(self, obs: Obs = OFF) -> Tuple[NodeOutcomeRow, ...]:
         """Execute every node in the shard (worker-side entry point).
 
         The physics path is untouched — :func:`_run_node` stays pure;
@@ -320,9 +289,7 @@ class FleetShardJob:
         """
         model = _model_for(self.config)
         if not obs.on:
-            return FleetShardResult(nodes=tuple(
-                _run_node(self, model, node) for node in self.nodes
-            ))
+            return tuple(_run_node(self, model, node) for node in self.nodes)
         obs.declare("node")
         outcomes = []
         span = float(self.round_cycles)
@@ -354,7 +321,7 @@ class FleetShardJob:
                     retired=retired,
                     departed=departed,
                 )
-        return FleetShardResult(nodes=tuple(outcomes))
+        return tuple(outcomes)
 
 
 def _run_node(job: FleetShardJob, model: PerformanceModel,

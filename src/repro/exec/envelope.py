@@ -1,16 +1,16 @@
 """The picklable job envelope: a job's result plus its worker capture.
 
 Since the sweep executor went multi-process, everything that actually
-runs — node physics, kernel advancement, cache behaviour — happens in
-pool workers that cannot share the orchestrator's sinks.  Every job
-therefore comes back from :func:`repro.obs.run_job` as a
-:class:`JobEnvelope`: the result, its wall seconds, the worker's OS pid,
-a stable per-process :func:`worker_token`, and an :class:`ObsSnapshot`
-of what the job observed — plain tuples, dicts and dataclasses,
-picklable and cache-compatible.  The snapshot is empty unless the
-run's :class:`~repro.obs.Obs` handle captures
-(:attr:`~repro.obs.Obs.captures`); :meth:`repro.obs.Obs.absorb` folds
-a run's envelopes back into the orchestrator's sinks.
+runs — node physics, kernel advancement — happens in pool workers that
+cannot share the orchestrator's sinks.  Every job therefore comes back
+from :func:`repro.obs.run_job` as a :class:`JobEnvelope`: the result,
+its wall seconds, the worker's OS pid, a stable per-process
+:func:`worker_token`, and an :class:`ObsSnapshot` of what the job
+observed — plain tuples, dicts and dataclasses, so the envelope
+pickles.  The snapshot is empty unless the run's :class:`~repro.obs.Obs`
+handle captures (:attr:`~repro.obs.Obs.captures`);
+:meth:`repro.obs.Obs.absorb` folds a run's envelopes back into the
+orchestrator's sinks.
 
 The worker token exists because the OS recycles pids: two different
 worker processes across rounds may share a pid, and keying trace tracks
@@ -69,4 +69,3 @@ class JobEnvelope:
     pid: int
     worker: str
     obs: ObsSnapshot = field(default_factory=ObsSnapshot)
-    cached: bool = False

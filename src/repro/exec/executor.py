@@ -1,4 +1,4 @@
-"""Parallel, memoizing sweep execution.
+"""Parallel sweep execution.
 
 :class:`SweepExecutor` turns a list of :class:`~repro.exec.jobs.SweepJob`
 specs into an *ordered* list of :class:`~repro.core.system.SystemResult`:
@@ -8,18 +8,19 @@ specs into an *ordered* list of :class:`~repro.core.system.SystemResult`:
   runs;
 * ``jobs=1`` executes in-process — no pool, no pickling — keeping unit
   tests deterministic and debuggable;
-* ``jobs>1`` fans cache misses out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`;
-* an attached :class:`~repro.exec.cache.ResultCache` short-circuits any
-  job it has seen before and memoizes every fresh result.
+* ``jobs>1`` fans the jobs out over a
+  :class:`concurrent.futures.ProcessPoolExecutor`.
+
+Every job is executed on every :meth:`run`: a result always comes from
+the code that computes it.
 
 The executor keeps two stat records: ``last_stats`` for the most recent
 :meth:`run` and ``stats`` accumulated over the executor's lifetime (one
 multi-policy comparison issues several runs).
 
 The executor is generic over job types: anything picklable with
-``run(obs=...)``, ``key()``, and the display attributes ``policy`` /
-``mix_name`` / ``total_cycles`` / ``kwargs`` flows through — a
+``run(obs=...)`` and the display attributes ``policy`` / ``mix_name`` /
+``total_cycles`` / ``kwargs`` flows through — a
 :class:`~repro.exec.jobs.SweepJob` or a fleet
 :class:`~repro.cluster.shard.FleetShardJob`.
 
@@ -27,7 +28,7 @@ By default each ``jobs>1`` :meth:`run` spins up a fresh process pool.
 Callers that issue *many* small runs (the fleet simulator executes one
 per scheduling round) should use the executor as a context manager::
 
-    with SweepExecutor(jobs=8, cache=cache) as executor:
+    with SweepExecutor(jobs=8) as executor:
         for round in rounds:
             executor.run(shards)        # one persistent pool throughout
 
@@ -39,11 +40,9 @@ Every executed job comes back as a
 When the run's :class:`~repro.obs.Obs` handle captures
 (:attr:`~repro.obs.Obs.captures`), each job also runs under a fresh
 bounded capture handle *inside the worker*, and its envelope carries
-the snapshot.  The executor keeps the envelopes —
-job-ordered, cache hits included — in :attr:`last_envelopes` for the
-handle's owner to fold back with :meth:`~repro.obs.Obs.absorb`.
-Captures ride along in the result cache, so a cache hit replays the
-original worker's events.
+the snapshot.  The executor keeps the envelopes, job-ordered, in
+:attr:`last_envelopes` for the handle's owner to fold back with
+:meth:`~repro.obs.Obs.absorb`.
 """
 
 from __future__ import annotations
@@ -53,41 +52,42 @@ from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.exec.envelope import JobEnvelope, ObsSnapshot
+from repro.exec.envelope import JobEnvelope
 from repro.exec.stats import ExecStats
 from repro.fastpath import resolve_kernel_backend
 from repro.obs import OFF, Obs, run_job
 
 if TYPE_CHECKING:
     from repro.core.system import SystemResult
-    from repro.exec.cache import ResultCache
     from repro.exec.jobs import SweepJob
 
 
 class SweepExecutor:
-    """Run sweep jobs over ``jobs`` worker processes with memoization."""
+    """Run sweep jobs over ``jobs`` worker processes."""
 
-    def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
+    def __init__(self, jobs: int = 1, cache: None = None,
                  obs: Obs = OFF) -> None:
         """``obs`` receives the executor's own observations: one
-        ``cache`` hit/miss event per job and one ``job`` span per
-        executed job; the rest of each run's :class:`ExecStats` via
-        :func:`repro.telemetry.fold_exec_stats` (registries never enter
-        job kwargs, which must remain picklable and fingerprint-stable);
-        and one info log summary per :meth:`run`.  The events are timed
-        in wall seconds since :meth:`run` began, so they reach the
-        handle's registry and logger but never its recorder: a trace
-        keeps one clock, GPU cycles."""
+        ``job`` span per executed job; the rest of each run's
+        :class:`ExecStats` via :func:`repro.telemetry.fold_exec_stats`
+        (registries never enter job kwargs, which must remain
+        picklable); and one info log summary per :meth:`run`.  The
+        events are timed in wall seconds since :meth:`run` began, so
+        they reach the handle's registry and logger but never its
+        recorder: a trace keeps one clock, GPU cycles."""
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
+        # ``cache`` exists only for bench/workloads.py's ``cache=None``.
+        if cache is not None:
+            raise ConfigError(
+                f"SweepExecutor has no result cache; cache must be None, "
+                f"got {cache!r}")
         self.jobs = jobs
-        self.cache = cache
         self.obs = obs
         self._own = Obs(registry=obs.registry, logger=obs.logger)
         self.stats = ExecStats(workers=jobs)
         self.last_stats = ExecStats(workers=jobs)
-        #: Per-job envelopes from the most recent run, job-ordered; cache
-        #: hits carry their memoized capture with ``cached=True``.
+        #: Per-job envelopes from the most recent run, job-ordered.
         self.last_envelopes: List[JobEnvelope] = []
         self._pool: Optional[ProcessPoolExecutor] = None
 
@@ -135,68 +135,22 @@ class SweepExecutor:
         envelopes: List[Optional[JobEnvelope]] = [None] * len(sweep_jobs)
         own = self._own
         if own.on:
-            own.declare("cache", "job")
+            own.declare("job")
 
-        pending: List[int] = []
-        evictions_before = self.cache.evictions if self.cache is not None else 0
-        schema_before = (
-            self.cache.schema_evictions if self.cache is not None else 0
-        )
-        for index, job in enumerate(sweep_jobs):
-            entry = None
-            if self.cache is not None:
-                entry = self.cache.get_envelope(job.key(),
-                                                require_obs=run_obs.captures)
-            if entry is not None:
-                origin = entry.get("origin") or (0, "")
-                envelopes[index] = JobEnvelope(
-                    result=entry["result"], seconds=0.0,
-                    pid=origin[0], worker=origin[1],
-                    obs=entry.get("obs") or ObsSnapshot(), cached=True,
-                )
-                stats.cache_hits += 1
-            else:
-                pending.append(index)
-            if own.on:
-                own.emit(
-                    "cache", "hit" if entry is not None else "miss",
-                    time=time.perf_counter() - start,
-                    policy=job.policy, mix=job.mix_name,
-                )
-
-        if pending and self.jobs == 1:
-            for index in pending:
-                envelopes[index] = run_job(sweep_jobs[index],
-                                           run_obs.captures)
-                self._finished(index, sweep_jobs[index], envelopes[index],
-                               stats, start)
-        elif pending:
+        if self.jobs == 1:
+            for index, job in enumerate(sweep_jobs):
+                envelopes[index] = run_job(job, run_obs.captures)
+                self._finished(index, job, envelopes[index], stats, start)
+        elif sweep_jobs:
             if self._pool is not None:
-                self._run_pool(self._pool, sweep_jobs, pending, envelopes,
-                               stats, start, run_obs)
+                self._run_pool(self._pool, sweep_jobs, envelopes, stats,
+                               start, run_obs)
             else:
-                workers = min(self.jobs, len(pending))
+                workers = min(self.jobs, len(sweep_jobs))
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    self._run_pool(pool, sweep_jobs, pending, envelopes,
-                                   stats, start, run_obs)
+                    self._run_pool(pool, sweep_jobs, envelopes, stats,
+                                   start, run_obs)
 
-        if self.cache is not None:
-            for index in pending:
-                envelope = envelopes[index]
-                if run_obs.captures:
-                    self.cache.put(
-                        sweep_jobs[index].key(), envelope.result,
-                        obs=envelope.obs,
-                        origin=(envelope.pid, envelope.worker),
-                    )
-                else:
-                    self.cache.put(sweep_jobs[index].key(), envelope.result)
-            stats.cache_evictions = self.cache.evictions - evictions_before
-            stats.cache_schema_evictions = (
-                self.cache.schema_evictions - schema_before
-            )
-
-        stats.jobs_run = len(pending)
         stats.wall_seconds = time.perf_counter() - start
         self.last_stats = stats
         self.last_envelopes = envelopes
@@ -204,20 +158,18 @@ class SweepExecutor:
         if own.on:
             own.fold_exec_stats(stats)
             own.info(
-                "exec.run", jobs=stats.jobs_total, run=stats.jobs_run,
-                cache_hits=stats.cache_hits, workers=stats.workers,
+                "exec.run", jobs=stats.jobs_total, workers=stats.workers,
                 wall_seconds=round(stats.wall_seconds, 6),
                 backend=stats.kernel_backend or None,
             )
         return [envelope.result for envelope in envelopes]
 
-    def _run_pool(self, pool: ProcessPoolExecutor, sweep_jobs, pending,
-                  envelopes, stats: ExecStats, start: float,
-                  run_obs: Obs) -> None:
-        """Fan ``pending`` out over ``pool``; fill ``envelopes`` in place."""
+    def _run_pool(self, pool: ProcessPoolExecutor, sweep_jobs, envelopes,
+                  stats: ExecStats, start: float, run_obs: Obs) -> None:
+        """Fan the jobs out over ``pool``; fill ``envelopes`` in place."""
         futures = {
-            pool.submit(run_job, sweep_jobs[index], run_obs.captures): index
-            for index in pending
+            pool.submit(run_job, job, run_obs.captures): index
+            for index, job in enumerate(sweep_jobs)
         }
         done, _ = wait(futures, return_when=FIRST_EXCEPTION)
         for future in done:

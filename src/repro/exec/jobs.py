@@ -1,31 +1,19 @@
-"""Picklable sweep-job specs and their content-addressed fingerprints.
+"""Picklable sweep-job specs.
 
 A :class:`SweepJob` is the unit of work of the sweep executor: one policy
 evaluated on one workload mix for one horizon.  It carries only plain data
 (policy *name*, benchmark abbreviations, cycles, keyword arguments), so it
 crosses process boundaries freely; the policy factory is resolved from
 :mod:`repro.exec.registry` inside the worker.
-
-``SweepJob.key()`` is a stable SHA-256 fingerprint of the full spec plus
-the package version — the content address under which
-:class:`~repro.exec.cache.ResultCache` memoizes the simulation's
-:class:`~repro.core.system.SystemResult`.  Fingerprints must not depend on
-object identity or dict ordering, so
-:func:`~repro.exec.keys.fingerprint` canonicalizes dataclasses, enums,
-mappings and plain objects recursively and refuses reprs that embed
-memory addresses.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
-from repro import __version__
 from repro.errors import ConfigError
-from repro.exec.keys import fingerprint
-from repro.exec.registry import canonical_policy_name, resolve_policy
+from repro.exec.registry import resolve_policy
 from repro.obs import OFF, Obs
 from repro.workloads.mixes import build_mix
 
@@ -77,18 +65,6 @@ class SweepJob:
 
     def kwargs_dict(self) -> Dict[str, Any]:
         return dict(self.kwargs)
-
-    def spec(self) -> str:
-        """The canonical text the cache key hashes (version-qualified)."""
-        kw = ",".join(f"{name}={fingerprint(val)}" for name, val in self.kwargs)
-        return (
-            f"repro=={__version__};policy={canonical_policy_name(self.policy)};"
-            f"mix={self.mix_name};cycles={self.total_cycles};kwargs=({kw})"
-        )
-
-    def key(self) -> str:
-        """Content address: stable SHA-256 hex digest of :meth:`spec`."""
-        return hashlib.sha256(self.spec().encode("utf-8")).hexdigest()
 
     def run(self, obs: Obs = OFF) -> SystemResult:
         """Simulate this job to completion (in the calling process).

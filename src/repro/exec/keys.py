@@ -1,11 +1,10 @@
 """Canonical, process-independent fingerprints of run configurations.
 
-:func:`fingerprint` is the content address behind every cache key and
-run correlation ID: :meth:`repro.exec.jobs.SweepJob.key`, the fleet's
-:meth:`~repro.cluster.shard.FleetShardJob.key` and
-:func:`repro.telemetry.provenance.config_hash`.  It imports nothing from
-the simulator, so a fleet run keys its shard jobs without loading the
-closed-system stack.
+:func:`fingerprint` is the canonical text behind every run correlation
+ID (:func:`repro.telemetry.provenance.config_hash`), so two processes
+that run the same configuration stamp the same ID.  It imports nothing
+from the simulator, so a fleet run hashes its configuration without
+loading the closed-system stack.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ def fingerprint(value: Any) -> str:
     ``GPUConfig``, and plain config objects such as ``EnergyModel`` whose
     ``__dict__`` holds the knobs).  Raises :class:`ConfigError` for values
     whose only description would embed a memory address, since those would
-    silently break cache reuse across runs.
+    give the same configuration a different ID in every process.
     """
     if value is None or isinstance(value, (bool, int, str, bytes)):
         return repr(value)

@@ -16,7 +16,7 @@ pieces:
   time;
 * :mod:`repro.inspect.analyzers` — :func:`analyze` runs the analyzer
   suite (critical path, stragglers, wait-queue dynamics, phase rollup,
-  cache effectiveness, evidence completeness) and emits typed
+  evidence completeness) and emits typed
   :class:`Finding` records with severity;
 * :mod:`repro.inspect.diff` — :func:`diff_bundles` compares two
   bundles: deterministic-metric divergence, ranked timing deltas,

@@ -12,7 +12,6 @@ Each analyzer answers one recurring post-mortem question:
   long did jobs wait between arrival and admission (cycles)?
 * *phase rollup* — do the profiler's parent/child cumulative times and
   the executor's job-seconds reconcile, or is attribution broken?
-* *cache effectiveness* — hit rate, evictions, schema invalidations.
 
 Every analyzer is defensive about missing artifacts: a bundle missing
 an artifact (a run that traced nothing writes no trace) still yields
@@ -337,51 +336,12 @@ def _analyze_phase_rollup(model: RunModel) -> List[Finding]:
     return findings
 
 
-def _analyze_cache(model: RunModel) -> List[Finding]:
-    stats = model.exec_stats
-    if stats is None or stats.jobs_total == 0:
-        return []
-    hit_rate = stats.cache_hits / stats.jobs_total
-    findings = [Finding(
-        severity="info",
-        category="cache",
-        title=f"cache effectiveness: {hit_rate:.1%} hit rate",
-        detail=(
-            f"{stats.cache_hits}/{stats.jobs_total} jobs served from "
-            f"cache; {stats.jobs_run} executed, "
-            f"{stats.cache_evictions} eviction(s)"
-        ),
-        data={
-            "jobs_total": stats.jobs_total,
-            "cache_hits": stats.cache_hits,
-            "jobs_run": stats.jobs_run,
-            "hit_rate": round(hit_rate, 6),
-            "evictions": stats.cache_evictions,
-            "schema_evictions": stats.cache_schema_evictions,
-        },
-    )]
-    if stats.cache_schema_evictions > 0:
-        findings.append(Finding(
-            severity="warning",
-            category="cache",
-            title="cache schema evictions",
-            detail=(
-                f"{stats.cache_schema_evictions} cached result(s) were "
-                "invalidated by a schema change — expect cold-start cost "
-                "until the cache repopulates"
-            ),
-            data={"schema_evictions": stats.cache_schema_evictions},
-        ))
-    return findings
-
-
 _ANALYZERS = (
     _analyze_evidence,
     _analyze_critical_path,
     _analyze_stragglers,
     _analyze_wait_queue,
     _analyze_phase_rollup,
-    _analyze_cache,
 )
 
 

@@ -8,7 +8,7 @@
   kernel backend; any delta is a determinism bug (the paper's
   scalar-vs-numpy oracle contract, applied post hoc).
 * **Metric divergence** — deterministic counters/gauges (event counts,
-  job totals, cache traffic).  Same contract as results; timing-derived
+  job totals).  Same contract as results; timing-derived
   families are excluded by name.
 * **Timing deltas** — wall-seconds metrics and histogram samples,
   ranked by relative change.  Expected to differ; the ranking says

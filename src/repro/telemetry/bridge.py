@@ -17,8 +17,8 @@ emitter declares its categories when it is built
 sample on, before its first event.  A family that no event touched
 exports from a live run only.
 
-:func:`fold_exec_stats` counts the sweep executor facts no event
-carries: jobs requested, cache evictions and wall seconds.
+:func:`fold_exec_stats` counts the one sweep executor fact no event
+carries: its wall seconds.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ DERIVED = {
                   names.pagemove_pages_total,
                   names.pagemove_window_cycles_total),
     "fault": (names.vm_faults_total, names.vm_fault_software_cycles_total),
-    "cache": (names.exec_cache_hits_total, names.exec_cache_misses_total),
     "job": (names.exec_jobs_run_total, names.exec_job_seconds),
     "fleet": (names.fleet_rounds_total, names.fleet_jobs_total,
               names.fleet_wait_queue_depth, names.fleet_resident_jobs,
@@ -120,11 +119,6 @@ def fold_event(registry: MetricsRegistry, category: str, name: str,
         names.vm_faults_total(registry).labels(kind=name).inc()
         names.vm_fault_software_cycles_total(registry).inc(
             args.get("software_cycles", 0))
-    elif category == "cache":
-        if name == "hit":
-            names.exec_cache_hits_total(registry).inc()
-        elif name == "miss":
-            names.exec_cache_misses_total(registry).inc()
     elif category == "job":
         names.exec_jobs_run_total(registry).inc()
         names.exec_job_seconds(registry).observe(duration)
@@ -197,11 +191,6 @@ def registry_from_trace(events: Sequence[TraceEvent],
 
 def fold_exec_stats(registry: MetricsRegistry, stats) -> MetricsRegistry:
     """Count what one :class:`~repro.exec.stats.ExecStats` holds beyond
-    the executor's ``cache`` and ``job`` events."""
-    names.exec_jobs_total(registry).inc(stats.jobs_total)
-    names.exec_cache_evictions_total(registry).inc(stats.cache_evictions)
-    names.exec_cache_schema_evictions_total(registry).inc(
-        getattr(stats, "cache_schema_evictions", 0)
-    )
+    the executor's ``job`` events: the run's wall seconds."""
     names.exec_wall_seconds_total(registry).inc(stats.wall_seconds)
     return registry

@@ -300,41 +300,13 @@ def fleet_energy_joules_total(reg: MetricsRegistry):
 
 
 # ----------------------------------------------------------------------- exec
-EXEC_JOBS_TOTAL = "repro_exec_jobs_total"
 EXEC_JOBS_RUN_TOTAL = "repro_exec_jobs_run_total"
-EXEC_CACHE_HITS_TOTAL = "repro_exec_cache_hits_total"
-EXEC_CACHE_MISSES_TOTAL = "repro_exec_cache_misses_total"
-EXEC_CACHE_EVICTIONS_TOTAL = "repro_exec_cache_evictions_total"
-EXEC_CACHE_SCHEMA_EVICTIONS_TOTAL = "repro_exec_cache_schema_evictions_total"
 EXEC_JOB_SECONDS = "repro_exec_job_seconds"
 EXEC_WALL_SECONDS_TOTAL = "repro_exec_wall_seconds_total"
 
 
-def exec_jobs_total(reg: MetricsRegistry):
-    return reg.counter(EXEC_JOBS_TOTAL, "Sweep jobs requested.")
-
-
 def exec_jobs_run_total(reg: MetricsRegistry):
-    return reg.counter(EXEC_JOBS_RUN_TOTAL, "Sweep jobs actually executed.")
-
-
-def exec_cache_hits_total(reg: MetricsRegistry):
-    return reg.counter(EXEC_CACHE_HITS_TOTAL, "Result-cache hits.")
-
-
-def exec_cache_misses_total(reg: MetricsRegistry):
-    return reg.counter(EXEC_CACHE_MISSES_TOTAL, "Result-cache misses.")
-
-
-def exec_cache_evictions_total(reg: MetricsRegistry):
-    return reg.counter(EXEC_CACHE_EVICTIONS_TOTAL, "Result-cache evictions.")
-
-
-def exec_cache_schema_evictions_total(reg: MetricsRegistry):
-    return reg.counter(
-        EXEC_CACHE_SCHEMA_EVICTIONS_TOTAL,
-        "Cache entries discarded because they predate the envelope schema.",
-    )
+    return reg.counter(EXEC_JOBS_RUN_TOTAL, "Sweep jobs executed.")
 
 
 def exec_job_seconds(reg: MetricsRegistry):
@@ -406,14 +378,12 @@ def worker_active_cycles_total(reg: MetricsRegistry):
 HEALTH_INCIDENTS_TOTAL = "repro_health_incidents_total"
 HEALTH_STRAGGLER_RATIO = "repro_health_straggler_ratio"
 HEALTH_WAIT_STALL_ROUNDS = "repro_health_wait_stall_rounds"
-HEALTH_CACHE_HIT_RATE = "repro_health_cache_hit_rate"
 
 
 def health_incidents_total(reg: MetricsRegistry):
     return reg.counter(
         HEALTH_INCIDENTS_TOTAL,
-        "Fleet health incidents by kind "
-        "(straggler / wait_stall / cache_collapse).",
+        "Fleet health incidents by kind (straggler / wait_stall).",
         labels=("kind",),
     )
 
@@ -429,13 +399,6 @@ def health_wait_stall_rounds(reg: MetricsRegistry):
     return reg.gauge(
         HEALTH_WAIT_STALL_ROUNDS,
         "Consecutive rounds of monotonically rising wait-queue depth.",
-    )
-
-
-def health_cache_hit_rate(reg: MetricsRegistry):
-    return reg.gauge(
-        HEALTH_CACHE_HIT_RATE,
-        "Windowed shard-cache hit rate observed by the health monitor.",
     )
 
 

@@ -6,9 +6,9 @@ months later nobody remembers which commit a ``series.csv`` came from.
 process — git SHA (plus a ``-dirty`` suffix when the tree has local
 edits), package version, Python version, platform — and
 :func:`config_hash` folds an arbitrary run configuration into a stable
-SHA-256 via the same canonical :func:`~repro.exec.keys.fingerprint` the
-result cache keys on.  Everything is failure-tolerant: outside a git
-checkout the SHA is simply ``"unknown"``.
+SHA-256 via the canonical :func:`~repro.exec.keys.fingerprint`.
+Everything is failure-tolerant: outside a git checkout the SHA is simply
+``"unknown"``.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ def config_hash(config: Any = None, **extra: Any) -> str:
     """A 16-hex-digit digest of a run configuration.
 
     Built on :func:`repro.exec.keys.fingerprint`, so two processes that
-    would hit the same sweep-cache entry also report the same hash.
-    Unfingerprintable values degrade to ``repr`` rather than failing a
-    run over its own attribution.
+    run the same configuration report the same hash.  Unfingerprintable
+    values degrade to ``repr`` rather than failing a run over its own
+    attribution.
     """
     parts = []
     for label, value in (("config", config), *sorted(extra.items())):

@@ -18,8 +18,8 @@ substrate every silent layer reports into, through its
   node physics (``node``) and health incidents (``health``).
 
 A run's trace keeps one clock, GPU cycles: the sweep executor's
-``cache`` and ``job`` events are timed in wall seconds, so they go to
-the registry and the log, never to a recorder.
+``job`` events are timed in wall seconds, so they go to the registry and
+the log, never to a recorder.
 
 Design constraints, in order:
 
@@ -58,7 +58,6 @@ class TraceCategory(str, enum.Enum):
     MIGRATION = "migration"  #: migration plans, windows and charges
     FAULT = "fault"          #: driver faults by kind (demand/lost/rebalance)
     QOS = "qos"              #: QoS enforcement interventions (Figure 16)
-    CACHE = "cache"          #: result-cache hits and misses (metrics, log)
     JOB = "job"              #: sweep-executor job spans (metrics, log)
     ARRIVAL = "arrival"      #: open-system job arrival (enters the queue)
     ADMISSION = "admission"  #: open-system job admitted to a slice

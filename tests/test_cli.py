@@ -148,7 +148,7 @@ class TestMetricsFlags:
     def _sweep_epochs(self, tmp_path, *extra):
         prom = tmp_path / "sweep.prom"
         assert main(["sweep", "--policies", "bp", "--cycles", "2000000",
-                     "--no-cache", "--metrics-out", str(prom), *extra]) == 0
+                     "--metrics-out", str(prom), *extra]) == 0
         from repro.telemetry import parse_prometheus
 
         samples = parse_prometheus(prom.read_text())["samples"]
@@ -175,7 +175,7 @@ class TestMetricsFlags:
     def _bundle_trace(self, tmp_path, capsys):
         bundle = tmp_path / "D"
         assert main(["run", "--mix", "PVC,DXTC", "--policy", "ugpu",
-                     "--cycles", "6000000", "--no-cache",
+                     "--cycles", "6000000",
                      "--report-dir", str(bundle)]) == 0
         capsys.readouterr()
         return str(bundle / "trace.jsonl")
@@ -204,7 +204,7 @@ class TestEvidenceFlags:
     and metrics snapshot."""
 
     RETIRED = ("--trace-out", "--log-jsonl", "--metrics-json",
-               "--metrics-port")
+               "--metrics-port", "--cache-dir", "--no-cache")
 
     @staticmethod
     def _subparsers():
@@ -231,7 +231,19 @@ class TestEvidenceFlags:
         flags = sum(1 for sub in subparsers.values()
                     for a in sub._actions
                     if a.option_strings and "-h" not in a.option_strings)
-        assert (len(subparsers), flags) == (10, 63)
+        assert (len(subparsers), flags) == (10, 57)
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--mix", "PVC,DXTC"], ["sweep"], ["qos"], ["arrivals"], ["fleet"],
+], ids=lambda command: command[0])
+def test_nonpositive_horizon_is_a_usage_error(command, capsys):
+    """``--cycles 0`` is refused by the parser, like ``--jobs 0``, not
+    by a traceback from inside the run."""
+    with pytest.raises(SystemExit) as exit_:
+        main(command + ["--cycles", "0"])
+    assert exit_.value.code == 2
+    assert "argument --cycles: must be >= 1" in capsys.readouterr().err
 
 
 class TestDocumentedCommands:

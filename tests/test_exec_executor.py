@@ -5,7 +5,7 @@ import pytest
 from repro import BPPolicy, MultitaskSystem
 from repro.analysis import PolicySweep, compare_policies
 from repro.errors import ConfigError
-from repro.exec import ResultCache, SweepExecutor, SweepJob
+from repro.exec import SweepExecutor, SweepJob
 from repro.exec.registry import bp, ugpu
 
 CYCLES = 2_000_000
@@ -21,6 +21,12 @@ class TestExecutor:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ConfigError):
             SweepExecutor(jobs=0)
+
+    def test_cache_keyword_accepts_only_none(self, tmp_path):
+        SweepExecutor(jobs=1, cache=None)
+        for cache in (tmp_path, str(tmp_path), False, {}):
+            with pytest.raises(ConfigError, match="no result cache"):
+                SweepExecutor(jobs=1, cache=cache)
 
     def test_serial_and_parallel_results_are_identical(self):
         batch = jobs_for()
@@ -40,43 +46,19 @@ class TestExecutor:
         executor = SweepExecutor(jobs=1)
         executor.run(jobs_for())
         stats = executor.last_stats
-        assert stats.jobs_total == stats.jobs_run == len(jobs_for())
-        assert stats.cache_hits == 0
-        assert len(stats.job_seconds) == stats.jobs_run
-        assert stats.p95_seconds >= stats.p50_seconds >= 0.0
+        assert stats.jobs_total == len(jobs_for())
+        assert len(stats.job_seconds) == stats.jobs_total
+        assert stats.p95_seconds >= stats.median_seconds >= 0.0
+
+    def test_every_run_executes_every_job(self):
+        executor = SweepExecutor(jobs=1)
+        first = executor.run(jobs_for())
+        assert executor.run(jobs_for()) == first
+        assert executor.last_stats.jobs_total == len(jobs_for())
+        assert len(executor.stats.job_seconds) == 2 * len(jobs_for())
 
     def test_empty_job_list(self):
         assert SweepExecutor(jobs=2).run([]) == []
-
-
-class TestExecutorCache:
-    def test_second_run_is_all_hits_and_identical(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        executor = SweepExecutor(jobs=1, cache=cache)
-        first = executor.run(jobs_for())
-        assert executor.last_stats.jobs_run == len(jobs_for())
-        second = executor.run(jobs_for())
-        assert second == first
-        assert executor.last_stats.jobs_run == 0
-        assert executor.last_stats.cache_hits == len(jobs_for())
-
-    def test_cache_shared_between_serial_and_parallel(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        serial = SweepExecutor(jobs=1, cache=cache).run(jobs_for())
-        parallel_exec = SweepExecutor(jobs=2, cache=cache)
-        parallel = parallel_exec.run(jobs_for())
-        assert parallel == serial
-        assert parallel_exec.last_stats.cache_hits == len(jobs_for())
-
-    def test_corrupted_entry_recomputed(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        executor = SweepExecutor(jobs=1, cache=cache)
-        first = executor.run(jobs_for())
-        cache.path_for(jobs_for()[0].key()).write_bytes(b"\x80garbage")
-        again = executor.run(jobs_for())
-        assert again == first
-        assert executor.last_stats.jobs_run == 1  # only the poisoned job
-        assert executor.last_stats.cache_hits == len(jobs_for()) - 1
 
 
 class TestSweepLayer:
@@ -110,20 +92,6 @@ class TestSweepLayer:
             assert serial[name].stp_values == parallel[name].stp_values
             assert serial[name].antt_values == parallel[name].antt_values
         assert table_s.rows == table_p.rows
-
-    def test_compare_policies_cached_rerun_is_zero_resimulation(self, tmp_path):
-        executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
-        policies = {"BP": "bp", "UGPU": "ugpu"}
-        _, first = compare_policies(policies, MIXES, total_cycles=CYCLES,
-                                    executor=executor)
-        jobs_first = executor.stats.jobs_run
-        assert jobs_first == len(policies) * len(MIXES)
-        _, second = compare_policies(policies, MIXES, total_cycles=CYCLES,
-                                     executor=executor)
-        assert executor.stats.jobs_run == jobs_first  # nothing re-simulated
-        assert executor.last_stats.cache_hits == len(policies) * len(MIXES)
-        for name in policies:
-            assert second[name].stp_values == first[name].stp_values
 
     def test_mismatched_gain_message_names_both_sweeps(self):
         a = PolicySweep("UGPU", "ugpu", total_cycles=CYCLES).run(MIXES)

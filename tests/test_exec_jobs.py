@@ -1,10 +1,6 @@
 """Tests for sweep-job specs, fingerprints, and the policy registry."""
 
-import pickle
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro import QoSTarget
 from repro.errors import ConfigError
@@ -19,7 +15,6 @@ from repro.exec import (
 )
 from repro.metrics import EnergyModel
 from repro.pagemove import MigrationMode
-from tests.strategies import DETERMINISM_SETTINGS
 
 
 class TestRegistry:
@@ -52,68 +47,6 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigError, match="already registered"):
             register_policy("bp", lambda apps: None)
-
-
-class TestJobKeyStability:
-    def test_same_spec_same_key(self):
-        a = SweepJob.build("bp", ("PVC", "DXTC"), 5_000_000)
-        b = SweepJob.build("bp", ("PVC", "DXTC"), 5_000_000)
-        assert a == b
-        assert a.key() == b.key()
-
-    def test_alias_and_case_share_a_key(self):
-        assert (SweepJob.build("BP", ("PVC",)).key()
-                == SweepJob.build("bp", ("PVC",)).key())
-        assert (SweepJob.build("CD", ("PVC",)).key()
-                == SweepJob.build("cd-search", ("PVC",)).key())
-
-    def test_changed_horizon_changes_key(self):
-        a = SweepJob.build("bp", ("PVC", "DXTC"), 5_000_000)
-        b = SweepJob.build("bp", ("PVC", "DXTC"), 5_000_001)
-        assert a.key() != b.key()
-
-    def test_changed_mix_or_policy_changes_key(self):
-        base = SweepJob.build("bp", ("PVC", "DXTC"))
-        assert base.key() != SweepJob.build("bp", ("DXTC", "PVC")).key()
-        assert base.key() != SweepJob.build("ugpu", ("PVC", "DXTC")).key()
-
-    def test_changed_kwargs_changes_key(self):
-        plain = SweepJob.build("ugpu", ("PVC", "DXTC"))
-        qos = SweepJob.build("ugpu", ("PVC", "DXTC"),
-                             kwargs={"qos": QoSTarget(app_id=1, target_np=0.75)})
-        qos2 = SweepJob.build("ugpu", ("PVC", "DXTC"),
-                              kwargs={"qos": QoSTarget(app_id=1, target_np=0.8)})
-        assert len({plain.key(), qos.key(), qos2.key()}) == 3
-
-    def test_kwarg_order_does_not_matter(self):
-        a = SweepJob.build("bp", ("PVC",), kwargs={"epoch_cycles": 1_000_000,
-                                                   "total_memory_bytes": 1 << 30})
-        b = SweepJob.build("bp", ("PVC",), kwargs={"total_memory_bytes": 1 << 30,
-                                                   "epoch_cycles": 1_000_000})
-        assert a.key() == b.key()
-
-    def test_key_survives_pickling(self):
-        job = SweepJob.build("ugpu-soft", ("PVC", "DXTC"), 5_000_000,
-                             kwargs={"epoch_cycles": 1_000_000})
-        clone = pickle.loads(pickle.dumps(job))
-        assert clone == job
-        assert clone.key() == job.key()
-
-    @DETERMINISM_SETTINGS
-    @given(
-        policy=st.sampled_from(["bp", "BP", "ugpu", "CD", "mps"]),
-        mix=st.lists(st.sampled_from(["PVC", "DXTC", "LBM", "CP", "MRI-Q"]),
-                     min_size=1, max_size=4),
-        cycles=st.integers(min_value=1, max_value=50_000_000),
-        epoch=st.integers(min_value=1_000, max_value=10_000_000),
-    )
-    def test_key_is_a_pure_function_of_the_spec(self, policy, mix, cycles, epoch):
-        kwargs = {"epoch_cycles": epoch}
-        a = SweepJob.build(policy, mix, cycles, kwargs)
-        b = SweepJob.build(policy, list(mix), cycles, dict(kwargs))
-        assert a.key() == b.key()
-        assert len(a.key()) == 64
-        assert " at 0x" not in a.spec()
 
 
 class TestFingerprint:

@@ -283,6 +283,6 @@ class TestBackendSurfacing:
         from repro.exec import SweepExecutor, SweepJob
 
         set_default_kernel_backend("scalar")
-        executor = SweepExecutor(jobs=1, cache=None)
+        executor = SweepExecutor(jobs=1)
         executor.run([SweepJob.build("bp", ["PVC", "DXTC"], 1_000_000)])
         assert executor.last_stats.kernel_backend == "scalar"

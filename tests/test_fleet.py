@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     FleetShardJob,
-    FleetShardResult,
     FleetSimulator,
     NodeView,
     PlacementIndex,
@@ -23,7 +22,7 @@ from repro.cluster import (
 )
 from repro.cluster.shard import advance_cursor, apportion, slice_node
 from repro.errors import ConfigError, SimulationError
-from repro.exec import ResultCache, SweepExecutor
+from repro.exec import SweepExecutor
 from repro.gpu import GPUConfig, PerformanceModel
 from repro.obs import Obs
 from repro.telemetry import MetricsRegistry
@@ -192,15 +191,6 @@ class TestShardJob:
         kwargs.setdefault("instructions_per_kernel", IPK)
         return FleetShardJob(nodes=nodes, round_cycles=ROUND, **kwargs)
 
-    def test_key_excludes_label(self):
-        row = self.node_row(0, "PVC", "DXTC")
-        a = self.shard(row, label="round3")
-        b = self.shard(row, label="round9")
-        assert a.key() == b.key()
-        assert a.key() != self.shard(row, slicing="mig").key()
-        assert a.key() != self.shard(
-            row, instructions_per_kernel=2 * IPK).key()
-
     def test_run_is_pure(self):
         job = self.shard(self.node_row(0, "PVC", "DXTC"))
         assert job.run() == job.run()
@@ -212,13 +202,13 @@ class TestShardJob:
         b = self.node_row(1, "LBM", "CP", "MRI-Q")
         together = self.shard(a, b).run()
         alone = [self.shard(n).run() for n in (a, b)]
-        assert together.nodes == (alone[0].nodes[0], alone[1].nodes[0])
+        assert together == (alone[0][0], alone[1][0])
 
     def test_budget_departure_mid_round(self):
         result = self.shard((0, ((7, "PVC", 0, 0, 1000, 1.0),))).run()
-        assert result.nodes[0][0] == 0
+        assert result[0][0] == 0
         (job_id, retired, _, _, _, remaining, departed,
-         active_cycles), = result.nodes[0][1]
+         active_cycles), = result[0][1]
         assert job_id == 7
         assert departed
         assert retired == 1000
@@ -262,7 +252,7 @@ class TestShardJob:
         """The cursor one short of the kernel end is valid, and the
         round resumes from it (PVC relaunches its one kernel)."""
         job = self.shard((0, ((7, "PVC", 0, IPK - 1, None, 1.0),)))
-        (_, retired, _, kernel_index, done, _, _, _), = job.run().nodes[0][1]
+        (_, retired, _, kernel_index, done, _, _, _), = job.run()[0][1]
         assert (kernel_index, done) == (0, (IPK - 1 + retired) % IPK)
 
     @STANDARD_SETTINGS
@@ -303,7 +293,8 @@ class TestShardJob:
 
     def test_wire_stays_flat(self):
         """Nodes and tenants ship as plain rows: pickling 64 nodes builds
-        exactly as many objects as pickling one."""
+        exactly as many objects as pickling one, and a shard's result is
+        rows only."""
         def job(nodes):
             return self.shard(*(
                 self.node_row(i, "PVC", "DXTC", "LBM", "CP")
@@ -312,21 +303,8 @@ class TestShardJob:
 
         one, many = job(1), job(64)
         assert self.object_opcodes(one) == self.object_opcodes(many)
-        assert (self.object_opcodes(one.run())
-                == self.object_opcodes(many.run()))
-
-    def test_cache_types_are_segregated(self, tmp_path):
-        job = self.shard(self.node_row(0, "PVC"))
-        result = job.run()
-        fleet_cache = ResultCache(tmp_path / "fleet",
-                                  result_types=(FleetShardResult,))
-        fleet_cache.put(job.key(), result)
-        assert fleet_cache.get(job.key()) == result
-        sweep_cache = ResultCache(tmp_path / "sweeps")
-        with pytest.raises(ConfigError, match="cache stores"):
-            sweep_cache.put(job.key(), result)
-        with pytest.raises(ConfigError, match="result_types"):
-            ResultCache(tmp_path / "bad", result_types=())
+        assert self.object_opcodes(one.run()) == 0
+        assert self.object_opcodes(many.run()) == 0
 
 
 class TestFleetSimulator:
@@ -336,24 +314,18 @@ class TestFleetSimulator:
         assert a.summary() == b.summary()
         assert a.runs == b.runs
 
-    def test_serial_vs_sharded_byte_identical(self, tmp_path):
+    def test_serial_vs_sharded_byte_identical(self):
         """The tentpole invariant: sharding node execution over worker
-        processes (with a persistent pool and a typed cache) must not
-        change a single result."""
+        processes (with a persistent pool) must not change a single
+        result."""
         serial = simulator(placement=PlacementPolicy.CONSOLIDATE).run()
-        cache = ResultCache(tmp_path / "fleet",
-                            result_types=(FleetShardResult,))
-        with SweepExecutor(jobs=2, cache=cache) as executor:
+        with SweepExecutor(jobs=2) as executor:
             sharded = simulator(placement=PlacementPolicy.CONSOLIDATE,
                                 executor=executor).run()
-            cached = simulator(placement=PlacementPolicy.CONSOLIDATE,
-                               executor=executor).run()
-        for result in (sharded, cached):
-            assert result.runs == serial.runs
-            assert result.summary() == serial.summary()
-            assert result.energy == serial.energy
-            assert result.migrated_bytes == serial.migrated_bytes
-        assert cache.hits > 0  # second run replayed from the cache
+        assert sharded.runs == serial.runs
+        assert sharded.summary() == serial.summary()
+        assert sharded.energy == serial.energy
+        assert sharded.migrated_bytes == serial.migrated_bytes
 
     @pytest.mark.parametrize("slicing", sorted(ENERGY_REPRS))
     def test_energy_matches_to_the_bit(self, slicing):

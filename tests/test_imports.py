@@ -18,7 +18,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Modules a fleet must run without: the closed-system stack, and any
 #: metrics server.
 CLOSED_SYSTEM = ("repro.core.system", "repro.policies", "repro.exec.registry",
-                 "repro.exec.cache", "repro.telemetry.server")
+                 "repro.telemetry.server")
 
 
 def _fresh(code: str):

@@ -19,6 +19,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigError
+from repro.exec import ExecStats
 from repro.inspect import (
     BUNDLE_SCHEMA,
     RunReporter,
@@ -39,8 +40,17 @@ FLEET_ARGS = [
     "fleet", "--nodes", "4", "--cycles", "10000000",
     "--mean-interarrival", "500000",
     "--instructions-per-kernel", "50000000",
-    "--placement", "first_fit", "--no-cache",
+    "--placement", "first_fit",
 ]
+
+#: ``exec_stats.json`` as bundles recorded while the sweep executor had
+#: a result cache wrote it: cache counters and a separate ``jobs_run``.
+CACHE_ERA_EXEC_STATS = {
+    "jobs_total": 10, "jobs_run": 6, "cache_hits": 4, "cache_evictions": 1,
+    "cache_schema_evictions": 2, "wall_seconds": 0.25, "workers": 2,
+    "job_seconds": [0.01, 0.02, 0.03, 0.01, 0.02, 0.04],
+    "kernel_backend": "scalar",
+}
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +162,6 @@ class TestAnalyzers:
         findings = analyze(model)
         categories = {f.category for f in findings}
         assert "critical_path" in categories
-        assert "cache" in categories
         assert "wait_queue" in categories
         for finding in findings:
             assert finding.severity in ("info", "warning")
@@ -379,6 +388,23 @@ class TestCli:
         assert main(["diff", str(bundle_pair[0]), str(mutated),
                      "--expect-identical"]) == 1
         assert "DIVERGED" in capsys.readouterr().out
+
+    def test_inspect_renders_a_cache_era_bundle(self, bundle_pair, tmp_path,
+                                                capsys):
+        """A bundle whose ``exec_stats.json`` still counts result-cache
+        traffic loads (the extra keys are ignored) and renders."""
+        old = tmp_path / "cache-era"
+        shutil.copytree(bundle_pair[0], old)
+        (old / "exec_stats.json").write_text(json.dumps(CACHE_ERA_EXEC_STATS))
+        stats = load_bundle(old).exec_stats
+        assert stats == ExecStats.from_dict(CACHE_ERA_EXEC_STATS)
+        assert stats.to_dict() == {
+            key: CACHE_ERA_EXEC_STATS[key]
+            for key in ("jobs_total", "wall_seconds", "workers",
+                        "job_seconds", "kernel_backend")
+        }
+        assert main(["inspect", str(old)]) == 0
+        assert "critical path" in capsys.readouterr().out
 
     def test_inspect_missing_bundle_raises_config_error(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -22,7 +22,7 @@ or process identity:
 * the ``repro_exec_wall_seconds_total`` and ``repro_exec_job_seconds``
   samples;
 * profile times (phase paths and call counts stay);
-* ``exec_stats.json``, except its job and cache counts.
+* ``exec_stats.json``, except its job count.
 
 ``--health`` is left out: its straggler detector reads wall times.
 ``examples/trace_timeline.py`` runs too, and its printed summary is
@@ -59,7 +59,7 @@ EXAMPLE = REPO / "examples" / "trace_timeline.py"
 RUNS = {
     "fleet": [
         "fleet", "--nodes", "4", "--cycles", "10000000",
-        "--instructions-per-kernel", "50000000", "--no-cache", "--jobs", "1",
+        "--instructions-per-kernel", "50000000", "--jobs", "1",
         "--metrics-out", "M", "--report-dir", "B",
     ],
     "arrivals": [
@@ -74,8 +74,7 @@ _OBSLOG_DROP = ("ts", "pid", "worker_pid", "worker", "wall_seconds",
 _JOB_WALL = ("now", "duration")
 _TRACE_ARG_DROP = ("pid", "worker")
 _WALL_FAMILIES = ("repro_exec_wall_seconds_total", "repro_exec_job_seconds")
-_EXEC_COUNTS = ("jobs_total", "jobs_run", "cache_hits", "cache_evictions",
-                "cache_schema_evictions")
+_EXEC_COUNTS = ("jobs_total",)
 
 
 def _dump(value) -> str:

@@ -14,21 +14,10 @@ import pickle
 
 import pytest
 
-from repro import __version__
 from repro.cluster import FleetHealthMonitor, FleetSimulator, PlacementPolicy
-from repro.cluster.health import (
-    KIND_CACHE_COLLAPSE,
-    KIND_STRAGGLER,
-    KIND_WAIT_STALL,
-)
+from repro.cluster.health import KIND_STRAGGLER, KIND_WAIT_STALL
 from repro.errors import ConfigError, TelemetryError
-from repro.exec import (
-    CACHE_SCHEMA,
-    ObsSnapshot,
-    ResultCache,
-    SweepExecutor,
-    SweepJob,
-)
+from repro.exec import ObsSnapshot, SweepExecutor, SweepJob
 from repro.obs import Obs, run_job
 from repro.obslog import (
     REQUIRED_FIELDS,
@@ -150,7 +139,7 @@ class TestWorkerCaptureRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Envelope pickling + cache schema compatibility (satellite b)
+# Envelope pickling + absorbing a run's envelopes
 # ----------------------------------------------------------------------
 class TestEnvelopeAndCache:
     def test_envelope_pickle_round_trip(self):
@@ -163,72 +152,6 @@ class TestEnvelopeAndCache:
         assert clone.obs.metrics == envelope.obs.metrics
         assert clone.obs.profile == envelope.obs.profile
         assert "worker.job" in clone.obs.profile
-
-    def test_cache_envelope_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        envelope = captured(SMALL_JOB)
-        cache.put(SMALL_JOB.key(), envelope.result, obs=envelope.obs,
-                  origin=(envelope.pid, envelope.worker))
-        payload = cache.get_envelope(SMALL_JOB.key(), require_obs=True)
-        assert payload["schema"] == CACHE_SCHEMA
-        assert payload["result"] == envelope.result
-        assert payload["obs"].events == envelope.obs.events
-        assert payload["origin"] == (envelope.pid, envelope.worker)
-        assert cache.hits == 1
-
-    def test_pre_schema_entry_is_a_schema_eviction_not_an_error(
-        self, tmp_path
-    ):
-        cache = ResultCache(tmp_path)
-        result = SMALL_JOB.run()
-        # A payload written before the envelope schema existed: valid
-        # version, valid result, but no "schema" key.
-        with open(cache.path_for(SMALL_JOB.key()), "wb") as handle:
-            pickle.dump(
-                {"version": __version__, "key": SMALL_JOB.key(),
-                 "result": result},
-                handle,
-            )
-        assert cache.get(SMALL_JOB.key()) is None
-        assert cache.misses == 1
-        assert cache.schema_evictions == 1
-        assert not cache.path_for(SMALL_JOB.key()).exists()
-
-    def test_require_obs_misses_without_discarding(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(SMALL_JOB.key(), SMALL_JOB.run())  # no capture
-        assert cache.get_envelope(SMALL_JOB.key(), require_obs=True) is None
-        assert cache.misses == 1
-        # The entry is still valid for result-only callers.
-        assert cache.get(SMALL_JOB.key()) is not None
-
-    def test_executor_replays_capture_from_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        first = SweepExecutor(cache=cache, obs=Obs(TraceRecorder()))
-        first.run([SMALL_JOB])
-        assert first.last_stats.jobs_run == 1
-        fresh = first.last_envelopes[0]
-        assert fresh is not None and not fresh.cached
-
-        second = SweepExecutor(cache=cache, obs=Obs(TraceRecorder()))
-        second.run([SMALL_JOB])
-        assert second.last_stats.cache_hits == 1
-        replayed = second.last_envelopes[0]
-        assert replayed.cached
-        assert replayed.obs.events == fresh.obs.events
-        assert (replayed.pid, replayed.worker) == (fresh.pid, fresh.worker)
-
-    def test_logger_only_run_hits_an_uncaptured_entry(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        SweepExecutor(cache=cache).run([SMALL_JOB])
-        log = ObsLogger(tmp_path / "exec.log.jsonl", run_id="r" * 16)
-        executor = SweepExecutor(cache=cache, obs=Obs(logger=log))
-        executor.run([SMALL_JOB])
-        log.close()
-        assert executor.last_stats.cache_hits == 1
-        assert executor.last_envelopes[0].obs == ObsSnapshot()
-        (record,) = read_obslog(tmp_path / "exec.log.jsonl")
-        assert record["event"] == "exec.run" and record["cache_hits"] == 1
 
     def test_merged_trace_count_equals_sum_of_parts(self):
         executor = SweepExecutor()
@@ -244,15 +167,6 @@ class TestEnvelopeAndCache:
         assert absorbed == expected == len(recorder.events())
         shard_ids = {e.args["shard_id"] for e in recorder.events()}
         assert shard_ids == {"job0", "job1"}
-
-    def test_schema_evictions_surface_in_exec_stats(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with open(cache.path_for(SMALL_JOB.key()), "wb") as handle:
-            pickle.dump({"version": __version__, "result": None}, handle)
-        executor = SweepExecutor(cache=cache)
-        executor.run([SMALL_JOB])
-        assert executor.last_stats.cache_schema_evictions == 1
-        assert "schema evictions 1" in executor.last_stats.format()
 
 
 # ----------------------------------------------------------------------
@@ -562,29 +476,6 @@ class TestHealthMonitor:
         for round_index, depth in enumerate((5, 4, 5, 4, 5, 4, 5)):
             assert monitor.observe_round(round_index, wait_depth=depth) == []
 
-    def test_cache_collapse_needs_an_established_baseline(self):
-        monitor = FleetHealthMonitor(cache_window=4)
-        # Hit rate is zero from the start: never a collapse, there was
-        # no baseline to fall from.
-        for round_index in range(12):
-            assert monitor.observe_round(
-                round_index, cache_hits=0, cache_lookups=4
-            ) == []
-
-    def test_cache_collapse_detection(self):
-        monitor = FleetHealthMonitor(cache_window=4)
-        incidents = []
-        for round_index in range(4):
-            incidents += monitor.observe_round(
-                round_index, cache_hits=4, cache_lookups=4
-            )
-        for round_index in range(4, 8):
-            incidents += monitor.observe_round(
-                round_index, cache_hits=0, cache_lookups=4
-            )
-        assert [i.kind for i in incidents] == [KIND_CACHE_COLLAPSE]
-        assert incidents[0].round_index == 7
-
     def test_report_format_and_counts(self):
         monitor = FleetHealthMonitor()
         monitor.observe_round(0, job_seconds=(0.1, 0.1, 0.1, 1.0))
@@ -619,7 +510,7 @@ class TestHealthMonitor:
         with pytest.raises(ConfigError):
             FleetHealthMonitor(stall_rounds=1)
         with pytest.raises(ConfigError):
-            FleetHealthMonitor(cache_floor=0.6, cache_baseline=0.5)
+            FleetHealthMonitor(straggler_min_seconds=-0.1)
 
     def test_fleet_attaches_monitor_and_reports(self):
         monitor = FleetHealthMonitor()

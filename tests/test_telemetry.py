@@ -281,9 +281,9 @@ class TestSummarySatellites:
         assert "RAW" not in summary.format()
 
 
-#: The executor's categories: timed in wall seconds, they never reach a
-#: trace, so their families come from the live run only.
-_WALL_CLOCK = ("cache", "job")
+#: The executor's category: timed in wall seconds, it never reaches a
+#: trace, so its families come from the live run only.
+_WALL_CLOCK = ("job",)
 
 #: Every family the event fold derives from a trace.
 _DERIVED = {family(MetricsRegistry()).name
@@ -454,7 +454,7 @@ class TestObservabilitySatellites:
     def test_exec_stats_min_median_max_and_split(self):
         from repro.exec.stats import ExecStats
 
-        stats = ExecStats(jobs_total=4, jobs_run=4, wall_seconds=1.0,
+        stats = ExecStats(jobs_total=4, wall_seconds=1.0,
                           job_seconds=[0.3, 0.1, 0.2, 0.2])
         assert stats.min_seconds == pytest.approx(0.1)
         assert stats.median_seconds == pytest.approx(0.2)
@@ -470,7 +470,7 @@ class TestObservabilitySatellites:
     def test_exec_stats_parallel_workers_clamp_orchestration(self):
         from repro.exec.stats import ExecStats
 
-        stats = ExecStats(jobs_total=2, jobs_run=2, wall_seconds=0.5,
+        stats = ExecStats(jobs_total=2, wall_seconds=0.5,
                           workers=4, job_seconds=[0.4, 0.4])
         assert stats.orchestration_seconds == 0.0
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro import build_mix
 from repro.errors import ConfigError
-from repro.exec import ResultCache, SweepExecutor, SweepJob
+from repro.exec import SweepExecutor, SweepJob
 from repro.exec.registry import bp, ugpu
 from repro.pagemove import (
     InterleavedPageMapping,
@@ -253,26 +253,26 @@ class TestComponentInstrumentation:
         assert execute_event.duration > 0
 
     def test_executor_cache_and_job_events(self, tmp_path):
-        """The executor's events are timed in wall seconds: they reach
-        the registry and the log, never the cycle-domain trace."""
+        """The executor's ``job`` events are timed in wall seconds: they
+        reach the registry and the log, never the cycle-domain trace.
+        Nothing is cached, so a repeated run executes its job again."""
         recorder, registry = TraceRecorder(), MetricsRegistry()
         log = ObsLogger(tmp_path / "exec.jsonl", run_id="r" * 16)
-        cache = ResultCache(tmp_path / "sweeps")
-        executor = SweepExecutor(jobs=1, cache=cache,
+        executor = SweepExecutor(jobs=1,
                                  obs=Obs(recorder, registry, logger=log))
         job = SweepJob.build("bp", ("PVC", "DXTC"), 2_000_000)
         executor.run([job])
         executor.run([job])
         log.close()
-        assert registry.value("repro_exec_cache_misses_total") == 1
-        assert registry.value("repro_exec_cache_hits_total") == 1
-        assert registry.value("repro_exec_jobs_run_total") == 1
-        (span,) = [r for r in read_obslog(tmp_path / "exec.jsonl")
-                   if r["event"] == "job.bp:PVC_DXTC"]
-        assert span["duration"] > 0
-        assert span["policy"] == "bp" and span["index"] == 0
-        assert "job_id" not in span
-        assert recorder.events("cache") == recorder.events("job") == []
+        assert registry.value("repro_exec_jobs_run_total") == 2
+        spans = [r for r in read_obslog(tmp_path / "exec.jsonl")
+                 if r["event"] == "job.bp:PVC_DXTC"]
+        assert len(spans) == 2
+        for span in spans:
+            assert span["duration"] > 0
+            assert span["policy"] == "bp" and span["index"] == 0
+            assert "job_id" not in span
+        assert recorder.events("job") == []
 
 
 _ABSORB_STAMPS = ("run_id", "shard_id", "pid", "worker")
@@ -290,7 +290,7 @@ class TestReportDirTrace:
     """One mix is traced with ``repro run --report-dir``."""
 
     RUN = ["run", "--mix", "PVC,DXTC", "--policy", "ugpu",
-           "--cycles", "5000000", "--no-cache"]
+           "--cycles", "5000000"]
 
     @pytest.fixture(scope="class")
     def bundle(self, tmp_path_factory):
@@ -330,14 +330,14 @@ class TestReportDirTrace:
         ) in out
 
     def test_sweep_trace_keeps_one_clock(self, tmp_path, capsys):
-        """The executor's wall-second ``job`` and ``cache`` events stay
-        off a sweep's trace, whose epochs are in cycles."""
+        """The executor's wall-second ``job`` events stay off a sweep's
+        trace, whose epochs are in cycles."""
         from repro.cli import main
 
         bundle = tmp_path / "sweep"
         assert main(["sweep", "--policies", "bp", "--cycles", "2000000",
-                     "--no-cache", "--report-dir", str(bundle)]) == 0
+                     "--report-dir", str(bundle)]) == 0
         events = read_jsonl(bundle / "trace.jsonl")
         categories = {e.category for e in events}
         assert "epoch" in categories
-        assert not categories & {"job", "cache"}
+        assert "job" not in categories

@@ -33,6 +33,11 @@ def page_offset(address: int, page_shift: int = PAGE_SHIFT) -> int:
         raise AddressError(f"address must be non-negative, got {address}")
     return address & ((1 << page_shift) - 1)
 
+def check_vpn(vpn: int) -> None:
+    """Raise :class:`AddressError` unless ``vpn`` is in ``[0, 2**VPN_BITS)``."""
+    if not 0 <= vpn < 1 << VPN_BITS:
+        raise AddressError(f"vpn {vpn:#x} outside the {VPN_BITS}-bit page-number space")
+
 def radix_indices(vpn: int) -> Tuple[int, int, int, int]:
     """The four radix indices of ``vpn`` for the 4-level page-table walk,
     root level first.
@@ -41,8 +46,7 @@ def radix_indices(vpn: int) -> Tuple[int, int, int, int]:
     ``LEVEL_BITS`` = 9 bits; a VPN outside ``[0, 2**VPN_BITS)`` raises
     :class:`AddressError`.
     """
-    if not 0 <= vpn < 1 << VPN_BITS:
-        raise AddressError(f"vpn {vpn:#x} outside the {VPN_BITS}-bit page-number space")
+    check_vpn(vpn)
     return vpn >> 27, (vpn >> 18) & 511, (vpn >> 9) & 511, vpn & 511
 
 

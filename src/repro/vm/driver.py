@@ -1,6 +1,6 @@
 """GPU driver model: physical page allocation and fault handling.
 
-The driver (Figure 9, Section 4.4) owns a free-physical-page list per
+The driver (Figure 9, Section 4.4) owns the free physical frames of each
 memory channel group, tracks how many pages each application has resident
 in each channel, and services three fault flavours:
 
@@ -19,8 +19,8 @@ Every fault charges the paper's 1000-cycle software processing delay
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.errors import AllocationError
 from repro.obs import OFF, Obs
@@ -75,7 +75,8 @@ class GPUDriver:
         ``obs`` (a :class:`repro.obs.Obs` handle) gets one ``fault``
         event per serviced fault, named by kind (its metrics count
         faults by kind and accumulate software fault-handling cycles),
-        and a ``vm.handle_fault`` host phase per serviced fault."""
+        and a ``vm.handle_fault`` host phase per fault, refused ones
+        included."""
         if mapping is not None:
             num_channel_groups = mapping.num_channel_groups
             pages_per_channel = min(pages_per_channel, mapping.pages_per_channel)
@@ -84,25 +85,20 @@ class GPUDriver:
         self.num_channel_groups = num_channel_groups
         self.pages_per_channel = pages_per_channel
         self.mapping = mapping
-        #: Free frame numbers per channel group, popped from the tail so
-        #: low frame numbers are handed out first.
-        if mapping is None:
-            # Contiguous layout: channel c owns [c*N, (c+1)*N).
-            self._free: List[List[int]] = [
-                list(range(c * pages_per_channel + pages_per_channel - 1,
-                           c * pages_per_channel - 1, -1))
-                for c in range(num_channel_groups)
-            ]
-        else:
-            self._free = []
-            for c in range(num_channel_groups):
-                frames = []
-                for rpn in mapping.frames_of_channel(c):
-                    frames.append(rpn)
-                    if len(frames) >= pages_per_channel:
-                        break
-                frames.reverse()
-                self._free.append(frames)
+        #: Per channel group: released frames, handed out again last in,
+        #: first out before any frame never handed out.
+        self._released: List[List[int]] = [[] for _ in range(num_channel_groups)]
+        #: Per channel group: the frames never handed out, lowest first
+        #: (the contiguous layout gives channel c ``[c*N, (c+1)*N)``).
+        self._unused: List[Iterator[int]] = [
+            iter(range(c * pages_per_channel, (c + 1) * pages_per_channel))
+            if mapping is None else iter(mapping.frames_of_channel(c))
+            for c in range(num_channel_groups)
+        ]
+        #: Free frames per channel group: released plus never handed out.
+        self._free: List[int] = [pages_per_channel] * num_channel_groups
+        #: frame -> the app it is allocated to.
+        self._owner: Dict[int, int] = {}
         #: app_id -> channels currently assigned to it.
         self._assigned: Dict[int, Set[int]] = {}
         #: app_id -> {channel: resident page count}.
@@ -161,7 +157,7 @@ class GPUDriver:
 
     def free_pages(self, channel: int) -> int:
         self._check_channel(channel)
-        return len(self._free[channel])
+        return self._free[channel]
 
     def resident_pages(self, app_id: int, channel: Optional[int] = None) -> int:
         self._check_app(app_id)
@@ -174,14 +170,7 @@ class GPUDriver:
         """The assigned channel with the fewest resident pages that still
         has free frames (the paper allocates from the least-used channel)."""
         self._check_app(app_id)
-        candidates = [
-            c for c in sorted(self._assigned[app_id]) if self._free[c]
-        ]
-        if not candidates:
-            raise AllocationError(
-                f"app {app_id}: no free frames in any assigned channel"
-            )
-        return min(candidates, key=lambda c: self._resident[app_id].get(c, 0))
+        return self._pick(app_id, None)
 
     # ------------------------------------------------------------------
     # Allocation primitives
@@ -189,31 +178,69 @@ class GPUDriver:
     def allocate_page(self, app_id: int, channel: Optional[int] = None) -> int:
         """Take one free frame for ``app_id``; returns the frame number."""
         self._check_app(app_id)
+        return self._take(app_id, self._pick(app_id, channel))
+
+    def release_page(self, app_id: int, rpn: int) -> None:
+        """Return a frame ``app_id`` holds to its channel's free frames;
+        a frame the app does not hold is refused with nothing changed."""
+        self._check_app(app_id)
+        self._release(app_id, rpn)
+
+    def _pick(self, app_id: int, channel: Optional[int]) -> int:
+        """The channel a new frame for ``app_id`` comes from.  A given
+        ``channel`` must be assigned to the app and have a free frame;
+        None picks the least-loaded assigned channel with a free frame,
+        ties going to the lowest channel."""
+        free = self._free
         if channel is None:
-            channel = self.least_loaded_channel(app_id)
+            resident = self._resident[app_id]
+            best = best_count = None
+            for candidate in self._assigned[app_id]:
+                if free[candidate]:
+                    count = resident[candidate]
+                    if (best is None or count < best_count
+                            or count == best_count and candidate < best):
+                        best, best_count = candidate, count
+            if best is None:
+                raise AllocationError(
+                    f"app {app_id}: no free frames in any assigned channel"
+                )
+            return best
         self._check_channel(channel)
         if channel not in self._assigned[app_id]:
             raise AllocationError(
                 f"channel {channel} is not assigned to app {app_id}"
             )
-        if not self._free[channel]:
+        if not free[channel]:
             raise AllocationError(f"channel {channel} has no free frames")
-        rpn = self._free[channel].pop()
-        counts = self._resident[app_id]
-        counts[channel] = counts.get(channel, 0) + 1
+        return channel
+
+    def _take(self, app_id: int, channel: int) -> int:
+        """Hand ``app_id`` a free frame of ``channel``, which must have
+        one: the last one released, else the lowest never handed out."""
+        released = self._released[channel]
+        rpn = released.pop() if released else next(self._unused[channel])
+        self._free[channel] -= 1
+        self._resident[app_id][channel] += 1
+        self._owner[rpn] = app_id
         return rpn
 
-    def release_page(self, app_id: int, rpn: int) -> None:
-        """Return a frame to its channel's free list."""
-        self._check_app(app_id)
+    def _release(self, app_id: int, rpn: int) -> int:
+        """Free frame ``rpn``, which ``app_id`` must hold; returns its
+        channel."""
         channel = self.channel_of_frame(rpn)
         counts = self._resident[app_id]
         if counts.get(channel, 0) <= 0:
             raise AllocationError(
                 f"app {app_id} has no resident pages in channel {channel}"
             )
+        if self._owner.get(rpn) != app_id:
+            raise AllocationError(f"app {app_id} does not hold frame {rpn}")
+        del self._owner[rpn]
         counts[channel] -= 1
-        self._free[channel].append(rpn)
+        self._free[channel] += 1
+        self._released[channel].append(rpn)
+        return channel
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -229,14 +256,29 @@ class GPUDriver:
         same way; one on a valid mapping raises :class:`AllocationError`
         before any state changes.  A fault whose new frame cannot be
         allocated raises with the old frame still mapped and resident.
+        The ``vm.handle_fault`` span closes however the fault ends.
         """
         obs = self.obs
-        if obs.on:
-            obs.begin("vm.handle_fault")
-        self._check_app(app_id)
-        table = self.page_tables[app_id]
-        source_channel = None
+        if not obs.on:
+            return self._service(kind, app_id, vpn, target_channel)
+        obs.begin("vm.handle_fault")
+        try:
+            fault = self._service(kind, app_id, vpn, target_channel)
+            obs.emit(
+                "fault", kind.value, app_id=app_id, vpn=vpn,
+                channel=fault.channel, source_channel=fault.source_channel,
+                software_cycles=fault.software_cycles,
+            )
+        finally:
+            obs.end("vm.handle_fault")
+        return fault
+
+    def _service(self, kind: FaultKind, app_id: int, vpn: int,
+                 target_channel: Optional[int]) -> PageFault:
+        """:meth:`handle_fault` without the instrumentation."""
+        table = self._check_app(app_id)
         old = table.lookup(vpn)
+        source_channel = None
         if kind is FaultKind.DEMAND:
             if old is not None and old.valid:
                 raise AllocationError(
@@ -249,37 +291,23 @@ class GPUDriver:
             )
         else:
             source_channel = old.channel
-        if old is not None:
-            self.release_page(app_id, old.rpn)
-        try:
-            rpn = self.allocate_page(app_id, target_channel)
-        except AllocationError:
-            if old is not None:
-                # Take the released frame back: a refused fault changes
-                # nothing, and the table still maps vpn to that frame.
-                old_channel = self.channel_of_frame(old.rpn)
-                self._free[old_channel].pop()
-                self._resident[app_id][old_channel] += 1
-            raise
-        channel = self.channel_of_frame(rpn)
+        if old is None:
+            channel = self._pick(app_id, target_channel)
+        else:
+            # Release first: the old frame's channel then counts it free
+            # and not resident when the new frame's channel is picked.
+            old_channel = self._release(app_id, old.rpn)
+            try:
+                channel = self._pick(app_id, target_channel)
+            except AllocationError:
+                # Take the released frame back (last in, first out): a
+                # refused fault changes nothing.
+                self._take(app_id, old_channel)
+                raise
+        rpn = self._take(app_id, channel)
         table.map(vpn, rpn, channel)
-        fault = PageFault(
-            kind=kind,
-            app_id=app_id,
-            vpn=vpn,
-            rpn=rpn,
-            channel=channel,
-            source_channel=source_channel,
-        )
         self.faults += 1
-        if obs.on:
-            obs.emit(
-                "fault", kind.value, app_id=app_id, vpn=vpn,
-                channel=channel, source_channel=source_channel,
-                software_cycles=fault.software_cycles,
-            )
-            obs.end("vm.handle_fault")
-        return fault
+        return PageFault(kind, app_id, vpn, rpn, channel, source_channel)
 
     def is_balanced(self, app_id: int, tolerance: int = 1) -> bool:
         """True when resident page counts across the app's channels differ
@@ -294,9 +322,12 @@ class GPUDriver:
     # ------------------------------------------------------------------
     # Internal checks
     # ------------------------------------------------------------------
-    def _check_app(self, app_id: int) -> None:
-        if app_id not in self.page_tables:
+    def _check_app(self, app_id: int) -> PageTable:
+        """The app's page table; raises if the app is not registered."""
+        table = self.page_tables.get(app_id)
+        if table is None:
             raise AllocationError(f"app {app_id} is not registered")
+        return table
 
     def _check_channel(self, channel: int) -> None:
         if not 0 <= channel < self.num_channel_groups:

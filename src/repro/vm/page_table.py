@@ -5,18 +5,25 @@ CR3 roots).  The table maps 36-bit VPNs to physical page numbers (RPNs in
 the paper's terminology) plus the memory channel group holding the page —
 the attribute PageMove's fault handling inspects (Section 4.4).
 
-The structure is an explicit radix tree rather than a flat dict so the
-page-table walker can charge a realistic number of memory references per
-walk (one per level, minus MMU-cache hits).
+The leaves sit in one flat ``vpn -> entry`` dict, so a translation costs
+one lookup.  The radix structure is kept as the set of interior-node
+prefixes of each level, which is all the page-table walker needs to
+charge a realistic number of memory references per walk (one per level
+touched, minus MMU-cache hits).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.errors import TranslationError
-from repro.vm.address import LEVEL_BITS, LEVELS, radix_indices
+from repro.vm.address import LEVEL_BITS, LEVELS, check_vpn
+
+#: Right shift giving a VPN's node prefix at each interior level, root
+#: level first: a walk goes below level ``d`` only where the level-``d``
+#: prefix ``vpn >> _PREFIX_SHIFTS[d - 1]`` is present.
+_PREFIX_SHIFTS = tuple(LEVEL_BITS * (LEVELS - level) for level in range(1, LEVELS))
 
 
 @dataclass
@@ -45,55 +52,55 @@ class PageTableEntry:
 class PageTable:
     """A 4-level page table for one application address space.
 
-    Interior radix nodes are plain dicts keyed by the 9-bit index of their
-    level; the level-4 dicts hold the :class:`PageTableEntry` leaves.
-    Beside the tree, the table keeps a per-channel index of its *valid*
-    entries (``channel -> {vpn: entry}``), so the planner's per-channel
-    queries cost the pages of that channel, not the whole tree.  The
-    index follows :meth:`map`, :meth:`unmap` and :meth:`invalidate`; an
-    entry's ``channel`` and ``valid`` fields must change only through
-    them.
+    The leaves are one ``vpn -> PageTableEntry`` dict.  Beside them the
+    table keeps, per interior level, the set of VPN prefixes that have a
+    node there (``vpn >> 27``, ``>> 18`` and ``>> 9``); :meth:`map` adds
+    them and nothing removes them, as a radix tree's interior nodes stay
+    allocated after their leaves go.  It also keeps a per-channel index
+    of its *valid* entries (``channel -> {vpn: entry}``), so the
+    planner's per-channel queries cost the pages of that channel, not the
+    whole table.  The index follows :meth:`map`, :meth:`unmap` and
+    :meth:`invalidate`; an entry's ``channel`` and ``valid`` fields must
+    change only through them.  Every method taking a VPN raises
+    :class:`~repro.errors.AddressError` for one outside the 36-bit space.
     """
 
     def __init__(self, app_id: int, cr3: Optional[int] = None) -> None:
         self.app_id = app_id
         #: Emulates the CR3 root-pointer register value for identification.
         self.cr3 = cr3 if cr3 is not None else (0x1000 + app_id)
-        self._root: dict = {}
-        self._count = 0
+        self._leaves: Dict[int, PageTableEntry] = {}
+        self._interior: Tuple[Set[int], ...] = tuple(set() for _ in _PREFIX_SHIFTS)
         self._by_channel: Dict[int, Dict[int, PageTableEntry]] = {}
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._leaves)
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def map(self, vpn: int, rpn: int, channel: int) -> PageTableEntry:
         """Install (or replace) the translation for ``vpn``."""
-        i0, i1, i2, leaf_index = radix_indices(vpn)
-        node = self._root
-        for index in (i0, i1, i2):
-            child = node.get(index)
-            if child is None:
-                child = node[index] = {}
-            node = child
-        old = node.get(leaf_index)
+        old = self._leaves.get(vpn)
         if old is None:
-            self._count += 1
+            check_vpn(vpn)
+            interior = self._interior
+            # Prefixes nest, so a present deepest one implies the rest.
+            if vpn >> LEVEL_BITS not in interior[-1]:
+                for shift, prefixes in zip(_PREFIX_SHIFTS, interior):
+                    prefixes.add(vpn >> shift)
         elif old.valid:
             del self._by_channel[old.channel][vpn]
-        entry = node[leaf_index] = PageTableEntry(rpn=rpn, channel=channel)
+        entry = self._leaves[vpn] = PageTableEntry(rpn, channel)
         self._by_channel.setdefault(channel, {})[vpn] = entry
         return entry
 
     def unmap(self, vpn: int) -> PageTableEntry:
         """Remove the translation for ``vpn``; return the removed entry."""
-        leaf, leaf_index = self._walk_to_leaf(vpn)
-        entry = leaf.pop(leaf_index, None)
+        entry = self._leaves.pop(vpn, None)
         if entry is None:
+            check_vpn(vpn)
             raise TranslationError(f"vpn {vpn:#x} is not mapped (app {self.app_id})")
-        self._count -= 1
         if entry.valid:
             del self._by_channel[entry.channel][vpn]
         return entry
@@ -113,8 +120,11 @@ class PageTable:
     # ------------------------------------------------------------------
     def lookup(self, vpn: int) -> Optional[PageTableEntry]:
         """Return the entry for ``vpn`` or None; does not touch status bits."""
-        leaf, leaf_index = self._walk_to_leaf(vpn)
-        return leaf.get(leaf_index)
+        entry = self._leaves.get(vpn)
+        if entry is None:
+            # map admits only in-range VPNs, so a hit needs no range check.
+            check_vpn(vpn)
+        return entry
 
     def translate(self, vpn: int) -> Optional[PageTableEntry]:
         """Lookup that also sets the referenced bit on a valid hit."""
@@ -127,14 +137,11 @@ class PageTable:
     def levels_touched(self, vpn: int) -> int:
         """How many radix levels a walk for ``vpn`` traverses before
         either finding the leaf or hitting a hole (for PTW latency)."""
-        i0, i1, i2, _ = radix_indices(vpn)
-        node = self._root
-        touched = 0
-        for index in (i0, i1, i2):
-            touched += 1
-            node = node.get(index)
-            if node is None:
-                return touched
+        check_vpn(vpn)
+        interior = zip(_PREFIX_SHIFTS, self._interior)
+        for level, (shift, prefixes) in enumerate(interior, 1):
+            if vpn >> shift not in prefixes:
+                return level
         return LEVELS
 
     # ------------------------------------------------------------------
@@ -142,18 +149,9 @@ class PageTable:
     # ------------------------------------------------------------------
     def entries(self) -> Iterator[Tuple[int, PageTableEntry]]:
         """Yield every (vpn, entry) pair, valid or not, in ascending VPN
-        order.  Walks the whole tree; per-channel queries use the index."""
-
-        def recurse(node: dict, prefix: int, depth: int):
-            for index in sorted(node):
-                child = node[index]
-                vpn_part = (prefix << LEVEL_BITS) | index
-                if depth == LEVELS:
-                    yield vpn_part, child
-                else:
-                    yield from recurse(child, vpn_part, depth + 1)
-
-        yield from recurse(self._root, 0, 1)
+        order.  Sorts the whole table; per-channel queries use the index."""
+        leaves = self._leaves
+        return ((vpn, leaves[vpn]) for vpn in sorted(leaves))
 
     def pages_in_channel(self, channel: int) -> Iterator[Tuple[int, PageTableEntry]]:
         """Yield the valid (vpn, entry) pairs whose physical page lives in
@@ -171,14 +169,3 @@ class PageTable:
             channel: len(bucket)
             for channel, bucket in sorted(self._by_channel.items()) if bucket
         }
-
-    def _walk_to_leaf(self, vpn: int) -> Tuple[dict, int]:
-        """The level-4 node holding ``vpn``'s leaf and the leaf's index;
-        an empty dict when the walk hits a hole."""
-        i0, i1, i2, leaf_index = radix_indices(vpn)
-        node = self._root
-        for index in (i0, i1, i2):
-            node = node.get(index)
-            if node is None:
-                return {}, leaf_index  # unmapped region
-        return node, leaf_index

@@ -46,6 +46,8 @@ class TLBStats:
 class TLBEntry:
     """One cached translation, tagged with the owning application."""
 
+    __slots__ = ("app_id", "vpn", "rpn", "channel")
+
     app_id: int
     vpn: int
     rpn: int
@@ -115,11 +117,12 @@ class TLB:
         ways = self._set_for(app_id, vpn)
         key = (app_id, vpn)
         victim = None
-        if key not in ways and len(ways) >= self.ways:
+        if key in ways:
+            ways.move_to_end(key)
+        elif len(ways) >= self.ways:
             _, victim = ways.popitem(last=False)
             self.stats.evictions += 1
-        ways[key] = TLBEntry(app_id=app_id, vpn=vpn, rpn=rpn, channel=channel)
-        ways.move_to_end(key)
+        ways[key] = TLBEntry(app_id, vpn, rpn, channel)
         self.stats.fills += 1
         return victim
 

@@ -269,7 +269,9 @@ class TestZeroOverheadContract:
         plan = engine.plan_channel_reallocation(0, [1, 2])
         engine.execute(plan)
         flat = {s.name: s for s in prof.flat()}
-        assert flat["vm.handle_fault"].calls >= 8
+        moved = len(plan.eager) + len(plan.lazy)
+        assert moved > 0
+        assert flat["vm.handle_fault"].calls == 8 + moved
         assert flat["pagemove.plan"].calls == 1
         assert flat["pagemove.execute"].calls == 1
         # Faults serviced during execute() nest under it.
@@ -277,6 +279,30 @@ class TestZeroOverheadContract:
         nested = [p for p in tree
                   if p[-1] == "vm.handle_fault" and len(p) > 1]
         assert nested and all(p[0] == "pagemove.execute" for p in nested)
+
+    @pytest.mark.parametrize("kind,vpn,target", [
+        ("DEMAND", 0, None),        # vpn 0 is already mapped
+        ("LOST_CHANNEL", 1, None),  # vpn 1 is not mapped
+        ("REBALANCE", 0, 1),        # the app does not hold channel 1
+        ("DEMAND", 1, None),        # channel 0's one frame is taken
+    ], ids=["demand-on-mapped", "migration-on-unmapped", "channel-not-held",
+            "no-free-frame"])
+    def test_refused_fault_closes_its_span(self, kind, vpn, target):
+        from repro.errors import AllocationError
+        from repro.vm.driver import FaultKind, GPUDriver
+
+        prof = PhaseProfiler()
+        driver = GPUDriver(num_channel_groups=2, pages_per_channel=1,
+                           obs=Obs(profiler=prof))
+        driver.register_app(0, channels=[0])
+        driver.handle_fault(FaultKind.DEMAND, 0, 0)
+        with prof.span("outer"):
+            with pytest.raises(AllocationError):
+                driver.handle_fault(FaultKind[kind], 0, vpn,
+                                    target_channel=target)
+        snapshot = prof.snapshot()
+        assert snapshot["outer/vm.handle_fault"][0] == 1
+        assert snapshot["vm.handle_fault"][0] == 1
 
     def test_hbm_controller_drain_span(self):
         from repro.hbm.config import HBMConfig

@@ -1,5 +1,7 @@
 """Stateful property-based testing of the GPU driver's frame accounting
-and the page table's per-channel index (hypothesis RuleBasedStateMachine)."""
+and the page table's per-channel index (hypothesis RuleBasedStateMachine),
+on both frame layouts: the default contiguous one and the paper's
+Figure 8 interleave."""
 
 from collections import Counter
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -28,13 +31,19 @@ class DriverMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.driver = GPUDriver(
-            pages_per_channel=PAGES_PER_CHANNEL,
-            mapping=InterleavedPageMapping(PageMoveAddressMapping()),
-        )
+        self.driver = None
         self.mapped = {}          # app_id -> {vpn: rpn}, valid or not
         self.apps = set()
         self.next_vpn = 0
+        self.handed_out = set()   # every frame a fault has returned
+
+    @initialize(layout=st.sampled_from(["interleaved", "contiguous"]))
+    def build(self, layout):
+        mapping = None
+        if layout == "interleaved":
+            mapping = InterleavedPageMapping(PageMoveAddressMapping())
+        self.driver = GPUDriver(pages_per_channel=PAGES_PER_CHANNEL,
+                                mapping=mapping)
 
     def _state(self):
         """Everything a refused fault must leave untouched."""
@@ -48,6 +57,13 @@ class DriverMachine(RuleBasedStateMachine):
              for a in self.apps},
             driver.faults,
         )
+
+    def _unheld(self):
+        """(app, frame) pairs where a fault handed the frame out but the
+        app does not hold it now: another app does, or nobody."""
+        holder = {rpn: a for a in self.apps for rpn in self.mapped[a].values()}
+        return [(a, rpn) for a in sorted(self.apps)
+                for rpn in sorted(self.handed_out) if holder.get(rpn) != a]
 
     def _draw_mapped(self, data):
         candidates = [a for a in sorted(self.apps) if self.mapped[a]]
@@ -83,6 +99,7 @@ class DriverMachine(RuleBasedStateMachine):
             # for that app; nothing must have changed.
             return
         self.mapped[app_id][vpn] = fault.rpn
+        self.handed_out.add(fault.rpn)
         assert self.driver.channel_of_frame(fault.rpn) == fault.channel
         assert fault.channel in self.driver.assigned_channels(app_id)
 
@@ -101,6 +118,7 @@ class DriverMachine(RuleBasedStateMachine):
             return
         assert not valid, f"demand fault re-mapped valid vpn {vpn}"
         self.mapped[app_id][vpn] = fault.rpn
+        self.handed_out.add(fault.rpn)
 
     @precondition(lambda self: any(self.mapped.get(a) for a in self.apps))
     @rule(data=st.data(),
@@ -120,6 +138,7 @@ class DriverMachine(RuleBasedStateMachine):
         assert fault.channel == channel
         assert fault.source_channel == source
         self.mapped[app_id][vpn] = fault.rpn
+        self.handed_out.add(fault.rpn)
 
     @precondition(lambda self: any(self.mapped.get(a) for a in self.apps))
     @rule(data=st.data())
@@ -135,6 +154,17 @@ class DriverMachine(RuleBasedStateMachine):
         rpn = self.mapped[app_id].pop(vpn)
         self.driver.release_page(app_id, rpn)
         self.driver.page_tables[app_id].unmap(vpn)
+
+    @precondition(lambda self: self._unheld())
+    @rule(data=st.data())
+    def release_unheld(self, data):
+        """Releasing a frame the app does not hold, another app's or one
+        already released, is refused with nothing changed."""
+        app_id, rpn = data.draw(st.sampled_from(self._unheld()))
+        before = self._state()
+        with pytest.raises(AllocationError):
+            self.driver.release_page(app_id, rpn)
+        assert self._state() == before
 
     @precondition(lambda self: self.apps)
     @rule(data=st.data(),

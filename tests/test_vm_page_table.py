@@ -1,9 +1,15 @@
-"""Unit tests for the 4-level page table (repro.vm.page_table)."""
+"""Unit tests for the 4-level page table (repro.vm.page_table), and a
+property test against a reference radix tree of nested dicts."""
+
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import AddressError, TranslationError
 from repro.vm import PageTable, VirtualAddress
+from tests.strategies import STANDARD_SETTINGS
 
 
 @pytest.fixture
@@ -186,9 +192,123 @@ class TestWalkDepth:
 
     def test_partial_population(self, table):
         table.map(0, 1, channel=0)
-        # A vpn sharing the first radix index but diverging at level 2.
-        diverging = 1 << 18
-        assert 1 < table.levels_touched(diverging) <= 4
+        # VPNs whose walks leave vpn 0's path at level 1, 2, 3 and 4.
+        assert table.levels_touched(1 << 27) == 1
+        assert table.levels_touched(1 << 18) == 2
+        assert table.levels_touched(1 << 9) == 3
+        assert table.levels_touched(1) == 4
+
+    def test_unmap_keeps_interior_levels(self, table):
+        table.map(0, 1, channel=0)
+        table.unmap(0)
+        assert table.levels_touched(0) == 4
+        assert table.levels_touched(1 << 9) == 3
 
     def test_cr3_distinct_per_app(self):
         assert PageTable(0).cr3 != PageTable(1).cr3
+
+
+class ReferenceRadixTree:
+    """The page table as a plain 4-level tree of dicts keyed by 9-bit
+    indices, whose level-4 dicts hold ``[rpn, channel, valid]`` leaves.
+    Like a hardware radix table it never frees an interior node."""
+
+    def __init__(self):
+        self.root = {}
+
+    @staticmethod
+    def indices(vpn):
+        return [(vpn >> shift) & 511 for shift in (27, 18, 9, 0)]
+
+    def leaf_node(self, vpn, create=False):
+        node = self.root
+        for index in self.indices(vpn)[:3]:
+            if index not in node:
+                if not create:
+                    return None
+                node[index] = {}
+            node = node[index]
+        return node
+
+    def map(self, vpn, rpn, channel):
+        self.leaf_node(vpn, create=True)[vpn & 511] = [rpn, channel, True]
+
+    def lookup(self, vpn):
+        node = self.leaf_node(vpn)
+        return None if node is None else node.get(vpn & 511)
+
+    def levels_touched(self, vpn):
+        node = self.root
+        for level, index in enumerate(self.indices(vpn)[:3], 1):
+            node = node.get(index)
+            if node is None:
+                return level
+        return 4
+
+    def entries(self):
+        def walk(node, prefix, level):
+            for index in sorted(node):
+                vpn = (prefix << 9) | index
+                if level == 4:
+                    yield (vpn, *node[index])
+                else:
+                    yield from walk(node[index], vpn, level + 1)
+        return list(walk(self.root, 0, 1))
+
+
+#: Radix indices drawn from a small pool, so VPNs share prefixes at every
+#: level and split at every level; 0 and 2**36 - 1 are among them.
+RADIX_INDEX = st.sampled_from([0, 1, 2, 510, 511])
+VPNS = st.builds(lambda a, b, c, d: (a << 27) | (b << 18) | (c << 9) | d,
+                 RADIX_INDEX, RADIX_INDEX, RADIX_INDEX, RADIX_INDEX)
+OUT_OF_RANGE = st.sampled_from([-1, -(1 << 27), 1 << 36, (1 << 36) + 511])
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("map"), VPNS | OUT_OF_RANGE, st.integers(0, 99),
+              st.integers(0, 3)),
+    st.tuples(st.sampled_from(["unmap", "invalidate"]), VPNS | OUT_OF_RANGE),
+    st.tuples(st.sampled_from(["lookup", "translate", "levels_touched"]),
+              OUT_OF_RANGE),
+), max_size=40)
+
+
+@STANDARD_SETTINGS
+@given(STEPS)
+def test_page_table_matches_reference_radix_tree(steps):
+    table, tree = PageTable(app_id=0), ReferenceRadixTree()
+    probes = set()
+    for op, vpn, *args in steps:
+        if not 0 <= vpn < 1 << 36:
+            with pytest.raises(AddressError):
+                getattr(table, op)(vpn, *args)
+        elif op == "map":
+            table.map(vpn, *args)
+            tree.map(vpn, *args)
+        elif tree.lookup(vpn) is None:
+            with pytest.raises(TranslationError):
+                getattr(table, op)(vpn)
+        elif op == "unmap":
+            table.unmap(vpn)
+            del tree.leaf_node(vpn)[vpn & 511]
+        else:
+            table.invalidate(vpn)
+            tree.lookup(vpn)[2] = False
+        if 0 <= vpn < 1 << 36:
+            # The VPN and its neighbours splitting from it at each level.
+            probes.update(vpn ^ bit for bit in (0, 1, 1 << 9, 1 << 18, 1 << 27))
+
+        expected = tree.entries()
+        assert [(v, e.rpn, e.channel, e.valid) for v, e in table.entries()] \
+            == expected
+        assert len(table) == len(expected)
+        for probe in sorted(probes):
+            entry = table.lookup(probe)
+            got = None if entry is None else [entry.rpn, entry.channel, entry.valid]
+            assert got == tree.lookup(probe), f"lookup({probe:#x})"
+            assert table.levels_touched(probe) == tree.levels_touched(probe), \
+                f"levels_touched({probe:#x})"
+        valid = [(v, c) for v, _, c, ok in expected if ok]
+        for channel in range(4):
+            assert [v for v, _ in table.pages_in_channel(channel)] == \
+                [v for v, c in valid if c == channel]
+        counts = Counter(c for _, c in valid)
+        assert list(table.channel_page_counts().items()) == sorted(counts.items())

@@ -130,10 +130,11 @@ class TestGPUDriver:
 
     def test_allocation_prefers_least_loaded_channel(self):
         driver = self.make_driver()
-        driver.register_app(0, [0, 1])
-        first = driver.allocate_page(0)
-        second = driver.allocate_page(0)
-        assert {driver.channel_of_frame(first), driver.channel_of_frame(second)} == {0, 1}
+        driver.register_app(0, [3, 1, 2])
+        channels = [driver.channel_of_frame(driver.allocate_page(0))
+                    for _ in range(4)]
+        # Ties between equally loaded channels go to the lowest.
+        assert channels == [1, 2, 3, 1]
 
     def test_allocation_outside_assignment_rejected(self):
         driver = self.make_driver()
@@ -163,6 +164,24 @@ class TestGPUDriver:
         driver.register_app(0, [0])
         with pytest.raises(AllocationError):
             driver.release_page(0, 5)
+
+    def test_release_of_unheld_frame_rejected(self):
+        """Another app's frame and a frame already released are refused,
+        with nothing changed, though app 0 holds a frame in channel 0."""
+        driver = self.make_driver()
+        driver.register_app(0, [0])
+        driver.register_app(1, [0])
+        released, kept = driver.allocate_page(0), driver.allocate_page(0)
+        theirs = driver.allocate_page(1)
+        driver.release_page(0, released)
+        for rpn in (theirs, released):
+            with pytest.raises(AllocationError,
+                               match=rf"^app 0 does not hold frame {rpn}$"):
+                driver.release_page(0, rpn)
+        assert driver.free_pages(0) == 14
+        assert driver.resident_pages(0) == driver.resident_pages(1) == 1
+        assert driver.allocate_page(0) == released
+        assert driver.allocate_page(0) not in (released, kept, theirs)
 
     def test_demand_fault_maps_page(self):
         driver = self.make_driver()

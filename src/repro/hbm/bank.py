@@ -36,10 +36,12 @@ class Bank:
         self.rows = rows
         self.state = BankState.IDLE
         self.open_row: Optional[int] = None
-        # Earliest issue times per command class, in memory clocks.
-        self._next_activate = 0
-        self._next_precharge = 0
-        self._next_column = 0
+        #: Earliest issue cycle per command class, in memory clocks.
+        #: :meth:`Channel.ready_cycle <repro.hbm.channel.Channel.ready_cycle>`
+        #: reads them directly.
+        self.next_activate = 0
+        self.next_precharge = 0
+        self.next_column = 0
         # Statistics
         self.activations = 0
         self.row_hits = 0
@@ -50,14 +52,10 @@ class Bank:
     # ------------------------------------------------------------------
     def earliest_activate(self) -> int:
         """Earliest cycle an ACTIVATE may issue (bank must be idle)."""
-        return self._next_activate
+        return self.next_activate
 
     def earliest_precharge(self) -> int:
-        return self._next_precharge
-
-    def earliest_column(self) -> int:
-        """Earliest cycle a READ/WRITE/MIGRATION may issue to the open row."""
-        return self._next_column
+        return self.next_precharge
 
     def is_row_open(self, row: int) -> bool:
         return self.state is BankState.ACTIVE and self.open_row == row
@@ -73,35 +71,38 @@ class Bank:
             )
         if not 0 <= row < self.rows:
             raise ProtocolError(f"row {row} out of range [0, {self.rows})")
-        if now < self._next_activate:
+        if now < self.next_activate:
             raise ProtocolError(
-                f"ACTIVATE at {now} before earliest legal cycle {self._next_activate}"
+                f"ACTIVATE at {now} before earliest legal cycle {self.next_activate}"
             )
         t = self.timing
         self.state = BankState.ACTIVE
         self.open_row = row
         self.activations += 1
-        self._next_column = now + t.tRCD
-        self._next_precharge = now + t.tRAS
-        self._next_activate = now + t.tRC
+        self.next_column = now + t.tRCD
+        self.next_precharge = now + t.tRAS
+        self.next_activate = now + t.tRC
 
     def do_precharge(self, now: int) -> None:
         """Close the open row (a precharge of an idle bank is a no-op that
         still respects tRP, matching real parts' PREA behaviour)."""
-        if now < self._next_precharge:
+        if now < self.next_precharge:
             raise ProtocolError(
-                f"PRECHARGE at {now} before earliest legal cycle {self._next_precharge}"
+                f"PRECHARGE at {now} before earliest legal cycle {self.next_precharge}"
             )
-        t = self.timing
         self.state = BankState.IDLE
         self.open_row = None
-        self._next_activate = max(self._next_activate, now + t.tRP)
+        ready = now + self.timing.tRP
+        if ready > self.next_activate:
+            self.next_activate = ready
 
     def do_read(self, now: int, column: int, row: Optional[int] = None) -> int:
         """Issue a READ; returns the cycle the data burst completes."""
         self._check_column(now, row, column, "READ")
         t = self.timing
-        self._next_precharge = max(self._next_precharge, now + t.tRTP)
+        ready = now + t.tRTP
+        if ready > self.next_precharge:
+            self.next_precharge = ready
         self.row_hits += 1
         return now + t.tCL + t.tBL
 
@@ -111,7 +112,9 @@ class Bank:
         t = self.timing
         data_end = now + t.tWL + t.tBL
         # Write recovery folds into the precharge constraint.
-        self._next_precharge = max(self._next_precharge, data_end + t.tRP // 2)
+        ready = data_end + t.tRP // 2
+        if ready > self.next_precharge:
+            self.next_precharge = ready
         self.row_hits += 1
         return data_end
 
@@ -135,7 +138,8 @@ class Bank:
 
     def _hold_row_for_migration(self, now: int) -> int:
         done = now + self.timing.tMIG
-        self._next_precharge = max(self._next_precharge, done)
+        if done > self.next_precharge:
+            self.next_precharge = done
         return done
 
     def check_access(self, row: Optional[int], column: int, what: str) -> None:
@@ -154,12 +158,20 @@ class Bank:
 
     def _check_column(self, now: int, row: Optional[int], column: int,
                       what: str) -> None:
-        self.check_access(row, column, what)
-        if now < self._next_column:
+        # One test on the legal path; check_access names the first
+        # protocol fault before the timing one.
+        open_row = self.open_row
+        if (open_row is None or (row is not None and row != open_row)
+                or column < 0 or now < self.next_column):
+            self.check_access(row, column, what)
             raise ProtocolError(
-                f"{what} at {now} before earliest legal cycle {self._next_column}"
+                f"{what} at {now} before earliest legal cycle {self.next_column}"
             )
 
     def note_column_issued(self, now: int, tccd: int) -> None:
-        """Record a column command so back-to-back issues respect tCCD."""
-        self._next_column = max(self._next_column, now + tccd)
+        """Record a column command so back-to-back issues respect tCCD
+        (:meth:`Channel.apply <repro.hbm.channel.Channel.apply>` does the
+        same for every bank of the command's group)."""
+        ready = now + tccd
+        if ready > self.next_column:
+            self.next_column = ready

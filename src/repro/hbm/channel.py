@@ -16,7 +16,10 @@ MIGRATION waits for the group's last burst to end.
 
 Every constraint has the form "issue no earlier than C", where C depends
 only on commands already applied, so :meth:`Channel.ready_cycle` computes
-C once per command and callers issue at ``max(now, C)``.
+C once per command and callers issue at ``max(now, C)``.  Each command
+costs one straight-line computation of C, a comparison per constraint
+over the bank's and the channel's fields, and one state update,
+:meth:`Channel.apply`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,17 @@ _PRECHARGE = CommandKind.PRECHARGE
 _READ = CommandKind.READ
 _WRITE = CommandKind.WRITE
 _MIGRATION = CommandKind.MIGRATION
+
+#: Command-bus clocks per kind, read once from their one definition.
+_ACTIVATE_BUS = COMMAND_BUS_CYCLES[_ACTIVATE]
+_PRECHARGE_BUS = COMMAND_BUS_CYCLES[_PRECHARGE]
+_READ_BUS = COMMAND_BUS_CYCLES[_READ]
+_WRITE_BUS = COMMAND_BUS_CYCLES[_WRITE]
+_MIGRATION_BUS = COMMAND_BUS_CYCLES[_MIGRATION]
+
+#: Issue cycle of a command that never happened: far enough back that no
+#: spacing measured from it binds.
+_NEVER = -(10**9)
 
 
 class BankGroup:
@@ -85,16 +99,18 @@ class Channel:
             BankGroup(config, g) for g in range(config.bank_groups_per_channel)
         ]
         self._timing = config.timing
-        #: Recent ACTIVATE issue times for the tFAW window.
-        self._recent_activates: Deque[int] = deque(maxlen=4)
+        #: Issue times of the last four ACTIVATEs, oldest first: the
+        #: tFAW window and, at the end, the tRRD reference.  Starts full
+        #: of commands that never happened, so neither needs a length test.
+        self._recent_activates: Deque[int] = deque([_NEVER] * 4, maxlen=4)
         self._last_activate_group = -1
         #: Cycle until which the external (TSV) data bus is busy.
         self.data_bus_busy_until = 0
         #: Cycle until which the command bus is busy (MIGRATION takes 2).
         self.command_bus_busy_until = 0
-        self._last_column_issue = -(10**9)
+        self._last_column_issue = _NEVER
         self._last_column_group = -1
-        self._last_write_data_end = -(10**9)
+        self._last_write_data_end = _NEVER
         self._last_write_group = -1
         # Statistics
         self.reads = 0
@@ -112,7 +128,9 @@ class Channel:
         ``bank``) may legally issue; the earliest legal cycle at or after
         ``now`` is ``max(now, C)``.
 
-        Raises :class:`ProtocolError` for coordinates outside the channel.
+        One pass over the bank's and the channel's fields, each
+        constraint a comparison against the running C.  Raises
+        :class:`ProtocolError` for coordinates outside the channel.
         Protocol state (is the right row open?) is checked on issue.
         """
         groups = self.groups
@@ -121,56 +139,60 @@ class Channel:
                 f"bank group {bank_group} out of range [0, {len(groups)})"
             )
         group = groups[bank_group]
-        target = group.bank(bank)
+        banks = group.banks
+        if not 0 <= bank < len(banks):
+            raise ProtocolError(f"bank index {bank} out of range")
+        target = banks[bank]
+        t = self._timing
         ready = self.command_bus_busy_until
         if kind is _ACTIVATE:
-            return max(ready, target.earliest_activate(),
-                       self._rrd_constraint(bank_group), self._faw_constraint())
+            # Per-bank ACT-to-ACT (tRC) is in the bank's next_activate;
+            # tRRD and tFAW space ACTIVATEs across the channel.
+            c = target.next_activate
+            if c > ready:
+                ready = c
+            recent = self._recent_activates
+            c = recent[-1] + (t.tRRDl if bank_group == self._last_activate_group
+                              else t.tRRDs)
+            if c > ready:
+                ready = c
+            c = recent[0] + t.tFAW
+            return c if c > ready else ready
         if kind is _PRECHARGE:
-            return max(ready, target.earliest_precharge())
-        ready = max(ready, target.earliest_column(),
-                    self._ccd_constraint(bank_group))
+            c = target.next_precharge
+            return c if c > ready else ready
+        # Column commands: the bank's tRCD and its group's tCCDl live in
+        # next_column; tCCDl/tCCDs from the channel's last column command.
+        c = target.next_column
+        if c > ready:
+            ready = c
+        c = self._last_column_issue + (
+            t.tCCDl if bank_group == self._last_column_group else t.tCCDs)
+        if c > ready:
+            ready = c
         if kind is _MIGRATION:
             # Needs the bank group's internal bus, not the external one.
-            return max(ready, group.bus_busy_until)
-        t = self._timing
+            c = group.bus_busy_until
+            return c if c > ready else ready
         # The burst starts `lead` cycles after issue and needs both the
         # external data bus and the bank group's internal bus.
         lead = t.tCL if kind is _READ else t.tWL
-        ready = max(ready, self.data_bus_busy_until - lead,
-                    group.bus_busy_until - lead)
+        c = self.data_bus_busy_until - lead
+        if c > ready:
+            ready = c
+        c = group.bus_busy_until - lead
+        if c > ready:
+            ready = c
         if kind is _READ:
-            ready = max(ready, self._wtr_constraint(bank_group))
+            c = self._last_write_data_end + (
+                t.tWTRl if bank_group == self._last_write_group else t.tWTRs)
+            if c > ready:
+                ready = c
         return ready
 
     def earliest_issue(self, cmd: Command, now: int) -> int:
         """Earliest cycle >= ``now`` at which ``cmd`` could legally issue."""
         return max(now, self.ready_cycle(cmd.kind, cmd.bank_group, cmd.bank))
-
-    def _rrd_constraint(self, bank_group: int) -> int:
-        # Per-bank ACT-to-ACT (tRC) is folded into bank.earliest_activate;
-        # this covers channel-wide ACT-to-ACT spacing.
-        if not self._recent_activates:
-            return 0
-        t = self._timing
-        last = self._recent_activates[-1]
-        gap = t.tRRDl if bank_group == self._last_activate_group else t.tRRDs
-        return last + gap
-
-    def _faw_constraint(self) -> int:
-        if len(self._recent_activates) == 4:
-            return self._recent_activates[0] + self._timing.tFAW
-        return 0
-
-    def _ccd_constraint(self, bank_group: int) -> int:
-        t = self._timing
-        gap = t.tCCDl if bank_group == self._last_column_group else t.tCCDs
-        return self._last_column_issue + gap
-
-    def _wtr_constraint(self, bank_group: int) -> int:
-        t = self._timing
-        gap = t.tWTRl if bank_group == self._last_write_group else t.tWTRs
-        return self._last_write_data_end + gap
 
     # ------------------------------------------------------------------
     # Command issue
@@ -213,9 +235,10 @@ class Channel:
         cycle.  The one method that changes channel state.
 
         The caller has checked ``at`` against :meth:`ready_cycle`; the
-        banks still check their own timing and protocol state.  ``dest``
-        marks the destination half of a MIGRATION, which writes the
-        copied column into the open row.
+        banks still check their own timing and protocol state, and
+        nothing changes before the bank accepts.  ``dest`` marks the
+        destination half of a MIGRATION, which writes the copied column
+        into the open row.
         """
         group = self.groups[bank_group]
         target = group.banks[bank]
@@ -225,43 +248,46 @@ class Channel:
             self._recent_activates.append(at)
             self._last_activate_group = bank_group
             self.activates += 1
-            done = at + t.tRCD
-        elif kind is _PRECHARGE:
+            self.command_bus_busy_until = at + _ACTIVATE_BUS
+            return at + t.tRCD
+        if kind is _PRECHARGE:
             target.do_precharge(at)
             self.precharges += 1
-            done = at + t.tRP
-        elif kind is _READ:
+            self.command_bus_busy_until = at + _PRECHARGE_BUS
+            return at + t.tRP
+        if kind is _READ:
             done = target.do_read(at, column, row)
-            self._note_column(bank_group, at)
-            self.data_bus_busy_until = done
             group.occupy_bus(at + t.tCL, done)
+            self.data_bus_busy_until = done
             self.reads += 1
+            self.command_bus_busy_until = at + _READ_BUS
         elif kind is _WRITE:
             done = target.do_write(at, column, row)
-            self._note_column(bank_group, at)
-            self.data_bus_busy_until = done
             group.occupy_bus(at + t.tWL, done)
+            self.data_bus_busy_until = done
             self._last_write_data_end = done
             self._last_write_group = bank_group
             self.writes += 1
+            self.command_bus_busy_until = at + _WRITE_BUS
         elif kind is _MIGRATION:
             if dest:
                 done = target.do_migration_write(at, column, row)
             else:
                 done = target.do_migration_read(at, column, row)
-            self._note_column(bank_group, at)
             group.occupy_bus(at, done)
             self.migrations += 1
+            self.command_bus_busy_until = at + _MIGRATION_BUS
         else:  # pragma: no cover
             raise ProtocolError(f"unknown command kind {kind}")
-        self.command_bus_busy_until = at + COMMAND_BUS_CYCLES[kind]
-        return done
-
-    def _note_column(self, bank_group: int, now: int) -> None:
-        self._last_column_issue = now
+        # A column command: tCCDl for every bank of its group, tCCDl/tCCDs
+        # for the channel's next one.
+        self._last_column_issue = at
         self._last_column_group = bank_group
-        for b in self.groups[bank_group].banks:
-            b.note_column_issued(now, self._timing.tCCDl)
+        ccd = at + t.tCCDl
+        for other in group.banks:
+            if ccd > other.next_column:
+                other.next_column = ccd
+        return done
 
     # ------------------------------------------------------------------
     # Introspection

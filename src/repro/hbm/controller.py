@@ -6,9 +6,13 @@ operates in the memory clock domain and serves :class:`MemoryRequest`
 objects that have already been decoded into bank coordinates (the address
 mapping lives in :mod:`repro.pagemove.address_mapping`).
 
-FR-FCFS: among queued requests, those hitting a currently open row are
-served first (oldest hit first); if none hit, the oldest request wins and
-the controller issues the PRECHARGE/ACTIVATE pair it needs.
+FR-FCFS: among queued requests that have arrived (all of them, if none
+has), those hitting a currently open row are served first (oldest hit
+first, then lowest queue position); if none hit, the oldest request wins
+and the controller issues the PRECHARGE/ACTIVATE pair it needs.  One scan
+of the queue makes the choice, reading a request's bank only while its
+row-hit test can still change the winner; every command then goes to the
+channel by coordinates (:meth:`Channel.issue_earliest`).
 """
 
 from __future__ import annotations
@@ -22,6 +26,11 @@ from repro.hbm.channel import Channel
 from repro.hbm.commands import CommandKind
 from repro.hbm.config import HBMConfig
 from repro.obs import OFF, Obs
+
+_ACTIVATE = CommandKind.ACTIVATE
+_PRECHARGE = CommandKind.PRECHARGE
+_READ = CommandKind.READ
+_WRITE = CommandKind.WRITE
 
 
 class RequestKind(enum.Enum):
@@ -77,34 +86,19 @@ class ControllerStats:
 
 
 class MemoryController:
-    """FR-FCFS scheduler bound to one :class:`Channel`.
-
-    Optionally buffers writes: reads are latency-critical, so writes park
-    in a write buffer and drain in bursts once the buffer crosses its high
-    watermark (or on :meth:`drain`), amortizing the write-to-read
-    turnaround penalty — the standard GPU memory-controller policy.
-    """
+    """FR-FCFS scheduler bound to one :class:`Channel`."""
 
     def __init__(self, config: HBMConfig, channel: Optional[Channel] = None,
-                 refresh_enabled: bool = False,
-                 write_buffer_entries: int = 0,
-                 write_high_watermark: float = 0.75,
-                 write_low_watermark: float = 0.25,
-                 obs: Obs = OFF) -> None:
+                 refresh_enabled: bool = False, obs: Obs = OFF) -> None:
         """``refresh_enabled`` turns on all-bank refresh: every tREFI the
         controller closes all rows and blocks the channel for tRFC (off by
         default — the short command-level experiments rarely span a
         refresh interval, but long replays can enable it).
-        ``write_buffer_entries`` > 0 enables write buffering.
         ``obs`` (a :class:`repro.obs.Obs` handle) gets metrics counting
         per-channel serviced commands and row-buffer outcomes, a gauge of
         achieved/peak bandwidth utilization after each :meth:`drain`, and
         an ``hbm.service_requests`` host phase per :meth:`drain`."""
         config.validate()
-        if write_buffer_entries < 0:
-            raise ProtocolError("write_buffer_entries must be non-negative")
-        if not 0.0 <= write_low_watermark < write_high_watermark <= 1.0:
-            raise ProtocolError("watermarks must satisfy 0 <= low < high <= 1")
         self.config = config
         self.channel = channel if channel is not None else Channel(config, 0)
         self.queue: List[MemoryRequest] = []
@@ -113,11 +107,6 @@ class MemoryController:
         self.refresh_enabled = refresh_enabled
         self._next_refresh = config.timing.tREFI
         self.refreshes = 0
-        self.write_buffer_entries = write_buffer_entries
-        self.write_high_watermark = write_high_watermark
-        self.write_low_watermark = write_low_watermark
-        self.write_buffer: List[MemoryRequest] = []
-        self.write_bursts = 0
         self.obs = obs
         if obs.on:
             from repro.telemetry import names as _names
@@ -141,11 +130,10 @@ class MemoryController:
     def enqueue(self, request: MemoryRequest) -> None:
         """Add a request; the queue holds at most ``queue_entries``.
 
-        With write buffering enabled, writes go to the write buffer
-        instead and a burst drain triggers at the high watermark.  A
-        request addressing a bank group, bank or row outside the channel,
-        or a negative column, raises :class:`ProtocolError` before it is
-        queued.
+        A request addressing a bank group, bank or row outside the
+        channel, or a negative column, raises :class:`ProtocolError`
+        before it is queued, so the scheduler never checks coordinates
+        again.
         """
         cfg = self.config
         if not (0 <= request.bank_group < cfg.bank_groups_per_channel
@@ -159,41 +147,11 @@ class MemoryController:
                 "and column >= 0"
             )
         request.arrival = max(request.arrival, 0)
-        if (self.write_buffer_entries > 0
-                and request.kind is RequestKind.WRITE):
-            if len(self.write_buffer) >= self.write_buffer_entries:
-                self._drain_writes(
-                    down_to=int(self.write_low_watermark
-                                * self.write_buffer_entries)
-                )
-            self.write_buffer.append(request)
-            if len(self.write_buffer) >= int(
-                self.write_high_watermark * self.write_buffer_entries
-            ):
-                self._drain_writes(
-                    down_to=int(self.write_low_watermark
-                                * self.write_buffer_entries)
-                )
-            return
         if len(self.queue) >= self.config.queue_entries:
             raise ProtocolError(
                 f"request queue full ({self.config.queue_entries} entries)"
             )
         self.queue.append(request)
-
-    def _drain_writes(self, down_to: int) -> None:
-        """Burst-issue buffered writes until the buffer holds ``down_to``."""
-        if len(self.write_buffer) <= down_to:
-            return
-        self.write_bursts += 1
-        while len(self.write_buffer) > down_to:
-            batch = self.write_buffer[: self.config.queue_entries - len(self.queue)]
-            if not batch:
-                break  # pragma: no cover - queue full of reads
-            del self.write_buffer[: len(batch)]
-            self.queue.extend(batch)
-            while self.queue:
-                self.service_one()
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -204,27 +162,29 @@ class MemoryController:
         Returns the queue index of the winner.  One pass tracks the best
         (earliest arrival, then earliest queue position) request in each
         of the four priority classes — arrived row-hit, arrived, pending
-        row-hit, pending — instead of materializing candidate lists and
-        re-scanning the queue for positions, which made selection
-        quadratic in the queue depth.  Each bank's open row is read once
-        per pick (``enqueue`` has range-checked every coordinate).
+        row-hit, pending.  A request's bank is read only while its row-hit
+        test can still change the winner, that is, while it would beat
+        the best hit of its class so far (``enqueue`` has range-checked
+        every coordinate).
         """
         now = self.now
-        open_rows = [[bank.open_row for bank in group.banks]
-                     for group in self.channel.groups]
+        groups = self.channel.groups
         arrived_hit = arrived_any = pending_hit = pending_any = -1
         arrived_hit_t = arrived_any_t = pending_hit_t = pending_any_t = 0
         for i, r in enumerate(self.queue):
             arrival = r.arrival
-            hit = open_rows[r.bank_group][r.bank] == r.row
             if arrival <= now:
-                if hit and (arrived_hit < 0 or arrival < arrived_hit_t):
+                if ((arrived_hit < 0 or arrival < arrived_hit_t)
+                        and groups[r.bank_group].banks[r.bank].open_row
+                        == r.row):
                     arrived_hit, arrived_hit_t = i, arrival
                 if arrived_any < 0 or arrival < arrived_any_t:
                     arrived_any, arrived_any_t = i, arrival
             elif arrived_any < 0:
                 # Pending classes only matter while nothing has arrived.
-                if hit and (pending_hit < 0 or arrival < pending_hit_t):
+                if ((pending_hit < 0 or arrival < pending_hit_t)
+                        and groups[r.bank_group].banks[r.bank].open_row
+                        == r.row):
                     pending_hit, pending_hit_t = i, arrival
                 if pending_any < 0 or arrival < pending_any_t:
                     pending_any, pending_any_t = i, arrival
@@ -234,45 +194,50 @@ class MemoryController:
 
     def service_one(self) -> MemoryRequest:
         """Serve the next request per FR-FCFS; returns it completed."""
-        if not self.queue:
+        queue = self.queue
+        if not queue:
             raise ProtocolError("controller queue is empty")
-        request = self.queue.pop(self._pick())
-        self.now = max(self.now, request.arrival)
-        self._maybe_refresh()
+        request = queue.pop(self._pick())
+        if request.arrival > self.now:
+            self.now = request.arrival
+        if self.refresh_enabled:
+            self._maybe_refresh()
 
         channel = self.channel
+        stats = self.stats
+        obs_on = self.obs.on
         group, bank, row = request.bank_group, request.bank, request.row
-        target = channel.groups[group].bank(bank)
-        if target.is_row_open(row):
-            self.stats.row_hits += 1
-            if self.obs.on:
+        open_row = channel.groups[group].banks[bank].open_row
+        if open_row == row:
+            stats.row_hits += 1
+            if obs_on:
                 self._m_hits.inc()
-        elif target.open_row is None:
-            self.stats.row_misses += 1
-            if self.obs.on:
+        elif open_row is None:
+            stats.row_misses += 1
+            if obs_on:
                 self._m_misses.inc()
             self.now, _ = channel.issue_earliest(
-                CommandKind.ACTIVATE, group, bank, row, None, self.now)
+                _ACTIVATE, group, bank, row, None, self.now)
         else:
-            self.stats.row_conflicts += 1
-            if self.obs.on:
+            stats.row_conflicts += 1
+            if obs_on:
                 self._m_conflicts.inc()
             at, _ = channel.issue_earliest(
-                CommandKind.PRECHARGE, group, bank, None, None, self.now)
+                _PRECHARGE, group, bank, None, None, self.now)
             self.now, _ = channel.issue_earliest(
-                CommandKind.ACTIVATE, group, bank, row, None, at)
+                _ACTIVATE, group, bank, row, None, at)
 
-        kind = (CommandKind.READ if request.kind is RequestKind.READ
-                else CommandKind.WRITE)
+        is_read = request.kind is RequestKind.READ
         self.now, done = channel.issue_earliest(
-            kind, group, bank, row, request.column, self.now)
+            _READ if is_read else _WRITE, group, bank, row, request.column,
+            self.now)
         request.completed_at = done
 
-        self.stats.served += 1
-        self.stats.total_latency += done - request.arrival
-        self.stats.bytes_moved += self.config.column_bytes
-        if self.obs.on:
-            if request.kind is RequestKind.READ:
+        stats.served += 1
+        stats.total_latency += done - request.arrival
+        stats.bytes_moved += self.config.column_bytes
+        if obs_on:
+            if is_read:
                 self._m_reads.inc()
             else:
                 self._m_writes.inc()
@@ -280,8 +245,6 @@ class MemoryController:
 
     def _maybe_refresh(self) -> None:
         """Issue due all-bank refreshes: close every row, block tRFC."""
-        if not self.refresh_enabled:
-            return
         t = self.config.timing
         while self.now >= self._next_refresh:
             # Precharge-all: wait for every bank to become precharge-able.
@@ -299,16 +262,12 @@ class MemoryController:
             self.refreshes += 1
 
     def drain(self) -> List[MemoryRequest]:
-        """Serve every queued request (and flush the write buffer);
-        returns the served requests in completion order."""
+        """Serve every queued request; returns the served requests in
+        completion order."""
         with self.obs.span("hbm.service_requests"):
             completed: List[MemoryRequest] = []
             while self.queue:
                 completed.append(self.service_one())
-            if self.write_buffer:
-                writes = list(self.write_buffer)
-                self._drain_writes(down_to=0)
-                completed.extend(writes)
             completed.sort(key=lambda r: r.completed_at)
             if self.obs.on:
                 peak = self.config.channel_bandwidth_gbps

@@ -53,6 +53,11 @@ class TriStateDecoder:
         changing any binding when the grant is not possible.
         """
         self.check_grant(bundle, die, now, until)
+        self.bind(bundle, die, until)
+
+    def bind(self, bundle: int, die: int, until: int) -> None:
+        """Record a grant of ``bundle`` to ``die`` until ``until`` that
+        :meth:`check_grant` has accepted, without checking it again."""
         self._grants[bundle] = (die, until)
 
     def check_grant(self, bundle: int, die: int, now: int, until: int) -> None:
@@ -157,9 +162,11 @@ class BankGroupCrossbar:
         busy = self._outputs.get(bundle, 0)
         if busy > now:
             raise ProtocolError(f"crossbar output to bundle {bundle} busy until {busy}")
-        # Width limit: count distinct simultaneously active outputs.
-        active = sum(1 for end in self._outputs.values() if end > now)
-        if route is None or route[1] <= now:
+        # Width limit: count distinct simultaneously active outputs.  With
+        # one output per bundle, ``bundle`` itself idle leaves at most
+        # num_bundles - 1 active, so only a narrower crossbar can refuse.
+        if self.width < self.num_bundles:
+            active = sum(1 for end in self._outputs.values() if end > now)
             if active >= self.width:
                 raise ProtocolError(
                     f"crossbar width {self.width} exhausted at cycle {now}"

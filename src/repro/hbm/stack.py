@@ -9,7 +9,9 @@ the logic die.
 :class:`HBMStack` wires these together and implements the routing step of
 a MIGRATION: find an idle TSV bundle, grant it to the source die, route the
 source bank group onto it, and issue the paired column copy on the source
-and destination channels.
+and destination channels.  :meth:`HBMStack.migrate` takes the MIGRATION by
+coordinates; :meth:`HBMStack.issue_migration` unpacks a
+:class:`~repro.hbm.commands.Command` into it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from repro.hbm.channel import Channel
 from repro.hbm.commands import Command, CommandKind
 from repro.hbm.config import HBMConfig
 from repro.hbm.crossbar import BankGroupCrossbar, TriStateDecoder
+
+_MIGRATION = CommandKind.MIGRATION
 
 
 @dataclass(frozen=True)
@@ -95,12 +99,31 @@ class HBMStack:
     def issue_migration(self, src_channel: int, cmd: Command, now: int) -> int:
         """Execute one MIGRATION command; return its completion cycle.
 
+        Unpacks ``cmd`` into :meth:`migrate`, which documents the routing
+        and every refusal; a ``cmd`` of another kind raises
+        :class:`MigrationError`.
+        """
+        if cmd.kind is not CommandKind.MIGRATION:
+            raise MigrationError(f"issue_migration got {cmd.kind}")
+        return self.migrate(
+            src_channel, cmd.bank_group, cmd.bank, cmd.row, cmd.column,
+            cmd.dest_channel, cmd.dest_bank_group, cmd.dest_bank,
+            cmd.dest_row, cmd.dest_column, cmd.tsv_index, now)
+
+    def migrate(self, src_channel: int, bank_group: int, bank: int,
+                row: Optional[int], column: int, dest_channel: int,
+                dest_bank_group: int, dest_bank: int, dest_row: Optional[int],
+                dest_column: int, tsv_index: int, now: int) -> int:
+        """Execute one MIGRATION given by coordinates (the fields of
+        :func:`~repro.hbm.commands.migration`); return its completion
+        cycle.
+
         Performs PageMove's full routing: validates the destination is a
-        different channel of *this* stack, grants the idle TSV bundle to the
-        source die, routes the source bank group through the 4x8 crossbar,
-        and charges the column copy on both the source and destination
-        banks.  Both halves issue at the first cycle >= ``now`` legal on
-        both channels.
+        different channel of *this* stack, grants the idle TSV bundle
+        ``tsv_index`` to the source die, routes the source bank group
+        through the 4x8 crossbar, and charges the column copy on both the
+        source and destination banks.  Both halves issue at the first
+        cycle >= ``now`` legal on both channels.
 
         Everything is checked before anything changes, so a refused
         MIGRATION leaves the stack as it was.
@@ -115,49 +138,48 @@ class HBMStack:
             bank without ``row``/``dest_row`` open, or a busy TSV bundle
             or crossbar route.
         """
-        if cmd.kind is not CommandKind.MIGRATION:
-            raise MigrationError(f"issue_migration got {cmd.kind}")
         if not self.pagemove:
             raise MigrationError(
                 "stack has no PageMove hardware; cross-channel MIGRATION "
                 "is only available with the 4x8 crossbar"
             )
-        if cmd.dest_channel == src_channel:
+        if dest_channel == src_channel:
             raise MigrationError("MIGRATION source and destination channel are equal")
-        if not 0 <= cmd.dest_channel < len(self.channels):
+        channels = self.channels
+        if not 0 <= dest_channel < len(channels):
             raise MigrationError(
-                f"destination channel {cmd.dest_channel} outside this stack"
+                f"destination channel {dest_channel} outside this stack"
             )
-        if cmd.tsv_index is None:
+        if tsv_index is None:
             raise MigrationError("MIGRATION requires an idle TSV index")
 
         src = self.channel(src_channel)
-        dst = self.channels[cmd.dest_channel]
-        issue_at = max(
-            now,
-            src.ready_cycle(cmd.kind, cmd.bank_group, cmd.bank),
-            dst.ready_cycle(cmd.kind, cmd.dest_bank_group, cmd.dest_bank),
-        )
+        dst = channels[dest_channel]
+        issue_at = src.ready_cycle(_MIGRATION, bank_group, bank)
+        ready = dst.ready_cycle(_MIGRATION, dest_bank_group, dest_bank)
+        if ready > issue_at:
+            issue_at = ready
+        if now > issue_at:
+            issue_at = now
         done = issue_at + self.config.timing.tMIG
-        src.groups[cmd.bank_group].banks[cmd.bank].check_access(
-            cmd.row, cmd.column, "MIGRATION(src)")
-        dst.groups[cmd.dest_bank_group].banks[cmd.dest_bank].check_access(
-            cmd.dest_row, cmd.dest_column, "MIGRATION(dst)")
-        self.decoder.check_grant(cmd.tsv_index, src_channel, issue_at, done)
+        src.groups[bank_group].banks[bank].check_access(
+            row, column, "MIGRATION(src)")
+        dst.groups[dest_bank_group].banks[dest_bank].check_access(
+            dest_row, dest_column, "MIGRATION(dst)")
+        decoder = self.decoder
+        decoder.check_grant(tsv_index, src_channel, issue_at, done)
         # Route the source bank group through the crossbar (it changes
-        # nothing when it refuses), then grant the TSV bundle to the
+        # nothing when it refuses), then bind the TSV bundle to the
         # source die for the copy duration.
-        self.crossbars[src_channel].connect(
-            cmd.bank_group, cmd.tsv_index, issue_at, done
-        )
-        self.decoder.grant(cmd.tsv_index, src_channel, issue_at, done)
+        self.crossbars[src_channel].connect(bank_group, tsv_index, issue_at,
+                                            done)
+        decoder.bind(tsv_index, src_channel, done)
 
-        src.apply(cmd.kind, cmd.bank_group, cmd.bank, cmd.row, cmd.column,
-                  issue_at)
-        dst_done = dst.apply(cmd.kind, cmd.dest_bank_group, cmd.dest_bank,
-                             cmd.dest_row, cmd.dest_column, issue_at, dest=True)
+        src.apply(_MIGRATION, bank_group, bank, row, column, issue_at)
+        dst.apply(_MIGRATION, dest_bank_group, dest_bank, dest_row,
+                  dest_column, issue_at, dest=True)
         self.migrations_completed += 1
-        return max(done, dst_done)
+        return done
 
     # ------------------------------------------------------------------
     # Introspection

@@ -17,12 +17,13 @@ engine:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import cycle, islice
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import chain, cycle, islice
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import MigrationError, ProtocolError
-from repro.hbm.commands import CommandKind, migration
+from repro.hbm.commands import CommandKind
 from repro.hbm.system import HBMSystem
 from repro.obs import OFF, Obs
 from repro.pagemove.address_mapping import PageMoveAddressMapping
@@ -255,16 +256,18 @@ class MigrationEngine:
     def execute(self, plan: MigrationPlan, include_lazy: bool = True) -> MigrationReport:
         """Apply a plan: VM state updates plus analytic data-movement cost.
 
-        The plan is validated against destination-channel capacity before
-        any page moves, so a plan that cannot complete is rejected whole
-        rather than leaving the address space half-migrated.
+        The plan is validated before anything changes — every moved page
+        resident where the plan says, no page moved twice, and room in
+        every destination channel — so a plan that cannot complete is
+        rejected whole rather than leaving TLBs, the channel-status
+        register or the address space half-migrated.
         """
         with self.obs.span("pagemove.execute"):
             return self._execute(plan, include_lazy)
 
     def _execute(self, plan: MigrationPlan, include_lazy: bool = True) -> MigrationReport:
         app_id = plan.app_id
-        self._check_capacity(plan, include_lazy)
+        self._check_plan(plan, include_lazy)
         # 1. Flush L1 TLBs (all SMs revalidate through the L2 TLB).
         l1_flushed = sum(tlb.flush() for tlb in self.l1_tlbs)
 
@@ -322,18 +325,37 @@ class MigrationEngine:
             )
         return report
 
-    def _check_capacity(self, plan: MigrationPlan, include_lazy: bool) -> None:
-        """Reject plans whose destinations cannot absorb the pages.
+    def _check_plan(self, plan: MigrationPlan, include_lazy: bool) -> None:
+        """Reject a plan that is stale or whose destinations cannot absorb
+        its pages, before anything changes.
 
-        Frames freed by this plan's own moves *out of* a channel do not
-        count: the conservative check is incoming pages against currently
-        free frames, which is exact for the eager (vacate) direction and
-        safe for rebalance.
+        Stale: a moved page is not resident in its move's source channel
+        (the plan was made against another placement).  A page listed
+        twice is refused too: its second move would find it gone.
+        Capacity: frames freed by this plan's own moves *out of* a channel
+        do not count; the conservative check is incoming pages against
+        currently free frames, which is exact for the eager (vacate)
+        direction and safe for rebalance.
         """
-        moves = list(plan.eager) + (list(plan.lazy) if include_lazy else [])
-        incoming: dict = {}
+        moves = chain(plan.eager, plan.lazy) if include_lazy else plan.eager
+        tables = self.driver.page_tables
+        listed: Dict[int, Set[int]] = defaultdict(set)
+        incoming: Dict[int, int] = {}
         for move in moves:
-            incoming[move.dst_channel] = incoming.get(move.dst_channel, 0) + 1
+            app_id, vpn, dst = move.app_id, move.vpn, move.dst_channel
+            vpns = listed[app_id]
+            if vpn in vpns:
+                raise MigrationError(
+                    f"plan moves vpn {vpn:#x} of app {app_id} twice"
+                )
+            vpns.add(vpn)
+            entry = tables[app_id].lookup(vpn)
+            if entry is None or entry.channel != move.src_channel:
+                raise MigrationError(
+                    f"stale plan: vpn {vpn:#x} not resident in channel "
+                    f"{move.src_channel}"
+                )
+            incoming[dst] = incoming.get(dst, 0) + 1
         for channel, pages in incoming.items():
             free = self.driver.free_pages(channel)
             if pages > free:
@@ -343,19 +365,14 @@ class MigrationEngine:
                 )
 
     def _move_pages(self, migrations: List[PageMigration], kind: FaultKind) -> int:
+        """Move checked pages (see :meth:`_check_plan`); return the L2 TLB
+        entries invalidated."""
         if not migrations:
             return 0
         invalidated = 0
-        tables = self.driver.page_tables
         invalidate = self.l2_tlb.invalidate
         handle_fault = self.driver.handle_fault
         for move in migrations:
-            entry = tables[move.app_id].lookup(move.vpn)
-            if entry is None or entry.channel != move.src_channel:
-                raise MigrationError(
-                    f"stale plan: vpn {move.vpn:#x} not resident in channel "
-                    f"{move.src_channel}"
-                )
             if invalidate(move.app_id, move.vpn):
                 invalidated += 1
             handle_fault(
@@ -377,78 +394,74 @@ class MigrationEngine:
         migration-latency microbenchmarks to validate the analytic model.
         """
         coords = self.mapping.page_coordinates(src_rpn)
-        if dst_channel == coords.channel:
+        src_channel = coords.channel
+        if dst_channel == src_channel:
             raise MigrationError("destination channel equals source channel")
         cfg = system.config
+        groups = range(cfg.bank_groups_per_channel)
+        bank, row, column_base = coords.bank, coords.row, coords.column_base
+        slots = range(self.mapping.columns_per_slice)
+        step = cfg.timing.tMIG // 4
+        # TSV bundles the copy may not borrow: its own two channels'.
+        exclude = (src_channel, dst_channel)
         done = now
         commands_issued = 0
         for stack_idx, stack in enumerate(system.stacks):
-            src_ch = stack.channel(coords.channel)
+            src_ch = stack.channel(src_channel)
             dst_ch = stack.channel(dst_channel)
             # Activate the row in every bank group on both sides (skipping
             # banks whose row is already open from a previous page).
             ready = now
-            for group in range(cfg.bank_groups_per_channel):
+            for group in groups:
                 for ch in (src_ch, dst_ch):
-                    bank = ch.groups[group].bank(coords.bank)
-                    if bank.is_row_open(coords.row):
+                    target = ch.groups[group].bank(bank)
+                    if target.is_row_open(row):
                         continue
-                    if bank.open_row is not None:
+                    if target.open_row is not None:
                         ready, _ = ch.issue_earliest(
-                            CommandKind.PRECHARGE, group, coords.bank,
-                            None, None, ready)
+                            CommandKind.PRECHARGE, group, bank, None, None,
+                            ready)
                     ready, _ = ch.issue_earliest(
-                        CommandKind.ACTIVATE, group, coords.bank, coords.row,
-                        None, ready)
+                        CommandKind.ACTIVATE, group, bank, row, None, ready)
             ready += cfg.timing.tRCD
             # PPMM issues wave by wave: one MIGRATION per bank group
             # concurrently, then each group's next column — so only
             # `columns_per_slice` commands serialize per group and the
             # shared command bus sees the waves in chronological order.
-            group_time = {g: ready for g in range(cfg.bank_groups_per_channel)}
-            for slot in range(self.mapping.columns_per_slice):
-                for group in range(cfg.bank_groups_per_channel):
-                    column = coords.column_base + slot
+            group_time = [ready] * len(groups)
+            for slot in slots:
+                column = column_base + slot
+                for group in groups:
                     t = group_time[group]
-                    tsv = stack.find_idle_tsv(
-                        t, exclude=[coords.channel, dst_channel], window=0
-                    )
+                    tsv = stack.find_idle_tsv(t, exclude=exclude, window=0)
                     # Bounded wait for a TSV bundle to free up.
                     waited = 0
                     while tsv is None and waited < 64:
-                        t += cfg.timing.tMIG // 4
+                        t += step
                         waited += 1
-                        tsv = stack.find_idle_tsv(
-                            t, exclude=[coords.channel, dst_channel], window=0
-                        )
+                        tsv = stack.find_idle_tsv(t, exclude=exclude, window=0)
                     if tsv is None:
                         raise MigrationError("no idle TSV bundle available")
-                    cmd = migration(
-                        group, coords.bank, coords.row, column,
-                        dest_channel=dst_channel, dest_bank_group=group,
-                        dest_bank=coords.bank, dest_row=coords.row,
-                        dest_column=column, tsv_index=tsv,
-                    )
                     # A narrow (stock) crossbar may reject the route; wait
                     # for it to free and retry — this is exactly the
                     # serialization PageMove's 4x8 crossbar removes.
                     for _ in range(CROSSBAR_RETRY_LIMIT):
                         try:
-                            group_time[group] = stack.issue_migration(
-                                coords.channel, cmd, t
-                            )
+                            group_time[group] = stack.migrate(
+                                src_channel, group, bank, row, column,
+                                dst_channel, group, bank, row, column, tsv, t)
                             commands_issued += 1
                             break
                         except ProtocolError:
-                            t += cfg.timing.tMIG // 4
+                            t += step
                     else:  # pragma: no cover - defensive
                         raise RuntimeError(
-                            f"crossbar route {coords.channel}->{dst_channel} "
+                            f"crossbar route {src_channel}->{dst_channel} "
                             f"(stack {stack_idx}, bank group {group}) did not "
                             f"free after {CROSSBAR_RETRY_LIMIT} retries; the "
                             "migration replay is not converging"
                         )
-            done = max(done, max(group_time.values()))
+            done = max(done, *group_time)
         if self.obs.on:
             self._m_commands.inc(commands_issued)
         return done

@@ -1,9 +1,14 @@
 """Unit tests for the FR-FCFS memory controller (repro.hbm.controller)."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
-from repro.hbm import HBMConfig, MemoryController, MemoryRequest, RequestKind
+from repro.hbm import (
+    CommandKind, HBMConfig, MemoryController, MemoryRequest, RequestKind,
+)
+from tests.strategies import STANDARD_SETTINGS
 
 
 @pytest.fixture
@@ -63,12 +68,6 @@ class TestCoordinateValidation:
         assert all(bank.open_row is None
                    for group in mc.channel.groups for bank in group.banks)
 
-    def test_write_buffer_rejects_before_buffering(self, config):
-        mc = MemoryController(config, write_buffer_entries=8)
-        with pytest.raises(ProtocolError):
-            mc.enqueue(req(kind=RequestKind.WRITE, bg=4))
-        assert mc.write_buffer == []
-
     def test_column_has_no_upper_bound(self, mc, config):
         # Columns past columns_per_row are accepted (and served).
         mc.enqueue(req(col=config.columns_per_row + 15))
@@ -122,6 +121,59 @@ class TestFRFCFS:
         assert mc.stats.row_hits == 1
         assert mc.stats.row_misses == 1
         assert mc.stats.row_hit_rate == 0.5
+
+
+def reference_pick(queue, now, channel):
+    """FR-FCFS written out: the requests that have arrived (every request
+    if none has), their row hits if any, then the earliest arrival, then
+    the lowest queue position."""
+    arrived = [i for i, r in enumerate(queue) if r.arrival <= now]
+    candidates = arrived or range(len(queue))
+    hits = [i for i in candidates
+            if channel.open_row(queue[i].bank_group, queue[i].bank)
+            == queue[i].row]
+    return min(hits or candidates, key=lambda i: (queue[i].arrival, i))
+
+
+#: Two banks per group and three rows, so queued requests often hit the
+#: rows opened first, and a narrow arrival window, so arrivals often tie.
+OPENED = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1),
+                            st.integers(0, 2)),
+                  max_size=8, unique_by=lambda t: t[:2])
+QUEUED = st.lists(
+    st.tuples(st.sampled_from(list(RequestKind)), st.integers(0, 3),
+              st.integers(0, 1), st.integers(0, 2), st.integers(0, 15),
+              st.integers(-10, 10)),   # arrival relative to the clock
+    max_size=64)
+
+
+@STANDARD_SETTINGS
+@given(OPENED, QUEUED, st.integers(0, 200), st.booleans())
+# A pending row hit against an older pending miss: the hit wins.
+@example([(0, 0, 1)], [(RequestKind.READ, 0, 1, 2, 0, 5),
+                       (RequestKind.READ, 0, 0, 1, 0, 9)], 100, True)
+# Two pending row hits arriving together: the first queued wins.
+@example([(0, 0, 1)], [(RequestKind.READ, 1, 1, 2, 0, 5),
+                       (RequestKind.READ, 0, 0, 1, 0, 9),
+                       (RequestKind.READ, 0, 0, 1, 1, 9)], 100, True)
+def test_service_follows_reference_frfcfs(opened, queued, now, pending):
+    """Every pick of a drain, pending requests and row hits on rows opened
+    beforehand included, is the one the written-out rule makes.  With
+    ``pending`` nothing has arrived when the drain starts."""
+    mc = MemoryController(HBMConfig())
+    for bank_group, bank, row in opened:
+        mc.channel.issue_earliest(CommandKind.ACTIVATE, bank_group, bank,
+                                  row, None, 0)
+    mc.now = now
+    for kind, bank_group, bank, row, column, offset in queued:
+        if pending:
+            offset = abs(offset) + 1
+        mc.enqueue(MemoryRequest(kind=kind, bank_group=bank_group, bank=bank,
+                                 row=row, column=column,
+                                 arrival=max(0, now + offset)))
+    while mc.queue:
+        expected = mc.queue[reference_pick(mc.queue, mc.now, mc.channel)]
+        assert mc.service_one() is expected
 
 
 class TestDrainAndBandwidth:
@@ -199,62 +251,3 @@ class TestRefresh:
         from repro.hbm import HBMTiming
         with pytest.raises(Exception):
             HBMTiming(tREFI=100, tRFC=100).validate()
-
-
-class TestWriteBuffer:
-    def make(self, config, entries=16):
-        return MemoryController(config, write_buffer_entries=entries)
-
-    def test_writes_park_in_buffer(self, config):
-        mc = self.make(config)
-        for i in range(4):
-            mc.enqueue(req(kind=RequestKind.WRITE, row=0, col=i))
-        assert len(mc.write_buffer) == 4
-        assert mc.stats.served == 0  # nothing issued yet
-
-    def test_high_watermark_triggers_burst(self, config):
-        mc = self.make(config, entries=16)
-        for i in range(12):  # 12 >= 0.75 * 16
-            mc.enqueue(req(kind=RequestKind.WRITE, bg=i % 4, row=0, col=i % 16))
-        assert mc.write_bursts >= 1
-        assert len(mc.write_buffer) <= 4  # drained to the low watermark
-        assert mc.stats.served >= 8
-
-    def test_reads_bypass_the_buffer(self, config):
-        mc = self.make(config)
-        mc.enqueue(req(kind=RequestKind.WRITE, row=0, col=0))
-        mc.enqueue(req(kind=RequestKind.READ, row=0, col=1))
-        served = mc.service_one()
-        assert served.kind is RequestKind.READ
-
-    def test_drain_flushes_buffer(self, config):
-        mc = self.make(config)
-        for i in range(5):
-            mc.enqueue(req(kind=RequestKind.WRITE, row=0, col=i))
-        completed = mc.drain()
-        assert len(completed) == 5
-        assert not mc.write_buffer
-        assert all(r.completed_at is not None for r in completed)
-
-    def test_burst_amortizes_turnaround(self, config):
-        """Interleaved read/write service pays tWTR repeatedly; buffered
-        writes issue as one burst and finish sooner."""
-        interleaved = MemoryController(config)
-        for i in range(16):
-            kind = RequestKind.WRITE if i % 2 else RequestKind.READ
-            interleaved.enqueue(req(kind=kind, bg=0, row=0, col=i))
-            interleaved.service_one()
-        buffered = self.make(config, entries=32)
-        for i in range(16):
-            kind = RequestKind.WRITE if i % 2 else RequestKind.READ
-            buffered.enqueue(req(kind=kind, bg=0, row=0, col=i))
-        buffered.drain()
-        assert buffered.now < interleaved.now
-
-    def test_invalid_watermarks(self, config):
-        with pytest.raises(ProtocolError):
-            MemoryController(config, write_buffer_entries=8,
-                             write_high_watermark=0.2,
-                             write_low_watermark=0.5)
-        with pytest.raises(ProtocolError):
-            MemoryController(config, write_buffer_entries=-1)

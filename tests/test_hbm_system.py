@@ -156,6 +156,12 @@ class TestCommandPath:
                         dest_bank=0, dest_row=5, dest_column=0, tsv_index=2)
         controller = MemoryController(HBMConfig())
         enqueue_traffic(controller)
+        mapping = PageMoveAddressMapping()
+        engine = MigrationEngine(
+            GPUDriver(pages_per_channel=16,
+                      mapping=InterleavedPageMapping(mapping)),
+            mapping=mapping)
+        copier = HBMSystem()
 
         def refuse(*args, **kwargs):
             raise AssertionError("Command built on the command path")
@@ -166,3 +172,6 @@ class TestCommandPath:
         assert len(controller.drain()) == 48
         assert system.issue_migration(0, cmd, 0) == 14 + 50
         assert stack.channel(1).migrations == 1
+        engine.execute_page_on_hardware(copier, src_rpn=0, dst_channel=1)
+        assert (copier.stats()["migrations_completed"]
+                == mapping.migrations_per_page)

@@ -40,6 +40,25 @@ def engine(driver, mapping):
     )
 
 
+def vm_state(engine, driver, app_id=0):
+    """Everything a refused plan must leave as it was: the app's channels,
+    page table and residency, free frames, the channel-status register
+    and every TLB's entries and counters."""
+    channels = range(driver.num_channel_groups)
+    return {
+        "channels": driver.assigned_channels(app_id),
+        "pages": {vpn: (e.rpn, e.channel, e.valid)
+                  for vpn, e in driver.page_tables[app_id].entries()},
+        "resident": [driver.resident_pages(app_id, c) for c in channels],
+        "free": [driver.free_pages(c) for c in channels],
+        "register": engine.registry.encoded_bits(app_id),
+        "tlbs": [([(e.vpn, e.rpn, e.channel)
+                   for e in tlb.entries_in_channels(app_id, channels)],
+                  dict(vars(tlb.stats)))
+                 for tlb in [engine.l2_tlb, *engine.l1_tlbs]],
+    }
+
+
 def populate(driver, app_id, channels, pages_per_channel):
     driver.register_app(app_id, channels)
     vpn = 0
@@ -195,8 +214,31 @@ class TestExecution:
         populate(driver, 0, [0, 1], pages_per_channel=2)
         plan = engine.plan_channel_reallocation(0, [0])
         engine.execute(plan)
-        with pytest.raises(MigrationError):
+        # Pages 2 and 3 now live in channel 0; hand channel 1 back and
+        # cache a translation, then replay the old plan.
+        driver.reassign_channels(0, [0, 1])
+        engine.l1_tlbs[0].fill(0, 0, rpn=0, channel=0)
+        before = vm_state(engine, driver)
+        with pytest.raises(MigrationError, match="stale plan: vpn 0x2 not "
+                                                 "resident in channel 1"):
             engine.execute(plan)  # pages already moved
+        assert vm_state(engine, driver) == before
+        assert engine.l1_tlbs[0].occupancy() == 1
+        assert engine.registry.direction(0) is None
+        assert driver.assigned_channels(0) == {0, 1}
+
+    def test_page_listed_twice_rejected(self, engine, driver):
+        populate(driver, 0, [0, 1], pages_per_channel=2)
+        plan = engine.plan_channel_reallocation(0, [0])
+        plan.lazy.append(plan.eager[0])
+        before = vm_state(engine, driver)
+        with pytest.raises(MigrationError, match="moves vpn 0x2 of app 0 "
+                                                 "twice"):
+            engine.execute(plan)
+        assert vm_state(engine, driver) == before
+        # Without its lazy half the plan is consistent and runs.
+        engine.execute(plan, include_lazy=False)
+        assert driver.page_tables[0].channel_page_counts() == {0: 4}
 
     def test_window_cycles_only_counts_eager(self, engine, driver):
         populate(driver, 0, [0, 1], pages_per_channel=8)

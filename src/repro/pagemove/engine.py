@@ -13,16 +13,22 @@ engine:
    table, and the L2 TLB, and costs the data movement with the
    :class:`~repro.pagemove.cost.MigrationCostModel` (or, for validation,
    by driving the command-level HBM model MIGRATION by MIGRATION).
+
+A plan is checked whole before step 1, so a plan that cannot complete
+changes nothing.  Its moves then drop their L2 translations in one scan
+of the L2 TLB and reach the driver as one batch of faults per kind
+(:meth:`~repro.vm.driver.GPUDriver.migrate_pages`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, cycle, islice
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from itertools import chain, cycle, islice, repeat
+from operator import attrgetter
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
-from repro.errors import MigrationError, ProtocolError
+from repro.errors import AllocationError, MigrationError, ProtocolError
 from repro.hbm.commands import CommandKind
 from repro.hbm.system import HBMSystem
 from repro.obs import OFF, Obs
@@ -37,6 +43,10 @@ from repro.vm.tlb import TLB
 CROSSBAR_RETRY_LIMIT = 256
 
 
+#: A move's ``(vpn, dst_channel)``, the pair the driver's batch takes.
+_VPN_AND_DST = attrgetter("vpn", "dst_channel")
+
+
 def _round_robin_destinations(kept: List[int], start: int, count: int) -> List[int]:
     """Destination channels for ``count`` pages round-robined over
     ``kept``, continuing from offset ``start``: page ``i`` goes to
@@ -45,9 +55,15 @@ def _round_robin_destinations(kept: List[int], start: int, count: int) -> List[i
     return list(islice(cycle(kept[offset:] + kept[:offset]), count))
 
 
-@dataclass(frozen=True)
+@dataclass
 class PageMigration:
-    """One page's planned move between channel groups."""
+    """One page's planned move between channel groups.
+
+    Slotted and not frozen, like :class:`~repro.vm.tlb.TLBEntry`: a
+    reallocation plans thousands of moves, and a frozen dataclass costs
+    about four times as much to build.  Nothing hashes a move."""
+
+    __slots__ = ("app_id", "vpn", "src_channel", "dst_channel")
 
     app_id: int
     vpn: int
@@ -92,10 +108,9 @@ class MigrationReport:
     lazy_charge: MigrationCharge
     l1_entries_flushed: int = 0
     l2_entries_invalidated: int = 0
-
-    @property
-    def pages_moved(self) -> int:
-        return len(self.plan.eager) + len(self.plan.lazy)
+    #: Pages this execution moved: the eager ones, plus the lazy ones
+    #: when it was told to move them.
+    pages_moved: int = 0
 
     @property
     def window_cycles(self) -> float:
@@ -176,10 +191,8 @@ class MigrationEngine:
             if not vpns:
                 continue
             dsts = _round_robin_destinations(kept, rr, len(vpns))
-            eager.extend(
-                PageMigration(app_id, vpn, src_channel=channel, dst_channel=dst)
-                for vpn, dst in zip(vpns, dsts)
-            )
+            eager.extend(map(PageMigration, repeat(app_id), vpns,
+                             repeat(channel), dsts))
             rr += len(vpns)
 
         # Lazy: move pages toward the gained channels until balanced.
@@ -216,9 +229,7 @@ class MigrationEngine:
                     if take <= 0:
                         break
                     lazy.extend(
-                        PageMigration(
-                            app_id, vpn, src_channel=donor, dst_channel=single
-                        )
+                        PageMigration(app_id, vpn, donor, single)
                         for vpn, _ in islice(table.pages_in_channel(donor), take)
                     )
                     need[single] -= take
@@ -233,9 +244,7 @@ class MigrationEngine:
                         break
                     if budget is not None and budget <= 0:
                         break
-                    lazy.append(
-                        PageMigration(app_id, vpn, src_channel=donor, dst_channel=dst)
-                    )
+                    lazy.append(PageMigration(app_id, vpn, donor, dst))
                     need[dst] -= 1
                     surplus -= 1
                     if budget is not None:
@@ -256,42 +265,31 @@ class MigrationEngine:
     def execute(self, plan: MigrationPlan, include_lazy: bool = True) -> MigrationReport:
         """Apply a plan: VM state updates plus analytic data-movement cost.
 
-        The plan is validated before anything changes — every moved page
-        resident where the plan says, no page moved twice, and room in
-        every destination channel — so a plan that cannot complete is
-        rejected whole rather than leaving TLBs, the channel-status
-        register or the address space half-migrated.
+        The plan is validated before anything changes (see
+        :meth:`_check_plan`), so a plan that cannot complete is rejected
+        whole rather than leaving TLBs, the channel-status register or
+        the address space half-migrated.
         """
         with self.obs.span("pagemove.execute"):
             return self._execute(plan, include_lazy)
 
     def _execute(self, plan: MigrationPlan, include_lazy: bool = True) -> MigrationReport:
         app_id = plan.app_id
-        self._check_plan(plan, include_lazy)
+        moved, (set_register, marks) = self._check_plan(plan, include_lazy)
         # 1. Flush L1 TLBs (all SMs revalidate through the L2 TLB).
         l1_flushed = sum(tlb.flush() for tlb in self.l1_tlbs)
 
-        # 2. Program the channel-status register.  The register's status
-        # bit is a single bit, so a plan that both loses and gains
-        # channels must pick one direction: LOST wins.  Vacating
-        # deallocated channels is the coherence-critical work of Section
-        # 4.4 — marking the kept set (new_channels) routes every
-        # translation landing outside it to a LOST_CHANNEL fault — while
-        # the gained-side rebalance proceeds lazily via demand faults
-        # without needing register guidance.
-        if plan.lost_channels:
-            self.registry.set_lost(app_id, sorted(plan.new_channels))
-        elif plan.gained_channels:
-            self.registry.set_gained(app_id, sorted(plan.gained_channels))
+        # 2. Program the channel-status register with the direction and
+        # marks _check_plan chose and checked.
+        if set_register is not None:
+            set_register(app_id, marks)
 
         # 3. Update the driver's channel assignment.
         self.driver.reassign_channels(app_id, plan.new_channels)
 
         # 4. Move pages: eager always, lazy optionally.
-        l2_invalidated = 0
-        l2_invalidated += self._move_pages(plan.eager, FaultKind.LOST_CHANNEL)
-        lazy_moves = plan.lazy if include_lazy else []
-        l2_invalidated += self._move_pages(lazy_moves, FaultKind.REBALANCE)
+        l2_invalidated = self._move_pages(plan, include_lazy, moved)
+        lazy_moved = len(plan.lazy) if include_lazy else 0
 
         # 5. Clear the register once balanced (Section 4.4).  Tolerance 1
         # matches GPUDriver.is_balanced's default and the paper's
@@ -305,9 +303,10 @@ class MigrationEngine:
         report = MigrationReport(
             plan=plan,
             eager_charge=self.cost_model.charge(len(plan.eager), self.mode),
-            lazy_charge=self.cost_model.charge(len(lazy_moves), self.mode),
+            lazy_charge=self.cost_model.charge(lazy_moved, self.mode),
             l1_entries_flushed=l1_flushed,
             l2_entries_invalidated=l2_invalidated,
+            pages_moved=len(moved),
         )
         self.reports.append(report)
         obs = self.obs
@@ -316,7 +315,7 @@ class MigrationEngine:
             obs.emit(
                 "migration", "execute",
                 duration=report.window_cycles, app_id=app_id,
-                eager=len(plan.eager), lazy=len(lazy_moves),
+                eager=len(plan.eager), lazy=lazy_moved,
                 mode=self.mode.value,
                 l1_flushed=l1_flushed, l2_invalidated=l2_invalidated,
                 register=direction.name.lower() if direction else "cleared",
@@ -325,59 +324,107 @@ class MigrationEngine:
             )
         return report
 
-    def _check_plan(self, plan: MigrationPlan, include_lazy: bool) -> None:
-        """Reject a plan that is stale or whose destinations cannot absorb
-        its pages, before anything changes.
+    def _check_plan(
+        self, plan: MigrationPlan, include_lazy: bool,
+    ) -> Tuple[Set[int], Tuple[Optional[Callable], List[int]]]:
+        """Reject a plan that cannot complete, before anything changes;
+        return the VPNs it moves and step 2's register write (the
+        register's setter, or None, and the channels it marks).
 
-        Stale: a moved page is not resident in its move's source channel
-        (the plan was made against another placement).  A page listed
-        twice is refused too: its second move would find it gone.
-        Capacity: frames freed by this plan's own moves *out of* a channel
-        do not count; the conservative check is incoming pages against
-        currently free frames, which is exact for the eager (vacate)
-        direction and safe for rebalance.
+        Refused, in this order:
+
+        * a move of another app's page (the register and the channel
+          reassignment act on ``plan.app_id`` only);
+        * a page listed twice (its second move would find it gone);
+        * a stale move, whose page is not resident in the move's source
+          channel (the plan was made against another placement);
+        * more pages into a channel than it has free frames.  Frames
+          freed by this plan's own moves *out of* a channel do not count,
+          which is exact for the eager (vacate) direction and safe for
+          rebalance;
+        * an app or channels the channel-status register cannot record,
+          new channels the driver cannot assign, and a destination
+          outside ``plan.new_channels`` — each with the error the
+          register or the driver would raise once state had changed.
+
+        Each move's page is looked up here, not by the fault that moves
+        it, so a stale plan is refused before any state changes.  Past
+        these checks a move is refused only where the driver's frame
+        bookkeeping disagrees with the page table.
         """
-        moves = chain(plan.eager, plan.lazy) if include_lazy else plan.eager
-        tables = self.driver.page_tables
-        listed: Dict[int, Set[int]] = defaultdict(set)
+        app_id = plan.app_id
+        driver = self.driver
+        driver.assigned_channels(app_id)  # refuses an unregistered app
+        lookup = driver.page_tables[app_id].lookup
+        moved: Set[int] = set()
         incoming: Dict[int, int] = {}
-        for move in moves:
-            app_id, vpn, dst = move.app_id, move.vpn, move.dst_channel
-            vpns = listed[app_id]
-            if vpn in vpns:
+        for move in chain(plan.eager, plan.lazy) if include_lazy else plan.eager:
+            vpn = move.vpn
+            if move.app_id != app_id:
+                raise MigrationError(
+                    f"plan for app {app_id} moves vpn {vpn:#x} of app "
+                    f"{move.app_id}"
+                )
+            if vpn in moved:
                 raise MigrationError(
                     f"plan moves vpn {vpn:#x} of app {app_id} twice"
                 )
-            vpns.add(vpn)
-            entry = tables[app_id].lookup(vpn)
+            moved.add(vpn)
+            entry = lookup(vpn)
             if entry is None or entry.channel != move.src_channel:
                 raise MigrationError(
                     f"stale plan: vpn {vpn:#x} not resident in channel "
                     f"{move.src_channel}"
                 )
+            dst = move.dst_channel
             incoming[dst] = incoming.get(dst, 0) + 1
         for channel, pages in incoming.items():
-            free = self.driver.free_pages(channel)
+            free = driver.free_pages(channel)
             if pages > free:
                 raise MigrationError(
                     f"plan needs {pages} frames in channel {channel} but "
                     f"only {free} are free; rejecting before any page moves"
                 )
+        # Step 2's register write.  The register's status bit is a single
+        # bit, so a plan that both loses and gains channels must pick one
+        # direction: LOST wins.  Vacating deallocated channels is the
+        # coherence-critical work of Section 4.4 — marking the kept set
+        # (new_channels) routes every translation landing outside it to a
+        # LOST_CHANNEL fault — while the gained-side rebalance proceeds
+        # lazily via demand faults without needing register guidance.
+        registry = self.registry
+        if plan.lost_channels:
+            write = registry.set_lost, sorted(plan.new_channels)
+        elif plan.gained_channels:
+            write = registry.set_gained, sorted(plan.gained_channels)
+        else:
+            write = None, []
+        registry.check(app_id, write[1])
+        # What step 3 hands the driver.
+        new = driver.check_channels(plan.new_channels)
+        for channel in incoming:
+            if channel not in new:
+                raise AllocationError(
+                    f"channel {channel} is not assigned to app {app_id}"
+                )
+        return moved, write
 
-    def _move_pages(self, migrations: List[PageMigration], kind: FaultKind) -> int:
-        """Move checked pages (see :meth:`_check_plan`); return the L2 TLB
-        entries invalidated."""
-        if not migrations:
-            return 0
-        invalidated = 0
-        invalidate = self.l2_tlb.invalidate
-        handle_fault = self.driver.handle_fault
-        for move in migrations:
-            if invalidate(move.app_id, move.vpn):
-                invalidated += 1
-            handle_fault(
-                kind, move.app_id, move.vpn, target_channel=move.dst_channel
-            )
+    def _move_pages(self, plan: MigrationPlan, include_lazy: bool,
+                    moved: Set[int]) -> int:
+        """Move a checked plan's pages (``moved``, see :meth:`_check_plan`);
+        return the L2 TLB entries invalidated.
+
+        Their L2 translations go in one scan of the L2 TLB; then the
+        eager and the lazy moves each go to the driver as one batch of
+        ``LOST_CHANNEL`` or ``REBALANCE`` faults."""
+        app_id = plan.app_id
+        invalidated = self.l2_tlb.invalidate_pages(app_id, moved)
+        migrate_pages = self.driver.migrate_pages
+        migrate_pages(FaultKind.LOST_CHANNEL, app_id,
+                      map(_VPN_AND_DST, plan.eager))
+        if include_lazy:
+            migrate_pages(FaultKind.REBALANCE, app_id,
+                          map(_VPN_AND_DST, plan.lazy))
         return invalidated
 
     # ------------------------------------------------------------------

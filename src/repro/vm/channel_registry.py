@@ -72,6 +72,12 @@ class ChannelStatusRegister:
                 )
         return marked
 
+    def check(self, app_id: int, channels: Iterable[int] = ()) -> None:
+        """Raise what :meth:`set_lost` or :meth:`set_gained` would raise
+        for ``app_id`` and ``channels``; changes nothing."""
+        self._check_app(app_id)
+        self._check_channels(channels)
+
     # ------------------------------------------------------------------
     # Configuration (driven by the resource-partition decision)
     # ------------------------------------------------------------------

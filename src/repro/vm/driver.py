@@ -14,13 +14,19 @@ in each channel, and services three fault flavours:
 
 Every fault charges the paper's 1000-cycle software processing delay
 (Section 4.5, following Vesely et al.).
+
+:meth:`GPUDriver.handle_fault` services one fault and returns its
+:class:`PageFault`.  :meth:`GPUDriver.migrate_pages` services a
+reallocation's planned moves, a batch of migration faults of one app, in
+one pass; its result is that of one ``handle_fault`` per move, and both
+run the same per-move code.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import AllocationError
 from repro.obs import OFF, Obs
@@ -116,9 +122,7 @@ class GPUDriver:
         """Create an address space bound to an initial channel set."""
         if app_id in self.page_tables:
             raise AllocationError(f"app {app_id} already registered")
-        channel_set = self._validated(channels)
-        if not channel_set:
-            raise AllocationError("an application needs at least one channel")
+        channel_set = self.check_channels(channels)
         self._assigned[app_id] = channel_set
         self._resident[app_id] = {c: 0 for c in channel_set}
         table = PageTable(app_id)
@@ -136,9 +140,7 @@ class GPUDriver:
         :class:`repro.pagemove.engine.MigrationEngine`.
         """
         self._check_app(app_id)
-        channel_set = self._validated(channels)
-        if not channel_set:
-            raise AllocationError("an application needs at least one channel")
+        channel_set = self.check_channels(channels)
         self._assigned[app_id] = channel_set
         for channel in channel_set:
             self._resident[app_id].setdefault(channel, 0)
@@ -273,41 +275,92 @@ class GPUDriver:
             obs.end("vm.handle_fault")
         return fault
 
+    def migrate_pages(self, kind: FaultKind, app_id: int,
+                      moves: Iterable[Tuple[int, Optional[int]]]) -> None:
+        """Service one ``kind`` migration fault per ``(vpn, dst_channel)``
+        of ``moves``, in order: a reallocation's moves in one pass.
+
+        The result is by definition that of calling ``handle_fault(kind,
+        app_id, vpn, target_channel=dst_channel)`` once per move: the
+        same frames, page-table entries, per-channel index and
+        :attr:`faults` count, and for a refused move the same error at
+        the same move, with the moves before it applied.  The batch
+        builds no :class:`PageFault`.  With ``obs`` on, each move goes
+        through :meth:`handle_fault`, so it gets its ``fault`` event and
+        ``vm.handle_fault`` span.  ``DEMAND`` is refused: a demand fault
+        has no page to move.
+        """
+        if kind is FaultKind.DEMAND:
+            raise AllocationError("migrate_pages services migration faults, "
+                                  "not demand faults")
+        if self.obs.on:
+            handle_fault = self.handle_fault
+            for vpn, dst in moves:
+                handle_fault(kind, app_id, vpn, dst)
+        else:
+            self._migrate(kind, app_id, moves)
+
+    def _migrate(self, kind: FaultKind, app_id: int,
+                 moves: Iterable[Tuple[int, Optional[int]]]
+                 ) -> Tuple[Optional[int], Optional[int], Optional[int]]:
+        """:meth:`migrate_pages` without the instrumentation, and the one
+        implementation of a migration fault; returns the last move's
+        (source channel, new frame, new channel)."""
+        source = rpn = channel = None
+        table = self.page_tables.get(app_id)
+        if table is None:
+            for _ in moves:
+                self._check_app(app_id)  # raises at the first move
+            return source, rpn, channel
+        lookup, remap = table.lookup, table.map
+        release, pick, take = self._release, self._pick, self._take
+        for vpn, channel in moves:
+            entry = lookup(vpn)
+            if entry is None:
+                raise AllocationError(
+                    f"{kind.value} fault for unmapped vpn {vpn:#x}"
+                )
+            source = entry.channel
+            # Release first: the old frame's channel then counts it free
+            # and not resident when the new frame's channel is picked.
+            old = release(app_id, entry.rpn)
+            try:
+                channel = pick(app_id, channel)
+            except AllocationError:
+                # Take the released frame back (last in, first out): a
+                # refused move changes nothing.
+                take(app_id, old)
+                raise
+            rpn = take(app_id, channel)
+            remap(vpn, rpn, channel)
+            self.faults += 1
+        return source, rpn, channel
+
     def _service(self, kind: FaultKind, app_id: int, vpn: int,
                  target_channel: Optional[int]) -> PageFault:
         """:meth:`handle_fault` without the instrumentation."""
+        if kind is not FaultKind.DEMAND:
+            source, rpn, channel = self._migrate(
+                kind, app_id, ((vpn, target_channel),))
+            return PageFault(kind, app_id, vpn, rpn, channel, source)
         table = self._check_app(app_id)
         old = table.lookup(vpn)
-        source_channel = None
-        if kind is FaultKind.DEMAND:
-            if old is not None and old.valid:
+        if old is not None:
+            if old.valid:
                 raise AllocationError(
                     f"app {app_id}: demand fault for vpn {vpn:#x}, which is "
                     "already mapped"
                 )
-        elif old is None:
-            raise AllocationError(
-                f"{kind.value} fault for unmapped vpn {vpn:#x}"
-            )
-        else:
-            source_channel = old.channel
-        if old is None:
-            channel = self._pick(app_id, target_channel)
-        else:
-            # Release first: the old frame's channel then counts it free
-            # and not resident when the new frame's channel is picked.
-            old_channel = self._release(app_id, old.rpn)
-            try:
-                channel = self._pick(app_id, target_channel)
-            except AllocationError:
-                # Take the released frame back (last in, first out): a
-                # refused fault changes nothing.
-                self._take(app_id, old_channel)
-                raise
+            # An invalidated entry's frame is released and replaced the
+            # way a migration fault's is.
+            _, rpn, channel = self._migrate(
+                kind, app_id, ((vpn, target_channel),))
+            return PageFault(kind, app_id, vpn, rpn, channel)
+        channel = self._pick(app_id, target_channel)
         rpn = self._take(app_id, channel)
         table.map(vpn, rpn, channel)
         self.faults += 1
-        return PageFault(kind, app_id, vpn, rpn, channel, source_channel)
+        return PageFault(kind, app_id, vpn, rpn, channel)
 
     def is_balanced(self, app_id: int, tolerance: int = 1) -> bool:
         """True when resident page counts across the app's channels differ
@@ -335,8 +388,12 @@ class GPUDriver:
                 f"channel {channel} out of range [0, {self.num_channel_groups})"
             )
 
-    def _validated(self, channels: Iterable[int]) -> Set[int]:
+    def check_channels(self, channels: Iterable[int]) -> Set[int]:
+        """The set of ``channels`` as an app's channel set: refused unless
+        it is non-empty and every channel is in range."""
         channel_set = set(channels)
         for channel in channel_set:
             self._check_channel(channel)
+        if not channel_set:
+            raise AllocationError("an application needs at least one channel")
         return channel_set

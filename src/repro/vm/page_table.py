@@ -18,7 +18,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.errors import TranslationError
-from repro.vm.address import LEVEL_BITS, LEVELS, check_vpn
+from repro.vm.address import LEVEL_BITS, LEVELS, VPN_BITS, check_vpn
+
+#: One past the highest VPN; the hot paths test the range inline and call
+#: :func:`check_vpn` only to raise.
+_VPN_LIMIT = 1 << VPN_BITS
 
 #: Right shift giving a VPN's node prefix at each interior level, root
 #: level first: a walk goes below level ``d`` only where the level-``d``
@@ -29,6 +33,11 @@ _PREFIX_SHIFTS = tuple(LEVEL_BITS * (LEVELS - level) for level in range(1, LEVEL
 @dataclass
 class PageTableEntry:
     """Leaf entry: the translation plus PageMove bookkeeping.
+
+    Slotted like :class:`~repro.vm.tlb.TLBEntry`, so every field is
+    given (:meth:`PageTable.map` builds entries valid, clean and
+    unreferenced): a table holds one entry per mapped page, and slots
+    keep each about 40 bytes smaller.
 
     Attributes
     ----------
@@ -42,11 +51,13 @@ class PageTableEntry:
         Standard status bits (used by tests and the migration planner).
     """
 
+    __slots__ = ("rpn", "channel", "valid", "dirty", "referenced")
+
     rpn: int
     channel: int
-    valid: bool = True
-    dirty: bool = False
-    referenced: bool = False
+    valid: bool
+    dirty: bool
+    referenced: bool
 
 
 class PageTable:
@@ -83,7 +94,8 @@ class PageTable:
         """Install (or replace) the translation for ``vpn``."""
         old = self._leaves.get(vpn)
         if old is None:
-            check_vpn(vpn)
+            if not 0 <= vpn < _VPN_LIMIT:
+                check_vpn(vpn)
             interior = self._interior
             # Prefixes nest, so a present deepest one implies the rest.
             if vpn >> LEVEL_BITS not in interior[-1]:
@@ -91,8 +103,12 @@ class PageTable:
                     prefixes.add(vpn >> shift)
         elif old.valid:
             del self._by_channel[old.channel][vpn]
-        entry = self._leaves[vpn] = PageTableEntry(rpn, channel)
-        self._by_channel.setdefault(channel, {})[vpn] = entry
+        entry = PageTableEntry(rpn, channel, True, False, False)
+        self._leaves[vpn] = entry
+        bucket = self._by_channel.get(channel)
+        if bucket is None:
+            bucket = self._by_channel[channel] = {}
+        bucket[vpn] = entry
         return entry
 
     def unmap(self, vpn: int) -> PageTableEntry:
@@ -121,8 +137,8 @@ class PageTable:
     def lookup(self, vpn: int) -> Optional[PageTableEntry]:
         """Return the entry for ``vpn`` or None; does not touch status bits."""
         entry = self._leaves.get(vpn)
-        if entry is None:
-            # map admits only in-range VPNs, so a hit needs no range check.
+        # map admits only in-range VPNs, so a hit needs no range check.
+        if entry is None and not 0 <= vpn < _VPN_LIMIT:
             check_vpn(vpn)
         return entry
 

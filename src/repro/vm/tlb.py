@@ -7,15 +7,16 @@ One class serves both levels of the paper's hierarchy (Table 1):
   co-executing applications (entries are tagged with the application id).
 
 PageMove's reallocation flows flush L1 TLBs wholesale and invalidate
-individual L2 entries whose physical page moved (Section 4.4); both
-operations are first-class here.
+the L2 entries whose physical page moved (Section 4.4): one entry at a
+time on the MMU's fault path, or a reallocation's whole page set in one
+scan of the TLB (:meth:`TLB.invalidate_pages`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError
 
@@ -59,6 +60,8 @@ class TLB:
 
     Keys are (app_id, vpn) so co-executing applications never alias.
     ``ways >= entries / sets``; a fully associative TLB uses ``sets=1``.
+    A key lives in set ``(vpn ^ (app_id * 0x9E37)) % sets``; every probe
+    computes that index once, inline.
     """
 
     def __init__(self, entries: int, ways: Optional[int] = None, sets: int = 1,
@@ -89,15 +92,12 @@ class TLB:
         """Paper Table 1 L2 TLB: 512 entries, 16-way set associative."""
         return cls(entries=512, sets=512 // 16, ways=16, name=name)
 
-    def _set_for(self, app_id: int, vpn: int) -> OrderedDict:
-        return self._sets[(vpn ^ (app_id * 0x9E37)) % self.sets]
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
     def lookup(self, app_id: int, vpn: int) -> Optional[TLBEntry]:
         """Probe the TLB; updates LRU order and hit/miss statistics."""
-        ways = self._set_for(app_id, vpn)
+        ways = self._sets[(vpn ^ (app_id * 0x9E37)) % self.sets]
         key = (app_id, vpn)
         entry = ways.get(key)
         if entry is None:
@@ -109,12 +109,12 @@ class TLB:
 
     def peek(self, app_id: int, vpn: int) -> Optional[TLBEntry]:
         """Probe without disturbing LRU order or statistics."""
-        return self._set_for(app_id, vpn).get((app_id, vpn))
+        return self._sets[(vpn ^ (app_id * 0x9E37)) % self.sets].get((app_id, vpn))
 
     def fill(self, app_id: int, vpn: int, rpn: int, channel: int) -> Optional[TLBEntry]:
         """Insert a translation; returns the victim entry if one was
         evicted."""
-        ways = self._set_for(app_id, vpn)
+        ways = self._sets[(vpn ^ (app_id * 0x9E37)) % self.sets]
         key = (app_id, vpn)
         victim = None
         if key in ways:
@@ -131,11 +131,28 @@ class TLB:
     # ------------------------------------------------------------------
     def invalidate(self, app_id: int, vpn: int) -> bool:
         """Drop a single translation; True if it was present."""
-        ways = self._set_for(app_id, vpn)
+        ways = self._sets[(vpn ^ (app_id * 0x9E37)) % self.sets]
         removed = ways.pop((app_id, vpn), None) is not None
         if removed:
             self.stats.invalidations += 1
         return removed
+
+    def invalidate_pages(self, app_id: int, vpns: Set[int]) -> int:
+        """Drop every translation of ``app_id`` whose VPN is in the set
+        ``vpns``, in one scan of the TLB; returns how many were present.
+
+        Counts as one :meth:`invalidate` per dropped entry.  A
+        reallocation moves thousands of pages through a 512-entry L2, so
+        one scan costs less than a probe per page."""
+        dropped = 0
+        for ways in self._sets:
+            victims = [key for key in ways
+                       if key[0] == app_id and key[1] in vpns]
+            for key in victims:
+                del ways[key]
+            dropped += len(victims)
+        self.stats.invalidations += dropped
+        return dropped
 
     def flush(self, app_id: Optional[int] = None) -> int:
         """Drop all entries (or all entries of one application).

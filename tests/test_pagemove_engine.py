@@ -5,16 +5,19 @@ import os
 import runpy
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from repro.errors import ConfigError, MigrationError
+from repro.errors import AllocationError, ConfigError, MigrationError
 from repro.hbm import HBMConfig, HBMSystem
 from repro.pagemove import (
     InterleavedPageMapping,
     MigrationCostModel,
     MigrationEngine,
     MigrationMode,
+    MigrationPlan,
+    PageMigration,
     PageMoveAddressMapping,
 )
 from repro.pagemove.engine import _round_robin_destinations
@@ -51,7 +54,8 @@ def vm_state(engine, driver, app_id=0):
                   for vpn, e in driver.page_tables[app_id].entries()},
         "resident": [driver.resident_pages(app_id, c) for c in channels],
         "free": [driver.free_pages(c) for c in channels],
-        "register": engine.registry.encoded_bits(app_id),
+        "register": (engine.registry.encoded_bits(app_id)
+                     if app_id < engine.registry.max_apps else None),
         "tlbs": [([(e.vpn, e.rpn, e.channel)
                    for e in tlb.entries_in_channels(app_id, channels)],
                   dict(vars(tlb.stats)))
@@ -239,6 +243,62 @@ class TestExecution:
         # Without its lazy half the plan is consistent and runs.
         engine.execute(plan, include_lazy=False)
         assert driver.page_tables[0].channel_page_counts() == {0: 4}
+
+    def test_destination_outside_new_channels_rejected(self, engine, driver):
+        populate(driver, 0, [0, 1], pages_per_channel=2)
+        plan = engine.plan_channel_reallocation(0, [0])
+        plan.eager[0] = replace(plan.eager[0], dst_channel=3)
+        engine.l1_tlbs[0].fill(0, 0, rpn=0, channel=0)
+        before = vm_state(engine, driver)
+        with pytest.raises(AllocationError, match="^channel 3 is not assigned "
+                                                  "to app 0$"):
+            engine.execute(plan)
+        assert vm_state(engine, driver) == before
+
+    def test_app_beyond_register_capacity_rejected(self, engine, driver):
+        populate(driver, 5, [0, 1], pages_per_channel=2)
+        plan = engine.plan_channel_reallocation(5, [0])
+        engine.l1_tlbs[0].fill(5, 0, rpn=0, channel=0)
+        before = vm_state(engine, driver, app_id=5)
+        with pytest.raises(ConfigError, match=r"^app id 5 exceeds register "
+                                              r"capacity \(4 apps\)$"):
+            engine.execute(plan)
+        assert vm_state(engine, driver, app_id=5) == before
+
+    def test_new_channel_outside_driver_rejected(self):
+        driver = GPUDriver(num_channel_groups=4, pages_per_channel=16)
+        engine = MigrationEngine(driver, l1_tlbs=[TLB.l1()])
+        driver.register_app(0, [0, 1])
+        plan = engine.plan_channel_reallocation(0, [0, 1, 9])
+        engine.l1_tlbs[0].fill(0, 0, rpn=0, channel=0)
+        before = vm_state(engine, driver)
+        with pytest.raises(ConfigError, match=r"^channel group 9 exceeds "
+                                              r"register width \(4 bits\)$"):
+            engine.execute(plan)
+        assert vm_state(engine, driver) == before
+
+    def test_move_of_another_apps_page_rejected(self, engine, driver):
+        populate(driver, 0, [0, 1], pages_per_channel=2)
+        driver.register_app(1, [2, 3])
+        driver.handle_fault(FaultKind.DEMAND, 1, 100, target_channel=2)
+        plan = engine.plan_channel_reallocation(0, [0])
+        plan.eager.append(PageMigration(1, 100, 2, 3))
+        before = [vm_state(engine, driver, app) for app in (0, 1)]
+        with pytest.raises(MigrationError, match="^plan for app 0 moves vpn "
+                                                 "0x64 of app 1$"):
+            engine.execute(plan)
+        assert [vm_state(engine, driver, app) for app in (0, 1)] == before
+
+    def test_pages_moved_counts_executed_moves_only(self, engine, driver):
+        populate(driver, 0, [0], pages_per_channel=4)
+        plan = engine.plan_channel_reallocation(0, [0, 1])
+        assert (len(plan.eager), len(plan.lazy)) == (0, 2)
+        report = engine.execute(plan, include_lazy=False)
+        assert report.pages_moved == 0
+        assert driver.page_tables[0].channel_page_counts() == {0: 4}
+        replay = MigrationPlan(0, plan.new_channels, plan.new_channels,
+                               lazy=plan.lazy)
+        assert engine.execute(replay).pages_moved == 2
 
     def test_window_cycles_only_counts_eager(self, engine, driver):
         populate(driver, 0, [0, 1], pages_per_channel=8)

@@ -3,6 +3,7 @@ and the page table's per-channel index (hypothesis RuleBasedStateMachine),
 on both frame layouts: the default contiguous one and the paper's
 Figure 8 interleave."""
 
+import copy
 from collections import Counter
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.errors import AllocationError
+from repro.errors import AllocationError, ReproError
 from repro.pagemove import InterleavedPageMapping, PageMoveAddressMapping
 from repro.vm import FaultKind, GPUDriver
 from tests.strategies import STATE_MACHINE_SETTINGS
@@ -45,9 +46,9 @@ class DriverMachine(RuleBasedStateMachine):
         self.driver = GPUDriver(pages_per_channel=PAGES_PER_CHANNEL,
                                 mapping=mapping)
 
-    def _state(self):
+    def _state(self, driver=None):
         """Everything a refused fault must leave untouched."""
-        driver = self.driver
+        driver = driver or self.driver
         return (
             [driver.free_pages(c) for c in range(CHANNELS)],
             {a: [driver.resident_pages(a, c) for c in range(CHANNELS)]
@@ -139,6 +140,57 @@ class DriverMachine(RuleBasedStateMachine):
         assert fault.source_channel == source
         self.mapped[app_id][vpn] = fault.rpn
         self.handed_out.add(fault.rpn)
+
+    @precondition(lambda self: any(self.mapped.get(a) for a in self.apps))
+    @rule(data=st.data(),
+          kind=st.sampled_from([FaultKind.LOST_CHANNEL, FaultKind.REBALANCE]))
+    def migrate_batch(self, data, kind):
+        """``migrate_pages`` against one ``handle_fault`` per move on a
+        copy of the driver: the same state, the same frames, and the same
+        refusal (type, text) after the same number of moves.  Targets
+        range over unassigned, full and out-of-range channels and None
+        (the least-loaded channel), so refusals are drawn too."""
+        app_id = data.draw(st.sampled_from(
+            [a for a in sorted(self.apps) if self.mapped[a]]))
+        vpns = data.draw(st.lists(st.sampled_from(sorted(self.mapped[app_id])),
+                                  min_size=1, max_size=6, unique=True))
+        targets = st.one_of(st.none(),
+                            st.integers(min_value=-1, max_value=CHANNELS))
+        moves = [(vpn, data.draw(targets)) for vpn in vpns]
+
+        reference = copy.deepcopy(self.driver)
+        table = reference.page_tables[app_id]
+        expected_frames, expected_error = [], None
+        for vpn, target in moves:
+            old = table.lookup(vpn).rpn
+            try:
+                fault = reference.handle_fault(kind, app_id, vpn,
+                                               target_channel=target)
+            except ReproError as exc:
+                expected_error = (type(exc), str(exc), len(expected_frames))
+                break
+            # The old frame is released before the new one is taken, so a
+            # move into the old frame's own channel gets that frame back.
+            if fault.channel == reference.channel_of_frame(old):
+                assert fault.rpn == old
+            expected_frames.append(fault.rpn)
+
+        before = self.driver.faults
+        error = None
+        try:
+            self.driver.migrate_pages(kind, app_id, iter(moves))
+        except ReproError as exc:
+            error = exc
+        applied = self.driver.faults - before
+        table = self.driver.page_tables[app_id]
+        frames = [table.lookup(vpn).rpn for vpn, _ in moves[:applied]]
+        assert frames == expected_frames
+        assert expected_error == (
+            None if error is None else (type(error), str(error), applied))
+        assert self._state() == self._state(reference)
+        for (vpn, _), rpn in zip(moves, frames):
+            self.mapped[app_id][vpn] = rpn
+            self.handed_out.add(rpn)
 
     @precondition(lambda self: any(self.mapped.get(a) for a in self.apps))
     @rule(data=st.data())

@@ -247,6 +247,15 @@ class TestGPUDriver:
             (5, entry)
         ]
 
+    def test_migrate_pages_refuses_demand_faults(self):
+        driver = self.make_driver()
+        driver.register_app(0, [0, 1])
+        driver.handle_fault(FaultKind.DEMAND, 0, vpn=1, target_channel=0)
+        with pytest.raises(AllocationError, match="migration faults"):
+            driver.migrate_pages(FaultKind.DEMAND, 0, [(1, 1)])
+        assert driver.page_tables[0].lookup(1).channel == 0
+        assert driver.faults == 1
+
     def test_faults_counted(self):
         driver = self.make_driver()
         driver.register_app(0, [0, 1])

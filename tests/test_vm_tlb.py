@@ -1,5 +1,7 @@
 """Unit tests for the TLB model (repro.vm.tlb)."""
 
+import copy
+
 import pytest
 
 from repro.errors import ConfigError
@@ -85,6 +87,20 @@ class TestInvalidation:
         assert tlb.invalidate(0, 5)
         assert not tlb.invalidate(0, 5)
         assert tlb.lookup(0, 5) is None
+
+    def test_invalidate_pages_is_one_invalidate_per_page(self):
+        """One scan drops what one invalidate() per page drops, keeps the
+        other entries in LRU order and counts the same."""
+        tlb = TLB(entries=32, sets=4)
+        for vpn in range(12):
+            tlb.fill(vpn % 2, vpn, rpn=vpn, channel=0)
+        moved = {1, 2, 3, 6, 99}
+        single = copy.deepcopy(tlb)
+        dropped = sum(single.invalidate(0, vpn) for vpn in sorted(moved))
+        assert tlb.invalidate_pages(0, moved) == dropped == 2
+        assert [list(ways) for ways in tlb._sets] == \
+            [list(ways) for ways in single._sets]
+        assert tlb.stats == single.stats
 
     def test_flush_all(self):
         tlb = TLB.l1()

@@ -19,8 +19,9 @@ Usage (after ``pip install -e .``)::
 ``run`` and ``sweep`` execute through :mod:`repro.exec`: ``--jobs N``
 fans the independent simulations out over N worker processes.  Every
 invocation simulates every job, so a printed result always comes from
-the code that prints it.  An ``ExecStats`` footer reports jobs run,
-wall-clock and the kernel backend the jobs ran under.
+the code that prints it.  An ``ExecStats`` footer on stderr reports
+jobs run, wall-clock and the kernel backend the jobs ran under, so a
+serial, a ``--jobs N`` and a numpy-backend run print the same stdout.
 
 ``fleet`` scales the cluster extension to datacenter size: one seeded
 Poisson stream of jobs plays against every requested placement policy
@@ -380,7 +381,7 @@ def cmd_run(args) -> int:
                         for r in result.runs)
         print(f"{name:<14} {result.stp:>7.3f} {result.antt:>7.2f} "
               f"{result.min_np:>7.2f}  {nps}")
-    print(f"\n{executor.stats.format()}")
+    print(f"\n{executor.stats.format()}", file=sys.stderr)
     finish(
         results={
             "mix": "_".join(abbrs),
@@ -426,7 +427,7 @@ def cmd_sweep(args) -> int:
             if name != "bp":
                 gain = statistics.fmean(stps) / base - 1
                 print(f"\n{name} vs bp: {gain:+.1%}")
-    print(f"\n{executor.stats.format()}")
+    print(f"\n{executor.stats.format()}", file=sys.stderr)
     finish(
         results={
             "policies": {
@@ -638,10 +639,10 @@ def cmd_metrics(args) -> int:
 
 def cmd_export(args) -> int:
     """Regenerate a motivation figure's series as CSV."""
-    from repro import GPUConfig, PerformanceModel
+    from repro import PerformanceModel
     from repro.workloads import build_application
 
-    model = PerformanceModel(GPUConfig())
+    model = PerformanceModel()
     pvc = build_application("PVC").kernels[0]
     dxtc = build_application("DXTC").kernels[0]
     rows: List[List] = []

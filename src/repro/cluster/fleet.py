@@ -62,7 +62,7 @@ from repro.cluster.shard import (
 )
 from repro.errors import ConfigError, SimulationError
 from repro.exec.executor import SweepExecutor
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 from repro.gpu.kernel import Application
 from repro.metrics.energy import EnergyBreakdown, EnergyLedger, EnergyModel
 from repro.metrics.multiprogram import (
@@ -239,7 +239,7 @@ class FleetSimulator:
                 f"unknown slicing {slicing!r}; options: "
                 f"{', '.join(SLICING_MODES)}"
             )
-        config = config if config is not None else GPUConfig()
+        config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         if (config.num_sms // tenants_per_node < SM_FLOOR
                 or config.num_channels // tenants_per_node < CHANNEL_FLOOR):

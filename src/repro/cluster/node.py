@@ -7,7 +7,7 @@ from typing import Callable, List, Optional
 
 from repro.core.system import MultitaskSystem, SystemResult
 from repro.errors import AllocationError
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 from repro.gpu.kernel import Application
 from repro.policies import BPPolicy, UGPUPolicy
 
@@ -63,7 +63,7 @@ class GPUNode:
                  max_tenants: int = 4) -> None:
         if max_tenants <= 0:
             raise AllocationError("max_tenants must be positive")
-        config = config if config is not None else GPUConfig()
+        config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         self.node_id = node_id
         self.config = config

@@ -30,7 +30,7 @@ from repro.cluster.placement import (
 )
 from repro.core.system import MultitaskSystem
 from repro.errors import AllocationError
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 from repro.gpu.kernel import Application
 from repro.gpu.performance import PerformanceModel
 
@@ -71,7 +71,7 @@ class ClusterScheduler:
                  tenants_per_node: int = 2) -> None:
         if num_nodes <= 0:
             raise AllocationError("need at least one node")
-        config = config if config is not None else GPUConfig()
+        config = config if config is not None else DEFAULT_GPU_CONFIG
         self.config = config
         self.nodes = [
             GPUNode(i, config, max_tenants=tenants_per_node)

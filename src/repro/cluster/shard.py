@@ -61,12 +61,12 @@ results are identical under both kernel backends by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 from repro.gpu.kernel import Kernel
 from repro.gpu.performance import PerformanceModel
 from repro.obs import OFF, Obs
@@ -248,7 +248,7 @@ class FleetShardJob:
     round_cycles: int
     instructions_per_kernel: int
     slicing: str = "ugpu"
-    config: GPUConfig = field(default_factory=GPUConfig)
+    config: GPUConfig = DEFAULT_GPU_CONFIG
     label: str = "fleet"
     #: Executor-facing kwargs slot (kept empty; present so the executor's
     #: backend bookkeeping treats shard jobs like sweep jobs).

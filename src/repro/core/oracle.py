@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.slices import PartitionState, ResourceAllocation
 from repro.errors import AllocationError
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 from repro.gpu.kernel import Kernel
 from repro.gpu.performance import PerformanceModel
 
@@ -39,7 +39,7 @@ class OraclePartitioner:
     def __init__(self, config: Optional[GPUConfig] = None,
                  sm_step: int = 4, mc_step: int = 4,
                  min_sms: int = 4, min_channels: int = 4) -> None:
-        config = config if config is not None else GPUConfig()
+        config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         if sm_step <= 0 or mc_step <= 0:
             raise AllocationError("steps must be positive")

@@ -10,22 +10,21 @@ adds no latency to the epoch itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.errors import ConfigError
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 from repro.gpu.counters import CounterBank, CounterSnapshot
 from repro.gpu.performance import SliceThroughput
 
 
-@dataclass(frozen=True)
-class AppProfile:
+class AppProfile(NamedTuple):
     """What the hardware learned about one application this epoch.
 
     ``bw_demand_per_sm`` is Equation 1 (bytes per cycle one stall-free SM
     would consume); ``bw_supply_per_mc`` is Equation 2 (bytes per cycle
-    one memory channel plus its LLC slices can supply to this app).
+    one memory channel plus its LLC slices can supply to this app).  An
+    immutable tuple that compares and hashes by value.
     """
 
     app_id: int
@@ -56,7 +55,7 @@ class EpochProfiler:
     """Per-application hardware counters plus the Equation 1-2 math."""
 
     def __init__(self, config: Optional[GPUConfig] = None) -> None:
-        config = config if config is not None else GPUConfig()
+        config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         self.config = config
         self._banks: Dict[int, CounterBank] = {}
@@ -232,15 +231,7 @@ class EpochProfiler:
 
     def bw_supply_per_mc(self, llc_hit_rate: float) -> float:
         """Equation 2, in bytes per GPU cycle per channel."""
-        cfg = self.config
-        llc_bw = (
-            cfg.llc_slices_per_channel * cfg.llc_slice_bandwidth_bytes_per_cycle()
-        )
-        mem_bw = cfg.channel_bandwidth_bytes_per_cycle()
-        miss = 1.0 - llc_hit_rate
-        hit_part = llc_hit_rate * llc_bw
-        miss_part = min(miss * llc_bw, mem_bw)
-        return hit_part + miss_part
+        return self.config.roofline.supply_per_channel(llc_hit_rate)
 
     #: Per-app :meth:`profile` memo bound; a steady-state app cycles
     #: through a handful of snapshot values, so far fewer entries live.
@@ -270,7 +261,13 @@ class EpochProfiler:
             app_id, (instructions, accesses, hits, dram))
 
     def _profile_from_key(self, app_id: int, key: tuple) -> AppProfile:
-        """Memoized profile construction from raw snapshot values."""
+        """Memoized profile construction from raw snapshot values.
+
+        A new snapshot costs Equations 1-2 on the config's cached
+        :attr:`~repro.gpu.config.GPUConfig.roofline` constants (the
+        arithmetic of :meth:`bw_demand_per_sm` and
+        :meth:`bw_supply_per_mc`) and one positional tuple build.
+        """
         memo = self._profile_memo.get(app_id)
         if memo is None:
             memo = self._profile_memo[app_id] = {}
@@ -282,14 +279,15 @@ class EpochProfiler:
         # CounterSnapshot.apki_llc / llc_hit_rate, verbatim.
         apki = accesses * 1000.0 / instructions if instructions else 0.0
         hit = hits / accesses if accesses else 0.0
+        roof = self.config.roofline
         profile = AppProfile(
-            app_id=app_id,
-            ipc_max_per_sm=ipc_max,
-            apki_llc=apki,
-            llc_hit_rate=hit,
-            bw_demand_per_sm=self.bw_demand_per_sm(ipc_max, apki),
-            bw_supply_per_mc=self.bw_supply_per_mc(hit),
-            footprint_bytes=self._footprints.get(app_id, 0),
+            app_id,
+            ipc_max,
+            apki,
+            hit,
+            ipc_max * (apki / 1000.0) * roof.line_bytes,    # Equation 1
+            roof.supply_per_channel(hit),                   # Equation 2
+            self._footprints.get(app_id, 0),
         )
         if len(memo) >= self.PROFILE_MEMO_CAPACITY:
             memo.clear()

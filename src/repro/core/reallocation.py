@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 
 #: Thread-block duration the UGPU and CD-Search policies cost SM
 #: handovers with (:meth:`SMReallocator.cost` drains when it fits in an
@@ -52,7 +52,7 @@ class SMReallocator:
     def __init__(self, config: Optional[GPUConfig] = None,
                  context_bytes_per_sm: int = None,
                  switch_fixed_cycles: float = 30_000.0) -> None:
-        config = config if config is not None else GPUConfig()
+        config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         self.config = config
         #: Register file + shared memory per SM (the switched context).

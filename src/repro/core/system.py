@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.slices import PartitionState, ResourceAllocation
 from repro.errors import ConfigError, SimulationError
 from repro.fastpath import resolve_kernel_backend
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 from repro.gpu.kernel import Application
 from repro.gpu.performance import PerformanceModel, SliceThroughput
 from repro.metrics.energy import EnergyBreakdown, EnergyModel
@@ -199,6 +199,8 @@ class OpenSystemResult:
 #: Process-wide memo of solo-run IPCs: the Equation 3/4 denominator is a
 #: pure function of (application content, config, horizon, epoch length,
 #: memory size), and sweeps re-derive it for every policy sharing a mix.
+#: Keyed on the kernels and config themselves, which compare by value
+#: and hash once per object.
 _SOLO_IPC_CACHE: Dict[Tuple, float] = {}
 
 
@@ -271,7 +273,7 @@ class MultitaskSystem:
         self._open = arrivals is not None and len(arrivals) > 0
         if not applications and not self._open:
             raise ConfigError("need at least one application")
-        config = config if config is not None else GPUConfig()
+        config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         self.config = config
         self.perf = PerformanceModel(config)
@@ -636,26 +638,9 @@ class MultitaskSystem:
             for state in self.apps.values()
         }
 
-    @staticmethod
-    def _curve_key(curve) -> Optional[Tuple]:
-        if curve is None:
-            return None
-        return (
-            curve.reference_capacity, curve.reference_hit_rate,
-            curve.working_set, curve.peak_hit_rate, curve.alpha,
-        )
-
     def _solo_cache_key(self, app: Application, total_cycles: int) -> Tuple:
-        kernels = tuple(
-            (
-                k.name, k.ipc_per_sm, k.apki_llc, k.llc_hit_rate,
-                k.footprint_bytes, k.instructions,
-                self._curve_key(k.hit_curve),
-            )
-            for k in app.kernels
-        )
         return (
-            app.name, kernels, self.config, total_cycles,
+            app.name, tuple(app.kernels), self.config, total_cycles,
             self.epoch_cycles, self.total_memory_bytes,
         )
 

@@ -80,11 +80,10 @@ def compute_batch(
     if not missing:
         return out
 
-    cfg = model.config
+    (line, bytes_per_ch, llc_bw_ch, mem_bw_ch, latency_ratio,
+     draw_coefficient, exponent) = model.config.roofline
     n = len(missing)
     ipc_sm, apk, hit, powsm, sms_f, chans_f = _scratch(n)
-    bytes_per_ch = cfg.llc_bytes_per_channel
-    exponent = cfg.mlp_draw_exponent
     for j, i in enumerate(missing):
         kernel = kernels[i]
         s, m = sms[i], channels[i]
@@ -96,25 +95,19 @@ def compute_batch(
         sms_f[j] = float(s)
         chans_f[j] = float(m)
 
-    line = float(cfg.llc_line_bytes)
+    line = float(line)
     compute_roof = sms_f * ipc_sm
     bpi = apk * line
     demand = (compute_roof * apk) * line
 
-    llc_bw_ch = (
-        cfg.llc_slices_per_channel * cfg.llc_slice_bandwidth_bytes_per_cycle()
-    )
-    mem_bw_ch = cfg.channel_bandwidth_bytes_per_cycle()
     per_channel = hit * llc_bw_ch + np.minimum((1.0 - hit) * llc_bw_ch,
                                                mem_bw_ch)
     supply = chans_f * per_channel
     supply[chans_f <= 0.0] = 0.0
 
-    latency_ratio = cfg.llc_latency_cycles / cfg.dram_latency_cycles
     scale = 1.0 - (1.0 - latency_ratio) * np.minimum(
         np.maximum(hit, 0.0), 1.0)
-    draw = (cfg.mlp_draw_coefficient * powsm) / np.maximum(
-        scale, latency_ratio)
+    draw = (draw_coefficient * powsm) / np.maximum(scale, latency_ratio)
 
     positive_bpi = bpi > 0.0
     bandwidth_roof = np.full(n, np.inf)
@@ -131,14 +124,9 @@ def compute_batch(
 
     for j, i in enumerate(missing):
         result = SliceThroughput(
-            ipc=float(ipc[j]),
-            compute_roof=float(compute_roof[j]),
-            bandwidth_roof=float(bandwidth_roof[j]),
-            mlp_roof=float(mlp_roof[j]),
-            demand_bytes_per_cycle=float(demand[j]),
-            supply_bytes_per_cycle=float(supply[j]),
-            dram_bytes_per_cycle=float(dram[j]),
-            llc_hit_rate=float(hit[j]),
+            float(ipc[j]), float(compute_roof[j]), float(bandwidth_roof[j]),
+            float(mlp_roof[j]), float(demand[j]), float(supply[j]),
+            float(dram[j]), float(hit[j]),
         )
         model._memo_store((kernels[i], sms[i], channels[i]), result)
         out[i] = result

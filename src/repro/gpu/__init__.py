@@ -11,7 +11,7 @@ evaluates applications with.
 from repro import _lazy_exports
 
 _EXPORTS = {
-    "repro.gpu.config": ("GPUConfig",),
+    "repro.gpu.config": ("GPUConfig", "DEFAULT_GPU_CONFIG"),
     "repro.gpu.counters": ("HardwareCounter", "CounterBank"),
     "repro.gpu.kernel": ("Kernel", "KernelProgress", "Application"),
     "repro.gpu.llc": (

@@ -1,14 +1,64 @@
-"""GPU architecture configuration (paper Table 1)."""
+"""GPU architecture configuration (paper Table 1).
+
+:data:`DEFAULT_GPU_CONFIG` is the Table 1 machine every component uses
+when it is given no config: one shared instance per process, so the
+thousands of short runs behind the paper's figures build, validate and
+hash it once.  A :class:`GPUConfig` is frozen, so each object also
+caches its own checks (see :mod:`repro.frozen`): ``validate()`` checks
+once and then returns at once (a refusal is never remembered, so every
+call on an inconsistent config raises the same error), ``hash()``
+computes the field hash once, and :attr:`GPUConfig.roofline` holds the
+constants every roofline evaluation reads.  A config built with
+:func:`dataclasses.replace` is a new object and validates on its own
+first use.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from repro.errors import ConfigError
+from repro.frozen import once_per_object
 from repro.hbm.config import HBMConfig
 from repro.units import KB, MB
 
 
+class RooflineConstants(NamedTuple):
+    """The config-derived constants of Equations 1-2 and the MLP draw
+    law, each computed exactly as the derived quantity it names, and the
+    two per-slice laws that read them."""
+
+    line_bytes: int               #: ``llc_line_bytes``
+    llc_bytes_per_channel: int    #: ``llc_bytes_per_channel``
+    #: ``llc_slices_per_channel * llc_slice_bandwidth_bytes_per_cycle()``
+    llc_bw_per_channel: float
+    dram_bw_per_channel: float    #: ``channel_bandwidth_bytes_per_cycle()``
+    latency_ratio: float          #: ``llc_latency_cycles / dram_latency_cycles``
+    draw_coefficient: float       #: ``mlp_draw_coefficient``
+    draw_exponent: float          #: ``mlp_draw_exponent``
+
+    def supply_per_channel(self, hit: float) -> float:
+        """Equation 2 for one channel and its LLC slices,
+        ``H * B_LLC + min((1-H) * B_LLC, B_MEM)``: hits stream at LLC
+        bandwidth, misses at the smaller of the miss stream and the
+        channel's DRAM bandwidth."""
+        llc_bw = self.llc_bw_per_channel
+        return hit * llc_bw + min((1.0 - hit) * llc_bw, self.dram_bw_per_channel)
+
+    def draw(self, num_sms: int, num_channels: int, hit: float) -> float:
+        """MLP draw ceiling: LLC-level bytes/cycle a slice can keep in
+        flight (see :attr:`GPUConfig.mlp_draw_coefficient`)."""
+        scale = 1.0 - (1.0 - self.latency_ratio) * min(max(hit, 0.0), 1.0)
+        return (
+            self.draw_coefficient
+            * (num_sms * num_channels) ** self.draw_exponent
+            / max(scale, self.latency_ratio)
+        )
+
+
+@once_per_object
 @dataclass(frozen=True)
 class GPUConfig:
     """The simulated GPU of Table 1.
@@ -143,10 +193,22 @@ class GPUConfig:
                              llc_hit_rate: float) -> float:
         """MLP draw ceiling: LLC-level bytes/cycle a slice can keep in
         flight (see :attr:`mlp_draw_coefficient`)."""
-        latency_ratio = self.llc_latency_cycles / self.dram_latency_cycles
-        scale = 1.0 - (1.0 - latency_ratio) * min(max(llc_hit_rate, 0.0), 1.0)
-        return (
-            self.mlp_draw_coefficient
-            * (num_sms * num_channels) ** self.mlp_draw_exponent
-            / max(scale, latency_ratio)
+        return self.roofline.draw(num_sms, num_channels, llc_hit_rate)
+
+    @cached_property
+    def roofline(self) -> RooflineConstants:
+        """The constants every roofline evaluation reads, computed once
+        per object (the config is frozen, so they cannot go stale)."""
+        return RooflineConstants(
+            self.llc_line_bytes,
+            self.llc_bytes_per_channel,
+            self.llc_slices_per_channel * self.llc_slice_bandwidth_bytes_per_cycle(),
+            self.channel_bandwidth_bytes_per_cycle(),
+            self.llc_latency_cycles / self.dram_latency_cycles,
+            self.mlp_draw_coefficient,
+            self.mlp_draw_exponent,
         )
+
+
+#: The Table 1 machine, shared by every component built without a config.
+DEFAULT_GPU_CONFIG = GPUConfig()

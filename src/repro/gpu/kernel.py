@@ -9,13 +9,15 @@ early — the paper's methodology for 25M-cycle multiprogram runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigError
+from repro.frozen import once_per_object
 from repro.gpu.llc import HitRateCurve
 
 
+@once_per_object  # throughput memos hash their kernel on every lookup
 @dataclass(frozen=True)
 class Kernel:
     """One GPU kernel's profile.
@@ -59,24 +61,6 @@ class Kernel:
             raise ConfigError(f"{self.name}: footprint must be non-negative")
         if self.instructions <= 0:
             raise ConfigError(f"{self.name}: instructions must be positive")
-
-    def __hash__(self) -> int:
-        # Throughput memos hash their kernel on every lookup, and the
-        # generated dataclass hash rebuilds and hashes a tuple of every
-        # field each time.  The value is the generated one, computed once
-        # per object; string hashes are salted per process, so it stays
-        # out of pickles (``__getstate__``).
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash(tuple(getattr(self, f.name) for f in fields(self)))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
 
     @property
     def mpki_llc(self) -> float:

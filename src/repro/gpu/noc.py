@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class CrossbarNoC:
     """Analytic crossbar: per-port channel width, full bisection."""
 
     def __init__(self, config: Optional[GPUConfig] = None) -> None:
-        config = config if config is not None else GPUConfig()
+        config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         self.config = config
 

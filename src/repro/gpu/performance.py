@@ -16,29 +16,42 @@ of Figures 2 and 3 exactly: compute-bound kernels scale with SMs and are
 flat in channels until the supply knee; memory-bound kernels scale with
 channels and are flat in SMs until too few SMs remain to cover the
 latency (the compute roofline drops below the bandwidth one).
+
+What a memo miss costs: :meth:`PerformanceModel.throughput` reads the
+config's :attr:`~repro.gpu.config.GPUConfig.roofline` constants
+(computed once per config object), evaluates the kernel's hit-rate
+curve once, applies the constants' Equation 2 and MLP draw law, and
+builds one :class:`SliceThroughput` tuple positionally.  Its floats are
+computed in the same order and association as
+:meth:`~PerformanceModel.demand_bytes_per_cycle`,
+:meth:`~PerformanceModel.supply_bytes_per_cycle` and
+:meth:`~repro.gpu.config.GPUConfig.draw_bytes_per_cycle`, so every field
+is bitwise what those methods give (``tests/test_gpu_performance.py``
+pins that against a reference written out in the test).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 from repro.gpu.kernel import Kernel
 
 
-@dataclass(frozen=True)
-class SliceThroughput:
+class SliceThroughput(NamedTuple):
     """Throughput of one kernel on one GPU slice.
+
+    An immutable tuple that compares and hashes by value; the hot paths
+    build it positionally, in field order.
 
     Attributes
     ----------
     ipc:
         Achieved instructions per GPU cycle over the whole slice.
-    compute_roof, bandwidth_roof:
-        The two roofline values (instructions/cycle).
+    compute_roof, bandwidth_roof, mlp_roof:
+        The roofline values (instructions/cycle).
     demand_bytes_per_cycle:
         Equation 1's per-slice bandwidth demand at the ideal issue rate.
     supply_bytes_per_cycle:
@@ -83,7 +96,7 @@ class PerformanceModel:
 
     def __init__(self, config: Optional[GPUConfig] = None,
                  memo_capacity: int = DEFAULT_MEMO_CAPACITY) -> None:
-        config = config if config is not None else GPUConfig()
+        config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         if memo_capacity < 1:
             raise ConfigError(
@@ -92,7 +105,7 @@ class PerformanceModel:
         # throughput() is pure in (kernel, sms, channels) for a fixed
         # config, and the epoch loop re-evaluates the same slice for
         # every epoch a kernel runs, so memoize.  Kernel is a frozen
-        # (hashable) dataclass and SliceThroughput is frozen, so shared
+        # (hashable) dataclass and SliceThroughput a tuple, so shared
         # results are safe.  Keyed by the kernel object itself — the dict
         # holds a reference, so ids cannot be recycled under us — and
         # LRU-bounded so arbitrarily long sweeps stay at fixed memory.
@@ -112,9 +125,11 @@ class PerformanceModel:
     def clear_memo(self) -> None:
         """Drop every memoized throughput.
 
-        Must be called whenever ``self.config`` is mutated in place
-        (memoized results would otherwise reflect the old parameters);
-        the hit/miss counters survive so telemetry stays cumulative.
+        Must be called whenever ``self.config`` is replaced (memoized
+        results would otherwise reflect the old parameters; the roofline
+        constants live on the frozen config object, so they follow the
+        new one); the hit/miss counters survive so telemetry stays
+        cumulative.
         """
         self._throughput_memo.clear()
 
@@ -148,14 +163,9 @@ class PerformanceModel:
         """
         if num_channels <= 0:
             return 0.0
-        cfg = self.config
-        hit = kernel.hit_rate_at(num_channels * cfg.llc_bytes_per_channel)
-        llc_bw_ch = (
-            cfg.llc_slices_per_channel * cfg.llc_slice_bandwidth_bytes_per_cycle()
-        )
-        mem_bw_ch = cfg.channel_bandwidth_bytes_per_cycle()
-        per_channel = hit * llc_bw_ch + min((1.0 - hit) * llc_bw_ch, mem_bw_ch)
-        return num_channels * per_channel
+        roof = self.config.roofline
+        hit = kernel.hit_rate_at(num_channels * roof.llc_bytes_per_channel)
+        return num_channels * roof.supply_per_channel(hit)
 
     # ------------------------------------------------------------------
     # Throughput
@@ -172,21 +182,22 @@ class PerformanceModel:
         self.memo_misses += 1
         if num_sms < 0 or num_channels < 0:
             raise ConfigError("slice sizes must be non-negative")
-        cfg = self.config
-        line = cfg.llc_line_bytes
-        bytes_per_instr = (kernel.apki_llc / 1000.0) * line
-        hit = kernel.hit_rate_at(num_channels * cfg.llc_bytes_per_channel)
+        roof = self.config.roofline
+        line = roof.line_bytes
+        apk = kernel.apki_llc / 1000.0
+        bytes_per_instr = apk * line
+        hit = kernel.hit_rate_at(num_channels * roof.llc_bytes_per_channel)
 
         compute_roof = num_sms * kernel.ipc_per_sm
-        supply = self.supply_bytes_per_cycle(kernel, num_channels)
+        # supply_bytes_per_cycle(), with the hit rate evaluated above.
+        supply = num_channels * roof.supply_per_channel(hit) if num_channels else 0.0
         if bytes_per_instr > 0:
             bandwidth_roof = supply / bytes_per_instr
             # MLP ceiling: achieved bandwidth is bounded by the in-flight
             # capacity of the slice, which scales with the geometric mean
             # of source (SM MSHRs) and sink (channel queues) parallelism —
             # Figure 3b's decline below ~20 SMs.
-            draw = cfg.draw_bytes_per_cycle(num_sms, num_channels, hit)
-            mlp_roof = draw / bytes_per_instr
+            mlp_roof = roof.draw(num_sms, num_channels, hit) / bytes_per_instr
         else:
             bandwidth_roof = float("inf")
             mlp_roof = float("inf")
@@ -195,14 +206,14 @@ class PerformanceModel:
         if num_sms == 0 or (num_channels == 0 and bytes_per_instr > 0):
             ipc = 0.0
         return self._memo_store(key, SliceThroughput(
-            ipc=ipc,
-            compute_roof=compute_roof,
-            bandwidth_roof=bandwidth_roof,
-            mlp_roof=mlp_roof,
-            demand_bytes_per_cycle=self.demand_bytes_per_cycle(kernel, num_sms),
-            supply_bytes_per_cycle=supply,
-            dram_bytes_per_cycle=ipc * bytes_per_instr * (1.0 - hit),
-            llc_hit_rate=hit,
+            ipc,
+            compute_roof,
+            bandwidth_roof,
+            mlp_roof,
+            compute_roof * apk * line,      # demand_bytes_per_cycle()
+            supply,
+            ipc * bytes_per_instr * (1.0 - hit),
+            hit,
         ))
 
     def throughput_batch(self, kernels: Sequence[Kernel],

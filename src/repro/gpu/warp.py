@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 from repro.gpu.kernel import Kernel
 
 
@@ -51,7 +51,7 @@ class WarpTimingModel:
         ``mlp_per_warp``: overlapping outstanding misses per warp
         (coalesced GPU loads keep several lines in flight; 128 L1 MSHRs
         over ~20 actively-missing warps gives roughly six)."""
-        config = config if config is not None else GPUConfig()
+        config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         if not 0.0 < l1_miss_rate <= 1.0:
             raise ConfigError("l1_miss_rate must be in (0, 1]")

@@ -4,16 +4,22 @@ All timing values are in *memory clock* cycles.  The paper's GPU core clock
 is 1.25x slower than the memory data-transfer clock (Section 4.5), so
 ``HBMConfig.to_gpu_cycles`` converts command latencies into the GPU cycle
 domain used by the epoch simulation.
+
+Both records are frozen: each validates once and hashes once per object
+(see :mod:`repro.frozen`), and a refusal is never remembered, so every
+``validate()`` of an inconsistent object raises the same error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.errors import ConfigError
+from repro.frozen import once_per_object
 from repro.units import GB_DECIMAL, is_power_of_two
 
 
+@once_per_object
 @dataclass(frozen=True)
 class HBMTiming:
     """HBM DRAM timing constraints, in memory clock cycles.
@@ -45,9 +51,11 @@ class HBMTiming:
 
     def validate(self) -> None:
         """Check internal consistency of the timing set."""
-        for name, value in self.__dict__.items():
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value <= 0:
-                raise ConfigError(f"timing parameter {name} must be positive, got {value}")
+                raise ConfigError(
+                    f"timing parameter {f.name} must be positive, got {value}")
         if self.tRAS + self.tRP > self.tRC:
             raise ConfigError(
                 f"tRAS+tRP ({self.tRAS}+{self.tRP}) must not exceed tRC ({self.tRC})"
@@ -62,6 +70,7 @@ class HBMTiming:
             raise ConfigError("tRFC must be shorter than tREFI")
 
 
+@once_per_object
 @dataclass(frozen=True)
 class HBMConfig:
     """Structural description of the HBM memory system (paper Table 1).

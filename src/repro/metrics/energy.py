@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class EnergyModel:
         mem_pj_per_byte: float = 14.0,
         migration_pj_per_byte: float = 9.0,
     ) -> None:
-        config = config if config is not None else GPUConfig()
+        config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         for name, value in (
             ("core_static_watts", core_static_watts),

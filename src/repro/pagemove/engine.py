@@ -150,7 +150,6 @@ class MigrationEngine:
             num_channel_groups=driver.num_channel_groups
         )
         self.mode = mode
-        self.reports: List[MigrationReport] = []
 
     # ------------------------------------------------------------------
     # Planning
@@ -308,7 +307,6 @@ class MigrationEngine:
             l2_entries_invalidated=l2_invalidated,
             pages_moved=len(moved),
         )
-        self.reports.append(report)
         obs = self.obs
         if obs.on:
             direction = self.registry.direction(app_id)

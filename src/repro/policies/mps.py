@@ -131,20 +131,14 @@ class MPSPolicy(PartitionPolicy):
         total = sum(traffic.values())
         supply = (
             runner.config.num_channels
-            * runner.config.channel_bandwidth_bytes_per_cycle()
+            * runner.config.roofline.dram_bw_per_channel
             * (1.0 - self.contention_overhead)
         )
         if total <= supply:
             return base
         factor = supply / total
-        ipc = base.ipc * factor
-        return SliceThroughput(
-            ipc=ipc,
-            compute_roof=base.compute_roof,
+        return base._replace(
+            ipc=base.ipc * factor,
             bandwidth_roof=base.bandwidth_roof * factor,
-            mlp_roof=base.mlp_roof,
-            demand_bytes_per_cycle=base.demand_bytes_per_cycle,
-            supply_bytes_per_cycle=base.supply_bytes_per_cycle,
             dram_bytes_per_cycle=base.dram_bytes_per_cycle * factor,
-            llc_hit_rate=base.llc_hit_rate,
         )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class FaultOverheadModel:
         (streaming kernels use most of a 4 KB page: 32 lines; irregular
         ones fewer).  ``concurrent_faults``: faults the driver overlaps
         (batched handling hides part of the 20 us latency)."""
-        config = config if config is not None else GPUConfig()
+        config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         if page_size <= 0 or lines_per_page_touch <= 0 or concurrent_faults <= 0:
             raise ConfigError("oversubscription parameters must be positive")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
 from repro.gpu.kernel import Kernel
 from repro.gpu.llc import HitRateCurve, SetAssociativeCache
 from repro.gpu.warp import WarpTimingModel
@@ -47,7 +47,7 @@ class TraceCharacterizer:
 
     def __init__(self, config: Optional[GPUConfig] = None,
                  warp_model: Optional[WarpTimingModel] = None) -> None:
-        config = config if config is not None else GPUConfig()
+        config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         self.config = config
         self.warp_model = (

@@ -15,7 +15,6 @@ and under a custom stateful policy (the uncached fast-path branch no
 in-tree policy takes), and the backend the executor and ExecStats record.
 """
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -34,8 +33,8 @@ from repro.fastpath import (
 )
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import Kernel
-from repro.gpu.llc import HitRateCurve
 from repro.gpu.performance import PerformanceModel
+from tests.strategies.gpu import hexed, kernels
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -45,37 +44,6 @@ def _clear_backend_override():
     """Tests must not leak a process-wide backend override."""
     yield
     set_default_kernel_backend(None)
-
-
-def _hexed(t) -> list:
-    """Every float field of a SliceThroughput as its exact hex form."""
-    return [
-        getattr(t, f.name).hex() if isinstance(getattr(t, f.name), float)
-        else getattr(t, f.name)
-        for f in dataclasses.fields(t)
-    ]
-
-
-finite = dict(allow_nan=False, allow_infinity=False)
-
-hit_curves = st.builds(
-    HitRateCurve,
-    reference_capacity=st.floats(min_value=1e6, max_value=1e8, **finite),
-    reference_hit_rate=st.floats(min_value=0.0, max_value=0.8, **finite),
-    working_set=st.floats(min_value=1e6, max_value=1e9, **finite),
-    alpha=st.floats(min_value=0.1, max_value=2.0, **finite),
-)
-
-kernels = st.builds(
-    Kernel,
-    name=st.just("k"),
-    ipc_per_sm=st.floats(min_value=0.05, max_value=4.0, **finite),
-    apki_llc=st.floats(min_value=0.0, max_value=400.0, **finite),
-    llc_hit_rate=st.floats(min_value=0.0, max_value=1.0, **finite),
-    footprint_bytes=st.integers(min_value=0, max_value=1 << 33),
-    instructions=st.integers(min_value=1, max_value=10**9),
-    hit_curve=st.one_of(st.none(), hit_curves),
-)
 
 
 class TestThroughputBatchProperty:
@@ -97,7 +65,7 @@ class TestThroughputBatchProperty:
         oracle = PerformanceModel(GPUConfig())
         for got, (kernel, s, m) in zip(vectorized, batch):
             want = oracle.throughput(kernel, s, m)
-            assert _hexed(got) == _hexed(want)
+            assert hexed(got) == hexed(want)
 
     def test_zero_sm_and_zero_channel_edges(self):
         memory = Kernel("m", ipc_per_sm=1.0, apki_llc=120.0,
@@ -110,7 +78,7 @@ class TestThroughputBatchProperty:
         batch = PerformanceModel(GPUConfig()).throughput_batch(ks, sms, chans)
         oracle = PerformanceModel(GPUConfig())
         for got, kernel, s, m in zip(batch, ks, sms, chans):
-            assert _hexed(got) == _hexed(oracle.throughput(kernel, s, m))
+            assert hexed(got) == hexed(oracle.throughput(kernel, s, m))
         assert batch[0].ipc == 0.0          # no SMs
         assert batch[1].ipc == 0.0          # memory-bound, no channels
         assert batch[2].ipc == 0.0          # no SMs, even compute-bound
@@ -232,8 +200,7 @@ class TestSystemBackendAgreement:
                 # Depends on policy state no cache token covers.
                 self.throughput_calls += 1
                 base = self.runner.slice_throughput(state)
-                return dataclasses.replace(
-                    base, ipc=base.ipc / (1 + self.epochs_seen))
+                return base._replace(ipc=base.ipc / (1 + self.epochs_seen))
 
             def on_epoch_end(self, epoch_index, span):
                 self.epochs_seen += 1

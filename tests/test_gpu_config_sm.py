@@ -1,9 +1,26 @@
 """Unit tests for GPU configuration and SM models (repro.gpu.config/sm)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.cluster.shard import FleetShardJob
+from repro.core.profiler import EpochProfiler
+from repro.core.system import MultitaskSystem
 from repro.errors import ConfigError
-from repro.gpu import GPUConfig, OccupancyLimits, StreamingMultiprocessor, occupancy
+from repro.exec.keys import fingerprint
+from repro.gpu import (
+    GPUConfig,
+    OccupancyLimits,
+    PerformanceModel,
+    StreamingMultiprocessor,
+    occupancy,
+)
+from repro.gpu.config import DEFAULT_GPU_CONFIG
+from repro.hbm.config import HBMConfig, HBMTiming
+from repro.telemetry.provenance import config_hash
+from repro.workloads import build_mix
 
 
 class TestGPUConfig:
@@ -41,6 +58,110 @@ class TestGPUConfig:
     def test_zero_sms_rejected(self):
         with pytest.raises(ConfigError):
             GPUConfig(num_sms=0).validate()
+
+
+def _used(config):
+    """``config`` after every per-object cache has been filled."""
+    config.validate()
+    hash(config)
+    if isinstance(config, GPUConfig):
+        config.roofline
+    return config
+
+
+class TestFrozenConfigs:
+    """Each frozen config validates once and hashes once per object; the
+    cached state never shows in ==, repr, fields, fingerprints or
+    pickles, and a refusal is never cached."""
+
+    @pytest.mark.parametrize("config", [
+        GPUConfig(num_sms=0),
+        GPUConfig(hbm=HBMConfig(timing=HBMTiming(tRFC=5000))),
+        HBMConfig(num_stacks=0),
+        HBMTiming(tRAS=40),
+    ], ids=["gpu", "gpu-nested-timing", "hbm", "timing"])
+    def test_refusal_repeats_on_every_call(self, config):
+        with pytest.raises(ConfigError) as first:
+            config.validate()
+        with pytest.raises(ConfigError) as second:
+            config.validate()
+        assert str(second.value) == str(first.value)
+
+    def test_used_config_is_indistinguishable_from_a_fresh_one(self):
+        used = _used(GPUConfig())
+        fresh = GPUConfig()
+        assert used == fresh and hash(used) == hash(GPUConfig())
+        assert repr(used) == repr(fresh)
+        assert ([f.name for f in dataclasses.fields(used)]
+                == [f.name for f in dataclasses.fields(fresh)])
+        assert fingerprint(used) == fingerprint(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        copy = pickle.loads(pickle.dumps(used))
+        assert copy == fresh and vars(copy) == vars(GPUConfig())
+        assert vars(copy.hbm) == vars(HBMConfig())
+        assert vars(copy.hbm.timing) == vars(HBMTiming())
+
+    def test_cached_hash_is_the_field_hash(self):
+        for config in (_used(GPUConfig()), _used(HBMConfig()),
+                       _used(HBMTiming())):
+            fields = tuple(getattr(config, f.name)
+                           for f in dataclasses.fields(config))
+            assert hash(config) == hash(fields)
+
+    def test_config_hash_is_unchanged(self):
+        """The fleet run_id hashes the config with the run's shape; a
+        used config hashes as a fresh one, to the value it always had."""
+        for config in (GPUConfig(), _used(DEFAULT_GPU_CONFIG)):
+            assert config_hash(config) == "1956bc1ec8070829"
+            assert config_hash(
+                config, placement="first_fit", slicing="ugpu", nodes=200,
+                tenants=2, round=1_000_000, horizon=50_000_000, arrivals=971,
+            ) == "c548d638eecebebd"
+
+    def test_components_share_the_default(self):
+        assert PerformanceModel().config is DEFAULT_GPU_CONFIG
+        assert EpochProfiler().config is DEFAULT_GPU_CONFIG
+        system = MultitaskSystem(build_mix(["PVC", "DXTC"]).applications)
+        assert system.config is DEFAULT_GPU_CONFIG
+        assert system.perf.config is DEFAULT_GPU_CONFIG
+        job = FleetShardJob(nodes=(), round_cycles=1, instructions_per_kernel=1)
+        assert job.config is DEFAULT_GPU_CONFIG
+
+    def test_replace_of_the_default_validates_on_use(self):
+        bad = dataclasses.replace(DEFAULT_GPU_CONFIG, num_sms=0)
+        assert bad is not DEFAULT_GPU_CONFIG
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="num_sms must be positive"):
+                PerformanceModel(bad)
+        half = dataclasses.replace(DEFAULT_GPU_CONFIG, num_sms=40)
+        assert half is not DEFAULT_GPU_CONFIG and half != DEFAULT_GPU_CONFIG
+        assert PerformanceModel(half).config is half
+        assert MultitaskSystem(build_mix(["PVC", "DXTC"]).applications,
+                               config=half).config is half
+
+    def test_roofline_constants_are_the_derived_quantities(self):
+        cfg = GPUConfig(llc_latency_cycles=100)
+        roof = cfg.roofline
+        assert roof.line_bytes == cfg.llc_line_bytes
+        assert roof.llc_bytes_per_channel == cfg.llc_bytes_per_channel
+        assert roof.llc_bw_per_channel == (
+            cfg.llc_slices_per_channel
+            * cfg.llc_slice_bandwidth_bytes_per_cycle())
+        assert (roof.dram_bw_per_channel
+                == cfg.channel_bandwidth_bytes_per_cycle())
+        assert roof.latency_ratio == 100 / cfg.dram_latency_cycles
+        assert roof.draw_coefficient == cfg.mlp_draw_coefficient
+        assert roof.draw_exponent == cfg.mlp_draw_exponent
+
+    def test_timing_validate_reads_fields_only(self):
+        """A cached attribute is not a timing parameter: a negative
+        cached hash must not read as one."""
+        timing = HBMTiming()
+        object.__setattr__(timing, "_hash", -5)
+        timing.validate()
+        with pytest.raises(ConfigError,
+                           match="timing parameter tCL must be positive, got 0"):
+            HBMTiming(tCL=0).validate()
 
 
 class TestOccupancy:

@@ -7,11 +7,22 @@ Figure 2/3 reproduction benches.
 
 import dataclasses
 import pickle
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.gpu import Application, GPUConfig, Kernel, PerformanceModel
+from repro.gpu import (
+    Application,
+    GPUConfig,
+    Kernel,
+    PerformanceModel,
+    SliceThroughput,
+)
+from tests.strategies import STANDARD_SETTINGS
+from tests.strategies.gpu import CONFIGS, configs, hexed, kernels
 
 
 def compute_kernel(**overrides):
@@ -222,3 +233,114 @@ class TestModelEdges:
         t = model.throughput(memory_kernel(), 40, 16)
         expected = t.ipc * (6.4 / 1000) * 128 * (1 - t.llc_hit_rate)
         assert t.dram_bytes_per_cycle == pytest.approx(expected)
+
+
+def reference_throughput(cfg, kernel, s, m) -> dict:
+    """The roofline written out from the config's fields, in the order
+    and association of Equations 1-2 and the MLP draw law as the model
+    has always evaluated them (``demand_bytes_per_cycle``,
+    ``supply_bytes_per_cycle``, ``GPUConfig.draw_bytes_per_cycle``)."""
+    channels = cfg.hbm.num_stacks * cfg.hbm.channels_per_stack
+    line = cfg.llc_line_bytes
+    bytes_per_instr = (kernel.apki_llc / 1000.0) * line
+    hit = kernel.hit_rate_at(m * (cfg.llc_size // channels))
+    compute_roof = s * kernel.ipc_per_sm
+    if m <= 0:
+        supply = 0.0
+    else:
+        llc_bw_ch = (cfg.llc_slices // channels) * (cfg.llc_line_bytes / 4)
+        mem_bw_ch = ((cfg.hbm.total_bandwidth_gbps / channels) * 1e9
+                     / (cfg.sm_freq_ghz * 1e9))
+        per_channel = hit * llc_bw_ch + min((1.0 - hit) * llc_bw_ch, mem_bw_ch)
+        supply = m * per_channel
+    if bytes_per_instr > 0:
+        bandwidth_roof = supply / bytes_per_instr
+        latency_ratio = cfg.llc_latency_cycles / cfg.dram_latency_cycles
+        scale = 1.0 - (1.0 - latency_ratio) * min(max(hit, 0.0), 1.0)
+        draw = (cfg.mlp_draw_coefficient * (s * m) ** cfg.mlp_draw_exponent
+                / max(scale, latency_ratio))
+        mlp_roof = draw / bytes_per_instr
+    else:
+        bandwidth_roof = float("inf")
+        mlp_roof = float("inf")
+    ipc = min(compute_roof, bandwidth_roof, mlp_roof)
+    if s == 0 or (m == 0 and bytes_per_instr > 0):
+        ipc = 0.0
+    return hexed(SimpleNamespace(
+        ipc=ipc,
+        compute_roof=compute_roof,
+        bandwidth_roof=bandwidth_roof,
+        mlp_roof=mlp_roof,
+        demand_bytes_per_cycle=(
+            s * kernel.ipc_per_sm * (kernel.apki_llc / 1000.0) * line),
+        supply_bytes_per_cycle=supply,
+        dram_bytes_per_cycle=ipc * bytes_per_instr * (1.0 - hit),
+        llc_hit_rate=hit,
+    ))
+
+
+class TestRooflineBits:
+    """Every field of every memo miss is bitwise the written-out
+    reference, on Table 1 and on two machines that differ from it in
+    every constant the model reads (one fresh model per example)."""
+
+    @STANDARD_SETTINGS
+    @given(cfg=configs, kernel=kernels,
+           s=st.one_of(st.just(0), st.integers(min_value=0, max_value=80)),
+           m=st.one_of(st.just(0), st.integers(min_value=0, max_value=32)))
+    def test_every_field_matches_the_reference(self, cfg, kernel, s, m):
+        m = min(m, cfg.num_channels)
+        got = PerformanceModel(cfg).throughput(kernel, s, m)
+        assert hexed(got) == reference_throughput(cfg, kernel, s, m)
+
+    def test_models_of_different_configs_disagree(self):
+        """The variants really move every result, so a constant cached
+        from the wrong config cannot pass the property above."""
+        kernel = memory_kernel()
+        results = [hexed(PerformanceModel(cfg).throughput(kernel, 8, 8))
+                   for cfg in CONFIGS]
+        for name in ("supply_bytes_per_cycle", "mlp_roof"):
+            assert len({r[name] for r in results}) == len(CONFIGS), name
+
+    def test_draw_and_equation_methods_match_the_reference(self):
+        for cfg in CONFIGS:
+            model = PerformanceModel(cfg)
+            kernel = memory_kernel()
+            want = reference_throughput(cfg, kernel, 20, 8)
+            assert (model.supply_bytes_per_cycle(kernel, 8).hex()
+                    == want["supply_bytes_per_cycle"])
+            assert (model.demand_bytes_per_cycle(kernel, 20).hex()
+                    == want["demand_bytes_per_cycle"])
+            bytes_per_instr = (kernel.apki_llc / 1000.0) * cfg.llc_line_bytes
+            draw = cfg.draw_bytes_per_cycle(20, 8, kernel.llc_hit_rate)
+            assert (draw / bytes_per_instr).hex() == want["mlp_roof"]
+
+
+class TestSliceThroughputRecord:
+    def record(self, model):
+        return model.throughput(memory_kernel(), 40, 16)
+
+    def test_immutable(self, model):
+        with pytest.raises(AttributeError):
+            self.record(model).ipc = 1.0
+
+    def test_equal_and_hashed_by_value(self, model):
+        record = self.record(model)
+        twin = PerformanceModel(GPUConfig()).throughput(memory_kernel(), 40, 16)
+        assert twin is not record
+        assert twin == record and hash(twin) == hash(record)
+        assert record != model.throughput(memory_kernel(), 40, 8)
+
+    def test_pickle_round_trip(self, model):
+        record = self.record(model)
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is SliceThroughput
+        assert copy == record and hexed(copy) == hexed(record)
+
+    def test_properties(self, model):
+        record = self.record(model)
+        assert record.memory_bound is True
+        assert record.demand_supply_ratio == pytest.approx(
+            record.demand_bytes_per_cycle / record.supply_bytes_per_cycle)
+        compute = model.throughput(compute_kernel(), 40, 16)
+        assert compute.memory_bound is False

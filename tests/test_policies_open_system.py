@@ -8,7 +8,9 @@ cluster placement, the memoized solo-IPC cache and the ``min_np``
 error contract.
 """
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.core.system import (
     clear_solo_ipc_cache,
 )
 from repro.errors import AllocationError, ConfigError, SimulationError
+from repro.gpu.kernel import Application
 from repro.metrics.multiprogram import (
     AppRun,
     IntervalRun,
@@ -371,6 +374,32 @@ class TestSoloIpcMemoization:
         warm = {k: v for k, v in other.alone_ipcs(HORIZON).items()}
         assert warm == first
         assert len(calls) == cold_calls  # reused across instances
+
+    def test_cache_keys_on_kernel_values(self):
+        """Equal kernels share an entry (a pickled copy, as from another
+        process, is warm); a kernel that differs in one field is not."""
+        clear_solo_ipc_cache()
+        system = MultitaskSystem(_apps(), epoch_cycles=EPOCH, policy=BPPolicy())
+        app = system.apps[0].app
+        ipc = system._solo_ipc(app, HORIZON)
+        calls = []
+        original = system.perf.throughput
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        system.perf.throughput = counting
+        copy = Application(app.app_id, app.name,
+                           pickle.loads(pickle.dumps(app.kernels)))
+        assert copy.kernels[0] is not app.kernels[0]
+        assert system._solo_ipc(copy, HORIZON) == ipc
+        assert calls == []
+        longer = Application(app.app_id, app.name, [
+            dataclasses.replace(k, instructions=k.instructions + 1)
+            for k in app.kernels])
+        system._solo_ipc(longer, HORIZON)
+        assert calls
 
     def test_cache_distinguishes_horizons(self):
         clear_solo_ipc_cache()

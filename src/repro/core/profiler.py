@@ -263,10 +263,10 @@ class EpochProfiler:
     def _profile_from_key(self, app_id: int, key: tuple) -> AppProfile:
         """Memoized profile construction from raw snapshot values.
 
-        A new snapshot costs Equations 1-2 on the config's cached
-        :attr:`~repro.gpu.config.GPUConfig.roofline` constants (the
-        arithmetic of :meth:`bw_demand_per_sm` and
-        :meth:`bw_supply_per_mc`) and one positional tuple build.
+        A new snapshot costs Equations 1-2 (:meth:`bw_demand_per_sm`,
+        :meth:`bw_supply_per_mc`) on the config's cached
+        :attr:`~repro.gpu.config.GPUConfig.roofline` constants and one
+        positional record build.
         """
         memo = self._profile_memo.get(app_id)
         if memo is None:
@@ -279,14 +279,13 @@ class EpochProfiler:
         # CounterSnapshot.apki_llc / llc_hit_rate, verbatim.
         apki = accesses * 1000.0 / instructions if instructions else 0.0
         hit = hits / accesses if accesses else 0.0
-        roof = self.config.roofline
         profile = AppProfile(
             app_id,
             ipc_max,
             apki,
             hit,
-            ipc_max * (apki / 1000.0) * roof.line_bytes,    # Equation 1
-            roof.supply_per_channel(hit),                   # Equation 2
+            self.bw_demand_per_sm(ipc_max, apki),
+            self.bw_supply_per_mc(hit),
             self._footprints.get(app_id, 0),
         )
         if len(memo) >= self.PROFILE_MEMO_CAPACITY:

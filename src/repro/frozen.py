@@ -12,27 +12,26 @@ gives such a record
 * a ``validate()`` that runs the class's checks until they pass once,
   then returns at once; a refusal is never remembered, so every call on
   an inconsistent object raises the same error;
-* a pickle state without any per-object cache, so no cached value
-  crosses a process boundary (string hashes are salted per process) and
-  a copy computes its own.
+* a pickle state of the class's dataclass fields only, recorded when
+  the class is decorated, so no per-object cache (these two, or one a
+  class adds, such as ``GPUConfig.roofline``) crosses a process
+  boundary (string hashes are salted per process) and a copy computes
+  its own.
 
-The caches live in the instance dict under the names in :data:`CACHED`,
-none of which is a field, so ``==``, ``repr``,
-:func:`dataclasses.fields` and :func:`repro.exec.keys.fingerprint` never
-see them.
+The caches live in the instance dict under names that are not fields,
+so ``==``, ``repr``, :func:`dataclasses.fields` and
+:func:`repro.exec.keys.fingerprint` never see them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-
-#: Instance-dict names of per-object caches: the hash and the passed
-#: validation here, and ``GPUConfig.roofline``.
-CACHED = ("_hash", "_valid", "roofline")
 
 
 def once_per_object(cls):
     """Class decorator for a frozen dataclass (see the module docstring)."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
     generated_hash = cls.__hash__
 
     def __hash__(self) -> int:
@@ -53,12 +52,10 @@ def once_per_object(cls):
                 object.__setattr__(self, "_valid", True)
 
         cls.validate = validate_once
-    cls.__getstate__ = _state_without_caches
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        return {name: state[name] for name in names}
+
+    cls.__getstate__ = __getstate__
     return cls
-
-
-def _state_without_caches(record) -> dict:
-    state = record.__dict__.copy()
-    for name in CACHED:
-        state.pop(name, None)
-    return state

@@ -130,6 +130,10 @@ class GPUConfig:
             raise ConfigError("num_sms must be positive")
         if self.sm_freq_ghz <= 0:
             raise ConfigError("sm_freq_ghz must be positive")
+        if self.llc_latency_cycles <= 0:
+            raise ConfigError("llc_latency_cycles must be positive")
+        if self.dram_latency_cycles <= 0:
+            raise ConfigError("dram_latency_cycles must be positive")
         if self.max_warps_per_sm * self.threads_per_warp != self.max_threads_per_sm:
             raise ConfigError(
                 "max_threads_per_sm must equal max_warps_per_sm * threads_per_warp"

@@ -20,14 +20,13 @@ latency (the compute roofline drops below the bandwidth one).
 What a memo miss costs: :meth:`PerformanceModel.throughput` reads the
 config's :attr:`~repro.gpu.config.GPUConfig.roofline` constants
 (computed once per config object), evaluates the kernel's hit-rate
-curve once, applies the constants' Equation 2 and MLP draw law, and
-builds one :class:`SliceThroughput` tuple positionally.  Its floats are
-computed in the same order and association as
-:meth:`~PerformanceModel.demand_bytes_per_cycle`,
+curve once, and applies Equation 1
+(:meth:`~PerformanceModel.demand_bytes_per_cycle`) and the constants'
+Equation 2 and MLP draw law, so every field is bitwise what
 :meth:`~PerformanceModel.supply_bytes_per_cycle` and
-:meth:`~repro.gpu.config.GPUConfig.draw_bytes_per_cycle`, so every field
-is bitwise what those methods give (``tests/test_gpu_performance.py``
-pins that against a reference written out in the test).
+:meth:`~repro.gpu.config.GPUConfig.draw_bytes_per_cycle` give
+(``tests/test_gpu_performance.py`` pins that against a reference
+written out in the test); then it builds one :class:`SliceThroughput`.
 """
 
 from __future__ import annotations
@@ -183,9 +182,7 @@ class PerformanceModel:
         if num_sms < 0 or num_channels < 0:
             raise ConfigError("slice sizes must be non-negative")
         roof = self.config.roofline
-        line = roof.line_bytes
-        apk = kernel.apki_llc / 1000.0
-        bytes_per_instr = apk * line
+        bytes_per_instr = (kernel.apki_llc / 1000.0) * roof.line_bytes
         hit = kernel.hit_rate_at(num_channels * roof.llc_bytes_per_channel)
 
         compute_roof = num_sms * kernel.ipc_per_sm
@@ -210,7 +207,7 @@ class PerformanceModel:
             compute_roof,
             bandwidth_roof,
             mlp_roof,
-            compute_roof * apk * line,      # demand_bytes_per_cycle()
+            self.demand_bytes_per_cycle(kernel, num_sms),
             supply,
             ipc * bytes_per_instr * (1.0 - hit),
             hit,

@@ -12,6 +12,7 @@ from repro.errors import ConfigError
 from repro.exec.keys import fingerprint
 from repro.gpu import (
     GPUConfig,
+    Kernel,
     OccupancyLimits,
     PerformanceModel,
     StreamingMultiprocessor,
@@ -59,6 +60,15 @@ class TestGPUConfig:
         with pytest.raises(ConfigError):
             GPUConfig(num_sms=0).validate()
 
+    @pytest.mark.parametrize("name", ["llc_latency_cycles",
+                                      "dram_latency_cycles"])
+    def test_nonpositive_latency_rejected(self, name):
+        """The MLP draw law divides by the DRAM latency and scales by the
+        latency ratio, so a model refuses either latency unless positive."""
+        for value in (0, -1):
+            with pytest.raises(ConfigError, match=f"{name} must be positive"):
+                PerformanceModel(GPUConfig(**{name: value}))
+
 
 def _used(config):
     """``config`` after every per-object cache has been filled."""
@@ -76,10 +86,13 @@ class TestFrozenConfigs:
 
     @pytest.mark.parametrize("config", [
         GPUConfig(num_sms=0),
+        GPUConfig(llc_latency_cycles=-1),
+        GPUConfig(dram_latency_cycles=0),
         GPUConfig(hbm=HBMConfig(timing=HBMTiming(tRFC=5000))),
         HBMConfig(num_stacks=0),
         HBMTiming(tRAS=40),
-    ], ids=["gpu", "gpu-nested-timing", "hbm", "timing"])
+    ], ids=["gpu", "gpu-llc-latency", "gpu-dram-latency",
+            "gpu-nested-timing", "hbm", "timing"])
     def test_refusal_repeats_on_every_call(self, config):
         with pytest.raises(ConfigError) as first:
             config.validate()
@@ -100,6 +113,22 @@ class TestFrozenConfigs:
         assert copy == fresh and vars(copy) == vars(GPUConfig())
         assert vars(copy.hbm) == vars(HBMConfig())
         assert vars(copy.hbm.timing) == vars(HBMTiming())
+
+    @pytest.mark.parametrize("record", [
+        GPUConfig(), HBMConfig(), HBMTiming(),
+        Kernel("k", ipc_per_sm=1.0, apki_llc=2.0, llc_hit_rate=0.3,
+               footprint_bytes=100, instructions=1000),
+    ], ids=["gpu", "hbm", "timing", "kernel"])
+    def test_pickles_carry_fields_only(self, record):
+        """Any non-field attribute, including a cache no module names,
+        stays out of the pickle state."""
+        fresh = pickle.dumps(record)
+        object.__setattr__(record, "_some_later_cache", object())
+        hash(record)
+        assert pickle.dumps(record) == fresh
+        copy = pickle.loads(fresh)
+        assert sorted(vars(copy)) == sorted(
+            f.name for f in dataclasses.fields(record))
 
     def test_cached_hash_is_the_field_hash(self):
         for config in (_used(GPUConfig()), _used(HBMConfig()),

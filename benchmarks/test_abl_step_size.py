@@ -42,21 +42,12 @@ def test_iteration_cap_binds_only_tiny_steps(benchmark):
     """With a 20-iteration cap, a 2-SM step may stop short of balance
     while an 8-SM step converges comfortably."""
     from repro.core import DemandAwarePartitioner, PartitionState
-    from repro.core.profiler import AppProfile, EpochProfiler
+    from repro.core.profiler import EpochProfiler
     from repro.gpu import GPUConfig
 
     config = GPUConfig()
-    profiler = EpochProfiler(config)
-
-    def profile(app_id, apki, hit):
-        return AppProfile(
-            app_id=app_id, ipc_max_per_sm=64.0, apki_llc=apki,
-            llc_hit_rate=hit,
-            bw_demand_per_sm=profiler.bw_demand_per_sm(64.0, apki),
-            bw_supply_per_mc=profiler.bw_supply_per_mc(hit),
-        )
-
-    profiles = {0: profile(0, 6.4, 0.25), 1: profile(1, 1.2, 0.9997)}
+    profile = EpochProfiler(config).build_profile
+    profiles = {0: profile(0, 64.0, 6.4, 0.25), 1: profile(1, 64.0, 1.2, 0.9997)}
 
     def iterations_for(step):
         partitioner = DemandAwarePartitioner(

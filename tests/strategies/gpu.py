@@ -1,5 +1,5 @@
-"""Kernels, GPU configs and a bitwise record view for the roofline and
-Equation 1-2 property tests.
+"""Kernels, GPU configs, a bitwise record view and exact-count epochs
+for the roofline, Equation 1-2 and profiler tests.
 
 ``CONFIGS`` holds the Table 1 machine and two variants built with
 :func:`dataclasses.replace` that differ from it in every constant a
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import Kernel
 from repro.gpu.llc import HitRateCurve
+from repro.gpu.performance import SliceThroughput
 from repro.hbm.config import HBMConfig
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -76,3 +77,13 @@ def hexed(record, names=SLICE_FIELDS) -> dict:
     values = {name: getattr(record, name) for name in names}
     return {name: value.hex() if isinstance(value, float) else value
             for name, value in values.items()}
+
+
+def counted_epoch(hit_rate=0.0, dram_per_cycle=0.0, accesses=True):
+    """A throughput record whose epoch of ``n`` cycles on Table 1 (128 B
+    lines) retires ``n`` instructions and makes ``n`` LLC accesses (none
+    without ``accesses``), ``n * hit_rate`` of them hits, and ``n *
+    dram_per_cycle`` DRAM bytes: one instruction per cycle, at an APKI
+    the profiler recovers as exactly 1000."""
+    return SliceThroughput(1.0, 1.0, 0.0, 0.0, 128.0 if accesses else 0.0,
+                           0.0, dram_per_cycle, hit_rate)

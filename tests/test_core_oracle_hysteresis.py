@@ -12,7 +12,7 @@ from repro import (
 )
 from repro.core.oracle import OraclePartitioner
 from repro.core.slices import ResourceAllocation
-from repro.errors import AllocationError
+from repro.errors import AllocationError, ConfigError
 from repro.gpu import GPUConfig
 
 
@@ -121,7 +121,7 @@ class TestHysteresis:
         assert result.stp > 1.1 * bp.stp  # the large gain still applies
 
     def test_negative_hysteresis_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="hysteresis"):
             MultitaskSystem(
                 build_mix(["PVC", "DXTC"]).applications,
                 policy=UGPUPolicy(hysteresis=-0.1),

@@ -4,15 +4,16 @@
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core import AppProfile, EpochProfiler
 from repro.errors import ConfigError
-from repro.gpu import GPUConfig, Kernel, PerformanceModel
-from repro.gpu.counters import CounterSnapshot
+from repro.gpu import (
+    Application, GPUConfig, Kernel, PerformanceModel, SliceThroughput,
+)
 from tests.strategies import STANDARD_SETTINGS
-from tests.strategies.gpu import CONFIGS, configs, hexed
+from tests.strategies.gpu import CONFIGS, configs, counted_epoch, finite, hexed
 
 
 @pytest.fixture
@@ -53,15 +54,28 @@ class TestEquations:
 
 
 class TestProfileLifecycle:
-    def test_track_required(self, profiler):
-        with pytest.raises(ConfigError):
+    def test_track_required(self, profiler, config):
+        t = PerformanceModel(config).throughput(kernel(), 40, 16)
+        with pytest.raises(ConfigError, match="app 0 is not tracked"):
+            profiler.observe(0, t, 5_000_000)
+        with pytest.raises(ConfigError, match="app 0 is not tracked"):
             profiler.profile(0)
-        with pytest.raises(ConfigError):
-            profiler.bank(0)
 
     def test_invalid_ipc_max(self, profiler):
         with pytest.raises(ConfigError):
             profiler.track(0, ipc_max_per_sm=0)
+
+    def test_track_application(self, profiler):
+        """An app's stall-free issue rate is its fastest kernel's, and an
+        app already tracked keeps its counters."""
+        app = Application(0, "two", [kernel(ipc=12.0), kernel(ipc=48.0)])
+        profiler.track_application(0, app)
+        profiler.observe(0, counted_epoch(), 4096)
+        profiler.track_application(0, app)
+        profile = profiler.profile(0)
+        assert profile.ipc_max_per_sm == 48.0
+        assert profile.footprint_bytes == 1 << 30
+        assert profile.apki_llc == 1000.0
 
     def test_observe_and_profile_roundtrip(self, profiler, config):
         """Counters fed from a throughput record recover APKI and hit rate."""
@@ -69,7 +83,7 @@ class TestProfileLifecycle:
         model = PerformanceModel(config)
         k = kernel()
         t = model.throughput(k, 40, 16)
-        profiler.observe_epoch(0, t, effective_cycles=5_000_000)
+        profiler.observe(0, t, 5_000_000)
         profile = profiler.profile(0)
         assert profile.apki_llc == pytest.approx(k.apki_llc, rel=0.02)
         assert profile.llc_hit_rate == pytest.approx(t.llc_hit_rate, abs=0.02)
@@ -78,7 +92,7 @@ class TestProfileLifecycle:
     def test_profile_resets_counters(self, profiler, config):
         profiler.track(0, ipc_max_per_sm=64.0)
         t = PerformanceModel(config).throughput(kernel(), 40, 16)
-        profiler.observe_epoch(0, t, effective_cycles=1_000_000)
+        profiler.observe(0, t, 1_000_000)
         profiler.profile(0)
         empty = profiler.profile(0)
         assert empty.apki_llc == 0.0
@@ -87,14 +101,26 @@ class TestProfileLifecycle:
         profiler.track(0, ipc_max_per_sm=64.0)
         t = PerformanceModel(config).throughput(kernel(), 40, 16)
         with pytest.raises(ConfigError):
-            profiler.observe_epoch(0, t, effective_cycles=-1)
+            profiler.observe(0, t, -1)
+
+    def test_dram_bytes_key_the_memo(self, profiler):
+        """The DRAM-byte counter reaches no profile field, but two reads
+        that differ only in it are two memo entries."""
+        profiler.track(0, ipc_max_per_sm=64.0)
+        profiler.observe(0, counted_epoch(), 4096)
+        quiet = profiler.profile(0)
+        profiler.observe(0, counted_epoch(dram_per_cycle=1.0), 4096)
+        busy = profiler.profile(0)
+        assert busy == quiet and busy is not quiet
+        profiler.observe(0, counted_epoch(), 4096)
+        assert profiler.profile(0) is quiet
 
 
 class TestAppProfile:
     def test_demand_supply_ratio(self, profiler, config):
         profiler.track(0, ipc_max_per_sm=64.0)
         t = PerformanceModel(config).throughput(kernel(), 40, 16)
-        profiler.observe_epoch(0, t, effective_cycles=5_000_000)
+        profiler.observe(0, t, 5_000_000)
         profile = profiler.profile(0)
         # A PVC-like kernel at the even partition is memory-bound.
         assert profile.demand_supply_ratio(40, 16) > 1.0
@@ -135,36 +161,129 @@ def reference_profile(cfg, app_id, ipc_max, footprint, instructions,
     ), PROFILE_FIELDS)
 
 
+#: The reference counters, written out: the widths of the instruction,
+#: LLC-access, LLC-hit and DRAM-byte counters (all saturating) and the
+#: events per tick of the three narrow ones.
+COUNTER_WIDTHS = (48, 16, 16, 16)
+EVENTS_PER_TICK = 1024
+
+
+def reference_reads(cfg, epochs):
+    """What each boundary read returns for one app, as ``(instructions,
+    accesses, hits)``: one epoch's event counts from its throughput
+    record, four saturating counters, narrow-counter remainders carried
+    across epochs and a read that resets the counts.  ``None`` is an
+    epoch with nothing observed."""
+    caps = [(1 << width) - 1 for width in COUNTER_WIDTHS]
+    remainders = [0, 0, 0]
+    reads = []
+    for epoch in epochs:
+        counts = [0, 0, 0, 0]
+        if epoch is not None:
+            t, cycles = epoch
+            instructions = int(t.ipc * cycles)
+            apki = (t.demand_bytes_per_cycle / max(1e-12, t.compute_roof)
+                    / cfg.llc_line_bytes * 1000.0)
+            accesses = int(instructions * apki / 1000.0)
+            hits = int(accesses * t.llc_hit_rate)
+            dram = int(t.dram_bytes_per_cycle * cycles)
+            counts[0] = min(instructions, caps[0])
+            for i, events in enumerate((accesses, hits, dram)):
+                ticks, remainders[i] = divmod(remainders[i] + events,
+                                              EVENTS_PER_TICK)
+                counts[i + 1] = min(ticks, caps[i + 1])
+        reads.append((counts[0], counts[1] * EVENTS_PER_TICK,
+                      counts[2] * EVENTS_PER_TICK))
+    return reads
+
+
+#: Throughput records as the profiler reads them.  The ranges reach past
+#: every counter's width within one epoch.
+throughputs = st.builds(
+    SliceThroughput,
+    ipc=st.floats(min_value=0.0, max_value=1e7, **finite),
+    compute_roof=st.floats(min_value=0.0, max_value=1e4, **finite),
+    bandwidth_roof=st.just(0.0),
+    mlp_roof=st.just(0.0),
+    demand_bytes_per_cycle=st.floats(min_value=0.0, max_value=1e6, **finite),
+    supply_bytes_per_cycle=st.just(0.0),
+    dram_bytes_per_cycle=st.floats(min_value=0.0, max_value=1e6, **finite),
+    llc_hit_rate=st.floats(min_value=0.0, max_value=1.0, **finite),
+)
+cycle_counts = st.one_of(st.just(0), st.just(5_000_000),
+                         st.integers(min_value=0, max_value=10**8))
+#: One app: its issue rate, footprint and up to 8 epochs, each an index
+#: into a shared pool of throughput records plus cycles, or ``None``.
+app_plans = st.tuples(
+    st.floats(min_value=0.05, max_value=64.0, **finite),
+    st.integers(min_value=0, max_value=1 << 33),
+    st.lists(st.one_of(st.none(),
+                       st.tuples(st.integers(0, 2), cycle_counts)),
+             max_size=8),
+)
+#: Saturates all four counters in one 10**8-cycle epoch.
+SATURATING = SliceThroughput(1e7, 1.0, 0.0, 0.0, 1e6, 0.0, 1e6, 1.0)
+
+
 class TestProfileBits:
     """Every profile field is bitwise the written-out reference, on
     Table 1 and on two machines that differ from it in every constant
     Equations 1-2 read (one fresh profiler per example)."""
 
     @STANDARD_SETTINGS
+    @given(cfg=configs, pool=st.lists(throughputs, min_size=1, max_size=3),
+           plans=st.lists(app_plans, min_size=1, max_size=3))
+    @example(cfg=CONFIGS[0], pool=[SATURATING],
+             plans=[(64.0, 0, [(0, 10**8), (0, 10**8), None, (0, 0)])])
+    def test_counter_profile_matches_the_reference(self, cfg, pool, plans):
+        """Epoch sequences per app, observed and read the way the
+        policies do: every resident observed, then every resident read.
+        Records repeat (the observe memo), cycles may be 0 and counters
+        saturate."""
+        profiler = EpochProfiler(cfg)
+        epochs = []
+        want = []
+        for app_id, (ipc_max, footprint, plan) in enumerate(plans):
+            profiler.track(app_id, ipc_max_per_sm=ipc_max,
+                           footprint_bytes=footprint)
+            app_epochs = [None if e is None else (pool[e[0] % len(pool)], e[1])
+                          for e in plan]
+            epochs.append(app_epochs)
+            want.append([
+                reference_profile(cfg, app_id, ipc_max, footprint, *read)
+                for read in reference_reads(cfg, app_epochs)
+            ])
+        for index in range(max(len(e) for e in epochs)):
+            live = [a for a, e in enumerate(epochs) if index < len(e)]
+            for app_id in live:
+                epoch = epochs[app_id][index]
+                if epoch is not None:
+                    profiler.observe(app_id, *epoch)
+            for app_id in live:
+                got = profiler.profile(app_id)
+                assert hexed(got, PROFILE_FIELDS) == want[app_id][index]
+
+    @STANDARD_SETTINGS
     @given(cfg=configs,
-           ipc_max=st.floats(min_value=0.05, max_value=64.0,
-                             allow_nan=False, allow_infinity=False),
+           ipc_max=st.floats(min_value=0.05, max_value=64.0, **finite),
            instructions=st.integers(min_value=0, max_value=10**9),
            access_ticks=st.integers(min_value=0, max_value=65535),
            data=st.data())
-    def test_counter_profile_matches_the_reference(
+    def test_static_profile_matches_the_reference(
             self, cfg, ipc_max, instructions, access_ticks, data):
+        """A profile built from known parameters (UGPU's static
+        profiles) is the counter read's profile for the same values."""
         hit_ticks = data.draw(st.integers(min_value=0, max_value=access_ticks))
-        profiler = EpochProfiler(cfg)
-        profiler.track(3, ipc_max_per_sm=ipc_max, footprint_bytes=77)
-        bank = profiler.bank(3)
-        scale = bank.scale
-        bank.count_instructions(instructions)
-        bank.count_llc_access((access_ticks - hit_ticks) * scale, hit=False)
-        bank.count_llc_access(hit_ticks * scale, hit=True)
-        got = profiler.profile(3)
-        want = reference_profile(cfg, 3, ipc_max, 77, instructions,
-                                 access_ticks * scale, hit_ticks * scale)
-        assert hexed(got, PROFILE_FIELDS) == want
-        snapshot = CounterSnapshot(instructions, access_ticks * scale,
-                                   hit_ticks * scale, 0)
-        offline = profiler.profile_from_snapshot(3, snapshot)
-        assert hexed(offline, PROFILE_FIELDS) == want
+        accesses = access_ticks * EVENTS_PER_TICK
+        hits = hit_ticks * EVENTS_PER_TICK
+        profile = EpochProfiler(cfg).build_profile(
+            3, ipc_max,
+            accesses * 1000.0 / instructions if instructions else 0.0,
+            hits / accesses if accesses else 0.0,
+            77,
+        )
+        assert hexed(profile, PROFILE_FIELDS) == reference_profile(
+            cfg, 3, ipc_max, 77, instructions, accesses, hits)
 
     def test_configs_move_both_equations(self):
         profiles = []
@@ -180,7 +299,7 @@ class TestAppProfileRecord:
     def record(self, profiler, config):
         profiler.track(0, ipc_max_per_sm=64.0, footprint_bytes=5)
         t = PerformanceModel(config).throughput(kernel(), 40, 16)
-        profiler.observe_epoch(0, t, effective_cycles=5_000_000)
+        profiler.observe(0, t, 5_000_000)
         return profiler.profile(0)
 
     def test_immutable(self, profiler, config):

@@ -156,6 +156,22 @@ class TestMPSSystem:
         with pytest.raises(Exception):
             het_system(MPSPolicy(contention_overhead=1.5))
 
+    def test_in_epoch_kernel_crossing_reaches_later_residents(self):
+        """Each resident's contention total is taken at its own turn in
+        the epoch, after the residents before it advanced: EULER3D
+        crosses kernel boundaries inside epochs, and CP, evaluated after
+        it, sees EULER3D's next kernel in the total.  A total taken once
+        per epoch changes these bits."""
+        result = MultitaskSystem(
+            build_mix(["EULER3D", "CP"]).applications,
+            policy=MPSPolicy(sm_assignment={1: 60, 0: 20}),
+        ).run(25_000_000)
+        assert result.stp.hex() == "0x1.394b4841821e2p+0"
+        assert [(run.name, run.ipc.hex()) for run in result.runs] == [
+            ("EULER3D", "0x1.ac022e59da91ep+9"),
+            ("CP", "0x1.bd5feadd83ff3p+11"),
+        ]
+
 
 class TestCDSearchSystem:
     def test_moves_sms_but_not_channels(self):

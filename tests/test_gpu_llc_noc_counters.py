@@ -1,13 +1,16 @@
-"""Unit tests for LLC, NoC and counters (repro.gpu.llc/noc/counters)."""
+"""Unit tests for the LLC and NoC (repro.gpu.llc/noc) and for Section
+3.3's hardware counters, which repro.core.profiler models."""
 
 import pickle
 
 import pytest
 
+from repro.core import EpochProfiler
+from repro.core.profiler import INSTRUCTION_COUNTER_MAX, NARROW_COUNTER_MAX
 from repro.errors import ConfigError
 from repro.gpu import CrossbarNoC, GPUConfig, HitRateCurve, SetAssociativeCache
-from repro.gpu.counters import CounterBank, HardwareCounter
 from repro.workloads import TABLE2, build_application
+from tests.strategies.gpu import counted_epoch
 
 
 class TestSetAssociativeCache:
@@ -131,57 +134,72 @@ class TestCrossbarNoC:
             noc.allocation_for(8, 33)
 
 
-class TestHardwareCounter:
-    def test_saturating_counter_pins_at_max(self):
-        counter = HardwareCounter(width_bits=4, saturating=True)
-        counter.increment(100)
-        assert counter.value == 15
+def tracked_profiler() -> EpochProfiler:
+    profiler = EpochProfiler(GPUConfig())
+    profiler.track(0, ipc_max_per_sm=64.0)
+    return profiler
 
-    def test_wrapping_counter_wraps(self):
-        counter = HardwareCounter(width_bits=4, saturating=False)
-        counter.increment(17)
-        assert counter.value == 1
+
+def read(profile):
+    """The (APKI, hit rate) a boundary read produced."""
+    return profile.apki_llc, profile.llc_hit_rate
+
+
+class TestHardwareCounter:
+    """Each counter saturates, and a boundary read resets it."""
+
+    def test_saturating_counter_pins_at_max(self):
+        # 2**48 + 2**32 instructions, as many accesses, half of them hits:
+        # the instruction and access counters pin at their maxima, the
+        # hit counter too.
+        profiler = tracked_profiler()
+        profiler.observe(0, counted_epoch(hit_rate=0.5), (1 << 48) + (1 << 32))
+        accesses = NARROW_COUNTER_MAX * 1024
+        assert read(profiler.profile(0)) == (
+            accesses * 1000.0 / INSTRUCTION_COUNTER_MAX, 1.0)
+        # 70M accesses, half of them hits: only the access counter pins.
+        hits = 35_000_000 // 1024 * 1024
+        profiler.observe(0, counted_epoch(hit_rate=0.5), 70_000_000)
+        assert read(profiler.profile(0)) == (
+            accesses * 1000.0 / 70_000_000, hits / accesses)
 
     def test_read_and_reset(self):
-        counter = HardwareCounter()
-        counter.increment(5)
-        assert counter.read_and_reset() == 5
-        assert counter.value == 0
+        profiler = tracked_profiler()
+        profiler.observe(0, counted_epoch(hit_rate=1.0), 5 * 1024)
+        assert read(profiler.profile(0)) == (1000.0, 1.0)
+        assert read(profiler.profile(0)) == (0.0, 0.0)
 
     def test_negative_increment_rejected(self):
+        """Counters only count forward: an epoch of negative cycles is
+        refused before anything is counted."""
+        profiler = tracked_profiler()
         with pytest.raises(ConfigError):
-            HardwareCounter().increment(-1)
+            profiler.observe(0, counted_epoch(), -1024)
+        profiler.observe(0, counted_epoch(hit_rate=1.0), 1024)
+        assert read(profiler.profile(0)) == (1000.0, 1.0)
 
 
 class TestCounterBank:
+    """The narrow counters tick once per 1,024 events, carry the
+    remainder across epochs and scale back up when read."""
+
     def test_snapshot_scales_back_up(self):
-        bank = CounterBank(scale=10)
-        bank.count_instructions(5000)
+        profiler = tracked_profiler()
         for _ in range(100):
-            bank.count_llc_access(1, hit=True)
-        snap = bank.snapshot()
-        assert snap.instructions == 5000
-        assert snap.llc_accesses == 100
-        assert snap.llc_hits == 100
-        assert snap.llc_hit_rate == 1.0
-        assert snap.apki_llc == pytest.approx(20.0)
+            profiler.observe(0, counted_epoch(hit_rate=1.0), 1024)
+        profiler.observe(0, counted_epoch(accesses=False), 5_017_600)
+        # 5,120,000 instructions, 102,400 accesses (100 ticks), all hits.
+        assert read(profiler.profile(0)) == (20.0, 1.0)
 
     def test_residue_carries_between_snapshots(self):
-        bank = CounterBank(scale=10)
-        bank.count_llc_access(5)
-        assert bank.snapshot().llc_accesses == 0  # below one tick
-        bank.count_llc_access(5)
-        assert bank.snapshot().llc_accesses == 10
+        profiler = tracked_profiler()
+        profiler.observe(0, counted_epoch(), 512)
+        assert read(profiler.profile(0)) == (0.0, 0.0)  # below one tick
+        profiler.observe(0, counted_epoch(), 512)
+        assert read(profiler.profile(0)) == (2000.0, 0.0)
 
     def test_empty_snapshot(self):
-        snap = CounterBank().snapshot()
-        assert snap.llc_hit_rate == 0.0
-        assert snap.apki_llc == 0.0
-
-    def test_dram_bytes(self):
-        bank = CounterBank(scale=1)
-        bank.count_dram_bytes(4096)
-        assert bank.snapshot().dram_bytes == 4096
+        assert read(tracked_profiler().profile(0)) == (0.0, 0.0)
 
 
 class TestNoCQueueing:

@@ -432,3 +432,39 @@ class TestPolicyValidation:
             MultitaskSystem(_apps(), policy=BPPolicy(), max_slots=1,
                             arrivals=ArrivalSchedule.from_pairs(
                                 [(0, build_application("CP", app_id=9))]))
+
+    def test_duplicate_initial_app_ids_rejected(self):
+        """Two initial apps with one id would run as one app."""
+        apps = [build_application("PVC", app_id=0),
+                build_application("DXTC", app_id=0)]
+        for policy in (BPPolicy(), UGPUPolicy()):
+            with pytest.raises(ConfigError, match="duplicate app_id 0"):
+                MultitaskSystem(apps, policy=policy)
+
+    def test_initial_app_id_in_the_schedule_rejected(self):
+        """A seeded schedule's ids start at 100: its first admission
+        would overwrite an initial app 100."""
+        schedule = poisson_arrivals(2_000_000, HORIZON, seed=0)
+        assert 100 in {event.app.app_id for event in schedule}
+        with pytest.raises(ConfigError, match="app_id 100 is both"):
+            MultitaskSystem([build_application("PVC", app_id=100)],
+                            policy=UGPUPolicy(), arrivals=schedule)
+
+    def test_nonpositive_epoch_cycles_rejected(self):
+        for epoch_cycles in (0, -EPOCH):
+            with pytest.raises(ConfigError,
+                               match="epoch_cycles must be positive"):
+                MultitaskSystem(_apps(), epoch_cycles=epoch_cycles,
+                                policy=BPPolicy())
+
+    def test_nonpositive_horizon_rejected(self):
+        schedule = ArrivalSchedule.from_pairs(
+            [(0, build_application("CP", app_id=9))])
+        for system in (
+            MultitaskSystem(_apps(), policy=BPPolicy()),
+            MultitaskSystem([], policy=BPPolicy(), arrivals=schedule),
+        ):
+            for total_cycles in (0, -1):
+                with pytest.raises(ConfigError,
+                                   match="total_cycles must be positive"):
+                    system.run(total_cycles)

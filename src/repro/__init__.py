@@ -118,9 +118,8 @@ _EXPORTS = {
     "repro.telemetry.exposition": (
         "to_prometheus", "to_json", "write_prometheus",
     ),
-    # Observability handle and structured logging
+    # Observability handle
     "repro.obs": ("Obs",),
-    "repro.obslog": ("ObsLogger", "read_obslog", "validate_obslog_file"),
     # Tracing
     "repro.trace.recorder": ("TraceCategory", "TraceEvent", "TraceRecorder"),
     "repro.trace.summary": ("TraceSummary", "summarize"),

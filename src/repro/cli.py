@@ -42,8 +42,8 @@ run's evidence lands: the merged trace (orchestrator events plus
 worker-side captures from every pool process, correlated by
 ``run_id``/``shard_id``/``pid``) as ``trace.jsonl`` and a Chrome-trace
 file that loads in ``chrome://tracing`` and Perfetto, the metrics
-snapshot, the structured log (:mod:`repro.obslog`), profiler phases,
-ExecStats and the command's deterministic results, captured into DIR as
+snapshot, profiler phases, ExecStats (per-job and per-worker wall
+seconds) and the command's deterministic results, captured into DIR as
 a *run bundle* behind a schema-versioned ``manifest.json``
 (``--report-gzip`` compresses the line-oriented artifacts).  ``repro
 inspect BUNDLE`` loads a bundle (:mod:`repro.inspect`) and prints the
@@ -132,7 +132,7 @@ def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--report-dir", default=None, metavar="DIR",
                         help="capture every artifact of this run (trace, "
-                             "metrics, obslog, profiler phases, results) "
+                             "metrics, profiler phases, results) "
                              "into DIR as a run bundle for `repro inspect` "
                              "and `repro diff`")
     parser.add_argument("--report-gzip", action="store_true",
@@ -145,10 +145,10 @@ def _observe(args, command: str, labels: dict, **ids):
 
     Returns ``(obs, run_id, finish)``.  ``obs`` is :data:`~repro.obs.OFF`
     when no flag is set, so instrumented paths stay free; any flag turns
-    it on, with worker-side capture (:attr:`~repro.obs.Obs.captures`).
+    it on, with worker-side capture (:attr:`~repro.obs.Obs.on`).
     The handle holds one registry, whose provenance carries ``command``
     and ``labels``, serving every ``--metrics-*`` export and the bundle;
-    ``--report-dir`` adds the recorder, logger and profiler of a
+    ``--report-dir`` adds the recorder and profiler of a
     :class:`~repro.inspect.RunReporter`.  The ``run_id`` hashes the
     command's shape (``ids``), so two invocations of the same
     configuration correlate.

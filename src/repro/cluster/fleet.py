@@ -200,9 +200,11 @@ class FleetSimulator:
     are powered down); ``CONSOLIDATE`` placement attaches a default
     model automatically since its rebalancing pass scores against it.
     ``obs`` (a :class:`~repro.obs.Obs` handle) gets the fleet's trace,
-    metrics, phases and log records; when it captures
-    (:attr:`~repro.obs.Obs.captures`), every round's shard jobs are
-    captured in their workers and absorbed back into it.
+    metrics and phases; when it is on, every round's shard jobs are
+    captured in their workers and absorbed back into it.  The run's
+    ``fleet`` events are its one log: a ``run`` event names the run's
+    shape, then each job's ``arrive``/``admit``/``depart``/``migrate``
+    and each ``round``, every one stamped with :attr:`run_id`.
     """
 
     def __init__(
@@ -275,7 +277,7 @@ class FleetSimulator:
             horizon=horizon_cycles,
             arrivals=len(arrivals),
         )
-        self.obs = obs.bind(run_id=self.run_id, placement=self.placement.value)
+        self.obs = obs
         if health is not None and not getattr(health, "run_id", ""):
             health.run_id = self.run_id
         self._model = _model_for(config)
@@ -541,15 +543,16 @@ class FleetSimulator:
         events = list(self.arrivals)
         self._validate_schedule(events)
         obs = self.obs
-        obs.info(
-            "fleet.run", nodes=self.num_nodes,
-            tenants_per_node=self.tenants_per_node,
-            slicing=self.slicing,
-            horizon=self.horizon_cycles,
-            round_cycles=self.round_cycles,
-            arrivals=len(events),
-            workers=self.executor.jobs,
-        )
+        if obs.on:
+            # The one event linking this run_id to its shape; no worker
+            # count, so serial and sharded traces stay equal.
+            self._emit(
+                "run", 0, placement=self.placement.value,
+                slicing=self.slicing, nodes=self.num_nodes,
+                tenants_per_node=self.tenants_per_node,
+                horizon=self.horizon_cycles, round_cycles=self.round_cycles,
+                arrivals=len(events),
+            )
         self._shard_runs = 0
         self._migrated_bytes = 0.0
         self._energy = (
@@ -674,16 +677,6 @@ class FleetSimulator:
         elapsed = max(1, now)
         health_report = (
             self.health.report() if self.health is not None else None
-        )
-        obs.info(
-            "fleet.result", rounds=rounds,
-            arrivals=len(records), admissions=admissions,
-            departures=departures, migrations=migrations,
-            waiting_at_horizon=len(wait),
-            incidents=(
-                len(health_report.incidents)
-                if health_report is not None else None
-            ),
         )
         return FleetResult(
             placement=self.placement,

@@ -23,10 +23,9 @@ Detectors
     arrivals are outpacing admissions with no sign of recovery.
 
 Each incident is one ``health`` event (named by kind) on the monitor's
-:class:`~repro.obs.Obs` handle: the trace keeps it, the registry counts
-it in ``repro_health_incidents_total`` and the obslog writes it as a
-warning record ``health.<kind>``; the detectors' gauges are set
-directly.  The handle defaults to :data:`~repro.obs.OFF`; the monitor
+:class:`~repro.obs.Obs` handle: the trace keeps it and the registry
+counts it in ``repro_health_incidents_total``; the detectors' gauges
+are set directly.  The handle defaults to :data:`~repro.obs.OFF`; the monitor
 itself is pure bookkeeping — no clocks, no I/O — so detection is
 deterministic and unit-testable with synthetic round feeds.
 """

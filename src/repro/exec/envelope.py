@@ -8,7 +8,7 @@ its wall seconds, the worker's OS pid, a stable per-process
 :func:`worker_token`, and an :class:`ObsSnapshot` of what the job
 observed — plain tuples, dicts and dataclasses, so the envelope
 pickles.  The snapshot is empty unless the run's :class:`~repro.obs.Obs`
-handle captures (:attr:`~repro.obs.Obs.captures`);
+handle is on (:attr:`~repro.obs.Obs.on`);
 :meth:`repro.obs.Obs.absorb` folds a run's envelopes back into the
 orchestrator's sinks.
 

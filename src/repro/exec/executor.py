@@ -37,12 +37,12 @@ re-spawning worker processes every round.
 
 Every executed job comes back as a
 :class:`~repro.exec.envelope.JobEnvelope` (see :func:`repro.obs.run_job`).
-When the run's :class:`~repro.obs.Obs` handle captures
-(:attr:`~repro.obs.Obs.captures`), each job also runs under a fresh
-bounded capture handle *inside the worker*, and its envelope carries
-the snapshot.  The executor keeps the envelopes, job-ordered, in
-:attr:`last_envelopes` for the handle's owner to fold back with
-:meth:`~repro.obs.Obs.absorb`.
+When the run's :class:`~repro.obs.Obs` handle is on, each job also runs
+under a fresh bounded capture handle *inside the worker*, and its
+envelope carries the snapshot.  The executor keeps the envelopes,
+job-ordered, in :attr:`last_envelopes` for the handle's owner to fold
+back with :meth:`~repro.obs.Obs.absorb`.  The executor emits no event:
+its facts are wall seconds, and a trace keeps one clock, GPU cycles.
 """
 
 from __future__ import annotations
@@ -67,14 +67,10 @@ class SweepExecutor:
 
     def __init__(self, jobs: int = 1, cache: None = None,
                  obs: Obs = OFF) -> None:
-        """``obs`` receives the executor's own observations: one
-        ``job`` span per executed job; the rest of each run's
-        :class:`ExecStats` via :func:`repro.telemetry.fold_exec_stats`
-        (registries never enter job kwargs, which must remain
-        picklable); and one info log summary per :meth:`run`.  The
-        events are timed in wall seconds since :meth:`run` began, so
-        they reach the handle's registry and logger but never its
-        recorder: a trace keeps one clock, GPU cycles."""
+        """``obs``'s registry counts each run's :class:`ExecStats`
+        (:func:`repro.telemetry.fold_exec_stats`: jobs, per-job seconds
+        and wall seconds); registries never enter job kwargs, which must
+        remain picklable."""
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         # ``cache`` exists only for bench/workloads.py's ``cache=None``.
@@ -84,7 +80,6 @@ class SweepExecutor:
                 f"got {cache!r}")
         self.jobs = jobs
         self.obs = obs
-        self._own = Obs(registry=obs.registry, logger=obs.logger)
         self.stats = ExecStats(workers=jobs)
         self.last_stats = ExecStats(workers=jobs)
         #: Per-job envelopes from the most recent run, job-ordered.
@@ -114,8 +109,8 @@ class SweepExecutor:
 
         ``obs`` is the handle of the run these jobs serve (default: the
         executor's own).  The jobs' observations are captured exactly
-        when it captures (:attr:`~repro.obs.Obs.captures`); the
-        executor's own records still go to :attr:`obs`.
+        when it is on (:attr:`~repro.obs.Obs.on`); the run's stats are
+        still counted in :attr:`obs`.
         """
         run_obs = obs if obs is not None else self.obs
         start = time.perf_counter()
@@ -133,69 +128,47 @@ class SweepExecutor:
             "mixed" if backends else default_backend
         )
         envelopes: List[Optional[JobEnvelope]] = [None] * len(sweep_jobs)
-        own = self._own
-        if own.on:
-            own.declare("job")
+        capture = run_obs.on
 
         if self.jobs == 1:
             for index, job in enumerate(sweep_jobs):
-                envelopes[index] = run_job(job, run_obs.captures)
-                self._finished(index, job, envelopes[index], stats, start)
+                envelopes[index] = run_job(job, capture)
+                _finished(envelopes[index], stats)
         elif sweep_jobs:
             if self._pool is not None:
-                self._run_pool(self._pool, sweep_jobs, envelopes, stats,
-                               start, run_obs)
+                _run_pool(self._pool, sweep_jobs, envelopes, stats, capture)
             else:
                 workers = min(self.jobs, len(sweep_jobs))
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    self._run_pool(pool, sweep_jobs, envelopes, stats,
-                                   start, run_obs)
+                    _run_pool(pool, sweep_jobs, envelopes, stats, capture)
 
         stats.wall_seconds = time.perf_counter() - start
         self.last_stats = stats
         self.last_envelopes = envelopes
         self.stats.merge(stats)
-        if own.on:
-            own.fold_exec_stats(stats)
-            own.info(
-                "exec.run", jobs=stats.jobs_total, workers=stats.workers,
-                wall_seconds=round(stats.wall_seconds, 6),
-                backend=stats.kernel_backend or None,
-            )
+        self.obs.fold_exec_stats(stats)
         return [envelope.result for envelope in envelopes]
 
-    def _run_pool(self, pool: ProcessPoolExecutor, sweep_jobs, envelopes,
-                  stats: ExecStats, start: float, run_obs: Obs) -> None:
-        """Fan the jobs out over ``pool``; fill ``envelopes`` in place."""
-        futures = {
-            pool.submit(run_job, job, run_obs.captures): index
-            for index, job in enumerate(sweep_jobs)
-        }
-        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-        for future in done:
-            future.result()  # re-raise worker failures eagerly
-        for future, index in futures.items():
-            envelopes[index] = future.result()
-            self._finished(index, sweep_jobs[index], envelopes[index], stats,
-                           start)
 
-    def _finished(self, index: int, job: SweepJob, envelope: JobEnvelope,
-                  stats: ExecStats, start: float) -> None:
-        """Count one executed job and emit its ``job`` span.
+def _run_pool(pool: ProcessPoolExecutor, sweep_jobs, envelopes,
+              stats: ExecStats, capture: bool) -> None:
+    """Fan the jobs out over ``pool``; fill ``envelopes`` in place."""
+    futures = {
+        pool.submit(run_job, job, capture): index
+        for index, job in enumerate(sweep_jobs)
+    }
+    done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+    for future in done:
+        future.result()  # re-raise worker failures eagerly
+    for future, index in futures.items():
+        envelopes[index] = future.result()
+        _finished(envelopes[index], stats)
 
-        The span is end-anchored (completion time is known, in-worker
-        start is not) and stamped with the job's position in the run
-        (``index``) and the worker identity (``worker_pid`` + ``worker``
-        token), so post-hoc straggler attribution can group job spans by
-        the process that ran them."""
-        stats.job_seconds.append(envelope.seconds)
-        if not self._own.on:
-            return
-        end = time.perf_counter() - start
-        self._own.emit(
-            "job", f"{job.policy}:{job.mix_name}",
-            time=max(0.0, end - envelope.seconds), duration=envelope.seconds,
-            index=index, policy=job.policy, mix=job.mix_name,
-            cycles=job.total_cycles, worker_pid=envelope.pid,
-            worker=envelope.worker,
-        )
+
+def _finished(envelope: JobEnvelope, stats: ExecStats) -> None:
+    """Count one executed job: its in-worker seconds, in job order, and
+    the same seconds under its worker's token, so post-hoc straggler
+    attribution can group job time by the process that ran it."""
+    stats.job_seconds.append(envelope.seconds)
+    stats.worker_seconds[envelope.worker] = (
+        stats.worker_seconds.get(envelope.worker, 0.0) + envelope.seconds)

@@ -3,10 +3,11 @@
 :class:`ExecStats` is how the executor proves its worth: it counts jobs
 and records per-job in-worker seconds so the CLI can print
 min/median/p95/max and the simulation-vs-orchestration wall-clock split
-next to the end-to-end wall-clock.  Every job is executed, so one count
-covers jobs requested and jobs run.  Stats objects merge, so one
-:class:`~repro.exec.executor.SweepExecutor` can accumulate a whole
-multi-policy comparison.
+next to the end-to-end wall-clock, plus the same seconds summed per
+worker process, from which ``repro inspect`` finds stragglers.  Every
+job is executed, so one count covers jobs requested and jobs run.
+Stats objects merge, so one :class:`~repro.exec.executor.SweepExecutor`
+can accumulate a whole multi-policy comparison.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ class ExecStats:
     wall_seconds: float = 0.0
     workers: int = 1
     job_seconds: List[float] = field(default_factory=list)
+    #: In-worker job seconds summed per worker token
+    #: (:func:`~repro.exec.envelope.worker_token`), one entry per worker.
+    worker_seconds: Dict[str, float] = field(default_factory=dict)
     #: Kernel backend the jobs ran under ("scalar"/"numpy"); "mixed" when
     #: merged runs disagree, "" when no run recorded one.  Timings from
     #: different backends are not comparable, so the footer surfaces it.
@@ -71,6 +75,9 @@ class ExecStats:
         self.wall_seconds += other.wall_seconds
         self.workers = max(self.workers, other.workers)
         self.job_seconds.extend(other.job_seconds)
+        for worker, seconds in other.worker_seconds.items():
+            self.worker_seconds[worker] = (
+                self.worker_seconds.get(worker, 0.0) + seconds)
         if other.kernel_backend:
             if not self.kernel_backend:
                 self.kernel_backend = other.kernel_backend
@@ -85,6 +92,7 @@ class ExecStats:
             "wall_seconds": self.wall_seconds,
             "workers": self.workers,
             "job_seconds": list(self.job_seconds),
+            "worker_seconds": dict(self.worker_seconds),
             "kernel_backend": self.kernel_backend,
         }
 
@@ -92,12 +100,18 @@ class ExecStats:
     def from_dict(cls, payload: Dict[str, Any]) -> "ExecStats":
         """Rebuild from :meth:`to_dict` output (unknown keys ignored,
         missing keys default — bundles written by older code, whose
-        stats also counted result-cache traffic, still load)."""
+        stats also counted result-cache traffic or held no per-worker
+        seconds, still load)."""
         return cls(
             jobs_total=int(payload.get("jobs_total", 0)),
             wall_seconds=float(payload.get("wall_seconds", 0.0)),
             workers=int(payload.get("workers", 1)),
             job_seconds=[float(s) for s in payload.get("job_seconds", [])],
+            worker_seconds={
+                str(worker): float(seconds)
+                for worker, seconds in payload.get(
+                    "worker_seconds", {}).items()
+            },
             kernel_backend=str(payload.get("kernel_backend", "")),
         )
 

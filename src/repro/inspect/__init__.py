@@ -1,12 +1,11 @@
 """Post-hoc run analysis: bundles, analyzers, diffing, reports.
 
-PR 8 made fleet runs *capturable* — correlated traces, merged metrics,
-structured logs; this package makes them *answerable*.  It has four
-pieces:
+Fleet runs are *capturable* — correlated traces and merged metrics;
+this package makes them *answerable*.  It has four pieces:
 
 * :mod:`repro.inspect.bundle` — :class:`RunReporter` writes every
   artifact of one run (trace JSONL, Chrome trace, metrics snapshot,
-  obslog, profiler phases, ExecStats, deterministic results) into one
+  profiler phases, ExecStats, deterministic results) into one
   directory behind a schema-versioned ``manifest.json`` (the
   ``--report-dir`` flag on ``repro run``/``sweep``/``arrivals``/
   ``fleet``, the one place a CLI run writes its evidence);
@@ -20,7 +19,8 @@ pieces:
   :class:`Finding` records with severity;
 * :mod:`repro.inspect.diff` — :func:`diff_bundles` compares two
   bundles: deterministic-metric divergence, ranked timing deltas,
-  span-path wall-time attribution, and result (meta-count) drift —
+  span-path wall-time attribution, and result (meta-count) drift, with
+  a count or metric family only one bundle has as a note —
   ``repro diff`` on the CLI.
 
 :mod:`repro.inspect.render` turns models/diffs into the deterministic

@@ -4,7 +4,7 @@ typed findings.
 Each analyzer answers one recurring post-mortem question:
 
 * *evidence completeness* — can the rest of the report be trusted, or
-  did the trace ring drop events / the obslog tear mid-line?
+  did the trace ring drop events?
 * *critical path* — which chain of phases, orchestrator rounds included,
   bounds wall time, and which single phase dominates self time?
 * *stragglers* — is one worker process doing disproportionate work?
@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
+from repro.inspect.bundle import TRACE_CAPACITY
 from repro.inspect.model import RunModel
+from repro.obs import WORKER_TRACE_CAPACITY
 
 SEVERITIES = ("info", "warning")
 
@@ -60,33 +62,20 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
 # Individual analyzers (each returns a possibly-empty finding list)
 # ----------------------------------------------------------------------
 def _analyze_evidence(model: RunModel) -> List[Finding]:
-    findings: List[Finding] = []
-    if model.dropped_events > 0:
-        findings.append(Finding(
-            severity="warning",
-            category="evidence",
-            title="evidence incomplete: trace events dropped",
-            detail=(
-                f"the trace ring buffer dropped {model.dropped_events} "
-                "event(s); timeline-based findings below may undercount — "
-                "re-run with a larger --trace capacity for full evidence"
-            ),
-            data={"dropped_events": model.dropped_events},
-        ))
-    if model.obslog_truncations:
-        findings.append(Finding(
-            severity="warning",
-            category="evidence",
-            title="evidence incomplete: obslog truncated",
-            detail=(
-                f"{len(model.obslog_truncations)} malformed obslog "
-                "line(s) were skipped (typically a torn final line from "
-                "a killed run): "
-                + "; ".join(model.obslog_truncations[:3])
-            ),
-            data={"truncated_lines": len(model.obslog_truncations)},
-        ))
-    return findings
+    if model.dropped_events <= 0:
+        return []
+    return [Finding(
+        severity="warning",
+        category="evidence",
+        title="evidence incomplete: trace events dropped",
+        detail=(
+            f"the trace ring buffer dropped {model.dropped_events} "
+            "event(s); timeline-based findings below may undercount — "
+            f"a bundle's ring holds {TRACE_CAPACITY:,} events and each "
+            f"worker job's {WORKER_TRACE_CAPACITY:,}"
+        ),
+        data={"dropped_events": model.dropped_events},
+    )]
 
 
 def _analyze_critical_path(model: RunModel) -> List[Finding]:
@@ -142,22 +131,12 @@ def _analyze_critical_path(model: RunModel) -> List[Finding]:
 
 
 def _worker_job_seconds(model: RunModel) -> Dict[str, float]:
-    """Total executed-job seconds per worker (its ``worker`` token, else
-    ``pid=<worker_pid>``), from the obslog records of the executor's
-    ``job`` events, ``job.<policy>:<mix>``, whose fields are the event's
-    args plus its ``duration``."""
-    totals: Dict[str, float] = {}
-    for record in model.obslog:
-        if not str(record.get("event", "")).startswith("job."):
-            continue
-        if record.get("worker") is not None:
-            key = str(record["worker"])
-        elif record.get("worker_pid") is not None:
-            key = f"pid={record['worker_pid']}"
-        else:
-            continue
-        totals[key] = totals.get(key, 0.0) + float(record.get("duration", 0.0))
-    return totals
+    """Total executed-job seconds per worker token, from the bundle's
+    ExecStats (empty for a bundle whose stats predate the per-worker
+    map)."""
+    if model.exec_stats is None:
+        return {}
+    return model.exec_stats.worker_seconds
 
 
 def _analyze_stragglers(model: RunModel) -> List[Finding]:
@@ -205,13 +184,7 @@ def _analyze_wait_queue(model: RunModel) -> List[Finding]:
     findings: List[Finding] = []
     # Depth timeline from the per-round "round" instants the fleet
     # simulator traces (wait = queue depth entering the round).
-    rounds = model.fleet_events("round")
-    depths = [int(e.args.get("wait", 0)) for e in rounds]
-    if not depths:
-        depths = [
-            int(r.get("wait", 0)) for r in model.obslog
-            if r.get("event") == "fleet.round"
-        ]
+    depths = [int(e.args.get("wait", 0)) for e in model.fleet_events("round")]
     # Admission latency: each admit event's arrive -> admit cycles.
     latencies = [float(e.args["delay"]) for e in model.fleet_events("admit")
                  if "delay" in e.args]

@@ -2,23 +2,24 @@
 
 A *run bundle* is a directory holding the full observability capture of
 one CLI invocation — trace JSONL, Chrome trace, metrics JSON snapshot,
-obslog JSONL, profiler phase aggregate, ExecStats and the command's
-deterministic results — indexed by a schema-versioned ``manifest.json``
-so loaders (:mod:`repro.inspect.model`) never guess at file names or
-formats.
+profiler phase aggregate, ExecStats and the command's deterministic
+results — indexed by a schema-versioned ``manifest.json`` so loaders
+(:mod:`repro.inspect.model`) never guess at file names or formats.  The
+trace is the run's one event log; ``exec_stats.json`` holds the
+executor's wall seconds, total and per worker.
 
 :class:`RunReporter` is the capture side, wired behind ``--report-dir``,
-the one place a CLI run writes its trace, obslog and metrics snapshot:
-it creates every sink it writes — recorder, registry, profiler and
-obslog logger — and :attr:`RunReporter.obs` is the run's handle, whose
-registry also serves the command's ``--metrics-*`` exports.  With
-``compress=True`` the line-oriented artifacts are written ``.gz``
-(transparent on read — see :mod:`repro.ioutil`).
+the one place a CLI run writes its trace and metrics snapshot: it
+creates every sink it writes — recorder, registry and profiler — and
+:attr:`RunReporter.obs` is the run's handle, whose registry also serves
+the command's ``--metrics-*`` exports.  With ``compress=True`` the
+line-oriented artifacts are written ``.gz`` (transparent on read — see
+:mod:`repro.ioutil`).
 
 The manifest records the correlation ``run_id`` (the same
-:func:`~repro.telemetry.provenance.config_hash` the obslog and merged
-trace events carry), provenance, the trace drop count (analysis built on
-a truncated ring must say so), and per-artifact entry counts.
+:func:`~repro.telemetry.provenance.config_hash` merged trace events
+carry), provenance, the trace drop count (analysis built on a truncated
+ring must say so), and per-artifact entry counts.
 """
 
 from __future__ import annotations
@@ -34,10 +35,15 @@ from repro.obs import Obs
 PathLike = Union[str, Path]
 
 #: Version tag checked by :func:`read_manifest`; bump on breaking layout
-#: changes so stale bundles fail loudly instead of half-loading.
+#: changes so stale bundles fail loudly instead of half-loading.  A
+#: loader ignores artifacts it does not read, so a bundle that names a
+#: retired artifact still loads.
 BUNDLE_SCHEMA = "repro.bundle/1"
 
 MANIFEST_NAME = "manifest.json"
+
+#: Ring capacity of a bundle's trace recorder, in events.
+TRACE_CAPACITY = 262_144
 
 
 def read_manifest(directory: PathLike) -> Dict[str, Any]:
@@ -88,7 +94,6 @@ class RunReporter:
         run_id: str,
         compress: bool = False,
     ) -> None:
-        from repro.obslog import ObsLogger
         from repro.profiling import PhaseProfiler
         from repro.telemetry import MetricsRegistry
         from repro.trace import TraceRecorder
@@ -99,13 +104,8 @@ class RunReporter:
         self.run_id = str(run_id)
         self._suffix = ".gz" if compress else ""
         #: The run's handle: every sink the bundle writes.
-        self.obs = Obs(
-            TraceRecorder(capacity=262_144),
-            MetricsRegistry(),
-            PhaseProfiler(),
-            ObsLogger(self.directory / f"obslog.jsonl{self._suffix}",
-                      run_id=self.run_id),
-        )
+        self.obs = Obs(TraceRecorder(capacity=TRACE_CAPACITY),
+                       MetricsRegistry(), PhaseProfiler())
         self._artifacts: Dict[str, str] = {}
         self._counts: Dict[str, int] = {}
         self._finished = False
@@ -145,12 +145,6 @@ class RunReporter:
         self._artifacts["metrics"] = filename
         self._counts["metric_families"] = families
 
-    def _write_obslog(self) -> None:
-        logger = self.obs.logger
-        self._counts["obslog_records"] = logger.records_written
-        logger.close()
-        self._artifacts["obslog"] = f"obslog.jsonl{self._suffix}"
-
     def _write_profile(self) -> None:
         snapshot = self.obs.profiler.snapshot()
         if not snapshot:
@@ -183,7 +177,6 @@ class RunReporter:
         self._finished = True
         self._write_trace()
         self._write_metrics()
-        self._write_obslog()
         self._write_profile()
         if exec_stats is not None:
             self._write_json(

@@ -17,8 +17,13 @@
   aggregates, ranked by absolute change: the wall-time attribution that
   tells you *which code path* got slower, not just that the run did.
 
-``zero_divergence`` holds iff both divergence lists are empty — the
-property the CI inspect smoke asserts across backends.
+``zero_divergence`` holds iff the result, metric and meta-count
+divergence lists are all empty — the property the CI inspect smoke
+asserts across backends.  A manifest count or a whole metric family
+that only one bundle has (a retired or added artifact or family) is a
+note, not divergence: it says the two versions record different
+things, not that they computed different results.  The manifest's
+family count is compared over the families both bundles have.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.inspect.model import RunModel, load_bundle
+from repro.inspect.model import MetricKey, RunModel, load_bundle
 
 #: Metric families whose values depend on host timing, not simulation
 #: state: excluded from the determinism contract, ranked as timing.
@@ -103,13 +108,14 @@ class BundleDiff:
     timing_deltas: List[MetricDelta] = field(default_factory=list)
     #: Phase self-time attribution ranked by |absolute change|.
     span_deltas: List[SpanDelta] = field(default_factory=list)
-    #: Run-shape observations (backend/command/run_id differences).
+    #: Run-shape observations (backend/command/run_id differences,
+    #: counts and metric families only one bundle has).
     notes: List[str] = field(default_factory=list)
 
     @property
     def zero_divergence(self) -> bool:
-        """No deterministic drift — results, counters, and artifact
-        meta-counts all agree."""
+        """No deterministic drift — results, shared counters, and shared
+        artifact meta-counts all agree."""
         return (
             not self.result_divergence
             and not self.metric_divergence
@@ -140,14 +146,28 @@ def _diff_results(diff: BundleDiff) -> None:
             diff.result_divergence.append((path, va, vb))
 
 
+def _only_in(name: str, in_a: bool) -> str:
+    return (f"{name} only in {'A' if in_a else 'B'} — retired or added, "
+            "not compared")
+
+
 def _diff_metrics(diff: BundleDiff) -> None:
-    samples_a = diff.a.metric_samples()
-    samples_b = diff.b.metric_samples()
+    families_a = diff.a.metric_families()
+    families_b = diff.b.metric_families()
+    samples_a: Dict[MetricKey, float] = {}
+    samples_b: Dict[MetricKey, float] = {}
+    for family in sorted(set(families_a) | set(families_b)):
+        if family.startswith(_SKIPPED_METRICS):
+            continue
+        if family in families_a and family in families_b:
+            samples_a.update(families_a[family])
+            samples_b.update(families_b[family])
+        else:
+            diff.notes.append(
+                _only_in(f"metric family {family}", family in families_a))
     timing: List[MetricDelta] = []
     for key in sorted(set(samples_a) | set(samples_b)):
         name, labels = key
-        if any(name.startswith(skip) for skip in _SKIPPED_METRICS):
-            continue
         va, vb = samples_a.get(key), samples_b.get(key)
         if va == vb:
             continue
@@ -201,11 +221,19 @@ def _diff_notes(diff: BundleDiff) -> None:
         )
     counts_a = diff.a.manifest.get("counts", {})
     counts_b = diff.b.manifest.get("counts", {})
+    # A family only one bundle has is already a note, so the family
+    # count is compared over the families both have.
+    families_a = set(diff.a.metric_families())
+    families_b = set(diff.b.metric_families())
+    one_sided = {"metric_families": (len(families_a - families_b),
+                                     len(families_b - families_a))}
     for key in sorted(set(counts_a) | set(counts_b)):
-        if counts_a.get(key) != counts_b.get(key):
-            diff.meta_divergence.append(
-                (key, counts_a.get(key), counts_b.get(key))
-            )
+        if key not in counts_a or key not in counts_b:
+            diff.notes.append(_only_in(f"count {key}", key in counts_a))
+            continue
+        only_a, only_b = one_sided.get(key, (0, 0))
+        if counts_a[key] - only_a != counts_b[key] - only_b:
+            diff.meta_divergence.append((key, counts_a[key], counts_b[key]))
     if diff.a.dropped_events or diff.b.dropped_events:
         diff.notes.append(
             f"dropped trace events: {diff.a.dropped_events} vs "

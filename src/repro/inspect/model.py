@@ -5,10 +5,9 @@ recorded and reconstructs typed objects: trace events become
 :class:`~repro.trace.recorder.TraceEvent` records, the profiler phase
 aggregate is folded back into a live
 :class:`~repro.profiling.PhaseProfiler` (so ``tree()``/``flat()`` self
-vs cumulative attribution works post hoc), ExecStats round-trips
-through its dict form, and the obslog is read *tolerantly*
-(``strict=False``) — a bundle from a killed run loads, with the torn
-line reported in :attr:`RunModel.obslog_truncations` rather than raised.
+vs cumulative attribution works post hoc) and ExecStats round-trips
+through its dict form.  Artifacts the loader does not read are ignored,
+so a bundle whose manifest names a retired artifact still loads.
 
 Everything stays keyed by the correlation IDs stamped at capture time:
 :meth:`RunModel.shard_ids` / :meth:`RunModel.workers` walk the merged
@@ -44,10 +43,6 @@ class RunModel:
     events: List = field(default_factory=list)
     #: Raw metrics snapshot document (``to_json`` layout), or None.
     metrics: Optional[Dict[str, Any]] = None
-    #: Structured log records, in emission order.
-    obslog: List[Dict[str, Any]] = field(default_factory=list)
-    #: Malformed obslog lines skipped by the tolerant reader.
-    obslog_truncations: List[str] = field(default_factory=list)
     #: Rebuilt phase profiler (aggregate only), or None.
     profile: Optional[Any] = None
     exec_stats: Optional[Any] = None
@@ -103,19 +98,21 @@ class RunModel:
         ]
 
     # -- metric flattening --------------------------------------------
-    def metric_samples(self) -> Dict[MetricKey, float]:
-        """Every metric sample flattened to ``(name, labels) -> value``.
+    def metric_families(self) -> Dict[str, Dict[MetricKey, float]]:
+        """Every metric sample flattened to ``(name, labels) -> value``,
+        grouped by family: ``family name -> samples``.
 
         Histograms contribute ``_sum``/``_count`` plus one ``_bucket``
         sample per cumulative bound, mirroring the Prometheus exposition
         — so two runs diverge on exactly the samples a scrape would
-        show diverging.
+        show diverging.  A family without samples maps to ``{}``.
         """
-        out: Dict[MetricKey, float] = {}
+        families: Dict[str, Dict[MetricKey, float]] = {}
         if self.metrics is None:
-            return out
+            return families
         for family in self.metrics.get("metrics", []):
             name = family["name"]
+            out = families.setdefault(name, {})
             for sample in family.get("samples", []):
                 labels = ";".join(
                     f"{k}={v}"
@@ -133,7 +130,7 @@ class RunModel:
                     out[(f"{name}_count", labels)] = float(sample["count"])
                 else:
                     out[(name, labels)] = float(sample["value"])
-        return out
+        return families
 
 
 def _load_profile(payload: Dict[str, Any]):
@@ -182,14 +179,6 @@ def load_bundle(directory: PathLike) -> RunModel:
                 raise ConfigError(
                     f"{metrics_path}: not valid JSON: {exc}"
                 ) from exc
-
-    obslog_path = _path("obslog")
-    if obslog_path is not None:
-        from repro.obslog import read_obslog
-
-        model.obslog = read_obslog(
-            obslog_path, strict=False, errors=model.obslog_truncations
-        )
 
     profile_path = _path("profile")
     if profile_path is not None:

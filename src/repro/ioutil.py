@@ -1,10 +1,10 @@
 """Shared text-file IO with transparent gzip support.
 
-Fleet-scale observability artifacts (trace JSONL, obslog JSONL, metric
-expositions, epoch CSV series) grow linearly with nodes x rounds, and a
+Fleet-scale observability artifacts (trace JSONL, metric expositions,
+epoch CSV series) grow linearly with nodes x rounds, and a
 datacenter-sized run produces files that are painful to ship around
-uncompressed.  Every writer and reader in :mod:`repro.trace`,
-:mod:`repro.obslog` and :mod:`repro.telemetry` funnels through
+uncompressed.  Every writer and reader in :mod:`repro.trace` and
+:mod:`repro.telemetry` funnels through
 :func:`open_text`, which switches to :mod:`gzip` whenever the path ends
 in ``.gz`` — so compression is purely a naming decision at the call
 site (``--report-gzip`` names a bundle's ``trace.jsonl.gz``) and

@@ -1,27 +1,23 @@
-"""One observability handle: trace, metrics, phases and log behind ``obs=``.
+"""One observability handle: trace, metrics and phases behind ``obs=``.
 
-The simulator reports into four sinks: the trace recorder
-(:mod:`repro.trace`, *when* something happened), the metrics registry
-(:mod:`repro.telemetry`, *how much*), the phase profiler
-(:mod:`repro.profiling`, *where host time went*) and the obslog logger
-(:mod:`repro.obslog`, *what happened to which job*).  An :class:`Obs`
-owns all four, and every instrumented component takes it as one ``obs``
-argument:
+The simulator reports into three sinks: the trace recorder
+(:mod:`repro.trace`, *when* something happened, to which job, on which
+node), the metrics registry (:mod:`repro.telemetry`, *how much*) and
+the phase profiler (:mod:`repro.profiling`, *where host time went*).
+An :class:`Obs` owns all three, and every instrumented component takes
+it as one ``obs`` argument:
 
 * ``obs.emit(category, name, time=..., duration=..., **args)`` reports
-  one fact, once: the recorder keeps the event, the registry folds it
-  (:func:`repro.telemetry.bridge.fold_event`, the fold ``repro
-  metrics`` runs over a trace) and, when :data:`LOGGED` names it, the
-  logger writes it as the record ``<category>.<name>`` with the event
-  time as ``now`` and its args as fields;
+  one fact, once: the recorder keeps the event and the registry folds
+  it (:func:`repro.telemetry.bridge.fold_event`, the fold ``repro
+  metrics`` runs over a trace), so the trace is the run's one event
+  log;
 * ``obs.declare(*categories)`` creates the metric families an
   emitter's categories fold into, so they export at zero from the start;
 * ``obs.metric(names.policy_stp)`` declares a family for a fact no event
   carries and returns it (the shared no-op metric without a registry);
 * ``obs.begin(name)`` / ``obs.end(name)`` / ``with obs.span(name)``
-  time a host phase;
-* ``obs.info`` / ``obs.debug`` / ``obs.warning`` log a fact no event
-  carries (a run's start and summary).
+  time a host phase.
 
 Each call goes to its sink, or to a no-op when the handle lacks that
 sink, so instrumented code never tests a sink itself.  :data:`OFF`, the
@@ -29,15 +25,14 @@ default everywhere, has no sinks; its ``emit`` is the shared no-op.
 Off stays free: on a hot path (per epoch, fault, request or node) the
 caller makes one ``if obs.on:`` test before it builds event arguments.
 
-Worker capture follows one rule, :attr:`Obs.captures`: a run captures
-its jobs' observations exactly when its handle has a sink a capture can
-feed (a recorder, a registry or a profiler; a logger writes only in the
-orchestrator).  :func:`run_job` is the executor's one worker entry
-point.  It runs a job under a fresh capture handle (or :data:`OFF`) and
-returns a :class:`~repro.exec.envelope.JobEnvelope` whose snapshot is
-empty when capture is off; :meth:`Obs.absorb` folds a run's envelopes
-back into the orchestrator's sinks in job order; absorbed events are
-not folded again, as the worker's registry snapshot holds their metrics.
+Worker capture follows one rule, :attr:`Obs.on`: a run captures its
+jobs' observations exactly when its handle has a sink.  :func:`run_job`
+is the executor's one worker entry point.  It runs a job under a fresh
+capture handle (or :data:`OFF`) and returns a
+:class:`~repro.exec.envelope.JobEnvelope` whose snapshot is empty when
+capture is off; :meth:`Obs.absorb` folds a run's envelopes back into
+the orchestrator's sinks in job order; absorbed events are not folded
+again, as the worker's registry snapshot holds their metrics.
 """
 
 from __future__ import annotations
@@ -53,41 +48,24 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 #: the pool.
 WORKER_TRACE_CAPACITY = 16_384
 
-#: The events the log receives, and at which level: by category, or by
-#: ``(category, name)`` where one name is logged apart from its category.
-LOGGED = {
-    "fleet": "debug",
-    ("fleet", "round"): "info",
-    ("migration", "plan"): "debug",
-    ("migration", "execute"): "info",
-    "job": "debug",
-    "health": "warning",
-}
-
 
 def _noop(*_args, **_kwargs) -> None:
     return None
 
 
-def _emitter(recorder, registry, logger):
+def _emitter(recorder, registry):
     """The handle's ``emit``: the recorder's own method when it is the
-    only sink, else one function that hands each event to every sink."""
+    only event sink, else one function that hands each event to the
+    recorder and the registry."""
     record = recorder.emit if recorder is not None else None
-    if registry is None and logger is None:
+    if registry is None:
         return record or _noop
-    if registry is not None:
-        from repro.telemetry.bridge import fold_event
+    from repro.telemetry.bridge import fold_event
 
     def emit(category, name, time=0.0, duration=0.0, **args):
         if record is not None:
             record(category, name, time, duration, **args)
-        if registry is not None:
-            fold_event(registry, category, name, duration, args)
-        if logger is not None:
-            level = LOGGED.get((category, name)) or LOGGED.get(category)
-            if level is not None:
-                getattr(logger, level)(f"{category}.{name}", now=time,
-                                       duration=duration or None, **args)
+        fold_event(registry, category, name, duration, args)
 
     return emit
 
@@ -125,34 +103,26 @@ _NULL_SPAN = nullcontext()
 
 
 class Obs:
-    """The trace recorder, metrics registry, phase profiler and obslog
-    logger of one run, any of which may be absent.
+    """The trace recorder, metrics registry and phase profiler of one
+    run, any of which may be absent.
 
-    ``on`` is true when the handle has at least one sink; ``captures``
-    when it has a sink other than the logger, the sinks a worker
-    capture feeds.
+    ``on`` is true when the handle has at least one sink; it is also
+    the capture rule, as every sink is one a worker capture feeds.
     """
 
-    __slots__ = ("recorder", "registry", "profiler", "logger", "on",
-                 "captures", "emit", "begin", "end", "debug", "info",
-                 "warning")
+    __slots__ = ("recorder", "registry", "profiler", "on", "emit",
+                 "begin", "end")
 
-    def __init__(self, recorder=None, registry=None, profiler=None,
-                 logger=None) -> None:
+    def __init__(self, recorder=None, registry=None, profiler=None) -> None:
         self.recorder = recorder
         self.registry = registry
         self.profiler = profiler
-        self.logger = logger
-        self.captures = any(
+        self.on = any(
             sink is not None for sink in (recorder, registry, profiler)
         )
-        self.on = self.captures or logger is not None
-        self.emit = _emitter(recorder, registry, logger)
+        self.emit = _emitter(recorder, registry)
         self.begin = profiler.begin if profiler is not None else _noop
         self.end = profiler.end if profiler is not None else _noop
-        self.debug = logger.debug if logger is not None else _noop
-        self.info = logger.info if logger is not None else _noop
-        self.warning = logger.warning if logger is not None else _noop
 
     # ------------------------------------------------------------------
     # Instrumentation
@@ -191,7 +161,7 @@ class Obs:
             self.registry.epoch_boundary(epoch_index, cycle)
 
     def fold_exec_stats(self, stats) -> None:
-        """Count what one executor run's stats hold beyond its events
+        """Count one executor run's jobs, job seconds and wall seconds
         (:func:`repro.telemetry.fold_exec_stats`)."""
         if self.registry is not None:
             from repro.telemetry.bridge import fold_exec_stats
@@ -206,14 +176,6 @@ class Obs:
             from repro.telemetry import names
 
             names.trace_dropped_events(self.registry).set(self.recorder.dropped)
-
-    def bind(self, **fields: Any) -> "Obs":
-        """The same sinks, with ``fields`` bound into the logger's
-        correlation context (:meth:`repro.obslog.ObsLogger.bind`)."""
-        if self.logger is None:
-            return self
-        return Obs(self.recorder, self.registry, self.profiler,
-                   self.logger.bind(**fields))
 
     # ------------------------------------------------------------------
     # Worker capture
@@ -234,7 +196,7 @@ class Obs:
         start cycle as the shift.  Merging in job order keeps serial and
         sharded runs byte-identical.  Returns the trace events absorbed.
         """
-        if not self.captures:
+        if not self.on:
             return 0
         from repro.telemetry.merge import merge_registry
 
@@ -267,12 +229,11 @@ def run_job(job, capture: bool = False):
     """Run ``job`` in this process and envelope its result.
 
     The executor's one worker entry point, in or out of process.  With
-    ``capture`` (the executor passes its run handle's
-    :attr:`Obs.captures`) the job runs under a fresh handle — a bounded
-    recorder, a registry and a profiler — and the envelope carries what
-    it observed, frozen into a picklable
-    :class:`~repro.exec.envelope.ObsSnapshot`; otherwise the job runs
-    under :data:`OFF` and the snapshot is empty.
+    ``capture`` (the executor passes its run handle's :attr:`Obs.on`)
+    the job runs under a fresh handle — a bounded recorder, a registry
+    and a profiler — and the envelope carries what it observed, frozen
+    into a picklable :class:`~repro.exec.envelope.ObsSnapshot`;
+    otherwise the job runs under :data:`OFF` and the snapshot is empty.
     """
     from repro.exec.envelope import JobEnvelope, ObsSnapshot, worker_token
 

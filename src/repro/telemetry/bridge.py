@@ -17,8 +17,9 @@ emitter declares its categories when it is built
 sample on, before its first event.  A family that no event touched
 exports from a live run only.
 
-:func:`fold_exec_stats` counts the one sweep executor fact no event
-carries: its wall seconds.
+:func:`fold_exec_stats` counts the sweep executor's facts, which no
+event carries because they are wall seconds and a trace keeps one
+clock: jobs run, each job's seconds and the run's wall seconds.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ DERIVED = {
                   names.pagemove_pages_total,
                   names.pagemove_window_cycles_total),
     "fault": (names.vm_faults_total, names.vm_fault_software_cycles_total),
-    "job": (names.exec_jobs_run_total, names.exec_job_seconds),
     "fleet": (names.fleet_rounds_total, names.fleet_jobs_total,
               names.fleet_wait_queue_depth, names.fleet_resident_jobs,
               names.fleet_active_nodes, names.fleet_fragmentation,
@@ -119,9 +119,6 @@ def fold_event(registry: MetricsRegistry, category: str, name: str,
         names.vm_faults_total(registry).labels(kind=name).inc()
         names.vm_fault_software_cycles_total(registry).inc(
             args.get("software_cycles", 0))
-    elif category == "job":
-        names.exec_jobs_run_total(registry).inc()
-        names.exec_job_seconds(registry).observe(duration)
     elif category == "fleet":
         if name == "round":
             names.fleet_rounds_total(registry).inc()
@@ -190,7 +187,11 @@ def registry_from_trace(events: Sequence[TraceEvent],
 
 
 def fold_exec_stats(registry: MetricsRegistry, stats) -> MetricsRegistry:
-    """Count what one :class:`~repro.exec.stats.ExecStats` holds beyond
-    the executor's ``job`` events: the run's wall seconds."""
+    """Count one executor run's :class:`~repro.exec.stats.ExecStats`:
+    its jobs, each job's seconds in job order, then its wall seconds."""
+    names.exec_jobs_run_total(registry).inc(stats.jobs_total)
+    job_seconds = names.exec_job_seconds(registry)
+    for seconds in stats.job_seconds:
+        job_seconds.observe(seconds)
     names.exec_wall_seconds_total(registry).inc(stats.wall_seconds)
     return registry

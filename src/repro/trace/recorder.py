@@ -17,9 +17,10 @@ substrate every silent layer reports into, through its
 * the fleet simulator and its workers — lifecycle (``fleet``),
   node physics (``node``) and health incidents (``health``).
 
-A run's trace keeps one clock, GPU cycles: the sweep executor's
-``job`` events are timed in wall seconds, so they go to the registry and
-the log, never to a recorder.
+A run's trace is its one event log and keeps one clock, GPU cycles:
+the sweep executor's facts are wall seconds, so it emits no event, and
+its per-job and per-worker seconds live in
+:class:`~repro.exec.stats.ExecStats` and the registry.
 
 Design constraints, in order:
 
@@ -58,7 +59,6 @@ class TraceCategory(str, enum.Enum):
     MIGRATION = "migration"  #: migration plans, windows and charges
     FAULT = "fault"          #: driver faults by kind (demand/lost/rebalance)
     QOS = "qos"              #: QoS enforcement interventions (Figure 16)
-    JOB = "job"              #: sweep-executor job spans (metrics, log)
     ARRIVAL = "arrival"      #: open-system job arrival (enters the queue)
     ADMISSION = "admission"  #: open-system job admitted to a slice
     DEPARTURE = "departure"  #: open-system job retired its budget

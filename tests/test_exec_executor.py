@@ -5,7 +5,7 @@ import pytest
 from repro import BPPolicy, MultitaskSystem
 from repro.analysis import PolicySweep, compare_policies
 from repro.errors import ConfigError
-from repro.exec import SweepExecutor, SweepJob
+from repro.exec import ExecStats, SweepExecutor, SweepJob
 from repro.exec.registry import bp, ugpu
 
 CYCLES = 2_000_000
@@ -59,6 +59,31 @@ class TestExecutor:
 
     def test_empty_job_list(self):
         assert SweepExecutor(jobs=2).run([]) == []
+
+    def test_job_seconds_are_summed_per_worker(self):
+        executor = SweepExecutor(jobs=2)
+        executor.run(jobs_for())
+        stats = executor.last_stats
+        # One entry per pool process that ran a job, not one per job.
+        assert 1 <= len(stats.worker_seconds) <= 2
+        assert sum(stats.worker_seconds.values()) == pytest.approx(
+            stats.job_seconds_total)
+
+
+class TestExecStats:
+    def test_merge_sums_seconds_per_worker(self):
+        stats = ExecStats(worker_seconds={"a": 1.0, "b": 2.0})
+        stats.merge(ExecStats(worker_seconds={"b": 0.5, "c": 3.0}))
+        assert stats.worker_seconds == {"a": 1.0, "b": 2.5, "c": 3.0}
+        assert ExecStats.from_dict(stats.to_dict()) == stats
+
+    def test_stats_without_worker_seconds_load_with_an_empty_map(self):
+        # ``exec_stats.json`` as bundles wrote it before the per-worker map.
+        stats = ExecStats.from_dict({
+            "jobs_total": 2, "wall_seconds": 0.5, "workers": 1,
+            "job_seconds": [0.1, 0.2], "kernel_backend": "scalar"})
+        assert stats.worker_seconds == {}
+        assert stats.job_seconds == [0.1, 0.2]
 
 
 class TestSweepLayer:

@@ -63,6 +63,27 @@ def bundle_pair(tmp_path_factory):
     return paths
 
 
+def _edit_json(path, edit):
+    """Rewrite the JSON document at ``path`` through ``edit``."""
+    document = json.loads(path.read_text())
+    edit(document)
+    path.write_text(json.dumps(document))
+
+
+def _retire(bundle):
+    """Give ``bundle`` a count and a metric family the current code no
+    longer records, as a bundle of an older version has."""
+    def count(manifest):
+        manifest["counts"]["obslog_records"] = 790
+        manifest["counts"]["metric_families"] += 1
+
+    _edit_json(bundle / "manifest.json", count)
+    _edit_json(bundle / "metrics.json", lambda m: m["metrics"].append({
+        "name": "repro_exec_cache_hits_total", "kind": "counter",
+        "help": "Result-cache hits.", "labels": [],
+        "samples": [{"labels": {}, "value": 4.0}]}))
+
+
 def _minimal_manifest(**overrides):
     manifest = {
         "schema": BUNDLE_SCHEMA,
@@ -83,9 +104,12 @@ class TestRunBundleCapture:
         manifest = read_manifest(bundle_pair[0])
         assert manifest["schema"] == BUNDLE_SCHEMA
         assert manifest["command"] == "fleet"
-        for name in ("trace", "chrome_trace", "metrics", "obslog",
-                     "profile", "exec_stats", "results"):
-            assert name in manifest["artifacts"]
+        assert set(manifest["artifacts"]) == {
+            "trace", "chrome_trace", "metrics", "profile", "exec_stats",
+            "results"}
+        # The trace is the run's one event log.
+        assert not (bundle_pair[0] / "obslog.jsonl").exists()
+        assert "obslog_records" not in manifest["counts"]
         assert manifest["counts"]["trace_events"] > 0
         assert manifest["dropped_events"] == 0
 
@@ -96,8 +120,6 @@ class TestRunBundleCapture:
         assert model.events
         counts = model.manifest["counts"]
         assert len(model.events) == counts["trace_events"]
-        assert len(model.obslog) == counts["obslog_records"]
-        assert model.obslog_truncations == []
         assert model.metrics is not None and model.metrics["metrics"]
         assert model.exec_stats is not None
         assert model.exec_stats.jobs_total > 0
@@ -113,18 +135,17 @@ class TestRunBundleCapture:
         assert len(run_ids) == 1
 
     def test_obslog_job_id_names_an_arrival(self, tmp_path):
-        """``job_id`` names an arriving job in every record: an executor
-        job record carries its position in the run as ``index``."""
+        """In a sharded fleet bundle's trace, every ``admit`` and
+        ``depart`` event's ``job_id`` names an ``arrive`` event, so one
+        job's history is the events that carry its ``job_id``."""
         bundle = tmp_path / "sharded"
         assert main(FLEET_ARGS + ["--jobs", "2",
                                   "--report-dir", str(bundle)]) == 0
-        records = load_bundle(bundle).obslog
-        arrivals = {r["job_id"] for r in records
-                    if r["event"] == "fleet.arrive"}
-        shard_jobs = [r for r in records if r["event"].startswith("job.")]
-        assert arrivals and shard_jobs
-        assert {r["job_id"] for r in records if "job_id" in r} <= arrivals
-        assert all("index" in r for r in shard_jobs)
+        model = load_bundle(bundle)
+        arrivals = {e.args["job_id"] for e in model.fleet_events("arrive")}
+        lifecycle = model.fleet_events("admit") + model.fleet_events("depart")
+        assert arrivals and lifecycle
+        assert {e.args["job_id"] for e in lifecycle} <= arrivals
 
     def test_gzip_bundle_loads_transparently(self, tmp_path):
         bundle = tmp_path / "gz"
@@ -132,10 +153,8 @@ class TestRunBundleCapture:
                                   "--report-gzip"]) == 0
         manifest = read_manifest(bundle)
         assert manifest["artifacts"]["trace"].endswith(".gz")
-        assert manifest["artifacts"]["obslog"].endswith(".gz")
         model = load_bundle(bundle)
         assert len(model.events) == manifest["counts"]["trace_events"]
-        assert len(model.obslog) == manifest["counts"]["obslog_records"]
 
     def test_non_bundle_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not a run bundle"):
@@ -197,43 +216,34 @@ class TestAnalyzers:
         assert warning.severity == "warning"
         assert "evidence incomplete" in warning.title
         assert warning.data["dropped_events"] == 7
-
-    def test_obslog_truncation_surfaces_as_evidence_warning(self):
-        model = RunModel(path="synthetic", manifest=_minimal_manifest())
-        model.obslog_truncations.append("obslog.jsonl:9: malformed")
-        findings = analyze(model)
-        assert any(
-            f.severity == "warning" and "truncated" in f.title
-            for f in findings
-        )
+        # No command takes a --trace flag; the finding states the rings'
+        # capacities instead.
+        assert warning.detail == (
+            "the trace ring buffer dropped 7 event(s); timeline-based "
+            "findings below may undercount — a bundle's ring holds "
+            "262,144 events and each worker job's 16,384")
 
     def test_straggler_detection_from_obslog(self):
-        model = RunModel(path="synthetic", manifest=_minimal_manifest())
-        # The obslog record of a ``job`` event: the span's args plus
-        # its ``duration``.
-        for _ in range(8):
-            model.obslog.append(
-                {"event": "job.bp:PVC_DXTC", "worker_pid": 1,
-                 "duration": 10.0})
-        for pid in (2, 3, 4):
-            model.obslog.append(
-                {"event": "job.bp:PVC_DXTC", "worker_pid": pid,
-                 "duration": 1.0})
+        """The straggler finding reads ExecStats' per-worker seconds."""
+        model = RunModel(
+            path="synthetic", manifest=_minimal_manifest(),
+            exec_stats=ExecStats(worker_seconds={
+                "tok-1": 80.0, "tok-2": 1.0, "tok-3": 1.0, "tok-4": 1.0}))
         finding = next(f for f in analyze(model)
                        if f.category == "stragglers")
         assert finding.severity == "warning"
-        assert finding.data["worst_worker"] == "pid=1"
+        assert finding.data["worst_worker"] == "tok-1"
+        assert finding.title == "straggler worker tok-1"
 
     def test_straggler_detection_groups_by_worker_token(self):
-        # The token outlives pid reuse, so it keys a worker before the
-        # pid does; job spans in a trace are not evidence (a trace keeps
-        # the cycle clock, and job spans are wall seconds).
-        model = RunModel(path="synthetic", manifest=_minimal_manifest())
-        for index, (token, seconds) in enumerate(
-                [("tok-a", 10.0)] * 8 + [("tok-b", 1.0), ("tok-c", 1.0)]):
-            model.obslog.append(
-                {"event": "job.bp:PVC_DXTC", "worker": token,
-                 "worker_pid": index, "duration": seconds})
+        # The token outlives pid reuse, so it keys a worker: merged runs
+        # sum per token.  Job spans in a trace are not evidence (a
+        # trace keeps the cycle clock; job time is wall seconds).
+        stats = ExecStats()
+        for seconds in [{"tok-a": 10.0}] * 8 + [{"tok-b": 1.0, "tok-c": 1.0}]:
+            stats.merge(ExecStats(worker_seconds=seconds))
+        model = RunModel(path="synthetic", manifest=_minimal_manifest(),
+                         exec_stats=stats)
         model.events.append(TraceEvent(
             seq=0, time=0.0, category="job", name="bp:PVC_DXTC",
             kind=KIND_SPAN, duration=1e6, args={"worker": "tok-trace"}))
@@ -307,6 +317,62 @@ class TestDiffer:
         diff = diff_bundles(bundle_pair[0], mutated)
         assert not diff.zero_divergence
         assert diff.meta_divergence[0][0] == "trace_events"
+
+    def test_retired_count_and_family_are_notes(self, bundle_pair, tmp_path):
+        """A count or a metric family only one bundle has says the two
+        versions record different things, not that their runs did
+        different work: it is a note naming it and its side."""
+        parent = tmp_path / "parent"
+        shutil.copytree(bundle_pair[0], parent)
+        _retire(parent)
+        diff = diff_bundles(parent, bundle_pair[1])
+        assert diff.zero_divergence
+        assert diff.meta_divergence == [] and diff.metric_divergence == []
+        text = render_diff_text(diff)
+        assert "note: count obslog_records only in A" in text
+        assert "note: metric family repro_exec_cache_hits_total only in A" in \
+            text
+        assert "verdict: IDENTICAL" in text
+        reverse = diff_bundles(bundle_pair[1], parent)
+        assert reverse.zero_divergence
+        assert any("count obslog_records only in B" in note
+                   for note in reverse.notes)
+        # The family count is compared over the families both have, so
+        # a count the one-sided family does not explain still diverges.
+        _edit_json(parent / "manifest.json",
+                   lambda m: m["counts"].update(
+                       metric_families=m["counts"]["metric_families"] + 1))
+        assert [key for key, _, _ in diff_bundles(
+            parent, bundle_pair[1]).meta_divergence] == ["metric_families"]
+
+    def test_shared_family_difference_still_diverges(
+            self, bundle_pair, tmp_path, capsys):
+        def bump_rounds(metrics):
+            family = next(f for f in metrics["metrics"]
+                          if f["name"] == "repro_fleet_rounds_total")
+            family["samples"][0]["value"] += 1
+
+        def add_label_set(metrics):
+            family = next(f for f in metrics["metrics"]
+                          if f["name"] == "repro_fleet_jobs_total")
+            family["samples"].append(
+                {"labels": {"event": "requeued"}, "value": 1.0})
+
+        for edit, expected in (
+                (bump_rounds, ("repro_fleet_rounds_total", "")),
+                (add_label_set, ("repro_fleet_jobs_total",
+                                 "event=requeued"))):
+            mutated = tmp_path / edit.__name__
+            shutil.copytree(bundle_pair[0], mutated)
+            _retire(mutated)
+            _edit_json(mutated / "metrics.json", edit)
+            diff = diff_bundles(bundle_pair[0], mutated)
+            assert [(d.name, d.labels) for d in diff.metric_divergence] == [
+                expected]
+            capsys.readouterr()
+            assert main(["diff", str(bundle_pair[0]), str(mutated),
+                         "--expect-identical"]) == 1
+            assert "verdict: DIVERGED" in capsys.readouterr().out
 
     def test_span_attribution_present_and_ranked(self, bundle_pair):
         diff = diff_bundles(*bundle_pair)
@@ -399,12 +465,42 @@ class TestCli:
         stats = load_bundle(old).exec_stats
         assert stats == ExecStats.from_dict(CACHE_ERA_EXEC_STATS)
         assert stats.to_dict() == {
-            key: CACHE_ERA_EXEC_STATS[key]
-            for key in ("jobs_total", "wall_seconds", "workers",
-                        "job_seconds", "kernel_backend")
+            **{key: CACHE_ERA_EXEC_STATS[key]
+               for key in ("jobs_total", "wall_seconds", "workers",
+                           "job_seconds", "kernel_backend")},
+            "worker_seconds": {},
         }
         assert main(["inspect", str(old)]) == 0
         assert "critical path" in capsys.readouterr().out
+
+    def test_parent_layout_bundle_loads_inspects_and_diffs(
+            self, bundle_pair, tmp_path, capsys):
+        """A bundle written while runs also kept an obslog (its manifest
+        names ``obslog.jsonl``, its ExecStats hold no per-worker seconds)
+        loads, inspects, and diffs IDENTICAL against the same command's
+        bundle, with its retired count as a note."""
+        old = tmp_path / "parent-layout"
+        shutil.copytree(bundle_pair[0], old)
+        (old / "obslog.jsonl").write_text(
+            '{"event": "fleet.run", "level": "info", "pid": 1, '
+            '"run_id": "cafecafecafecafe", "ts": 0.0}\n')
+        _edit_json(old / "manifest.json", lambda m: (
+            m["artifacts"].update(obslog="obslog.jsonl"),
+            m["counts"].update(obslog_records=1)))
+        _edit_json(old / "exec_stats.json",
+                   lambda stats: stats.pop("worker_seconds"))
+        model = load_bundle(old)
+        assert model.exec_stats.worker_seconds == {}
+        assert len(model.events) == model.manifest["counts"]["trace_events"]
+        capsys.readouterr()
+        assert main(["inspect", str(old)]) == 0
+        assert "critical path" in capsys.readouterr().out
+        assert main(["diff", str(old), str(bundle_pair[1]),
+                     "--expect-identical"]) == 0
+        out = capsys.readouterr().out
+        assert "note: count obslog_records only in A" in out
+        assert "meta-count divergence: none" in out
+        assert "verdict: IDENTICAL" in out
 
     def test_inspect_missing_bundle_raises_config_error(self, tmp_path):
         with pytest.raises(ConfigError):

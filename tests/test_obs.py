@@ -1,10 +1,9 @@
 """The observability handle (repro.obs): one ``obs`` argument that owns
-the trace recorder, metrics registry, phase profiler and obslog logger."""
+the trace recorder, metrics registry and phase profiler."""
 
 import repro.obs
 from repro.exec import ObsSnapshot, SweepExecutor, SweepJob
 from repro.obs import NULL_METRIC, OFF, Obs, run_job
-from repro.obslog import ObsLogger, read_obslog
 from repro.profiling import PhaseProfiler
 from repro.telemetry import MetricsRegistry, names
 from repro.trace import TraceRecorder
@@ -19,7 +18,6 @@ class TestHandle:
         OFF.emit("epoch", "e", time=1.0, duration=2.0)
         OFF.begin("epoch")
         OFF.end("epoch")
-        OFF.info("x", job_id=1)
         OFF.epoch_boundary(0, 0.0)
         with OFF.span("phase"):
             pass
@@ -30,16 +28,13 @@ class TestHandle:
         metric.observe(1.0)
         assert metric.value == 0.0
 
-    def test_any_sink_turns_the_handle_on(self, tmp_path):
+    def test_any_sink_turns_the_handle_on(self):
+        # Every sink is one a worker capture feeds, so ``on`` is also
+        # the capture rule.
         for handle in (Obs(TraceRecorder()), Obs(registry=MetricsRegistry()),
                        Obs(profiler=PhaseProfiler())):
-            assert handle.on and handle.captures
-        # A logger writes only in the orchestrator: nothing to capture.
-        logger = ObsLogger(tmp_path / "l.jsonl", run_id="r" * 16)
-        handle = Obs(logger=logger)
-        logger.close()
-        assert handle.on and not handle.captures
-        assert not OFF.captures
+            assert handle.on
+        assert not OFF.on
 
     def test_calls_reach_their_sinks(self):
         recorder, registry, profiler = (
@@ -58,16 +53,6 @@ class TestHandle:
 
     def test_metric_without_registry_is_the_null_metric(self):
         assert Obs(TraceRecorder()).metric(names.epochs_total) is NULL_METRIC
-
-    def test_bind_shares_sinks_and_binds_the_logger(self, tmp_path):
-        recorder = TraceRecorder()
-        assert Obs(recorder).bind(run_id="x").recorder is recorder
-        logger = ObsLogger(tmp_path / "l.jsonl", run_id="r" * 16)
-        bound = Obs(recorder, logger=logger).bind(placement="first_fit")
-        assert bound.recorder is recorder
-        bound.info("fleet.run")
-        logger.close()
-        assert read_obslog(tmp_path / "l.jsonl")[0]["placement"] == "first_fit"
 
 
 class TestWorkerCapture:

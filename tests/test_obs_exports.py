@@ -3,9 +3,10 @@
 Two instrumented CLI runs go through ``repro.cli.main`` in a temporary
 directory, with every observability flag they take: a small ``fleet``
 (Prometheus, run bundle) and an ``arrivals`` run (Prometheus, CSV
-series, run bundle).  The bundle holds the trace, obslog and metrics
-snapshot.  Each artifact is normalized, then stored in
-``tests/golden/obs_exports.json`` as a SHA-256 plus a record count.
+series, run bundle).  The bundle holds the trace, metrics snapshot,
+profile, results and (for the fleet) ExecStats.  Each artifact is
+normalized, then stored in ``tests/golden/obs_exports.json`` as a
+SHA-256 plus a record count.
 
 Normalization drops only run provenance and values that are wall time
 or process identity:
@@ -13,10 +14,6 @@ or process identity:
 * provenance: the ``repro_build_info`` sample, the JSON ``provenance``
   field, the CSV ``#`` header lines, and the manifest's ``provenance``
   and ``kernel_backend``;
-* obslog fields ``ts``, ``pid``, ``worker_pid``, ``worker`` and
-  ``wall_seconds``, plus ``backend`` (the kernel backend, which is
-  provenance: the exports are otherwise the same under both backends),
-  and a ``job.*`` record's ``now`` and ``duration`` (wall seconds);
 * trace args ``pid`` and ``worker`` (and the OS pid in a Chrome
   ``process_name`` label);
 * the ``repro_exec_wall_seconds_total`` and ``repro_exec_job_seconds``
@@ -68,10 +65,6 @@ RUNS = {
     ],
 }
 
-_OBSLOG_DROP = ("ts", "pid", "worker_pid", "worker", "wall_seconds",
-                "backend")
-#: An executed job's record is timed in wall seconds.
-_JOB_WALL = ("now", "duration")
 _TRACE_ARG_DROP = ("pid", "worker")
 _WALL_FAMILIES = ("repro_exec_wall_seconds_total", "repro_exec_job_seconds")
 _EXEC_COUNTS = ("jobs_total",)
@@ -103,16 +96,6 @@ def _chrome(text):
             args["name"] = re.sub(r"\(pid \d+\)", "(pid)", args["name"])
         event["args"] = args
         records.append(_dump(event))
-    return records
-
-
-def _obslog(text):
-    records = []
-    for line in text.splitlines():
-        record = _without(json.loads(line), _OBSLOG_DROP)
-        if record["event"].startswith("job."):
-            record = _without(record, _JOB_WALL)
-        records.append(_dump(record))
     return records
 
 
@@ -162,7 +145,6 @@ def _normalizer(name):
     return {
         "trace.jsonl": _trace_jsonl,
         "trace.chrome.json": _chrome,
-        "obslog.jsonl": _obslog,
         "M": _prometheus,
         "metrics.json": _metrics_json,
         "C": _csv,

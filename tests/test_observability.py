@@ -1,5 +1,5 @@
 """Cross-process fleet observability: worker capture, merged streams,
-structured logging, and the health monitor.
+the fleet's event log, and the health monitor.
 
 The tentpole invariant under test: a sharded fleet run (``jobs=2``,
 real pool processes) produces the *same* merged observability as the
@@ -19,12 +19,6 @@ from repro.cluster.health import KIND_STRAGGLER, KIND_WAIT_STALL
 from repro.errors import ConfigError, TelemetryError
 from repro.exec import ObsSnapshot, SweepExecutor, SweepJob
 from repro.obs import Obs, run_job
-from repro.obslog import (
-    REQUIRED_FIELDS,
-    ObsLogger,
-    read_obslog,
-    validate_obslog_file,
-)
 from repro.profiling import PhaseProfiler
 from repro.telemetry import (
     MetricsRegistry,
@@ -32,7 +26,13 @@ from repro.telemetry import (
     snapshot_registry,
     to_prometheus,
 )
-from repro.trace import KIND_SPAN, TraceEvent, TraceRecorder, chrome_trace
+from repro.trace import (
+    KIND_INSTANT,
+    KIND_SPAN,
+    TraceEvent,
+    TraceRecorder,
+    chrome_trace,
+)
 from repro.workloads import poisson_arrivals
 
 CYCLES = 10_000_000
@@ -44,7 +44,8 @@ def captured(job):
     return run_job(job, capture=True)
 
 
-def fleet(jobs: int, obs: Obs, health=None):
+def fleet(jobs: int, obs: Obs, health=None,
+          placement=PlacementPolicy.LEAST_FRAGMENTED):
     """One tiny fleet run; returns (result, the executor's envelopes)."""
     schedule = poisson_arrivals(
         mean_interarrival_cycles=500_000,
@@ -56,7 +57,7 @@ def fleet(jobs: int, obs: Obs, health=None):
         simulator = FleetSimulator(
             4,
             schedule,
-            PlacementPolicy.LEAST_FRAGMENTED,
+            placement,
             horizon_cycles=CYCLES,
             instructions_per_kernel=50_000_000,
             executor=executor,
@@ -66,11 +67,11 @@ def fleet(jobs: int, obs: Obs, health=None):
         return simulator.run(), executor.last_envelopes
 
 
-def run_fleet(jobs: int, *, health=None, log=None):
+def run_fleet(jobs: int, *, health=None):
     """One tiny observed fleet run; returns (result, registry, recorder)."""
     registry = MetricsRegistry()
     recorder = TraceRecorder()
-    result, _ = fleet(jobs, Obs(recorder, registry, logger=log), health)
+    result, _ = fleet(jobs, Obs(recorder, registry), health)
     return result, registry, recorder
 
 
@@ -112,6 +113,14 @@ class TestWorkerCaptureRoundTrip:
         spans = physics(serial[2])
         assert spans  # worker node-physics spans made it across
         assert spans == physics(sharded[2])
+
+    def test_fleet_events_identical_serial_and_sharded(self, serial, sharded):
+        # The run event names the run's shape but not its worker count.
+        def lifecycle(recorder):
+            return [(e.time, e.name, e.args) for e in recorder.events("fleet")]
+
+        assert lifecycle(serial[2])[0][1] == "run"
+        assert lifecycle(serial[2]) == lifecycle(sharded[2])
 
     def test_absorbed_events_carry_correlation_ids(self, sharded):
         result, _, recorder = sharded
@@ -316,103 +325,35 @@ class TestChromeTracks:
 
 
 # ----------------------------------------------------------------------
-# Structured logging (obslog)
+# The fleet's event log: one trace, every event stamped with its run
 # ----------------------------------------------------------------------
-class TestObsLogger:
-    def test_round_trip_and_validation(self, tmp_path):
-        path = tmp_path / "run.log.jsonl"
-        log = ObsLogger(path, run_id="cafe" * 4, clock=lambda: 12.5)
-        bound = log.bind(shard_id="r0.s1", node_id=3)
-        log.info("fleet.run", nodes=4)
-        bound.debug("fleet.round", job_id=9, wait=0)
-        bound.warning("health.straggler", detail="slow")
-        log.close()
-
-        assert validate_obslog_file(path) == 3
-        records = read_obslog(path)
-        assert [r["event"] for r in records] == [
-            "fleet.run", "fleet.round", "health.straggler"
-        ]
-        for record in records:
-            for name in REQUIRED_FIELDS:
-                assert name in record
-            assert record["run_id"] == "cafe" * 4
-            assert record["ts"] == 12.5
-        assert records[1]["shard_id"] == "r0.s1"
-        assert records[1]["node_id"] == 3
-        assert records[1]["job_id"] == 9
-        assert "shard_id" not in records[0]
-        assert log.records_written == 3
-
-    def test_none_fields_are_dropped(self, tmp_path):
-        path = tmp_path / "run.log.jsonl"
-        log = ObsLogger(path, run_id="r" * 16)
-        log.info("x", job_id=None, wait=2)
-        log.close()
-        record = read_obslog(path)[0]
-        assert "job_id" not in record and record["wait"] == 2
-
-    def test_empty_run_id_rejected(self, tmp_path):
-        with pytest.raises(TelemetryError):
-            ObsLogger(tmp_path / "x.jsonl", run_id="")
-
-    def test_malformed_line_raises_telemetry_error(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"ok": 1}\nnot json\n')
-        with pytest.raises(TelemetryError, match="bad.jsonl:2"):
-            read_obslog(path)
-
-    def test_torn_final_line_tolerated_when_not_strict(self, tmp_path):
-        # A killed run leaves a partial final record behind; non-strict
-        # reads keep the intact prefix and report the truncation.
-        path = tmp_path / "killed.jsonl"
-        log = ObsLogger(path, run_id="r" * 16)
-        log.info("fleet.run", nodes=4)
-        log.info("fleet.round", round=0)
-        log.close()
-        with open(path, "a") as handle:
-            handle.write('{"ts": 3.0, "level": "in')
-        with pytest.raises(TelemetryError, match="killed.jsonl:3"):
-            read_obslog(path)
-        errors = []
-        records = read_obslog(path, strict=False, errors=errors)
-        assert [r["event"] for r in records] == ["fleet.run", "fleet.round"]
-        assert len(errors) == 1 and "killed.jsonl:3" in errors[0]
-
-    def test_gzip_obslog_round_trip(self, tmp_path):
-        path = tmp_path / "run.log.jsonl.gz"
-        log = ObsLogger(path, run_id="beef" * 4)
-        log.info("fleet.run", nodes=2)
-        log.close()
-        assert path.read_bytes()[:2] == b"\x1f\x8b"
-        assert validate_obslog_file(path) == 1
-        assert read_obslog(path)[0]["event"] == "fleet.run"
-
-    def test_validation_flags_missing_and_mistyped_fields(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"ts": 1.0, "level": "info", "event": "x"}\n')
-        with pytest.raises(TelemetryError, match="run_id"):
-            validate_obslog_file(path)
-        path.write_text(
-            '{"ts": 1.0, "level": "info", "event": "x", '
-            '"run_id": "r", "pid": "not-an-int"}\n'
-        )
-        with pytest.raises(TelemetryError, match="pid"):
-            validate_obslog_file(path)
-
-    def test_fleet_run_emits_correlated_records(self, tmp_path):
-        path = tmp_path / "fleet.log.jsonl"
-        log = ObsLogger(path, run_id="f" * 16)
-        run_fleet(1, log=log)
-        log.close()
-        records = read_obslog(path)
-        assert validate_obslog_file(path) == len(records) > 0
-        events = {r["event"] for r in records}
-        assert {"fleet.run", "fleet.round", "fleet.result"} <= events
-        rounds = [r for r in records if r["event"] == "fleet.round"]
-        # The simulator re-binds its own deterministic run_id.
-        assert all(len(r["run_id"]) == 16 for r in rounds)
-        assert len({r["run_id"] for r in rounds}) == 1
+class TestFleetEventLog:
+    def test_fleet_run_emits_correlated_records(self):
+        recorder = TraceRecorder()
+        obs = Obs(recorder)
+        placements = (PlacementPolicy.FIRST_FIT,
+                      PlacementPolicy.LEAST_FRAGMENTED)
+        for placement in placements:
+            fleet(1, obs, placement=placement)
+        events = recorder.events("fleet")
+        assert {"run", "arrive", "admit", "round"} <= {e.name for e in events}
+        runs = [e for e in events if e.name == "run"]
+        assert [e.args["placement"] for e in runs] == [
+            p.value for p in placements]
+        assert len({e.args["run_id"] for e in runs}) == len(placements)
+        for run in runs:
+            assert run.kind == KIND_INSTANT and run.time == 0.0
+            assert set(run.args) == {
+                "run_id", "placement", "slicing", "nodes",
+                "tenants_per_node", "horizon", "round_cycles", "arrivals"}
+        # Every fleet event carries the run_id of the run it belongs to:
+        # the one its placement's ``run`` event opened.
+        run_id = None
+        for event in events:
+            if event.name == "run":
+                run_id = event.args["run_id"]
+            assert len(event.args["run_id"]) == 16
+            assert event.args["run_id"] == run_id
 
 
 # ----------------------------------------------------------------------
@@ -486,23 +427,21 @@ class TestHealthMonitor:
         healthy = FleetHealthMonitor().report()
         assert healthy.healthy and "no incidents" in healthy.format()
 
-    def test_incidents_surface_in_all_three_streams(self, tmp_path):
+    def test_incidents_surface_in_all_three_streams(self):
+        """An incident is one ``health`` event, so it reaches both event
+        sinks: the trace keeps it and the registry counts it."""
         registry = MetricsRegistry()
         recorder = TraceRecorder()
-        log = ObsLogger(tmp_path / "h.jsonl", run_id="h" * 16)
-        monitor = FleetHealthMonitor(obs=Obs(recorder, registry, logger=log))
+        monitor = FleetHealthMonitor(obs=Obs(recorder, registry))
         monitor.run_id = "h" * 16
         monitor.observe_round(3, now=7.0, job_seconds=(0.1, 0.1, 0.1, 1.0))
-        log.close()
         text = to_prometheus(registry)
         assert 'repro_health_incidents_total{kind="straggler"} 1' in text
         events = recorder.events("health")
         assert len(events) == 1
         assert events[0].name == KIND_STRAGGLER
+        assert events[0].time == 7.0
         assert events[0].args["run_id"] == "h" * 16
-        records = read_obslog(tmp_path / "h.jsonl")
-        assert records[0]["event"] == "health.straggler"
-        assert records[0]["level"] == "warning"
 
     def test_threshold_validation(self):
         with pytest.raises(ConfigError):

@@ -8,6 +8,7 @@ import pytest
 from repro import build_mix
 from repro.errors import ConfigError
 from repro.exec import SweepExecutor, SweepJob
+from repro.exec.envelope import worker_token
 from repro.exec.registry import bp, ugpu
 from repro.pagemove import (
     InterleavedPageMapping,
@@ -15,7 +16,6 @@ from repro.pagemove import (
     PageMoveAddressMapping,
 )
 from repro.obs import Obs
-from repro.obslog import ObsLogger, read_obslog
 from repro.telemetry import MetricsRegistry
 from repro.trace import (
     TraceCategory,
@@ -252,27 +252,27 @@ class TestComponentInstrumentation:
         assert execute_event.args["eager"] == 4
         assert execute_event.duration > 0
 
-    def test_executor_cache_and_job_events(self, tmp_path):
-        """The executor's ``job`` events are timed in wall seconds: they
-        reach the registry and the log, never the cycle-domain trace.
-        Nothing is cached, so a repeated run executes its job again."""
+    def test_executor_cache_and_job_events(self):
+        """The executor's facts are wall seconds: its registry counts
+        them from ExecStats, and it emits nothing into the cycle-domain
+        trace.  Nothing is cached, so a repeated run executes its job
+        again."""
         recorder, registry = TraceRecorder(), MetricsRegistry()
-        log = ObsLogger(tmp_path / "exec.jsonl", run_id="r" * 16)
-        executor = SweepExecutor(jobs=1,
-                                 obs=Obs(recorder, registry, logger=log))
+        executor = SweepExecutor(jobs=1, obs=Obs(recorder, registry))
         job = SweepJob.build("bp", ("PVC", "DXTC"), 2_000_000)
         executor.run([job])
         executor.run([job])
-        log.close()
         assert registry.value("repro_exec_jobs_run_total") == 2
-        spans = [r for r in read_obslog(tmp_path / "exec.jsonl")
-                 if r["event"] == "job.bp:PVC_DXTC"]
-        assert len(spans) == 2
-        for span in spans:
-            assert span["duration"] > 0
-            assert span["policy"] == "bp" and span["index"] == 0
-            assert "job_id" not in span
-        assert recorder.events("job") == []
+        job_seconds = registry.get("repro_exec_job_seconds").labels()
+        assert job_seconds.count == 2
+        assert job_seconds.sum == pytest.approx(
+            executor.stats.job_seconds_total)
+        # Both runs ran in this process: one worker token holds both.
+        worker_seconds = executor.stats.worker_seconds
+        assert list(worker_seconds) == [worker_token()]
+        assert worker_seconds[worker_token()] == pytest.approx(
+            executor.stats.job_seconds_total)
+        assert recorder.events() == []
 
 
 _ABSORB_STAMPS = ("run_id", "shard_id", "pid", "worker")

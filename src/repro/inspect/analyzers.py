@@ -183,7 +183,7 @@ def _analyze_stragglers(model: RunModel) -> List[Finding]:
 def _analyze_wait_queue(model: RunModel) -> List[Finding]:
     findings: List[Finding] = []
     # Depth timeline from the per-round "round" instants the fleet
-    # simulator traces (wait = queue depth entering the round).
+    # simulator traces (wait = queue depth at the round's end).
     depths = [int(e.args.get("wait", 0)) for e in model.fleet_events("round")]
     # Admission latency: each admit event's arrive -> admit cycles.
     latencies = [float(e.args["delay"]) for e in model.fleet_events("admit")

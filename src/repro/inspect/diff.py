@@ -221,18 +221,19 @@ def _diff_notes(diff: BundleDiff) -> None:
         )
     counts_a = diff.a.manifest.get("counts", {})
     counts_b = diff.b.manifest.get("counts", {})
-    # A family only one bundle has is already a note, so the family
-    # count is compared over the families both have.
     families_a = set(diff.a.metric_families())
     families_b = set(diff.b.metric_families())
-    one_sided = {"metric_families": (len(families_a - families_b),
-                                     len(families_b - families_a))}
     for key in sorted(set(counts_a) | set(counts_b)):
         if key not in counts_a or key not in counts_b:
             diff.notes.append(_only_in(f"count {key}", key in counts_a))
             continue
-        only_a, only_b = one_sided.get(key, (0, 0))
-        if counts_a[key] - only_a != counts_b[key] - only_b:
+        va, vb = counts_a[key], counts_b[key]
+        if key == "metric_families":
+            # A family only one bundle has is already a note, so the
+            # family count is compared over the families both have.
+            va -= len(families_a - families_b)
+            vb -= len(families_b - families_a)
+        if va != vb:
             diff.meta_divergence.append((key, counts_a[key], counts_b[key]))
     if diff.a.dropped_events or diff.b.dropped_events:
         diff.notes.append(

@@ -327,7 +327,7 @@ class TestChromeTracks:
 # ----------------------------------------------------------------------
 # The fleet's event log: one trace, every event stamped with its run
 # ----------------------------------------------------------------------
-class TestFleetEventLog:
+class TestObsLogger:
     def test_fleet_run_emits_correlated_records(self):
         recorder = TraceRecorder()
         obs = Obs(recorder)
